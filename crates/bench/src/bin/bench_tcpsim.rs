@@ -24,11 +24,8 @@
 
 use simcore::time::SimDuration;
 use simcore::{EventQueue, HeapQueue};
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 use std::time::Instant;
-use tcpsim::sock::{SimTcpStream, SockApp};
 use tcpsim::{
     App, ConnId, DeliveredSpan, End, Marker, Net, NodeId, PathParams, PktDir, Sim, TcpOptions,
 };
@@ -207,215 +204,6 @@ fn run_workload(w: &Workload, tracing: bool, telemetry: bool) -> Cell {
         recorded,
         wall_s,
         finished: app.finished,
-    }
-}
-
-/// The same workload as [`run_workload`] (tracing and telemetry off),
-/// driven through the `tcpsim::sock` facade: one async task per
-/// session plays both connection ends over `SimTcpStream`s instead of
-/// raw `App` callbacks. Each task issues exactly the network calls the
-/// callback app does, at the same virtual instants, so both arms
-/// process identical event trajectories — the cell isolates the
-/// executor/waker/command-queue overhead of the facade itself.
-fn run_workload_facade(w: &Workload) -> Cell {
-    let mut sim = Sim::new(42, SockApp::new());
-    sim.net().trace_mut().set_enabled(false);
-    sim.net().metrics_mut().set_enabled(false);
-    let rt = sim.with(|app, _| app.host.rt());
-    let finished = Rc::new(RefCell::new(0usize));
-    let request = 400u64;
-    let response = w.response;
-    let chunks = w.chunks.max(1) as u64;
-    let (rtt_ms, loss) = (w.rtt_ms, w.loss);
-    for s in 0..w.sessions {
-        let rt = rt.clone();
-        let done = Rc::clone(&finished);
-        sim.with(move |app, net| {
-            app.spawn_now(net, async move {
-                let mut a = SimTcpStream::connect(
-                    &rt,
-                    NodeId(2 * s),
-                    NodeId(2 * s + 1),
-                    PathParams::lossy(rtt_ms, loss),
-                    TcpOptions::default(),
-                    TcpOptions::default(),
-                    s as u64,
-                )
-                .await;
-                let conn = a.conn();
-                a.write(request, Marker::Request, conn.0 as u64);
-                // The same task serves the B end once the request is in:
-                // alternating static/dynamic chunks, then FIN — the
-                // mirror of BenchApp::on_data(End::B).
-                let mut b = SimTcpStream::attach(&rt, conn, End::B);
-                b.wait_marker_total(Marker::Request, request).await;
-                let base = response / chunks;
-                let (mut sent, mut stat, mut dynb) = (0u64, 0u64, 0u64);
-                for i in 0..chunks {
-                    let len = if i == chunks - 1 {
-                        response - sent
-                    } else {
-                        base
-                    };
-                    sent += len;
-                    if i % 2 == 0 {
-                        stat += len;
-                        b.write(len, Marker::Static, 1);
-                    } else {
-                        dynb += len;
-                        b.write(len, Marker::Dynamic, 1000 + conn.0 as u64 * chunks + i);
-                    }
-                }
-                b.shutdown();
-                // Per-marker totals are absolute, so awaiting both in
-                // sequence resolves exactly when the last response byte
-                // lands — the instant the callback app closes End::A.
-                a.wait_marker_total(Marker::Static, stat).await;
-                a.wait_marker_total(Marker::Dynamic, dynb).await;
-                a.shutdown();
-                a.fin().await;
-                rt.forget_conn(conn);
-                *done.borrow_mut() += 1;
-            });
-        });
-    }
-    let t0 = Instant::now();
-    sim.run();
-    let wall_s = t0.elapsed().as_secs_f64().max(1e-9);
-    let events = sim.net().events_processed();
-    let done = *finished.borrow();
-    assert_eq!(
-        done, w.sessions as usize,
-        "{}: every facade session must complete",
-        w.name
-    );
-    Cell {
-        events,
-        recorded: 0,
-        wall_s,
-        finished: done,
-    }
-}
-
-/// Paired facade-vs-direct overhead on one workload: interleaved runs
-/// with alternating order, overhead estimated as the median of
-/// per-pair wall-clock ratios (the same estimator as
-/// [`telemetry_overhead`]). Panics if the facade arm's event
-/// trajectory diverges from the callback arm's — equal event counts
-/// are what make the wall-clock ratio a pure per-event overhead.
-/// Returns `(eps_direct, eps_facade, overhead_ratio)`.
-fn facade_overhead(w: &Workload, pairs: u32) -> (f64, f64, f64) {
-    let mut ratios = Vec::new();
-    let mut best_direct = f64::INFINITY;
-    let mut best_facade = f64::INFINITY;
-    let mut events = 0u64;
-    for i in 0..pairs {
-        let (d, f) = if i % 2 == 0 {
-            let d = run_workload(w, false, false);
-            let f = run_workload_facade(w);
-            (d, f)
-        } else {
-            let f = run_workload_facade(w);
-            let d = run_workload(w, false, false);
-            (d, f)
-        };
-        assert_eq!(
-            d.events, f.events,
-            "{}: the facade must not change the event trajectory",
-            w.name
-        );
-        events = d.events;
-        ratios.push(f.wall_s / d.wall_s);
-        best_direct = best_direct.min(d.wall_s);
-        best_facade = best_facade.min(f.wall_s);
-    }
-    ratios.sort_by(f64::total_cmp);
-    let median = ratios[ratios.len() / 2];
-    (
-        events as f64 / best_direct,
-        events as f64 / best_facade,
-        median,
-    )
-}
-
-/// Builds one fleet world (tracing and telemetry off — this cell
-/// measures raw scheduler throughput).
-fn build_fleet_world(w: &Workload, seed: u64) -> Sim<BenchApp> {
-    let app = BenchApp::new(400, w.response, w.chunks, false);
-    let mut sim = Sim::new(seed, app);
-    sim.net().trace_mut().set_enabled(false);
-    sim.net().metrics_mut().set_enabled(false);
-    for s in 0..w.sessions {
-        let path = PathParams::lossy(w.rtt_ms, w.loss);
-        sim.net().open(
-            NodeId(2 * s),
-            NodeId(2 * s + 1),
-            path,
-            TcpOptions::default(),
-            TcpOptions::default(),
-            s as u64,
-        );
-    }
-    sim
-}
-
-/// The fleet-scale cell: `worlds` independent simulators run to
-/// quiescence either back-to-back (`batched = false`) or interleaved in
-/// short virtual-time slices on one thread (`batched = true`) — the
-/// multi-world batching model the campaign runner uses
-/// (`FECDN_WORLD_BATCH`). Each world's trajectory is identical either
-/// way; the cell measures the locality effect of K warm event queues.
-fn run_fleet(w: &Workload, worlds: u32, batched: bool) -> Cell {
-    let mut sims: Vec<Sim<BenchApp>> = (0..worlds)
-        .map(|k| build_fleet_world(w, 42 + k as u64))
-        .collect();
-    let slice = SimDuration::from_millis(250);
-    let t0 = Instant::now();
-    if batched {
-        loop {
-            let mut live = false;
-            for sim in &mut sims {
-                if sim.net().pending_events() == 0 {
-                    continue;
-                }
-                // Slice deadline with a skip past lulls, as the
-                // campaign runner's chunk loop does.
-                let mut deadline = sim.net().now() + slice;
-                if let Some(t) = sim.net().next_event_time() {
-                    if t > deadline {
-                        deadline = t;
-                    }
-                }
-                sim.run_until(deadline);
-                live |= sim.net().pending_events() > 0;
-            }
-            if !live {
-                break;
-            }
-        }
-    } else {
-        for sim in &mut sims {
-            sim.run();
-        }
-    }
-    let wall_s = t0.elapsed().as_secs_f64().max(1e-9);
-    let mut events = 0u64;
-    let mut finished = 0usize;
-    for sim in sims {
-        let mut sim = sim;
-        events += sim.net().events_processed();
-        let app = sim.into_app();
-        assert_eq!(
-            app.finished, w.sessions as usize,
-            "fleet: every session in every world must complete"
-        );
-        finished += app.finished;
-    }
-    Cell {
-        events,
-        recorded: 0,
-        wall_s,
-        finished,
     }
 }
 
@@ -643,77 +431,6 @@ fn main() {
         tel_eps_off, tel_eps_on, overhead_pct, raw_overhead_pct
     );
 
-    // Fleet-scale cell: K independent mixed worlds, run back-to-back vs
-    // interleaved in short virtual-time slices (the campaign runner's
-    // FECDN_WORLD_BATCH model). Both arms must process exactly the same
-    // events — batching is a pure reordering across worlds.
-    let fleet_w = Workload {
-        name: "fleet",
-        sessions: (workloads[1].sessions / 4).max(1),
-        ..workloads[1]
-    };
-    let fleet_worlds = 8u32;
-    let mut best_seq: Option<Cell> = None;
-    let mut best_bat: Option<Cell> = None;
-    for _ in 0..repeats {
-        let seq = run_fleet(&fleet_w, fleet_worlds, false);
-        let bat = run_fleet(&fleet_w, fleet_worlds, true);
-        assert_eq!(
-            seq.events, bat.events,
-            "batched stepping must not change any world's trajectory"
-        );
-        if best_seq.as_ref().is_none_or(|b| seq.wall_s < b.wall_s) {
-            best_seq = Some(seq);
-        }
-        if best_bat.as_ref().is_none_or(|b| bat.wall_s < b.wall_s) {
-            best_bat = Some(bat);
-        }
-    }
-    let (fleet_seq, fleet_bat) = (best_seq.unwrap(), best_bat.unwrap());
-    for (arm, c) in [("fleet-seq", &fleet_seq), ("fleet-batched", &fleet_bat)] {
-        eprintln!(
-            "{:>13}: {} worlds x {} sessions  events {:>9}  wall {:>8.1} ms  {:>10.0} events/s",
-            arm,
-            fleet_worlds,
-            fleet_w.sessions,
-            c.events,
-            c.wall_s * 1e3,
-            c.events_per_sec(),
-        );
-        rows.push(format!(
-            concat!(
-                "    {{\"workload\": \"{}\", \"tracing\": false, \"events\": {}, ",
-                "\"recorded_pkts\": 0, \"wall_ms\": {:.3}, \"events_per_sec\": {:.0}, ",
-                "\"recorded_pkts_per_sec\": 0}}"
-            ),
-            arm,
-            c.events,
-            c.wall_s * 1e3,
-            c.events_per_sec(),
-        ));
-    }
-
-    // Socket-facade cell: the async-task arm replays the callback
-    // arm's exact event trajectory, so the paired wall-clock ratio is
-    // the per-event price of the executor + command queue. ci.sh
-    // enforces the <= 1.15x budget on the smoke reading. Workload
-    // shape: handshakes + loss like `mixed`, but transfer lengths like
-    // the FE/BE responses facade consumers actually move — a session's
-    // handful of awaits amortized over a real response, not a toy one.
-    let facade_w = Workload {
-        name: "facade",
-        sessions: (200 * scale) as u32,
-        response: 150_000,
-        chunks: 24,
-        rtt_ms: 80.0,
-        loss: 0.01,
-    };
-    let (eps_direct, eps_facade, facade_ratio) = facade_overhead(&facade_w, repeats.max(15));
-    eprintln!(
-        "socket facade vs direct Net (paired, median): {:.3}x (direct {:.0} events/s, facade {:.0} events/s)",
-        facade_ratio, eps_direct, eps_facade
-    );
-
     // Paired scheduler microbenchmark: the committed baseline is always
     // regenerated on the wheel itself, so an end-to-end ratio against it
     // cannot keep guarding the wheel-vs-heap win. This cell races both
@@ -727,9 +444,6 @@ fn main() {
          \"recorded_pkts_per_sec\": {:.0},\n  \
          \"events_per_sec_telemetry_off\": {:.0},\n  \"events_per_sec_telemetry_on\": {:.0},\n  \
          \"telemetry_overhead_pct\": {:.3},\n  \
-         \"events_per_sec_fleet_seq\": {:.0},\n  \"events_per_sec_batched\": {:.0},\n  \
-         \"events_per_sec_direct_net\": {:.0},\n  \"events_per_sec_sock_facade\": {:.0},\n  \
-         \"facade_overhead_ratio\": {:.3},\n  \
          \"wheel_speedup_vs_heap\": {:.3},\n  \"cells\": [\n{}\n  ]\n}}\n",
         if smoke { "smoke" } else { "full" },
         repeats,
@@ -739,11 +453,6 @@ fn main() {
         tel_eps_off,
         tel_eps_on,
         overhead_pct,
-        fleet_seq.events_per_sec(),
-        fleet_bat.events_per_sec(),
-        eps_direct,
-        eps_facade,
-        facade_ratio,
         sched_speedup,
         rows.join(",\n"),
     );

@@ -4,81 +4,39 @@
 
 use super::*;
 
-/// What a fully-arrived request leads to.
-pub(super) enum ReqDisposition {
-    /// The query vanished before the request was handled (async-engine
-    /// defensive arm; the legacy handler never observes this).
-    Stale,
-    /// Admission control rejected it: the caller sends the shed stub on
-    /// `client_conn` and closes.
-    Shed { client_conn: ConnId },
-    /// Split-TCP path: serve at the FE after its service interval.
-    FeServe { delay: SimDuration },
-    /// No-split path: the BE replies directly after processing.
-    Direct { delay: SimDuration },
-}
-
-/// What the FE's serve instant produced. The `static_burst` field is
-/// the static-cache burst (bytes, content id) to send first when the
-/// cache hit; the caller emits it before anything else, preserving the
-/// legacy send order.
-pub(super) enum FeServeStep {
-    /// The query was abandoned while the serve timer was pending.
-    Stale,
-    /// FE result cache hit: serve `plan` (its static portion only when
-    /// the static cache missed) and close.
-    CacheHit {
-        plan: ResponsePlan,
-        static_burst: Option<(u64, u64)>,
-    },
-    /// Circuit breaker open: serve the degraded stub and close.
-    Degraded { static_burst: Option<(u64, u64)> },
-    /// Forward to the BE: the caller runs
-    /// [`ServiceWorld::fetch_start_core`] next.
-    NeedFetch { static_burst: Option<(u64, u64)> },
-}
-
-/// A checked-out BE fetch: the connection to drive and the deadline /
-/// hedge delays to arm (in that order, matching the legacy timers).
-pub(super) struct FetchStarted {
-    pub(super) conn: ConnId,
-    pub(super) req_bytes: u64,
-    pub(super) req_content: u64,
-    pub(super) deadline: Option<SimDuration>,
-    pub(super) hedge: Option<SimDuration>,
-}
-
-/// A BE's reply instant: what to stream back to the FE.
-pub(super) struct BeSend {
-    pub(super) conn: ConnId,
-    pub(super) plan: ResponsePlan,
-    pub(super) send_static_too: bool,
-}
-
-/// A complete response adopted as the query's result: what the FE now
-/// sends down the client connection.
-pub(super) struct ServedResponse {
-    pub(super) client_conn: ConnId,
-    pub(super) plan: ResponsePlan,
-    pub(super) static_from_cache: bool,
-}
-
-/// Outcome of an FE fetch-deadline firing.
-pub(super) enum FetchDeadlineStep {
-    /// Completed/degraded/failed-over already: stale timer.
-    Stale,
-    /// No live BE remains: the caller sends the degraded stub on
-    /// `client_conn` and closes.
-    Degraded { client_conn: ConnId },
-    /// Failed over: drive the new fetch as attempt `.1`.
-    Failover(FetchStarted, u32),
+/// Sends a BE's response up the FE↔BE connection: the static portion
+/// first when it rides the BE response (static cache off or missed),
+/// then the dynamic portion.
+fn send_be_response(net: &mut Net, conn: ConnId, plan: &ResponsePlan, static_too: bool) {
+    if static_too {
+        net.send(
+            conn,
+            End::B,
+            plan.static_bytes,
+            Marker::BeResponse,
+            plan.static_content,
+        );
+    }
+    plan.send_as_be_response(net, conn, End::B);
 }
 
 impl ServiceWorld {
+    /// Arms a timer that runs `action` after `delay`. The action is
+    /// parked in a slot of the `actions` slab whose index is the timer
+    /// token; the slot is freed when the timer fires, so the slab holds
+    /// only the actions currently armed.
     pub(super) fn push_action(&mut self, net: &mut Net, delay: SimDuration, action: Action) {
-        let token = self.actions.len() as u64;
-        self.actions.push(action);
-        net.set_timer(delay, token);
+        let slot = match self.free_actions.pop() {
+            Some(slot) => {
+                self.actions[slot] = Some(action);
+                slot
+            }
+            None => {
+                self.actions.push(Some(action));
+                self.actions.len() - 1
+            }
+        };
+        net.set_timer(delay, slot as u64);
     }
 
     pub(super) fn push_action_at(&mut self, net: &mut Net, at: SimTime, action: Action) {
@@ -86,324 +44,35 @@ impl ServiceWorld {
         self.push_action(net, delay, action);
     }
 
-    pub(super) fn handle_request_arrived(&mut self, net: &mut Net, qid: u64) {
-        match self.request_arrived_core(net, qid) {
-            ReqDisposition::Stale => {}
-            ReqDisposition::Shed { client_conn } => {
-                net.send(
-                    client_conn,
-                    End::B,
-                    SHED_STUB_BYTES,
-                    Marker::Error,
-                    SHED_CONTENT_ID,
-                );
-                net.close(client_conn, End::B);
-            }
-            ReqDisposition::FeServe { delay } => {
-                self.push_action(net, delay, Action::FeServe { qid });
-            }
-            ReqDisposition::Direct { delay } => {
-                self.push_action(net, delay, Action::BeDirectReply { qid });
-            }
-        }
-    }
-
-    /// The state half of request arrival: admission control, FE service
-    /// interval (load/brownout-stretched) or direct BE processing. The
-    /// caller turns the disposition into a stub send, a serve timer or a
-    /// reply timer.
-    pub(super) fn request_arrived_core(&mut self, net: &mut Net, qid: u64) -> ReqDisposition {
-        let (split, fe, be, kw_id, followup) = {
-            let q = &self.queries[&qid];
-            (
-                self.cfg.split_tcp,
-                q.fe,
-                q.be,
-                q.keyword,
-                q.instant_followup,
-            )
-        };
-        if split {
-            let fe = fe.expect("split mode has an FE");
-            // Admission control: above the watermark the request is
-            // answered with the shed stub before consuming any FE
-            // capacity.
-            if let Some(adm) = self.cfg.overload.admission {
-                if self.fe_inflight[fe] >= adm.watermark {
-                    let client_conn = self.shed_query_state(qid);
-                    return ReqDisposition::Shed { client_conn };
-                }
-            }
-            self.fe_inflight[fe] += 1;
-            self.queries.get_mut(&qid).unwrap().fe_counted = true;
-            if self.overload_active() {
-                self.metrics
-                    .set_gauge("cdnsim.fe_inflight_hiwater", self.fe_inflight[fe] as f64);
-            }
-            let mut overhead = self.fes[fe].request_overhead_at(net.now());
-            // Brownout windows stretch FE processing.
-            let slow = self.cfg.faults.fe_slowdown(fe, net.now());
-            if slow > 1.0 {
-                overhead = SimDuration::from_millis_f64(overhead.as_millis_f64() * slow);
-            }
-            // Concurrency-dependent queueing delay (the load model's
-            // M/M/1-style curve), with capacity-dip fault windows
-            // scaling the knee.
-            if let Some(model) = self.cfg.load_model {
-                let factor = self.cfg.faults.fe_capacity_factor(fe, net.now());
-                let qslow = model.fe_slowdown(self.fe_inflight[fe], factor);
-                if qslow > 1.0 {
-                    overhead = SimDuration::from_millis_f64(overhead.as_millis_f64() * qslow);
-                }
-            }
-            self.queries.get_mut(&qid).unwrap().fe_overhead_ms = overhead.as_millis_f64();
-            ReqDisposition::FeServe { delay: overhead }
-        } else {
-            let kw = self.corpus.get(kw_id).clone();
-            let region = Some(self.clients[self.queries[&qid].client].region);
-            let result = self.bes[be].1.handle_query(&kw, followup, region);
-            {
-                let q = self.queries.get_mut(&qid).unwrap();
-                q.proc_ms = result.proc_time.as_millis_f64();
-                q.plan = Some(result.plan);
-            }
-            ReqDisposition::Direct {
-                delay: result.proc_time,
-            }
-        }
-    }
-
-    pub(super) fn act_fe_serve(&mut self, net: &mut Net, qid: u64) {
-        let client_conn = match self.queries.get(&qid) {
-            Some(q) => q.client_conn,
-            None => return, // stale serve timer
-        };
-        match self.fe_serve_core(net, qid) {
-            FeServeStep::Stale => {}
-            FeServeStep::CacheHit { plan, static_burst } => {
-                match static_burst {
-                    Some((bytes, content)) => {
-                        net.send(client_conn, End::B, bytes, Marker::Static, content)
-                    }
-                    None => plan.send_static(net, client_conn, End::B),
-                }
-                plan.send_dynamic(net, client_conn, End::B);
-                net.close(client_conn, End::B);
-            }
-            FeServeStep::Degraded { static_burst } => {
-                if let Some((bytes, content)) = static_burst {
-                    net.send(client_conn, End::B, bytes, Marker::Static, content);
-                }
-                net.send(
-                    client_conn,
-                    End::B,
-                    DEGRADED_STUB_BYTES,
-                    Marker::Error,
-                    DEGRADED_CONTENT_ID,
-                );
-                net.close(client_conn, End::B);
-            }
-            FeServeStep::NeedFetch { static_burst } => {
-                if let Some((bytes, content)) = static_burst {
-                    net.send(client_conn, End::B, bytes, Marker::Static, content);
-                }
-                let f = self.fetch_start_core(net, qid);
-                let req = self.queries[&qid].req.clone();
-                req.send_as_be_query(net, f.conn, End::A);
-                if let Some(d) = f.deadline {
-                    self.push_action(net, d, Action::FetchDeadline { qid, attempt: 0 });
-                }
-                if let Some(h) = f.hedge {
-                    self.push_action(net, h, Action::HedgeFire { qid, attempt: 0 });
-                }
-            }
-        }
-    }
-
-    /// The state half of the FE's serve instant: static-cache check,
-    /// result-cache lookup, circuit-breaker admission. All sends belong
-    /// to the caller (which emits the `static_burst` first, preserving
-    /// the legacy order: static burst before everything else).
-    pub(super) fn fe_serve_core(&mut self, net: &mut Net, qid: u64) -> FeServeStep {
-        let (fe, kw_id) = {
-            // Stale timer: the client's deadline can fire before a
-            // load-stretched FE service interval elapses, abandoning
-            // the query while this action is still pending.
-            let q = match self.queries.get(&qid) {
-                Some(q) => q,
-                None => return FeServeStep::Stale,
-            };
-            (q.fe.unwrap(), q.keyword)
-        };
-        // (a) Burst the static portion when it is resident in the FE's
-        // static cache. With the default unbounded prewarmed cache this
-        // always hits; a bounded cache can miss, in which case the
-        // static bytes ride the BE response and the cache is refilled
-        // when that response completes.
-        let mut static_burst = None;
-        let mut static_hit = false;
-        if self.cfg.cache_static {
-            let content = self.cfg.composer.static_content;
-            if self.fes[fe].static_cached(content, net.now()) {
-                static_hit = true;
-                self.metrics.inc("cdnsim.fe_static_cache_hits");
-                static_burst = Some((self.cfg.composer.static_bytes, content));
-            } else {
-                self.metrics.inc("cdnsim.fe_static_cache_misses");
-            }
-        }
-        self.queries.get_mut(&qid).unwrap().static_from_cache = static_hit;
-        // Hypothetical FE result cache.
-        if self.fes[fe].caches_results() {
-            if let Some(plan) = self.fes[fe].lookup_result(kw_id, net.now()) {
-                self.metrics.inc("cdnsim.fe_result_cache_hits");
-                let q = self.queries.get_mut(&qid).unwrap();
-                q.plan = Some(plan.clone());
-                q.proc_ms = 0.0;
-                return FeServeStep::CacheHit { plan, static_burst };
-            }
-            self.metrics.inc("cdnsim.fe_result_cache_misses");
-        }
-        // Circuit breaker: while open, fetches fast-fail straight to the
-        // degraded response instead of hammering a struggling back-end.
-        if !self.breaker_admits(fe, net.now()) {
-            self.metrics.inc("cdnsim.breaker_fastfails");
-            self.degrade_query_state(qid);
-            return FeServeStep::Degraded { static_burst };
-        }
-        FeServeStep::NeedFetch { static_burst }
-    }
-
-    /// (b) Forward the query over a persistent BE connection: check one
-    /// out, take the BE in-flight slot, stamp the fetch start. The
-    /// caller sends the BE query on the returned connection and arms the
-    /// deadline/hedge delays, in that order.
-    pub(super) fn fetch_start_core(&mut self, net: &mut Net, qid: u64) -> FetchStarted {
-        let (fe, be) = {
-            let q = &self.queries[&qid];
-            (q.fe.unwrap(), q.be)
-        };
-        let be_conn = self.checkout_be_conn(net, fe, be, qid);
+    /// Takes BE site `be`'s in-flight slot for a fetch leg.
+    fn acquire_be_slot(&mut self, be: usize) {
         self.be_inflight[be] += 1;
         if self.overload_active() {
             self.metrics
                 .set_gauge("cdnsim.be_inflight_hiwater", self.be_inflight[be] as f64);
         }
-        {
-            let q = self.queries.get_mut(&qid).unwrap();
-            q.be_conn = Some(be_conn);
-            q.be_counted = Some(be);
-            q.fetch_start = Some(net.now());
+    }
+
+    /// Sends the query up `conn` as fetch attempt `attempt`, then arms
+    /// that attempt's fetch-deadline and hedge timers, in that order.
+    fn send_fetch(&mut self, net: &mut Net, qid: u64, conn: ConnId, attempt: u32) {
+        self.queries[&qid].req.send_as_be_query(net, conn, End::A);
+        if let Some(d) = self.cfg.fe_fetch_deadline {
+            self.push_action(net, d, Action::FetchDeadline { qid, attempt });
         }
-        let req = &self.queries[&qid].req;
-        FetchStarted {
-            conn: be_conn,
-            req_bytes: req.bytes,
-            req_content: req.content,
-            deadline: self.cfg.fe_fetch_deadline,
-            hedge: self.cfg.overload.hedge.map(|h| h.after),
+        if let Some(h) = self.cfg.overload.hedge {
+            self.push_action(net, h.after, Action::HedgeFire { qid, attempt });
         }
     }
 
-    pub(super) fn act_be_reply(&mut self, net: &mut Net, qid: u64, attempt: u32) {
-        if let Some(b) = self.be_reply_core(qid, attempt) {
-            Self::send_be_response(net, &b);
-        }
-    }
-
-    /// Emit a [`BeSend`]: the (optional) piggy-backed static portion
-    /// followed by the dynamic response on the FE↔BE connection.
-    pub(super) fn send_be_response(net: &mut Net, b: &BeSend) {
-        if b.send_static_too {
-            net.send(
-                b.conn,
-                End::B,
-                b.plan.static_bytes,
-                Marker::BeResponse,
-                b.plan.static_content,
-            );
-        }
-        b.plan.send_as_be_response(net, b.conn, End::B);
-    }
-
-    /// Staleness check for the primary BE's reply instant. `None` means
-    /// the reply is stale (the query failed over, degraded, or is gone)
-    /// and nothing must be sent.
-    pub(super) fn be_reply_core(&mut self, qid: u64, attempt: u32) -> Option<BeSend> {
-        let q = self.queries.get(&qid)?;
-        // A reply from a BE the query has since failed away from
-        // (or a degraded query) is stale — drop it.
-        if q.fetch_attempts != attempt || q.degraded {
-            return None;
-        }
-        let conn = q.be_conn?;
-        let plan = q.plan.clone()?;
-        Some(BeSend {
-            conn,
-            plan,
-            send_static_too: !q.static_from_cache,
-        })
-    }
-
-    pub(super) fn act_be_direct_reply(&mut self, net: &mut Net, qid: u64) {
-        if let Some((conn, plan)) = self.direct_reply_core(qid) {
-            plan.send_static(net, conn, End::B);
-            plan.send_dynamic(net, conn, End::B);
-            net.close(conn, End::B);
-        }
-    }
-
-    /// Staleness check for the no-split direct-reply instant. `None`
-    /// means the client deadline abandoned the query while the BE was
-    /// still processing it.
-    pub(super) fn direct_reply_core(&mut self, qid: u64) -> Option<(ConnId, ResponsePlan)> {
-        let q = self.queries.get(&qid)?;
-        Some((q.client_conn, q.plan.clone().expect("direct reply plan")))
-    }
-
-    pub(super) fn handle_be_response_complete(&mut self, net: &mut Net, qid: u64) {
-        let served = self.response_complete_core(net, qid);
-        Self::send_served_response(net, &served);
-    }
-
-    /// Emit a [`ServedResponse`] on the client leg: static portion (when
-    /// it did not already burst from the FE cache), dynamic portion, FIN.
-    pub(super) fn send_served_response(net: &mut Net, s: &ServedResponse) {
-        if !s.static_from_cache {
-            s.plan.send_static(net, s.client_conn, End::B);
-        }
-        s.plan.send_dynamic(net, s.client_conn, End::B);
-        net.close(s.client_conn, End::B);
-    }
-
-    /// The state half of a completed primary fetch: release the BE
-    /// slot, cancel the losing hedge leg (aborting its connection),
-    /// feed the breaker, return the pooled connection, and refill the
-    /// FE caches. The client-leg sends belong to the caller; the cache
-    /// refills are state-only, so doing them before the sends leaves
-    /// the trajectory unchanged.
-    pub(super) fn response_complete_core(&mut self, net: &mut Net, qid: u64) -> ServedResponse {
-        let (fe, be, be_conn, client_conn, plan, kw_id, counted, static_from_cache) = {
-            let q = self.queries.get_mut(&qid).unwrap();
-            q.fetch_done = Some(net.now());
-            (
-                q.fe.unwrap(),
-                q.be,
-                q.be_conn.take().unwrap(),
-                q.client_conn,
-                q.plan.clone().unwrap(),
-                q.keyword,
-                q.be_counted.take(),
-                q.static_from_cache,
-            )
+    /// Refills the FE caches from a complete BE response, then serves
+    /// it down the client connection: the static portion (unless it
+    /// already burst from the FE cache), the dynamic portion, FIN.
+    fn serve_fetched(&mut self, net: &mut Net, fe: usize, qid: u64, plan: ResponsePlan) {
+        let (client_conn, kw_id, static_from_cache) = {
+            let q = &self.queries[&qid];
+            (q.client_conn, q.keyword, q.static_from_cache)
         };
-        if let Some(b) = counted {
-            self.be_inflight[b] = self.be_inflight[b].saturating_sub(1);
-        }
-        // The primary won the race: cancel any outstanding hedge.
-        self.cancel_hedge(net, qid);
-        self.breaker_record_success(fe);
-        self.return_be_conn(be_conn, fe, be);
         // Refill the static cache after a miss-path fetch (only reachable
         // with a bounded static cache).
         if self.cfg.cache_static && !static_from_cache {
@@ -417,87 +86,248 @@ impl ServiceWorld {
                     .add("cdnsim.fe_result_cache_evictions", out.evicted);
             }
         }
-        ServedResponse {
-            client_conn,
-            plan,
-            static_from_cache,
+        if !static_from_cache {
+            plan.send_static(net, client_conn, End::B);
         }
+        plan.send_dynamic(net, client_conn, End::B);
+        net.close(client_conn, End::B);
     }
 
-    /// FE fetch deadline fired: the BE response for fetch attempt
-    /// `attempt` has not fully arrived. Fail over to the next live BE
-    /// site on a (possibly cold) connection, or degrade the response when
-    /// no live site remains.
-    pub(super) fn act_fetch_deadline(&mut self, net: &mut Net, qid: u64, attempt: u32) {
-        match self.fetch_deadline_core(net, qid, attempt) {
-            FetchDeadlineStep::Stale => {}
-            FetchDeadlineStep::Degraded { client_conn } => {
+    /// Runs a forwarded query through BE site `be`'s handler, with the
+    /// processing time stretched by the BE's queue under the load
+    /// model.
+    fn be_process(&mut self, qid: u64, be: usize) -> (SimDuration, ResponsePlan) {
+        let (kw_id, followup, client) = {
+            let q = &self.queries[&qid];
+            (q.keyword, q.instant_followup, q.client)
+        };
+        let kw = self.corpus.get(kw_id).clone();
+        let region = Some(self.clients[client].region);
+        let result = self.bes[be].1.handle_query(&kw, followup, region);
+        let mut proc = result.proc_time;
+        if let Some(model) = self.cfg.load_model {
+            let slow = model.be_slowdown(self.be_inflight[be]);
+            if slow > 1.0 {
+                proc = SimDuration::from_millis_f64(proc.as_millis_f64() * slow);
+            }
+        }
+        (proc, result.plan)
+    }
+
+    /// The request fully arrived at the server end of the client leg:
+    /// admission control, then the FE service interval (load- and
+    /// brownout-stretched) before the serve instant, or — without split
+    /// TCP — the BE's processing before its direct reply.
+    pub(super) fn handle_request_arrived(&mut self, net: &mut Net, qid: u64) {
+        let (fe, be, kw_id, followup, client) = {
+            let q = &self.queries[&qid];
+            (q.fe, q.be, q.keyword, q.instant_followup, q.client)
+        };
+        if !self.cfg.split_tcp {
+            let kw = self.corpus.get(kw_id).clone();
+            let region = Some(self.clients[client].region);
+            let result = self.bes[be].1.handle_query(&kw, followup, region);
+            let q = self.queries.get_mut(&qid).unwrap();
+            q.proc_ms = result.proc_time.as_millis_f64();
+            q.plan = Some(result.plan);
+            self.push_action(net, result.proc_time, Action::BeDirectReply { qid });
+            return;
+        }
+        let fe = fe.expect("split mode has an FE");
+        // Admission control: above the watermark the request is answered
+        // with the shed stub before consuming any FE capacity. The
+        // client's FIN handling decides between a retry and a terminal
+        // `Shed` outcome.
+        if let Some(adm) = self.cfg.overload.admission {
+            if self.fe_inflight[fe] >= adm.watermark {
+                self.metrics.inc("cdnsim.shed_queries");
+                let static_content = self.cfg.composer.static_content;
+                let q = self.queries.get_mut(&qid).unwrap();
+                q.shed = true;
+                // Nothing real was served; record a placeholder static
+                // portion (ResponsePlan requires non-empty portions).
+                q.plan = Some(ResponsePlan::new(
+                    1,
+                    static_content,
+                    SHED_STUB_BYTES,
+                    SHED_CONTENT_ID,
+                ));
+                let client_conn = q.client_conn;
                 net.send(
                     client_conn,
                     End::B,
-                    DEGRADED_STUB_BYTES,
+                    SHED_STUB_BYTES,
                     Marker::Error,
-                    DEGRADED_CONTENT_ID,
+                    SHED_CONTENT_ID,
                 );
                 net.close(client_conn, End::B);
+                return;
             }
-            FetchDeadlineStep::Failover(f, next_attempt) => {
-                let req = self.queries[&qid].req.clone();
-                req.send_as_be_query(net, f.conn, End::A);
-                if let Some(d) = f.deadline {
-                    self.push_action(
-                        net,
-                        d,
-                        Action::FetchDeadline {
-                            qid,
-                            attempt: next_attempt,
-                        },
-                    );
-                }
-                if let Some(h) = f.hedge {
-                    self.push_action(
-                        net,
-                        h,
-                        Action::HedgeFire {
-                            qid,
-                            attempt: next_attempt,
-                        },
-                    );
-                }
+        }
+        self.fe_inflight[fe] += 1;
+        self.queries.get_mut(&qid).unwrap().fe_counted = true;
+        if self.overload_active() {
+            self.metrics
+                .set_gauge("cdnsim.fe_inflight_hiwater", self.fe_inflight[fe] as f64);
+        }
+        let mut overhead = self.fes[fe].request_overhead_at(net.now());
+        // Brownout windows stretch FE processing.
+        let slow = self.cfg.faults.fe_slowdown(fe, net.now());
+        if slow > 1.0 {
+            overhead = SimDuration::from_millis_f64(overhead.as_millis_f64() * slow);
+        }
+        // Concurrency-dependent queueing delay (the load model's
+        // M/M/1-style curve), with capacity-dip fault windows scaling
+        // the knee.
+        if let Some(model) = self.cfg.load_model {
+            let factor = self.cfg.faults.fe_capacity_factor(fe, net.now());
+            let qslow = model.fe_slowdown(self.fe_inflight[fe], factor);
+            if qslow > 1.0 {
+                overhead = SimDuration::from_millis_f64(overhead.as_millis_f64() * qslow);
             }
+        }
+        self.queries.get_mut(&qid).unwrap().fe_overhead_ms = overhead.as_millis_f64();
+        self.push_action(net, overhead, Action::FeServe { qid });
+    }
+
+    /// The FE's serve instant: burst the cached static portion, answer
+    /// from the result cache or fast-fail through an open breaker, and
+    /// otherwise forward the query to the BE.
+    pub(super) fn act_fe_serve(&mut self, net: &mut Net, qid: u64) {
+        // Stale timer: the client's deadline can fire before a
+        // load-stretched FE service interval elapses, abandoning the
+        // query while this action is still pending.
+        let (fe, be, kw_id, client_conn) = match self.queries.get(&qid) {
+            Some(q) => (q.fe.unwrap(), q.be, q.keyword, q.client_conn),
+            None => return,
+        };
+        // (a) Burst the static portion when it is resident in the FE's
+        // static cache. With the default unbounded prewarmed cache this
+        // always hits; a bounded cache can miss, in which case the
+        // static bytes ride the BE response and the cache is refilled
+        // when that response completes.
+        let mut static_hit = false;
+        if self.cfg.cache_static {
+            let content = self.cfg.composer.static_content;
+            if self.fes[fe].static_cached(content, net.now()) {
+                static_hit = true;
+                self.metrics.inc("cdnsim.fe_static_cache_hits");
+                let bytes = self.cfg.composer.static_bytes;
+                net.send(client_conn, End::B, bytes, Marker::Static, content);
+            } else {
+                self.metrics.inc("cdnsim.fe_static_cache_misses");
+            }
+        }
+        self.queries.get_mut(&qid).unwrap().static_from_cache = static_hit;
+        // Hypothetical FE result cache.
+        if self.fes[fe].caches_results() {
+            if let Some(plan) = self.fes[fe].lookup_result(kw_id, net.now()) {
+                self.metrics.inc("cdnsim.fe_result_cache_hits");
+                if !static_hit {
+                    plan.send_static(net, client_conn, End::B);
+                }
+                plan.send_dynamic(net, client_conn, End::B);
+                net.close(client_conn, End::B);
+                let q = self.queries.get_mut(&qid).unwrap();
+                q.plan = Some(plan);
+                q.proc_ms = 0.0;
+                return;
+            }
+            self.metrics.inc("cdnsim.fe_result_cache_misses");
+        }
+        // Circuit breaker: while open, fetches fast-fail straight to the
+        // degraded response instead of hammering a struggling back-end.
+        if !self.breaker_admits(fe, net.now()) {
+            self.metrics.inc("cdnsim.breaker_fastfails");
+            self.degrade_query(net, qid);
+            return;
+        }
+        // (b) Forward the query over a persistent BE connection.
+        let be_conn = self.checkout_be_conn(net, fe, be, qid, Leg::Be);
+        self.acquire_be_slot(be);
+        let q = self.queries.get_mut(&qid).unwrap();
+        q.be_conn = Some(be_conn);
+        q.be_counted = Some(be);
+        q.fetch_start = Some(net.now());
+        self.send_fetch(net, qid, be_conn, 0);
+    }
+
+    /// The primary BE finished processing: stream its response to the
+    /// FE, unless the query has since failed over, degraded or gone.
+    pub(super) fn act_be_reply(&mut self, net: &mut Net, qid: u64, attempt: u32) {
+        let Some(q) = self.queries.get(&qid) else {
+            return;
+        };
+        // A reply from a BE the query has since failed away from (or a
+        // degraded query) is stale — drop it.
+        if q.fetch_attempts != attempt || q.degraded {
+            return;
+        }
+        if let (Some(conn), Some(plan)) = (q.be_conn, &q.plan) {
+            send_be_response(net, conn, plan, !q.static_from_cache);
         }
     }
 
-    /// The state half of the FE fetch deadline: abort the stalled
-    /// attempt, feed the breaker, and either check out a connection to
-    /// the next live BE site (returning the failover's send parameters)
-    /// or mark the query degraded. The BE-query send, the degraded stub
-    /// send, and the rearmed timers all belong to the caller.
-    pub(super) fn fetch_deadline_core(
-        &mut self,
-        net: &mut Net,
-        qid: u64,
-        attempt: u32,
-    ) -> FetchDeadlineStep {
+    /// No split TCP: the BE replies straight down the client connection,
+    /// unless the client deadline abandoned the query while the BE was
+    /// still processing it.
+    pub(super) fn act_be_direct_reply(&mut self, net: &mut Net, qid: u64) {
+        let Some(q) = self.queries.get(&qid) else {
+            return;
+        };
+        let plan = q.plan.as_ref().expect("direct reply plan");
+        plan.send_static(net, q.client_conn, End::B);
+        plan.send_dynamic(net, q.client_conn, End::B);
+        net.close(q.client_conn, End::B);
+    }
+
+    /// The primary fetch completed at the FE: release the BE slot,
+    /// cancel the losing hedge leg, feed the breaker, return the pooled
+    /// connection, then refill the FE caches and serve the client.
+    pub(super) fn handle_be_response_complete(&mut self, net: &mut Net, qid: u64) {
+        let (fe, be, be_conn, plan, counted) = {
+            let q = self.queries.get_mut(&qid).unwrap();
+            q.fetch_done = Some(net.now());
+            (
+                q.fe.unwrap(),
+                q.be,
+                q.be_conn.take().unwrap(),
+                q.plan.clone().unwrap(),
+                q.be_counted.take(),
+            )
+        };
+        if let Some(b) = counted {
+            self.be_inflight[b] = self.be_inflight[b].saturating_sub(1);
+        }
+        // The primary won the race: cancel any outstanding hedge.
+        self.cancel_hedge(net, qid);
+        self.breaker_record_success(fe);
+        self.return_be_conn(be_conn, fe, be);
+        self.serve_fetched(net, fe, qid, plan);
+    }
+
+    /// FE fetch deadline fired: the BE response for fetch attempt
+    /// `attempt` has not fully arrived. Abort the stalled attempt, feed
+    /// the breaker, and fail over to the next live BE site on a
+    /// (possibly cold) connection, or degrade the response when no live
+    /// site remains.
+    pub(super) fn act_fetch_deadline(&mut self, net: &mut Net, qid: u64, attempt: u32) {
         let (fe, cur_be, stalled_conn) = {
-            let q = match self.queries.get(&qid) {
-                Some(q) => q,
-                None => return FetchDeadlineStep::Stale,
+            let Some(q) = self.queries.get(&qid) else {
+                return;
             };
             // Completed, degraded or already failed over: stale timer.
             if q.resp_handled || q.degraded || q.fetch_attempts != attempt {
-                return FetchDeadlineStep::Stale;
+                return;
             }
-            let fe = match q.fe {
-                Some(f) => f,
-                None => return FetchDeadlineStep::Stale,
+            let Some(fe) = q.fe else {
+                return;
             };
             (fe, q.be, q.be_conn)
         };
         if let Some(conn) = stalled_conn {
             net.abort(conn);
             self.conn_info.remove(&conn);
-            self.forget_from_engine(conn);
         }
         // The fetch attempt failed: release its BE slot, cancel its
         // hedge leg, and feed the FE's circuit breaker.
@@ -516,8 +346,8 @@ impl ServiceWorld {
             // given a deadline's worth of time, serve what we have.
             Some(b) if (attempt as usize) < self.bes.len().saturating_sub(1) => b,
             _ => {
-                let client_conn = self.degrade_query_state(qid);
-                return FetchDeadlineStep::Degraded { client_conn };
+                self.degrade_query(net, qid);
+                return;
             }
         };
         let rtt = self.fe_be_rtt_ms(fe, next_be);
@@ -534,57 +364,24 @@ impl ServiceWorld {
             q.rtt_fe_be_ms = rtt;
             q.dist_fe_be_miles = dist;
         }
-        // Not `fetch_start_core`: a failover keeps the query's original
-        // `fetch_start` stamp (fetch latency spans all attempts).
-        let conn = self.checkout_be_conn(net, fe, next_be, qid);
-        self.be_inflight[next_be] += 1;
-        if self.overload_active() {
-            self.metrics.set_gauge(
-                "cdnsim.be_inflight_hiwater",
-                self.be_inflight[next_be] as f64,
-            );
-        }
-        {
-            let q = self.queries.get_mut(&qid).unwrap();
-            q.be_conn = Some(conn);
-            q.be_counted = Some(next_be);
-        }
-        let req = &self.queries[&qid].req;
-        FetchDeadlineStep::Failover(
-            FetchStarted {
-                conn,
-                req_bytes: req.bytes,
-                req_content: req.content,
-                deadline: self.cfg.fe_fetch_deadline,
-                hedge: self.cfg.overload.hedge.map(|h| h.after),
-            },
-            attempt + 1,
-        )
+        // A failover keeps the query's original `fetch_start` stamp
+        // (fetch latency spans all attempts).
+        let conn = self.checkout_be_conn(net, fe, next_be, qid, Leg::Be);
+        self.acquire_be_slot(next_be);
+        let q = self.queries.get_mut(&qid).unwrap();
+        q.be_conn = Some(conn);
+        q.be_counted = Some(next_be);
+        self.send_fetch(net, qid, conn, attempt + 1);
     }
 
     /// Hedge timer fired with the primary fetch still outstanding:
     /// duplicate the query to the next-nearest live BE site. First
     /// response wins; the loser is cancelled.
     pub(super) fn act_hedge_fire(&mut self, net: &mut Net, qid: u64, attempt: u32) {
-        if let Some((conn, _, _)) = self.hedge_fire_core(net, qid, attempt) {
-            let req = self.queries[&qid].req.clone();
-            req.send_as_be_query(net, conn, End::A);
-        }
-    }
-
-    /// The state half of the hedge timer: staleness checks, hedge-site
-    /// selection, and connection checkout. Returns the connection to
-    /// duplicate the query on (plus the request's byte/content identity
-    /// for the async path); `None` when the timer is stale or no live
-    /// site remains to hedge to.
-    pub(super) fn hedge_fire_core(
-        &mut self,
-        net: &mut Net,
-        qid: u64,
-        attempt: u32,
-    ) -> Option<(ConnId, u64, u64)> {
         let (fe, cur_be) = {
-            let q = self.queries.get(&qid)?;
+            let Some(q) = self.queries.get(&qid) else {
+                return;
+            };
             // Completed, degraded, failed over, or already hedged: the
             // timer is stale (hedges are per fetch attempt).
             if q.resp_handled
@@ -594,96 +391,61 @@ impl ServiceWorld {
                 || q.hedge_conn.is_some()
                 || q.be_conn.is_none()
             {
-                return None;
+                return;
             }
-            (q.fe?, q.be)
+            let Some(fe) = q.fe else {
+                return;
+            };
+            (fe, q.be)
         };
         let now = net.now();
-        let hedge_be = self
+        let Some(hedge_be) = self
             .ranked_bes(fe)
             .into_iter()
-            .find(|&b| b != cur_be && !self.cfg.faults.be_down(b, now))?; // else nowhere to hedge to
+            .find(|&b| b != cur_be && !self.cfg.faults.be_down(b, now))
+        else {
+            return; // nowhere to hedge to
+        };
         self.metrics.inc("cdnsim.hedges_launched");
-        let conn = self.checkout_be_conn_as(net, fe, hedge_be, qid, Leg::Hedge);
-        self.be_inflight[hedge_be] += 1;
-        if self.overload_active() {
-            self.metrics.set_gauge(
-                "cdnsim.be_inflight_hiwater",
-                self.be_inflight[hedge_be] as f64,
-            );
-        }
-        {
-            let q = self.queries.get_mut(&qid).unwrap();
-            q.hedge_conn = Some(conn);
-            q.hedge_be = Some(hedge_be);
-            q.hedge_counted = Some(hedge_be);
-        }
-        let req = &self.queries[&qid].req;
-        Some((conn, req.bytes, req.content))
+        let conn = self.checkout_be_conn(net, fe, hedge_be, qid, Leg::Hedge);
+        self.acquire_be_slot(hedge_be);
+        let q = self.queries.get_mut(&qid).unwrap();
+        q.hedge_conn = Some(conn);
+        q.hedge_be = Some(hedge_be);
+        q.hedge_counted = Some(hedge_be);
+        q.req.send_as_be_query(net, conn, End::A);
     }
 
     /// The hedge BE finished processing: stream its response to the FE
     /// (mirror of [`Self::act_be_reply`] for the hedge leg).
     pub(super) fn act_hedge_reply(&mut self, net: &mut Net, qid: u64, attempt: u32) {
-        if let Some(b) = self.hedge_reply_core(qid, attempt) {
-            Self::send_be_response(net, &b);
-        }
-    }
-
-    /// Staleness check for the hedge BE's reply instant (mirror of
-    /// [`Self::be_reply_core`] for the hedge leg).
-    pub(super) fn hedge_reply_core(&mut self, qid: u64, attempt: u32) -> Option<BeSend> {
-        let q = self.queries.get(&qid)?;
+        let Some(q) = self.queries.get(&qid) else {
+            return;
+        };
         if q.fetch_attempts != attempt || q.degraded || q.resp_handled {
-            return None;
+            return;
         }
-        let conn = q.hedge_conn?;
-        let plan = q.hedge_plan.clone()?;
-        Some(BeSend {
-            conn,
-            plan,
-            send_static_too: !q.static_from_cache,
-        })
+        if let (Some(conn), Some(plan)) = (q.hedge_conn, &q.hedge_plan) {
+            send_be_response(net, conn, plan, !q.static_from_cache);
+        }
     }
 
     /// The hedge response arrived at the FE before the primary: the
     /// hedge wins. Adopt its result as the query's ground truth, cancel
-    /// the primary fetch, and serve the client.
+    /// the primary fetch, then refill the FE caches and serve the
+    /// client.
     pub(super) fn hedge_response_complete(&mut self, net: &mut Net, qid: u64) {
-        let served = self.hedge_complete_core(net, qid);
-        Self::send_served_response(net, &served);
-    }
-
-    /// The state half of a hedge win (mirror of
-    /// [`Self::response_complete_core`]): adopt the hedge's result as
-    /// the query's ground truth, abort the losing primary fetch, and
-    /// refill the FE caches. The client-leg sends belong to the caller.
-    pub(super) fn hedge_complete_core(&mut self, net: &mut Net, qid: u64) -> ServedResponse {
-        let (
-            fe,
-            hedge_be,
-            hedge_conn,
-            client_conn,
-            plan,
-            kw_id,
-            counted,
-            primary_conn,
-            primary_counted,
-            static_from_cache,
-        ) = {
+        let (fe, hedge_be, hedge_conn, plan, counted, primary_conn, primary_counted) = {
             let q = self.queries.get_mut(&qid).unwrap();
             q.fetch_done = Some(net.now());
             (
                 q.fe.unwrap(),
                 q.hedge_be.take().unwrap(),
                 q.hedge_conn.take().unwrap(),
-                q.client_conn,
                 q.hedge_plan.take().unwrap(),
-                q.keyword,
                 q.hedge_counted.take(),
                 q.be_conn.take(),
                 q.be_counted.take(),
-                q.static_from_cache,
             )
         };
         self.metrics.inc("cdnsim.hedge_wins");
@@ -694,7 +456,6 @@ impl ServiceWorld {
         if let Some(c) = primary_conn {
             net.abort(c);
             self.conn_info.remove(&c);
-            self.forget_from_engine(c);
         }
         if let Some(b) = primary_counted {
             self.be_inflight[b] = self.be_inflight[b].saturating_sub(1);
@@ -711,77 +472,7 @@ impl ServiceWorld {
             q.rtt_fe_be_ms = rtt;
             q.dist_fe_be_miles = dist;
         }
-        if self.cfg.cache_static && !static_from_cache {
-            self.fes[fe].fill_static(plan.static_content, plan.static_bytes, net.now());
-            self.metrics.inc("cdnsim.fe_static_cache_fills");
-        }
-        if self.fes[fe].caches_results() {
-            let out = self.fes[fe].store_result(kw_id, plan.clone(), net.now());
-            if out.evicted > 0 {
-                self.metrics
-                    .add("cdnsim.fe_result_cache_evictions", out.evicted);
-            }
-        }
-        ServedResponse {
-            client_conn,
-            plan,
-            static_from_cache,
-        }
-    }
-
-    /// A complete [`Marker::BeQuery`] arrived at the primary BE: run the
-    /// keyword through the BE's query handler, stretch processing time
-    /// under the load model, and stamp the query's plan. Returns the
-    /// (possibly stretched) processing delay and the fetch attempt the
-    /// eventual reply must match against.
-    pub(super) fn be_query_arrived_core(&mut self, qid: u64) -> (SimDuration, u32) {
-        let (be, kw_id, followup) = {
-            let q = &self.queries[&qid];
-            (q.be, q.keyword, q.instant_followup)
-        };
-        let kw = self.corpus.get(kw_id).clone();
-        let region = Some(self.clients[self.queries[&qid].client].region);
-        let result = self.bes[be].1.handle_query(&kw, followup, region);
-        let mut proc = result.proc_time;
-        // BE concurrency slowdown: processing time stretches with the
-        // queue at this BE site.
-        if let Some(model) = self.cfg.load_model {
-            let slow = model.be_slowdown(self.be_inflight[be]);
-            if slow > 1.0 {
-                proc = SimDuration::from_millis_f64(proc.as_millis_f64() * slow);
-            }
-        }
-        {
-            let q = self.queries.get_mut(&qid).unwrap();
-            q.proc_ms = proc.as_millis_f64();
-            q.plan = Some(result.plan);
-        }
-        (proc, self.queries[&qid].fetch_attempts)
-    }
-
-    /// Mirror of [`Self::be_query_arrived_core`] for the hedge leg.
-    /// `None` when the hedge was cancelled before its BE saw the query.
-    pub(super) fn hedge_query_arrived_core(&mut self, qid: u64) -> Option<(SimDuration, u32)> {
-        let (be, kw_id, followup) = {
-            let q = &self.queries[&qid];
-            (q.hedge_be?, q.keyword, q.instant_followup)
-        };
-        let kw = self.corpus.get(kw_id).clone();
-        let region = Some(self.clients[self.queries[&qid].client].region);
-        let result = self.bes[be].1.handle_query(&kw, followup, region);
-        let mut proc = result.proc_time;
-        if let Some(model) = self.cfg.load_model {
-            let slow = model.be_slowdown(self.be_inflight[be]);
-            if slow > 1.0 {
-                proc = SimDuration::from_millis_f64(proc.as_millis_f64() * slow);
-            }
-        }
-        {
-            let q = self.queries.get_mut(&qid).unwrap();
-            q.hedge_proc_ms = proc.as_millis_f64();
-            q.hedge_plan = Some(result.plan);
-        }
-        Some((proc, self.queries[&qid].fetch_attempts))
+        self.serve_fetched(net, fe, qid, plan);
     }
 }
 
@@ -791,20 +482,9 @@ impl App for ServiceWorld {
             Some(i) => *i,
             None => return,
         };
-        // Async engine: query-leg events route into the socket facade;
-        // the tasks waiting on them decide what to do. Warmup legs stay
-        // on the legacy path in both engines.
-        if !matches!(info.leg, Leg::Warmup { .. }) {
-            if let Some(host) = self.engine_host() {
-                host.borrow_mut().note_established(net.now(), conn, end);
-                self.pump_async(net);
-                return;
-            }
-        }
         if info.leg == Leg::Client && end == End::A {
             if let Some(q) = self.queries.get(&info.qid) {
-                let req = q.req.clone();
-                req.send(net, conn, End::A);
+                q.req.send(net, conn, End::A);
             }
         }
     }
@@ -814,13 +494,6 @@ impl App for ServiceWorld {
             Some(i) => *i,
             None => return,
         };
-        if !matches!(info.leg, Leg::Warmup { .. }) {
-            if let Some(host) = self.engine_host() {
-                host.borrow_mut().note_data(net.now(), conn, end, spans);
-                self.pump_async(net);
-                return;
-            }
-        }
         match info.leg {
             Leg::Warmup { fe, be } => {
                 let entry = self.warmup_progress.entry(conn).or_insert((0, 0));
@@ -894,7 +567,12 @@ impl App for ServiceWorld {
                             }
                         };
                         if ready {
-                            let (proc, attempt) = self.be_query_arrived_core(qid);
+                            let be = self.queries[&qid].be;
+                            let (proc, plan) = self.be_process(qid, be);
+                            let q = self.queries.get_mut(&qid).unwrap();
+                            q.proc_ms = proc.as_millis_f64();
+                            q.plan = Some(plan);
+                            let attempt = q.fetch_attempts;
                             self.push_action(net, proc, Action::BeReply { qid, attempt });
                         }
                     }
@@ -950,10 +628,20 @@ impl App for ServiceWorld {
                                 false
                             }
                         };
-                        if ready {
-                            if let Some((proc, attempt)) = self.hedge_query_arrived_core(qid) {
-                                self.push_action(net, proc, Action::HedgeReply { qid, attempt });
-                            }
+                        // The hedge may have been cancelled before its
+                        // BE saw the query.
+                        let hedge_be = if ready {
+                            self.queries[&qid].hedge_be
+                        } else {
+                            None
+                        };
+                        if let Some(be) = hedge_be {
+                            let (proc, plan) = self.be_process(qid, be);
+                            let q = self.queries.get_mut(&qid).unwrap();
+                            q.hedge_proc_ms = proc.as_millis_f64();
+                            q.hedge_plan = Some(plan);
+                            let attempt = q.fetch_attempts;
+                            self.push_action(net, proc, Action::HedgeReply { qid, attempt });
                         }
                     }
                     End::A => {
@@ -998,30 +686,17 @@ impl App for ServiceWorld {
             Some(i) => *i,
             None => return,
         };
-        if !matches!(info.leg, Leg::Warmup { .. }) {
-            if let Some(host) = self.engine_host() {
-                host.borrow_mut().note_fin(net.now(), conn, end);
-                self.pump_async(net);
-                return;
-            }
-        }
         if info.leg == Leg::Client && end == End::A {
             self.finish_query(net, info.qid);
         }
     }
 
     fn on_timer(&mut self, net: &mut Net, token: u64) {
-        // Socket-facade sleeps live in their own token space, far above
-        // any legacy action index; route them to the engine.
-        if token >= super::tasks::SOCK_TOKEN_BASE {
-            if let Some(host) = self.engine_host() {
-                if host.borrow_mut().note_timer(net.now(), token) {
-                    self.pump_async(net);
-                }
-            }
-            return;
-        }
-        let action = self.actions[token as usize].clone();
+        let slot = token as usize;
+        let action = self.actions[slot]
+            .take()
+            .expect("an action timer fires exactly once");
+        self.free_actions.push(slot);
         match action {
             Action::Start(spec) => self.start_query(net, spec, 0),
             Action::StartRetry { spec, attempt } => self.start_query(net, spec, attempt),

@@ -1,47 +1,9 @@
 //! Per-query lifecycle state transitions: start/retry, connection
-//! pooling and prewarm, shed/degrade stubs, deadline abandonment and
+//! pooling and prewarm, the degraded stub, deadline abandonment and
 //! completion records.
 
 use super::*;
-
-/// What [`ServiceWorld::start_attempt_core`] produced: the registered
-/// query and the facts the caller needs to drive it.
-pub(super) struct StartedAttempt {
-    pub(super) qid: u64,
-    pub(super) conn: ConnId,
-    pub(super) req_bytes: u64,
-    pub(super) req_content: u64,
-    pub(super) deadline: Option<SimDuration>,
-}
-
-/// Outcome of a client-deadline firing.
-pub(super) enum DeadlineStep {
-    /// The query completed before the deadline: stale timer.
-    Stale,
-    /// Abandoned, and a retry is allowed: start attempt `attempt_next`
-    /// after `backoff`.
-    Retry {
-        spec: QuerySpec,
-        attempt_next: u32,
-        backoff: SimDuration,
-    },
-    /// Abandoned terminally; a `TimedOut` record was pushed.
-    Recorded,
-}
-
-/// Outcome of a client consuming the response FIN.
-pub(super) enum FinishStep {
-    /// No such query (abandoned earlier): nothing to do.
-    Gone,
-    /// The response was the shed stub and a retry is allowed.
-    Retry {
-        spec: QuerySpec,
-        attempt_next: u32,
-        backoff: SimDuration,
-    },
-    /// A completion record was pushed.
-    Recorded,
-}
+use crate::service::RetryPolicy;
 
 impl ServiceWorld {
     /// Pre-warms `n` persistent FE↔BE connections for a pair: opens them
@@ -85,7 +47,9 @@ impl ServiceWorld {
         )
     }
 
-    pub(super) fn checkout_be_conn_as(
+    /// Checks out a pooled FE↔BE connection for `qid`'s `leg`,
+    /// opening a cold one when the pool is empty.
+    pub(super) fn checkout_be_conn(
         &mut self,
         net: &mut Net,
         fe: usize,
@@ -110,56 +74,24 @@ impl ServiceWorld {
             None => self.open_be_conn(net, fe, be, qid),
         };
         self.conn_info.insert(conn, ConnInfo { qid, leg });
-        // Fresh adoption per checkout: facade byte counters start at 0
-        // even for a reused pooled connection (check-in forgot it).
-        self.adopt_into_engine(conn, Self::fe_node(fe), Self::be_node(be));
         conn
-    }
-
-    pub(super) fn checkout_be_conn(
-        &mut self,
-        net: &mut Net,
-        fe: usize,
-        be: usize,
-        qid: u64,
-    ) -> ConnId {
-        self.checkout_be_conn_as(net, fe, be, qid, Leg::Be)
     }
 
     pub(super) fn return_be_conn(&mut self, conn: ConnId, fe: usize, be: usize) {
         self.conn_info.remove(&conn);
-        self.forget_from_engine(conn);
         self.free_pool.entry((fe, be)).or_default().push(conn);
     }
 
+    /// Starts attempt `attempt` of a query: resolves FE/BE, opens the
+    /// client connection, registers the query and arms its client
+    /// deadline. When the mapping strategy finds no live FE, a terminal
+    /// [`QueryOutcome::NoLiveFe`] record is pushed instead, before any
+    /// connection is opened or RNG stream touched: the attempt is not
+    /// driven (or retried — there is nowhere to send it).
     pub(super) fn start_query(&mut self, net: &mut Net, spec: QuerySpec, attempt: u32) {
-        if let Some(s) = self.start_attempt_core(net, &spec, attempt) {
-            if let Some(deadline) = s.deadline {
-                self.push_action(net, deadline, Action::ClientDeadline { qid: s.qid });
-            }
-        }
-    }
-
-    /// Everything [`Self::start_query`] does except arming the client
-    /// deadline timer: resolves FE/BE, opens the client connection,
-    /// registers the query. The returned record carries what the caller
-    /// needs to drive the attempt — the legacy wrapper arms the deadline
-    /// `Action`, the async task arms an equivalent facade sleep at the
-    /// same instant. `None` means the mapping strategy found no live FE:
-    /// a terminal [`QueryOutcome::NoLiveFe`] record was pushed before
-    /// any connection was opened or RNG stream touched, and the attempt
-    /// must not be driven (or retried — there is nowhere to send it).
-    pub(super) fn start_attempt_core(
-        &mut self,
-        net: &mut Net,
-        spec: &QuerySpec,
-        attempt: u32,
-    ) -> Option<StartedAttempt> {
         // Epoch-driven strategies get their re-mapping timer (re)armed
-        // here, shared by both engines: epochs exist exactly when work
-        // is in flight.
+        // here: epochs exist exactly when work is in flight.
         self.arm_mapping_epoch(net);
-        let spec = spec.clone();
         let qid = self.next_qid;
         self.next_qid += 1;
         let kw = self.corpus.get(spec.keyword).clone();
@@ -206,7 +138,7 @@ impl ServiceWorld {
                             attempts: attempt + 1,
                         },
                     });
-                    return None;
+                    return;
                 }
             };
             let be = self.live_be_for(fe, now);
@@ -247,8 +179,6 @@ impl ServiceWorld {
                 leg: Leg::Client,
             },
         );
-        self.adopt_into_engine(conn, client_node, server_node);
-        let (req_bytes, req_content) = (req.bytes, req.content);
         self.queries.insert(
             qid,
             QueryState {
@@ -293,13 +223,9 @@ impl ServiceWorld {
                 hedge_be_handled: false,
             },
         );
-        Some(StartedAttempt {
-            qid,
-            conn,
-            req_bytes,
-            req_content,
-            deadline: self.cfg.client_retry.as_ref().map(|p| p.deadline),
-        })
+        if let Some(deadline) = self.cfg.client_retry.as_ref().map(|p| p.deadline) {
+            self.push_action(net, deadline, Action::ClientDeadline { qid });
+        }
     }
 
     /// Spends one retry token from `client`'s bucket (lazy refill).
@@ -337,7 +263,6 @@ impl ServiceWorld {
         if let Some(c) = conn {
             net.abort(c);
             self.conn_info.remove(&c);
-            self.forget_from_engine(c);
         }
         if let Some(b) = counted {
             self.be_inflight[b] = self.be_inflight[b].saturating_sub(1);
@@ -351,34 +276,11 @@ impl ServiceWorld {
         }
     }
 
-    /// Admission-control rejection: marks the query shed and records
-    /// its placeholder plan. The stub send + close belong to the caller
-    /// (legacy handler or async task — both emit the same bytes). The
-    /// client's FIN handling decides between a retry and a terminal
-    /// `Shed` outcome.
-    pub(super) fn shed_query_state(&mut self, qid: u64) -> ConnId {
-        self.metrics.inc("cdnsim.shed_queries");
-        let static_content = self.cfg.composer.static_content;
-        let q = self.queries.get_mut(&qid).unwrap();
-        q.shed = true;
-        // Nothing real was served; record a placeholder static portion
-        // (ResponsePlan requires non-empty portions).
-        q.plan = Some(ResponsePlan::new(
-            1,
-            static_content,
-            SHED_STUB_BYTES,
-            SHED_CONTENT_ID,
-        ));
-        q.client_conn
-    }
-
     /// Graceful degradation: no back-end is reachable in time, so the FE
     /// closes the response with an error stub in place of the dynamic
-    /// portion. Marks the query degraded and records its stub plan; the
-    /// stub send + close belong to the caller. The client still gets the
-    /// cached static bytes (already burst at serve time when caching is
-    /// on).
-    pub(super) fn degrade_query_state(&mut self, qid: u64) -> ConnId {
+    /// portion. The client still gets the cached static bytes (already
+    /// burst at serve time when caching is on).
+    pub(super) fn degrade_query(&mut self, net: &mut Net, qid: u64) {
         self.metrics.inc("cdnsim.degraded_serves");
         let static_bytes = if self.queries[&qid].static_from_cache {
             self.cfg.composer.static_bytes
@@ -399,202 +301,73 @@ impl ServiceWorld {
             DEGRADED_STUB_BYTES,
             DEGRADED_CONTENT_ID,
         ));
-        q.client_conn
+        net.send(
+            q.client_conn,
+            End::B,
+            DEGRADED_STUB_BYTES,
+            Marker::Error,
+            DEGRADED_CONTENT_ID,
+        );
+        net.close(q.client_conn, End::B);
     }
 
     /// Client deadline fired with the query still in flight: abandon the
     /// attempt (aborting its connections, discarding its trace) and
-    /// either schedule a retry with exponential backoff + jitter or
-    /// record a timed-out query.
+    /// either schedule a retry or record a timed-out query.
     pub(super) fn act_client_deadline(&mut self, net: &mut Net, qid: u64) {
-        if let DeadlineStep::Retry {
-            spec,
-            attempt_next,
-            backoff,
-        } = self.client_deadline_core(net, qid)
+        let Some(q) = self.queries.remove(&qid) else {
+            return; // completed before the deadline
+        };
+        for c in [Some(q.client_conn), q.be_conn, q.hedge_conn]
+            .into_iter()
+            .flatten()
         {
-            self.push_action(
-                net,
-                backoff,
-                Action::StartRetry {
-                    spec,
-                    attempt: attempt_next,
-                },
-            );
+            net.abort(c);
+            self.conn_info.remove(&c);
         }
-    }
-
-    /// Everything the client deadline does except scheduling the retry:
-    /// abandon the attempt (aborting its connections, discarding its
-    /// trace), then either report the retry decision or record a
-    /// timed-out query. The retry-backoff RNG draw happens in here, at
-    /// the same point in the event it always did.
-    pub(super) fn client_deadline_core(&mut self, net: &mut Net, qid: u64) -> DeadlineStep {
-        let q = match self.queries.remove(&qid) {
-            Some(q) => q,
-            None => return DeadlineStep::Stale, // completed before the deadline
-        };
-        net.abort(q.client_conn);
-        self.conn_info.remove(&q.client_conn);
-        self.forget_from_engine(q.client_conn);
-        if let Some(bc) = q.be_conn {
-            net.abort(bc);
-            self.conn_info.remove(&bc);
-            self.forget_from_engine(bc);
-        }
-        if let Some(hc) = q.hedge_conn {
-            net.abort(hc);
-            self.conn_info.remove(&hc);
-            self.forget_from_engine(hc);
-        }
-        // Release every in-flight slot the abandoned attempt held.
-        if q.fe_counted {
-            if let Some(fe) = q.fe {
-                self.fe_inflight[fe] = self.fe_inflight[fe].saturating_sub(1);
-            }
-        }
-        for b in [q.be_counted, q.hedge_counted].into_iter().flatten() {
-            self.be_inflight[b] = self.be_inflight[b].saturating_sub(1);
-        }
-        let (trace, traced) = match net.trace_mut().try_take_session(qid) {
-            Some(t) => (t, true),
-            None => (Vec::new(), false),
-        };
+        self.release_slots(&q);
+        let trace = net.trace_mut().try_take_session(qid);
         let policy = self
             .cfg
             .client_retry
             .clone()
             .expect("deadline only armed when a retry policy is set");
-        if q.attempt < policy.max_retries && self.try_spend_retry_token(q.client, net.now()) {
-            // Exponential backoff with jitter, from the dedicated retry
-            // stream (drawn only here and on shed retries, so fault-free
-            // runs never touch it).
-            let backoff = self.retry_backoff(&policy, q.attempt);
-            let spec = QuerySpec {
-                client: q.client,
-                keyword: q.keyword,
-                fixed_fe: q.fixed_fe,
-                instant_followup: q.instant_followup,
-            };
-            return DeadlineStep::Retry {
-                spec,
-                attempt_next: q.attempt + 1,
-                backoff,
-            };
+        if self.try_retry(net, &q, &policy) {
+            return;
         }
         // Retry count or budget exhausted: surface the failure with the
         // truncated trace of the final attempt so the measurement
         // pipeline can exercise its skip-and-count path.
-        self.completed.push(CompletedQuery {
-            qid,
-            client: q.client,
-            fe: q.fe,
-            be: q.be,
-            keyword: q.keyword,
-            class: q.class,
-            t_start: q.t_start,
-            t_done: net.now(),
-            plan: q
-                .plan
-                .unwrap_or_else(|| ResponsePlan::new(1, 0, 1, httpsim::CONTENT_ID_STATIC_BASE)),
-            proc_ms: q.proc_ms,
-            fe_overhead_ms: q.fe_overhead_ms,
-            fetch_start: q.fetch_start,
-            fetch_done: q.fetch_done,
-            rtt_client_fe_ms: q.rtt_client_fe_ms,
-            rtt_fe_be_ms: q.rtt_fe_be_ms,
-            dist_fe_be_miles: q.dist_fe_be_miles,
-            trace,
-            traced,
-            outcome: QueryOutcome::TimedOut {
-                attempts: q.attempt + 1,
-            },
-        });
-        DeadlineStep::Recorded
+        let outcome = QueryOutcome::TimedOut {
+            attempts: q.attempt + 1,
+        };
+        self.record(qid, q, net.now(), trace, outcome);
     }
 
-    /// Exponential backoff with deterministic jitter for retry attempt
-    /// `attempt + 1`, drawn from the dedicated `cdnsim/retry` stream.
-    pub(super) fn retry_backoff(
-        &mut self,
-        policy: &crate::service::RetryPolicy,
-        attempt: u32,
-    ) -> SimDuration {
-        let u = self.retry_rng.next_f64();
-        let factor = (1u64 << attempt.min(16)) as f64 * (1.0 + policy.jitter * u);
-        SimDuration::from_millis_f64(policy.base_backoff.as_millis_f64() * factor)
-    }
-
+    /// The client consumed the response FIN: close out the attempt and
+    /// either retry a shed response or record the completion.
     pub(super) fn finish_query(&mut self, net: &mut Net, qid: u64) {
-        if let FinishStep::Retry {
-            spec,
-            attempt_next,
-            backoff,
-        } = self.finish_core(net, qid)
-        {
-            self.push_action(
-                net,
-                backoff,
-                Action::StartRetry {
-                    spec,
-                    attempt: attempt_next,
-                },
-            );
-        }
-    }
-
-    /// Everything FIN-consumption does except scheduling a shed retry:
-    /// close out the attempt, harvest its trace, and either report the
-    /// retry decision or push the completion record.
-    pub(super) fn finish_core(&mut self, net: &mut Net, qid: u64) -> FinishStep {
-        let q = match self.queries.remove(&qid) {
-            Some(q) => q,
-            None => return FinishStep::Gone,
+        let Some(q) = self.queries.remove(&qid) else {
+            return; // abandoned earlier
         };
         self.conn_info.remove(&q.client_conn);
-        self.forget_from_engine(q.client_conn);
         // Orderly close from the client side too.
         net.close(q.client_conn, End::A);
-        // Release any in-flight slots still held (shed queries never
-        // took one; served queries released the BE slot at response
-        // completion).
-        if q.fe_counted {
-            if let Some(fe) = q.fe {
-                self.fe_inflight[fe] = self.fe_inflight[fe].saturating_sub(1);
-            }
-        }
-        for b in [q.be_counted, q.hedge_counted].into_iter().flatten() {
-            self.be_inflight[b] = self.be_inflight[b].saturating_sub(1);
-        }
+        // Shed queries never took a slot; served queries released the
+        // BE slot at response completion.
+        self.release_slots(&q);
         if let Some(hc) = q.hedge_conn {
             net.abort(hc);
             self.conn_info.remove(&hc);
-            self.forget_from_engine(hc);
         }
-        let (trace, traced) = match net.trace_mut().try_take_session(qid) {
-            Some(t) => (t, true),
-            None => (Vec::new(), false),
-        };
+        let trace = net.trace_mut().try_take_session(qid);
         // A shed response is a fast rejection: the client retries it
         // like a deadline miss (same backoff machinery, same budget)
         // when attempts remain.
         if q.shed {
             if let Some(policy) = self.cfg.client_retry.clone() {
-                if q.attempt < policy.max_retries && self.try_spend_retry_token(q.client, net.now())
-                {
-                    drop(trace);
-                    let backoff = self.retry_backoff(&policy, q.attempt);
-                    let spec = QuerySpec {
-                        client: q.client,
-                        keyword: q.keyword,
-                        fixed_fe: q.fixed_fe,
-                        instant_followup: q.instant_followup,
-                    };
-                    return FinishStep::Retry {
-                        spec,
-                        attempt_next: q.attempt + 1,
-                        backoff,
-                    };
+                if self.try_retry(net, &q, &policy) {
+                    return;
                 }
             }
         }
@@ -609,6 +382,54 @@ impl ServiceWorld {
         } else {
             QueryOutcome::Ok
         };
+        self.record(qid, q, net.now(), trace, outcome);
+    }
+
+    /// Releases every in-flight slot an ended attempt still holds.
+    fn release_slots(&mut self, q: &QueryState) {
+        if q.fe_counted {
+            if let Some(fe) = q.fe {
+                self.fe_inflight[fe] = self.fe_inflight[fe].saturating_sub(1);
+            }
+        }
+        for b in [q.be_counted, q.hedge_counted].into_iter().flatten() {
+            self.be_inflight[b] = self.be_inflight[b].saturating_sub(1);
+        }
+    }
+
+    /// Schedules the next attempt of an abandoned or shed query when the
+    /// retry count and the client's token budget allow it. The backoff
+    /// is exponential with jitter from the dedicated retry stream, drawn
+    /// only here so fault-free runs never touch it. Returns whether a
+    /// retry was scheduled.
+    fn try_retry(&mut self, net: &mut Net, q: &QueryState, policy: &RetryPolicy) -> bool {
+        if q.attempt >= policy.max_retries || !self.try_spend_retry_token(q.client, net.now()) {
+            return false;
+        }
+        let u = self.retry_rng.next_f64();
+        let factor = (1u64 << q.attempt.min(16)) as f64 * (1.0 + policy.jitter * u);
+        let backoff = SimDuration::from_millis_f64(policy.base_backoff.as_millis_f64() * factor);
+        let spec = QuerySpec {
+            client: q.client,
+            keyword: q.keyword,
+            fixed_fe: q.fixed_fe,
+            instant_followup: q.instant_followup,
+        };
+        let attempt = q.attempt + 1;
+        self.push_action(net, backoff, Action::StartRetry { spec, attempt });
+        true
+    }
+
+    /// Pushes the completion record of an ended attempt, with its
+    /// packet trace when tracing was on.
+    fn record(
+        &mut self,
+        qid: u64,
+        q: QueryState,
+        t_done: SimTime,
+        trace: Option<Vec<PktEvent>>,
+        outcome: QueryOutcome,
+    ) {
         self.completed.push(CompletedQuery {
             qid,
             client: q.client,
@@ -617,11 +438,11 @@ impl ServiceWorld {
             keyword: q.keyword,
             class: q.class,
             t_start: q.t_start,
-            t_done: net.now(),
-            plan: q.plan.unwrap_or_else(|| {
-                // Should not happen: a FIN implies a served response.
-                ResponsePlan::new(1, 0, 1, httpsim::CONTENT_ID_STATIC_BASE)
-            }),
+            t_done,
+            // A missing plan means the attempt never got a response.
+            plan: q
+                .plan
+                .unwrap_or_else(|| ResponsePlan::new(1, 0, 1, httpsim::CONTENT_ID_STATIC_BASE)),
             proc_ms: q.proc_ms,
             fe_overhead_ms: q.fe_overhead_ms,
             fetch_start: q.fetch_start,
@@ -629,10 +450,9 @@ impl ServiceWorld {
             rtt_client_fe_ms: q.rtt_client_fe_ms,
             rtt_fe_be_ms: q.rtt_fe_be_ms,
             dist_fe_be_miles: q.dist_fe_be_miles,
-            trace,
-            traced,
+            traced: trace.is_some(),
+            trace: trace.unwrap_or_default(),
             outcome,
         });
-        FinishStep::Recorded
     }
 }

@@ -534,6 +534,53 @@ fn many_concurrent_clients_all_complete() {
     assert_eq!(sim.with(|w, _| w.in_flight()), 0);
 }
 
+#[test]
+fn action_slab_holds_only_the_timers_armed_at_once() {
+    // Queries run one after another, each arming at most five timers
+    // over its life (start, client deadline, FE serve, fetch deadline,
+    // BE reply). Fired timers must give their slots back, so the slab
+    // stays that small however many queries the world serves.
+    let cfg = ServiceConfig::google_like(12)
+        .with_fe_fetch_deadline(SimDuration::from_millis(5_000))
+        .with_client_retry(crate::service::RetryPolicy {
+            deadline: SimDuration::from_millis(10_000),
+            max_retries: 1,
+            base_backoff: SimDuration::from_millis(100),
+            jitter: 0.0,
+        });
+    let mut sim = small_world(cfg);
+    let queries = 150;
+    for i in 0..queries {
+        sim.with(|w, net| {
+            w.schedule_query(
+                net,
+                SimDuration::from_millis(1),
+                QuerySpec {
+                    client: i % 20,
+                    keyword: i as u64,
+                    fixed_fe: None,
+                    instant_followup: false,
+                },
+            );
+        });
+        sim.run();
+    }
+    let done = sim.with(|w, _| w.drain_completed());
+    assert_eq!(done.len(), queries);
+    sim.with(|w, _| {
+        assert!(
+            (1..=5).contains(&w.actions.len()),
+            "{} action slots for {queries} sequential queries",
+            w.actions.len()
+        );
+        assert!(
+            w.actions.iter().all(Option::is_none),
+            "a fired action is still held"
+        );
+        assert_eq!(w.free_actions.len(), w.actions.len());
+    });
+}
+
 /// Schedules `n` clients at t = 1 ms, all pinned to client 0's
 /// default FE, and runs to completion.
 fn run_burst(cfg: ServiceConfig, n: usize) -> (Vec<CompletedQuery>, Sim<ServiceWorld>) {

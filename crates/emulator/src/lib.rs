@@ -19,11 +19,13 @@
 //! queries, extract each query's [`capture::Timeline`], and reduce to
 //! [`ProcessedQuery`] records (raw packet traces are dropped as soon as
 //! a timeline is extracted, so arbitrarily long campaigns run in bounded
-//! memory).
+//! memory). One driver, [`run_stream_fed`], runs every world; the
+//! `run_collect*` helpers are thin sinks over it.
 //!
 //! Experiments are expressed as [`campaign`]s: deterministically ordered
 //! lists of independent run descriptors, executed across a worker pool
-//! (`FECDN_THREADS`) and merged back in descriptor order so output is
+//! (`FECDN_THREADS`) — each worker builds one world at a time and drives
+//! it to quiescence — and merged back in descriptor order so output is
 //! byte-identical regardless of thread count.
 //!
 //! Results flow through [`sink`]s: each run folds its completions into
@@ -58,10 +60,10 @@ pub mod sessions;
 pub mod sink;
 
 pub use campaign::{
-    world_batch_from_env, Campaign, CampaignReport, Design, RunDescriptor, RunResult,
-    SinkRunReport, StreamReport, TSV_HEADER,
+    Campaign, CampaignReport, Design, RunDescriptor, RunResult, SinkRunReport, StreamReport,
+    TSV_HEADER,
 };
-pub use runner::{run_collect, run_stream_fed, ProcessedQuery, StreamRun, WorldStepper};
+pub use runner::{run_collect, run_stream_fed, ProcessedQuery, StreamRun};
 pub use scenarios::Scenario;
 pub use sessions::{SessionFeeder, SessionPlan, SessionWorkload};
 pub use simcore::telemetry::{MetricsRegistry, METRICS_TSV_HEADER};

@@ -8,7 +8,6 @@ use inference::{QueryParams, SessionTally};
 use searchbe::keywords::KeywordClass;
 use simcore::span;
 use simcore::telemetry::MetricsRegistry;
-use simcore::time::SimTime;
 use tcpsim::Sim;
 
 /// One fully processed query: measurement-side parameters plus simulator
@@ -83,9 +82,9 @@ pub fn process(
 
 /// Runs the simulation to quiescence, draining and processing completed
 /// queries in time chunks (bounded memory regardless of campaign
-/// length). Returns the processed queries in completion order, plus the
-/// raw completions for callers that need traces (those are only the ones
-/// from the final chunk — pass `keep_raw = true` to retain all).
+/// length). Returns the processed queries in completion order; sessions
+/// whose timeline cannot be extracted are skipped. Use
+/// [`run_collect_with`] to see the raw completions as well.
 pub fn run_collect(sim: &mut Sim<ServiceWorld>, classifier: &Classifier) -> Vec<ProcessedQuery> {
     run_collect_with(sim, classifier, |_| {})
 }
@@ -181,127 +180,6 @@ pub fn run_stream<S: QuerySink>(
     run_stream_fed(sim, classifier, sink, None)
 }
 
-/// Per-run accounting shared by the borrowed driver
-/// ([`run_stream_fed`]) and the owning [`WorldStepper`]: both advance a
-/// world through identical chunk iterations, so their outputs are
-/// byte-identical by construction.
-struct StepState {
-    tally: SessionTally,
-    processed: usize,
-    peak: usize,
-    peak_pending: usize,
-    metrics: MetricsRegistry,
-}
-
-impl StepState {
-    fn new(enabled: bool) -> StepState {
-        StepState {
-            tally: SessionTally::default(),
-            processed: 0,
-            peak: 0,
-            peak_pending: 0,
-            metrics: MetricsRegistry::with_enabled(enabled),
-        }
-    }
-}
-
-/// Advances one world by exactly one drain chunk: pick the deadline,
-/// feed the chunk's sessions, run the simulator, fold completions into
-/// the sink. Returns `true` once the world has quiesced (no pending
-/// events and an exhausted feeder).
-fn step_chunk<S: QuerySink>(
-    sim: &mut Sim<ServiceWorld>,
-    classifier: &Classifier,
-    sink: &mut S,
-    mut feeder: Option<&mut SessionFeeder>,
-    st: &mut StepState,
-) -> bool {
-    let chunk = simcore::time::SimDuration::from_secs(60);
-    let now = sim.net().now();
-    // Chunked stepping with a skip: `run_until` leaves `now` at
-    // the last processed event, so if the earliest pending
-    // event lies beyond the chunk (a hedge timer, fault window,
-    // or a session arriving after a lull), fixed-size chunks
-    // would never reach it and this loop would spin forever.
-    let mut deadline = now + chunk;
-    let mut next_signal = sim.net().next_event_time();
-    if let Some(f) = feeder.as_deref_mut() {
-        next_signal = match (next_signal, f.next_start()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-    }
-    if let Some(t) = next_signal {
-        if t > deadline {
-            deadline = t;
-        }
-    }
-    // Materialise this chunk's sessions before driving it. The
-    // feeder's draw order depends only on session order, never
-    // on chunk boundaries, so the schedule is byte-identical at
-    // any thread count or chunk size.
-    if let Some(f) = feeder.as_deref_mut() {
-        f.feed(sim, deadline);
-        st.peak_pending = st.peak_pending.max(sim.net().pending_events());
-    }
-    sim.run_until(deadline);
-    let done = sim.with(|w, _| w.drain_completed());
-    for cq in done {
-        observe_outcome(&mut st.tally, cq.outcome);
-        let pq = match process(&cq, classifier) {
-            Ok(pq) => {
-                st.metrics.inc("capture.timeline_ok");
-                Some(pq)
-            }
-            Err(e) => {
-                st.metrics.inc(e.metric_name());
-                None
-            }
-        };
-        if sink.wants_raw() {
-            sink.on_raw(cq);
-        }
-        if let Some(pq) = pq {
-            sink.on_query(&pq);
-            st.processed += 1;
-        }
-    }
-    st.peak = st.peak.max(sink.retained_bytes());
-    sim.net().pending_events() == 0 && feeder.as_deref().is_none_or(|f| f.exhausted())
-}
-
-/// Harvests the component registries at quiescence and assembles the
-/// run's result. Shared quiescence tail of both drivers.
-fn finish_stream<S: QuerySink>(
-    sim: &mut Sim<ServiceWorld>,
-    sink: S,
-    fed: bool,
-    mut st: StepState,
-) -> StreamRun<S::Output> {
-    st.tally.skipped = st.tally.total() - st.processed;
-    // Sink memory is a deterministic gauge: buffer growth depends only
-    // on the simulated completion stream.
-    st.metrics
-        .set_gauge("emulator.sink_retained_bytes", st.peak as f64);
-    if fed {
-        // Only meaningful (and only emitted) in fed mode, so unfed
-        // metrics documents are unchanged.
-        st.metrics
-            .set_gauge("emulator.pending_events_hiwater", st.peak_pending as f64);
-    }
-    let net_metrics = sim.net().take_metrics();
-    st.metrics.merge(&net_metrics);
-    let world_metrics = sim.with(|w, _| w.take_metrics());
-    st.metrics.merge(&world_metrics);
-    StreamRun {
-        output: sink.finish(),
-        tally: st.tally,
-        peak_retained_bytes: st.peak,
-        peak_pending_events: st.peak_pending,
-        metrics: st.metrics,
-    }
-}
-
 /// [`run_stream`] with an optional [`SessionFeeder`]: sessions are
 /// materialised one time chunk ahead of the simulation clock, so the
 /// event queue holds only live sessions — the footprint of a
@@ -313,110 +191,93 @@ pub fn run_stream_fed<S: QuerySink>(
     mut sink: S,
     mut feeder: Option<&mut SessionFeeder>,
 ) -> StreamRun<S::Output> {
-    let fed = feeder.is_some();
+    let chunk = simcore::time::SimDuration::from_secs(60);
+    let mut tally = SessionTally::default();
+    let mut processed = 0;
+    let mut peak = 0;
+    let mut peak_pending = 0;
     // The runner's own registry inherits the gate of the simulator it
     // drives, so a per-run override set on the Net covers the whole
     // metrics document.
-    let mut st = StepState::new(sim.net().metrics().is_enabled());
+    let mut metrics = MetricsRegistry::with_enabled(sim.net().metrics().is_enabled());
     span!(
-        st.metrics,
+        metrics,
         "runner.drive_wall_ms",
         loop {
-            if step_chunk(sim, classifier, &mut sink, feeder.as_deref_mut(), &mut st) {
+            // Chunked stepping with a skip: `run_until` leaves `now` at
+            // the last processed event, so if the earliest pending
+            // event lies beyond the chunk (a hedge timer, fault window,
+            // or a session arriving after a lull), fixed-size chunks
+            // would never reach it and this loop would spin forever.
+            let mut deadline = sim.net().now() + chunk;
+            let mut next_signal = sim.net().next_event_time();
+            if let Some(f) = feeder.as_deref() {
+                next_signal = match (next_signal, f.next_start()) {
+                    (Some(a), Some(b)) => Some(a.min(b)),
+                    (a, b) => a.or(b),
+                };
+            }
+            if let Some(t) = next_signal {
+                if t > deadline {
+                    deadline = t;
+                }
+            }
+            // Materialise this chunk's sessions before driving it. The
+            // feeder's draw order depends only on session order, never
+            // on chunk boundaries, so the schedule is byte-identical at
+            // any thread count or chunk size.
+            if let Some(f) = feeder.as_deref_mut() {
+                f.feed(sim, deadline);
+                peak_pending = peak_pending.max(sim.net().pending_events());
+            }
+            sim.run_until(deadline);
+            let done = sim.with(|w, _| w.drain_completed());
+            for cq in done {
+                observe_outcome(&mut tally, cq.outcome);
+                let pq = match process(&cq, classifier) {
+                    Ok(pq) => {
+                        metrics.inc("capture.timeline_ok");
+                        Some(pq)
+                    }
+                    Err(e) => {
+                        metrics.inc(e.metric_name());
+                        None
+                    }
+                };
+                if sink.wants_raw() {
+                    sink.on_raw(cq);
+                }
+                if let Some(pq) = pq {
+                    sink.on_query(&pq);
+                    processed += 1;
+                }
+            }
+            peak = peak.max(sink.retained_bytes());
+            if sim.net().pending_events() == 0 && feeder.as_deref().is_none_or(|f| f.exhausted()) {
                 break;
             }
         }
     );
-    finish_stream(sim, sink, fed, st)
-}
-
-/// An owning, resumable world execution: the same chunk loop as
-/// [`run_stream_fed`], but surfaced one [`WorldStepper::step`] at a
-/// time so a worker can interleave K independent worlds in short
-/// virtual-time slices (cache-warm multi-world batching — see
-/// [`crate::Campaign::execute_stream_batched_with_threads`]).
-///
-/// Every step is exactly one [`run_stream_fed`] chunk iteration, so a
-/// batched run's sink output, tally and deterministic metrics are
-/// byte-identical to the serial driver's; only wall-clock rows (which
-/// are never byte-compared) can differ.
-pub struct WorldStepper<S: QuerySink> {
-    sim: Sim<ServiceWorld>,
-    classifier: Classifier,
-    sink: Option<S>,
-    feeder: Option<SessionFeeder>,
-    fed: bool,
-    st: StepState,
-    wall_ms: f64,
-    done: bool,
-}
-
-impl<S: QuerySink> WorldStepper<S> {
-    /// Wraps a freshly built (and scheduled) world. Pass the feeder for
-    /// session-slab designs; everything else pre-schedules into `sim`.
-    pub fn new(
-        sim: Sim<ServiceWorld>,
-        classifier: Classifier,
-        sink: S,
-        feeder: Option<SessionFeeder>,
-    ) -> WorldStepper<S> {
-        let mut sim = sim;
-        let enabled = sim.net().metrics().is_enabled();
-        WorldStepper {
-            sim,
-            classifier,
-            sink: Some(sink),
-            fed: feeder.is_some(),
-            feeder,
-            st: StepState::new(enabled),
-            wall_ms: 0.0,
-            done: false,
-        }
+    tally.skipped = tally.total() - processed;
+    // Sink memory is a deterministic gauge: buffer growth depends only
+    // on the simulated completion stream.
+    metrics.set_gauge("emulator.sink_retained_bytes", peak as f64);
+    if feeder.is_some() {
+        // Only meaningful (and only emitted) in fed mode, so unfed
+        // metrics documents are unchanged.
+        metrics.set_gauge("emulator.pending_events_hiwater", peak_pending as f64);
     }
-
-    /// True once the world has quiesced; further steps are no-ops.
-    pub fn is_done(&self) -> bool {
-        self.done
+    let net_metrics = sim.net().take_metrics();
+    metrics.merge(&net_metrics);
+    let world_metrics = sim.with(|w, _| w.take_metrics());
+    metrics.merge(&world_metrics);
+    StreamRun {
+        output: sink.finish(),
+        tally,
+        peak_retained_bytes: peak,
+        peak_pending_events: peak_pending,
+        metrics,
     }
-
-    /// Advances the world by one drain chunk. Returns `true` once the
-    /// world has quiesced.
-    pub fn step(&mut self) -> bool {
-        if self.done {
-            return true;
-        }
-        let t0 = std::time::Instant::now();
-        let sink = self.sink.as_mut().expect("stepper already finished");
-        self.done = step_chunk(
-            &mut self.sim,
-            &self.classifier,
-            sink,
-            self.feeder.as_mut(),
-            &mut self.st,
-        );
-        self.wall_ms += t0.elapsed().as_secs_f64() * 1e3;
-        self.done
-    }
-
-    /// Runs any remaining chunks, then harvests the run. The drive-time
-    /// span covers the summed wall time of every step, mirroring the
-    /// single span [`run_stream_fed`] records.
-    pub fn finish(mut self) -> StreamRun<S::Output> {
-        while !self.done {
-            self.step();
-        }
-        self.st
-            .metrics
-            .observe_wall_ms("runner.drive_wall_ms", self.wall_ms);
-        let sink = self.sink.take().expect("stepper already finished");
-        finish_stream(&mut self.sim, sink, self.fed, self.st)
-    }
-}
-
-/// Like [`run_collect`] but only runs until `deadline`, for
-/// warm-up phases.
-pub fn run_until(sim: &mut Sim<ServiceWorld>, deadline: SimTime) {
-    sim.run_until(deadline);
 }
 
 #[cfg(test)]
@@ -424,7 +285,7 @@ mod tests {
     use super::*;
     use crate::scenarios::Scenario;
     use cdnsim::QuerySpec;
-    use simcore::time::SimDuration;
+    use simcore::time::{SimDuration, SimTime};
 
     #[test]
     fn processed_queries_carry_consistent_params() {

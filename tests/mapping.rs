@@ -18,13 +18,19 @@
 //! 4. **Conservation** — re-mapping epochs never lose or duplicate
 //!    sessions: every scheduled query surfaces as exactly one outcome
 //!    in the run tally.
+//! 5. **Strategy paths end to end** — DnsGeoTtl under FE churn and
+//!    LoadAware under load and blackout, each run through a full world:
+//!    the run must actually take the path it is there for (stale
+//!    resolutions, re-maps, deflection, typed no-live-FE), conserve
+//!    sessions, and render the same TSV and `metrics.tsv` at 1 and 4
+//!    workers.
 
 mod common;
 
 use cdnsim::mapping::ResolveCtx;
 use cdnsim::{
     GeoTtlPolicy, LoadAwarePolicy, LoadModel, Mapper, MappingPolicy, QueryOutcome, QuerySpec,
-    ServiceConfig,
+    RetryPolicy, ServiceConfig,
 };
 use emulator::{Campaign, Design, Scenario};
 use nettopo::geo::GeoPoint;
@@ -188,6 +194,181 @@ fn all_dead_fes_fail_fast_with_typed_outcome() {
         );
     }
     assert!(!QueryOutcome::NoLiveFe { attempts: 1 }.served());
+}
+
+/// `n` clients fire one query each at t = 1 ms via their default FE.
+fn burst_design(n: usize) -> Design {
+    Design::custom(move |sim| {
+        sim.with(|w, net| {
+            for client in 0..n {
+                w.schedule_query(
+                    net,
+                    SimDuration::from_millis(1),
+                    QuerySpec {
+                        client,
+                        keyword: client as u64,
+                        fixed_fe: None,
+                        instant_followup: false,
+                    },
+                );
+            }
+        });
+    })
+}
+
+/// Repeated queries from a small client pool, spread over time: the
+/// same geo buckets re-resolve across TTL expiries and fault windows.
+fn staggered_design(n: usize, step_ms: u64) -> Design {
+    Design::custom(move |sim| {
+        sim.with(|w, net| {
+            for i in 0..n {
+                w.schedule_query(
+                    net,
+                    SimDuration::from_millis(1 + step_ms * i as u64),
+                    QuerySpec {
+                        client: i % 4,
+                        keyword: i as u64,
+                        fixed_fe: None,
+                        instant_followup: false,
+                    },
+                );
+            }
+        });
+    })
+}
+
+#[test]
+fn strategy_paths_fire_and_conserve_sessions_at_1_and_4_workers() {
+    let seed = 2026;
+    let scenario = Scenario::with_size(seed, 10, 60);
+    let base = ServiceConfig::google_like(seed);
+    let n_fes = scenario.build_sim(base.clone()).with(|w, _| w.fe_count());
+    let load_model = LoadModel {
+        fe_capacity: 2,
+        be_capacity: 4,
+        max_slowdown: 10.0,
+    };
+
+    // DnsGeoTtl under FE churn: a short TTL forces bucket re-resolution
+    // mid-run, and an outage over all-but-one FE makes cached answers
+    // go stale (clients keep them until expiry) while post-TTL
+    // resolutions re-map to the lone live FE. Client retries exercise
+    // resolution on retry attempts too.
+    let mut churn = FaultPlan::default();
+    for fe in 0..n_fes.saturating_sub(1) {
+        churn = churn.fe_outage(fe, SimTime::from_millis(100), SimTime::from_millis(3_000));
+    }
+    let geo = base
+        .clone()
+        .with_mapping(MappingPolicy::DnsGeoTtl(GeoTtlPolicy {
+            ttl: SimDuration::from_millis(400),
+            bucket_deg: 10.0,
+        }))
+        .with_faults(churn)
+        .with_client_retry(RetryPolicy {
+            deadline: SimDuration::from_millis(1_500),
+            max_retries: 2,
+            base_backoff: SimDuration::from_millis(200),
+            jitter: 0.3,
+        });
+
+    // LoadAware with an epoch far shorter than a query's life: re-maps
+    // land mid-flight during open connections, and the tight knee makes
+    // deflection actually trigger under the burst.
+    let load_aware = base
+        .clone()
+        .with_mapping(MappingPolicy::LoadAware(LoadAwarePolicy {
+            epoch: SimDuration::from_millis(25),
+            high_watermark: 1.0,
+            spill_width: 4,
+            low_watermark: 0.5,
+        }))
+        .with_load_model(load_model);
+
+    // LoadAware with every FE dark at the burst: deflection, liveness
+    // filtering and typed no-live-FE handling all on the resolve path.
+    let mut all_dark = FaultPlan::default();
+    for fe in 0..n_fes {
+        all_dark = all_dark.fe_outage(fe, SimTime::ZERO, SimTime::from_millis(400));
+    }
+    let dark = base
+        .with_mapping(MappingPolicy::LoadAware(LoadAwarePolicy {
+            epoch: SimDuration::from_millis(50),
+            high_watermark: 1.0,
+            spill_width: 4,
+            low_watermark: 0.5,
+        }))
+        .with_load_model(load_model)
+        .with_faults(all_dark);
+
+    // (label, config, design, queries scheduled, metrics the run must
+    // record — without them it never took the path it is here for).
+    type Case = (
+        &'static str,
+        ServiceConfig,
+        Design,
+        usize,
+        &'static [&'static str],
+    );
+    let cases: [Case; 3] = [
+        (
+            "map/geo-ttl-churn",
+            geo,
+            staggered_design(10, 90),
+            10,
+            &["cdnsim.stale_resolutions", "cdnsim.remap_events"],
+        ),
+        (
+            "map/load-aware-25ms",
+            load_aware,
+            burst_design(8),
+            8,
+            &["cdnsim.remap_events", "cdnsim.fe_demand_hiwater"],
+        ),
+        (
+            "map/load-aware-dark",
+            dark,
+            burst_design(8),
+            8,
+            &["cdnsim.no_live_fe"],
+        ),
+    ];
+    let mut c = Campaign::new(scenario);
+    for (label, cfg, design, _, _) in &cases {
+        let d = c.push(*label, cfg.clone(), design.clone());
+        d.keep_raw = true;
+        d.metrics = Some(true);
+    }
+    let serial = c.execute_with_threads(1);
+    let sharded = c.execute_with_threads(4);
+    assert_eq!(
+        serial.to_tsv(),
+        sharded.to_tsv(),
+        "strategy campaign TSV must be thread invariant"
+    );
+    assert_eq!(
+        serial.metrics_tsv(),
+        sharded.metrics_tsv(),
+        "strategy campaign metrics.tsv must be thread invariant"
+    );
+    for (label, _, _, queries, want) in &cases {
+        let run = serial.get(label).unwrap();
+        assert_eq!(
+            run.tally.total(),
+            *queries,
+            "{label}: every scheduled query must surface exactly once: {:?}",
+            run.tally
+        );
+        assert_eq!(run.raw.len(), *queries, "{label}: one record per query");
+        let names = run.metrics.names();
+        for m in *want {
+            assert!(
+                names.contains(m),
+                "{label}: the run never recorded `{m}`:\n{}",
+                serial.metrics_tsv()
+            );
+        }
+    }
 }
 
 proptest! {
