@@ -12,8 +12,7 @@ use cdnsim::{QuerySpec, ServiceConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use emulator::dataset_a::{DatasetA, KeywordPolicy};
 use emulator::dataset_b::DatasetB;
-use emulator::runner::run_collect;
-use emulator::Scenario;
+use emulator::{run_stream_fed, CollectSink, Scenario};
 use simcore::time::SimDuration;
 use std::hint::black_box;
 
@@ -47,7 +46,12 @@ fn bench_fig3_keyword_effect(c: &mut Criterion) {
                     }
                 }
             });
-            black_box(run_collect(&mut sim, &Classifier::ByMarker).len())
+            black_box(
+                run_stream_fed(&mut sim, &Classifier::ByMarker, CollectSink::new(), None)
+                    .output
+                    .queries
+                    .len(),
+            )
         })
     });
 }
@@ -72,13 +76,21 @@ fn bench_fig4_timelines(c: &mut Criterion) {
                     );
                 }
             });
-            let mut views = 0usize;
-            let _ = emulator::runner::run_collect_with(&mut sim, &Classifier::ByMarker, |cq| {
-                let node = cdnsim::ServiceWorld::client_node(cq.client);
-                if capture::cluster_view::TimelineView::build(&cq.trace, node).is_ok() {
-                    views += 1;
-                }
-            });
+            let raw = run_stream_fed(
+                &mut sim,
+                &Classifier::ByMarker,
+                CollectSink::with_raw(true),
+                None,
+            )
+            .output
+            .raw;
+            let views = raw
+                .iter()
+                .filter(|cq| {
+                    let node = cdnsim::ServiceWorld::client_node(cq.client);
+                    capture::cluster_view::TimelineView::build(&cq.trace, node).is_ok()
+                })
+                .count();
             black_box(views)
         })
     });
@@ -216,7 +228,12 @@ fn bench_exp_loss(c: &mut Criterion) {
                     );
                 }
             });
-            black_box(run_collect(&mut sim, &Classifier::ByMarker).len())
+            black_box(
+                run_stream_fed(&mut sim, &Classifier::ByMarker, CollectSink::new(), None)
+                    .output
+                    .queries
+                    .len(),
+            )
         })
     });
 }

@@ -16,7 +16,7 @@
 use bench::{campaign, check, execute_stream, finish, seed_from_env, Scale};
 use cdnsim::{QuerySpec, ServiceConfig};
 use emulator::output::Tsv;
-use emulator::{Design, FoldSink, RunDescriptor};
+use emulator::{Design, FoldSink};
 use simcore::time::SimDuration;
 use stats::QuantileAcc;
 
@@ -72,7 +72,7 @@ fn main() {
         ServiceConfig::bing_like(seed).without_static_cache(),
         small_rtt_design(repeats),
     );
-    let report = execute_stream(&c, &|_: &RunDescriptor| {
+    let report = execute_stream(&c, &|_| {
         FoldSink::new(
             Cols {
                 ts: QuantileAcc::exact(),

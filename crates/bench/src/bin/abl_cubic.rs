@@ -16,7 +16,7 @@
 use bench::{campaign, check, execute_stream, finish, seed_from_env, Scale};
 use cdnsim::{QuerySpec, ServiceConfig};
 use emulator::output::Tsv;
-use emulator::{Design, FoldSink, RunDescriptor};
+use emulator::{Design, FoldSink};
 use nettopo::path::PathProfile;
 use simcore::time::SimDuration;
 use stats::QuantileAcc;
@@ -85,7 +85,7 @@ fn main() {
     );
     // Per run: Tdynamic stays exact (the KS test needs the full sample)
     // alongside an overall-delay accumulator.
-    let report = execute_stream(&c, &|_: &RunDescriptor| {
+    let report = execute_stream(&c, &|_| {
         FoldSink::new(
             (QuantileAcc::exact(), QuantileAcc::exact()),
             |s: &mut (QuantileAcc, QuantileAcc), q| {

@@ -20,7 +20,7 @@ use bench::{campaign, check, dataset_b_repeats, execute_stream, finish, seed_fro
 use cdnsim::ServiceConfig;
 use emulator::dataset_b::DatasetB;
 use emulator::output::Tsv;
-use emulator::{Design, FoldSink, RunDescriptor};
+use emulator::{Design, FoldSink};
 use inference::{estimate_rtt_threshold, GroupMediansAcc};
 
 struct SweepRow {
@@ -45,7 +45,7 @@ fn main() {
             }),
         );
     }
-    let report = execute_stream(&c, &|_: &RunDescriptor| {
+    let report = execute_stream(&c, &|_| {
         FoldSink::new(GroupMediansAcc::exact(), |a: &mut GroupMediansAcc, q| {
             a.push(q.client as u64, &q.params)
         })

@@ -16,7 +16,7 @@ use bench::{campaign, check, dataset_a_repeats, execute_stream, finish, seed_fro
 use cdnsim::ServiceConfig;
 use emulator::dataset_a::{DatasetA, KeywordPolicy};
 use emulator::output::Tsv;
-use emulator::{Design, FoldSink, RunDescriptor};
+use emulator::{Design, FoldSink};
 use simcore::time::SimDuration;
 use stats::QuantileAcc;
 use std::collections::BTreeMap;
@@ -51,7 +51,7 @@ fn main() {
         ServiceConfig::google_like(seed).without_split_tcp(),
         design,
     );
-    let report = execute_stream(&c, &|_: &RunDescriptor| {
+    let report = execute_stream(&c, &|_| {
         FoldSink::new(PerClient::new(), |by: &mut PerClient, q| {
             let e = by.entry(q.client).or_insert_with(|| {
                 (

@@ -20,10 +20,7 @@
 use bench::{check, finish, scenario, seed_from_env, Scale};
 use cdnsim::ServiceConfig;
 use emulator::dataset_a::{DatasetA, KeywordPolicy};
-use emulator::{
-    Campaign, CollectSink, Design, ProcessedQuery, QuerySink, RunDescriptor, SinkFactory,
-    StreamReport,
-};
+use emulator::{Campaign, CollectSink, Design, ProcessedQuery, QuerySink, RunDescriptor};
 use simcore::time::SimDuration;
 use stats::SummaryAcc;
 use std::time::Instant;
@@ -70,21 +67,22 @@ fn campaign_with(seed: u64, repeats: u64) -> Campaign {
 }
 
 /// Runs `campaign` under `factory`, returning (wall ms, peak retained
-/// bytes, total queries).
-fn measure<F>(campaign: &Campaign, factory: &F) -> (u128, usize, usize)
+/// bytes, total queries, worker count used).
+fn measure<F, S>(campaign: &Campaign, factory: &F) -> (u128, usize, usize, usize)
 where
-    F: SinkFactory,
-    <F::Sink as QuerySink>::Output: Send,
+    F: Fn(&RunDescriptor) -> S + Sync,
+    S: QuerySink,
+    S::Output: Send,
 {
     let t0 = Instant::now();
-    let report: StreamReport<_> = campaign.execute_stream(factory);
+    let report = campaign.execute_stream(factory);
     let wall = t0.elapsed().as_millis();
     let queries: usize = report
         .runs
         .iter()
         .map(|r| r.tally.total() - r.tally.skipped)
         .sum();
-    (wall, report.peak_retained_bytes(), queries)
+    (wall, report.peak_retained_bytes(), queries, report.threads)
 }
 
 fn stream_sink(_: &RunDescriptor) -> StreamState {
@@ -112,19 +110,14 @@ fn main() {
     let base_repeats: u64 = if smoke { 6 } else { 24 };
 
     let c = campaign_with(seed, base_repeats);
-    let (wall_collect, peak_collect, n_collect) =
-        measure(&c, &|d: &RunDescriptor| CollectSink::with_raw(d.keep_raw));
-    let (wall_stream, peak_stream, n_stream) = measure(&c, &stream_sink);
+    let (wall_collect, peak_collect, n_collect, threads) = measure(&c, &|_| CollectSink::new());
+    let (wall_stream, peak_stream, n_stream, _) = measure(&c, &stream_sink);
     let c10 = campaign_with(seed, base_repeats * 10);
-    let (wall_stream10, peak_stream10, n_stream10) = measure(&c10, &stream_sink);
+    let (wall_stream10, peak_stream10, n_stream10, _) = measure(&c10, &stream_sink);
 
     assert_eq!(n_collect, n_stream, "sink choice must not change coverage");
     let reduction = peak_collect as f64 / peak_stream.max(1) as f64;
     let growth = peak_stream10 as f64 / peak_stream.max(1) as f64;
-    let threads = std::env::var("FECDN_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(1);
 
     eprintln!(
         "collect:   {n_collect} queries, wall {wall_collect} ms, peak retained {peak_collect} B"

@@ -23,7 +23,7 @@ use bench::{check, execute_stream, finish, seed_from_env};
 use cdnsim::ServiceConfig;
 use emulator::dataset_a::{DatasetA, KeywordPolicy};
 use emulator::output::Tsv;
-use emulator::{Campaign, Design, FoldSink, RunDescriptor, Scenario};
+use emulator::{Campaign, Design, FoldSink, Scenario};
 use inference::GroupMediansAcc;
 use nettopo::vantage::{planetlab_like, VantageConfig};
 use searchbe::keywords::KeywordCorpus;
@@ -83,7 +83,7 @@ fn main() {
             ServiceConfig::google_like(seed),
             fig6_design(),
         );
-        let report = execute_stream(&c, &|_: &RunDescriptor| {
+        let report = execute_stream(&c, &|_| {
             FoldSink::new(GroupMediansAcc::exact(), |a: &mut GroupMediansAcc, q| {
                 a.push(q.client as u64, &q.params)
             })

@@ -14,7 +14,6 @@ use bench::{campaign, check, execute_stream, finish, seed_from_env, Scale};
 use cdnsim::ServiceConfig;
 use emulator::caching_probe::CachingProbeRun;
 use emulator::output::Tsv;
-use emulator::RunDescriptor;
 use inference::caching::CachingVerdict;
 
 fn main() {
@@ -47,7 +46,7 @@ fn main() {
         probe.add_to(&mut c, name, cfg.clone());
     }
     // Each probe run retains only its (rtt, Tdynamic) pairs.
-    let report = execute_stream(&c, &|_: &RunDescriptor| CachingProbeRun::sink());
+    let report = execute_stream(&c, &|_| CachingProbeRun::sink());
 
     let stdout = std::io::stdout();
     let mut tsv = Tsv::new(

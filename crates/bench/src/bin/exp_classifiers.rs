@@ -21,7 +21,7 @@ use capture::validate::score_classifier;
 use capture::{find_static_content_ids, Classifier};
 use cdnsim::{QuerySpec, ServiceConfig, ServiceWorld};
 use emulator::output::Tsv;
-use emulator::{Design, FoldSink, RetainRaw, RunDescriptor};
+use emulator::{Design, FoldSink, RetainRaw};
 use simcore::time::SimDuration;
 use tcpsim::NodeId;
 
@@ -66,9 +66,7 @@ fn main() {
     );
     // Classifier scoring needs the packet traces themselves: opt into
     // raw retention (traces are moved into the sink, not cloned).
-    let report = execute_stream(&c, &|_: &RunDescriptor| {
-        RetainRaw::new(FoldSink::new((), |_, _| {}))
-    });
+    let report = execute_stream(&c, &|_| RetainRaw::new(FoldSink::new((), |_, _| {})));
     let raw = &report.output("classifiers").1;
 
     // Learn the static ids blind, borrowing the traces in place.

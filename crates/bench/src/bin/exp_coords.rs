@@ -25,7 +25,7 @@
 use bench::{campaign, check, execute_stream, finish, scenario, seed_from_env, Scale};
 use cdnsim::{QuerySpec, ServiceConfig};
 use emulator::output::Tsv;
-use emulator::{Design, FoldSink, RunDescriptor};
+use emulator::{Design, FoldSink};
 use inference::{tproc_via_coords, RttSample, Vivaldi};
 use simcore::time::SimDuration;
 
@@ -82,7 +82,7 @@ fn main() {
             });
         }),
     );
-    let report = execute_stream(&c, &|_: &RunDescriptor| {
+    let report = execute_stream(&c, &|_| {
         FoldSink::new(Vec::new(), |v: &mut Vec<CoordRec>, q| {
             v.push(CoordRec {
                 client: q.client,

@@ -28,7 +28,7 @@ use bench::{campaign, check, execute_stream, finish, scenario, seed_from_env, Sc
 use cdnsim::{QueryOutcome, QuerySpec, ServiceConfig};
 use emulator::output::Tsv;
 use emulator::runner::ProcessedQuery;
-use emulator::{Design, FoldSink, RunDescriptor};
+use emulator::{Design, FoldSink};
 use nettopo::FaultPlan;
 use simcore::time::{SimDuration, SimTime};
 use stats::quantile::median;
@@ -110,7 +110,7 @@ fn main() {
     // This experiment inspects every individual query (phase timelines,
     // rerun comparison), so its sink retains the processed records —
     // still trace-free and O(repeats) small.
-    let report = execute_stream(&c, &|_: &RunDescriptor| {
+    let report = execute_stream(&c, &|_| {
         FoldSink::new(Vec::new(), |v: &mut Vec<ProcessedQuery>, q| {
             v.push(q.clone())
         })

@@ -15,7 +15,7 @@
 use bench::{campaign, check, execute_stream, finish, seed_from_env, Scale};
 use cdnsim::{QuerySpec, ServiceConfig};
 use emulator::output::Tsv;
-use emulator::{Design, FoldSink, RunDescriptor};
+use emulator::{Design, FoldSink};
 use simcore::time::SimDuration;
 use stats::QuantileAcc;
 
@@ -71,7 +71,7 @@ fn main() {
     }
     // Per run, retain only the derived FE-side constant per query:
     // Tstatic minus the vantage's RTT isolates the FE overhead.
-    let report = execute_stream(&c, &|_: &RunDescriptor| {
+    let report = execute_stream(&c, &|_| {
         FoldSink::new(QuantileAcc::exact(), |acc: &mut QuantileAcc, q| {
             acc.push((q.params.t_static_ms - q.params.rtt_ms).max(0.0))
         })

@@ -15,7 +15,7 @@ use bench::{campaign, check, execute_stream, finish, seed_from_env, Scale};
 use cdnsim::ServiceConfig;
 use emulator::instant::InstantRun;
 use emulator::output::Tsv;
-use emulator::{FoldSink, ProcessedQuery, RunDescriptor};
+use emulator::{FoldSink, ProcessedQuery};
 use inference::FetchBounds;
 
 fn main() {
@@ -34,7 +34,7 @@ fn main() {
     c.push("instant", ServiceConfig::google_like(seed), run.design());
     // Session reconstruction pairs keystrokes within a client, so the
     // sink keeps the processed records (trace-free, O(keystrokes)).
-    let report = execute_stream(&c, &|_: &RunDescriptor| {
+    let report = execute_stream(&c, &|_| {
         FoldSink::new(Vec::new(), |v: &mut Vec<ProcessedQuery>, q| {
             v.push(q.clone())
         })

@@ -19,7 +19,7 @@
 use bench::{campaign, check, execute_stream, finish, scenario, seed_from_env, Scale};
 use cdnsim::{QuerySpec, ServiceConfig};
 use emulator::output::Tsv;
-use emulator::{Design, FoldSink, RunDescriptor};
+use emulator::{Design, FoldSink};
 use nettopo::path::PathProfile;
 use simcore::time::SimDuration;
 use stats::QuantileAcc;
@@ -129,7 +129,7 @@ fn main() {
             }
         }
     }
-    let report = execute_stream(&c, &|_: &RunDescriptor| {
+    let report = execute_stream(&c, &|_| {
         FoldSink::new(QuantileAcc::exact(), |acc: &mut QuantileAcc, q| {
             acc.push(q.params.overall_ms)
         })

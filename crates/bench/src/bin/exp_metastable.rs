@@ -39,12 +39,12 @@
 //! Emits `BENCH_overload.json`-shaped JSON to `--out PATH` (default
 //! stdout TSV only).
 
-use bench::{campaign, check, execute, finish, seed_from_env, Scale};
+use bench::{campaign, check, execute_stream, finish, seed_from_env, Scale};
 use cdnsim::{
     CompletedQuery, FeLoadProfile, LoadModel, QuerySpec, RetryBudget, RetryPolicy, ServiceConfig,
 };
 use emulator::output::Tsv;
-use emulator::Design;
+use emulator::{CollectSink, Design};
 use nettopo::FaultPlan;
 use simcore::dist::Dist;
 use simcore::time::{SimDuration, SimTime};
@@ -205,15 +205,13 @@ fn main() {
     );
 
     let mut c = campaign(Scale::Quick, seed);
-    let naive_seed = {
-        let d = c.push(
+    let naive_seed = c
+        .push(
             "naive",
             arm_config(seed, fe),
             steady_design(fe, clients.clone()),
-        );
-        d.keep_raw = true;
-        d.seed
-    };
+        )
+        .seed;
     // Same derived seed: the rerun must reproduce the naive arm exactly
     // even when the two land on different worker threads.
     let rerun = c.push(
@@ -221,7 +219,6 @@ fn main() {
         arm_config(seed, fe),
         steady_design(fe, clients.clone()),
     );
-    rerun.keep_raw = true;
     rerun.seed = naive_seed;
     c.push(
         "budgeted",
@@ -230,10 +227,9 @@ fn main() {
             refill_per_sec: 0.05,
         }),
         steady_design(fe, clients.clone()),
-    )
-    .keep_raw = true;
+    );
 
-    let report = execute(&c);
+    let report = execute_stream(&c, &|_| CollectSink::with_raw(true));
     let scheduled = (CLIENTS as u64 * WAVES) as usize;
 
     let stdout = std::io::stdout();
@@ -243,7 +239,7 @@ fn main() {
     )
     .unwrap();
     for arm in ["naive", "budgeted"] {
-        let raw = &report.get(arm).unwrap().raw;
+        let raw = &report.output(arm).raw;
         for phase in ["pre", "trigger", "post"] {
             let offered = raw
                 .iter()
@@ -267,8 +263,8 @@ fn main() {
         }
     }
 
-    let naive = &report.get("naive").unwrap().raw;
-    let budgeted = &report.get("budgeted").unwrap().raw;
+    let naive = &report.output("naive").raw;
+    let budgeted = &report.output("budgeted").raw;
     let (n_pre, n_trig, n_post) = (
         goodput(naive, &slot_of, "pre"),
         goodput(naive, &slot_of, "trigger"),
@@ -344,7 +340,7 @@ fn main() {
         ),
         naive_tally.total() == scheduled && budgeted_tally.total() == scheduled,
     );
-    let rerun_raw = &report.get("naive-rerun").unwrap().raw;
+    let rerun_raw = &report.output("naive-rerun").raw;
     ok &= check(
         "rerun reproduces the naive arm exactly",
         naive.len() == rerun_raw.len()

@@ -32,10 +32,10 @@
 //! * a rerun with the same derived seed reproduces every overhead
 //!   exactly.
 
-use bench::{campaign, check, execute, finish, seed_from_env, Scale};
+use bench::{campaign, check, execute_stream, finish, seed_from_env, Scale};
 use cdnsim::{FeLoadProfile, LoadModel, QuerySpec, ServiceConfig};
 use emulator::output::Tsv;
-use emulator::Design;
+use emulator::{CollectSink, Design};
 use simcore::dist::Dist;
 use simcore::time::SimDuration;
 use stats::quantile::median;
@@ -100,8 +100,7 @@ fn main() {
         "off/n18",
         constant_service(ServiceConfig::google_like(seed)),
         burst_design(top),
-    )
-    .keep_raw = true;
+    );
     let mut top_seed = 0;
     for &n in &sizes {
         let d = c.push(
@@ -109,7 +108,6 @@ fn main() {
             constant_service(ServiceConfig::google_like(seed)).with_load_model(model),
             burst_design(n),
         );
-        d.keep_raw = true;
         if n == top {
             top_seed = d.seed;
         }
@@ -122,7 +120,6 @@ fn main() {
         constant_service(ServiceConfig::google_like(seed)).with_load_model(model),
         burst_design(top),
     );
-    rerun.keep_raw = true;
     rerun.seed = top_seed;
     c.push(
         "admission/n18",
@@ -130,15 +127,13 @@ fn main() {
             .with_load_model(model)
             .with_admission_control(KNEE),
         burst_design(top),
-    )
-    .keep_raw = true;
+    );
 
-    let report = execute(&c);
+    let report = execute_stream(&c, &|_| CollectSink::with_raw(true));
 
     let overheads = |label: &str| -> Vec<f64> {
         report
-            .get(label)
-            .unwrap()
+            .output(label)
             .raw
             .iter()
             .filter(|cq| cq.outcome.served())

@@ -34,7 +34,8 @@ use bench::{check, finish, scenario, seed_from_env, Scale};
 use cdnsim::{Cache, CacheConfig, ObjectCache, ServiceConfig};
 use emulator::output::Tsv;
 use emulator::{
-    Campaign, Design, ProcessedQuery, QuerySink, RunDescriptor, SessionWorkload, StreamReport,
+    Campaign, CollectSink, Design, ProcessedQuery, QuerySink, RunDescriptor, SessionWorkload,
+    StreamReport,
 };
 use simcore::dist::{PopularityModel, PopularityProcess};
 use simcore::rng::Rng;
@@ -266,13 +267,16 @@ fn main() {
     }
 
     // ---- Phase 2: end-to-end policy arms ------------------------------
-    let serial = contest_campaign(seed, contest_sessions).execute_with_threads(1);
-    let parallel = contest_campaign(seed, contest_sessions).execute_with_threads(4);
+    let serial = contest_campaign(seed, contest_sessions)
+        .execute_stream_with_threads(&|_| CollectSink::new(), 1);
+    let parallel = contest_campaign(seed, contest_sessions)
+        .execute_stream_with_threads(&|_| CollectSink::new(), 4);
     ok &= check(
         "end-to-end arms byte-identical at FECDN_THREADS 1 vs 4",
         serial.to_tsv() == parallel.to_tsv(),
     );
-    let rerun = contest_campaign(seed, contest_sessions).execute_with_threads(1);
+    let rerun = contest_campaign(seed, contest_sessions)
+        .execute_stream_with_threads(&|_| CollectSink::new(), 1);
     ok &= check(
         "end-to-end rerun reproduces the TSV exactly",
         serial.to_tsv() == rerun.to_tsv(),

@@ -44,7 +44,7 @@
 use bench::{check, finish, seed_from_env, Scale};
 use cdnsim::{FeLoadProfile, LoadAwarePolicy, LoadModel, MappingPolicy, QuerySpec, ServiceConfig};
 use emulator::output::Tsv;
-use emulator::{Campaign, CampaignReport, Design, Scenario};
+use emulator::{Campaign, CollectSink, Collected, Design, Scenario, StreamReport};
 use simcore::time::SimDuration;
 
 /// Strategy arms swept (label, policy factory).
@@ -136,10 +136,9 @@ fn arm_campaign(seed: u64, n: usize, policy: MappingPolicy, gap_ms: u64) -> Camp
 }
 
 /// Exact p95 of the run's overall end-to-end latencies.
-fn p95_overall(report: &CampaignReport, label: &str) -> f64 {
+fn p95_overall(report: &StreamReport<Collected>, label: &str) -> f64 {
     let mut v: Vec<f64> = report
-        .get(label)
-        .unwrap()
+        .output(label)
         .queries
         .iter()
         .map(|q| q.params.overall_ms)
@@ -168,8 +167,8 @@ fn main() {
         Scale::Paper => 240,
     };
 
-    let serial = sweep_campaign(seed, n).execute_with_threads(1);
-    let sharded = sweep_campaign(seed, n).execute_with_threads(4);
+    let serial = sweep_campaign(seed, n).execute_stream_with_threads(&|_| CollectSink::new(), 1);
+    let sharded = sweep_campaign(seed, n).execute_stream_with_threads(&|_| CollectSink::new(), 4);
 
     let mut ok = true;
     ok &= check(
@@ -180,18 +179,19 @@ fn main() {
     // Paired arm runs: identical label => identical per-run RNG, so the
     // p95 table compares strategies, not seeds. Run the whole set twice
     // and demand bit-equality for the same-seed rerun check.
-    let run_arms = || -> Vec<(String, CampaignReport)> {
+    let run_arms = || -> Vec<(String, StreamReport<Collected>)> {
         let mut set = Vec::new();
         for (sname, policy) in strategies() {
             for (iname, gap_ms) in INTENSITIES {
-                let report = arm_campaign(seed, n, policy, gap_ms).execute_with_threads(1);
+                let report = arm_campaign(seed, n, policy, gap_ms)
+                    .execute_stream_with_threads(&|_| CollectSink::new(), 1);
                 set.push((format!("map/{sname}/{iname}"), report));
             }
         }
         set
     };
     let arms = run_arms();
-    let arm_tsv = |set: &[(String, CampaignReport)]| {
+    let arm_tsv = |set: &[(String, StreamReport<Collected>)]| {
         set.iter()
             .map(|(_, r)| r.to_tsv())
             .collect::<Vec<_>>()

@@ -23,7 +23,7 @@ use cdnsim::ServiceConfig;
 use emulator::dataset_a::{DatasetA, KeywordPolicy};
 use emulator::output::Tsv;
 use emulator::report::CampaignSummaryAcc;
-use emulator::{Design, FoldSink, RunDescriptor};
+use emulator::{Design, FoldSink};
 use simcore::time::SimDuration;
 use stats::QuantileAcc;
 
@@ -79,7 +79,7 @@ fn main() {
     }
     // Per run: the online campaign summary plus the FE-attributable
     // Tstatic constant (Tstatic − RTT) as a quantile accumulator.
-    let report = execute_stream(&c, &|d: &RunDescriptor| {
+    let report = execute_stream(&c, &|d| {
         FoldSink::new(
             (CampaignSummaryAcc::new(&d.label), QuantileAcc::exact()),
             |s: &mut (CampaignSummaryAcc, QuantileAcc), q| {

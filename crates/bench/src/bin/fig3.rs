@@ -13,7 +13,7 @@
 use bench::{campaign, check, execute_stream, fig3_samples, finish, seed_from_env, Scale};
 use cdnsim::{QuerySpec, ServiceConfig};
 use emulator::output::Tsv;
-use emulator::{Design, FoldSink, RunDescriptor};
+use emulator::{Design, FoldSink};
 use searchbe::keywords::KeywordClass;
 use simcore::time::SimDuration;
 use stats::moving_median;
@@ -70,7 +70,7 @@ fn main() {
             });
         }),
     );
-    let report = execute_stream(&c, &|_: &RunDescriptor| {
+    let report = execute_stream(&c, &|_| {
         FoldSink::new(Vec::new(), |rows: &mut Vec<Row>, q| {
             rows.push(Row {
                 keyword: q.keyword,

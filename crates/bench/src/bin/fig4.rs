@@ -19,7 +19,7 @@ use capture::cluster_view::TimelineView;
 use capture::{Classifier, Timeline};
 use cdnsim::{QuerySpec, ServiceConfig, ServiceWorld};
 use emulator::output::Tsv;
-use emulator::{Campaign, Design, FoldSink, RetainRaw, RunDescriptor, Scenario};
+use emulator::{Campaign, Design, FoldSink, RetainRaw, Scenario};
 use simcore::time::SimDuration;
 
 /// The paper's five RTT rows (ms).
@@ -87,9 +87,7 @@ fn main() {
     );
     // This figure genuinely needs packet traces: opt into raw retention
     // explicitly (the trace is moved into the sink, never cloned).
-    let report = execute_stream(&campaign, &|_: &RunDescriptor| {
-        RetainRaw::new(FoldSink::new((), |_, _| {}))
-    });
+    let report = execute_stream(&campaign, &|_| RetainRaw::new(FoldSink::new((), |_, _| {})));
 
     let mut runs: Vec<(usize, TimelineView, Timeline)> = Vec::new();
     for cq in &report.output("fig4").1 {

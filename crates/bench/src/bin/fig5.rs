@@ -16,7 +16,7 @@ use bench::{campaign, check, dataset_b_repeats, execute_stream, finish, seed_fro
 use cdnsim::ServiceConfig;
 use emulator::dataset_b::DatasetB;
 use emulator::output::Tsv;
-use emulator::{Design, FoldSink, RunDescriptor};
+use emulator::{Design, FoldSink};
 use inference::{estimate_rtt_threshold, GroupMedians, GroupMediansAcc};
 
 /// Dataset B against the FE nearest to the first vantage's default — an
@@ -82,7 +82,7 @@ fn main() {
         ServiceConfig::google_like(seed),
         fixed_fe_design(repeats),
     );
-    let report = execute_stream(&c, &|_: &RunDescriptor| {
+    let report = execute_stream(&c, &|_| {
         FoldSink::new(
             Fig5State {
                 acc: GroupMediansAcc::exact(),

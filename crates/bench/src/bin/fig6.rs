@@ -15,7 +15,7 @@ use bench::{campaign, check, dataset_a_repeats, execute_stream, finish, seed_fro
 use cdnsim::ServiceConfig;
 use emulator::dataset_a::{DatasetA, KeywordPolicy};
 use emulator::output::Tsv;
-use emulator::{Design, FoldSink, RunDescriptor};
+use emulator::{Design, FoldSink};
 use inference::GroupMediansAcc;
 use simcore::time::SimDuration;
 use stats::Ecdf;
@@ -39,7 +39,7 @@ fn main() {
     let mut c = campaign(scale, seed);
     c.push("bing-like", ServiceConfig::bing_like(seed), design.clone());
     c.push("google-like", ServiceConfig::google_like(seed), design);
-    let report = execute_stream(&c, &|_: &RunDescriptor| {
+    let report = execute_stream(&c, &|_| {
         FoldSink::new(GroupMediansAcc::exact(), |a: &mut GroupMediansAcc, q| {
             a.push(q.client as u64, &q.params)
         })

@@ -21,7 +21,7 @@
 use bench::{campaign, check, execute_stream, finish, seed_from_env, Scale};
 use cdnsim::{QuerySpec, ServiceConfig};
 use emulator::output::Tsv;
-use emulator::{Design, FoldSink, RunDescriptor};
+use emulator::{Design, FoldSink};
 use inference::factoring::factor_fetch_time;
 use simcore::time::SimDuration;
 use stats::{MeanAcc, QuantileAcc};
@@ -127,7 +127,7 @@ fn main() {
         ServiceConfig::google_like(seed),
         fig9_design(700.0, rep_google),
     );
-    let report = execute_stream(&c, &|_: &RunDescriptor| {
+    let report = execute_stream(&c, &|_| {
         FoldSink::new(
             Fig9State {
                 per_fe: BTreeMap::new(),

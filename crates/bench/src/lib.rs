@@ -22,12 +22,13 @@
 //! Each binary prints TSV (the plotted series) to stdout and a
 //! human-readable summary with the paper-shape checks to stderr. Scale
 //! is controlled by `FECDN_SCALE` (`quick` default, `paper` for
-//! full-size runs) and the seed by `FECDN_SEED`.
+//! full-size runs) and the seed by `FECDN_SEED` (default 42); any other
+//! value of either exits with status 2.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-use emulator::{Campaign, CampaignReport, QuerySink, Scenario, SinkFactory, StreamReport};
+use emulator::{Campaign, QuerySink, RunDescriptor, Scenario, StreamReport};
 
 /// Run scale for the harness binaries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,21 +40,53 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `FECDN_SCALE` (`quick` | `paper`), defaulting to quick.
-    pub fn from_env() -> Scale {
-        match std::env::var("FECDN_SCALE").as_deref() {
-            Ok("paper") => Scale::Paper,
-            _ => Scale::Quick,
+    /// Parses a `FECDN_SCALE` value: unset is quick, `quick` and `paper`
+    /// name the two scales, anything else is an error naming the value.
+    /// Pure, so tests can pin the parsing without touching process
+    /// environment state.
+    pub fn from_value(value: Option<&str>) -> Result<Scale, String> {
+        match value {
+            None | Some("quick") => Ok(Scale::Quick),
+            Some("paper") => Ok(Scale::Paper),
+            Some(other) => Err(format!(
+                "invalid FECDN_SCALE value {other:?} (expected quick or paper)"
+            )),
         }
+    }
+
+    /// Reads `FECDN_SCALE` (`quick` | `paper`), defaulting to quick.
+    /// Exits with status 2 on any other value.
+    pub fn from_env() -> Scale {
+        or_exit(Scale::from_value(
+            std::env::var("FECDN_SCALE").ok().as_deref(),
+        ))
     }
 }
 
-/// Reads `FECDN_SEED`, defaulting to 42.
+/// Parses a `FECDN_SEED` value: unset is 42, otherwise it must be an
+/// unsigned 64-bit integer.
+pub fn seed_from_value(value: Option<&str>) -> Result<u64, String> {
+    match value {
+        None => Ok(42),
+        Some(s) => s
+            .parse()
+            .map_err(|_| format!("invalid FECDN_SEED value {s:?} (expected a u64)")),
+    }
+}
+
+/// Reads `FECDN_SEED`, defaulting to 42. Exits with status 2 on a value
+/// that is not a u64.
 pub fn seed_from_env() -> u64 {
-    std::env::var("FECDN_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
+    or_exit(seed_from_value(std::env::var("FECDN_SEED").ok().as_deref()))
+}
+
+/// Unwraps a parsed environment value, or reports the error and exits
+/// with status 2 (the status the binaries use for bad arguments).
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    })
 }
 
 /// Builds the scenario for a scale.
@@ -109,31 +142,19 @@ fn write_metrics_json(merged: &emulator::MetricsRegistry) {
     }
 }
 
-/// Executes a campaign with the `FECDN_THREADS` worker count and prints
-/// the per-run wall-clock/queue stats plus the metrics.tsv telemetry
-/// document to stderr, buffered and emitted in one write so per-run
-/// lines appear in descriptor order (stdout stays reserved for the
-/// byte-stable TSV). With `FECDN_METRICS_JSON=<path>` set, also writes
-/// the merged registry as JSON.
-pub fn execute(campaign: &Campaign) -> CampaignReport {
-    let report = campaign.execute();
-    eprint!("{}", report.stderr_report());
-    write_metrics_json(&report.merged_metrics());
-    report
-}
-
-/// Streaming counterpart of [`execute`]: runs the campaign with one
-/// sink per run from `factory`, folding queries as they complete
-/// (memory stays bounded by reducer state), and prints the same stderr
-/// stats-plus-metrics report. stdout stays reserved for the byte-stable
-/// TSV.
-pub fn execute_stream<F>(
-    campaign: &Campaign,
-    factory: &F,
-) -> StreamReport<<F::Sink as QuerySink>::Output>
+/// Executes a campaign with the `FECDN_THREADS` worker count, one sink
+/// per run from `factory`, folding queries as they complete (memory
+/// stays bounded by reducer state), and prints the per-run
+/// wall-clock/queue stats plus the metrics.tsv telemetry document to
+/// stderr, buffered and emitted in one write so per-run lines appear in
+/// descriptor order (stdout stays reserved for the byte-stable TSV).
+/// With `FECDN_METRICS_JSON=<path>` set, also writes the merged
+/// registry as JSON.
+pub fn execute_stream<F, S>(campaign: &Campaign, factory: &F) -> StreamReport<S::Output>
 where
-    F: SinkFactory,
-    <F::Sink as QuerySink>::Output: Send,
+    F: Fn(&RunDescriptor) -> S + Sync,
+    S: QuerySink,
+    S::Output: Send,
 {
     let report = campaign.execute_stream(factory);
     eprint!("{}", report.stderr_report());
@@ -161,9 +182,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scale_parsing_defaults_quick() {
-        // Not setting the env var in-process: default path.
-        assert_eq!(Scale::from_env(), Scale::Quick);
+    fn scale_parsing_defaults_quick_and_rejects_other_values() {
+        assert_eq!(Scale::from_value(None), Ok(Scale::Quick));
+        assert_eq!(Scale::from_value(Some("quick")), Ok(Scale::Quick));
+        assert_eq!(Scale::from_value(Some("paper")), Ok(Scale::Paper));
+        for bad in ["Paper", "full", ""] {
+            let err = Scale::from_value(Some(bad)).unwrap_err();
+            assert!(err.contains(&format!("FECDN_SCALE value {bad:?}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn seed_parsing_defaults_42_and_rejects_non_integers() {
+        assert_eq!(seed_from_value(None), Ok(42));
+        assert_eq!(seed_from_value(Some("7")), Ok(7));
+        for bad in ["x", "-1", "4.2", ""] {
+            let err = seed_from_value(Some(bad)).unwrap_err();
+            assert!(err.contains(&format!("FECDN_SEED value {bad:?}")), "{err}");
+        }
     }
 
     #[test]

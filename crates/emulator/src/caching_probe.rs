@@ -7,7 +7,7 @@
 //! distributions answers whether FEs cache (dynamically generated)
 //! search results.
 
-use crate::campaign::{Campaign, CampaignReport, Design, StreamReport};
+use crate::campaign::{Campaign, Design, StreamReport};
 use crate::runner::ProcessedQuery;
 use crate::scenarios::Scenario;
 use crate::sink::QuerySink;
@@ -64,7 +64,7 @@ impl CachingProbeRun {
     pub fn run(&self, scenario: &Scenario, cfg: ServiceConfig) -> Option<CachingOutcome> {
         let mut campaign = Campaign::new(scenario.clone());
         self.add_to(&mut campaign, "caching", cfg);
-        self.outcome(&campaign.execute(), "caching")
+        self.outcome_stream(&campaign.execute_stream(&|_| Self::sink()), "caching")
     }
 
     /// Pushes the probe's two runs (`{prefix}/same`, `{prefix}/distinct`)
@@ -75,21 +75,8 @@ impl CachingProbeRun {
         campaign.push(format!("{prefix}/distinct"), cfg, self.design(false));
     }
 
-    /// Extracts the comparison for the runs pushed under `prefix`.
-    pub fn outcome(&self, report: &CampaignReport, prefix: &str) -> Option<CachingOutcome> {
-        let pairs = |qs: &[ProcessedQuery]| -> Vec<(f64, f64)> {
-            qs.iter()
-                .map(|q| (q.params.rtt_ms, q.params.t_dynamic_ms))
-                .collect()
-        };
-        self.outcome_from_pairs(
-            &pairs(report.queries(&format!("{prefix}/same"))),
-            &pairs(report.queries(&format!("{prefix}/distinct"))),
-        )
-    }
-
-    /// [`outcome`](CachingProbeRun::outcome) over a streaming execution
-    /// whose sinks were [`ProbeSink`]s.
+    /// Extracts the comparison for the runs pushed under `prefix` from
+    /// an execution whose sinks were [`ProbeSink`]s.
     pub fn outcome_stream(
         &self,
         report: &StreamReport<Vec<(f64, f64)>>,

@@ -18,12 +18,12 @@
 
 use crate::dataset_a::DatasetA;
 use crate::dataset_b::DatasetB;
-use crate::runner::{run_stream, run_stream_fed, ProcessedQuery};
+use crate::runner::run_stream_fed;
 use crate::scenarios::Scenario;
 use crate::sessions::{SessionFeeder, SessionWorkload};
-use crate::sink::{CollectSink, QuerySink, SinkFactory};
+use crate::sink::{Collected, QuerySink};
 use capture::Classifier;
-use cdnsim::{CompletedQuery, ServiceConfig, ServiceWorld};
+use cdnsim::{ServiceConfig, ServiceWorld};
 use inference::SessionTally;
 use simcore::rng::stream_seed;
 use simcore::telemetry::{MetricsRegistry, METRICS_TSV_HEADER};
@@ -113,9 +113,6 @@ pub struct RunDescriptor {
     pub seed: u64,
     /// Timeline classifier used when processing completions.
     pub classifier: Classifier,
-    /// Retain raw completions (with packet traces) in the result. Off by
-    /// default: traces dominate memory on long campaigns.
-    pub keep_raw: bool,
     /// Per-run telemetry override: `Some(on)` forces the run's
     /// registries on or off regardless of `FECDN_METRICS`; `None`
     /// (default) leaves the environment gate in force. Tests use this to
@@ -140,23 +137,6 @@ pub struct RunStats {
     pub peak_pending_events: usize,
 }
 
-/// The merged output of one run.
-#[derive(Clone, Debug)]
-pub struct RunResult {
-    /// The descriptor's label.
-    pub label: String,
-    /// Processed queries in completion order.
-    pub queries: Vec<ProcessedQuery>,
-    /// Raw completions (empty unless the descriptor set `keep_raw`).
-    pub raw: Vec<CompletedQuery>,
-    /// Outcome/skip accounting for the run.
-    pub tally: SessionTally,
-    /// Wall-clock and queue bookkeeping.
-    pub stats: RunStats,
-    /// The run's telemetry registry (see [`crate::StreamRun::metrics`]).
-    pub metrics: MetricsRegistry,
-}
-
 /// One run's report from a streaming execution: accounting plus
 /// whatever the run's sink reduced to.
 #[derive(Clone, Debug)]
@@ -173,8 +153,7 @@ pub struct SinkRunReport<R> {
     pub output: R,
 }
 
-/// The merged output of a streaming campaign execution, in descriptor
-/// order — the stream-and-reduce counterpart of [`CampaignReport`].
+/// The merged output of a campaign execution, in descriptor order.
 #[derive(Clone, Debug)]
 pub struct StreamReport<R> {
     /// Per-run reports, in descriptor order (not completion order).
@@ -233,49 +212,65 @@ impl<R> StreamReport<R> {
     }
 
     /// Renders per-run wall-clock + queue stats plus the campaign
-    /// speedup line, for stderr (see [`CampaignReport::stats_table`]).
+    /// speedup line, for stderr. Never part of stdout TSV: timings vary
+    /// run to run while the TSV must stay byte-identical.
     pub fn stats_table(&self) -> String {
-        let rows: Vec<StatsRow> = self
-            .runs
-            .iter()
-            .map(|r| StatsRow {
-                label: &r.label,
-                queries: r.tally.total() - r.tally.skipped.min(r.tally.total()),
-                skipped: r.tally.skipped,
-                stats: &r.stats,
-            })
-            .collect();
-        render_stats_table(
-            &rows,
+        let mut out = format!(
+            "{:<28} {:>8} {:>8} {:>10} {:>10} {:>7}\n",
+            "run", "queries", "skipped", "queue_ms", "wall_ms", "worker"
+        );
+        for r in &self.runs {
+            let t = &r.tally;
+            out.push_str(&format!(
+                "{:<28} {:>8} {:>8} {:>10.0} {:>10.0} {:>7}\n",
+                r.label,
+                t.total() - t.skipped.min(t.total()),
+                t.skipped,
+                r.stats.queue_ms,
+                r.stats.wall_ms,
+                r.stats.worker,
+            ));
+        }
+        out.push_str(&format!(
+            "campaign: {} runs on {} thread(s), wall {:.0} ms, serial-equivalent {:.0} ms, speedup {:.2}x\n",
+            self.runs.len(),
             self.threads,
             self.wall_ms,
             self.serial_ms(),
             self.speedup(),
-        )
+        ));
+        out
     }
 
     /// The deterministic per-run metrics document (`metrics.tsv`
     /// format), rows in descriptor order — byte-identical at any worker
     /// count.
     pub fn metrics_tsv(&self) -> String {
-        render_metrics_doc(
-            self.runs.iter().map(|r| (r.label.as_str(), &r.metrics)),
-            false,
-        )
+        self.render_metrics(false)
     }
 
     /// [`StreamReport::metrics_tsv`] including wall-clock rows — stderr
     /// diagnostics only, never byte-compared.
     pub fn metrics_tsv_all(&self) -> String {
-        render_metrics_doc(
-            self.runs.iter().map(|r| (r.label.as_str(), &r.metrics)),
-            true,
-        )
+        self.render_metrics(true)
+    }
+
+    /// The shared header plus each run's rows, prefixed with its label.
+    fn render_metrics(&self, include_wall: bool) -> String {
+        let mut out = String::from(METRICS_TSV_HEADER);
+        for r in &self.runs {
+            r.metrics.render_rows(&r.label, include_wall, &mut out);
+        }
+        out
     }
 
     /// All per-run registries merged in descriptor order.
     pub fn merged_metrics(&self) -> MetricsRegistry {
-        merge_metrics(self.runs.iter().map(|r| &r.metrics))
+        let mut merged = MetricsRegistry::new();
+        for r in &self.runs {
+            merged.merge(&r.metrics);
+        }
+        merged
     }
 
     /// The complete stderr report: the wall-clock stats table followed
@@ -289,171 +284,16 @@ impl<R> StreamReport<R> {
     }
 }
 
-struct StatsRow<'a> {
-    label: &'a str,
-    queries: usize,
-    skipped: usize,
-    stats: &'a RunStats,
-}
-
-fn render_stats_table(
-    rows: &[StatsRow<'_>],
-    threads: usize,
-    wall_ms: f64,
-    serial_ms: f64,
-    speedup: f64,
-) -> String {
-    let mut out = format!(
-        "{:<28} {:>8} {:>8} {:>10} {:>10} {:>7}\n",
-        "run", "queries", "skipped", "queue_ms", "wall_ms", "worker"
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<28} {:>8} {:>8} {:>10.0} {:>10.0} {:>7}\n",
-            r.label, r.queries, r.skipped, r.stats.queue_ms, r.stats.wall_ms, r.stats.worker,
-        ));
-    }
-    out.push_str(&format!(
-        "campaign: {} runs on {} thread(s), wall {:.0} ms, serial-equivalent {:.0} ms, speedup {:.2}x\n",
-        rows.len(),
-        threads,
-        wall_ms,
-        serial_ms,
-        speedup,
-    ));
-    out
-}
-
-/// Renders the per-run metrics document: the shared header plus each
-/// run's rows (prefixed with its label), in the order given — which both
-/// report types fix to descriptor order.
-fn render_metrics_doc<'a>(
-    runs: impl Iterator<Item = (&'a str, &'a MetricsRegistry)>,
-    include_wall: bool,
-) -> String {
-    let mut out = String::from(METRICS_TSV_HEADER);
-    for (label, m) in runs {
-        m.render_rows(label, include_wall, &mut out);
-    }
-    out
-}
-
-/// Merges registries left to right (callers pass descriptor order).
-fn merge_metrics<'a>(runs: impl Iterator<Item = &'a MetricsRegistry>) -> MetricsRegistry {
-    let mut merged = MetricsRegistry::new();
-    for m in runs {
-        merged.merge(m);
-    }
-    merged
-}
-
-/// Column header of the canonical campaign TSV, shared by
-/// [`CampaignReport::to_tsv`] and consumers reassembling the same
-/// document from streamed [`crate::TsvRows`] output.
-pub const TSV_HEADER: &str = "run\tqid\tclient\tfe\tbe\tkeyword\tclass\tt_start_ms\trtt_ms\t\
-                              t_static_ms\tt_dynamic_ms\tt_delta_ms\toverall_ms\toutcome\n";
-
-/// The merged results of a campaign, in descriptor order.
-#[derive(Clone, Debug)]
-pub struct CampaignReport {
-    /// Per-run results, in descriptor order (not completion order).
-    pub runs: Vec<RunResult>,
-    /// Worker count used.
-    pub threads: usize,
-    /// Campaign wall-clock, ms.
-    pub wall_ms: f64,
-}
-
-impl CampaignReport {
-    /// The result of the labelled run, if present.
-    pub fn get(&self, label: &str) -> Option<&RunResult> {
-        self.runs.iter().find(|r| r.label == label)
-    }
-
-    /// The processed queries of the labelled run. Panics on an unknown
-    /// label — descriptor labels are static strings, so a miss is a bug.
-    pub fn queries(&self, label: &str) -> &[ProcessedQuery] {
-        &self
-            .get(label)
-            .unwrap_or_else(|| panic!("no campaign run labelled {label:?}"))
-            .queries
-    }
-
-    /// Sum of per-run wall-clock times — what a serial execution would
-    /// have cost.
-    pub fn serial_ms(&self) -> f64 {
-        self.runs.iter().map(|r| r.stats.wall_ms).sum()
-    }
-
-    /// Serial-equivalent time over actual wall-clock time.
-    pub fn speedup(&self) -> f64 {
-        if self.wall_ms > 0.0 {
-            self.serial_ms() / self.wall_ms
-        } else {
-            1.0
-        }
-    }
-
-    /// Renders per-run wall-clock + queue stats plus the campaign
-    /// speedup line, for stderr. Never part of stdout TSV: timings vary
-    /// run to run while the TSV must stay byte-identical.
-    pub fn stats_table(&self) -> String {
-        let rows: Vec<StatsRow> = self
-            .runs
-            .iter()
-            .map(|r| StatsRow {
-                label: &r.label,
-                queries: r.queries.len(),
-                skipped: r.tally.skipped,
-                stats: &r.stats,
-            })
-            .collect();
-        render_stats_table(
-            &rows,
-            self.threads,
-            self.wall_ms,
-            self.serial_ms(),
-            self.speedup(),
-        )
-    }
-
-    /// The deterministic per-run metrics document (`metrics.tsv`
-    /// format), rows in descriptor order.
-    pub fn metrics_tsv(&self) -> String {
-        render_metrics_doc(
-            self.runs.iter().map(|r| (r.label.as_str(), &r.metrics)),
-            false,
-        )
-    }
-
-    /// [`CampaignReport::metrics_tsv`] including wall-clock rows.
-    pub fn metrics_tsv_all(&self) -> String {
-        render_metrics_doc(
-            self.runs.iter().map(|r| (r.label.as_str(), &r.metrics)),
-            true,
-        )
-    }
-
-    /// All per-run registries merged in descriptor order.
-    pub fn merged_metrics(&self) -> MetricsRegistry {
-        merge_metrics(self.runs.iter().map(|r| &r.metrics))
-    }
-
-    /// The complete stderr report: stats table plus metrics document,
-    /// buffered into one string so per-run lines are emitted in
-    /// descriptor order in a single write.
-    pub fn stderr_report(&self) -> String {
-        let mut out = self.stats_table();
-        out.push_str(&self.metrics_tsv_all());
-        out
-    }
-
+impl StreamReport<Collected> {
     /// Canonical TSV serialisation of the merged campaign — the golden
     /// trace. One `#` accounting line plus one row per processed query,
     /// per run, in descriptor order. Everything here is virtual-time or
     /// outcome data: byte-identical across worker counts and machines.
     pub fn to_tsv(&self) -> String {
-        let mut out = String::from(TSV_HEADER);
+        let mut out = String::from(
+            "run\tqid\tclient\tfe\tbe\tkeyword\tclass\tt_start_ms\trtt_ms\t\
+             t_static_ms\tt_dynamic_ms\tt_delta_ms\toverall_ms\toutcome\n",
+        );
         for r in &self.runs {
             let t = &r.tally;
             // `shed` / `no_live_fe` only appear when non-zero so
@@ -472,7 +312,7 @@ impl CampaignReport {
                 "# run={} ok={} degraded={} retried={} timed_out={}{}{} skipped={}\n",
                 r.label, t.ok, t.degraded, t.retried, t.timed_out, shed, no_live, t.skipped
             ));
-            for q in &r.queries {
+            for q in &r.output.queries {
                 let fe = q.fe.map_or(-1, |f| f as i64);
                 out.push_str(&format!(
                     "{}\t{}\t{}\t{}\t{}\t{}\t{:?}\t{:.3}\t{:.3}\t{:.3}\t{:.3}\t{:.3}\t{:.3}\t{:?}\n",
@@ -544,7 +384,7 @@ impl Campaign {
     /// Appends a run. The world seed is derived from the campaign seed
     /// and the label, so every run owns an independent named stream and
     /// adding a run never perturbs another. Returns the descriptor for
-    /// optional tweaks (`classifier`, `keep_raw`). Panics on a duplicate
+    /// optional tweaks (`classifier`, `metrics`). Panics on a duplicate
     /// label: labels are merge keys and seed-derivation names.
     pub fn push(
         &mut self,
@@ -564,58 +404,21 @@ impl Campaign {
             design,
             seed,
             classifier: Classifier::ByMarker,
-            keep_raw: false,
             metrics: None,
         });
         self.runs.last_mut().expect("just pushed")
     }
 
-    /// Executes with the worker count from `FECDN_THREADS`.
-    ///
-    /// Compatibility path: runs the streaming pipeline with a
-    /// [`CollectSink`] per run, so results still arrive as full
-    /// `Vec<ProcessedQuery>` buffers (and raw traces when a descriptor
-    /// set `keep_raw`). Harnesses that reduce online should prefer
-    /// [`Campaign::execute_stream`].
-    pub fn execute(&self) -> CampaignReport {
-        self.execute_with_threads(threads_from_env())
-    }
-
-    /// [`Campaign::execute`] with an explicit worker count.
-    pub fn execute_with_threads(&self, threads: usize) -> CampaignReport {
-        let report = self.execute_stream_with_threads(
-            &|d: &RunDescriptor| CollectSink::with_raw(d.keep_raw),
-            threads,
-        );
-        let threads = report.threads;
-        let wall_ms = report.wall_ms;
-        CampaignReport {
-            runs: report
-                .runs
-                .into_iter()
-                .map(|r| RunResult {
-                    label: r.label,
-                    queries: r.output.queries,
-                    raw: r.output.raw,
-                    tally: r.tally,
-                    stats: r.stats,
-                    metrics: r.metrics,
-                })
-                .collect(),
-            threads,
-            wall_ms,
-        }
-    }
-
-    /// Streams the campaign with the worker count from `FECDN_THREADS`:
-    /// one sink per run (built by `factory` on the worker thread),
-    /// folded as queries complete, reduced on quiescence, reports merged
-    /// in descriptor order. Memory is O(reducer state), not
-    /// O(total queries).
-    pub fn execute_stream<F>(&self, factory: &F) -> StreamReport<<F::Sink as QuerySink>::Output>
+    /// Executes the campaign with the worker count from
+    /// `FECDN_THREADS`: one sink per run (built by `factory` on the
+    /// worker thread), folded as queries complete, reduced on
+    /// quiescence, reports merged in descriptor order. Memory is
+    /// O(reducer state), not O(total queries).
+    pub fn execute_stream<F, S>(&self, factory: &F) -> StreamReport<S::Output>
     where
-        F: SinkFactory,
-        <F::Sink as QuerySink>::Output: Send,
+        F: Fn(&RunDescriptor) -> S + Sync,
+        S: QuerySink,
+        S::Output: Send,
     {
         self.execute_stream_with_threads(factory, threads_from_env())
     }
@@ -625,14 +428,15 @@ impl Campaign {
     /// pool at all). Reports are merged in descriptor order regardless
     /// of which worker finished when, so output stays byte-identical at
     /// any thread count.
-    pub fn execute_stream_with_threads<F>(
+    pub fn execute_stream_with_threads<F, S>(
         &self,
         factory: &F,
         threads: usize,
-    ) -> StreamReport<<F::Sink as QuerySink>::Output>
+    ) -> StreamReport<S::Output>
     where
-        F: SinkFactory,
-        <F::Sink as QuerySink>::Output: Send,
+        F: Fn(&RunDescriptor) -> S + Sync,
+        S: QuerySink,
+        S::Output: Send,
     {
         let t0 = Instant::now();
         let n = self.runs.len();
@@ -687,13 +491,13 @@ impl Campaign {
 
     /// Builds, schedules and drives one shard to quiescence, folding
     /// completions into a fresh sink from `factory`.
-    fn execute_one<F: SinkFactory>(
+    fn execute_one<S: QuerySink>(
         &self,
-        factory: &F,
+        factory: &impl Fn(&RunDescriptor) -> S,
         d: &RunDescriptor,
         worker: usize,
         campaign_start: Instant,
-    ) -> SinkRunReport<<F::Sink as QuerySink>::Output> {
+    ) -> SinkRunReport<S::Output> {
         let queue_ms = campaign_start.elapsed().as_secs_f64() * 1e3;
         let started = Instant::now();
         let mut sim = self.scenario.spec(d.cfg.clone(), d.seed).build();
@@ -703,18 +507,18 @@ impl Campaign {
             sim.net().metrics_mut().set_enabled(on);
             sim.with(|w, _| w.metrics_mut().set_enabled(on));
         }
-        let run = match &d.design {
+        let mut feeder = match &d.design {
             Design::Sessions(w) => {
                 let (n_clients, catalog) =
                     sim.with(|world, _| (world.clients().len(), world.corpus().len()));
-                let mut feeder = SessionFeeder::new(w.clone(), d.seed, n_clients, catalog);
-                run_stream_fed(&mut sim, &d.classifier, factory.make(d), Some(&mut feeder))
+                Some(SessionFeeder::new(w.clone(), d.seed, n_clients, catalog))
             }
             _ => {
                 d.design.schedule(&mut sim);
-                run_stream(&mut sim, &d.classifier, factory.make(d))
+                None
             }
         };
+        let run = run_stream_fed(&mut sim, &d.classifier, factory(d), feeder.as_mut());
         let mut metrics = run.metrics;
         if metrics.is_enabled() {
             metrics.set_wall_gauge("emulator.queue_wait_ms", queue_ms);
@@ -743,6 +547,7 @@ impl Campaign {
 mod tests {
     use super::*;
     use crate::dataset_a::KeywordPolicy;
+    use crate::sink::CollectSink;
     use simcore::time::SimDuration;
 
     fn two_run_campaign(seed: u64) -> Campaign {
@@ -767,7 +572,7 @@ mod tests {
 
     #[test]
     fn merge_order_is_descriptor_order() {
-        let report = two_run_campaign(51).execute_with_threads(2);
+        let report = two_run_campaign(51).execute_stream_with_threads(&|_| CollectSink::new(), 2);
         assert_eq!(report.runs.len(), 2);
         assert_eq!(report.runs[0].label, "bing");
         assert_eq!(report.runs[1].label, "google");
@@ -778,8 +583,8 @@ mod tests {
     #[test]
     fn parallel_output_matches_serial_exactly() {
         let c = two_run_campaign(52);
-        let serial = c.execute_with_threads(1);
-        let parallel = c.execute_with_threads(4);
+        let serial = c.execute_stream_with_threads(&|_| CollectSink::new(), 1);
+        let parallel = c.execute_stream_with_threads(&|_| CollectSink::new(), 4);
         assert_eq!(serial.to_tsv(), parallel.to_tsv());
         assert_eq!(serial.threads, 1);
         // Thread count clamps to the run count.
@@ -813,7 +618,7 @@ mod tests {
     }
 
     #[test]
-    fn custom_designs_and_keep_raw_work() {
+    fn custom_designs_and_raw_retention_work() {
         let mut c = Campaign::new(Scenario::small(55));
         c.push(
             "custom",
@@ -832,19 +637,18 @@ mod tests {
                     );
                 });
             }),
-        )
-        .keep_raw = true;
-        let report = c.execute_with_threads(2);
+        );
+        let report = c.execute_stream_with_threads(&|_| CollectSink::with_raw(true), 2);
         let run = report.get("custom").unwrap();
-        assert_eq!(run.queries.len(), 1);
-        assert_eq!(run.raw.len(), 1);
-        assert!(!run.raw[0].trace.is_empty());
+        assert_eq!(run.output.queries.len(), 1);
+        assert_eq!(run.output.raw.len(), 1);
+        assert!(!run.output.raw[0].trace.is_empty());
         assert_eq!(run.tally.ok, 1);
     }
 
     #[test]
     fn stats_and_tsv_shapes() {
-        let report = two_run_campaign(56).execute_with_threads(2);
+        let report = two_run_campaign(56).execute_stream_with_threads(&|_| CollectSink::new(), 2);
         let table = report.stats_table();
         assert!(table.contains("speedup"));
         assert!(report.serial_ms() > 0.0);

@@ -8,6 +8,7 @@
 use crate::campaign::{Campaign, Design};
 use crate::runner::ProcessedQuery;
 use crate::scenarios::Scenario;
+use crate::sink::CollectSink;
 use capture::Classifier;
 use cdnsim::{QuerySpec, ServiceConfig, ServiceWorld};
 use simcore::time::SimDuration;
@@ -91,8 +92,8 @@ impl DatasetA {
         campaign
             .push("dataset-a", cfg, Design::DatasetA(self.clone()))
             .classifier = classifier.clone();
-        let mut report = campaign.execute_with_threads(1);
-        report.runs.remove(0).queries
+        let mut report = campaign.execute_stream_with_threads(&|_| CollectSink::new(), 1);
+        report.runs.remove(0).output.queries
     }
 }
 

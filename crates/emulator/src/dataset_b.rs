@@ -10,8 +10,9 @@
 use crate::campaign::{Campaign, Design};
 use crate::runner::ProcessedQuery;
 use crate::scenarios::Scenario;
+use crate::sink::CollectSink;
 use capture::Classifier;
-use cdnsim::{CompletedQuery, QuerySpec, ServiceConfig, ServiceWorld};
+use cdnsim::{QuerySpec, ServiceConfig, ServiceWorld};
 use simcore::time::SimDuration;
 use tcpsim::Sim;
 
@@ -92,30 +93,8 @@ impl DatasetB {
         campaign
             .push("dataset-b", cfg, Design::DatasetB(self.clone()))
             .classifier = classifier.clone();
-        let mut report = campaign.execute_with_threads(1);
-        report.runs.remove(0).queries
-    }
-
-    /// Runs the design, also handing every raw completion (with its
-    /// packet trace) to `on_raw` — the Fig. 4 harness uses this to build
-    /// packet-event timelines.
-    pub fn run_with_raw(
-        &self,
-        scenario: &Scenario,
-        cfg: ServiceConfig,
-        classifier: &Classifier,
-        mut on_raw: impl FnMut(&CompletedQuery),
-    ) -> Vec<ProcessedQuery> {
-        let mut campaign = Campaign::new(scenario.clone());
-        let descriptor = campaign.push("dataset-b", cfg, Design::DatasetB(self.clone()));
-        descriptor.classifier = classifier.clone();
-        descriptor.keep_raw = true;
-        let mut report = campaign.execute_with_threads(1);
-        let run = report.runs.remove(0);
-        for cq in &run.raw {
-            on_raw(cq);
-        }
-        run.queries
+        let mut report = campaign.execute_stream_with_threads(&|_| CollectSink::new(), 1);
+        report.runs.remove(0).output.queries
     }
 }
 
@@ -152,19 +131,5 @@ mod tests {
         let min = out.iter().map(|q| q.params.rtt_ms).fold(f64::MAX, f64::min);
         let max = out.iter().map(|q| q.params.rtt_ms).fold(0.0, f64::max);
         assert!(max > min + 50.0, "rtt spread [{min}, {max}] too narrow");
-    }
-
-    #[test]
-    fn raw_callback_fires_per_query() {
-        let s = Scenario::small(23);
-        let d = DatasetB::against(1).with_repeats(1);
-        let mut raw = 0;
-        let out = d.run_with_raw(
-            &s,
-            ServiceConfig::bing_like(23),
-            &Classifier::ByMarker,
-            |_| raw += 1,
-        );
-        assert_eq!(raw, out.len());
     }
 }

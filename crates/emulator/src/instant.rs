@@ -9,6 +9,7 @@
 use crate::campaign::{Campaign, Design};
 use crate::runner::ProcessedQuery;
 use crate::scenarios::Scenario;
+use crate::sink::CollectSink;
 use cdnsim::{QuerySpec, ServiceConfig, ServiceWorld};
 use searchbe::instant::instant_session;
 use simcore::time::SimDuration;
@@ -92,8 +93,8 @@ impl InstantRun {
     pub fn run(&self, scenario: &Scenario, cfg: ServiceConfig) -> Vec<InstantSession> {
         let mut campaign = Campaign::new(scenario.clone());
         campaign.push("instant", cfg, self.design());
-        let report = campaign.execute_with_threads(1);
-        self.sessions(report.queries("instant"))
+        let report = campaign.execute_stream_with_threads(&|_| CollectSink::new(), 1);
+        self.sessions(&report.output("instant").queries)
     }
 }
 

@@ -19,14 +19,14 @@
 //! queries, extract each query's [`capture::Timeline`], and reduce to
 //! [`ProcessedQuery`] records (raw packet traces are dropped as soon as
 //! a timeline is extracted, so arbitrarily long campaigns run in bounded
-//! memory). One driver, [`run_stream_fed`], runs every world; the
-//! `run_collect*` helpers are thin sinks over it.
+//! memory). One driver, [`run_stream_fed`], runs every world.
 //!
 //! Experiments are expressed as [`campaign`]s: deterministically ordered
-//! lists of independent run descriptors, executed across a worker pool
-//! (`FECDN_THREADS`) — each worker builds one world at a time and drives
-//! it to quiescence — and merged back in descriptor order so output is
-//! byte-identical regardless of thread count.
+//! lists of independent run descriptors, executed by
+//! [`Campaign::execute_stream`] across a worker pool (`FECDN_THREADS`) —
+//! each worker builds one world at a time and drives it to quiescence —
+//! and merged back in descriptor order into one [`StreamReport`], so
+//! output is byte-identical regardless of thread count.
 //!
 //! Results flow through [`sink`]s: each run folds its completions into
 //! a [`QuerySink`](sink::QuerySink) as they drain (stream-and-reduce),
@@ -59,12 +59,9 @@ pub mod scenarios;
 pub mod sessions;
 pub mod sink;
 
-pub use campaign::{
-    Campaign, CampaignReport, Design, RunDescriptor, RunResult, SinkRunReport, StreamReport,
-    TSV_HEADER,
-};
-pub use runner::{run_collect, run_stream_fed, ProcessedQuery, StreamRun};
+pub use campaign::{Campaign, Design, RunDescriptor, SinkRunReport, StreamReport};
+pub use runner::{run_stream_fed, ProcessedQuery, StreamRun};
 pub use scenarios::Scenario;
 pub use sessions::{SessionFeeder, SessionPlan, SessionWorkload};
 pub use simcore::telemetry::{MetricsRegistry, METRICS_TSV_HEADER};
-pub use sink::{CollectSink, FoldSink, QuerySink, RetainRaw, SinkFactory, TsvRows};
+pub use sink::{CollectSink, Collected, FoldSink, QuerySink, RetainRaw};

@@ -80,72 +80,7 @@ pub fn process(
     })
 }
 
-/// Runs the simulation to quiescence, draining and processing completed
-/// queries in time chunks (bounded memory regardless of campaign
-/// length). Returns the processed queries in completion order; sessions
-/// whose timeline cannot be extracted are skipped. Use
-/// [`run_collect_with`] to see the raw completions as well.
-pub fn run_collect(sim: &mut Sim<ServiceWorld>, classifier: &Classifier) -> Vec<ProcessedQuery> {
-    run_collect_with(sim, classifier, |_| {})
-}
-
-/// [`run_collect`] that also returns the robustness tally: outcome
-/// counts plus how many sessions were skipped because their timeline
-/// could not be extracted. Fault-injection harnesses report this next to
-/// their inference results so excluded data is visible, not silent.
-pub fn run_collect_tally(
-    sim: &mut Sim<ServiceWorld>,
-    classifier: &Classifier,
-) -> (Vec<ProcessedQuery>, SessionTally) {
-    let run = run_stream(
-        sim,
-        classifier,
-        crate::sink::FoldSink::new(Vec::new(), |v: &mut Vec<ProcessedQuery>, pq| {
-            v.push(pq.clone())
-        }),
-    );
-    (run.output, run.tally)
-}
-
-/// [`run_collect`] with a callback that sees every raw completion before
-/// its trace is dropped — used by harnesses that also need packet-level
-/// views (Fig. 4) or alternative classifiers.
-pub fn run_collect_with(
-    sim: &mut Sim<ServiceWorld>,
-    classifier: &Classifier,
-    on_raw: impl FnMut(&CompletedQuery),
-) -> Vec<ProcessedQuery> {
-    struct Legacy<F> {
-        out: Vec<ProcessedQuery>,
-        on_raw: F,
-    }
-    impl<F: FnMut(&CompletedQuery)> QuerySink for Legacy<F> {
-        type Output = Vec<ProcessedQuery>;
-        fn wants_raw(&self) -> bool {
-            true
-        }
-        fn on_query(&mut self, pq: &ProcessedQuery) {
-            self.out.push(pq.clone());
-        }
-        fn on_raw(&mut self, cq: CompletedQuery) {
-            (self.on_raw)(&cq);
-        }
-        fn finish(self) -> Vec<ProcessedQuery> {
-            self.out
-        }
-    }
-    run_stream(
-        sim,
-        classifier,
-        Legacy {
-            out: Vec::new(),
-            on_raw,
-        },
-    )
-    .output
-}
-
-/// What [`run_stream`] produces next to the sink's own output.
+/// What [`run_stream_fed`] produces next to the sink's own output.
 #[derive(Clone, Debug)]
 pub struct StreamRun<R> {
     /// The sink's reduction.
@@ -166,25 +101,19 @@ pub struct StreamRun<R> {
     pub metrics: MetricsRegistry,
 }
 
-/// The streaming counterpart of [`run_collect`]: drives the simulation
-/// to quiescence in time chunks and folds every completion into `sink`
-/// the moment it drains — no `Vec<ProcessedQuery>` buffer, no trace
-/// clone. Raw completions are moved into the sink only when it
+/// Drives the simulation to quiescence in time chunks and folds every
+/// completion into `sink` the moment it drains — no
+/// `Vec<ProcessedQuery>` buffer, no trace clone. Sessions whose timeline
+/// cannot be extracted are skipped and counted in the tally. Raw
+/// completions are moved into the sink only when it
 /// [`wants_raw`](QuerySink::wants_raw); otherwise each trace is dropped
 /// as soon as its timeline is extracted.
-pub fn run_stream<S: QuerySink>(
-    sim: &mut Sim<ServiceWorld>,
-    classifier: &Classifier,
-    sink: S,
-) -> StreamRun<S::Output> {
-    run_stream_fed(sim, classifier, sink, None)
-}
-
-/// [`run_stream`] with an optional [`SessionFeeder`]: sessions are
-/// materialised one time chunk ahead of the simulation clock, so the
-/// event queue holds only live sessions — the footprint of a
-/// 10^6-session campaign is that of its busiest chunk, not of the whole
-/// schedule. Without a feeder this is exactly [`run_stream`].
+///
+/// With a [`SessionFeeder`], sessions are materialised one time chunk
+/// ahead of the simulation clock, so the event queue holds only live
+/// sessions — the footprint of a 10^6-session campaign is that of its
+/// busiest chunk, not of the whole schedule. Without one (`None`), the
+/// world runs whatever was scheduled into it up front.
 pub fn run_stream_fed<S: QuerySink>(
     sim: &mut Sim<ServiceWorld>,
     classifier: &Classifier,
@@ -284,6 +213,7 @@ pub fn run_stream_fed<S: QuerySink>(
 mod tests {
     use super::*;
     use crate::scenarios::Scenario;
+    use crate::sink::CollectSink;
     use cdnsim::QuerySpec;
     use simcore::time::{SimDuration, SimTime};
 
@@ -305,7 +235,9 @@ mod tests {
                 );
             });
         }
-        let out = run_collect(&mut sim, &Classifier::ByMarker);
+        let out = run_stream_fed(&mut sim, &Classifier::ByMarker, CollectSink::new(), None)
+            .output
+            .queries;
         assert_eq!(out.len(), 5);
         for pq in &out {
             assert!(pq.params.is_consistent(0.5), "{:?}", pq.params);
@@ -331,7 +263,7 @@ mod tests {
     }
 
     #[test]
-    fn raw_callback_sees_traces() {
+    fn raw_sink_sees_traces() {
         let s = Scenario::small(6);
         let mut sim = s.bing_sim();
         sim.with(|w, net| {
@@ -346,13 +278,16 @@ mod tests {
                 },
             );
         });
-        let mut raw_count = 0;
-        let out = run_collect_with(&mut sim, &Classifier::ByMarker, |cq| {
-            raw_count += 1;
-            assert!(!cq.trace.is_empty());
-        });
-        assert_eq!(raw_count, 1);
-        assert_eq!(out.len(), 1);
+        let out = run_stream_fed(
+            &mut sim,
+            &Classifier::ByMarker,
+            CollectSink::with_raw(true),
+            None,
+        )
+        .output;
+        assert_eq!(out.raw.len(), 1);
+        assert!(!out.raw[0].trace.is_empty());
+        assert_eq!(out.queries.len(), 1);
     }
 
     #[test]
@@ -383,7 +318,8 @@ mod tests {
                 );
             });
         }
-        let (out, tally) = run_collect_tally(&mut sim, &Classifier::ByMarker);
+        let run = run_stream_fed(&mut sim, &Classifier::ByMarker, CollectSink::new(), None);
+        let (out, tally) = (run.output.queries, run.tally);
         assert_eq!(tally.degraded, 4);
         assert_eq!(tally.total(), 4);
         assert_eq!(tally.skipped, 4, "degraded stubs must not be inferable");
@@ -412,18 +348,15 @@ mod tests {
                 },
             );
         });
-        let mut raw = Vec::new();
-        let (out, tally) = {
-            let mut tally = inference::SessionTally::default();
-            let out = run_collect_with(&mut sim, &Classifier::ByMarker, |cq| {
-                tally.ok += 1;
-                raw.push(cq.clone());
-            });
-            tally.skipped = tally.total() - out.len();
-            (out, tally)
-        };
-        assert!(out.is_empty());
-        assert_eq!(tally.skipped, 1);
+        let run = run_stream_fed(
+            &mut sim,
+            &Classifier::ByMarker,
+            CollectSink::with_raw(true),
+            None,
+        );
+        let raw = run.output.raw;
+        assert!(run.output.queries.is_empty());
+        assert_eq!(run.tally.skipped, 1);
         assert_eq!(raw.len(), 1);
         assert!(!raw[0].traced);
         assert!(raw[0].trace.is_empty());
@@ -451,7 +384,8 @@ mod tests {
                 );
             });
         }
-        let (out, tally) = run_collect_tally(&mut sim, &Classifier::ByMarker);
+        let run = run_stream_fed(&mut sim, &Classifier::ByMarker, CollectSink::new(), None);
+        let (out, tally) = (run.output.queries, run.tally);
         assert_eq!(out.len(), 3);
         assert_eq!(tally.ok, 3);
         assert_eq!(tally.skipped, 0);
@@ -482,7 +416,7 @@ mod tests {
                 });
             }
         }
-        let out = run_collect(&mut sim, &Classifier::ByMarker);
-        assert_eq!(out.len(), 60);
+        let run = run_stream_fed(&mut sim, &Classifier::ByMarker, CollectSink::new(), None);
+        assert_eq!(run.output.queries.len(), 60);
     }
 }

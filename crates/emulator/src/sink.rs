@@ -1,14 +1,12 @@
 //! Streaming result sinks: the fold side of the campaign pipeline.
 //!
 //! A [`QuerySink`] consumes each [`ProcessedQuery`] the moment the
-//! runner extracts it, instead of the legacy collect-then-analyze path
-//! that buffered a `Vec<ProcessedQuery>` (plus cloned packet traces) per
-//! run. `finish()` reduces the sink to its run-level output; the
-//! campaign merges run outputs in **descriptor order**, which is the
-//! whole determinism contract: per-run completion order is already
-//! deterministic (sharding never splits a world), so any sink that folds
-//! deterministically yields byte-identical campaign output at any
-//! thread count.
+//! runner extracts it. `finish()` reduces the sink to its run-level
+//! output; the campaign merges run outputs in **descriptor order**,
+//! which is the whole determinism contract: per-run completion order is
+//! already deterministic (sharding never splits a world), so any sink
+//! that folds deterministically yields byte-identical campaign output
+//! at any thread count.
 //!
 //! Raw [`CompletedQuery`] records — with their packet traces, the
 //! dominant memory cost — are only retained when a sink opts in via
@@ -18,7 +16,6 @@
 //! harness genuinely needs traces (Fig. 4's packet-cluster views,
 //! alternative-classifier scoring).
 
-use crate::campaign::RunDescriptor;
 use crate::runner::ProcessedQuery;
 use cdnsim::{CompletedQuery, QueryOutcome};
 use inference::SessionTally;
@@ -81,34 +78,12 @@ pub trait QuerySink {
     fn finish(self) -> Self::Output;
 }
 
-/// Builds one sink per run descriptor. Implemented for any
-/// `Fn(&RunDescriptor) -> S` closure — campaigns call it on worker
-/// threads, hence `Sync`.
-pub trait SinkFactory: Sync {
-    /// The sink type built per run.
-    type Sink: QuerySink + Send;
-
-    /// Builds the sink for run `d`.
-    fn make(&self, d: &RunDescriptor) -> Self::Sink;
-}
-
-impl<S, F> SinkFactory for F
-where
-    F: Fn(&RunDescriptor) -> S + Sync,
-    S: QuerySink + Send,
-{
-    type Sink = S;
-
-    fn make(&self, d: &RunDescriptor) -> S {
-        self(d)
-    }
-}
-
-/// The legacy behaviour as a sink: buffers every processed query (and,
-/// when built with `keep_raw`, every raw completion). Exists so the
-/// compatibility [`Campaign::execute`](crate::Campaign::execute) path
-/// and harnesses that genuinely need full query lists (e.g. per-session
-/// grouping over a handful of queries) ride the same pipeline.
+/// Buffers every processed query (and, when built
+/// [`with_raw`](CollectSink::with_raw), every raw completion). For
+/// harnesses that genuinely need full query lists — the canonical
+/// campaign TSV ([`StreamReport::to_tsv`](crate::StreamReport::to_tsv)),
+/// per-session grouping over a handful of queries — on the same
+/// pipeline as every other sink.
 #[derive(Debug, Default)]
 pub struct CollectSink {
     queries: Vec<ProcessedQuery>,
@@ -133,11 +108,14 @@ impl CollectSink {
         }
     }
 
-    /// A sink that additionally retains raw completions when asked.
-    pub fn with_raw(keep_raw: bool) -> CollectSink {
+    /// A sink that additionally retains raw completions when `retain`
+    /// is set. Campaign sink factories see each run's descriptor, so
+    /// they can choose per run (e.g. `|d| CollectSink::with_raw(d.label
+    /// == "custom")`).
+    pub fn with_raw(retain: bool) -> CollectSink {
         CollectSink {
             queries: Vec::new(),
-            raw: keep_raw.then(Vec::new),
+            raw: retain.then(Vec::new),
         }
     }
 }
@@ -249,64 +227,5 @@ impl<T, F: FnMut(&mut T, &ProcessedQuery)> QuerySink for FoldSink<T, F> {
 
     fn finish(self) -> T {
         self.state
-    }
-}
-
-/// Streams the canonical campaign TSV rows (the exact per-query format
-/// of [`CampaignReport::to_tsv`](crate::CampaignReport::to_tsv), label
-/// column included) into a string as queries complete. The determinism
-/// suite uses it to check that a streaming campaign reproduces the
-/// golden trace byte-for-byte without ever buffering a query.
-#[derive(Debug)]
-pub struct TsvRows {
-    label: String,
-    rows: String,
-}
-
-impl TsvRows {
-    /// A row sink for the run labelled `label`.
-    pub fn new(label: impl Into<String>) -> TsvRows {
-        TsvRows {
-            label: label.into(),
-            rows: String::new(),
-        }
-    }
-
-    /// Formats one query as its canonical TSV row.
-    pub fn format_row(label: &str, q: &ProcessedQuery) -> String {
-        let fe = q.fe.map_or(-1, |f| f as i64);
-        format!(
-            "{}\t{}\t{}\t{}\t{}\t{}\t{:?}\t{:.3}\t{:.3}\t{:.3}\t{:.3}\t{:.3}\t{:.3}\t{:?}\n",
-            label,
-            q.qid,
-            q.client,
-            fe,
-            q.be,
-            q.keyword,
-            q.class,
-            q.t_start_ms,
-            q.params.rtt_ms,
-            q.params.t_static_ms,
-            q.params.t_dynamic_ms,
-            q.params.t_delta_ms,
-            q.params.overall_ms,
-            q.outcome,
-        )
-    }
-}
-
-impl QuerySink for TsvRows {
-    type Output = String;
-
-    fn on_query(&mut self, pq: &ProcessedQuery) {
-        self.rows.push_str(&Self::format_row(&self.label, pq));
-    }
-
-    fn retained_bytes(&self) -> usize {
-        self.rows.capacity()
-    }
-
-    fn finish(self) -> String {
-        self.rows
     }
 }

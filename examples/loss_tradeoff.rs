@@ -6,7 +6,6 @@
 //! ```
 
 use capture::Classifier;
-use emulator::runner::run_collect;
 use fecdn::prelude::*;
 use nettopo::path::PathProfile;
 
@@ -34,8 +33,8 @@ fn median_overall(
             );
         }
     });
-    let out = run_collect(&mut sim, &Classifier::ByMarker);
-    let overall: Vec<f64> = out.iter().map(|q| q.params.overall_ms).collect();
+    let out = run_stream_fed(&mut sim, &Classifier::ByMarker, CollectSink::new(), None).output;
+    let overall: Vec<f64> = out.queries.iter().map(|q| q.params.overall_ms).collect();
     stats::quantile::median(&overall).unwrap()
 }
 

@@ -27,11 +27,16 @@ fn main() {
             },
         );
     });
-    let mut raw: Option<CompletedQuery> = None;
-    let _ = run_collect_with(&mut sim, &Classifier::ByMarker, |cq| {
-        raw = Some(cq.clone());
-    });
-    let cq = raw.expect("query completed");
+    let cq = run_stream_fed(
+        &mut sim,
+        &Classifier::ByMarker,
+        CollectSink::with_raw(true),
+        None,
+    )
+    .output
+    .raw
+    .pop()
+    .expect("query completed");
     let client = ServiceWorld::client_node(cq.client);
     let tl = Timeline::extract(&cq.trace, client, &Classifier::ByMarker).unwrap();
 

@@ -12,7 +12,6 @@
 //! ```
 
 use capture::Classifier;
-use emulator::runner::run_collect;
 use fecdn::prelude::*;
 
 fn main() {
@@ -39,7 +38,9 @@ fn main() {
             }
         }
     });
-    let out = run_collect(&mut sim, &Classifier::ByMarker);
+    let out = run_stream_fed(&mut sim, &Classifier::ByMarker, CollectSink::new(), None)
+        .output
+        .queries;
 
     // Median per FE.
     let samples: Vec<(u64, QueryParams)> = out

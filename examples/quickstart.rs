@@ -25,7 +25,10 @@ fn one_query(name: &str, scenario: &Scenario, cfg: ServiceConfig) {
             },
         );
     });
-    let q = run_collect(&mut sim, &Classifier::ByMarker).remove(0);
+    let q = run_stream_fed(&mut sim, &Classifier::ByMarker, CollectSink::new(), None)
+        .output
+        .queries
+        .remove(0);
     println!("== {name} ==");
     println!(
         "  vantage 0 → default FE, RTT (handshake est.)  {:>8.2} ms",

@@ -41,8 +41,8 @@
 //!
 //! // Run to quiescence; extract the paper's parameters from the
 //! // client-side packet trace.
-//! let queries = run_collect(&mut sim, &Classifier::ByMarker);
-//! let q = &queries[0];
+//! let run = run_stream_fed(&mut sim, &Classifier::ByMarker, CollectSink::new(), None);
+//! let q = &run.output.queries[0];
 //! assert!(q.params.t_dynamic_ms > 0.0);
 //!
 //! // Eq. (1): the unobservable fetch time is bracketed by observables —
@@ -72,8 +72,7 @@ pub use tcpsim;
 pub mod prelude {
     pub use capture::{Classifier, Timeline};
     pub use cdnsim::{CompletedQuery, QuerySpec, ServiceConfig, ServiceWorld};
-    pub use emulator::runner::{run_collect, run_collect_with, ProcessedQuery};
-    pub use emulator::Scenario;
+    pub use emulator::{run_stream_fed, CollectSink, ProcessedQuery, Scenario};
     pub use inference::{
         caching_verdict, estimate_rtt_threshold, factor_fetch_time, per_group_medians, FetchBounds,
         ModelPrediction, QueryParams,

@@ -13,7 +13,7 @@ use cdnsim::{Cache, CacheConfig, CachePolicy, ObjectCache, ServiceConfig};
 use common::representative_campaign;
 use emulator::dataset_a::{DatasetA, KeywordPolicy};
 use emulator::dataset_b::DatasetB;
-use emulator::{Campaign, Design, Scenario};
+use emulator::{Campaign, CollectSink, Design, Scenario};
 use proptest::prelude::*;
 use simcore::time::{SimDuration, SimTime};
 
@@ -264,15 +264,18 @@ fn inert_cache_campaign(seed: u64) -> Campaign {
                 }
             });
         }),
-    )
-    .keep_raw = true;
+    );
     c
 }
 
 #[test]
 fn installed_but_inert_cache_model_reproduces_committed_golden() {
-    let plain = representative_campaign(42).execute_with_threads(2).to_tsv();
-    let installed = inert_cache_campaign(42).execute_with_threads(2).to_tsv();
+    let plain = representative_campaign(42)
+        .execute_stream_with_threads(&|_| CollectSink::new(), 2)
+        .to_tsv();
+    let installed = inert_cache_campaign(42)
+        .execute_stream_with_threads(&|_| CollectSink::new(), 2)
+        .to_tsv();
     assert_eq!(plain, installed, "provisioning a cache changed behavior");
     common::compare_golden(
         &installed,
@@ -280,8 +283,12 @@ fn installed_but_inert_cache_model_reproduces_committed_golden() {
         "cache model installed but inert",
     );
     // Thread invariance on the installed side.
-    let serial = inert_cache_campaign(42).execute_with_threads(1).to_tsv();
-    let parallel = inert_cache_campaign(42).execute_with_threads(4).to_tsv();
+    let serial = inert_cache_campaign(42)
+        .execute_stream_with_threads(&|_| CollectSink::new(), 1)
+        .to_tsv();
+    let parallel = inert_cache_campaign(42)
+        .execute_stream_with_threads(&|_| CollectSink::new(), 4)
+        .to_tsv();
     assert_eq!(serial, parallel);
     assert_eq!(serial, installed);
 }

@@ -30,9 +30,14 @@ fn raw_sessions(seed: u64) -> Vec<CompletedQuery> {
             );
         }
     });
-    let mut raw = Vec::new();
-    let _ = run_collect_with(&mut sim, &Classifier::ByMarker, |cq| raw.push(cq.clone()));
-    raw
+    run_stream_fed(
+        &mut sim,
+        &Classifier::ByMarker,
+        CollectSink::with_raw(true),
+        None,
+    )
+    .output
+    .raw
 }
 
 #[test]

@@ -11,8 +11,9 @@ use simcore::time::SimDuration;
 use std::path::PathBuf;
 
 /// A small campaign touching every design family: both stock dataset
-/// designs, both service archetypes, a custom closure design, and one
-/// run with raw-capture enabled.
+/// designs, both service archetypes and a custom closure design
+/// (`custom/close-pair`, the run whose raw captures the determinism
+/// suite retains).
 pub fn representative_campaign(seed: u64) -> Campaign {
     representative_campaign_with_metrics(seed, None)
 }
@@ -48,7 +49,7 @@ pub fn representative_campaign_with_metrics(seed: u64, metrics: Option<bool>) ->
         Design::DatasetB(DatasetB::against(0).with_repeats(3)),
     )
     .metrics = metrics;
-    let run = c.push(
+    c.push(
         "custom/close-pair",
         ServiceConfig::bing_like(seed),
         Design::custom(|sim| {
@@ -70,9 +71,8 @@ pub fn representative_campaign_with_metrics(seed: u64, metrics: Option<bool>) ->
                 }
             });
         }),
-    );
-    run.keep_raw = true;
-    run.metrics = metrics;
+    )
+    .metrics = metrics;
     c
 }
 

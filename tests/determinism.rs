@@ -18,15 +18,15 @@
 mod common;
 
 use common::{compare_golden, representative_campaign};
-use emulator::{FoldSink, ProcessedQuery, RunDescriptor, TsvRows};
-use emulator::{StreamReport, TSV_HEADER};
+use emulator::{CollectSink, FoldSink, ProcessedQuery, RunDescriptor};
 use stats::{QuantileAcc, Welford};
 
 #[test]
 fn campaign_output_is_thread_invariant() {
     let c = representative_campaign(42);
-    let serial = c.execute_with_threads(1);
-    let sharded = c.execute_with_threads(4);
+    let sink = |d: &RunDescriptor| CollectSink::with_raw(d.label == "custom/close-pair");
+    let serial = c.execute_stream_with_threads(&sink, 1);
+    let sharded = c.execute_stream_with_threads(&sink, 4);
     assert_eq!(serial.threads, 1);
     assert_eq!(sharded.threads, 4.min(c.len()).max(1));
     assert_eq!(
@@ -35,8 +35,8 @@ fn campaign_output_is_thread_invariant() {
         "merged TSV must be byte-identical at 1 and 4 workers"
     );
     // Raw captures merge identically too (same traces, same order).
-    let a = &serial.get("custom/close-pair").unwrap().raw;
-    let b = &sharded.get("custom/close-pair").unwrap().raw;
+    let a = &serial.output("custom/close-pair").raw;
+    let b = &sharded.output("custom/close-pair").raw;
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(b.iter()) {
         assert_eq!(x.trace.len(), y.trace.len());
@@ -44,55 +44,12 @@ fn campaign_output_is_thread_invariant() {
     }
 }
 
-/// Reassembles the legacy `CampaignReport::to_tsv` document from a
-/// streaming execution's per-run row strings.
-fn stream_tsv(report: &StreamReport<String>) -> String {
-    let mut out = String::from(TSV_HEADER);
-    for r in &report.runs {
-        let t = &r.tally;
-        // Mirrors `CampaignReport::to_tsv`: `shed` / `no_live_fe` only
-        // when non-zero.
-        let shed = if t.shed > 0 {
-            format!(" shed={}", t.shed)
-        } else {
-            String::new()
-        };
-        let no_live = if t.no_live_fe > 0 {
-            format!(" no_live_fe={}", t.no_live_fe)
-        } else {
-            String::new()
-        };
-        out.push_str(&format!(
-            "# run={} ok={} degraded={} retried={} timed_out={}{}{} skipped={}\n",
-            r.label, t.ok, t.degraded, t.retried, t.timed_out, shed, no_live, t.skipped
-        ));
-        out.push_str(&r.output);
-    }
-    out
-}
-
 #[test]
 fn streaming_sink_is_thread_invariant_and_matches_collect_path() {
     let c = representative_campaign(42);
-    let rows = |d: &RunDescriptor| TsvRows::new(&d.label);
-    let stream1 = c.execute_stream_with_threads(&rows, 1);
-    let stream4 = c.execute_stream_with_threads(&rows, 4);
+    let collected = c.execute_stream_with_threads(&|_| CollectSink::new(), 4);
 
-    // The streamed TSV is byte-identical at any worker count AND to the
-    // collect-then-format legacy path (which the golden traces pin).
-    let legacy = c.execute_with_threads(4).to_tsv();
-    assert_eq!(
-        stream_tsv(&stream1),
-        legacy,
-        "streamed TSV at 1 worker must match the legacy collect path"
-    );
-    assert_eq!(
-        stream_tsv(&stream4),
-        legacy,
-        "streamed TSV at 4 workers must match the legacy collect path"
-    );
-
-    // Reducer state is bit-identical across thread counts too: each run
+    // Reducer state is bit-identical across thread counts: each run
     // folds single-threaded in its own shard, so online accumulators
     // see the same values in the same order regardless of scheduling.
     let reducers = |_: &RunDescriptor| {
@@ -107,8 +64,9 @@ fn streaming_sink_is_thread_invariant_and_matches_collect_path() {
     let r1 = c.execute_stream_with_threads(&reducers, 1);
     let r4 = c.execute_stream_with_threads(&reducers, 4);
     assert_eq!(r1.runs.len(), r4.runs.len());
-    for (a, b) in r1.runs.iter().zip(r4.runs.iter()) {
+    for ((a, b), col) in r1.runs.iter().zip(r4.runs.iter()).zip(&collected.runs) {
         assert_eq!(a.label, b.label, "merge must preserve descriptor order");
+        assert_eq!(a.label, col.label);
         let ((wa, qa), (wb, qb)) = (&a.output, &b.output);
         assert_eq!(wa.count(), wb.count());
         assert_eq!(
@@ -132,6 +90,22 @@ fn streaming_sink_is_thread_invariant_and_matches_collect_path() {
             "run {}: exact quantile sample must be bit-identical",
             a.label
         );
+        // ...and the reducers folded exactly the queries the collect
+        // sink buffers.
+        let mut folded = va;
+        let mut buffered: Vec<f64> = col
+            .output
+            .queries
+            .iter()
+            .map(|q| q.params.overall_ms)
+            .collect();
+        folded.sort_by(f64::total_cmp);
+        buffered.sort_by(f64::total_cmp);
+        assert_eq!(
+            folded, buffered,
+            "run {}: reducer saw other queries",
+            a.label
+        );
     }
 }
 
@@ -141,14 +115,16 @@ fn campaign_output_is_oversubscription_invariant() {
     // spin on an empty queue or change the merge.
     let c = representative_campaign(7);
     assert_eq!(
-        c.execute_with_threads(2).to_tsv(),
-        c.execute_with_threads(64).to_tsv()
+        c.execute_stream_with_threads(&|_| CollectSink::new(), 2)
+            .to_tsv(),
+        c.execute_stream_with_threads(&|_| CollectSink::new(), 64)
+            .to_tsv()
     );
 }
 
 fn check_golden(seed: u64, name: &str) {
     let got = representative_campaign(seed)
-        .execute_with_threads(4)
+        .execute_stream_with_threads(&|_| CollectSink::new(), 4)
         .to_tsv();
     compare_golden(&got, name, "telemetry default");
 }

@@ -138,6 +138,6 @@ fn heavy_concurrency_one_fe_still_completes() {
             );
         }
     });
-    let out = run_collect(&mut sim, &Classifier::ByMarker);
-    assert_eq!(out.len(), 24);
+    let run = run_stream_fed(&mut sim, &Classifier::ByMarker, CollectSink::new(), None);
+    assert_eq!(run.output.queries.len(), 24);
 }

@@ -10,7 +10,7 @@
 //! must come out exact no matter which worker ran which world.
 
 use cdnsim::{QueryOutcome, QuerySpec, RetryPolicy, ServiceConfig};
-use emulator::{Campaign, Design, Scenario};
+use emulator::{Campaign, CollectSink, Design, Scenario};
 use nettopo::FaultPlan;
 use simcore::time::{SimDuration, SimTime};
 
@@ -106,9 +106,9 @@ fn fault_campaign_tallies_are_exact() {
         ("faults/timed-out", timed_out_cfg),
         ("faults/degraded", degraded_cfg),
     ] {
-        c.push(label, cfg, burst_design()).keep_raw = true;
+        c.push(label, cfg, burst_design());
     }
-    let report = c.execute_with_threads(2);
+    let report = c.execute_stream_with_threads(&|_| CollectSink::with_raw(true), 2);
 
     // ---- Retried(2) for every query ----
     let retried = report.get("faults/retried").unwrap();
@@ -118,8 +118,8 @@ fn fault_campaign_tallies_are_exact() {
         (0, 0, QUERIES, 0),
         "{t:?}"
     );
-    assert_eq!(retried.raw.len(), QUERIES);
-    for cq in &retried.raw {
+    assert_eq!(retried.output.raw.len(), QUERIES);
+    for cq in &retried.output.raw {
         assert_eq!(
             cq.outcome,
             QueryOutcome::Retried(2),
@@ -141,12 +141,13 @@ fn fault_campaign_tallies_are_exact() {
         "{t:?}"
     );
     assert!(timed_out
+        .output
         .raw
         .iter()
         .all(|cq| cq.outcome == QueryOutcome::TimedOut { attempts: 2 }));
     // Timed-out sessions have no complete timeline; the accounting
     // identity (processed + skipped = total) must still close.
-    assert_eq!(timed_out.queries.len() + t.skipped, t.total());
+    assert_eq!(timed_out.output.queries.len() + t.skipped, t.total());
 
     // ---- Degraded for every query ----
     let degraded = report.get("faults/degraded").unwrap();
@@ -156,7 +157,7 @@ fn fault_campaign_tallies_are_exact() {
         (0, QUERIES, 0, 0),
         "{t:?}"
     );
-    for cq in &degraded.raw {
+    for cq in &degraded.output.raw {
         assert_eq!(cq.outcome, QueryOutcome::Degraded);
         assert_eq!(cq.plan.dynamic_bytes, cdnsim::world::DEGRADED_STUB_BYTES);
     }
@@ -189,8 +190,8 @@ fn fault_tallies_survive_resharding() {
     let mut c = Campaign::new(scenario);
     c.push("faults/a", cfg.clone(), burst_design());
     c.push("faults/b", cfg, burst_design());
-    let serial = c.execute_with_threads(1);
-    let parallel = c.execute_with_threads(4);
+    let serial = c.execute_stream_with_threads(&|_| CollectSink::new(), 1);
+    let parallel = c.execute_stream_with_threads(&|_| CollectSink::new(), 4);
     assert_eq!(serial.to_tsv(), parallel.to_tsv());
     for label in ["faults/a", "faults/b"] {
         assert_eq!(

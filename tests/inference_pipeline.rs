@@ -34,9 +34,14 @@ fn campaign(seed: u64, distinct_keywords: bool) -> Vec<CompletedQuery> {
             }
         }
     });
-    let mut raw = Vec::new();
-    let _ = run_collect_with(&mut sim, &Classifier::ByMarker, |cq| raw.push(cq.clone()));
-    raw
+    run_stream_fed(
+        &mut sim,
+        &Classifier::ByMarker,
+        CollectSink::with_raw(true),
+        None,
+    )
+    .output
+    .raw
 }
 
 #[test]

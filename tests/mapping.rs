@@ -32,7 +32,7 @@ use cdnsim::{
     GeoTtlPolicy, LoadAwarePolicy, LoadModel, Mapper, MappingPolicy, QueryOutcome, QuerySpec,
     RetryPolicy, ServiceConfig,
 };
-use emulator::{Campaign, Design, Scenario};
+use emulator::{Campaign, CollectSink, Design, Scenario};
 use nettopo::geo::GeoPoint;
 use nettopo::FaultPlan;
 use proptest::prelude::*;
@@ -80,7 +80,7 @@ fn loadaware_flash_campaign(seed: u64) -> Campaign {
             max_slowdown: 10.0,
         });
     let mut c = Campaign::new(Scenario::with_size(seed, 10, 60));
-    c.push("map/loadaware-flash", cfg, flash_design()).keep_raw = true;
+    c.push("map/loadaware-flash", cfg, flash_design());
     c
 }
 
@@ -95,12 +95,14 @@ fn nearest_live_reproduces_goldens_at_1_and_4_workers() {
             run.cfg = run.cfg.clone().with_mapping(MappingPolicy::NearestLive);
         }
         common::compare_golden(
-            &c.execute_with_threads(1).to_tsv(),
+            &c.execute_stream_with_threads(&|_| CollectSink::new(), 1)
+                .to_tsv(),
             name,
             "explicit NearestLive, 1 worker",
         );
         common::compare_golden(
-            &c.execute_with_threads(4).to_tsv(),
+            &c.execute_stream_with_threads(&|_| CollectSink::new(), 4)
+                .to_tsv(),
             name,
             "explicit NearestLive, 4 workers",
         );
@@ -110,7 +112,9 @@ fn nearest_live_reproduces_goldens_at_1_and_4_workers() {
 #[test]
 fn loadaware_flash_crowd_matches_golden() {
     let c = loadaware_flash_campaign(42);
-    let serial = c.execute_with_threads(1).to_tsv();
+    let serial = c
+        .execute_stream_with_threads(&|_| CollectSink::new(), 1)
+        .to_tsv();
     common::compare_golden(
         &serial,
         "mapping_loadaware_flash.tsv",
@@ -118,7 +122,8 @@ fn loadaware_flash_crowd_matches_golden() {
     );
     assert_eq!(
         serial,
-        c.execute_with_threads(4).to_tsv(),
+        c.execute_stream_with_threads(&|_| CollectSink::new(), 4)
+            .to_tsv(),
         "LoadAware flash campaign must be thread invariant"
     );
 }
@@ -128,7 +133,8 @@ fn sessions_are_conserved_across_remapping_epochs() {
     // Epoch-driven re-mapping shifts demand mid-run; it must never
     // drop, duplicate or strand a session. Exercise both the pure
     // flash crowd and a variant where an outage forces typed failures.
-    let report = loadaware_flash_campaign(42).execute_with_threads(1);
+    let report = loadaware_flash_campaign(42)
+        .execute_stream_with_threads(&|_| CollectSink::with_raw(true), 1);
     let run = report.get("map/loadaware-flash").unwrap();
     let t = &run.tally;
     assert_eq!(
@@ -136,7 +142,7 @@ fn sessions_are_conserved_across_remapping_epochs() {
         FLASH_QUERIES,
         "every scheduled query must surface exactly once in the tally: {t:?}"
     );
-    assert_eq!(run.raw.len(), FLASH_QUERIES);
+    assert_eq!(run.output.raw.len(), FLASH_QUERIES);
 
     // Same crowd, but every FE dark for the whole run: all sessions
     // must surface as typed no-live-FE failures — still conserved.
@@ -152,8 +158,8 @@ fn sessions_are_conserved_across_remapping_epochs() {
         .with_mapping(MappingPolicy::LoadAware(LoadAwarePolicy::default()))
         .with_faults(all_dark);
     let mut c = Campaign::new(scenario);
-    c.push("map/dark", cfg, flash_design()).keep_raw = true;
-    let report = c.execute_with_threads(1);
+    c.push("map/dark", cfg, flash_design());
+    let report = c.execute_stream_with_threads(&|_| CollectSink::new(), 1);
     let run = report.get("map/dark").unwrap();
     assert_eq!(run.tally.no_live_fe, FLASH_QUERIES);
     assert_eq!(run.tally.total(), FLASH_QUERIES);
@@ -177,11 +183,21 @@ fn all_dead_fes_fail_fast_with_typed_outcome() {
         .with_mapping(MappingPolicy::DnsGeoTtl(GeoTtlPolicy::default()))
         .with_faults(all_dark);
     let mut c = Campaign::new(scenario);
-    c.push("map/no-live", cfg, flash_design()).keep_raw = true;
-    let report = c.execute_with_threads(1);
+    c.push("map/no-live", cfg, flash_design());
+    let report = c.execute_stream_with_threads(&|_| CollectSink::with_raw(true), 1);
+    // `no_live_fe=` only appears in the accounting line when non-zero.
+    let tsv = report.to_tsv();
+    let line = tsv.lines().find(|l| l.starts_with("# run=")).unwrap();
+    assert_eq!(
+        line,
+        format!(
+            "# run=map/no-live ok=0 degraded=0 retried=0 timed_out=0 \
+             no_live_fe={FLASH_QUERIES} skipped={FLASH_QUERIES}"
+        )
+    );
     let run = report.get("map/no-live").unwrap();
-    assert_eq!(run.raw.len(), FLASH_QUERIES);
-    for cq in &run.raw {
+    assert_eq!(run.output.raw.len(), FLASH_QUERIES);
+    for cq in &run.output.raw {
         assert_eq!(
             cq.outcome,
             QueryOutcome::NoLiveFe { attempts: 1 },
@@ -335,12 +351,10 @@ fn strategy_paths_fire_and_conserve_sessions_at_1_and_4_workers() {
     ];
     let mut c = Campaign::new(scenario);
     for (label, cfg, design, _, _) in &cases {
-        let d = c.push(*label, cfg.clone(), design.clone());
-        d.keep_raw = true;
-        d.metrics = Some(true);
+        c.push(*label, cfg.clone(), design.clone()).metrics = Some(true);
     }
-    let serial = c.execute_with_threads(1);
-    let sharded = c.execute_with_threads(4);
+    let serial = c.execute_stream_with_threads(&|_| CollectSink::with_raw(true), 1);
+    let sharded = c.execute_stream_with_threads(&|_| CollectSink::with_raw(true), 4);
     assert_eq!(
         serial.to_tsv(),
         sharded.to_tsv(),
@@ -359,7 +373,11 @@ fn strategy_paths_fire_and_conserve_sessions_at_1_and_4_workers() {
             "{label}: every scheduled query must surface exactly once: {:?}",
             run.tally
         );
-        assert_eq!(run.raw.len(), *queries, "{label}: one record per query");
+        assert_eq!(
+            run.output.raw.len(),
+            *queries,
+            "{label}: one record per query"
+        );
         let names = run.metrics.names();
         for m in *want {
             assert!(

@@ -15,7 +15,7 @@ mod common;
 
 use cdnsim::{BreakerPolicy, QueryOutcome, QuerySpec, RetryBudget, RetryPolicy, ServiceConfig};
 use common::representative_campaign;
-use emulator::{Campaign, Design, Scenario};
+use emulator::{Campaign, CollectSink, Design, Scenario};
 use nettopo::{BurstLossParams, FaultPlan};
 use proptest::prelude::*;
 use simcore::time::{SimDuration, SimTime};
@@ -82,8 +82,7 @@ fn inert_overload_campaign(seed: u64) -> Campaign {
                 }
             });
         }),
-    )
-    .keep_raw = true;
+    );
     c
 }
 
@@ -92,16 +91,20 @@ fn inert_overload_policies_leave_campaign_tsv_byte_identical() {
     // Same seed, same designs; the only difference is the armed-but-
     // inert overload policy block. The TSVs must match byte for byte —
     // this is the golden-invariance guarantee with policies attached.
-    let plain = representative_campaign(4242).execute().to_tsv();
-    let guarded = inert_overload_campaign(4242).execute().to_tsv();
+    let plain = representative_campaign(4242)
+        .execute_stream_with_threads(&|_| CollectSink::new(), 2)
+        .to_tsv();
+    let guarded = inert_overload_campaign(4242)
+        .execute_stream_with_threads(&|_| CollectSink::new(), 2)
+        .to_tsv();
     assert_eq!(plain, guarded);
 
     // And thread count must not matter on the guarded side either.
     let serial = inert_overload_campaign(4242)
-        .execute_with_threads(1)
+        .execute_stream_with_threads(&|_| CollectSink::new(), 1)
         .to_tsv();
     let parallel = inert_overload_campaign(4242)
-        .execute_with_threads(4)
+        .execute_stream_with_threads(&|_| CollectSink::new(), 4)
         .to_tsv();
     assert_eq!(serial, parallel);
     assert_eq!(serial, plain);
@@ -115,9 +118,13 @@ fn disabled_overload_matches_committed_golden() {
     // same golden is pinned by the determinism suite; asserting it here
     // makes an invariance failure point at the overload subsystem
     // directly.)
-    let plain = representative_campaign(42).execute_with_threads(4).to_tsv();
+    let plain = representative_campaign(42)
+        .execute_stream_with_threads(&|_| CollectSink::new(), 4)
+        .to_tsv();
     common::compare_golden(&plain, "campaign_seed42.tsv", "overload subsystem disabled");
-    let guarded = inert_overload_campaign(42).execute_with_threads(4).to_tsv();
+    let guarded = inert_overload_campaign(42)
+        .execute_stream_with_threads(&|_| CollectSink::new(), 4)
+        .to_tsv();
     common::compare_golden(
         &guarded,
         "campaign_seed42.tsv",
@@ -232,11 +239,12 @@ proptest! {
 
         // 10 vantages so every chaos client index (n_queries < 10) is valid.
         let mut c = Campaign::new(Scenario::with_size(seed, 10, 60));
-        c.push("chaos", cfg, burst_design(n_queries)).keep_raw = true;
+        c.push("chaos", cfg, burst_design(n_queries));
 
-        let serial = c.execute_with_threads(1);
-        let parallel = c.execute_with_threads(4);
-        prop_assert_eq!(serial.to_tsv(), parallel.to_tsv());
+        let serial = c.execute_stream_with_threads(&|_| CollectSink::with_raw(true), 1);
+        let parallel = c.execute_stream_with_threads(&|_| CollectSink::with_raw(true), 4);
+        let tsv = serial.to_tsv();
+        prop_assert_eq!(&tsv, &parallel.to_tsv());
 
         let run = serial.get("chaos").unwrap();
         let t = run.tally;
@@ -247,14 +255,21 @@ proptest! {
             t
         );
         prop_assert_eq!(t.total(), n_queries);
-        prop_assert_eq!(run.raw.len(), n_queries);
+        prop_assert_eq!(run.output.raw.len(), n_queries);
         // Outcome rows and tally buckets must agree exactly.
         let shed = run
+            .output
             .raw
             .iter()
             .filter(|cq| matches!(cq.outcome, QueryOutcome::Shed { .. }))
             .count();
         prop_assert_eq!(shed, t.shed);
+        // The `# run=` line carries `shed=N` exactly when N > 0.
+        let line = tsv.lines().find(|l| l.starts_with("# run=chaos ")).unwrap();
+        prop_assert_eq!(line.contains(" shed="), t.shed > 0, "{}", line);
+        if t.shed > 0 {
+            prop_assert!(line.contains(&format!(" shed={} ", t.shed)), "{}", line);
+        }
         // Shed is impossible without admission control.
         if watermark == 0 {
             prop_assert_eq!(t.shed, 0);

@@ -596,7 +596,7 @@ proptest! {
         repeats in 1u64..3,
     ) {
         use emulator::dataset_a::{DatasetA, KeywordPolicy};
-        use emulator::{Campaign, Design, Scenario};
+        use emulator::{Campaign, CollectSink, Design, Scenario};
         use simcore::time::SimDuration;
 
         let scenario = Scenario::with_size(seed, 6, 120);
@@ -611,12 +611,12 @@ proptest! {
                 keywords: KeywordPolicy::Fixed(0),
             }),
         );
-        let report = c.execute_with_threads(2);
+        let report = c.execute_stream_with_threads(&|_| CollectSink::new(), 2);
         let run = report.get("tally").unwrap();
         let t = run.tally;
         let scheduled = n_clients * repeats as usize;
         prop_assert_eq!(t.total(), scheduled, "tally {:?}", t);
-        prop_assert_eq!(run.queries.len() + t.skipped, t.total(), "tally {:?}", t);
+        prop_assert_eq!(run.output.queries.len() + t.skipped, t.total(), "tally {:?}", t);
         prop_assert_eq!(t.ok + t.degraded + t.retried + t.timed_out + t.shed, t.total());
     }
 }

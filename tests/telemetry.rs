@@ -22,7 +22,7 @@ use cdnsim::ServiceConfig;
 use common::{compare_golden, representative_campaign_with_metrics};
 use emulator::dataset_a::{DatasetA, KeywordPolicy};
 use emulator::dataset_b::DatasetB;
-use emulator::{Campaign, Design, MetricsRegistry, Scenario, METRICS_TSV_HEADER};
+use emulator::{Campaign, CollectSink, Design, MetricsRegistry, Scenario, METRICS_TSV_HEADER};
 use proptest::prelude::*;
 use simcore::time::SimDuration;
 
@@ -81,9 +81,9 @@ fn wide_labels() -> Vec<String> {
 #[test]
 fn metrics_tsv_is_byte_identical_at_1_4_9_threads() {
     let c = wide_campaign(42);
-    let r1 = c.execute_with_threads(1);
-    let r4 = c.execute_with_threads(4);
-    let r9 = c.execute_with_threads(9);
+    let r1 = c.execute_stream_with_threads(&|_| CollectSink::new(), 1);
+    let r4 = c.execute_stream_with_threads(&|_| CollectSink::new(), 4);
+    let r9 = c.execute_stream_with_threads(&|_| CollectSink::new(), 9);
     assert_eq!(r1.threads, 1);
     assert_eq!(r4.threads, 4);
     assert_eq!(r9.threads, 9);
@@ -144,7 +144,7 @@ fn golden_is_telemetry_invariant(seed: u64, name: &str) {
         (Some(false), "telemetry runtime-disabled"),
     ] {
         let got = representative_campaign_with_metrics(seed, metrics)
-            .execute_with_threads(4)
+            .execute_stream_with_threads(&|_| CollectSink::new(), 4)
             .to_tsv();
         compare_golden(&got, name, context);
     }
@@ -162,7 +162,8 @@ fn golden_seed7_is_invariant_under_telemetry_toggle() {
 
 #[test]
 fn disabled_runs_render_a_header_only_document() {
-    let report = representative_campaign_with_metrics(42, Some(false)).execute_with_threads(2);
+    let report = representative_campaign_with_metrics(42, Some(false))
+        .execute_stream_with_threads(&|_| CollectSink::new(), 2);
     assert_eq!(report.metrics_tsv(), METRICS_TSV_HEADER);
     assert_eq!(report.metrics_tsv_all(), METRICS_TSV_HEADER);
     for run in &report.runs {
@@ -181,7 +182,7 @@ fn stderr_report_lists_runs_in_descriptor_order_at_4_threads() {
     // the 4 workers interleaved. Pin that: first occurrence of each
     // label must be strictly increasing, in both the stats table and
     // (when compiled in) the metrics document.
-    let report = wide_campaign(7).execute_with_threads(4);
+    let report = wide_campaign(7).execute_stream_with_threads(&|_| CollectSink::new(), 4);
     let doc = report.stderr_report();
     let mut last = 0usize;
     for label in wide_labels() {

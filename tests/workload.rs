@@ -10,7 +10,9 @@
 
 mod common;
 
-use emulator::{Campaign, Design, Scenario, SessionFeeder, SessionPlan, SessionWorkload};
+use emulator::{
+    Campaign, CollectSink, Design, Scenario, SessionFeeder, SessionPlan, SessionWorkload,
+};
 use proptest::prelude::*;
 use simcore::dist::{PopularityModel, PopularityProcess, Zipf};
 use simcore::rng::Rng;
@@ -40,8 +42,12 @@ fn churned_campaign(seed: u64) -> Campaign {
 
 #[test]
 fn churned_campaign_is_thread_invariant_and_matches_golden() {
-    let serial = churned_campaign(42).execute_with_threads(1).to_tsv();
-    let parallel = churned_campaign(42).execute_with_threads(4).to_tsv();
+    let serial = churned_campaign(42)
+        .execute_stream_with_threads(&|_| CollectSink::new(), 1)
+        .to_tsv();
+    let parallel = churned_campaign(42)
+        .execute_stream_with_threads(&|_| CollectSink::new(), 4)
+        .to_tsv();
     assert_eq!(serial, parallel, "thread count changed the session TSV");
     common::compare_golden(
         &serial,
@@ -49,13 +55,15 @@ fn churned_campaign_is_thread_invariant_and_matches_golden() {
         "churned-Zipf session campaign",
     );
     // Rerun determinism: a fresh campaign object reproduces the bytes.
-    let again = churned_campaign(42).execute_with_threads(2).to_tsv();
+    let again = churned_campaign(42)
+        .execute_stream_with_threads(&|_| CollectSink::new(), 2)
+        .to_tsv();
     assert_eq!(serial, again);
 }
 
 #[test]
 fn session_campaign_accounts_for_every_session() {
-    let report = churned_campaign(7).execute_with_threads(2);
+    let report = churned_campaign(7).execute_stream_with_threads(&|_| CollectSink::new(), 2);
     let run = report.get("sessions/churned").unwrap();
     let t = run.tally;
     assert_eq!(t.total(), 40, "accounting leak: {t:?}");
@@ -142,12 +150,11 @@ proptest! {
             Design::Sessions(small),
         );
 
-        let rows = |c: &Campaign| -> String {
-            let report = c.execute_with_threads(2);
-            let run = report.get("sessions/reorder").unwrap();
-            run.queries
-                .iter()
-                .map(|q| emulator::TsvRows::format_row("sessions/reorder", q))
+        let rows = |c: &Campaign| -> Vec<String> {
+            let tsv = c.execute_stream_with_threads(&|_| CollectSink::new(), 2).to_tsv();
+            tsv.lines()
+                .filter(|l| l.contains("sessions/reorder"))
+                .map(String::from)
                 .collect()
         };
         prop_assert_eq!(rows(&alone), rows(&paired));
