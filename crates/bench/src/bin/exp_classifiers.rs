@@ -21,7 +21,7 @@ use capture::validate::score_classifier;
 use capture::{find_static_content_ids, Classifier};
 use cdnsim::{QuerySpec, ServiceConfig, ServiceWorld};
 use emulator::output::Tsv;
-use emulator::{Design, FoldSink, RetainRaw};
+use emulator::{CollectSink, Design};
 use simcore::time::SimDuration;
 use tcpsim::NodeId;
 
@@ -66,8 +66,8 @@ fn main() {
     );
     // Classifier scoring needs the packet traces themselves: opt into
     // raw retention (traces are moved into the sink, not cloned).
-    let report = execute_stream(&c, &|_| RetainRaw::new(FoldSink::new((), |_, _| {})));
-    let raw = &report.output("classifiers").1;
+    let report = execute_stream(&c, &|_| CollectSink::with_raw(true));
+    let raw = &report.output("classifiers").raw;
 
     // Learn the static ids blind, borrowing the traces in place.
     let traces: Vec<&[tcpsim::PktEvent]> = raw.iter().map(|c| c.trace.as_slice()).collect();

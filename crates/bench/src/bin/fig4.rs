@@ -19,7 +19,7 @@ use capture::cluster_view::TimelineView;
 use capture::{Classifier, Timeline};
 use cdnsim::{QuerySpec, ServiceConfig, ServiceWorld};
 use emulator::output::Tsv;
-use emulator::{Campaign, Design, FoldSink, RetainRaw, Scenario};
+use emulator::{Campaign, CollectSink, Design, Scenario};
 use simcore::time::SimDuration;
 
 /// The paper's five RTT rows (ms).
@@ -87,10 +87,10 @@ fn main() {
     );
     // This figure genuinely needs packet traces: opt into raw retention
     // explicitly (the trace is moved into the sink, never cloned).
-    let report = execute_stream(&campaign, &|_| RetainRaw::new(FoldSink::new((), |_, _| {})));
+    let report = execute_stream(&campaign, &|_| CollectSink::with_raw(true));
 
     let mut runs: Vec<(usize, TimelineView, Timeline)> = Vec::new();
-    for cq in &report.output("fig4").1 {
+    for cq in &report.output("fig4").raw {
         let node = ServiceWorld::client_node(cq.client);
         let view = TimelineView::build(&cq.trace, node);
         let tl = Timeline::extract(&cq.trace, node, &Classifier::ByMarker);

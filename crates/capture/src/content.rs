@@ -20,7 +20,7 @@ use tcpsim::{NodeId, PktDir, PktEvent};
 ///
 /// Sessions are taken by borrow (`&[PktEvent]` slices work as well as
 /// owned `Vec<PktEvent>`s), so callers holding raw completions — e.g. a
-/// `RetainRaw` campaign sink — can hand their traces over without
+/// raw-retaining `CollectSink` — can hand their traces over without
 /// cloning a single packet event.
 pub fn find_static_content_ids<S: AsRef<[PktEvent]>>(
     sessions: &[S],

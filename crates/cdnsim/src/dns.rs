@@ -3,19 +3,13 @@
 //! The paper's Dataset A uses "whatever server IP address the DNS
 //! resolution returns to the client" — for both Akamai and Google that is
 //! overwhelmingly the geographically/topologically nearest front end.
-//! [`DnsMap::nearest`] precomputes that assignment; [`DnsPolicy`] adds
-//! the two refinements real mapping systems layer on top:
-//!
-//! * **RandomizedTopK** — Akamai's low-level DNS answers rotate through
-//!   a handful of nearby edge servers for load spreading and failover,
-//!   so consecutive resolutions of one client differ slightly;
-//! * **LoadAware** — pick the least-loaded of the `k` nearest FEs
-//!   (static weights standing in for the mapping system's liveness
-//!   feeds).
+//! [`DnsMap::nearest`] precomputes that assignment. Per-resolution
+//! refinements (TTL-cached geo answers, load-aware selection) are
+//! [`MappingStrategy`](crate::mapping::MappingStrategy)s in
+//! [`mapping`](crate::mapping).
 
 use nettopo::geo::GeoPoint;
 use nettopo::placement::{nearest_fe, FeSite};
-use simcore::rng::Rng;
 
 /// A precomputed client → default-FE assignment.
 #[derive(Clone, Debug)]
@@ -71,72 +65,6 @@ impl DnsMap {
     }
 }
 
-/// A per-resolution FE selection policy.
-#[derive(Clone, Debug)]
-pub enum DnsPolicy {
-    /// Always the nearest FE (the [`DnsMap::nearest`] behaviour).
-    Nearest,
-    /// A uniformly random pick among the `k` nearest FEs — Akamai-style
-    /// rotation.
-    RandomizedTopK(usize),
-    /// The least-loaded among the `k` nearest FEs, given per-FE load
-    /// levels.
-    LoadAware(usize),
-}
-
-/// Precomputed candidate lists for the per-resolution policies.
-#[derive(Clone, Debug)]
-pub struct DnsResolver {
-    /// Per client: FE indices sorted by distance (nearest first),
-    /// truncated to the largest `k` any policy needs.
-    candidates: Vec<Vec<usize>>,
-    policy: DnsPolicy,
-}
-
-impl DnsResolver {
-    /// Builds the resolver for a client population against a fleet.
-    pub fn new(clients: &[GeoPoint], fleet: &[FeSite], policy: DnsPolicy) -> DnsResolver {
-        assert!(!fleet.is_empty());
-        let k = match policy {
-            DnsPolicy::Nearest => 1,
-            DnsPolicy::RandomizedTopK(k) | DnsPolicy::LoadAware(k) => k.max(1),
-        };
-        let candidates = clients
-            .iter()
-            .map(|pt| {
-                let mut by_dist: Vec<(usize, f64)> = fleet
-                    .iter()
-                    .enumerate()
-                    .map(|(i, f)| (i, pt.distance_miles(&f.pt)))
-                    .collect();
-                by_dist.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("NaN distance"));
-                by_dist.into_iter().take(k).map(|(i, _)| i).collect()
-            })
-            .collect();
-        DnsResolver { candidates, policy }
-    }
-
-    /// Resolves one lookup for `client`. `fe_load` supplies current
-    /// per-FE load levels for [`DnsPolicy::LoadAware`] (ignored
-    /// otherwise); `rng` drives the randomized rotation.
-    pub fn resolve(&self, client: usize, rng: &mut Rng, fe_load: impl Fn(usize) -> f64) -> usize {
-        let cands = &self.candidates[client];
-        match self.policy {
-            DnsPolicy::Nearest => cands[0],
-            DnsPolicy::RandomizedTopK(_) => *rng.choose(cands),
-            DnsPolicy::LoadAware(_) => *cands
-                .iter()
-                .min_by(|&&a, &&b| fe_load(a).partial_cmp(&fe_load(b)).expect("NaN load"))
-                .expect("non-empty candidates"),
-        }
-    }
-
-    /// The candidate list of one client (nearest first).
-    pub fn candidates(&self, client: usize) -> &[usize] {
-        &self.candidates[client]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,61 +107,6 @@ mod tests {
             for fe in &fleet {
                 assert!(pt.distance_miles(&fe.pt) >= assigned - 1e-9);
             }
-        }
-    }
-
-    #[test]
-    fn randomized_topk_rotates_among_nearby_fes() {
-        let v = planetlab_like(5, &VantageConfig::default());
-        let pts: Vec<GeoPoint> = v.iter().map(|x| x.pt).collect();
-        let fleet = dense_edge(5);
-        let resolver = DnsResolver::new(&pts, &fleet, DnsPolicy::RandomizedTopK(3));
-        let mut rng = simcore::rng::Rng::from_seed(1);
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..60 {
-            let fe = resolver.resolve(0, &mut rng, |_| 0.0);
-            assert!(resolver.candidates(0).contains(&fe));
-            seen.insert(fe);
-        }
-        assert!(seen.len() >= 2, "rotation must use multiple FEs");
-        // All rotated picks stay close: within 3× the nearest distance
-        // plus a slack for co-located candidates.
-        let nearest = pts[0].distance_miles(&fleet[resolver.candidates(0)[0]].pt);
-        for &fe in &seen {
-            let d = pts[0].distance_miles(&fleet[fe].pt);
-            assert!(d <= nearest * 4.0 + 50.0, "rotated to a far FE: {d}");
-        }
-    }
-
-    #[test]
-    fn load_aware_avoids_the_hot_fe() {
-        let v = planetlab_like(6, &VantageConfig::default());
-        let pts: Vec<GeoPoint> = v.iter().map(|x| x.pt).collect();
-        let fleet = dense_edge(6);
-        let resolver = DnsResolver::new(&pts, &fleet, DnsPolicy::LoadAware(3));
-        let mut rng = simcore::rng::Rng::from_seed(2);
-        let cands = resolver.candidates(0).to_vec();
-        // Make the nearest FE hot: the resolver must pick another
-        // candidate.
-        let hot = cands[0];
-        let fe = resolver.resolve(0, &mut rng, |f| if f == hot { 10.0 } else { 1.0 });
-        assert_ne!(fe, hot);
-        assert!(cands.contains(&fe));
-        // Uniform load → nearest wins (min_by keeps the first minimum).
-        let fe2 = resolver.resolve(0, &mut rng, |_| 1.0);
-        assert_eq!(fe2, hot);
-    }
-
-    #[test]
-    fn nearest_policy_matches_dnsmap() {
-        let v = planetlab_like(7, &VantageConfig::default());
-        let pts: Vec<GeoPoint> = v.iter().map(|x| x.pt).collect();
-        let fleet = sparse_pop(7, 14);
-        let map = DnsMap::nearest(&pts, &fleet);
-        let resolver = DnsResolver::new(&pts, &fleet, DnsPolicy::Nearest);
-        let mut rng = simcore::rng::Rng::from_seed(3);
-        for c in 0..pts.len() {
-            assert_eq!(resolver.resolve(c, &mut rng, |_| 0.0), map.fe_of(c));
         }
     }
 

@@ -39,7 +39,7 @@ pub mod spec;
 pub mod world;
 
 pub use cache::{Cache, CacheConfig, CachePolicy, CacheStats, InsertOutcome, ObjectCache};
-pub use dns::{DnsMap, DnsPolicy, DnsResolver};
+pub use dns::DnsMap;
 pub use fe::{FeCaches, FeServer};
 pub use mapping::{
     DnsGeoTtl, GeoTtlPolicy, LoadAware, LoadAwarePolicy, Mapper, MappingPolicy, MappingStrategy,

@@ -95,14 +95,13 @@ impl SessionTally {
 /// [`per_group_medians`]. Each group folds its five measurement columns
 /// into quantile accumulators as samples arrive; [`finish`] reduces to
 /// the same [`GroupMedians`] records the batch path produced —
-/// bit-identically in exact mode, because the accumulators sort and
+/// bit-identically, because the accumulators are exact: they sort and
 /// delegate to the very batch helpers the old code called.
 ///
 /// [`finish`]: GroupMediansAcc::finish
 #[derive(Clone, Debug)]
 pub struct GroupMediansAcc {
     groups: BTreeMap<u64, GroupAcc>,
-    cap: Option<usize>,
 }
 
 #[derive(Clone, Debug)]
@@ -115,20 +114,13 @@ struct GroupAcc {
 }
 
 impl GroupAcc {
-    fn new(cap: Option<usize>) -> GroupAcc {
-        let q = || match cap {
-            None => QuantileAcc::exact(),
-            Some(c) => QuantileAcc::with_cap(c),
-        };
+    fn new() -> GroupAcc {
         GroupAcc {
-            rtt: q(),
-            t_static: q(),
-            t_dynamic: q(),
-            t_delta: q(),
-            overall: match cap {
-                None => SummaryAcc::exact(),
-                Some(c) => SummaryAcc::with_cap(c),
-            },
+            rtt: QuantileAcc::exact(),
+            t_static: QuantileAcc::exact(),
+            t_dynamic: QuantileAcc::exact(),
+            t_delta: QuantileAcc::exact(),
+            overall: SummaryAcc::exact(),
         }
     }
 }
@@ -139,46 +131,17 @@ impl GroupMediansAcc {
     pub fn exact() -> GroupMediansAcc {
         GroupMediansAcc {
             groups: BTreeMap::new(),
-            cap: None,
-        }
-    }
-
-    /// Capped accumulators that sketch beyond `cap` samples per group
-    /// column — bounded memory for production-scale campaigns.
-    pub fn with_cap(cap: usize) -> GroupMediansAcc {
-        GroupMediansAcc {
-            groups: BTreeMap::new(),
-            cap: Some(cap),
         }
     }
 
     /// Folds one sample into `key`'s group.
     pub fn push(&mut self, key: u64, p: &QueryParams) {
-        let cap = self.cap;
-        let g = self.groups.entry(key).or_insert_with(|| GroupAcc::new(cap));
+        let g = self.groups.entry(key).or_insert_with(GroupAcc::new);
         g.rtt.push(p.rtt_ms);
         g.t_static.push(p.t_static_ms);
         g.t_dynamic.push(p.t_dynamic_ms);
         g.t_delta.push(p.t_delta_ms);
         g.overall.push(p.overall_ms);
-    }
-
-    /// Merges per-key (concatenation order within each key).
-    pub fn merge(&mut self, other: &GroupMediansAcc) {
-        for (k, g) in &other.groups {
-            match self.groups.get_mut(k) {
-                Some(mine) => {
-                    mine.rtt.merge(&g.rtt);
-                    mine.t_static.merge(&g.t_static);
-                    mine.t_dynamic.merge(&g.t_dynamic);
-                    mine.t_delta.merge(&g.t_delta);
-                    mine.overall.merge(&g.overall);
-                }
-                None => {
-                    self.groups.insert(*k, g.clone());
-                }
-            }
-        }
     }
 
     /// Number of distinct groups so far.

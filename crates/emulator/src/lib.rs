@@ -32,7 +32,7 @@
 //! a [`QuerySink`](sink::QuerySink) as they drain (stream-and-reduce),
 //! so campaign memory is bounded by reducer state rather than query
 //! count, and raw packet traces are retained only when a sink opts in
-//! ([`sink::RetainRaw`]).
+//! ([`CollectSink::with_raw`]).
 //!
 //! Every run also carries a [`simcore::telemetry::MetricsRegistry`]:
 //! the runner harvests the transport- and service-layer registries at
@@ -64,4 +64,4 @@ pub use runner::{run_stream_fed, ProcessedQuery, StreamRun};
 pub use scenarios::Scenario;
 pub use sessions::{SessionFeeder, SessionPlan, SessionWorkload};
 pub use simcore::telemetry::{MetricsRegistry, METRICS_TSV_HEADER};
-pub use sink::{CollectSink, Collected, FoldSink, QuerySink, RetainRaw};
+pub use sink::{CollectSink, Collected, FoldSink, QuerySink};

@@ -12,9 +12,9 @@
 //! dominant memory cost — are only retained when a sink opts in via
 //! [`QuerySink::wants_raw`]; they are handed over **by value**, so
 //! opting in moves the trace instead of cloning it and opting out never
-//! materializes a copy at all. Wrap any sink in [`RetainRaw`] when a
-//! harness genuinely needs traces (Fig. 4's packet-cluster views,
-//! alternative-classifier scoring).
+//! materializes a copy at all. Harnesses that genuinely need traces
+//! (Fig. 4's packet-cluster views, alternative-classifier scoring) use
+//! [`CollectSink::with_raw`].
 
 use crate::runner::ProcessedQuery;
 use cdnsim::{CompletedQuery, QueryOutcome};
@@ -152,48 +152,6 @@ impl QuerySink for CollectSink {
             queries: self.queries,
             raw: self.raw.unwrap_or_default(),
         }
-    }
-}
-
-/// Wraps any sink and additionally retains every raw completion. The
-/// explicit opt-in for harnesses that need packet traces.
-#[derive(Debug)]
-pub struct RetainRaw<S> {
-    inner: S,
-    raw: Vec<CompletedQuery>,
-}
-
-impl<S> RetainRaw<S> {
-    /// Wraps `inner`.
-    pub fn new(inner: S) -> RetainRaw<S> {
-        RetainRaw {
-            inner,
-            raw: Vec::new(),
-        }
-    }
-}
-
-impl<S: QuerySink> QuerySink for RetainRaw<S> {
-    type Output = (S::Output, Vec<CompletedQuery>);
-
-    fn wants_raw(&self) -> bool {
-        true
-    }
-
-    fn on_query(&mut self, pq: &ProcessedQuery) {
-        self.inner.on_query(pq);
-    }
-
-    fn on_raw(&mut self, cq: CompletedQuery) {
-        self.raw.push(cq);
-    }
-
-    fn retained_bytes(&self) -> usize {
-        self.inner.retained_bytes() + self.raw.iter().map(|cq| cq.retained_bytes()).sum::<usize>()
-    }
-
-    fn finish(self) -> (S::Output, Vec<CompletedQuery>) {
-        (self.inner.finish(), self.raw)
     }
 }
 

@@ -20,7 +20,7 @@
 //!   hot path uses it to carry content spans without heap allocation.
 //! * [`telemetry`] — deterministic counters/gauges/histograms and
 //!   virtual/wall-time spans ([`MetricsRegistry`]), gated at runtime by
-//!   `FECDN_METRICS` and at compile time by the `telemetry-off` feature.
+//!   `FECDN_METRICS`.
 //!
 //! The crate is `std`-only and single-threaded by design (its only
 //! dependency is the workspace's own `stats` crate, which backs the

@@ -27,18 +27,15 @@
 //! sketch above) — steady-state recording on the hot path stays
 //! allocation-free.
 //!
-//! Two gates exist, both benchmarked in `bench_tcpsim`:
+//! One gate exists, benchmarked in `bench_tcpsim`: `FECDN_METRICS=0`
+//! (or `off`/`false`) disables recording at registry construction
+//! (sampled once, no per-record env read), and
+//! [`MetricsRegistry::set_enabled`] flips it per registry.
 //!
-//! * the **runtime** gate — `FECDN_METRICS=0` (or `off`/`false`)
-//!   disables recording at registry construction; sampled once, no
-//!   per-record env read;
-//! * the **compile-time** gate — the `telemetry-off` cargo feature
-//!   compiles every record path down to a no-op.
-//!
-//! Neither gate may change simulated behaviour: the registry is
+//! The gate may not change simulated behaviour: the registry is
 //! observe-only (it draws no randomness and schedules nothing), so
-//! golden traces are byte-identical with telemetry enabled, disabled or
-//! compiled out.
+//! golden traces are byte-identical with telemetry enabled or
+//! disabled.
 
 use crate::time::{SimDuration, SimTime};
 use stats::SummaryAcc;
@@ -111,8 +108,7 @@ pub struct WallSpan {
 /// Names are `&'static str` (instrumentation sites name their metrics
 /// in code); storage is a name-ordered map, so rendering and merging
 /// are deterministic by construction. All record methods are no-ops
-/// when the registry is disabled (runtime gate) or when the
-/// `telemetry-off` feature is active (compile-time gate).
+/// when the registry is disabled.
 #[derive(Clone, Debug)]
 pub struct MetricsRegistry {
     enabled: bool,
@@ -147,14 +143,7 @@ impl MetricsRegistry {
 
     /// Whether recording is currently enabled.
     pub fn is_enabled(&self) -> bool {
-        #[cfg(feature = "telemetry-off")]
-        {
-            false
-        }
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            self.enabled
-        }
+        self.enabled
     }
 
     /// Sets the runtime recording gate (already-recorded metrics are
@@ -184,22 +173,15 @@ impl MetricsRegistry {
     }
 
     fn record(&mut self, name: &'static str, wall: bool, f: impl FnOnce(&mut Value), init: Value) {
-        #[cfg(feature = "telemetry-off")]
-        {
-            let _ = (name, wall, f, init);
+        if !self.enabled {
+            return;
         }
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            if !self.enabled {
-                return;
-            }
-            let m = self
-                .metrics
-                .entry(name)
-                .or_insert(Metric { value: init, wall });
-            debug_assert_eq!(m.wall, wall, "metric {name:?} redefined with a new class");
-            f(&mut m.value);
-        }
+        let m = self
+            .metrics
+            .entry(name)
+            .or_insert(Metric { value: init, wall });
+        debug_assert_eq!(m.wall, wall, "metric {name:?} redefined with a new class");
+        f(&mut m.value);
     }
 
     /// Increments the counter `name` by one.
@@ -479,8 +461,7 @@ impl MetricsRegistry {
 /// Times a block against a wall-clock span:
 /// `span!(registry, "tcp.handshake", { body })` evaluates the body,
 /// records its wall duration into the registry's `"tcp.handshake"`
-/// histogram, and yields the body's value. Compiles to just the body
-/// under the `telemetry-off` feature's no-op record path.
+/// histogram, and yields the body's value.
 #[macro_export]
 macro_rules! span {
     ($reg:expr, $name:literal, $body:expr) => {{
@@ -505,10 +486,6 @@ mod tests {
         for x in [1.0, 2.0, 3.0, 4.0] {
             m.observe("c.hist", x);
         }
-        if cfg!(feature = "telemetry-off") {
-            assert!(m.is_empty());
-            return;
-        }
         assert_eq!(m.counter("a.count"), Some(5));
         assert_eq!(m.gauge("b.gauge"), Some((2.0, 3.0)));
         assert_eq!(m.hist_count("c.hist"), Some(4));
@@ -527,7 +504,7 @@ mod tests {
         assert_eq!(m.to_tsv(), METRICS_TSV_HEADER);
         m.set_enabled(true);
         m.inc("x");
-        assert_eq!(m.is_empty(), cfg!(feature = "telemetry-off"));
+        assert!(!m.is_empty());
     }
 
     #[test]
@@ -552,10 +529,6 @@ mod tests {
         a.observe("h", 1.0);
         b.observe("h", 3.0);
         a.merge(&b);
-        if cfg!(feature = "telemetry-off") {
-            assert!(a.is_empty());
-            return;
-        }
         assert_eq!(a.counter("n"), Some(3));
         assert_eq!(a.counter("only_b"), Some(2 - 1));
         assert_eq!(a.gauge("g"), Some((5.0, 5.0)));
@@ -570,10 +543,6 @@ mod tests {
         m.end_virt(sp, SimTime::from_millis(35));
         let out = span!(m, "wall.ms", { 7 * 6 });
         assert_eq!(out, 42);
-        if cfg!(feature = "telemetry-off") {
-            assert!(m.is_empty());
-            return;
-        }
         assert_eq!(m.hist_count("virt.ms"), Some(1));
         let s = m.hist_summary("virt.ms").unwrap();
         assert_eq!(s.min, 25.0);
@@ -592,10 +561,6 @@ mod tests {
         m.inc("a.first");
         m.observe("m.mid", 2.5);
         let tsv = m.to_tsv();
-        if cfg!(feature = "telemetry-off") {
-            assert_eq!(tsv, METRICS_TSV_HEADER);
-            return;
-        }
         let lines: Vec<&str> = tsv.lines().skip(1).collect();
         assert!(lines[0].starts_with("all\ta.first\tcounter"));
         assert!(lines[1].starts_with("all\tm.mid\thist\t1"));
@@ -611,10 +576,7 @@ mod tests {
         m.inc("x");
         let taken = m.take();
         assert!(m.is_empty());
-        assert_eq!(
-            taken.counter("x"),
-            Some(1).filter(|_| !cfg!(feature = "telemetry-off"))
-        );
-        assert!(m.is_enabled() || cfg!(feature = "telemetry-off"));
+        assert_eq!(taken.counter("x"), Some(1));
+        assert!(m.is_enabled());
     }
 }

@@ -16,8 +16,8 @@
 //!   "do FE servers cache results?" experiment of Sec. 3;
 //! * [`hist`] — fixed-width histograms used by reports;
 //! * [`streaming`] — mergeable online reducers (Welford moments,
-//!   exact-when-small/sketch-when-huge quantiles, group-by-key medians)
-//!   backing the bounded-memory campaign result pipeline.
+//!   exact-when-small/sketch-when-huge quantiles) backing the
+//!   bounded-memory campaign result pipeline.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -40,4 +40,4 @@ pub use ks::ks_distance;
 pub use moving::moving_median;
 pub use quantile::{mean, median, quantile, Summary};
 pub use regress::{ols, pearson, theil_sen, Fit};
-pub use streaming::{GroupedMedians, MeanAcc, QuantileAcc, SummaryAcc, Welford};
+pub use streaming::{MeanAcc, QuantileAcc, SummaryAcc, Welford};

@@ -474,104 +474,6 @@ impl Default for SummaryAcc {
     }
 }
 
-// ---------------------------------------------------------------------
-// Group-by-key medians
-// ---------------------------------------------------------------------
-
-/// Group-by-key quantile accumulators: one [`QuantileAcc`] per `u64`
-/// key, iterated in key order (deterministic output).
-#[derive(Clone, Debug)]
-pub struct GroupedMedians {
-    groups: std::collections::BTreeMap<u64, QuantileAcc>,
-    exact: bool,
-    cap: usize,
-}
-
-impl GroupedMedians {
-    /// Per-group accumulators that stay exact forever.
-    pub fn exact() -> GroupedMedians {
-        GroupedMedians {
-            groups: std::collections::BTreeMap::new(),
-            exact: true,
-            cap: 0,
-        }
-    }
-
-    /// Per-group accumulators with a buffer cap each.
-    pub fn with_cap(cap: usize) -> GroupedMedians {
-        GroupedMedians {
-            groups: std::collections::BTreeMap::new(),
-            exact: false,
-            cap,
-        }
-    }
-
-    fn make_acc(&self) -> QuantileAcc {
-        if self.exact {
-            QuantileAcc::exact()
-        } else {
-            QuantileAcc::with_cap(self.cap)
-        }
-    }
-
-    /// Folds one sample into `key`'s accumulator.
-    pub fn push(&mut self, key: u64, x: f64) {
-        let acc = self.make_acc();
-        self.groups.entry(key).or_insert(acc).push(x);
-    }
-
-    /// Merges per-key (concatenation order within each key).
-    pub fn merge(&mut self, other: &GroupedMedians) {
-        for (k, acc) in &other.groups {
-            match self.groups.get_mut(k) {
-                Some(mine) => mine.merge(acc),
-                None => {
-                    self.groups.insert(*k, acc.clone());
-                }
-            }
-        }
-    }
-
-    /// Number of distinct keys.
-    pub fn len(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// True when no sample has been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
-    }
-
-    /// The accumulator for `key`, if any sample arrived for it.
-    pub fn get(&self, key: u64) -> Option<&QuantileAcc> {
-        self.groups.get(&key)
-    }
-
-    /// Iterates `(key, accumulator)` in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &QuantileAcc)> {
-        self.groups.iter().map(|(&k, a)| (k, a))
-    }
-
-    /// `(key, median)` pairs in key order.
-    pub fn medians(&self) -> Vec<(u64, f64)> {
-        self.groups
-            .iter()
-            .map(|(&k, a)| (k, a.median().unwrap()))
-            .collect()
-    }
-
-    /// Total bytes retained across groups.
-    pub fn retained_bytes(&self) -> usize {
-        self.groups.values().map(|a| a.retained_bytes()).sum()
-    }
-}
-
-impl Default for GroupedMedians {
-    fn default() -> GroupedMedians {
-        GroupedMedians::exact()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -721,37 +623,6 @@ mod tests {
         assert_eq!(sum.max, 999.0);
         assert!((sum.mean - 499.5).abs() < 5.0);
         assert!(sum.p25 < sum.median && sum.median < sum.p75 && sum.p75 < sum.p95);
-    }
-
-    #[test]
-    fn grouped_medians_match_batch_per_group() {
-        let mut g = GroupedMedians::exact();
-        let mut raw: std::collections::BTreeMap<u64, Vec<f64>> = Default::default();
-        for i in 0..600u64 {
-            let key = i % 7;
-            let x = ((i * 31) % 113) as f64;
-            g.push(key, x);
-            raw.entry(key).or_default().push(x);
-        }
-        assert_eq!(g.len(), 7);
-        for (k, m) in g.medians() {
-            assert_eq!(Some(m), median(&raw[&k]));
-        }
-        assert!(g.retained_bytes() > 0);
-    }
-
-    #[test]
-    fn grouped_merge_concatenates_per_key() {
-        let xs: Vec<(u64, f64)> = (0..200u64).map(|i| (i % 5, (i * 13 % 47) as f64)).collect();
-        let (a, b) = xs.split_at(83);
-        let mut ga = GroupedMedians::exact();
-        let mut gb = GroupedMedians::exact();
-        a.iter().for_each(|&(k, x)| ga.push(k, x));
-        b.iter().for_each(|&(k, x)| gb.push(k, x));
-        ga.merge(&gb);
-        let mut gall = GroupedMedians::exact();
-        xs.iter().for_each(|&(k, x)| gall.push(k, x));
-        assert_eq!(ga.medians(), gall.medians());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Campaign determinism: the sharded runner must be a pure
 //! reordering of the serial runner.
 //!
-//! Two guarantees are pinned here:
+//! Three guarantees are pinned here:
 //!
 //! 1. **Thread invariance** — a campaign's merged output is
 //!    byte-identical whether it runs on one worker or many. Each run
@@ -14,12 +14,19 @@
 //!    the TSV formatting shows up as a diff here, reviewable in the PR
 //!    that caused it. Refresh intentionally with
 //!    `scripts/update_golden.sh`.
+//! 3. **Bounded streaming memory** — a capped reducer's peak retained
+//!    bytes stay flat at 10× the queries, far below collecting them.
 
 mod common;
 
+use cdnsim::ServiceConfig;
 use common::{compare_golden, representative_campaign};
-use emulator::{CollectSink, FoldSink, ProcessedQuery, RunDescriptor};
-use stats::{QuantileAcc, Welford};
+use emulator::dataset_a::{DatasetA, KeywordPolicy};
+use emulator::{
+    Campaign, CollectSink, Design, FoldSink, ProcessedQuery, QuerySink, RunDescriptor, Scenario,
+};
+use simcore::time::SimDuration;
+use stats::{QuantileAcc, SummaryAcc, Welford};
 
 #[test]
 fn campaign_output_is_thread_invariant() {
@@ -137,4 +144,82 @@ fn golden_trace_seed42_matches() {
 #[test]
 fn golden_trace_seed7_matches() {
     check_golden(7, "campaign_seed7.tsv");
+}
+
+/// A bounded reducer: capped summaries of the two headline columns.
+/// Unlike `FoldSink`, it reports its footprint, so the runner's
+/// per-run peak compares real bytes against `CollectSink`'s.
+struct CappedSummaries {
+    overall: SummaryAcc,
+    t_dynamic: SummaryAcc,
+}
+
+impl QuerySink for CappedSummaries {
+    type Output = ();
+
+    fn on_query(&mut self, q: &ProcessedQuery) {
+        self.overall.push(q.params.overall_ms);
+        self.t_dynamic.push(q.params.t_dynamic_ms);
+    }
+
+    fn retained_bytes(&self) -> usize {
+        self.overall.retained_bytes() + self.t_dynamic.retained_bytes()
+    }
+
+    fn finish(self) {}
+}
+
+/// Runs a two-service Dataset-A campaign of `repeats` rounds under
+/// `factory`; returns (peak retained bytes, queries folded).
+fn peak_and_queries<F, S>(repeats: u64, factory: &F) -> (usize, usize)
+where
+    F: Fn(&RunDescriptor) -> S + Sync,
+    S: QuerySink,
+    S::Output: Send,
+{
+    let seed = 42;
+    let design = Design::DatasetA(DatasetA {
+        repeats,
+        spacing: SimDuration::from_secs(10),
+        keywords: KeywordPolicy::Fixed(0),
+    });
+    let mut c = Campaign::new(Scenario::with_size(seed, 24, 500));
+    c.push("bing-like", ServiceConfig::bing_like(seed), design.clone());
+    c.push("google-like", ServiceConfig::google_like(seed), design);
+    let report = c.execute_stream_with_threads(factory, 2);
+    let queries = report
+        .runs
+        .iter()
+        .map(|r| r.tally.total() - r.tally.skipped)
+        .sum();
+    (report.peak_retained_bytes(), queries)
+}
+
+#[test]
+fn streaming_reducer_memory_stays_bounded_at_10x_queries() {
+    let capped = |_: &RunDescriptor| CappedSummaries {
+        overall: SummaryAcc::with_cap(256),
+        t_dynamic: SummaryAcc::with_cap(256),
+    };
+    let (collect, n_collect) = peak_and_queries(12, &|_| CollectSink::new());
+    let (stream, n_stream) = peak_and_queries(12, &capped);
+    let (stream_10x, _) = peak_and_queries(120, &capped);
+
+    assert_eq!(n_collect, n_stream, "sink choice must not change coverage");
+    assert!(stream > 0, "the reducers retained nothing");
+    assert!(
+        collect >= 5 * stream,
+        "streaming retains {stream} B, not 5x less than collect's {collect} B"
+    );
+    assert!(
+        2 * stream_10x <= 3 * stream,
+        "10x queries grew the streaming peak from {stream} B to {stream_10x} B: unbounded buffering?"
+    );
+    // 1.5x the 8,256 B the capped reducers settled at when this
+    // contract was pinned; the footprint is deterministic, so any creep
+    // is a real change.
+    assert!(
+        stream.max(stream_10x) <= 12_384,
+        "streaming peak {stream} B / {stream_10x} B crept past 12,384 B"
+    );
 }

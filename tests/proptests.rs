@@ -515,41 +515,6 @@ proptest! {
         let hi = xs.iter().cloned().fold(f64::MIN, f64::max);
         prop_assert!(a >= lo - 1e-9 && b <= hi + 1e-9);
     }
-
-    /// Group-by-key medians, sharded and merged in order, equal the
-    /// per-group batch medians bit-for-bit in exact mode.
-    #[test]
-    fn grouped_medians_match_batch_under_sharding(
-        pairs in prop::collection::vec((0u64..8, -1e3f64..1e3), 1..150),
-        cuts in prop::collection::vec(0usize..150, 0..6),
-    ) {
-        use stats::GroupedMedians;
-        use std::collections::BTreeMap;
-        // Shard the pair stream the same way fold_sharded shards values.
-        let keys: Vec<u64> = pairs.iter().map(|p| p.0).collect();
-        let vals: Vec<f64> = pairs.iter().map(|p| p.1).collect();
-        let mut i = 0;
-        let acc = fold_sharded(
-            &vals,
-            &cuts,
-            GroupedMedians::exact,
-            |a, x| {
-                a.push(keys[i], x);
-                i += 1;
-            },
-            |a, b| a.merge(b),
-        );
-        let mut by_key: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
-        for &(k, v) in &pairs {
-            by_key.entry(k).or_default().push(v);
-        }
-        prop_assert_eq!(acc.len(), by_key.len());
-        for (k, vs) in &by_key {
-            let got = acc.get(*k).unwrap().median().unwrap();
-            let want = median(vs).unwrap();
-            prop_assert_eq!(got.to_bits(), want.to_bits(), "key {}: {} vs {}", k, got, want);
-        }
-    }
 }
 
 // ---------- campaign seed-derivation and accounting properties ----------

@@ -8,9 +8,7 @@
 //!    descriptor order.
 //! 2. **Observe-only equivalence** — telemetry never draws randomness
 //!    or schedules events, so the committed golden query traces are
-//!    byte-identical with metrics enabled, runtime-disabled, or
-//!    compiled out entirely (`--features telemetry-off` runs this same
-//!    suite to prove the third leg).
+//!    byte-identical with metrics enabled or runtime-disabled.
 //! 3. **Accounting** — counters, gauges and histograms agree with a
 //!    naive recomputation over the raw observation stream, and a
 //!    sharded 3-way merge agrees with single-registry accumulation
@@ -25,9 +23,6 @@ use emulator::dataset_b::DatasetB;
 use emulator::{Campaign, CollectSink, Design, MetricsRegistry, Scenario, METRICS_TSV_HEADER};
 use proptest::prelude::*;
 use simcore::time::SimDuration;
-
-/// Whether the telemetry record path is compiled out of this build.
-const COMPILED_OUT: bool = cfg!(feature = "telemetry-off");
 
 /// A campaign wide enough to exercise 9 genuinely concurrent workers
 /// (worker counts are clamped to the run count): ten runs mixing both
@@ -100,44 +95,36 @@ fn metrics_tsv_is_byte_identical_at_1_4_9_threads() {
     assert_eq!(r1.merged_metrics().to_tsv(), r9.merged_metrics().to_tsv());
     assert_eq!(r1.merged_metrics().to_json(), r9.merged_metrics().to_json());
 
-    if COMPILED_OUT {
-        // Compiled out: the document is the bare header even though the
-        // runs requested telemetry.
-        assert_eq!(m1, METRICS_TSV_HEADER);
-    } else {
-        // Instrumentation sanity: the layers actually reported in.
-        assert!(m1.len() > METRICS_TSV_HEADER.len());
-        for metric in [
-            "capture.timeline_ok",
-            "tcpsim.events_processed",
-            "tcpsim.handshake_rtt_ms",
-            "cdnsim.fe_static_cache_hits",
-        ] {
-            assert!(m1.contains(metric), "metrics.tsv missing {metric}:\n{m1}");
-        }
-        // Rows appear grouped by run, in descriptor order.
-        let runs_in_doc: Vec<&str> = {
-            let mut seen = Vec::new();
-            for line in m1.lines().skip(1) {
-                let run = line.split('\t').next().unwrap();
-                if seen.last() != Some(&run) {
-                    seen.push(run);
-                }
-            }
-            seen
-        };
-        let want: Vec<String> = wide_labels();
-        assert_eq!(runs_in_doc, want, "metrics rows not in descriptor order");
+    // Instrumentation sanity: the layers actually reported in.
+    assert!(m1.len() > METRICS_TSV_HEADER.len());
+    for metric in [
+        "capture.timeline_ok",
+        "tcpsim.events_processed",
+        "tcpsim.handshake_rtt_ms",
+        "cdnsim.fe_static_cache_hits",
+    ] {
+        assert!(m1.contains(metric), "metrics.tsv missing {metric}:\n{m1}");
     }
+    // Rows appear grouped by run, in descriptor order.
+    let runs_in_doc: Vec<&str> = {
+        let mut seen = Vec::new();
+        for line in m1.lines().skip(1) {
+            let run = line.split('\t').next().unwrap();
+            if seen.last() != Some(&run) {
+                seen.push(run);
+            }
+        }
+        seen
+    };
+    let want: Vec<String> = wide_labels();
+    assert_eq!(runs_in_doc, want, "metrics rows not in descriptor order");
 }
 
 // ---------- 2. observe-only equivalence ----------
 
 /// The committed golden traces (pinned by tests/determinism.rs under the
 /// ambient telemetry default) must be byte-identical when telemetry is
-/// force-enabled and when it is runtime-disabled. Running this suite
-/// with `--features telemetry-off` proves the compiled-out leg with the
-/// same goldens.
+/// force-enabled and when it is runtime-disabled.
 fn golden_is_telemetry_invariant(seed: u64, name: &str) {
     for (metrics, context) in [
         (Some(true), "telemetry force-enabled"),
@@ -181,7 +168,7 @@ fn stderr_report_lists_runs_in_descriptor_order_at_4_threads() {
     // merge, so per-run lines appear in descriptor order no matter how
     // the 4 workers interleaved. Pin that: first occurrence of each
     // label must be strictly increasing, in both the stats table and
-    // (when compiled in) the metrics document.
+    // the metrics document.
     let report = wide_campaign(7).execute_stream_with_threads(&|_| CollectSink::new(), 4);
     let doc = report.stderr_report();
     let mut last = 0usize;
@@ -195,23 +182,21 @@ fn stderr_report_lists_runs_in_descriptor_order_at_4_threads() {
         );
         last = at;
     }
-    if !COMPILED_OUT {
-        let metrics_at = doc
-            .find(METRICS_TSV_HEADER)
-            .expect("stderr report missing the metrics document header");
-        let tail = &doc[metrics_at..];
-        let mut last = 0usize;
-        for label in wide_labels() {
-            let key = format!("\n{label}\t");
-            let at = tail
-                .find(&key)
-                .unwrap_or_else(|| panic!("metrics section missing rows for {label}"));
-            assert!(
-                at >= last,
-                "metrics rows for {label} out of descriptor order"
-            );
-            last = at;
-        }
+    let metrics_at = doc
+        .find(METRICS_TSV_HEADER)
+        .expect("stderr report missing the metrics document header");
+    let tail = &doc[metrics_at..];
+    let mut last = 0usize;
+    for label in wide_labels() {
+        let key = format!("\n{label}\t");
+        let at = tail
+            .find(&key)
+            .unwrap_or_else(|| panic!("metrics section missing rows for {label}"));
+        assert!(
+            at >= last,
+            "metrics rows for {label} out of descriptor order"
+        );
+        last = at;
     }
 }
 
@@ -263,9 +248,6 @@ proptest! {
     fn accounting_matches_naive_recomputation(
         raw in prop::collection::vec((0u64..4, 0u64..3, 0u64..100, 0.0f64..1.0e6), 0..200),
     ) {
-        if COMPILED_OUT {
-            return Ok(()); // record path is a no-op by construction
-        }
         let ops = decode(&raw);
         let mut reg = MetricsRegistry::with_enabled(true);
         let mut counters = [0u64; 3];
@@ -328,9 +310,6 @@ proptest! {
         cut_a in 0u64..201,
         cut_b in 0u64..201,
     ) {
-        if COMPILED_OUT {
-            return Ok(());
-        }
         let ops = decode(&raw);
         let (mut i, mut j) = (
             (cut_a as usize).min(ops.len()),
