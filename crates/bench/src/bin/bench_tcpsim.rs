@@ -8,15 +8,19 @@
 //!
 //! * `bulk` — a handful of long transfers (many-chunk responses, light
 //!   loss): the window-growth / ACK-clock steady state, dominated by
-//!   data-segment construction (`meta_for_range`) and trace recording.
+//!   data-segment construction (`meta_for_range`) and, with tracing on,
+//!   recording the opener's capture.
 //! * `mixed` — thousands of short staggered sessions with loss: the
-//!   handshake / teardown / retransmission paths and per-session trace
-//!   extraction, the shape campaign runners actually produce.
+//!   handshake / teardown / retransmission paths and the per-connection
+//!   capture hand-over, the shape campaign runners actually produce.
 //!
-//! Each (workload × tracing) cell is run `repeats` times and the best
-//! wall-clock is kept (minimum is the right estimator for a
-//! deterministic computation on a noisy machine). Results go to stdout
-//! as a human summary and to `BENCH_tcpsim.json` in the working
+//! Every connection is opened captured, as the measurement harness opens
+//! each query's client connection, so tracing records only the opener's
+//! end. Each (workload × tracing) cell is run `repeats` times; the best
+//! wall-clock is the headline (minimum is the right estimator for a
+//! deterministic computation on a noisy machine), with the median and
+//! interquartile range beside it to show the spread. Results go to
+//! stdout as a human summary and to `BENCH_tcpsim.json` in the working
 //! directory; `scripts/ci.sh` runs the `--smoke` mode and compares
 //! against the committed `BENCH_tcpsim.baseline.json`.
 //!
@@ -24,6 +28,7 @@
 
 use simcore::time::SimDuration;
 use simcore::{EventQueue, HeapQueue};
+use stats::quantile::{iqr, median};
 use std::collections::HashMap;
 use std::time::Instant;
 use tcpsim::{
@@ -45,8 +50,8 @@ struct BenchApp {
     request: u64,
     response: u64,
     chunks: u32,
-    /// Extract each session's trace as soon as it completes, as the
-    /// measurement harness does (bounds memory; exercises `take_session`).
+    /// Take each connection's capture as soon as it completes, as the
+    /// measurement harness does (exercises `take_capture`).
     drain: bool,
     conns: HashMap<ConnId, ConnState>,
     finished: usize,
@@ -129,8 +134,7 @@ impl App for BenchApp {
             self.finished += 1;
             self.conns.remove(&conn);
             if self.drain {
-                let session = net.session_of(conn);
-                let events = net.trace_mut().take_session(session);
+                let events = net.take_capture(conn).unwrap_or_default();
                 self.drained_events += events.len() as u64;
                 // Touch the payload labelling so the compiler cannot
                 // discard the recorded spans.
@@ -143,12 +147,19 @@ impl App for BenchApp {
     }
 }
 
-/// One measured cell.
+/// One measured run.
 struct Cell {
     events: u64,
     recorded: u64,
     wall_s: f64,
     finished: usize,
+}
+
+/// The best of a cell's repeats, with the spread of all of them.
+struct Repeated {
+    best: Cell,
+    median_wall_s: f64,
+    iqr_wall_s: f64,
 }
 
 impl Cell {
@@ -173,13 +184,13 @@ struct Workload {
 fn run_workload(w: &Workload, tracing: bool, telemetry: bool) -> Cell {
     let app = BenchApp::new(400, w.response, w.chunks, tracing);
     let mut sim = Sim::new(42, app);
-    sim.net().trace_mut().set_enabled(tracing);
+    sim.net().set_tracing(tracing);
     // Explicit per-cell telemetry gate: cells must not depend on the
     // ambient FECDN_METRICS value.
     sim.net().metrics_mut().set_enabled(telemetry);
     for s in 0..w.sessions {
         let path = PathParams::lossy(w.rtt_ms, w.loss);
-        sim.net().open(
+        sim.net().open_captured(
             NodeId(2 * s),
             NodeId(2 * s + 1),
             path,
@@ -192,7 +203,7 @@ fn run_workload(w: &Workload, tracing: bool, telemetry: bool) -> Cell {
     sim.run();
     let wall_s = t0.elapsed().as_secs_f64().max(1e-9);
     let events = sim.net().events_processed();
-    let recorded = sim.net().trace().recorded();
+    let recorded = sim.net().trace_recorded();
     let app = sim.into_app();
     assert_eq!(
         app.finished, w.sessions as usize,
@@ -207,15 +218,21 @@ fn run_workload(w: &Workload, tracing: bool, telemetry: bool) -> Cell {
     }
 }
 
-fn best_of(w: &Workload, tracing: bool, telemetry: bool, repeats: u32) -> Cell {
+fn best_of(w: &Workload, tracing: bool, telemetry: bool, repeats: u32) -> Repeated {
     let mut best: Option<Cell> = None;
+    let mut walls = Vec::new();
     for _ in 0..repeats {
         let c = run_workload(w, tracing, telemetry);
+        walls.push(c.wall_s);
         if best.as_ref().is_none_or(|b| c.wall_s < b.wall_s) {
             best = Some(c);
         }
     }
-    best.unwrap()
+    Repeated {
+        best: best.unwrap(),
+        median_wall_s: median(&walls).unwrap(),
+        iqr_wall_s: iqr(&walls).unwrap(),
+    }
 }
 
 /// Paired telemetry-overhead measurement on one workload: interleaved
@@ -338,7 +355,8 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .cloned()
         .unwrap_or_else(|| "BENCH_tcpsim.json".to_string());
-    let (scale, repeats) = if smoke { (1u64, 2u32) } else { (4u64, 3u32) };
+    let scale = if smoke { 1u64 } else { 4 };
+    let repeats = 7u32;
 
     let workloads = [
         Workload {
@@ -363,14 +381,17 @@ fn main() {
     let mut tot = [(0u64, 0u64, 0f64), (0u64, 0u64, 0f64)]; // [off, on] = (events, recorded, wall)
     for w in &workloads {
         for (ti, tracing) in [false, true].into_iter().enumerate() {
-            let c = best_of(w, tracing, true, repeats);
+            let r = best_of(w, tracing, true, repeats);
+            let c = &r.best;
             eprintln!(
-                "{:>5} tracing={:<5} events {:>9}  recorded {:>9}  wall {:>8.1} ms  {:>10.0} events/s  {:>10.0} rec pkts/s  ({} sessions)",
+                "{:>5} tracing={:<5} events {:>9}  recorded {:>9}  wall {:>8.1} ms (median {:.1}, IQR {:.2})  {:>10.0} events/s  {:>10.0} rec pkts/s  ({} sessions)",
                 w.name,
                 tracing,
                 c.events,
                 c.recorded,
                 c.wall_s * 1e3,
+                r.median_wall_s * 1e3,
+                r.iqr_wall_s * 1e3,
                 c.events_per_sec(),
                 c.recorded_per_sec(),
                 c.finished,
@@ -381,7 +402,8 @@ fn main() {
             rows.push(format!(
                 concat!(
                     "    {{\"workload\": \"{}\", \"tracing\": {}, \"events\": {}, ",
-                    "\"recorded_pkts\": {}, \"wall_ms\": {:.3}, \"events_per_sec\": {:.0}, ",
+                    "\"recorded_pkts\": {}, \"wall_ms\": {:.3}, \"wall_ms_median\": {:.3}, ",
+                    "\"wall_ms_iqr\": {:.3}, \"events_per_sec\": {:.0}, ",
                     "\"recorded_pkts_per_sec\": {:.0}}}"
                 ),
                 w.name,
@@ -389,6 +411,8 @@ fn main() {
                 c.events,
                 c.recorded,
                 c.wall_s * 1e3,
+                r.median_wall_s * 1e3,
+                r.iqr_wall_s * 1e3,
                 c.events_per_sec(),
                 c.recorded_per_sec(),
             ));

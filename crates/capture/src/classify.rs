@@ -112,7 +112,6 @@ mod tests {
             t: SimTime::ZERO,
             node: NodeId(1),
             conn: ConnId(0),
-            session: 0,
             dir: PktDir::Rx,
             kind: PktKind::Data,
             seq: 0,

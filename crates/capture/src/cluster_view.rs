@@ -81,7 +81,6 @@ mod tests {
             t: SimTime::from_micros((t_ms * 1000.0) as u64),
             node: NodeId(1),
             conn: ConnId(0),
-            session: 1,
             dir,
             kind,
             seq: 0,

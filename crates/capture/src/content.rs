@@ -58,7 +58,6 @@ mod tests {
             t: SimTime::ZERO,
             node: NodeId(node),
             conn: ConnId(0),
-            session: 0,
             dir: PktDir::Rx,
             kind: PktKind::Data,
             seq: 0,

@@ -183,7 +183,6 @@ mod tests {
             t: SimTime::from_micros(12_345),
             node: NodeId(7),
             conn: ConnId(0),
-            session: 1,
             dir: PktDir::Rx,
             kind,
             seq: 1460,

@@ -64,44 +64,6 @@ impl ClientTrace {
         })
     }
 
-    /// Time the HTTP GET left (`t1`): the first transmitted data packet.
-    pub fn t1(&self) -> Option<SimTime> {
-        self.tx_all
-            .iter()
-            .find(|e| e.kind == PktKind::Data && e.len > 0)
-            .map(|e| e.t)
-    }
-
-    /// End of the request stream: the highest sequence the client sent
-    /// plus its length (what the server's ACK must reach to confirm the
-    /// full GET).
-    pub fn request_end_seq(&self) -> u64 {
-        self.tx_all
-            .iter()
-            .filter(|e| e.kind == PktKind::Data)
-            .map(|e| e.seq + e.len as u64)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Time the first ACK covering the whole GET arrived (`t2`).
-    pub fn t2(&self) -> Option<SimTime> {
-        let req_end = self.request_end_seq();
-        if req_end == 0 {
-            return None;
-        }
-        let t1 = self.t1()?;
-        self.rx_all
-            .iter()
-            .find(|e| e.t >= t1 && e.ack >= req_end)
-            .map(|e| e.t)
-    }
-
-    /// Time of the last received payload packet (`te`).
-    pub fn te(&self) -> Option<SimTime> {
-        self.rx_data.last().map(|e| e.t)
-    }
-
     /// Total payload bytes received.
     pub fn bytes_received(&self) -> u64 {
         self.rx_data.iter().map(|e| e.len as u64).sum()
@@ -126,7 +88,6 @@ mod tests {
             t: SimTime::from_millis(t_ms),
             node: NodeId(node),
             conn: ConnId(0),
-            session: 1,
             dir,
             kind,
             seq,
@@ -157,10 +118,8 @@ mod tests {
         let tr = ClientTrace::new(&sample_session(), NodeId(1)).unwrap();
         assert_eq!(tr.tb, SimTime::ZERO);
         assert_eq!(tr.rtt_ms, Some(50.0));
-        assert_eq!(tr.t1(), Some(SimTime::from_millis(50)));
-        assert_eq!(tr.request_end_seq(), 400);
-        assert_eq!(tr.t2(), Some(SimTime::from_millis(100)));
-        assert_eq!(tr.te(), Some(SimTime::from_millis(300)));
+        assert_eq!(tr.tx_all.len(), 3);
+        assert_eq!(tr.rx_all.len(), 5);
         assert_eq!(tr.bytes_received(), 1460 + 1460 + 1000);
         assert_eq!(tr.rx_data.len(), 3);
     }
@@ -181,22 +140,11 @@ mod tests {
     }
 
     #[test]
-    fn t2_requires_full_request_ack() {
-        let mut evs = sample_session();
-        // Make the first ACK a partial one (ack=200 < 400).
-        evs[4].ack = 200;
-        let tr = ClientTrace::new(&evs, NodeId(1)).unwrap();
-        // Next acking packet is the data packet at 105 with ack=400.
-        assert_eq!(tr.t2(), Some(SimTime::from_millis(105)));
-    }
-
-    #[test]
     fn missing_rtt_when_no_synack() {
         let evs = vec![ev(0, 1, PktDir::Tx, PktKind::Syn, 0, 0, 0)];
         let tr = ClientTrace::new(&evs, NodeId(1)).unwrap();
         assert_eq!(tr.rtt_ms, None);
-        assert_eq!(tr.t1(), None);
-        assert_eq!(tr.t2(), None);
-        assert_eq!(tr.te(), None);
+        assert!(tr.rx_all.is_empty());
+        assert_eq!(tr.bytes_received(), 0);
     }
 }

@@ -3,11 +3,8 @@
 
 use crate::classify::Classifier;
 use crate::errors::{SessionError, TimelineError};
-use crate::session::ClientTrace;
 use simcore::time::SimTime;
-use tcpsim::Marker;
-use tcpsim::NodeId;
-use tcpsim::PktEvent;
+use tcpsim::{Marker, NodeId, PktDir, PktEvent, PktKind};
 
 /// The packet-level landmarks of one query session at the client.
 #[derive(Clone, Copy, Debug)]
@@ -61,73 +58,115 @@ impl Timeline {
     /// classifier. Fails with a [`TimelineError`] naming why the session
     /// is unusable (no handshake, no GET, truncated response,
     /// retransmission storm, or no classifiable boundary).
+    ///
+    /// One pass over the events observed at `client`, in recording
+    /// (time) order, folds every landmark; nothing is copied. When
+    /// several reasons apply, the first in the order above is reported.
     pub fn extract(
         events: &[PktEvent],
         client: NodeId,
         classifier: &Classifier,
     ) -> Result<Timeline, TimelineError> {
-        let trace = ClientTrace::new(events, client)?;
-        Timeline::from_trace(&trace, classifier)
-    }
-
-    /// Extracts the timeline from an already-filtered [`ClientTrace`].
-    pub fn from_trace(
-        trace: &ClientTrace,
-        classifier: &Classifier,
-    ) -> Result<Timeline, TimelineError> {
-        let tb = trace.tb;
-        let rtt_ms = trace.rtt_ms.ok_or(SessionError::NoHandshake)?;
-        let t1 = trace.t1().ok_or(TimelineError::NoRequest)?;
-        let t2 = trace.t2().ok_or(TimelineError::Truncated)?;
-        let te = trace.te().ok_or(TimelineError::Truncated)?;
+        let mut tb: Option<SimTime> = None;
+        let mut synack: Option<SimTime> = None;
+        let mut t1: Option<SimTime> = None;
+        let mut t2: Option<SimTime> = None;
+        let mut t3: Option<SimTime> = None;
+        let mut t4: Option<SimTime> = None;
+        let mut t5: Option<SimTime> = None;
+        let mut te: Option<SimTime> = None;
+        // End of the request stream: the highest sequence the client sent
+        // plus its length (what the server's ACK must reach to confirm
+        // the full GET).
+        let mut request_end = 0u64;
+        let mut static_bytes = 0u64;
+        let mut total_bytes = 0u64;
+        // ByPush state: are we still inside the first PSH-terminated
+        // chunk?
+        let mut before_first_push_end = true;
+        // Does every payload packet so far carry only error-stub bytes?
+        let mut error_stub_only = true;
+        // (seq, len) of every payload packet, for the duplicate count.
+        let mut payload: Vec<(u64, u32)> = Vec::new();
+        for ev in events.iter().filter(|e| e.node == client) {
+            match ev.dir {
+                PktDir::Tx => {
+                    if ev.kind == PktKind::Syn && tb.is_none() {
+                        tb = Some(ev.t);
+                    }
+                    if ev.kind == PktKind::Data {
+                        if ev.len > 0 && t1.is_none() {
+                            t1 = Some(ev.t);
+                        }
+                        let end = ev.seq + ev.len as u64;
+                        if end > request_end {
+                            // An ACK seen before these bytes left cannot
+                            // cover them: look for t2 afresh.
+                            request_end = end;
+                            t2 = None;
+                        }
+                    }
+                }
+                PktDir::Rx => {
+                    if ev.kind == PktKind::SynAck && synack.is_none() {
+                        synack = Some(ev.t);
+                    }
+                    if t2.is_none()
+                        && request_end > 0
+                        && ev.ack >= request_end
+                        && t1.is_some_and(|t1| ev.t >= t1)
+                    {
+                        t2 = Some(ev.t);
+                    }
+                    if ev.kind != PktKind::Data || ev.len == 0 {
+                        continue;
+                    }
+                    payload.push((ev.seq, ev.len));
+                    te = Some(ev.t);
+                    error_stub_only &=
+                        !ev.meta.is_empty() && ev.meta.iter().all(|m| m.marker == Marker::Error);
+                    total_bytes += ev.len as u64;
+                    let class = classifier.classify(ev, before_first_push_end);
+                    static_bytes += classifier.static_bytes(ev, before_first_push_end);
+                    if class.has_static {
+                        if t3.is_none() {
+                            t3 = Some(ev.t);
+                        }
+                        t4 = Some(ev.t);
+                    }
+                    if class.has_dynamic && t5.is_none() {
+                        t5 = Some(ev.t);
+                    }
+                    if ev.push {
+                        before_first_push_end = false;
+                    }
+                }
+                PktDir::Drop => {}
+            }
+        }
+        let tb = tb.ok_or(SessionError::NoClientSyn)?;
+        let rtt_ms = synack
+            .ok_or(SessionError::NoHandshake)?
+            .saturating_since(tb)
+            .as_millis_f64();
+        let t1 = t1.ok_or(TimelineError::NoRequest)?;
+        let t2 = t2.ok_or(TimelineError::Truncated)?;
+        let te = te.ok_or(TimelineError::Truncated)?;
         // Landmark times come from packet arrival order; when most of the
         // payload is retransmitted copies, that order reflects loss
         // recovery rather than server behaviour — refuse to measure.
-        let mut seen = std::collections::HashSet::new();
-        let dup = trace
-            .rx_data
-            .iter()
-            .filter(|e| !seen.insert((e.seq, e.len)))
-            .count();
-        if dup > trace.rx_data.len() / 2 {
+        let received = payload.len();
+        payload.sort_unstable();
+        payload.dedup();
+        if received - payload.len() > received / 2 {
             return Err(TimelineError::RetransmissionHeavy);
         }
         // A response consisting solely of error-stub bytes (a shed
         // query's fast rejection) has no content boundary to measure
         // under any classifier — name the reason instead of reporting a
         // missing boundary.
-        if !trace.rx_data.is_empty()
-            && trace
-                .rx_data
-                .iter()
-                .all(|e| !e.meta.is_empty() && e.meta.iter().all(|m| m.marker == Marker::Error))
-        {
+        if error_stub_only {
             return Err(TimelineError::ErrorStubOnly);
-        }
-        let mut t3: Option<SimTime> = None;
-        let mut t4: Option<SimTime> = None;
-        let mut t5: Option<SimTime> = None;
-        let mut static_bytes = 0u64;
-        let mut total_bytes = 0u64;
-        // ByPush state: are we still inside the first PSH-terminated
-        // chunk?
-        let mut before_first_push_end = true;
-        for ev in &trace.rx_data {
-            total_bytes += ev.len as u64;
-            let class = classifier.classify(ev, before_first_push_end);
-            static_bytes += classifier.static_bytes(ev, before_first_push_end);
-            if class.has_static {
-                if t3.is_none() {
-                    t3 = Some(ev.t);
-                }
-                t4 = Some(ev.t);
-            }
-            if class.has_dynamic && t5.is_none() {
-                t5 = Some(ev.t);
-            }
-            if ev.push {
-                before_first_push_end = false;
-            }
         }
         Ok(Timeline {
             tb,
@@ -147,8 +186,7 @@ impl Timeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::time::SimTime;
-    use tcpsim::{ConnId, Marker, MetaSpan, PktDir, PktKind};
+    use tcpsim::{ConnId, MetaSpan};
 
     #[allow(clippy::too_many_arguments)]
     fn ev(
@@ -165,7 +203,6 @@ mod tests {
             t: SimTime::from_millis(t_ms),
             node: NodeId(1),
             conn: ConnId(0),
-            session: 1,
             dir,
             kind,
             seq,
@@ -261,6 +298,38 @@ mod tests {
         assert_eq!(tl.overall_ms(), 252.0);
         assert_eq!(tl.static_bytes, 2000);
         assert_eq!(tl.total_bytes, 4460);
+    }
+
+    #[test]
+    fn t2_requires_full_request_ack() {
+        let mut evs = session();
+        // Make the first ACK a partial one (ack=200 < 400).
+        evs[3].ack = 200;
+        let tl = Timeline::extract(&evs, NodeId(1), &Classifier::ByMarker).unwrap();
+        // Next acking packet is the data packet at 105 with ack=400.
+        assert_eq!(tl.t2, SimTime::from_millis(105));
+    }
+
+    #[test]
+    fn t2_waits_for_the_last_request_segment() {
+        // A two-segment GET whose first segment is acknowledged before
+        // the second leaves: that ACK covers the request sent so far,
+        // not the whole request, so it is not t2.
+        let mut evs = session();
+        evs[2].len = 300;
+        evs[2].meta = vec![span(0, 300, Marker::Request, 900)].into();
+        evs[3].ack = 300;
+        let mut tail = evs[2].clone();
+        tail.t = SimTime::from_millis(100);
+        tail.seq = 300;
+        tail.len = 100;
+        tail.meta = vec![span(300, 100, Marker::Request, 900)].into();
+        evs.insert(4, tail);
+        let tl = Timeline::extract(&evs, NodeId(1), &Classifier::ByMarker).unwrap();
+        assert_eq!(tl.t1, SimTime::from_millis(50));
+        // The first arrival acknowledging all 400 bytes: the data packet
+        // at 105.
+        assert_eq!(tl.t2, SimTime::from_millis(105));
     }
 
     #[test]

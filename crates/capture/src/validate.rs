@@ -108,7 +108,6 @@ mod tests {
             t: SimTime::from_millis(t_ms),
             node: NodeId(1),
             conn: ConnId(0),
-            session: 1,
             dir,
             kind,
             seq,

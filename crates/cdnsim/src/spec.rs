@@ -27,8 +27,8 @@ pub struct WorldSpec {
     /// Seed of the network-side randomness (path jitter, loss draws).
     /// The FE/BE stochastic models are keyed on `cfg.seed` instead.
     pub world_seed: u64,
-    /// Whether packet tracing is enabled (required for timeline
-    /// extraction; off only for throwaway planning worlds).
+    /// Whether each query's client-side packets are captured (required
+    /// for timeline extraction; off only for throwaway planning worlds).
     pub trace: bool,
 }
 
@@ -39,7 +39,7 @@ impl WorldSpec {
     pub fn build(&self) -> Sim<ServiceWorld> {
         let world = ServiceWorld::new(self.cfg.clone(), self.vantages.clone(), self.corpus.clone());
         let mut sim = Sim::new(self.world_seed, world);
-        sim.net().trace_mut().set_enabled(self.trace);
+        sim.net().set_tracing(self.trace);
         sim.with(|w, net| w.install_faults(net));
         sim
     }

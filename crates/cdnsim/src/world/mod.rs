@@ -14,10 +14,10 @@
 //!    matching the paper's definition of `Tfetch` as the time to
 //!    "deliver it to the FE server"), it sends the dynamic portion after
 //!    the static bytes and closes;
-//! 5. the client sees the FIN — query complete; its packet trace is
-//!    harvested into a [`CompletedQuery`] carrying simulator ground truth
-//!    (true `Tproc`, true fetch interval, true FE overhead) against which
-//!    the inference pipeline is validated.
+//! 5. the client sees the FIN — query complete; the packets captured at
+//!    the client go into a [`CompletedQuery`] carrying simulator ground
+//!    truth (true `Tproc`, true fetch interval, true FE overhead) against
+//!    which the inference pipeline is validated.
 //!
 //! Ablations reroute this flow: `split_tcp = false` connects clients
 //! straight to the BE; `cache_static = false` makes the static bytes ride
@@ -130,7 +130,7 @@ pub struct QuerySpec {
 /// A finished query with measurement trace and simulator ground truth.
 #[derive(Clone, Debug)]
 pub struct CompletedQuery {
-    /// Query id (= trace session id).
+    /// Query id (each attempt of a retried query gets its own).
     pub qid: u64,
     /// Issuing client.
     pub client: usize,
@@ -162,8 +162,10 @@ pub struct CompletedQuery {
     pub rtt_fe_be_ms: f64,
     /// FE↔BE great-circle distance in miles.
     pub dist_fe_be_miles: f64,
-    /// All packet events of this query's session (client, FE and BE
-    /// observations; filter by node for the client-side view).
+    /// The client's view of this attempt, as the paper's vantage points
+    /// capture it: every packet the client transmitted, received or lost
+    /// on its connection, in time order, from the first SYN until the
+    /// attempt ended. Front-end and back-end packets are not recorded.
     pub trace: Vec<PktEvent>,
     /// False when packet tracing was off while this query ran: the empty
     /// `trace` means "not captured", not "no packets" — downstream

@@ -66,13 +66,7 @@ impl ServiceWorld {
             }
             None
         });
-        let conn = match conn {
-            Some(c) => {
-                net.set_session(c, qid);
-                c
-            }
-            None => self.open_be_conn(net, fe, be, qid),
-        };
+        let conn = conn.unwrap_or_else(|| self.open_be_conn(net, fe, be, qid));
         self.conn_info.insert(conn, ConnInfo { qid, leg });
         conn
     }
@@ -164,7 +158,7 @@ impl ServiceWorld {
             Some(f) => Self::fe_node(f),
             None => Self::be_node(be),
         };
-        let conn = net.open(
+        let conn = net.open_captured(
             client_node,
             server_node,
             Self::to_params(&path),
@@ -312,8 +306,9 @@ impl ServiceWorld {
     }
 
     /// Client deadline fired with the query still in flight: abandon the
-    /// attempt (aborting its connections, discarding its trace) and
-    /// either schedule a retry or record a timed-out query.
+    /// attempt (aborting its connections, discarding its capture unless
+    /// it is the final attempt) and either schedule a retry or record a
+    /// timed-out query.
     pub(super) fn act_client_deadline(&mut self, net: &mut Net, qid: u64) {
         let Some(q) = self.queries.remove(&qid) else {
             return; // completed before the deadline
@@ -326,7 +321,7 @@ impl ServiceWorld {
             self.conn_info.remove(&c);
         }
         self.release_slots(&q);
-        let trace = net.trace_mut().try_take_session(qid);
+        let trace = net.take_capture(q.client_conn);
         let policy = self
             .cfg
             .client_retry
@@ -360,7 +355,7 @@ impl ServiceWorld {
             net.abort(hc);
             self.conn_info.remove(&hc);
         }
-        let trace = net.trace_mut().try_take_session(qid);
+        let trace = net.take_capture(q.client_conn);
         // A shed response is a fast rejection: the client retries it
         // like a deadline miss (same backoff machinery, same budget)
         // when attempts remain.
@@ -421,7 +416,7 @@ impl ServiceWorld {
     }
 
     /// Pushes the completion record of an ended attempt, with its
-    /// packet trace when tracing was on.
+    /// client-side capture when tracing was on.
     fn record(
         &mut self,
         qid: u64,

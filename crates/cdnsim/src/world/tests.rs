@@ -13,25 +13,36 @@ fn small_world(cfg: ServiceConfig) -> Sim<ServiceWorld> {
     let corpus = KeywordCorpus::generate(cfg.seed, 200, 0.5);
     let world = ServiceWorld::new(cfg, vantages, corpus);
     let mut sim = Sim::new(7, world);
-    sim.net().trace_mut().set_enabled(true);
+    sim.net().set_tracing(true);
     sim
 }
 
-fn run_one_query(cfg: ServiceConfig) -> CompletedQuery {
-    let mut sim = small_world(cfg);
+/// The FE↔BE connections pooled for `(fe, be)`, in checkout order.
+fn pooled(sim: &mut Sim<ServiceWorld>, fe: usize, be: usize) -> Vec<ConnId> {
+    sim.with(|w, _| w.free_pool.get(&(fe, be)).cloned().unwrap_or_default())
+}
+
+/// Runs one query from client 0 (pinned to `fixed_fe`, if any),
+/// starting `delay_ms` from now, to completion.
+fn run_query(sim: &mut Sim<ServiceWorld>, fixed_fe: Option<usize>, keyword: u64, delay_ms: u64) {
     sim.with(|w, net| {
         w.schedule_query(
             net,
-            SimDuration::from_millis(1),
+            SimDuration::from_millis(delay_ms),
             QuerySpec {
                 client: 0,
-                keyword: 3,
-                fixed_fe: None,
+                keyword,
+                fixed_fe,
                 instant_followup: false,
             },
         );
     });
     sim.run();
+}
+
+fn run_one_query(cfg: ServiceConfig) -> CompletedQuery {
+    let mut sim = small_world(cfg);
+    run_query(&mut sim, None, 3, 1);
     let mut done = sim.with(|w, _| w.drain_completed());
     assert_eq!(done.len(), 1);
     done.pop().unwrap()
@@ -85,32 +96,24 @@ fn client_receives_exactly_the_planned_bytes() {
 fn pool_reuses_connections_across_queries() {
     let mut sim = small_world(ServiceConfig::google_like(3));
     let fe = sim.with(|w, _| w.default_fe(0));
-    for i in 0..3 {
-        sim.with(|w, net| {
-            w.schedule_query(
-                net,
-                SimDuration::from_millis(1 + i * 2_000),
-                QuerySpec {
-                    client: 0,
-                    keyword: i,
-                    fixed_fe: Some(fe),
-                    instant_followup: false,
-                },
-            );
-        });
+    let be = sim.with(|w, _| w.be_of_fe(fe));
+    // The first query opens the pair's only BE connection cold; the
+    // sequential queries after it must check that same connection out
+    // and return it, never opening another.
+    run_query(&mut sim, Some(fe), 0, 1);
+    let first = pooled(&mut sim, fe, be);
+    assert_eq!(first.len(), 1, "one query, one pooled conn");
+    for i in 1..3 {
+        run_query(&mut sim, Some(fe), i, 2_000);
+        assert_eq!(
+            pooled(&mut sim, fe, be),
+            first,
+            "query {i} reopened the BE conn"
+        );
     }
-    sim.run();
     let done = sim.with(|w, _| w.drain_completed());
     assert_eq!(done.len(), 3);
-    // Sequential queries through one FE must reuse the pooled conn:
-    // the BE leg of queries 2 and 3 must carry no SYN.
-    for cq in &done[1..] {
-        let fe_node = ServiceWorld::fe_node(cq.fe.unwrap());
-        let syn_on_be_leg = cq.trace.iter().any(|e| {
-            e.node == fe_node && e.kind == tcpsim::PktKind::Syn && e.dir == tcpsim::PktDir::Tx
-        });
-        assert!(!syn_on_be_leg, "query {} reopened the BE conn", cq.qid);
-    }
+    assert!(done.iter().all(|cq| cq.be == be && cq.fetch_done.is_some()));
 }
 
 #[test]
@@ -120,39 +123,52 @@ fn prewarm_grows_the_pool() {
     let be = sim.with(|w, _| w.be_of_fe(fe));
     sim.with(|w, net| w.prewarm(net, fe, be, 2));
     sim.run();
-    let pooled = sim.with(|w, _| w.free_pool.get(&(fe, be)).map(|v| v.len()).unwrap_or(0));
-    assert_eq!(pooled, 2);
-    // A subsequent query uses a warm conn (no SYN on the BE leg).
-    sim.with(|w, net| {
-        w.schedule_query(
-            net,
-            SimDuration::from_millis(1),
-            QuerySpec {
-                client: 0,
-                keyword: 1,
-                fixed_fe: Some(fe),
-                instant_followup: false,
-            },
-        );
-    });
-    sim.run();
+    let warm = pooled(&mut sim, fe, be);
+    assert_eq!(warm.len(), 2);
+    // A subsequent query fetches over a warm conn: it checks one of the
+    // two out and returns it, opening none.
+    run_query(&mut sim, Some(fe), 1, 1);
     let done = sim.with(|w, _| w.drain_completed());
-    let cq = &done[0];
-    let fe_node = ServiceWorld::fe_node(fe);
-    assert!(!cq.trace.iter().any(|e| e.node == fe_node
-        && e.kind == tcpsim::PktKind::Syn
-        && e.dir == tcpsim::PktDir::Tx));
+    assert_eq!(done.len(), 1);
+    assert!(done[0].fetch_done.is_some());
+    assert_eq!(pooled(&mut sim, fe, be), warm);
 }
 
 #[test]
 fn no_split_tcp_goes_straight_to_the_be() {
-    let cq = run_one_query(ServiceConfig::google_like(5).without_split_tcp());
+    let mut sim = small_world(ServiceConfig::google_like(5).without_split_tcp());
+    run_query(&mut sim, None, 3, 1);
+    let cq = sim.with(|w, _| w.drain_completed()).pop().unwrap();
     assert!(cq.fe.is_none());
     assert!(cq.fetch_start.is_none());
     assert!(cq.proc_ms > 0.0);
-    // The client's peer is a BE node.
-    let be_node = ServiceWorld::be_node(cq.be);
-    assert!(cq.trace.iter().any(|e| e.node == be_node));
+    // The client's peer is its nearest BE: the record names it, and its
+    // nominal RTT is that of the client↔BE path.
+    let (nearest_be, be_rtt) = sim.with(|w, _| {
+        let pt = w.clients[0].pt;
+        let be = nettopo::geo::nearest(&pt, &w.cfg.be_sites, |s| s.pt)
+            .unwrap()
+            .0;
+        (be, w.client_path(0, &w.bes[be].0.pt).nominal_rtt_ms())
+    });
+    assert_eq!(cq.be, nearest_be);
+    assert_eq!(cq.rtt_client_fe_ms, be_rtt);
+    // The captured handshake took at least that round trip.
+    let client_node = ServiceWorld::client_node(0);
+    let first = |dir: tcpsim::PktDir, kind: tcpsim::PktKind| {
+        cq.trace
+            .iter()
+            .find(|e| e.node == client_node && e.dir == dir && e.kind == kind)
+            .map(|e| e.t)
+            .unwrap()
+    };
+    let handshake = first(tcpsim::PktDir::Rx, tcpsim::PktKind::SynAck)
+        .saturating_since(first(tcpsim::PktDir::Tx, tcpsim::PktKind::Syn))
+        .as_millis_f64();
+    assert!(
+        handshake >= be_rtt,
+        "handshake {handshake}ms < BE RTT {be_rtt}ms"
+    );
 }
 
 #[test]
@@ -288,10 +304,12 @@ fn empty_fault_plan_is_byte_identical() {
     let plain = run(false);
     let faulted = run(true);
     assert_eq!(plain.t_done, faulted.t_done);
-    assert_eq!(plain.trace.len(), faulted.trace.len());
-    for (a, b) in plain.trace.iter().zip(faulted.trace.iter()) {
-        assert_eq!(a, b);
-    }
+    assert!(!plain.trace.is_empty());
+    assert_eq!(plain.trace, faulted.trace);
+    // The BE leg is not captured; its ground-truth instants pin it.
+    assert!(plain.fetch_done.is_some());
+    assert_eq!(plain.fetch_start, faulted.fetch_start);
+    assert_eq!(plain.fetch_done, faulted.fetch_done);
     assert_eq!(faulted.outcome, QueryOutcome::Ok);
 }
 
@@ -460,9 +478,9 @@ fn fe_outage_outlasting_retry_budget_times_out() {
 #[test]
 fn conn_drop_forces_cold_reconnect() {
     // A persistent-connection drop empties the FE's pool; the next
-    // query must open a fresh (cold) BE connection — visible as a SYN
-    // on the FE's BE leg.
-    let run = |drop_conns: bool| -> CompletedQuery {
+    // query must open a fresh (cold) BE connection — a ConnId the warm
+    // pool never held.
+    let run = |drop_conns: bool| -> (CompletedQuery, Vec<ConnId>, Vec<ConnId>) {
         let mut probe = small_world(ServiceConfig::google_like(16));
         let (fe, be) = probe.with(|w, _| {
             let fe = w.default_fe(0);
@@ -477,36 +495,27 @@ fn conn_drop_forces_cold_reconnect() {
             ));
         }
         let mut sim = small_world(cfg);
-        sim.with(|w, net| {
+        let prewarmed = sim.with(|w, net| {
             w.install_faults(net);
             w.prewarm(net, fe, be, 1);
+            w.conn_info.keys().copied().collect::<Vec<_>>()
         });
         sim.run(); // warm the pool
-        sim.with(|w, net| {
-            w.schedule_query(
-                net,
-                SimDuration::from_millis(1_000),
-                QuerySpec {
-                    client: 0,
-                    keyword: 3,
-                    fixed_fe: Some(fe),
-                    instant_followup: false,
-                },
-            );
-        });
-        sim.run();
-        sim.with(|w, _| w.drain_completed()).pop().unwrap()
+        run_query(&mut sim, Some(fe), 3, 1_000);
+        let after = pooled(&mut sim, fe, be);
+        let cq = sim.with(|w, _| w.drain_completed()).pop().unwrap();
+        (cq, prewarmed, after)
     };
-    let syn_on_be_leg = |cq: &CompletedQuery| {
-        let fe_node = ServiceWorld::fe_node(cq.fe.unwrap());
-        cq.trace.iter().any(|e| {
-            e.node == fe_node && e.kind == tcpsim::PktKind::Syn && e.dir == tcpsim::PktDir::Tx
-        })
-    };
-    let warm = run(false);
-    let cold = run(true);
-    assert!(!syn_on_be_leg(&warm), "control run must reuse the pool");
-    assert!(syn_on_be_leg(&cold), "dropped pool must force a cold SYN");
+    let (warm, warm_conns, warm_after) = run(false);
+    let (cold, cold_conns, cold_after) = run(true);
+    assert_eq!(warm_conns.len(), 1);
+    assert_eq!(warm_after, warm_conns, "control run must reuse the pool");
+    assert_eq!(cold_conns.len(), 1);
+    assert_eq!(cold_after.len(), 1);
+    assert_ne!(
+        cold_after, cold_conns,
+        "dropped pool must force a fresh connection"
+    );
     // Cold handshake + slow start make the fetch strictly slower.
     assert!(cold.true_fetch_ms().unwrap() > warm.true_fetch_ms().unwrap());
 }
@@ -872,10 +881,10 @@ fn inert_overload_policies_do_not_change_a_run() {
     assert_eq!(plain.t_done, guarded.t_done);
     assert_eq!(plain.proc_ms, guarded.proc_ms);
     assert_eq!(plain.fe_overhead_ms, guarded.fe_overhead_ms);
-    assert_eq!(plain.trace.len(), guarded.trace.len());
-    for (a, b) in plain.trace.iter().zip(guarded.trace.iter()) {
-        assert_eq!(a.t, b.t);
-        assert_eq!(a.kind, b.kind);
-        assert_eq!(a.len, b.len);
-    }
+    assert!(!plain.trace.is_empty());
+    assert_eq!(plain.trace, guarded.trace);
+    // The BE leg is not captured; its ground-truth instants pin it.
+    assert!(plain.fetch_done.is_some());
+    assert_eq!(plain.fetch_start, guarded.fetch_start);
+    assert_eq!(plain.fetch_done, guarded.fetch_done);
 }

@@ -335,7 +335,7 @@ mod tests {
         // against a vacuously empty trace.
         let s = Scenario::small(4);
         let mut sim = s.google_sim();
-        sim.net().trace_mut().set_enabled(false);
+        sim.net().set_tracing(false);
         sim.with(|w, net| {
             w.schedule_query(
                 net,

@@ -20,12 +20,11 @@
 //!   for them (`include_wall = true`, stderr diagnostics) and are never
 //!   part of a byte-compared document.
 //!
-//! Recording follows the `TraceLog` recycled-arena idiom: after a metric
-//! name's first touch, counters and gauges update in place with no
-//! allocation, and histograms amortize through the bounded
-//! [`stats::SummaryAcc`] buffer (exact below its cap, deterministic
-//! sketch above) — steady-state recording on the hot path stays
-//! allocation-free.
+//! Recording allocates only on a metric name's first touch: after it,
+//! counters and gauges update in place, and histograms amortize through
+//! the bounded [`stats::SummaryAcc`] buffer (exact below its cap,
+//! deterministic sketch above) — steady-state recording on the hot path
+//! stays allocation-free.
 //!
 //! One gate exists, benchmarked in `bench_tcpsim`: `FECDN_METRICS=0`
 //! (or `off`/`false`) disables recording at registry construction

@@ -20,16 +20,16 @@
 //!   persistent FE↔BE connections, which is precisely the "warm
 //!   connection" benefit of split TCP,
 //! * per-path delay/jitter/loss/bandwidth from a [`PathParams`],
-//! * full packet tracing with application-layer *markers* (request /
-//!   static / dynamic ...), the simulator's analogue of running tcpdump
-//!   with payloads at every vantage point.
+//! * client-vantage packet capture with application-layer *markers*
+//!   (request / static / dynamic ...), the simulator's analogue of the
+//!   paper's tcpdump with payloads at the measuring client.
 //!
 //! The simulation is deterministic: all randomness (jitter, loss) comes
 //! from per-connection streams derived from the experiment seed.
 //!
 //! ## Architecture
 //!
-//! [`Sim`] owns a [`Net`] (connections, event queue, traces) and the
+//! [`Sim`] owns a [`Net`] (connections, event queue, captures) and the
 //! user's [`App`] (the application state machine: clients, front-end
 //! servers, back-end data centers live there). The event loop pops one
 //! event, updates TCP state, and queues application callbacks which are
@@ -53,4 +53,4 @@ pub use net::{
 };
 pub use opts::{CongAlgo, TcpOptions};
 pub use segment::{Marker, MetaSpan, PktKind, Segment, SpanVec};
-pub use trace::{PktDir, PktEvent, TraceLog};
+pub use trace::{PktDir, PktEvent};

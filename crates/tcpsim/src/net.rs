@@ -11,7 +11,7 @@
 use crate::endpoint::{AckPolicy, AckReaction, Endpoint, TcpState};
 use crate::opts::TcpOptions;
 use crate::segment::{Marker, MetaSpan, PktKind, Segment, SpanVec};
-use crate::trace::{PktDir, TraceLog};
+use crate::trace::{PktDir, PktEvent};
 use simcore::dist::{Dist, Sampler};
 use simcore::queue::EventQueue;
 use simcore::rng::Rng;
@@ -270,7 +270,6 @@ enum Cb {
 
 struct Conn {
     nodes: [NodeId; 2],
-    session: u64,
     path: PathParams,
     rng: Rng,
     busy_until: [SimTime; 2],
@@ -282,13 +281,38 @@ struct Conn {
     handshake_retx: bool,
     fin_cb_fired: [bool; 2],
     aborted: bool,
+    /// The opener's packet events, while the connection is captured
+    /// ([`Net::open_captured`] with tracing on) and not yet taken.
+    capture: Option<Vec<PktEvent>>,
 }
 
-/// All network state: connections, event queue, traces.
+impl Conn {
+    /// Appends `end`'s observation of `seg` to the capture when `end` is
+    /// the captured opener; returns whether an event was recorded.
+    fn observe(&mut self, cid: ConnId, end: End, dir: PktDir, now: SimTime, seg: &Segment) -> bool {
+        match &mut self.capture {
+            Some(events) if end == End::A => {
+                events.push(PktEvent::observe(now, self.nodes[0], cid, dir, seg));
+                true
+            }
+            _ => false,
+        }
+    }
+}
+
+/// Initial capacity of a capture: a loss-free query records a few dozen
+/// client-side events, so starting at capacity 0 (4, 8, ...) would
+/// reallocate several times per query on the hot path.
+const CAPTURE_CAPACITY: usize = 64;
+
+/// All network state: connections, event queue, client captures.
 pub struct Net {
     q: EventQueue<Ev>,
     conns: Vec<Conn>,
-    trace: TraceLog,
+    // Client-vantage tracing: whether `open_captured` starts a capture,
+    // and how many events every capture has recorded so far.
+    tracing: bool,
+    trace_recorded: u64,
     cbs: VecDeque<Cb>,
     app_rng: Rng,
     // Fault-injection state: scheduled link/node faults and the dedicated
@@ -309,7 +333,8 @@ impl Net {
         Net {
             q: EventQueue::new(),
             conns: Vec::new(),
-            trace: TraceLog::new(),
+            tracing: false,
+            trace_recorded: 0,
             cbs: VecDeque::new(),
             app_rng: Rng::from_seed_and_name(seed, "tcpsim/app"),
             faults: Vec::new(),
@@ -330,14 +355,16 @@ impl Net {
         &mut self.app_rng
     }
 
-    /// The packet trace store.
-    pub fn trace(&self) -> &TraceLog {
-        &self.trace
+    /// Enables or disables client-vantage tracing for connections opened
+    /// from now on (throughput benches disable it). Off by default.
+    pub fn set_tracing(&mut self, on: bool) {
+        self.tracing = on;
     }
 
-    /// Mutable access to the packet trace store (enable/take sessions).
-    pub fn trace_mut(&mut self) -> &mut TraceLog {
-        &mut self.trace
+    /// Packet events recorded by every capture since creation (taken
+    /// ones included).
+    pub fn trace_recorded(&self) -> u64 {
+        self.trace_recorded
     }
 
     /// The transport-layer telemetry registry.
@@ -361,7 +388,7 @@ impl Net {
             self.metrics
                 .set_gauge("tcpsim.events_processed", self.q.events_processed() as f64);
             self.metrics
-                .set_gauge("tcpsim.trace_recorded_pkts", self.trace.recorded() as f64);
+                .set_gauge("tcpsim.trace_recorded_pkts", self.trace_recorded as f64);
             // Timing-wheel scheduler health: cascade traffic, overflow
             // promotions, and the bucket-occupancy high-water mark.
             self.metrics
@@ -420,8 +447,9 @@ impl Net {
     }
 
     /// Opens a connection from node `a` to node `b` over `path`; the SYN
-    /// leaves immediately. `session` tags all trace events of this
-    /// connection (the query id in the measurement harness).
+    /// leaves immediately. `session` names the connection's random
+    /// stream (the query id in the measurement harness). Nothing is
+    /// captured; see [`Net::open_captured`].
     pub fn open(
         &mut self,
         a: NodeId,
@@ -431,11 +459,46 @@ impl Net {
         opts_b: TcpOptions,
         session: u64,
     ) -> ConnId {
+        self.open_with([a, b], path, [opts_a, opts_b], session, false)
+    }
+
+    /// Like [`Net::open`], but when tracing is on the opener's view is
+    /// captured from its first SYN on: every packet `a` transmits,
+    /// receives or loses on this connection, until
+    /// [`Net::take_capture`].
+    pub fn open_captured(
+        &mut self,
+        a: NodeId,
+        b: NodeId,
+        path: PathParams,
+        opts_a: TcpOptions,
+        opts_b: TcpOptions,
+        session: u64,
+    ) -> ConnId {
+        self.open_with([a, b], path, [opts_a, opts_b], session, true)
+    }
+
+    /// Hands over a connection's capture and stops recording it. `None`
+    /// means nothing was captured: tracing was off when the connection
+    /// opened, it was opened with [`Net::open`], or its capture was
+    /// already taken.
+    pub fn take_capture(&mut self, conn: ConnId) -> Option<Vec<PktEvent>> {
+        self.conns[conn.0 as usize].capture.take()
+    }
+
+    fn open_with(
+        &mut self,
+        nodes: [NodeId; 2],
+        path: PathParams,
+        opts: [TcpOptions; 2],
+        session: u64,
+        captured: bool,
+    ) -> ConnId {
         let cid = ConnId(self.conns.len() as u32);
         let rng = Rng::from_seed_and_name(self.seed, &format!("tcpsim/conn/{}/{}", cid.0, session));
+        let [opts_a, opts_b] = opts;
         let mut conn = Conn {
-            nodes: [a, b],
-            session,
+            nodes,
             path,
             rng,
             busy_until: [SimTime::ZERO; 2],
@@ -445,6 +508,7 @@ impl Net {
             handshake_retx: false,
             fin_cb_fired: [false, false],
             aborted: false,
+            capture: (captured && self.tracing).then(|| Vec::with_capacity(CAPTURE_CAPACITY)),
         };
         conn.ep[0].state = TcpState::SynSent;
         conn.ep[0].syn_sent_count = 1;
@@ -500,19 +564,6 @@ impl Net {
         self.conns[conn.0 as usize].ep[end.idx()].stats
     }
 
-    /// The session tag a connection was opened with.
-    pub fn session_of(&self, conn: ConnId) -> u64 {
-        self.conns[conn.0 as usize].session
-    }
-
-    /// Re-tags a connection's future trace events with a new session id.
-    /// Persistent (pooled) connections carry many queries over their
-    /// lifetime; the split-TCP proxy re-tags at every checkout so each
-    /// query's packets land in its own trace bucket.
-    pub fn set_session(&mut self, conn: ConnId, session: u64) {
-        self.conns[conn.0 as usize].session = session;
-    }
-
     /// Installs a scheduled fault. Faults are consulted on every packet
     /// transmission while their window is active; an empty fault list
     /// costs nothing and draws no randomness.
@@ -566,9 +617,7 @@ impl Net {
         if c.aborted {
             return;
         }
-        let node = c.nodes[from.idx()];
-        self.trace
-            .record(now, node, cid, c.session, PktDir::Tx, &seg);
+        self.trace_recorded += c.observe(cid, from, PktDir::Tx, now, &seg) as u64;
         c.ep[from.idx()].last_send = now;
         // Serialization at the bottleneck (per direction).
         let ser = c.path.serialization(seg.wire_bytes());
@@ -613,15 +662,9 @@ impl Net {
                 }
             }
         }
-        if fault_drop {
-            self.trace
-                .record(now, node, cid, c.session, PktDir::Drop, &seg);
-            return;
-        }
-        // Loss coin (after consuming the wire).
-        if c.rng.chance(c.path.loss) {
-            self.trace
-                .record(now, node, cid, c.session, PktDir::Drop, &seg);
+        // Otherwise the path's own loss coin (after consuming the wire).
+        if fault_drop || c.rng.chance(c.path.loss) {
+            self.trace_recorded += c.observe(cid, from, PktDir::Drop, now, &seg) as u64;
             return;
         }
         let jitter = c.path.jitter_ms.sample(&mut c.rng).max(0.0);
@@ -834,15 +877,13 @@ impl Net {
     fn handle_deliver(&mut self, cid: ConnId, to: End, seg: Segment) {
         let now = self.now();
         {
-            let c = &self.conns[cid.0 as usize];
+            let c = &mut self.conns[cid.0 as usize];
             if c.aborted {
                 // Packets in flight when the connection was torn down
                 // arrive at a dead socket: discarded, unrecorded.
                 return;
             }
-            let node = c.nodes[to.idx()];
-            self.trace
-                .record(now, node, cid, c.session, PktDir::Rx, &seg);
+            self.trace_recorded += c.observe(cid, to, PktDir::Rx, now, &seg) as u64;
         }
         match seg.kind {
             PktKind::Syn => {
@@ -1369,8 +1410,8 @@ mod tests {
     #[test]
     fn trace_captures_handshake_and_data() {
         let mut sim = Sim::new(42, Echoish::new(400, 5000));
-        sim.net().trace_mut().set_enabled(true);
-        sim.net().open(
+        sim.net().set_tracing(true);
+        let cid = sim.net().open_captured(
             NodeId(1),
             NodeId(2),
             PathParams::ideal(50.0),
@@ -1379,24 +1420,77 @@ mod tests {
             77,
         );
         sim.run();
-        let events = sim.net().trace_mut().take_session(77);
+        let events = sim.net().take_capture(cid).unwrap();
         assert!(!events.is_empty());
-        // Client (node 1) must have sent a SYN and received a SYN-ACK.
+        // Only the opener's view is captured.
+        assert!(events.iter().all(|e| e.node == NodeId(1) && e.conn == cid));
+        // The client must have sent a SYN and received a SYN-ACK.
         assert!(events
             .iter()
-            .any(|e| e.node == NodeId(1) && e.dir == PktDir::Tx && e.kind == PktKind::Syn));
+            .any(|e| e.dir == PktDir::Tx && e.kind == PktKind::Syn));
         assert!(events
             .iter()
-            .any(|e| e.node == NodeId(1) && e.dir == PktDir::Rx && e.kind == PktKind::SynAck));
+            .any(|e| e.dir == PktDir::Rx && e.kind == PktKind::SynAck));
         // Data flowed to the client with Static markers.
-        assert!(events.iter().any(|e| e.node == NodeId(1)
-            && e.dir == PktDir::Rx
+        assert!(events.iter().any(|e| e.dir == PktDir::Rx
             && e.kind == PktKind::Data
             && e.meta.iter().any(|m| m.marker == Marker::Static)));
         // Timestamps are non-decreasing.
         for w in events.windows(2) {
             assert!(w[0].t <= w[1].t);
         }
+        assert_eq!(sim.net().trace_recorded(), events.len() as u64);
+    }
+
+    #[test]
+    fn capture_is_opt_in_per_connection_and_stops_when_taken() {
+        // Tracing off: nothing is captured, and the hand-over says so.
+        let mut off = Sim::new(42, Echoish::new(400, 5000));
+        let cid = off.net().open_captured(
+            NodeId(1),
+            NodeId(2),
+            PathParams::ideal(50.0),
+            TcpOptions::default(),
+            TcpOptions::default(),
+            1,
+        );
+        off.run();
+        assert_eq!(off.net().take_capture(cid), None);
+        assert_eq!(off.net().trace_recorded(), 0);
+
+        // Tracing on: a plain `open` captures nothing, and taking a
+        // capture mid-transfer hands over what was seen and stops
+        // recording the connection.
+        let mut sim = Sim::new(42, Echoish::new(400, 30_000));
+        sim.net().set_tracing(true);
+        let plain = sim.net().open(
+            NodeId(3),
+            NodeId(4),
+            PathParams::ideal(50.0),
+            TcpOptions::default(),
+            TcpOptions::default(),
+            1,
+        );
+        let cid = sim.net().open_captured(
+            NodeId(1),
+            NodeId(2),
+            PathParams::ideal(50.0),
+            TcpOptions::default(),
+            TcpOptions::default(),
+            2,
+        );
+        sim.run_until(SimTime::from_millis(120));
+        let early = sim.net().take_capture(cid).unwrap();
+        assert!(early.iter().any(|e| e.kind == PktKind::Syn));
+        assert_eq!(sim.net().trace_recorded(), early.len() as u64);
+        sim.run();
+        assert_eq!(sim.net().take_capture(cid), None);
+        assert_eq!(sim.net().take_capture(plain), None);
+        assert_eq!(
+            sim.net().trace_recorded(),
+            early.len() as u64,
+            "a taken capture records nothing more"
+        );
     }
 
     #[test]

@@ -223,6 +223,22 @@ SCHEMAS = {
         "pending_growth_factor": NUM,
     },
 }
+# Every bench_tcpsim cell carries its best wall with the median and IQR
+# of its repeats.
+TCPSIM_CELL = {
+    "workload": STR, "events": NUM, "recorded_pkts": NUM,
+    "wall_ms": NUM, "wall_ms_median": NUM, "wall_ms_iqr": NUM,
+    "events_per_sec": NUM, "recorded_pkts_per_sec": NUM,
+}
+
+def check(where, doc, schema):
+    for k, ty in schema.items():
+        if k not in doc:
+            fail.append(f"{where}: missing required key {k!r}")
+        elif not isinstance(doc[k], ty) or isinstance(doc[k], bool):
+            fail.append(f"{where}: key {k!r} has type "
+                        f"{type(doc[k]).__name__}, want {ty}")
+
 fail = []
 for stem, schema in SCHEMAS.items():
     for path in (f"{stem}.json", f"{stem}.baseline.json"):
@@ -231,12 +247,13 @@ for stem, schema in SCHEMAS.items():
         except Exception as e:
             fail.append(f"{path}: unreadable ({e})")
             continue
-        for k, ty in schema.items():
-            if k not in doc:
-                fail.append(f"{path}: missing required key {k!r}")
-            elif not isinstance(doc[k], ty) or isinstance(doc[k], bool):
-                fail.append(f"{path}: key {k!r} has type "
-                            f"{type(doc[k]).__name__}, want {ty}")
+        check(path, doc, schema)
+        if stem == "BENCH_tcpsim" and isinstance(doc.get("cells"), list):
+            for i, cell in enumerate(doc["cells"]):
+                if isinstance(cell, dict):
+                    check(f"{path}: cells[{i}]", cell, TCPSIM_CELL)
+                else:
+                    fail.append(f"{path}: cells[{i}] is not an object")
 
 # The merged telemetry artifact (written by the exp_whatif smoke above):
 # a flat object of metrics, each an object with a known kind and numeric

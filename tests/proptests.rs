@@ -14,6 +14,9 @@ struct Transfer {
     response: u64,
     client_got: u64,
     server_got: u64,
+    /// Most request bytes one arrival delivered at the server: more than
+    /// one MSS means a segment overtook its predecessor.
+    server_max_delivery: u64,
     spans_seen: Vec<(u64, u32)>,
     done: bool,
 }
@@ -29,6 +32,7 @@ impl App for Transfer {
         match end {
             End::B => {
                 self.server_got += bytes;
+                self.server_max_delivery = self.server_max_delivery.max(bytes);
                 if self.server_got == self.request {
                     net.send(conn, End::B, self.response, Marker::Static, 2);
                     net.close(conn, End::B);
@@ -69,6 +73,7 @@ proptest! {
             response,
             client_got: 0,
             server_got: 0,
+            server_max_delivery: 0,
             spans_seen: Vec::new(),
             done: false,
         };
@@ -95,10 +100,14 @@ proptest! {
         prop_assert_eq!(expected, response);
     }
 
-    /// Links are FIFO: despite per-packet jitter, arrivals at each node
-    /// never reorder (timestamps per (node, Rx) stream are
-    /// non-decreasing, and data seq numbers of first-transmissions
-    /// arrive in order on clean paths).
+    /// Links are FIFO: despite per-packet jitter, arrivals never reorder
+    /// in either direction. The request is as large as the response, so
+    /// both directions carry multi-segment flights. Client side (from its
+    /// capture): Rx timestamps are non-decreasing and, the path being
+    /// clean, data seq numbers strictly increase. Server side: every
+    /// request segment is delivered on its own arrival — one that
+    /// overtook its predecessor would be held back and delivered together
+    /// with it, more than one MSS at once.
     #[test]
     fn links_deliver_fifo_under_jitter(
         seed in 0u64..2_000,
@@ -107,14 +116,15 @@ proptest! {
     ) {
         use simcore::dist::Dist;
         let mut sim = Sim::new(seed, Transfer {
-            request: 400,
+            request: response,
             response,
             client_got: 0,
             server_got: 0,
+            server_max_delivery: 0,
             spans_seen: Vec::new(),
             done: false,
         });
-        sim.net().trace_mut().set_enabled(true);
+        sim.net().set_tracing(true);
         let path = PathParams {
             base_owd_ms: rtt_ms / 2.0,
             // Heavy jitter relative to serialization gaps.
@@ -125,37 +135,42 @@ proptest! {
             loss: 0.0,
             bw_mbps: 1_000.0,
         };
-        sim.net().open(
+        let opts = TcpOptions::default();
+        let mss = opts.mss as u64;
+        let cid = sim.net().open_captured(
             NodeId(1),
             NodeId(2),
             path,
-            TcpOptions::default(),
-            TcpOptions::default(),
+            opts.clone(),
+            opts,
             1,
         );
         sim.run();
-        let trace = sim.net().trace_mut().take_session(1);
-        // Per-node Rx timestamps non-decreasing.
-        for node in [NodeId(1), NodeId(2)] {
-            let mut last = None;
-            for ev in trace.iter().filter(|e| e.node == node && e.dir == tcpsim::PktDir::Rx) {
-                if let Some(prev) = last {
-                    prop_assert!(ev.t >= prev, "Rx reordered at {node:?}");
-                }
-                last = Some(ev.t);
+        let trace = sim.net().take_capture(cid).unwrap();
+        prop_assert!(trace.iter().all(|e| e.node == NodeId(1)));
+        let mut last = None;
+        for ev in trace.iter().filter(|e| e.dir == tcpsim::PktDir::Rx) {
+            if let Some(prev) = last {
+                prop_assert!(ev.t >= prev, "Rx reordered at the client");
             }
+            last = Some(ev.t);
         }
-        // Clean path ⇒ no retransmissions ⇒ client-received data seqs
-        // strictly increase.
         let mut prev_seq = None;
         for ev in trace.iter().filter(|e| {
-            e.node == NodeId(1) && e.dir == tcpsim::PktDir::Rx && e.kind == tcpsim::PktKind::Data
+            e.dir == tcpsim::PktDir::Rx && e.kind == tcpsim::PktKind::Data
         }) {
             if let Some(p) = prev_seq {
                 prop_assert!(ev.seq > p, "data seq went backwards: {} after {p}", ev.seq);
             }
             prev_seq = Some(ev.seq);
         }
+        let app = sim.into_app();
+        prop_assert_eq!(app.server_got, response);
+        prop_assert!(
+            app.server_max_delivery <= mss,
+            "request segments reordered: {} B delivered at once",
+            app.server_max_delivery
+        );
     }
 
     /// The simulation is replay-deterministic for any parameters.
@@ -172,6 +187,7 @@ proptest! {
                 response,
                 client_got: 0,
                 server_got: 0,
+                server_max_delivery: 0,
                 spans_seen: Vec::new(),
                 done: false,
             });

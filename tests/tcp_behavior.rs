@@ -48,8 +48,8 @@ fn trace_run(
             got: 0,
         },
     );
-    sim.net().trace_mut().set_enabled(true);
-    sim.net().open(
+    sim.net().set_tracing(true);
+    let cid = sim.net().open_captured(
         NodeId(1),
         NodeId(2),
         PathParams::ideal(rtt_ms),
@@ -59,7 +59,7 @@ fn trace_run(
     );
     sim.run();
     let got = sim.app().got;
-    let trace = sim.net().trace_mut().take_session(9);
+    let trace = sim.net().take_capture(cid).unwrap();
     (trace, got)
 }
 
@@ -130,8 +130,8 @@ fn receive_window_caps_the_flight() {
             got: 0,
         },
     );
-    sim.net().trace_mut().set_enabled(true);
-    sim.net().open(
+    sim.net().set_tracing(true);
+    let cid = sim.net().open_captured(
         NodeId(1),
         NodeId(2),
         PathParams::ideal(60.0),
@@ -141,7 +141,7 @@ fn receive_window_caps_the_flight() {
     );
     sim.run();
     assert_eq!(sim.app().got, 150_000);
-    let trace = sim.net().trace_mut().take_session(9);
+    let trace = sim.net().take_capture(cid).unwrap();
     // Max outstanding bytes observed at the client: max seq_end received
     // minus max ack the client had sent before that arrival never
     // exceeds rwnd. Simpler proxy: count packets per RTT round ≤ 6
@@ -176,8 +176,8 @@ fn rto_backoff_doubles_under_blackout_and_recovers() {
             got: 0,
         },
     );
-    sim.net().trace_mut().set_enabled(true);
-    sim.net().open(
+    sim.net().set_tracing(true);
+    let cid = sim.net().open_captured(
         NodeId(1),
         NodeId(2),
         PathParams {
@@ -191,7 +191,7 @@ fn rto_backoff_doubles_under_blackout_and_recovers() {
         9,
     );
     sim.run_until(SimTime::from_secs(300));
-    let trace = sim.net().trace_mut().take_session(9);
+    let trace = sim.net().take_capture(cid).unwrap();
     let syn_tx: Vec<SimTime> = trace
         .iter()
         .filter(|e| e.node == NodeId(1) && e.kind == PktKind::Syn && e.dir == PktDir::Tx)
@@ -241,8 +241,8 @@ fn idle_reset_restarts_slow_start_on_stale_connections() {
             TcpOptions::default()
         };
         let mut sim = Sim::new(13, TwoBursts { second_sent: false });
-        sim.net().trace_mut().set_enabled(true);
-        sim.net().open(
+        sim.net().set_tracing(true);
+        let cid = sim.net().open_captured(
             NodeId(1),
             NodeId(2),
             PathParams::ideal(80.0),
@@ -251,7 +251,7 @@ fn idle_reset_restarts_slow_start_on_stale_connections() {
             9,
         );
         sim.run();
-        let trace = sim.net().trace_mut().take_session(9);
+        let trace = sim.net().take_capture(cid).unwrap();
         let second: Vec<SimTime> = trace
             .iter()
             .filter(|e| {
