@@ -13,7 +13,7 @@
 //! * the *final* byte (overall delay) changes much less: the cache's
 //!   value is perceived latency of the page head, not total transfer.
 
-use bench::{campaign, check, execute_stream, finish, seed_from_env, Scale};
+use bench::{campaign, check, execute_stream, finish, settings, Scale};
 use cdnsim::{QuerySpec, ServiceConfig};
 use emulator::output::Tsv;
 use emulator::{Design, FoldSink};
@@ -54,8 +54,7 @@ fn small_rtt_design(repeats: u64) -> Design {
 }
 
 fn main() {
-    let scale = Scale::from_env();
-    let seed = seed_from_env();
+    let (scale, seed) = settings();
     let repeats = match scale {
         Scale::Quick => 8,
         Scale::Paper => 40,

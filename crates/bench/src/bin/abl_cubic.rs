@@ -13,7 +13,7 @@
 //! * on a 3% lossy wireless path, CUBIC's median overall delay is no
 //!   worse than Reno's.
 
-use bench::{campaign, check, execute_stream, finish, seed_from_env, Scale};
+use bench::{campaign, check, execute_stream, finish, settings, Scale};
 use cdnsim::{QuerySpec, ServiceConfig};
 use emulator::output::Tsv;
 use emulator::{Design, FoldSink};
@@ -51,8 +51,7 @@ fn wave_design(repeats: u64) -> Design {
 }
 
 fn main() {
-    let scale = Scale::from_env();
-    let seed = seed_from_env();
+    let (scale, seed) = settings();
     let repeats = match scale {
         Scale::Quick => 10,
         Scale::Paper => 40,

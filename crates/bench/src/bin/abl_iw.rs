@@ -16,7 +16,7 @@
 //! This is the design insight behind Google's IW10 campaign viewed
 //! through the paper's model.
 
-use bench::{campaign, check, dataset_b_repeats, execute_stream, finish, seed_from_env, Scale};
+use bench::{campaign, check, dataset_b_repeats, execute_stream, finish, settings};
 use cdnsim::ServiceConfig;
 use emulator::dataset_b::DatasetB;
 use emulator::output::Tsv;
@@ -30,8 +30,7 @@ struct SweepRow {
 }
 
 fn main() {
-    let scale = Scale::from_env();
-    let seed = seed_from_env();
+    let (scale, seed) = settings();
     let repeats = dataset_b_repeats(scale).min(24);
 
     let mut c = campaign(scale, seed);

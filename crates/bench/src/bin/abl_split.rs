@@ -12,7 +12,7 @@
 //! * `Tstatic` degrades most (no nearby cache);
 //! * the improvement is larger for vantages far from the BE.
 
-use bench::{campaign, check, dataset_a_repeats, execute_stream, finish, seed_from_env, Scale};
+use bench::{campaign, check, dataset_a_repeats, execute_stream, finish, settings};
 use cdnsim::ServiceConfig;
 use emulator::dataset_a::{DatasetA, KeywordPolicy};
 use emulator::output::Tsv;
@@ -35,8 +35,7 @@ fn per_client_median(
 }
 
 fn main() {
-    let scale = Scale::from_env();
-    let seed = seed_from_env();
+    let (scale, seed) = settings();
     let repeats = dataset_a_repeats(scale);
 
     let design = Design::DatasetA(DatasetA {

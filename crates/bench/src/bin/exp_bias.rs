@@ -18,8 +18,10 @@
 //!   than Google-like ones at matched population — the paper's
 //!   comparative claims are robust to the bias, its absolute ones are
 //!   not.
+//!
+//! The design is fixed-size: `FECDN_SCALE` is validated and then ignored.
 
-use bench::{check, execute_stream, finish, seed_from_env};
+use bench::{check, execute_stream, finish, settings};
 use cdnsim::ServiceConfig;
 use emulator::dataset_a::{DatasetA, KeywordPolicy};
 use emulator::output::Tsv;
@@ -52,7 +54,7 @@ fn scenario_with(seed: u64, cfg: VantageConfig) -> Scenario {
 }
 
 fn main() {
-    let seed = seed_from_env();
+    let (_, seed) = settings();
     let campus = scenario_with(
         seed,
         VantageConfig {

@@ -10,15 +10,14 @@
 //! * a hypothetical FE-result-caching deployment is flagged
 //!   `CachingSuspected` (the detector has power, not just a blind spot).
 
-use bench::{campaign, check, execute_stream, finish, seed_from_env, Scale};
+use bench::{campaign, check, execute_stream, finish, settings};
 use cdnsim::ServiceConfig;
 use emulator::caching_probe::CachingProbeRun;
 use emulator::output::Tsv;
 use inference::caching::CachingVerdict;
 
 fn main() {
-    let scale = Scale::from_env();
-    let seed = seed_from_env();
+    let (scale, seed) = settings();
     let probe = CachingProbeRun::against(0);
 
     let configs = [

@@ -16,7 +16,7 @@
 //! * content analysis' `Tdelta` error stays ≈ 0, so every downstream
 //!   inference result in this repository stands on a validated method.
 
-use bench::{campaign, check, execute_stream, finish, seed_from_env, Scale};
+use bench::{campaign, check, execute_stream, finish, settings, Scale};
 use capture::validate::score_classifier;
 use capture::{find_static_content_ids, Classifier};
 use cdnsim::{QuerySpec, ServiceConfig, ServiceWorld};
@@ -26,8 +26,7 @@ use simcore::time::SimDuration;
 use tcpsim::NodeId;
 
 fn main() {
-    let scale = Scale::from_env();
-    let seed = seed_from_env();
+    let (scale, seed) = settings();
     let repeats: u64 = match scale {
         Scale::Quick => 4,
         Scale::Paper => 12,

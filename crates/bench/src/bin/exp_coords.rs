@@ -22,7 +22,7 @@
 //!   private WAN — exactly why the authors' regression approach (which
 //!   never needs absolute RTTbe) is the more robust design.
 
-use bench::{campaign, check, execute_stream, finish, scenario, seed_from_env, Scale};
+use bench::{campaign, check, execute_stream, finish, scenario, settings};
 use cdnsim::{QuerySpec, ServiceConfig};
 use emulator::output::Tsv;
 use emulator::{Design, FoldSink};
@@ -42,8 +42,7 @@ struct CoordRec {
 }
 
 fn main() {
-    let scale = Scale::from_env();
-    let seed = seed_from_env();
+    let (scale, seed) = settings();
     let sc = scenario(scale, seed);
     let cfg = ServiceConfig::google_like(seed);
 

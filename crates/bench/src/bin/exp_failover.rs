@@ -24,7 +24,7 @@
 //! * the whole experiment is deterministic: a second run reproduces
 //!   every measurement exactly.
 
-use bench::{campaign, check, execute_stream, finish, scenario, seed_from_env, Scale};
+use bench::{campaign, check, execute_stream, finish, scenario, settings, Scale};
 use cdnsim::{QueryOutcome, QuerySpec, ServiceConfig};
 use emulator::output::Tsv;
 use emulator::runner::ProcessedQuery;
@@ -68,8 +68,7 @@ fn phase_of(t_start_ms: f64) -> &'static str {
 }
 
 fn main() {
-    let scale = Scale::from_env();
-    let seed = seed_from_env();
+    let (scale, seed) = settings();
     let sc = scenario(scale, seed);
     let (repeats, spacing_ms) = match scale {
         Scale::Quick => (30u64, 2_000u64),

@@ -12,7 +12,7 @@
 //! * `Tstatic` grows monotonically (within tolerance) with offered load;
 //! * saturation inflates the *variance* too — queueing is bursty.
 
-use bench::{campaign, check, execute_stream, finish, seed_from_env, Scale};
+use bench::{campaign, check, execute_stream, finish, settings, Scale};
 use cdnsim::{QuerySpec, ServiceConfig};
 use emulator::output::Tsv;
 use emulator::{Design, FoldSink};
@@ -48,8 +48,7 @@ fn level_design(clients_per_wave: usize, waves: u64) -> Design {
 }
 
 fn main() {
-    let scale = Scale::from_env();
-    let seed = seed_from_env();
+    let (scale, seed) = settings();
     // Two worker slots and the shared-tenancy service times: the FE
     // saturates at realistic wave sizes (client RTT spread disperses
     // arrivals over ~250 ms, so per-wave arrival rate ≈ N/250 req/ms

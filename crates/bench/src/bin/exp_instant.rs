@@ -11,7 +11,7 @@
 //!   true fetch time for every sub-query;
 //! * follow-up sub-queries have materially smaller true `Tproc`.
 
-use bench::{campaign, check, execute_stream, finish, seed_from_env, Scale};
+use bench::{campaign, check, execute_stream, finish, settings, Scale};
 use cdnsim::ServiceConfig;
 use emulator::instant::InstantRun;
 use emulator::output::Tsv;
@@ -19,8 +19,7 @@ use emulator::{FoldSink, ProcessedQuery};
 use inference::FetchBounds;
 
 fn main() {
-    let scale = Scale::from_env();
-    let seed = seed_from_env();
+    let (scale, seed) = settings();
     let clients: Vec<usize> = match scale {
         Scale::Quick => (0..8).collect(),
         Scale::Paper => (0..40).collect(),

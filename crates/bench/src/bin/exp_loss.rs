@@ -16,7 +16,7 @@
 //! * the near-FE advantage grows materially with the loss rate;
 //! * all transfers complete even at 5% loss (TCP recovery works).
 
-use bench::{campaign, check, execute_stream, finish, scenario, seed_from_env, Scale};
+use bench::{campaign, check, execute_stream, finish, scenario, settings, Scale};
 use cdnsim::{QuerySpec, ServiceConfig};
 use emulator::output::Tsv;
 use emulator::{Design, FoldSink};
@@ -50,8 +50,7 @@ fn median_overall(acc: &QuantileAcc) -> (f64, usize) {
 }
 
 fn main() {
-    let scale = Scale::from_env();
-    let seed = seed_from_env();
+    let (scale, seed) = settings();
     let sc = scenario(scale, seed);
     // Loss recovery is a rare event: at 5% loss only about half the
     // repeats see one at all, so the median needs real sample sizes.

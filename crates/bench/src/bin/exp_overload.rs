@@ -31,8 +31,10 @@
 //! * the `cdnsim.shed_queries` counter agrees with the tally;
 //! * a rerun with the same derived seed reproduces every overhead
 //!   exactly.
+//!
+//! The design is fixed-size: `FECDN_SCALE` is validated and then ignored.
 
-use bench::{campaign, check, execute_stream, finish, seed_from_env, Scale};
+use bench::{campaign, check, execute_stream, finish, settings, Scale};
 use cdnsim::{FeLoadProfile, LoadModel, QuerySpec, ServiceConfig};
 use emulator::output::Tsv;
 use emulator::{CollectSink, Design};
@@ -84,8 +86,7 @@ fn burst_design(n: usize) -> Design {
 }
 
 fn main() {
-    let _ = Scale::from_env(); // burst sizes are the scale axis here
-    let seed = seed_from_env();
+    let (_, seed) = settings();
 
     let model = LoadModel {
         fe_capacity: KNEE,

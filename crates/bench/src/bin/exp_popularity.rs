@@ -26,11 +26,10 @@
 //!    bytes and peak pending events must grow ≤ 1.5× while the
 //!    workload grows 10× — the O(live sessions) footprint claim.
 //!
-//! Emits `BENCH_popularity.json`-shaped JSON to `--out PATH` (default
-//! stderr); exit status reflects the checks so `scripts/ci.sh` runs it
-//! as a tripwire.
+//! Exit status reflects the checks, and stdout is the phase-1 hit-ratio
+//! table that `tests/golden/harness/exp_popularity.tsv` pins.
 
-use bench::{check, finish, scenario, seed_from_env, Scale};
+use bench::{check, finish, scenario, settings, Scale};
 use cdnsim::{Cache, CacheConfig, ObjectCache, ServiceConfig};
 use emulator::output::Tsv;
 use emulator::{
@@ -176,19 +175,7 @@ fn memory_run(seed: u64, sessions: u64) -> (usize, usize) {
 }
 
 fn main() {
-    let scale = Scale::from_env();
-    let seed = seed_from_env();
-    let mut out_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--out" => out_path = Some(args.next().expect("--out needs a path")),
-            other => {
-                eprintln!("unknown argument {other:?} (expected --out PATH)");
-                std::process::exit(2);
-            }
-        }
-    }
+    let (scale, seed) = settings();
     let (lookups, contest_sessions, mem_base) = match scale {
         Scale::Quick => (40_000usize, 1_500u64, 10_000u64),
         Scale::Paper => (200_000, 10_000, 100_000),
@@ -329,35 +316,6 @@ fn main() {
         &format!("peak pending events O(live sessions), not O(total) (growth {pending_growth:.3})"),
         pending_growth <= 1.5,
     );
-
-    let hit_col = |i: usize| -> String {
-        let vals: Vec<String> = hit.iter().map(|h| format!("{:.4}", h[i])).collect();
-        format!("[{}]", vals.join(", "))
-    };
-    let churns: Vec<String> = CHURN_LEVELS.iter().map(|c| format!("{c}")).collect();
-    let json = format!(
-        "{{\n  \"binary\": \"exp_popularity\",\n  \"catalog\": {CATALOG},\n  \
-         \"trace_lookups\": {lookups},\n  \"capacity_bytes\": {CAPACITY_BYTES},\n  \
-         \"churn_levels\": [{}],\n  \"hit_lru\": {},\n  \"hit_lfu\": {},\n  \"hit_ttl\": {},\n  \
-         \"crossover_churn\": {},\n  \"e2e_sessions\": {contest_sessions},\n  \
-         \"e2e_lru_hits\": {lru_hits},\n  \"e2e_lru_evictions\": {lru_evictions},\n  \
-         \"sessions_base\": {mem_base},\n  \"sessions_10x\": {},\n  \
-         \"peak_retained_base_bytes\": {retained_base},\n  \
-         \"peak_retained_10x_bytes\": {retained_10x},\n  \
-         \"retained_growth_factor\": {retained_growth:.3},\n  \
-         \"peak_pending_base\": {pending_base},\n  \"peak_pending_10x\": {pending_10x},\n  \
-         \"pending_growth_factor\": {pending_growth:.3}\n}}\n",
-        churns.join(", "),
-        hit_col(0),
-        hit_col(1),
-        hit_col(2),
-        crossover.map_or("null".to_string(), |c| format!("{c}")),
-        mem_base * 10,
-    );
-    match &out_path {
-        Some(p) => std::fs::write(p, &json).expect("write --out"),
-        None => eprint!("{json}"),
-    }
 
     finish(ok);
 }

@@ -37,11 +37,10 @@
 //! telemetry is live in the saturated cell, and session accounting
 //! conserves in every cell.
 //!
-//! Emits `BENCH_temapping.json`-shaped JSON to `--out PATH` (default
-//! stderr); exit status reflects the checks so `scripts/ci.sh` runs it
-//! as a tripwire.
+//! Exit status reflects the checks, and stdout is the p95 table that
+//! `tests/golden/harness/exp_temapping.tsv` pins exactly.
 
-use bench::{check, finish, seed_from_env, Scale};
+use bench::{check, finish, settings, Scale};
 use cdnsim::{FeLoadProfile, LoadAwarePolicy, LoadModel, MappingPolicy, QuerySpec, ServiceConfig};
 use emulator::output::Tsv;
 use emulator::{Campaign, CollectSink, Collected, Design, Scenario, StreamReport};
@@ -149,19 +148,7 @@ fn p95_overall(report: &StreamReport<Collected>, label: &str) -> f64 {
 }
 
 fn main() {
-    let scale = Scale::from_env();
-    let seed = seed_from_env();
-    let mut out_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--out" => out_path = Some(args.next().expect("--out needs a path")),
-            other => {
-                eprintln!("unknown argument {other:?} (expected --out PATH)");
-                std::process::exit(2);
-            }
-        }
-    }
+    let (scale, seed) = settings();
     let n = match scale {
         Scale::Quick => 48usize,
         Scale::Paper => 240,
@@ -289,24 +276,6 @@ fn main() {
         &format!("re-mapping telemetry live under flash ({remaps} remaps, hiwater {hiwater:.2})"),
         remaps > 0 && hiwater >= 1.0,
     );
-
-    let row_json = |row: &[f64; 3]| format!("[{:.3}, {:.3}, {:.3}]", row[0], row[1], row[2]);
-    let json = format!(
-        "{{\n  \"binary\": \"exp_temapping\",\n  \"queries_per_cell\": {n},\n  \
-         \"intensity_gaps_ms\": [400, 12, 2],\n  \
-         \"strategies\": [\"nearest\", \"geo\", \"loadaware\"],\n  \
-         \"p95_calm_ms\": {},\n  \"p95_busy_ms\": {},\n  \"p95_flash_ms\": {},\n  \
-         \"flash_remap_events\": {remaps},\n  \"flash_fe_demand_hiwater\": {hiwater:.3},\n  \
-         \"loadaware_beats_nearest_under_flash\": {}\n}}\n",
-        row_json(&p95[0].1),
-        row_json(&p95[1].1),
-        row_json(&p95[2].1),
-        flash[2] < flash[0],
-    );
-    match &out_path {
-        Some(p) => std::fs::write(p, &json).expect("write --out"),
-        None => eprint!("{json}"),
-    }
 
     finish(ok);
 }

@@ -18,7 +18,7 @@
 //!   bing-like — confirming the paper's conclusion that optimizing the
 //!   fetch path, not FE placement, was Bing's real lever.
 
-use bench::{campaign, check, dataset_a_repeats, execute_stream, finish, seed_from_env, Scale};
+use bench::{campaign, check, dataset_a_repeats, execute_stream, finish, settings};
 use cdnsim::ServiceConfig;
 use emulator::dataset_a::{DatasetA, KeywordPolicy};
 use emulator::output::Tsv;
@@ -58,8 +58,7 @@ fn hybrid_b(seed: u64) -> ServiceConfig {
 }
 
 fn main() {
-    let scale = Scale::from_env();
-    let seed = seed_from_env();
+    let (scale, seed) = settings();
     let repeats = dataset_a_repeats(scale);
 
     let deployments = [

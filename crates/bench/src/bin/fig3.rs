@@ -10,7 +10,7 @@
 //!   popular);
 //! * `Tstatic` is insensitive to the keyword class.
 
-use bench::{campaign, check, execute_stream, fig3_samples, finish, seed_from_env, Scale};
+use bench::{campaign, check, execute_stream, fig3_samples, finish, settings};
 use cdnsim::{QuerySpec, ServiceConfig};
 use emulator::output::Tsv;
 use emulator::{Design, FoldSink};
@@ -30,8 +30,7 @@ struct Row {
 }
 
 fn main() {
-    let scale = Scale::from_env();
-    let seed = seed_from_env();
+    let (scale, seed) = settings();
     let samples = fig3_samples(scale);
 
     // The paper runs this against Bing; we use the Bing-like service.

@@ -13,8 +13,10 @@
 //!   RTT grows;
 //! * the largest-RTT client's payload events form a single merged
 //!   cluster.
+//!
+//! The design is fixed-size: `FECDN_SCALE` is validated and then ignored.
 
-use bench::{check, execute_stream, finish, seed_from_env};
+use bench::{check, execute_stream, finish, settings};
 use capture::cluster_view::TimelineView;
 use capture::{Classifier, Timeline};
 use cdnsim::{QuerySpec, ServiceConfig, ServiceWorld};
@@ -26,7 +28,7 @@ use simcore::time::SimDuration;
 const PAPER_RTTS: [f64; 5] = [10.656, 30.003, 86.647, 160.38, 243.25];
 
 fn main() {
-    let seed = seed_from_env();
+    let (_, seed) = settings();
     let sc = Scenario::with_size(seed, 230, 1_000);
 
     // Pick one FE and five clients whose RTTs best match the paper's

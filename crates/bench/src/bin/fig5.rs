@@ -12,7 +12,7 @@
 //! * the Google-like threshold (paper: 50–100 ms) sits below the
 //!   Bing-like one (paper: 100–200 ms).
 
-use bench::{campaign, check, dataset_b_repeats, execute_stream, finish, seed_from_env, Scale};
+use bench::{campaign, check, dataset_b_repeats, execute_stream, finish, settings};
 use cdnsim::ServiceConfig;
 use emulator::dataset_b::DatasetB;
 use emulator::output::Tsv;
@@ -67,8 +67,7 @@ fn spread_around_trend(points: &[(f64, f64)]) -> f64 {
 }
 
 fn main() {
-    let scale = Scale::from_env();
-    let seed = seed_from_env();
+    let (scale, seed) = settings();
     let repeats = dataset_b_repeats(scale);
 
     let mut c = campaign(scale, seed);

@@ -11,7 +11,7 @@
 //! * ≥ 80 % of vantages within 20 ms of a Bing-like FE;
 //! * the Google-like fraction is materially lower (paper: ~60 %).
 
-use bench::{campaign, check, dataset_a_repeats, execute_stream, finish, seed_from_env, Scale};
+use bench::{campaign, check, dataset_a_repeats, execute_stream, finish, settings};
 use cdnsim::ServiceConfig;
 use emulator::dataset_a::{DatasetA, KeywordPolicy};
 use emulator::output::Tsv;
@@ -27,8 +27,7 @@ fn measured_rtts(acc: &GroupMediansAcc) -> Vec<f64> {
 }
 
 fn main() {
-    let scale = Scale::from_env();
-    let seed = seed_from_env();
+    let (scale, seed) = settings();
     let repeats = dataset_a_repeats(scale).min(10);
 
     let design = Design::DatasetA(DatasetA {

@@ -10,7 +10,7 @@
 //! * Bing-like `Tstatic` and `Tdynamic` medians are higher, and
 //! * Bing-like variability (IQR) is larger for both quantities.
 
-use bench::{campaign, check, dataset_a_repeats, execute_stream, finish, seed_from_env, Scale};
+use bench::{campaign, check, dataset_a_repeats, execute_stream, finish, settings};
 use cdnsim::ServiceConfig;
 use emulator::dataset_a::{DatasetA, KeywordPolicy};
 use emulator::output::Tsv;
@@ -39,8 +39,7 @@ fn within_vantage_iqr<'a>(accs: impl Iterator<Item = &'a QuantileAcc>) -> f64 {
 }
 
 fn main() {
-    let scale = Scale::from_env();
-    let seed = seed_from_env();
+    let (scale, seed) = settings();
     let repeats = dataset_a_repeats(scale);
 
     let design = Design::DatasetA(DatasetA {

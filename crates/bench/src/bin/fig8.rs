@@ -10,7 +10,7 @@
 //! * per-vantage variability (whisker span / IQR) is larger for the
 //!   Bing-like service.
 
-use bench::{campaign, check, dataset_a_repeats, execute_stream, finish, seed_from_env, Scale};
+use bench::{campaign, check, dataset_a_repeats, execute_stream, finish, settings};
 use cdnsim::ServiceConfig;
 use emulator::dataset_a::{DatasetA, KeywordPolicy};
 use emulator::output::Tsv;
@@ -30,8 +30,7 @@ fn boxes(by_client: &BTreeMap<usize, QuantileAcc>) -> BTreeMap<usize, BoxSummary
 }
 
 fn main() {
-    let scale = Scale::from_env();
-    let seed = seed_from_env();
+    let (scale, seed) = settings();
     let repeats = dataset_a_repeats(scale);
 
     let design = Design::DatasetA(DatasetA {

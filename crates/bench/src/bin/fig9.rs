@@ -18,7 +18,7 @@
 //! * slopes are the same order of magnitude across services (paper:
 //!   0.08 vs 0.099 ms/mile).
 
-use bench::{campaign, check, execute_stream, finish, seed_from_env, Scale};
+use bench::{campaign, check, execute_stream, finish, settings, Scale};
 use cdnsim::{QuerySpec, ServiceConfig};
 use emulator::output::Tsv;
 use emulator::{Design, FoldSink};
@@ -105,8 +105,7 @@ fn analyse(s: &Fig9State) -> Option<ServiceFit> {
 }
 
 fn main() {
-    let scale = Scale::from_env();
-    let seed = seed_from_env();
+    let (scale, seed) = settings();
     // The Bing-like back-end's Tproc variance (its defining trait) buries
     // the ~0.07 ms/mile distance signal unless medians are taken over
     // many repeats — the authors hit the same wall and re-ran Sec. 5

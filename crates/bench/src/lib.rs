@@ -2,28 +2,41 @@
 //!
 //! One binary per evaluation artefact of the paper:
 //!
-//! | binary        | paper artefact                                            |
-//! |---------------|-----------------------------------------------------------|
-//! | `fig3`        | Fig. 3 — `Tstatic`/`Tdynamic` per keyword class, moving median |
-//! | `fig4`        | Fig. 4 — packet-event timelines, temporal clusters         |
-//! | `fig5`        | Fig. 5 — `Tstatic`/`Tdynamic`/`Tdelta` vs RTT, fixed FEs   |
-//! | `fig6`        | Fig. 6 — RTT CDF to default FEs                            |
-//! | `fig7`        | Fig. 7 — default-FE `Tstatic`/`Tdynamic` scatter           |
-//! | `fig8`        | Fig. 8 — per-vantage overall-delay box plots               |
-//! | `fig9`        | Fig. 9 — `Tdynamic` vs FE↔BE distance regression           |
-//! | `exp_caching` | Sec. 3 — do FEs cache search results?                      |
-//! | `exp_failover`| robustness — BE outage, failover, cold-reconnect recovery  |
-//! | `exp_instant` | Sec. 6 — search-as-you-type                                |
-//! | `exp_loss`    | Sec. 6 — lossy-last-hop placement trade-off                |
-//! | `abl_split`   | ablation — split TCP on/off                                |
-//! | `abl_cache`   | ablation — FE static cache on/off                          |
-//! | `abl_iw`      | ablation — initial-window sweep moves the RTT threshold    |
+//! | binary           | paper artefact                                            |
+//! |------------------|-----------------------------------------------------------|
+//! | `fig3`           | Fig. 3 — `Tstatic`/`Tdynamic` per keyword class, moving median |
+//! | `fig4`           | Fig. 4 — packet-event timelines, temporal clusters         |
+//! | `fig5`           | Fig. 5 — `Tstatic`/`Tdynamic`/`Tdelta` vs RTT, fixed FEs   |
+//! | `fig6`           | Fig. 6 — RTT CDF to default FEs                            |
+//! | `fig7`           | Fig. 7 — default-FE `Tstatic`/`Tdynamic` scatter           |
+//! | `fig8`           | Fig. 8 — per-vantage overall-delay box plots               |
+//! | `fig9`           | Fig. 9 — `Tdynamic` vs FE↔BE distance regression           |
+//! | `exp_caching`    | Sec. 3 — do FEs cache search results?                      |
+//! | `exp_instant`    | Sec. 6 — search-as-you-type                                |
+//! | `exp_loss`       | Sec. 6 — lossy-last-hop placement trade-off                |
+//! | `exp_bias`       | extension — PlanetLab vantage bias vs a residential population |
+//! | `exp_classifiers`| extension — static/dynamic boundary classifiers vs ground truth |
+//! | `exp_coords`     | extension — Vivaldi-coordinate FE↔BE RTT estimates         |
+//! | `exp_feload`     | extension — FE load as FIFO queueing                       |
+//! | `exp_whatif`     | extension — fleet × back-end swap counterfactual           |
+//! | `exp_failover`   | robustness — BE outage, failover, cold-reconnect recovery  |
+//! | `exp_overload`   | robustness — FE saturation, load model, admission control  |
+//! | `exp_metastable` | robustness — retry-storm hysteresis and retry budgets      |
+//! | `exp_popularity` | robustness — cache policy vs popularity churn, slab memory |
+//! | `exp_temapping`  | robustness — proximity vs load-aware re-mapping under flash crowds |
+//! | `abl_split`      | ablation — split TCP on/off                                |
+//! | `abl_cache`      | ablation — FE static cache on/off                          |
+//! | `abl_iw`         | ablation — initial-window sweep moves the RTT threshold    |
+//! | `abl_cubic`      | ablation — Reno vs CUBIC congestion control                |
 //!
 //! Each binary prints TSV (the plotted series) to stdout and a
-//! human-readable summary with the paper-shape checks to stderr. Scale
-//! is controlled by `FECDN_SCALE` (`quick` default, `paper` for
-//! full-size runs) and the seed by `FECDN_SEED` (default 42); any other
-//! value of either exits with status 2.
+//! human-readable summary with the paper-shape checks to stderr, and
+//! exits with status 1 if any check fails. Each one starts with
+//! [`settings`]: scale is controlled by `FECDN_SCALE` (`quick` default,
+//! `paper` for full-size runs) and the seed by `FECDN_SEED` (default
+//! 42); any other value of either, or any command-line argument, exits
+//! with status 2. `scripts/ci.sh` runs every binary and compares its
+//! stdout with `tests/golden/harness/<binary>.tsv`.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -53,14 +66,6 @@ impl Scale {
             )),
         }
     }
-
-    /// Reads `FECDN_SCALE` (`quick` | `paper`), defaulting to quick.
-    /// Exits with status 2 on any other value.
-    pub fn from_env() -> Scale {
-        or_exit(Scale::from_value(
-            std::env::var("FECDN_SCALE").ok().as_deref(),
-        ))
-    }
 }
 
 /// Parses a `FECDN_SEED` value: unset is 42, otherwise it must be an
@@ -74,16 +79,37 @@ pub fn seed_from_value(value: Option<&str>) -> Result<u64, String> {
     }
 }
 
-/// Reads `FECDN_SEED`, defaulting to 42. Exits with status 2 on a value
-/// that is not a u64.
-pub fn seed_from_env() -> u64 {
-    or_exit(seed_from_value(std::env::var("FECDN_SEED").ok().as_deref()))
+/// Parses a harness binary's command line and environment: it takes no
+/// arguments, and reads `FECDN_SCALE` and `FECDN_SEED` as
+/// [`Scale::from_value`] and [`seed_from_value`] do. Pure, so tests can
+/// pin it without touching process state.
+fn parse_settings(
+    args: &[String],
+    scale: Option<&str>,
+    seed: Option<&str>,
+) -> Result<(Scale, u64), String> {
+    if let Some(arg) = args.first() {
+        return Err(format!(
+            "unexpected argument {arg:?} (harness binaries take none; \
+             set FECDN_SCALE and FECDN_SEED instead)"
+        ));
+    }
+    Ok((Scale::from_value(scale)?, seed_from_value(seed)?))
 }
 
-/// Unwraps a parsed environment value, or reports the error and exits
-/// with status 2 (the status the binaries use for bad arguments).
-fn or_exit<T>(parsed: Result<T, String>) -> T {
-    parsed.unwrap_or_else(|msg| {
+/// The first call of every harness binary: returns the run's scale and
+/// seed from `FECDN_SCALE` and `FECDN_SEED`. Reports the error and exits
+/// with status 2 on any command-line argument or a bad value of either
+/// variable.
+pub fn settings() -> (Scale, u64) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let var = |name| std::env::var(name).ok();
+    parse_settings(
+        &args,
+        var("FECDN_SCALE").as_deref(),
+        var("FECDN_SEED").as_deref(),
+    )
+    .unwrap_or_else(|msg| {
         eprintln!("{msg}");
         std::process::exit(2);
     })
@@ -127,29 +153,12 @@ pub fn campaign(scale: Scale, seed: u64) -> Campaign {
     Campaign::new(scenario(scale, seed))
 }
 
-/// Writes the merged metrics registry as JSON to the path named by
-/// `FECDN_METRICS_JSON`, when set — the `BENCH_metrics.json` artifact
-/// CI's schema check validates. Write failures are reported on stderr
-/// but never fail the run: telemetry must not break a figure build.
-fn write_metrics_json(merged: &emulator::MetricsRegistry) {
-    if let Ok(path) = std::env::var("FECDN_METRICS_JSON") {
-        if path.is_empty() {
-            return;
-        }
-        if let Err(e) = std::fs::write(&path, merged.to_json()) {
-            eprintln!("warning: could not write metrics JSON to {path}: {e}");
-        }
-    }
-}
-
 /// Executes a campaign with the `FECDN_THREADS` worker count, one sink
 /// per run from `factory`, folding queries as they complete (memory
 /// stays bounded by reducer state), and prints the per-run
 /// wall-clock/queue stats plus the metrics.tsv telemetry document to
 /// stderr, buffered and emitted in one write so per-run lines appear in
 /// descriptor order (stdout stays reserved for the byte-stable TSV).
-/// With `FECDN_METRICS_JSON=<path>` set, also writes the merged
-/// registry as JSON.
 pub fn execute_stream<F, S>(campaign: &Campaign, factory: &F) -> StreamReport<S::Output>
 where
     F: Fn(&RunDescriptor) -> S + Sync,
@@ -158,7 +167,6 @@ where
 {
     let report = campaign.execute_stream(factory);
     eprint!("{}", report.stderr_report());
-    write_metrics_json(&report.merged_metrics());
     report
 }
 
@@ -200,6 +208,26 @@ mod tests {
             let err = seed_from_value(Some(bad)).unwrap_err();
             assert!(err.contains(&format!("FECDN_SEED value {bad:?}")), "{err}");
         }
+    }
+
+    #[test]
+    fn settings_reject_any_argument_then_parse_scale_and_seed() {
+        assert_eq!(parse_settings(&[], None, None), Ok((Scale::Quick, 42)));
+        assert_eq!(
+            parse_settings(&[], Some("paper"), Some("7")),
+            Ok((Scale::Paper, 7))
+        );
+        for args in [
+            vec!["--out".to_string(), "x".to_string()],
+            vec![String::new()],
+        ] {
+            let err = parse_settings(&args, None, None).unwrap_err();
+            assert!(err.contains(&format!("argument {:?}", args[0])), "{err}");
+        }
+        let err = parse_settings(&[], Some("bogus"), Some("x")).unwrap_err();
+        assert!(err.contains("FECDN_SCALE value \"bogus\""), "{err}");
+        let err = parse_settings(&[], None, Some("x")).unwrap_err();
+        assert!(err.contains("FECDN_SEED value \"x\""), "{err}");
     }
 
     #[test]

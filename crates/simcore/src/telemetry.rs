@@ -403,58 +403,6 @@ impl MetricsRegistry {
         self.render_rows("all", false, &mut out);
         out
     }
-
-    /// The registry as a JSON object (deterministic metrics only, name
-    /// order), for `BENCH_metrics.json`-style artifacts. Hand-rolled
-    /// like the bench emitters: the workspace is offline, no serde.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("{\n");
-        let mut first = true;
-        for (name, m) in &self.metrics {
-            if m.wall {
-                continue;
-            }
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            match &m.value {
-                Value::Counter(c) => {
-                    write!(
-                        out,
-                        "  \"{name}\": {{\"kind\": \"counter\", \"value\": {c}}}"
-                    )
-                    .unwrap();
-                }
-                Value::Gauge { last, max } => {
-                    write!(
-                        out,
-                        "  \"{name}\": {{\"kind\": \"gauge\", \"value\": {last:.3}, \"max\": {max:.3}}}"
-                    )
-                    .unwrap();
-                }
-                Value::Hist(h) => match h.summary() {
-                    Some(s) => write!(
-                        out,
-                        "  \"{name}\": {{\"kind\": \"hist\", \"count\": {}, \"min\": {:.3}, \
-                         \"p50\": {:.3}, \"p95\": {:.3}, \"max\": {:.3}}}",
-                        h.count(),
-                        s.min,
-                        s.median,
-                        s.p95,
-                        s.max
-                    )
-                    .unwrap(),
-                    None => {
-                        write!(out, "  \"{name}\": {{\"kind\": \"hist\", \"count\": 0}}").unwrap()
-                    }
-                },
-            }
-        }
-        out.push_str("\n}\n");
-        out
-    }
 }
 
 /// Times a block against a wall-clock span:
@@ -554,7 +502,7 @@ mod tests {
     }
 
     #[test]
-    fn render_and_json_are_name_ordered() {
+    fn render_is_name_ordered() {
         let mut m = MetricsRegistry::new();
         m.inc("z.last");
         m.inc("a.first");
@@ -564,8 +512,6 @@ mod tests {
         assert!(lines[0].starts_with("all\ta.first\tcounter"));
         assert!(lines[1].starts_with("all\tm.mid\thist\t1"));
         assert!(lines[2].starts_with("all\tz.last\tcounter"));
-        let json = m.to_json();
-        assert!(json.find("a.first").unwrap() < json.find("z.last").unwrap());
     }
 
     #[test]

@@ -91,9 +91,8 @@ fn metrics_tsv_is_byte_identical_at_1_4_9_threads() {
     assert_eq!(m1, m4, "metrics.tsv differs 1 vs 4 threads");
     assert_eq!(m1, m9, "metrics.tsv differs 1 vs 9 threads");
 
-    // So is the merged (cross-run) registry document and its JSON form.
+    // So is the merged (cross-run) registry document.
     assert_eq!(r1.merged_metrics().to_tsv(), r9.merged_metrics().to_tsv());
-    assert_eq!(r1.merged_metrics().to_json(), r9.merged_metrics().to_json());
 
     // Instrumentation sanity: the layers actually reported in.
     assert!(m1.len() > METRICS_TSV_HEADER.len());
