@@ -51,7 +51,7 @@ struct BenchApp {
     response: u64,
     chunks: u32,
     /// Take each connection's capture as soon as it completes, as the
-    /// measurement harness does (exercises `take_capture`).
+    /// measurement harness does (exercises `release`).
     drain: bool,
     conns: HashMap<ConnId, ConnState>,
     finished: usize,
@@ -134,7 +134,7 @@ impl App for BenchApp {
             self.finished += 1;
             self.conns.remove(&conn);
             if self.drain {
-                let events = net.take_capture(conn).unwrap_or_default();
+                let events = net.release(conn).unwrap_or_default();
                 self.drained_events += events.len() as u64;
                 // Touch the payload labelling so the compiler cannot
                 // discard the recorded spans.

@@ -23,8 +23,9 @@
 //! 3. **Memory contract** — a 10× larger session campaign (10^5 →
 //!    10^6 at paper scale, 10^4 → 10^5 in the CI smoke) through the
 //!    session-slab feeder and a bounded reducer: peak sink-retained
-//!    bytes and peak pending events must grow ≤ 1.5× while the
-//!    workload grows 10× — the O(live sessions) footprint claim.
+//!    bytes, peak pending events and peak connection slots must grow
+//!    ≤ 1.5× while the workload grows 10× — the O(live sessions)
+//!    footprint claim.
 //!
 //! Exit status reflects the checks, and stdout is the phase-1 hit-ratio
 //! table that `tests/golden/harness/exp_popularity.tsv` pins.
@@ -159,8 +160,9 @@ fn bounded_sink(_: &RunDescriptor) -> BoundedReduce {
 }
 
 /// Runs `sessions` single-query sessions through the slab feeder and a
-/// bounded sink, returning (peak retained bytes, peak pending events).
-fn memory_run(seed: u64, sessions: u64) -> (usize, usize) {
+/// bounded sink, returning (peak retained bytes, peak pending events,
+/// peak connection slots).
+fn memory_run(seed: u64, sessions: u64) -> (usize, usize, f64) {
     let mut c = Campaign::new(scenario(Scale::Quick, seed));
     c.push(
         "mem/slab",
@@ -168,10 +170,16 @@ fn memory_run(seed: u64, sessions: u64) -> (usize, usize) {
         Design::Sessions(
             SessionWorkload::new(sessions).with_mean_gap(SimDuration::from_millis(20)),
         ),
-    );
+    )
+    .metrics = Some(true);
     let report: StreamReport<()> = c.execute_stream(&bounded_sink);
     let run = report.get("mem/slab").unwrap();
-    (run.stats.peak_retained_bytes, run.stats.peak_pending_events)
+    let slots = run.metrics.gauge("tcpsim.conn_slots_hiwater").unwrap().1;
+    (
+        run.stats.peak_retained_bytes,
+        run.stats.peak_pending_events,
+        slots,
+    )
 }
 
 fn main() {
@@ -295,18 +303,21 @@ fn main() {
     }
 
     // ---- Phase 3: memory contract at 10x sessions ---------------------
-    let (retained_base, pending_base) = memory_run(seed, mem_base);
-    let (retained_10x, pending_10x) = memory_run(seed, mem_base * 10);
+    let (retained_base, pending_base, slots_base) = memory_run(seed, mem_base);
+    let (retained_10x, pending_10x, slots_10x) = memory_run(seed, mem_base * 10);
     let retained_growth = retained_10x as f64 / retained_base.max(1) as f64;
     let pending_growth = pending_10x as f64 / pending_base.max(1) as f64;
+    let slots_growth = slots_10x / slots_base.max(1.0);
     eprintln!(
-        "memory contract: {mem_base} sessions -> {} B retained / {} pending; \
-         {} sessions -> {} B / {} pending",
+        "memory contract: {mem_base} sessions -> {} B retained / {} pending / {} conn slots; \
+         {} sessions -> {} B / {} pending / {} slots",
         retained_base,
         pending_base,
+        slots_base,
         mem_base * 10,
         retained_10x,
-        pending_10x
+        pending_10x,
+        slots_10x
     );
     ok &= check(
         &format!("peak retained bytes flat under 10x sessions (growth {retained_growth:.3})"),
@@ -315,6 +326,10 @@ fn main() {
     ok &= check(
         &format!("peak pending events O(live sessions), not O(total) (growth {pending_growth:.3})"),
         pending_growth <= 1.5,
+    );
+    ok &= check(
+        &format!("peak connection slots O(live sessions), not O(total) (growth {slots_growth:.3})"),
+        slots_growth <= 1.5,
     );
 
     finish(ok);

@@ -313,7 +313,7 @@ impl ServiceWorld {
     /// site remains.
     pub(super) fn act_fetch_deadline(&mut self, net: &mut Net, qid: u64, attempt: u32) {
         let (fe, cur_be, stalled_conn) = {
-            let Some(q) = self.queries.get(&qid) else {
+            let Some(q) = self.queries.get_mut(&qid) else {
                 return;
             };
             // Completed, degraded or already failed over: stale timer.
@@ -323,11 +323,12 @@ impl ServiceWorld {
             let Some(fe) = q.fe else {
                 return;
             };
-            (fe, q.be, q.be_conn)
+            (fe, q.be, q.be_conn.take())
         };
         if let Some(conn) = stalled_conn {
             net.abort(conn);
             self.conn_info.remove(&conn);
+            net.release(conn);
         }
         // The fetch attempt failed: release its BE slot, cancel its
         // hedge leg, and feed the FE's circuit breaker.
@@ -456,6 +457,7 @@ impl ServiceWorld {
         if let Some(c) = primary_conn {
             net.abort(c);
             self.conn_info.remove(&c);
+            net.release(c);
         }
         if let Some(b) = primary_counted {
             self.be_inflight[b] = self.be_inflight[b].saturating_sub(1);

@@ -154,17 +154,20 @@ impl ServiceWorld {
 
     /// Aborts every FE↔BE connection — pooled, warming or mid-fetch —
     /// whose (fe, be) pair matches, so a dead site does not leave
-    /// endpoints retransmitting into a blackhole forever. Stalled
-    /// queries are failed over by their fetch deadline (if configured).
+    /// endpoints retransmitting into a blackhole forever. Pooled and
+    /// warming connections are released; stalled queries keep theirs
+    /// until their fetch deadline (if configured) fails them over.
+    /// Connections are aborted in pool-key, then `ConnId`, order.
     pub(super) fn drop_fe_be_conns(&mut self, net: &mut Net, hit: impl Fn(usize, usize) -> bool) {
         for (&(f, b), v) in self.free_pool.iter_mut() {
             if hit(f, b) {
                 for c in v.drain(..) {
                     net.abort(c);
+                    net.release(c);
                 }
             }
         }
-        let warm: Vec<ConnId> = self
+        let mut warm: Vec<ConnId> = self
             .conn_info
             .iter()
             .filter_map(|(c, i)| match i.leg {
@@ -172,12 +175,14 @@ impl ServiceWorld {
                 _ => None,
             })
             .collect();
+        warm.sort_unstable();
         for c in warm {
             net.abort(c);
             self.conn_info.remove(&c);
             self.warmup_progress.remove(&c);
+            net.release(c);
         }
-        let stalled: Vec<ConnId> = self
+        let mut stalled: Vec<ConnId> = self
             .queries
             .values()
             .flat_map(|q| {
@@ -195,6 +200,7 @@ impl ServiceWorld {
                 v
             })
             .collect();
+        stalled.sort_unstable();
         for c in stalled {
             net.abort(c);
         }

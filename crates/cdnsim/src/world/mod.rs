@@ -39,7 +39,7 @@ use searchbe::keywords::{KeywordClass, KeywordCorpus};
 use simcore::rng::Rng;
 use simcore::telemetry::MetricsRegistry;
 use simcore::time::{SimDuration, SimTime};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use tcpsim::{
     App, ConnId, DeliveredSpan, End, LinkFault, Marker, Net, NodeId, PathParams, PktEvent,
 };
@@ -317,7 +317,7 @@ pub struct ServiceWorld {
     corpus: KeywordCorpus,
     dns: DnsMap,
     be_of_fe: Vec<usize>,
-    free_pool: HashMap<(usize, usize), Vec<ConnId>>,
+    free_pool: BTreeMap<(usize, usize), Vec<ConnId>>,
     conn_info: HashMap<ConnId, ConnInfo>,
     warmup_progress: HashMap<ConnId, (u64, u64)>,
     queries: HashMap<u64, QueryState>,
@@ -416,7 +416,7 @@ impl ServiceWorld {
             corpus,
             dns,
             be_of_fe,
-            free_pool: HashMap::new(),
+            free_pool: BTreeMap::new(),
             conn_info: HashMap::new(),
             warmup_progress: HashMap::new(),
             queries: HashMap::new(),

@@ -57,12 +57,14 @@ impl ServiceWorld {
         qid: u64,
         leg: Leg,
     ) -> ConnId {
-        // Skip pooled connections a fault has aborted since check-in.
+        // Skip (and release) pooled connections a fault has aborted
+        // since check-in.
         let conn = self.free_pool.get_mut(&(fe, be)).and_then(|v| {
             while let Some(c) = v.pop() {
                 if !net.is_aborted(c) {
                     return Some(c);
                 }
+                net.release(c);
             }
             None
         });
@@ -247,8 +249,8 @@ impl ServiceWorld {
     }
 
     /// Cancels an outstanding hedge leg (loser of the race, or cleanup
-    /// on failover/deadline): aborts its connection and releases its
-    /// BE in-flight slot.
+    /// on failover/deadline): aborts and releases its connection and
+    /// releases its BE in-flight slot.
     pub(super) fn cancel_hedge(&mut self, net: &mut Net, qid: u64) {
         let (conn, counted) = match self.queries.get_mut(&qid) {
             Some(q) => (q.hedge_conn.take(), q.hedge_counted.take()),
@@ -257,6 +259,7 @@ impl ServiceWorld {
         if let Some(c) = conn {
             net.abort(c);
             self.conn_info.remove(&c);
+            net.release(c);
         }
         if let Some(b) = counted {
             self.be_inflight[b] = self.be_inflight[b].saturating_sub(1);
@@ -288,7 +291,6 @@ impl ServiceWorld {
         let static_content = self.cfg.composer.static_content;
         let q = self.queries.get_mut(&qid).unwrap();
         q.degraded = true;
-        q.be_conn = None;
         q.plan = Some(ResponsePlan::new(
             static_bytes,
             static_content,
@@ -306,22 +308,22 @@ impl ServiceWorld {
     }
 
     /// Client deadline fired with the query still in flight: abandon the
-    /// attempt (aborting its connections, discarding its capture unless
-    /// it is the final attempt) and either schedule a retry or record a
-    /// timed-out query.
+    /// attempt (aborting and releasing its connections, discarding its
+    /// capture unless it is the final attempt) and either schedule a
+    /// retry or record a timed-out query.
     pub(super) fn act_client_deadline(&mut self, net: &mut Net, qid: u64) {
         let Some(q) = self.queries.remove(&qid) else {
             return; // completed before the deadline
         };
-        for c in [Some(q.client_conn), q.be_conn, q.hedge_conn]
-            .into_iter()
-            .flatten()
-        {
+        for c in [q.be_conn, q.hedge_conn].into_iter().flatten() {
             net.abort(c);
             self.conn_info.remove(&c);
+            net.release(c);
         }
+        net.abort(q.client_conn);
+        self.conn_info.remove(&q.client_conn);
         self.release_slots(&q);
-        let trace = net.take_capture(q.client_conn);
+        let trace = net.release(q.client_conn);
         let policy = self
             .cfg
             .client_retry
@@ -354,8 +356,9 @@ impl ServiceWorld {
         if let Some(hc) = q.hedge_conn {
             net.abort(hc);
             self.conn_info.remove(&hc);
+            net.release(hc);
         }
-        let trace = net.take_capture(q.client_conn);
+        let trace = net.release(q.client_conn);
         // A shed response is a fast rejection: the client retries it
         // like a deadline miss (same backoff machinery, same budget)
         // when attempts remain.

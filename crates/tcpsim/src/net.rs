@@ -23,7 +23,9 @@ use std::collections::VecDeque;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
-/// Identifier of a connection.
+/// Identifier of a connection: its open ordinal (0 for the first
+/// connection a [`Net`] opens, 1 for the next, ...). Ordinals are never
+/// reused, even after the connection's slot is reclaimed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ConnId(pub u32);
 
@@ -282,11 +284,24 @@ struct Conn {
     fin_cb_fired: [bool; 2],
     aborted: bool,
     /// The opener's packet events, while the connection is captured
-    /// ([`Net::open_captured`] with tracing on) and not yet taken.
+    /// ([`Net::open_captured`] with tracing on) and not yet released.
     capture: Option<Vec<PktEvent>>,
+    /// Queued `Deliver`/`Rto`/`DelAck` events naming this connection.
+    pending: u32,
+    /// The application called [`Net::release`].
+    released: bool,
 }
 
 impl Conn {
+    /// True once the slot can be reused: the application has released
+    /// the connection, it carries no more traffic (both ends `Done`, or
+    /// aborted), and no queued event still names it.
+    fn reclaimable(&self) -> bool {
+        self.released
+            && self.pending == 0
+            && (self.aborted || self.ep.iter().all(|e| e.state == TcpState::Done))
+    }
+
     /// Appends `end`'s observation of `seg` to the capture when `end` is
     /// the captured opener; returns whether an event was recorded.
     fn observe(&mut self, cid: ConnId, end: End, dir: PktDir, now: SimTime, seg: &Segment) -> bool {
@@ -305,10 +320,20 @@ impl Conn {
 /// reallocate several times per query on the hot path.
 const CAPTURE_CAPACITY: usize = 64;
 
+/// `slot_of` entry of a connection whose slot was reclaimed.
+const RECLAIMED: u32 = u32::MAX;
+
 /// All network state: connections, event queue, client captures.
 pub struct Net {
     q: EventQueue<Ev>,
+    // Connection slab: `conns` holds the live connections' slots,
+    // `slot_of` maps each open ordinal (`ConnId`) to its slot or to
+    // `RECLAIMED`, and reclaimed slots wait in `free_slots` for the next
+    // open. `conns` only grows when every slot is live, so its length
+    // is the peak number of live connections.
     conns: Vec<Conn>,
+    slot_of: Vec<u32>,
+    free_slots: Vec<u32>,
     // Client-vantage tracing: whether `open_captured` starts a capture,
     // and how many events every capture has recorded so far.
     tracing: bool,
@@ -333,6 +358,8 @@ impl Net {
         Net {
             q: EventQueue::new(),
             conns: Vec::new(),
+            slot_of: Vec::new(),
+            free_slots: Vec::new(),
             tracing: false,
             trace_recorded: 0,
             cbs: VecDeque::new(),
@@ -379,12 +406,15 @@ impl Net {
     }
 
     /// Harvests the telemetry registry, stamping the end-of-run gauges
-    /// (event-queue slab high-water mark, events processed, trace
-    /// records) first. Leaves an empty registry with the same gate.
+    /// (event-queue and connection slab high-water marks, events
+    /// processed, trace records) first. Leaves an empty registry with
+    /// the same gate.
     pub fn take_metrics(&mut self) -> MetricsRegistry {
         if self.metrics.is_enabled() {
             self.metrics
                 .set_gauge("tcpsim.slab_high_water_slots", self.q.slab_slots() as f64);
+            self.metrics
+                .set_gauge("tcpsim.conn_slots_hiwater", self.conns.len() as f64);
             self.metrics
                 .set_gauge("tcpsim.events_processed", self.q.events_processed() as f64);
             self.metrics
@@ -464,8 +494,7 @@ impl Net {
 
     /// Like [`Net::open`], but when tracing is on the opener's view is
     /// captured from its first SYN on: every packet `a` transmits,
-    /// receives or loses on this connection, until
-    /// [`Net::take_capture`].
+    /// receives or loses on this connection, until [`Net::release`].
     pub fn open_captured(
         &mut self,
         a: NodeId,
@@ -478,12 +507,54 @@ impl Net {
         self.open_with([a, b], path, [opts_a, opts_b], session, true)
     }
 
-    /// Hands over a connection's capture and stops recording it. `None`
-    /// means nothing was captured: tracing was off when the connection
-    /// opened, it was opened with [`Net::open`], or its capture was
-    /// already taken.
-    pub fn take_capture(&mut self, conn: ConnId) -> Option<Vec<PktEvent>> {
-        self.conns[conn.0 as usize].capture.take()
+    /// The application is done with `conn`: hands over its capture and
+    /// stops recording it. `None` means nothing was captured: tracing
+    /// was off when the connection opened, it was opened with
+    /// [`Net::open`], or it was already released.
+    ///
+    /// The connection keeps running (a closing handshake finishes, an
+    /// aborted one stays silent), but its slot is reclaimed once both
+    /// ends are `Done` or it was aborted, and no queued event names it.
+    /// After that [`Net::is_aborted`] reads true and `release` returns
+    /// `None`; every other call on the id panics. A connection that is
+    /// never released is never reclaimed.
+    pub fn release(&mut self, conn: ConnId) -> Option<Vec<PktEvent>> {
+        let slot = self.slot_of[conn.0 as usize];
+        if slot == RECLAIMED {
+            return None;
+        }
+        let c = &mut self.conns[slot as usize];
+        c.released = true;
+        let capture = c.capture.take();
+        self.try_reclaim(conn);
+        capture
+    }
+
+    /// The slot of a connection that has not been reclaimed.
+    fn slot(&self, conn: ConnId) -> usize {
+        let slot = self.slot_of[conn.0 as usize];
+        assert!(
+            slot != RECLAIMED,
+            "connection {} used after it was released and reclaimed",
+            conn.0
+        );
+        slot as usize
+    }
+
+    /// Puts `conn`'s slot on the free list if it is reclaimable.
+    fn try_reclaim(&mut self, conn: ConnId) {
+        let slot = self.slot(conn);
+        if self.conns[slot].reclaimable() {
+            self.slot_of[conn.0 as usize] = RECLAIMED;
+            self.free_slots.push(slot as u32);
+        }
+    }
+
+    /// A queued event naming `conn` was handled and its callbacks ran.
+    fn retire_event(&mut self, conn: ConnId) {
+        let slot = self.slot(conn);
+        self.conns[slot].pending -= 1;
+        self.try_reclaim(conn);
     }
 
     fn open_with(
@@ -494,7 +565,7 @@ impl Net {
         session: u64,
         captured: bool,
     ) -> ConnId {
-        let cid = ConnId(self.conns.len() as u32);
+        let cid = ConnId(self.slot_of.len() as u32);
         let rng = Rng::from_seed_and_name(self.seed, &format!("tcpsim/conn/{}/{}", cid.0, session));
         let [opts_a, opts_b] = opts;
         let mut conn = Conn {
@@ -509,10 +580,22 @@ impl Net {
             fin_cb_fired: [false, false],
             aborted: false,
             capture: (captured && self.tracing).then(|| Vec::with_capacity(CAPTURE_CAPACITY)),
+            pending: 0,
+            released: false,
         };
         conn.ep[0].state = TcpState::SynSent;
         conn.ep[0].syn_sent_count = 1;
-        self.conns.push(conn);
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.conns[slot as usize] = conn;
+                slot
+            }
+            None => {
+                self.conns.push(conn);
+                (self.conns.len() - 1) as u32
+            }
+        };
+        self.slot_of.push(slot);
         let syn = self.make_ctl(cid, End::A, PktKind::Syn);
         self.transmit(cid, End::A, syn);
         self.arm_rto(cid, End::A);
@@ -520,15 +603,27 @@ impl Net {
     }
 
     /// Appends `len` application bytes tagged `(marker, content)` to the
-    /// `end` side's send stream and transmits as the window allows.
+    /// `end` side's send stream and transmits as the window allows. Does
+    /// nothing on an aborted connection.
     pub fn send(&mut self, conn: ConnId, end: End, len: u64, marker: Marker, content: u64) {
-        self.conns[conn.0 as usize].ep[end.idx()].push_chunk(len, marker, content);
+        let slot = self.slot(conn);
+        let c = &mut self.conns[slot];
+        if c.aborted {
+            return;
+        }
+        c.ep[end.idx()].push_chunk(len, marker, content);
         self.pump(conn, end);
     }
 
     /// Requests an orderly close from `end` (FIN after all queued data).
+    /// Does nothing on an aborted connection.
     pub fn close(&mut self, conn: ConnId, end: End) {
-        self.conns[conn.0 as usize].ep[end.idx()].fin_pending = true;
+        let slot = self.slot(conn);
+        let c = &mut self.conns[slot];
+        if c.aborted {
+            return;
+        }
+        c.ep[end.idx()].fin_pending = true;
         self.pump(conn, end);
     }
 
@@ -540,28 +635,28 @@ impl Net {
 
     /// TCP state of one side.
     pub fn state(&self, conn: ConnId, end: End) -> TcpState {
-        self.conns[conn.0 as usize].ep[end.idx()].state
+        self.conns[self.slot(conn)].ep[end.idx()].state
     }
 
     /// Congestion window (bytes) of one side — exposed for tests and the
     /// split-TCP ablation instrumentation.
     pub fn cwnd(&self, conn: ConnId, end: End) -> f64 {
-        self.conns[conn.0 as usize].ep[end.idx()].cwnd
+        self.conns[self.slot(conn)].ep[end.idx()].cwnd
     }
 
     /// Smoothed RTT estimate of one side, in ms.
     pub fn srtt_ms(&self, conn: ConnId, end: End) -> Option<f64> {
-        self.conns[conn.0 as usize].ep[end.idx()].srtt_ms
+        self.conns[self.slot(conn)].ep[end.idx()].srtt_ms
     }
 
     /// Bytes delivered in order to the application at `end`.
     pub fn delivered_bytes(&self, conn: ConnId, end: End) -> u64 {
-        self.conns[conn.0 as usize].ep[end.idx()].rcv_nxt
+        self.conns[self.slot(conn)].ep[end.idx()].rcv_nxt
     }
 
     /// Loss-recovery counters of one side.
     pub fn conn_stats(&self, conn: ConnId, end: End) -> crate::endpoint::ConnStats {
-        self.conns[conn.0 as usize].ep[end.idx()].stats
+        self.conns[self.slot(conn)].ep[end.idx()].stats
     }
 
     /// Installs a scheduled fault. Faults are consulted on every packet
@@ -577,9 +672,11 @@ impl Net {
     /// `on_fin` callback fires. This models a crashed peer or a proxy
     /// discarding a connection it has declared dead — the abstraction
     /// failure recovery needs: a reconnect after `abort` starts from a
-    /// cold congestion window.
+    /// cold congestion window. Later [`Net::send`] and [`Net::close`]
+    /// calls on the connection do nothing.
     pub fn abort(&mut self, conn: ConnId) {
-        let c = &mut self.conns[conn.0 as usize];
+        let slot = self.slot(conn);
+        let c = &mut self.conns[slot];
         c.aborted = true;
         for i in 0..2 {
             c.ep[i].rto_gen += 1;
@@ -590,15 +687,20 @@ impl Net {
         }
     }
 
-    /// True when [`Net::abort`] was called on this connection.
+    /// True when [`Net::abort`] was called on this connection, or once
+    /// its slot was reclaimed: either way it carries no more traffic.
     pub fn is_aborted(&self, conn: ConnId) -> bool {
-        self.conns[conn.0 as usize].aborted
+        match self.slot_of[conn.0 as usize] {
+            RECLAIMED => true,
+            slot => self.conns[slot as usize].aborted,
+        }
     }
 
     // ---- internals ----
 
     fn make_ctl(&mut self, cid: ConnId, from: End, kind: PktKind) -> Segment {
-        let c = &self.conns[cid.0 as usize];
+        let s = self.slot(cid);
+        let c = &self.conns[s];
         let ep = &c.ep[from.idx()];
         Segment {
             kind,
@@ -612,8 +714,9 @@ impl Net {
     }
 
     fn transmit(&mut self, cid: ConnId, from: End, seg: Segment) {
+        let s = self.slot(cid);
         let now = self.now();
-        let c = &mut self.conns[cid.0 as usize];
+        let c = &mut self.conns[s];
         if c.aborted {
             return;
         }
@@ -675,6 +778,7 @@ impl Net {
             arrival = floor;
         }
         c.last_arrival[from.idx()] = arrival;
+        c.pending += 1;
         self.q.schedule_at(
             arrival,
             Ev::Deliver {
@@ -686,7 +790,9 @@ impl Net {
     }
 
     fn arm_rto(&mut self, cid: ConnId, end: End) {
-        let c = &mut self.conns[cid.0 as usize];
+        let s = self.slot(cid);
+        let c = &mut self.conns[s];
+        c.pending += 1;
         let ep = &mut c.ep[end.idx()];
         ep.rto_gen += 1;
         ep.rto_armed = true;
@@ -703,7 +809,8 @@ impl Net {
     }
 
     fn cancel_rto(&mut self, cid: ConnId, end: End) {
-        let ep = &mut self.conns[cid.0 as usize].ep[end.idx()];
+        let s = self.slot(cid);
+        let ep = &mut self.conns[s].ep[end.idx()];
         ep.rto_gen += 1;
         ep.rto_armed = false;
     }
@@ -711,10 +818,11 @@ impl Net {
     /// Sends fresh data as the window allows; returns true if anything
     /// payload-bearing (or FIN) left.
     fn pump(&mut self, cid: ConnId, end: End) -> bool {
+        let s = self.slot(cid);
         let now = self.now();
         let mut sent_any = false;
         loop {
-            let c = &mut self.conns[cid.0 as usize];
+            let c = &mut self.conns[s];
             let ep = &mut c.ep[end.idx()];
             if ep.state != TcpState::Established {
                 break;
@@ -786,7 +894,8 @@ impl Net {
     }
 
     fn retransmit_una(&mut self, cid: ConnId, end: End) {
-        let c = &mut self.conns[cid.0 as usize];
+        let s = self.slot(cid);
+        let c = &mut self.conns[s];
         let ep = &mut c.ep[end.idx()];
         if ep.in_flight() == 0 {
             return;
@@ -827,8 +936,9 @@ impl Net {
     }
 
     fn send_ack_now(&mut self, cid: ConnId, end: End) {
+        let s = self.slot(cid);
         {
-            let ep = &mut self.conns[cid.0 as usize].ep[end.idx()];
+            let ep = &mut self.conns[s].ep[end.idx()];
             ep.delack_armed = false;
             ep.delack_gen += 1;
         }
@@ -837,7 +947,8 @@ impl Net {
     }
 
     fn arm_delack(&mut self, cid: ConnId, end: End) {
-        let c = &mut self.conns[cid.0 as usize];
+        let s = self.slot(cid);
+        let c = &mut self.conns[s];
         let ep = &mut c.ep[end.idx()];
         if ep.delack_armed {
             return;
@@ -846,6 +957,7 @@ impl Net {
         ep.delack_gen += 1;
         let gen = ep.delack_gen;
         let dt = ep.opts.delack_timeout;
+        c.pending += 1;
         self.q.schedule_in(
             dt,
             Ev::DelAck {
@@ -857,7 +969,8 @@ impl Net {
     }
 
     fn establish(&mut self, cid: ConnId, end: End) {
-        let c = &mut self.conns[cid.0 as usize];
+        let s = self.slot(cid);
+        let c = &mut self.conns[s];
         let ep = &mut c.ep[end.idx()];
         if ep.state == TcpState::Established {
             return;
@@ -865,7 +978,7 @@ impl Net {
         ep.state = TcpState::Established;
         self.cancel_rto(cid, end);
         // Handshake RTT sample (Karn: only if never retransmitted).
-        let c = &mut self.conns[cid.0 as usize];
+        let c = &mut self.conns[s];
         if end == End::A && !c.handshake_retx {
             let sample = self.q.now().saturating_since(c.syn_time);
             c.ep[end.idx()].rtt_sample(sample);
@@ -875,9 +988,10 @@ impl Net {
     }
 
     fn handle_deliver(&mut self, cid: ConnId, to: End, seg: Segment) {
+        let s = self.slot(cid);
         let now = self.now();
         {
-            let c = &mut self.conns[cid.0 as usize];
+            let c = &mut self.conns[s];
             if c.aborted {
                 // Packets in flight when the connection was torn down
                 // arrive at a dead socket: discarded, unrecorded.
@@ -887,10 +1001,10 @@ impl Net {
         }
         match seg.kind {
             PktKind::Syn => {
-                let state = self.conns[cid.0 as usize].ep[to.idx()].state;
+                let state = self.conns[s].ep[to.idx()].state;
                 match state {
                     TcpState::Closed => {
-                        self.conns[cid.0 as usize].ep[to.idx()].state = TcpState::SynRcvd;
+                        self.conns[s].ep[to.idx()].state = TcpState::SynRcvd;
                         let sa = self.make_ctl(cid, to, PktKind::SynAck);
                         self.transmit(cid, to, sa);
                         self.arm_rto(cid, to);
@@ -904,7 +1018,7 @@ impl Net {
                 }
             }
             PktKind::SynAck => {
-                let state = self.conns[cid.0 as usize].ep[to.idx()].state;
+                let state = self.conns[s].ep[to.idx()].state;
                 if state == TcpState::SynSent {
                     self.establish(cid, to);
                     let ack = self.make_ctl(cid, to, PktKind::Ack);
@@ -919,13 +1033,13 @@ impl Net {
                 }
             }
             PktKind::Ack | PktKind::Data | PktKind::Fin => {
-                if self.conns[cid.0 as usize].ep[to.idx()].state == TcpState::SynRcvd {
+                if self.conns[s].ep[to.idx()].state == TcpState::SynRcvd {
                     self.establish(cid, to);
                     self.pump(cid, to);
                 }
                 // --- sender-side: process the cumulative ACK ---
                 let reaction = {
-                    let ep = &mut self.conns[cid.0 as usize].ep[to.idx()];
+                    let ep = &mut self.conns[s].ep[to.idx()];
                     ep.on_ack(seg.ack, seg.wnd, now, seg.has_payload())
                 };
                 match reaction {
@@ -938,7 +1052,7 @@ impl Net {
                     _ => {}
                 }
                 {
-                    let ep = &self.conns[cid.0 as usize].ep[to.idx()];
+                    let ep = &self.conns[s].ep[to.idx()];
                     let flight = ep.in_flight();
                     let advanced = matches!(
                         reaction,
@@ -957,7 +1071,7 @@ impl Net {
                 if seg.kind == PktKind::Data || seg.kind == PktKind::Fin {
                     let fin = seg.kind == PktKind::Fin;
                     let (spans, policy) = {
-                        let ep = &mut self.conns[cid.0 as usize].ep[to.idx()];
+                        let ep = &mut self.conns[s].ep[to.idx()];
                         ep.accept(seg.seq, seg.len, seg.push, fin, seg.meta)
                     };
                     if !spans.is_empty() {
@@ -968,7 +1082,7 @@ impl Net {
                         });
                     }
                     {
-                        let c = &mut self.conns[cid.0 as usize];
+                        let c = &mut self.conns[s];
                         if c.ep[to.idx()].peer_fin_rcvd && !c.fin_cb_fired[to.idx()] {
                             c.fin_cb_fired[to.idx()] = true;
                             self.cbs.push_back(Cb::Fin { conn: cid, end: to });
@@ -980,7 +1094,7 @@ impl Net {
                     }
                 }
                 // --- lifecycle: both sides done? ---
-                let c = &mut self.conns[cid.0 as usize];
+                let c = &mut self.conns[s];
                 for i in 0..2 {
                     let done = c.ep[i].fin_sent && c.ep[i].all_acked() && c.ep[i].peer_fin_rcvd;
                     if done {
@@ -992,8 +1106,9 @@ impl Net {
     }
 
     fn handle_rto(&mut self, cid: ConnId, end: End, gen: u64) {
+        let s = self.slot(cid);
         let (stale, state) = {
-            let c = &self.conns[cid.0 as usize];
+            let c = &self.conns[s];
             let ep = &c.ep[end.idx()];
             (c.aborted || ep.rto_gen != gen || !ep.rto_armed, ep.state)
         };
@@ -1003,7 +1118,7 @@ impl Net {
         match state {
             TcpState::SynSent => {
                 {
-                    let c = &mut self.conns[cid.0 as usize];
+                    let c = &mut self.conns[s];
                     c.handshake_retx = true;
                     let ep = &mut c.ep[end.idx()];
                     ep.rto = ep.rto.saturating_mul(2).min(ep.opts.max_rto);
@@ -1015,7 +1130,7 @@ impl Net {
             }
             TcpState::SynRcvd => {
                 {
-                    let c = &mut self.conns[cid.0 as usize];
+                    let c = &mut self.conns[s];
                     c.handshake_retx = true;
                     let ep = &mut c.ep[end.idx()];
                     ep.rto = ep.rto.saturating_mul(2).min(ep.opts.max_rto);
@@ -1025,12 +1140,12 @@ impl Net {
                 self.arm_rto(cid, end);
             }
             TcpState::Established | TcpState::Done => {
-                let flight = self.conns[cid.0 as usize].ep[end.idx()].in_flight();
+                let flight = self.conns[s].ep[end.idx()].in_flight();
                 if flight == 0 {
-                    self.conns[cid.0 as usize].ep[end.idx()].rto_armed = false;
+                    self.conns[s].ep[end.idx()].rto_armed = false;
                     return;
                 }
-                self.conns[cid.0 as usize].ep[end.idx()].on_rto_fire();
+                self.conns[s].ep[end.idx()].on_rto_fire();
                 // RTO fire collapses the congestion window back to
                 // slow-start — the paper's "cold cwnd" penalty.
                 self.metrics.inc("tcpsim.cwnd_resets");
@@ -1041,8 +1156,9 @@ impl Net {
     }
 
     fn handle_delack(&mut self, cid: ConnId, end: End, gen: u64) {
+        let s = self.slot(cid);
         let fire = {
-            let c = &self.conns[cid.0 as usize];
+            let c = &self.conns[s];
             let ep = &c.ep[end.idx()];
             !c.aborted && ep.delack_armed && ep.delack_gen == gen
         };
@@ -1124,13 +1240,30 @@ impl<A: App> Sim<A> {
                 "event budget exceeded: simulation did not quiesce"
             );
             let (_, ev) = self.net.q.pop().unwrap();
-            match ev {
-                Ev::Deliver { conn, to, seg } => self.net.handle_deliver(conn, to, seg),
-                Ev::Rto { conn, end, gen } => self.net.handle_rto(conn, end, gen),
-                Ev::DelAck { conn, end, gen } => self.net.handle_delack(conn, end, gen),
-                Ev::AppTimer { token } => self.net.cbs.push_back(Cb::Timer { token }),
-            }
+            let conn = match ev {
+                Ev::Deliver { conn, to, seg } => {
+                    self.net.handle_deliver(conn, to, seg);
+                    Some(conn)
+                }
+                Ev::Rto { conn, end, gen } => {
+                    self.net.handle_rto(conn, end, gen);
+                    Some(conn)
+                }
+                Ev::DelAck { conn, end, gen } => {
+                    self.net.handle_delack(conn, end, gen);
+                    Some(conn)
+                }
+                Ev::AppTimer { token } => {
+                    self.net.cbs.push_back(Cb::Timer { token });
+                    None
+                }
+            };
             self.drain_callbacks();
+            // Counted only now, so a connection released by one of the
+            // callbacks above is reclaimed after they all ran.
+            if let Some(conn) = conn {
+                self.net.retire_event(conn);
+            }
         }
     }
 }
@@ -1420,7 +1553,7 @@ mod tests {
             77,
         );
         sim.run();
-        let events = sim.net().take_capture(cid).unwrap();
+        let events = sim.net().release(cid).unwrap();
         assert!(!events.is_empty());
         // Only the opener's view is captured.
         assert!(events.iter().all(|e| e.node == NodeId(1) && e.conn == cid));
@@ -1455,12 +1588,12 @@ mod tests {
             1,
         );
         off.run();
-        assert_eq!(off.net().take_capture(cid), None);
+        assert_eq!(off.net().release(cid), None);
         assert_eq!(off.net().trace_recorded(), 0);
 
-        // Tracing on: a plain `open` captures nothing, and taking a
-        // capture mid-transfer hands over what was seen and stops
-        // recording the connection.
+        // Tracing on: a plain `open` captures nothing, and releasing a
+        // connection mid-transfer hands over what was seen and stops
+        // recording it.
         let mut sim = Sim::new(42, Echoish::new(400, 30_000));
         sim.net().set_tracing(true);
         let plain = sim.net().open(
@@ -1480,16 +1613,16 @@ mod tests {
             2,
         );
         sim.run_until(SimTime::from_millis(120));
-        let early = sim.net().take_capture(cid).unwrap();
+        let early = sim.net().release(cid).unwrap();
         assert!(early.iter().any(|e| e.kind == PktKind::Syn));
         assert_eq!(sim.net().trace_recorded(), early.len() as u64);
         sim.run();
-        assert_eq!(sim.net().take_capture(cid), None);
-        assert_eq!(sim.net().take_capture(plain), None);
+        assert_eq!(sim.net().release(cid), None);
+        assert_eq!(sim.net().release(plain), None);
         assert_eq!(
             sim.net().trace_recorded(),
             early.len() as u64,
-            "a taken capture records nothing more"
+            "a released capture records nothing more"
         );
     }
 
@@ -1783,6 +1916,127 @@ mod tests {
         assert!(app.got < 60_000, "aborted transfer must not complete");
         assert!(app.response_done_at.is_none());
         assert!(app.fins.is_empty(), "abort must not surface FIN callbacks");
+    }
+
+    #[test]
+    fn send_and_close_after_abort_schedule_nothing() {
+        let mut sim = Sim::new(42, Echoish::new(400, 60_000));
+        let cid = sim.net().open(
+            NodeId(1),
+            NodeId(2),
+            PathParams::ideal(100.0),
+            TcpOptions::default(),
+            TcpOptions::default(),
+            1,
+        );
+        sim.run_until(SimTime::from_millis(220));
+        sim.net().abort(cid);
+        let pending = sim.net().pending_events();
+        sim.net().send(cid, End::A, 10_000, Marker::Request, 3);
+        sim.net().close(cid, End::A);
+        assert_eq!(
+            sim.net().pending_events(),
+            pending,
+            "an aborted connection must not arm a retransmission timer"
+        );
+    }
+
+    /// Runs one Echoish transfer to quiescence on `sim`'s net and
+    /// returns its connection (the app is reset first, so transfers can
+    /// repeat on one net).
+    fn transfer_on(sim: &mut Sim<Echoish>, path: PathParams, session: u64) -> ConnId {
+        *sim.app_mut() = Echoish::new(400, 5_000);
+        let cid = sim.net().open_captured(
+            NodeId(1),
+            NodeId(2),
+            path,
+            TcpOptions::default(),
+            TcpOptions::default(),
+            session,
+        );
+        sim.run();
+        cid
+    }
+
+    #[test]
+    fn sequential_released_transfers_reuse_one_slot() {
+        let mut sim = Sim::new(42, Echoish::new(400, 5_000));
+        sim.net().metrics_mut().set_enabled(true);
+        sim.net().set_tracing(true);
+        for i in 0..1_000u64 {
+            let cid = transfer_on(&mut sim, PathParams::ideal(20.0), i);
+            assert_eq!(cid, ConnId(i as u32), "ids stay open ordinals");
+            assert_eq!(sim.app().got, 5_000);
+            assert!(sim.net().release(cid).is_some());
+        }
+        let hiwater = sim.net().take_metrics().gauge("tcpsim.conn_slots_hiwater");
+        let (_, max) = hiwater.expect("the slot gauge is stamped");
+        assert!(
+            (1.0..=2.0).contains(&max),
+            "1,000 transfers held {max} slots"
+        );
+    }
+
+    #[test]
+    fn reused_slot_replays_the_fresh_trajectory() {
+        let path = || PathParams {
+            base_owd_ms: 30.0,
+            jitter_ms: Dist::Exponential { mean: 4.0 },
+            loss: 0.05,
+            bw_mbps: 10.0,
+        };
+        // Net A releases connection 0, so connection 1 reuses its slot;
+        // net B keeps connection 0, so connection 1 gets a fresh slot.
+        let mut a = Sim::new(9, Echoish::new(400, 5_000));
+        let mut b = Sim::new(9, Echoish::new(400, 5_000));
+        for sim in [&mut a, &mut b] {
+            sim.net().set_tracing(true);
+            transfer_on(sim, path(), 100);
+        }
+        a.net().release(ConnId(0));
+        assert!(a.net().is_aborted(ConnId(0)), "connection 0 was reclaimed");
+        assert!(!b.net().is_aborted(ConnId(0)));
+        let run = |sim: &mut Sim<Echoish>| {
+            let cid = transfer_on(sim, path(), 101);
+            assert_eq!(cid, ConnId(1));
+            let capture = sim.net().release(cid).expect("captured");
+            (sim.app().data_events.clone(), capture)
+        };
+        let (reused, fresh) = (run(&mut a), run(&mut b));
+        assert!(reused.1.iter().any(|e| e.dir == PktDir::Drop), "path loses");
+        assert_eq!(reused, fresh);
+    }
+
+    #[test]
+    fn reclaimed_id_reads_aborted_and_releases_nothing() {
+        let mut sim = Sim::new(42, Echoish::new(400, 30_000));
+        sim.net().set_tracing(true);
+        let cid = sim.net().open_captured(
+            NodeId(1),
+            NodeId(2),
+            PathParams::ideal(50.0),
+            TcpOptions::default(),
+            TcpOptions::default(),
+            1,
+        );
+        // Released mid-transfer: the transfer finishes, then the slot
+        // is reclaimed when the connection's last queued event pops.
+        sim.run_until(SimTime::from_millis(120));
+        assert!(sim.net().release(cid).is_some());
+        assert!(!sim.net().is_aborted(cid));
+        sim.run();
+        assert_eq!(sim.app().got, 30_000, "release does not cut a transfer");
+        assert!(sim.net().is_aborted(cid));
+        assert_eq!(sim.net().release(cid), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "connection 0 used after it was released and reclaimed")]
+    fn send_on_a_reclaimed_id_panics_naming_it() {
+        let mut sim = Sim::new(42, Echoish::new(400, 5_000));
+        let cid = transfer_on(&mut sim, PathParams::ideal(20.0), 1);
+        sim.net().release(cid);
+        sim.net().send(cid, End::A, 100, Marker::Request, 1);
     }
 
     #[test]

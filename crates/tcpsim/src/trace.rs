@@ -5,8 +5,8 @@
 //! [`Net::open_captured`](crate::Net::open_captured) appends every packet
 //! its opener (`End::A`) transmits, receives or loses on the path as a
 //! [`PktEvent`] to a buffer held by the connection, and
-//! [`Net::take_capture`](crate::Net::take_capture) hands that buffer
-//! over when the application is done with the connection. Front-end and
+//! [`Net::release`](crate::Net::release) hands that buffer over when the
+//! application is done with the connection. Front-end and
 //! back-end observations are never recorded, so recording costs only
 //! what the client-side analysis reads.
 

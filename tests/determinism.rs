@@ -15,7 +15,9 @@
 //!    that caused it. Refresh intentionally with
 //!    `scripts/update_golden.sh`.
 //! 3. **Bounded streaming memory** — a capped reducer's peak retained
-//!    bytes stay flat at 10× the queries, far below collecting them.
+//!    bytes stay flat at 10× the queries, far below collecting them,
+//!    and a fed session campaign's connection slots and completion
+//!    drain batches stay flat at 10× the sessions.
 
 mod common;
 
@@ -24,6 +26,7 @@ use common::{compare_golden, representative_campaign};
 use emulator::dataset_a::{DatasetA, KeywordPolicy};
 use emulator::{
     Campaign, CollectSink, Design, FoldSink, ProcessedQuery, QuerySink, RunDescriptor, Scenario,
+    SessionWorkload,
 };
 use simcore::time::SimDuration;
 use stats::{QuantileAcc, SummaryAcc, Welford};
@@ -221,5 +224,57 @@ fn streaming_reducer_memory_stays_bounded_at_10x_queries() {
     assert!(
         stream.max(stream_10x) <= 12_384,
         "streaming peak {stream} B / {stream_10x} B crept past 12,384 B"
+    );
+}
+
+/// Runs a fed google-like campaign of `sessions` single-query sessions
+/// 20 ms apart on one worker; returns its peak connection slots and the
+/// most completions one drain handed over.
+fn conn_slots_and_drain_batch(sessions: u64) -> (f64, f64) {
+    let seed = 42;
+    let mut c = Campaign::new(Scenario::with_size(seed, 24, 500));
+    c.push(
+        "sessions",
+        ServiceConfig::google_like(seed),
+        Design::Sessions(
+            SessionWorkload::new(sessions).with_mean_gap(SimDuration::from_millis(20)),
+        ),
+    )
+    .metrics = Some(true);
+    let capped = |_: &RunDescriptor| CappedSummaries {
+        overall: SummaryAcc::with_cap(256),
+        t_dynamic: SummaryAcc::with_cap(256),
+    };
+    let report = c.execute_stream_with_threads(&capped, 1);
+    let metrics = &report.runs[0].metrics;
+    let max = |name: &str| {
+        metrics
+            .gauge(name)
+            .unwrap_or_else(|| panic!("{name} missing"))
+            .1
+    };
+    (
+        max("tcpsim.conn_slots_hiwater"),
+        max("emulator.drain_batch_hiwater"),
+    )
+}
+
+#[test]
+fn world_memory_stays_o_live_at_10x_sessions() {
+    let (slots, batch) = conn_slots_and_drain_batch(500);
+    let (slots_10x, batch_10x) = conn_slots_and_drain_batch(5_000);
+    // Every session opens its own client connection, so a net that kept
+    // finished connections would grow its slots 10x here.
+    assert!(slots > 0.0, "no connection slot was used");
+    assert!(
+        2.0 * slots_10x <= 3.0 * slots,
+        "10x sessions grew the connection slots from {slots} to {slots_10x}: finished connections kept?"
+    );
+    // 1.5x the 67 completions the one-second drain handed over at most
+    // when this contract was pinned (a 60 s drain hands over ~3,000);
+    // both gauges are deterministic, so any creep is a real change.
+    assert!(
+        batch.max(batch_10x) <= 100.0,
+        "largest drain batch {batch} / {batch_10x} crept past 100 completions"
     );
 }

@@ -146,7 +146,7 @@ proptest! {
             1,
         );
         sim.run();
-        let trace = sim.net().take_capture(cid).unwrap();
+        let trace = sim.net().release(cid).unwrap();
         prop_assert!(trace.iter().all(|e| e.node == NodeId(1)));
         let mut last = None;
         for ev in trace.iter().filter(|e| e.dir == tcpsim::PktDir::Rx) {

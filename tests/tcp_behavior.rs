@@ -59,7 +59,7 @@ fn trace_run(
     );
     sim.run();
     let got = sim.app().got;
-    let trace = sim.net().take_capture(cid).unwrap();
+    let trace = sim.net().release(cid).unwrap();
     (trace, got)
 }
 
@@ -141,7 +141,7 @@ fn receive_window_caps_the_flight() {
     );
     sim.run();
     assert_eq!(sim.app().got, 150_000);
-    let trace = sim.net().take_capture(cid).unwrap();
+    let trace = sim.net().release(cid).unwrap();
     // Max outstanding bytes observed at the client: max seq_end received
     // minus max ack the client had sent before that arrival never
     // exceeds rwnd. Simpler proxy: count packets per RTT round ≤ 6
@@ -191,7 +191,7 @@ fn rto_backoff_doubles_under_blackout_and_recovers() {
         9,
     );
     sim.run_until(SimTime::from_secs(300));
-    let trace = sim.net().take_capture(cid).unwrap();
+    let trace = sim.net().release(cid).unwrap();
     let syn_tx: Vec<SimTime> = trace
         .iter()
         .filter(|e| e.node == NodeId(1) && e.kind == PktKind::Syn && e.dir == PktDir::Tx)
@@ -251,7 +251,7 @@ fn idle_reset_restarts_slow_start_on_stale_connections() {
             9,
         );
         sim.run();
-        let trace = sim.net().take_capture(cid).unwrap();
+        let trace = sim.net().release(cid).unwrap();
         let second: Vec<SimTime> = trace
             .iter()
             .filter(|e| {
