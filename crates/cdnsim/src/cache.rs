@@ -19,8 +19,9 @@
 //! * an object larger than the byte capacity is rejected, never
 //!   admitted-then-evicted; a zero-capacity cache holds nothing.
 
+use simcore::hash::HashMap;
 use simcore::time::{SimDuration, SimTime};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Eviction policy of an [`ObjectCache`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -204,7 +205,7 @@ impl<V> ObjectCache<V> {
     pub fn new(cfg: CacheConfig) -> ObjectCache<V> {
         ObjectCache {
             cfg,
-            map: HashMap::new(),
+            map: HashMap::default(),
             order: BTreeSet::new(),
             bytes: 0,
             tick: 0,

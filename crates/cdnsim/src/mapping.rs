@@ -50,9 +50,9 @@
 
 use nettopo::faults::FaultPlan;
 use nettopo::geo::GeoPoint;
+use simcore::hash::HashMap;
 use simcore::telemetry::MetricsRegistry;
 use simcore::time::{SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// Which client→FE mapping strategy a service runs
 /// ([`ServiceConfig::mapping`](crate::ServiceConfig::mapping)).
@@ -217,7 +217,7 @@ impl NearestLive {
     pub fn new(ttl: SimDuration) -> NearestLive {
         NearestLive {
             ttl,
-            cache: HashMap::new(),
+            cache: HashMap::default(),
         }
     }
 }
@@ -270,7 +270,7 @@ impl DnsGeoTtl {
         assert!(policy.bucket_deg > 0.0);
         DnsGeoTtl {
             policy,
-            cache: HashMap::new(),
+            cache: HashMap::default(),
         }
     }
 

@@ -36,10 +36,11 @@ use nettopo::sites::BeSite;
 use nettopo::vantage::{AccessKind, Vantage};
 use searchbe::datacenter::BeDataCenter;
 use searchbe::keywords::{KeywordClass, KeywordCorpus};
+use simcore::hash::HashMap;
 use simcore::rng::Rng;
 use simcore::telemetry::MetricsRegistry;
 use simcore::time::{SimDuration, SimTime};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use tcpsim::{
     App, ConnId, DeliveredSpan, End, LinkFault, Marker, Net, NodeId, PathParams, PktEvent,
 };
@@ -417,9 +418,9 @@ impl ServiceWorld {
             dns,
             be_of_fe,
             free_pool: BTreeMap::new(),
-            conn_info: HashMap::new(),
-            warmup_progress: HashMap::new(),
-            queries: HashMap::new(),
+            conn_info: HashMap::default(),
+            warmup_progress: HashMap::default(),
+            queries: HashMap::default(),
             actions: Vec::new(),
             free_actions: Vec::new(),
             completed: Vec::new(),
@@ -427,11 +428,11 @@ impl ServiceWorld {
             retry_rng,
             mapper,
             epoch_armed: false,
-            fe_rank: HashMap::new(),
-            be_rank: HashMap::new(),
+            fe_rank: HashMap::default(),
+            be_rank: HashMap::default(),
             fe_inflight: vec![0; n_fes],
             be_inflight: vec![0; n_bes],
-            retry_tokens: HashMap::new(),
+            retry_tokens: HashMap::default(),
             breakers: vec![BreakerState::new(); n_fes],
             metrics: MetricsRegistry::from_env(),
         }

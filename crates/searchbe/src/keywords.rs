@@ -96,21 +96,25 @@ const SYLLABLES: &[&str] = &[
     "tem", "web", "ser", "vice",
 ];
 
-fn synth_word(rng: &mut Rng) -> String {
+/// Appends one synthetic word of 2–4 syllables to `out`.
+fn synth_word(rng: &mut Rng, out: &mut String) {
     let n = 2 + rng.next_below(3) as usize;
-    let mut w = String::new();
     for _ in 0..n {
-        w.push_str(rng.choose(SYLLABLES) as &str);
+        out.push_str(rng.choose(SYLLABLES) as &str);
     }
-    w
 }
 
-fn synth_query(rng: &mut Rng, words: usize) -> String {
-    let mut parts = Vec::with_capacity(words);
-    for _ in 0..words {
-        parts.push(synth_word(rng));
+/// Builds a `words`-word query in the reused buffer `buf` and returns it
+/// as an exact-size `String`: one allocation per keyword.
+fn synth_query(rng: &mut Rng, words: usize, buf: &mut String) -> String {
+    buf.clear();
+    for i in 0..words {
+        if i > 0 {
+            buf.push(' ');
+        }
+        synth_word(rng, buf);
     }
-    parts.join(" ")
+    buf.as_str().to_owned()
 }
 
 /// A deterministic synthetic keyword corpus.
@@ -129,6 +133,7 @@ impl KeywordCorpus {
         assert!(n > 0);
         let mut rng = Rng::from_seed_and_name(seed, "searchbe/corpus");
         let mut keywords = Vec::with_capacity(n);
+        let mut buf = String::new();
         for id in 0..n {
             let u = rng.next_f64();
             let class = if u < 0.40 {
@@ -140,7 +145,7 @@ impl KeywordCorpus {
             } else {
                 KeywordClass::UncorrelatedMix
             };
-            let text = synth_query(&mut rng, class.word_count());
+            let text = synth_query(&mut rng, class.word_count(), &mut buf);
             let suggested = rng.chance(suggested_frac);
             keywords.push(Keyword {
                 id: id as u64,
@@ -273,6 +278,22 @@ mod tests {
         let suggested = c.all().iter().filter(|k| k.suggested).count();
         let frac = suggested as f64 / c.len() as f64;
         assert!((frac - 0.3).abs() < 0.02, "suggested frac {frac}");
+    }
+
+    #[test]
+    fn corpus_text_is_pinned() {
+        // FNV-1a-64 over every keyword's text followed by `|`: the
+        // corpus must stay the same bytes however it is built.
+        let c = KeywordCorpus::generate(42, 40_000, 0.5);
+        let (mut h, mut bytes) = (0xcbf2_9ce4_8422_2325u64, 0usize);
+        for kw in c.all() {
+            for &b in kw.text.as_bytes().iter().chain(b"|") {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            bytes += kw.text.len();
+        }
+        assert_eq!(bytes, 1_832_350);
+        assert_eq!(h, 0x0b1d_4e3e_97ed_2085);
     }
 
     #[test]

@@ -16,6 +16,9 @@
 //! * [`dist`] — the probability distributions used by the latency, loss,
 //!   load and processing-time models (uniform, exponential, normal,
 //!   log-normal, Pareto, Weibull, Bernoulli, empirical).
+//! * [`hash`] — a fixed, seedless multiply-rotate hasher and the
+//!   `HashMap` alias every simulator map is keyed through, so iteration
+//!   order never depends on a per-process seed.
 //! * [`SmallVec`] — a hand-rolled inline-first small-vector; the packet
 //!   hot path uses it to carry content spans without heap allocation.
 //! * [`telemetry`] — deterministic counters/gauges/histograms and
@@ -32,6 +35,7 @@
 #![forbid(unsafe_code)]
 
 pub mod dist;
+pub mod hash;
 pub mod queue;
 pub mod rng;
 pub mod smallvec;

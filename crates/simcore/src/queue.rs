@@ -18,6 +18,13 @@
 //! an order depending on container internals, and simulation runs
 //! would not be bit-reproducible across refactorings.
 //!
+//! The tie-break number can be taken apart from the schedule:
+//! [`EventQueue::reserve_seq`] takes it now, and
+//! [`EventQueue::schedule_reserved`] schedules with it later, as long as
+//! the clock has not yet passed the event's `(time, seq)` position. The
+//! event then pops exactly where one scheduled at reservation time would
+//! have. tcpsim's timers rely on this to keep one queued event each.
+//!
 //! Payloads live in a slab indexed by the queue entries rather than in
 //! the wheel itself: bucket chains and cascades move 24-byte
 //! `(time, seq, idx)` records instead of full event payloads (a
@@ -257,6 +264,27 @@ impl<E> EventQueue<E> {
     /// Debug-panics if `at` is in the past; clamps to `now` (and counts
     /// the clamp) in release.
     pub fn schedule_at(&mut self, at: SimTime, payload: E) {
+        let seq = self.reserve_seq();
+        self.schedule_reserved(at, seq, payload);
+    }
+
+    /// Takes the next FIFO tie-break number without scheduling
+    /// anything. An event later scheduled with it through
+    /// [`EventQueue::schedule_reserved`] pops exactly where one
+    /// scheduled now would have.
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Schedules `payload` at `at` with a tie-break number taken earlier
+    /// from [`EventQueue::reserve_seq`]. The caller must schedule it
+    /// before the clock passes `(at, seq)`, and use each number once.
+    ///
+    /// Debug-panics if `at` is in the past; clamps to `now` (and counts
+    /// the clamp) in release.
+    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, payload: E) {
         debug_assert!(
             at >= self.now,
             "scheduling into the past: {at:?} < {:?}",
@@ -268,8 +296,6 @@ impl<E> EventQueue<E> {
         } else {
             at
         };
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let idx = match self.free.pop() {
             Some(i) => {
                 self.slab[i as usize] = Some(payload);
@@ -612,14 +638,26 @@ impl<E> HeapQueue<E> {
 
     /// Schedules `payload` at the absolute instant `at`.
     pub fn schedule_at(&mut self, at: SimTime, payload: E) {
+        let seq = self.reserve_seq();
+        self.schedule_reserved(at, seq, payload);
+    }
+
+    /// Takes the next FIFO tie-break number without scheduling anything.
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Schedules `payload` at `at` with a number from
+    /// [`HeapQueue::reserve_seq`].
+    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, payload: E) {
         debug_assert!(
             at >= self.now,
             "scheduling into the past: {at:?} < {:?}",
             self.now
         );
         let at = if at < self.now { self.now } else { at };
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let idx = match self.free.pop() {
             Some(i) => {
                 self.slab[i as usize] = Some(payload);

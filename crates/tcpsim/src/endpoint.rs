@@ -3,7 +3,8 @@
 //! [`Endpoint`] holds sender and receiver state and implements the
 //! protocol *decisions* (congestion control, RTT estimation, receive-side
 //! reassembly, ACK policy) as pure state transitions returning action
-//! values. Packet construction, link modelling and timers live in
+//! values, and [`Timer`] decides what each popped timer event does.
+//! Packet construction, link modelling and the event queue live in
 //! [`crate::net`] — this split keeps the algorithms unit-testable without
 //! an event loop.
 
@@ -90,6 +91,87 @@ pub enum AckReaction {
     Ignored,
 }
 
+/// One TCP timer (the retransmission timer or the delayed ACK), with at
+/// most one live event in the event queue.
+///
+/// Every arm takes a queue sequence number, as an eagerly scheduled
+/// event would. It schedules an event only when none is queued or the
+/// queued one is later than the new deadline. An event that pops before
+/// the latest deadline is queued again at that deadline with that arm's
+/// number. So the timer fires at exactly the `(time, seq)` position
+/// where the latest arm's own event would have popped, and nothing that
+/// does work moves in the pop order. The net layer owns the queue; the
+/// timer only decides.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Timer {
+    /// `(deadline, seq)` of the latest arm; `None` when disarmed.
+    armed: Option<(SimTime, u64)>,
+    /// `(time, seq)` of the timer's live queued event. Invariant: when
+    /// the timer is armed, this is set and not later than `armed`.
+    queued: Option<(SimTime, u64)>,
+}
+
+/// What a popped timer event does, per [`Timer::pop`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum TimerPop {
+    /// The timer expired (and is now disarmed): run its handler.
+    Fire,
+    /// The deadline moved later: queue the event again at `(at, seq)`.
+    Requeue {
+        /// The latest arm's deadline.
+        at: SimTime,
+        /// The sequence number reserved by that arm.
+        seq: u64,
+    },
+    /// A superseded event, or the timer was disarmed: nothing to do.
+    Noop,
+}
+
+impl Timer {
+    /// Whether the timer is armed.
+    pub fn is_armed(&self) -> bool {
+        self.armed.is_some()
+    }
+
+    /// Arms (or re-arms) the timer to expire at `deadline`, with `seq`
+    /// reserved from the event queue. Returns true when the caller must
+    /// schedule the timer's event at `(deadline, seq)`: nothing is
+    /// queued, or the queued event is later and is now superseded.
+    pub(crate) fn arm(&mut self, deadline: SimTime, seq: u64) -> bool {
+        self.armed = Some((deadline, seq));
+        if self.queued.is_some_and(|(at, _)| at <= deadline) {
+            return false;
+        }
+        self.queued = Some((deadline, seq));
+        true
+    }
+
+    /// Disarms the timer. Its queued event stays queued and pops as a
+    /// no-op, unless a later arm reuses it.
+    pub(crate) fn disarm(&mut self) {
+        self.armed = None;
+    }
+
+    /// The timer's event numbered `seq` popped at `now`.
+    pub(crate) fn pop(&mut self, now: SimTime, seq: u64) -> TimerPop {
+        if self.queued.map(|(_, s)| s) != Some(seq) {
+            return TimerPop::Noop;
+        }
+        self.queued = None;
+        match self.armed {
+            Some(armed) if armed == (now, seq) => {
+                self.armed = None;
+                TimerPop::Fire
+            }
+            Some((at, seq)) => {
+                self.queued = Some((at, seq));
+                TimerPop::Requeue { at, seq }
+            }
+            None => TimerPop::Noop,
+        }
+    }
+}
+
 /// The TCP endpoint.
 #[derive(Clone, Debug)]
 pub struct Endpoint {
@@ -137,10 +219,8 @@ pub struct Endpoint {
     pub rttvar_ms: f64,
     /// Current retransmission timeout.
     pub rto: SimDuration,
-    /// Timer generation counter (invalidates stale timer events).
-    pub rto_gen: u64,
-    /// Whether an RTO timer is outstanding.
-    pub rto_armed: bool,
+    /// The retransmission timer.
+    pub rto_timer: Timer,
     /// In-flight RTT probe: `(seq_end, sent_at)`; cleared on any
     /// retransmission (Karn's algorithm).
     pub rtt_probe: Option<(u64, SimTime)>,
@@ -158,10 +238,8 @@ pub struct Endpoint {
     pub rcv_nxt: u64,
     /// Out-of-order reassembly buffer keyed by sequence number.
     pub ooo: BTreeMap<u64, OooSeg>,
-    /// Whether a delayed ACK is pending.
-    pub delack_armed: bool,
-    /// Delayed-ACK timer generation.
-    pub delack_gen: u64,
+    /// The delayed-ACK timer (armed while an ACK is being held back).
+    pub delack: Timer,
     /// Peer's FIN sequence (once seen).
     pub peer_fin_seq: Option<u64>,
     /// The peer FIN has been consumed (rcv_nxt advanced past it).
@@ -195,8 +273,7 @@ impl Endpoint {
             srtt_ms: None,
             rttvar_ms: 0.0,
             rto,
-            rto_gen: 0,
-            rto_armed: false,
+            rto_timer: Timer::default(),
             rtt_probe: None,
             last_send: SimTime::ZERO,
             fin_pending: false,
@@ -204,8 +281,7 @@ impl Endpoint {
             syn_sent_count: 0,
             rcv_nxt: 0,
             ooo: BTreeMap::new(),
-            delack_armed: false,
-            delack_gen: 0,
+            delack: Timer::default(),
             peer_fin_seq: None,
             peer_fin_rcvd: false,
             cubic: CubicState::default(),
@@ -552,7 +628,7 @@ impl Endpoint {
             || self.peer_fin_rcvd
             || filled_gap
             || !self.ooo.is_empty()
-            || self.delack_armed
+            || self.delack.is_armed()
         {
             AckPolicy::Immediate
         } else {
@@ -766,7 +842,7 @@ mod tests {
         };
         let (_, p1) = e.accept(0, 1460, false, false, mk(0));
         assert_eq!(p1, AckPolicy::Delayed);
-        e.delack_armed = true; // net layer arms the timer
+        e.delack.arm(SimTime::from_millis(200), 0); // the net layer arms it
         let (_, p2) = e.accept(1460, 1460, false, false, mk(1460));
         assert_eq!(p2, AckPolicy::Immediate);
     }
@@ -874,6 +950,99 @@ mod tests {
         e2.last_send = SimTime::from_millis(10);
         e2.maybe_idle_reset(SimTime::from_secs(30));
         assert_eq!(e2.cwnd, e2.opts.initial_cwnd());
+    }
+
+    type Q = simcore::EventQueue<(&'static str, u64)>;
+
+    /// Arms `timer` for `at` the way the net layer does: reserve a
+    /// sequence number, schedule only when the timer asks for it.
+    fn arm_on(q: &mut Q, timer: &mut Timer, at: SimTime) {
+        let seq = q.reserve_seq();
+        if timer.arm(at, seq) {
+            q.schedule_reserved(at, seq, ("timer", seq));
+        }
+    }
+
+    /// Pops every event, re-queueing the timer's early pops; returns the
+    /// events that did work, in pop order ("fire" for the timer).
+    fn run_timer(q: &mut Q, timer: &mut Timer) -> Vec<(SimTime, &'static str)> {
+        let mut out = Vec::new();
+        while let Some((now, (label, seq))) = q.pop() {
+            if label != "timer" {
+                out.push((now, label));
+                continue;
+            }
+            match timer.pop(now, seq) {
+                TimerPop::Fire => out.push((now, "fire")),
+                TimerPop::Requeue { at, seq } => q.schedule_reserved(at, seq, ("timer", seq)),
+                TimerPop::Noop => {}
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn rearming_later_requeues_the_early_pop_at_the_reserved_position() {
+        let ms = SimTime::from_millis;
+        let (mut q, mut t) = (Q::new(), Timer::default());
+        arm_on(&mut q, &mut t, ms(10)); // seq 0: scheduled
+        arm_on(&mut q, &mut t, ms(30)); // seq 1: only moves the deadline
+        assert_eq!(q.len(), 1, "a later re-arm must not queue a second event");
+        let (now, (_, seq)) = q.pop().unwrap();
+        assert_eq!((now, seq), (ms(10), 0));
+        assert_eq!(t.pop(now, seq), TimerPop::Requeue { at: ms(30), seq: 1 });
+        q.schedule_reserved(ms(30), 1, ("timer", 1));
+        assert_eq!(run_timer(&mut q, &mut t), vec![(ms(30), "fire")]);
+        assert!(!t.is_armed(), "a fired timer is disarmed");
+    }
+
+    #[test]
+    fn rearming_earlier_supersedes_the_queued_event() {
+        let ms = SimTime::from_millis;
+        let (mut q, mut t) = (Q::new(), Timer::default());
+        arm_on(&mut q, &mut t, ms(30)); // seq 0
+        arm_on(&mut q, &mut t, ms(10)); // seq 1: earlier, so scheduled
+        assert_eq!(q.len(), 2);
+        let (now, (_, seq)) = q.pop().unwrap();
+        assert_eq!((now, seq), (ms(10), 1));
+        assert_eq!(t.pop(now, seq), TimerPop::Fire);
+        let (now, (_, seq)) = q.pop().unwrap();
+        assert_eq!((now, seq), (ms(30), 0));
+        assert_eq!(
+            t.pop(now, seq),
+            TimerPop::Noop,
+            "the superseded event must do nothing"
+        );
+    }
+
+    #[test]
+    fn a_disarmed_timers_pop_does_nothing() {
+        let ms = SimTime::from_millis;
+        let (mut q, mut t) = (Q::new(), Timer::default());
+        arm_on(&mut q, &mut t, ms(10));
+        t.disarm();
+        assert!(!t.is_armed());
+        let (now, (_, seq)) = q.pop().unwrap();
+        assert_eq!(t.pop(now, seq), TimerPop::Noop);
+        // Re-arming after the pop schedules afresh.
+        arm_on(&mut q, &mut t, ms(20));
+        assert_eq!(run_timer(&mut q, &mut t), vec![(ms(20), "fire")]);
+    }
+
+    #[test]
+    fn a_same_instant_rearm_fires_after_events_scheduled_between_the_arms() {
+        // The eager scheme queued (10 ms, 0) [stale], (10 ms, 1) "x" and
+        // (10 ms, 2) [fires]: the timer must fire after "x".
+        let ms = SimTime::from_millis;
+        let (mut q, mut t) = (Q::new(), Timer::default());
+        arm_on(&mut q, &mut t, ms(10)); // seq 0
+        q.schedule_at(ms(10), ("x", 0)); // seq 1
+        arm_on(&mut q, &mut t, ms(10)); // seq 2: same deadline, no event
+        assert_eq!(q.len(), 2);
+        assert_eq!(
+            run_timer(&mut q, &mut t),
+            vec![(ms(10), "x"), (ms(10), "fire")]
+        );
     }
 
     #[test]

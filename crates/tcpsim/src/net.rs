@@ -8,7 +8,7 @@
 //! with `&mut Net` so handlers can immediately send data, open
 //! connections, close, or arm timers.
 
-use crate::endpoint::{AckPolicy, AckReaction, Endpoint, TcpState};
+use crate::endpoint::{AckPolicy, AckReaction, Endpoint, TcpState, Timer, TimerPop};
 use crate::opts::TcpOptions;
 use crate::segment::{Marker, MetaSpan, PktKind, Segment, SpanVec};
 use crate::trace::{PktDir, PktEvent};
@@ -246,9 +246,34 @@ pub trait App {
 
 enum Ev {
     Deliver { conn: ConnId, to: End, seg: Segment },
-    Rto { conn: ConnId, end: End, gen: u64 },
-    DelAck { conn: ConnId, end: End, gen: u64 },
+    // A timer event carries the queue sequence number it was scheduled
+    // with, which names it to `Timer::pop`.
+    Rto { conn: ConnId, end: End, seq: u64 },
+    DelAck { conn: ConnId, end: End, seq: u64 },
     AppTimer { token: u64 },
+}
+
+/// Which of an endpoint's two timers.
+#[derive(Clone, Copy)]
+enum TimerKind {
+    Rto,
+    DelAck,
+}
+
+impl TimerKind {
+    fn of(self, ep: &mut Endpoint) -> &mut Timer {
+        match self {
+            TimerKind::Rto => &mut ep.rto_timer,
+            TimerKind::DelAck => &mut ep.delack,
+        }
+    }
+
+    fn event(self, conn: ConnId, end: End, seq: u64) -> Ev {
+        match self {
+            TimerKind::Rto => Ev::Rto { conn, end, seq },
+            TimerKind::DelAck => Ev::DelAck { conn, end, seq },
+        }
+    }
 }
 
 enum Cb {
@@ -287,6 +312,8 @@ struct Conn {
     /// ([`Net::open_captured`] with tracing on) and not yet released.
     capture: Option<Vec<PktEvent>>,
     /// Queued `Deliver`/`Rto`/`DelAck` events naming this connection.
+    /// Each timer has one live event at most, plus any that an earlier
+    /// re-arm superseded and that have not popped yet.
     pending: u32,
     /// The application called [`Net::release`].
     released: bool,
@@ -351,6 +378,24 @@ pub struct Net {
     // handshake RTTs but draws no randomness and schedules nothing, so
     // it cannot perturb the simulated trajectory.
     metrics: MetricsRegistry,
+    // The event mix: popped events by kind, and what the timer events
+    // did. Plain fields, stamped into `metrics` by `take_metrics`, so
+    // the per-event cost is an increment.
+    mix: EventMix,
+}
+
+/// Popped events by kind, and the timer events that did no work.
+#[derive(Default)]
+struct EventMix {
+    deliver: u64,
+    rto: u64,
+    delack: u64,
+    app_timer: u64,
+    /// Timer events that popped before the deadline and were queued
+    /// again at it.
+    timer_requeues: u64,
+    /// Timer events that popped superseded or disarmed.
+    timer_noop_pops: u64,
 }
 
 impl Net {
@@ -369,6 +414,7 @@ impl Net {
             seed,
             max_events: 2_000_000_000,
             metrics: MetricsRegistry::from_env(),
+            mix: EventMix::default(),
         }
     }
 
@@ -419,6 +465,18 @@ impl Net {
                 .set_gauge("tcpsim.events_processed", self.q.events_processed() as f64);
             self.metrics
                 .set_gauge("tcpsim.trace_recorded_pkts", self.trace_recorded as f64);
+            // The event mix: the four kinds sum to `events_processed`.
+            let mix = &self.mix;
+            for (name, n) in [
+                ("tcpsim.events_deliver", mix.deliver),
+                ("tcpsim.events_rto", mix.rto),
+                ("tcpsim.events_delack", mix.delack),
+                ("tcpsim.events_app_timer", mix.app_timer),
+                ("tcpsim.timer_requeues", mix.timer_requeues),
+                ("tcpsim.timer_noop_pops", mix.timer_noop_pops),
+            ] {
+                self.metrics.set_gauge(name, n as f64);
+            }
             // Timing-wheel scheduler health: cascade traffic, overflow
             // promotions, and the bucket-occupancy high-water mark.
             self.metrics
@@ -679,10 +737,8 @@ impl Net {
         let c = &mut self.conns[slot];
         c.aborted = true;
         for i in 0..2 {
-            c.ep[i].rto_gen += 1;
-            c.ep[i].rto_armed = false;
-            c.ep[i].delack_gen += 1;
-            c.ep[i].delack_armed = false;
+            c.ep[i].rto_timer.disarm();
+            c.ep[i].delack.disarm();
             c.fin_cb_fired[i] = true;
         }
     }
@@ -789,30 +845,50 @@ impl Net {
         );
     }
 
-    fn arm_rto(&mut self, cid: ConnId, end: End) {
+    /// Arms `end`'s `kind` timer to expire `delay` from now. It always
+    /// reserves a sequence number, and schedules an event only when the
+    /// timer asks for one ([`Timer::arm`]).
+    fn arm_timer(&mut self, cid: ConnId, end: End, kind: TimerKind, delay: SimDuration) {
         let s = self.slot(cid);
+        let at = self.now() + delay;
+        let seq = self.q.reserve_seq();
         let c = &mut self.conns[s];
-        c.pending += 1;
-        let ep = &mut c.ep[end.idx()];
-        ep.rto_gen += 1;
-        ep.rto_armed = true;
-        let gen = ep.rto_gen;
-        let rto = ep.rto;
-        self.q.schedule_in(
-            rto,
-            Ev::Rto {
-                conn: cid,
-                end,
-                gen,
-            },
-        );
+        debug_assert!(!c.aborted, "timer armed on aborted connection {}", cid.0);
+        if kind.of(&mut c.ep[end.idx()]).arm(at, seq) {
+            c.pending += 1;
+            self.q.schedule_reserved(at, seq, kind.event(cid, end, seq));
+        }
+    }
+
+    /// Handles a popped `kind` timer event: re-queues it at a deadline
+    /// that moved later, and returns true when the timer fired.
+    fn pop_timer(&mut self, cid: ConnId, end: End, kind: TimerKind, seq: u64) -> bool {
+        let s = self.slot(cid);
+        let now = self.now();
+        let c = &mut self.conns[s];
+        match kind.of(&mut c.ep[end.idx()]).pop(now, seq) {
+            TimerPop::Fire => true,
+            TimerPop::Requeue { at, seq } => {
+                c.pending += 1;
+                self.mix.timer_requeues += 1;
+                self.q.schedule_reserved(at, seq, kind.event(cid, end, seq));
+                false
+            }
+            TimerPop::Noop => {
+                self.mix.timer_noop_pops += 1;
+                false
+            }
+        }
+    }
+
+    fn arm_rto(&mut self, cid: ConnId, end: End) {
+        let rto = self.conns[self.slot(cid)].ep[end.idx()].rto;
+        self.arm_timer(cid, end, TimerKind::Rto, rto);
     }
 
     fn cancel_rto(&mut self, cid: ConnId, end: End) {
         let s = self.slot(cid);
-        let ep = &mut self.conns[s].ep[end.idx()];
-        ep.rto_gen += 1;
-        ep.rto_armed = false;
+        self.conns[s].ep[end.idx()].rto_timer.disarm();
     }
 
     /// Sends fresh data as the window allows; returns true if anything
@@ -858,9 +934,8 @@ impl Net {
                 };
                 // A data segment carries the ACK: cancel any pending
                 // delayed ACK.
-                ep.delack_armed = false;
-                ep.delack_gen += 1;
-                let need_arm = !ep.rto_armed;
+                ep.delack.disarm();
+                let need_arm = !ep.rto_timer.is_armed();
                 self.transmit(cid, end, seg);
                 if need_arm {
                     self.arm_rto(cid, end);
@@ -878,9 +953,8 @@ impl Net {
                     wnd: ep.opts.rwnd,
                     meta: SpanVec::new(),
                 };
-                ep.delack_armed = false;
-                ep.delack_gen += 1;
-                let need_arm = !ep.rto_armed;
+                ep.delack.disarm();
+                let need_arm = !ep.rto_timer.is_armed();
                 self.transmit(cid, end, seg);
                 if need_arm {
                     self.arm_rto(cid, end);
@@ -937,35 +1011,17 @@ impl Net {
 
     fn send_ack_now(&mut self, cid: ConnId, end: End) {
         let s = self.slot(cid);
-        {
-            let ep = &mut self.conns[s].ep[end.idx()];
-            ep.delack_armed = false;
-            ep.delack_gen += 1;
-        }
+        self.conns[s].ep[end.idx()].delack.disarm();
         let ack = self.make_ctl(cid, end, PktKind::Ack);
         self.transmit(cid, end, ack);
     }
 
     fn arm_delack(&mut self, cid: ConnId, end: End) {
-        let s = self.slot(cid);
-        let c = &mut self.conns[s];
-        let ep = &mut c.ep[end.idx()];
-        if ep.delack_armed {
-            return;
+        let ep = &self.conns[self.slot(cid)].ep[end.idx()];
+        if !ep.delack.is_armed() {
+            let dt = ep.opts.delack_timeout;
+            self.arm_timer(cid, end, TimerKind::DelAck, dt);
         }
-        ep.delack_armed = true;
-        ep.delack_gen += 1;
-        let gen = ep.delack_gen;
-        let dt = ep.opts.delack_timeout;
-        c.pending += 1;
-        self.q.schedule_in(
-            dt,
-            Ev::DelAck {
-                conn: cid,
-                end,
-                gen,
-            },
-        );
     }
 
     fn establish(&mut self, cid: ConnId, end: End) {
@@ -1059,9 +1115,7 @@ impl Net {
                         AckReaction::Advance | AckReaction::PartialRetransmit
                     );
                     if flight == 0 {
-                        if ep.rto_armed {
-                            self.cancel_rto(cid, to);
-                        }
+                        self.cancel_rto(cid, to);
                     } else if advanced {
                         self.arm_rto(cid, to);
                     }
@@ -1105,17 +1159,10 @@ impl Net {
         }
     }
 
-    fn handle_rto(&mut self, cid: ConnId, end: End, gen: u64) {
+    /// The retransmission timer fired (and is now disarmed).
+    fn handle_rto(&mut self, cid: ConnId, end: End) {
         let s = self.slot(cid);
-        let (stale, state) = {
-            let c = &self.conns[s];
-            let ep = &c.ep[end.idx()];
-            (c.aborted || ep.rto_gen != gen || !ep.rto_armed, ep.state)
-        };
-        if stale {
-            return;
-        }
-        match state {
+        match self.conns[s].ep[end.idx()].state {
             TcpState::SynSent => {
                 {
                     let c = &mut self.conns[s];
@@ -1140,9 +1187,7 @@ impl Net {
                 self.arm_rto(cid, end);
             }
             TcpState::Established | TcpState::Done => {
-                let flight = self.conns[s].ep[end.idx()].in_flight();
-                if flight == 0 {
-                    self.conns[s].ep[end.idx()].rto_armed = false;
+                if self.conns[s].ep[end.idx()].in_flight() == 0 {
                     return;
                 }
                 self.conns[s].ep[end.idx()].on_rto_fire();
@@ -1152,18 +1197,6 @@ impl Net {
                 self.retransmit_una(cid, end);
             }
             TcpState::Closed => {}
-        }
-    }
-
-    fn handle_delack(&mut self, cid: ConnId, end: End, gen: u64) {
-        let s = self.slot(cid);
-        let fire = {
-            let c = &self.conns[s];
-            let ep = &c.ep[end.idx()];
-            !c.aborted && ep.delack_armed && ep.delack_gen == gen
-        };
-        if fire {
-            self.send_ack_now(cid, end);
         }
     }
 }
@@ -1242,18 +1275,26 @@ impl<A: App> Sim<A> {
             let (_, ev) = self.net.q.pop().unwrap();
             let conn = match ev {
                 Ev::Deliver { conn, to, seg } => {
+                    self.net.mix.deliver += 1;
                     self.net.handle_deliver(conn, to, seg);
                     Some(conn)
                 }
-                Ev::Rto { conn, end, gen } => {
-                    self.net.handle_rto(conn, end, gen);
+                Ev::Rto { conn, end, seq } => {
+                    self.net.mix.rto += 1;
+                    if self.net.pop_timer(conn, end, TimerKind::Rto, seq) {
+                        self.net.handle_rto(conn, end);
+                    }
                     Some(conn)
                 }
-                Ev::DelAck { conn, end, gen } => {
-                    self.net.handle_delack(conn, end, gen);
+                Ev::DelAck { conn, end, seq } => {
+                    self.net.mix.delack += 1;
+                    if self.net.pop_timer(conn, end, TimerKind::DelAck, seq) {
+                        self.net.send_ack_now(conn, end);
+                    }
                     Some(conn)
                 }
                 Ev::AppTimer { token } => {
+                    self.net.mix.app_timer += 1;
                     self.net.cbs.push_back(Cb::Timer { token });
                     None
                 }
@@ -1451,6 +1492,35 @@ mod tests {
     fn heavy_loss_still_completes() {
         let app = run_transfer(30.0, 400, 20_000, 0.15);
         assert_eq!(app.got, 20_000);
+    }
+
+    #[test]
+    fn lossy_transfer_pops_one_event_per_timer() {
+        // A fixed lossy transfer with an RTO fire and a fast retransmit.
+        // Completion time and recovery counters are the ones eager
+        // timers (one queued event per arm) gave; only the idle timer
+        // pops are gone. Eager timers popped 95 events here.
+        let mut sim = Sim::new(42, Echoish::new(400, 50_000));
+        sim.net().open(
+            NodeId(1),
+            NodeId(2),
+            PathParams::lossy(40.0, 0.05),
+            TcpOptions::default(),
+            TcpOptions::default(),
+            1,
+        );
+        sim.run();
+        assert_eq!(sim.app().got, 50_000);
+        assert_eq!(
+            sim.app().response_done_at.map(SimTime::as_nanos),
+            Some(240_010_528)
+        );
+        let (a, b) = (
+            sim.net().conn_stats(ConnId(0), End::A),
+            sim.net().conn_stats(ConnId(0), End::B),
+        );
+        assert_eq!((a.timeouts, b.fast_retransmits), (1, 1));
+        assert_eq!(sim.net().events_processed(), 79);
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! of `schedule_at` / `schedule_in` / `pop` — including simultaneous
 //! timestamps (FIFO tie-break), bucket-boundary timestamps, far-future
 //! outliers (overflow parking + promotion), and spreads wide enough to
-//! force multi-level cascades at wheel rollover.
+//! force multi-level cascades at wheel rollover. Reserved sequence
+//! numbers are part of the contract: an event the wheel schedules late
+//! with `schedule_reserved` must pop where the heap's eager schedule at
+//! reservation time pops.
 
 use proptest::prelude::*;
 use simcore::time::{SimDuration, SimTime};
@@ -35,6 +38,22 @@ fn drain_both(wheel: &mut EventQueue<u64>, heap: &mut HeapQueue<u64>) {
     assert!(wheel.is_empty() && heap.is_empty());
 }
 
+/// Reservations the wheel has taken but not scheduled yet:
+/// `(at, seq, id)`. The heap scheduled each one eagerly.
+type Reserved = Vec<(SimTime, u64, u64)>;
+
+/// Schedules on the wheel every reservation at or before its earliest
+/// pending event, so the next pop cannot pass one.
+fn schedule_due(wheel: &mut EventQueue<u64>, reserved: &mut Reserved) {
+    let due = wheel.peek_time().unwrap_or(SimTime::MAX);
+    reserved.retain(|&(at, seq, id)| {
+        if at <= due {
+            wheel.schedule_reserved(at, seq, id);
+        }
+        at > due
+    });
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -43,16 +62,39 @@ proptest! {
     /// deliberately colliding timestamps and far-future outliers.
     #[test]
     fn wheel_matches_heap_on_random_interleavings(
-        ops in prop::collection::vec((0u64..8, 0u64..u64::MAX), 1..300)
+        ops in prop::collection::vec((0u64..10, 0u64..u64::MAX), 1..300)
     ) {
         let mut wheel = EventQueue::new();
         let mut heap = HeapQueue::new();
+        let mut reserved = Reserved::new();
         let mut id = 0u64;
         for &(kind, raw) in &ops {
             match kind {
                 // Pops get double weight so queues drain as well as grow.
                 0 | 1 => {
+                    schedule_due(&mut wheel, &mut reserved);
                     pop_both(&mut wheel, &mut heap);
+                }
+                // Reserve a seq: the heap schedules now, the wheel keeps
+                // the reservation and schedules it later (op 9, or just
+                // before a pop could pass it). Colliding RTT-scale
+                // offsets put reserved events between eager ones at the
+                // same instant.
+                8 => {
+                    let d = SimDuration::from_nanos((raw % 8) * 25_000_000);
+                    let at = wheel.now() + d;
+                    let seq = wheel.reserve_seq();
+                    heap.schedule_at(at, id);
+                    reserved.push((at, seq, id));
+                    id += 1;
+                }
+                // Schedule one pending reservation before it is due.
+                9 => {
+                    if !reserved.is_empty() {
+                        let k = (raw % reserved.len() as u64) as usize;
+                        let (at, seq, rid) = reserved.swap_remove(k);
+                        wheel.schedule_reserved(at, seq, rid);
+                    }
                 }
                 // Heavily colliding offsets: only 8 distinct values, so
                 // the FIFO tie-break is exercised constantly.
@@ -103,9 +145,14 @@ proptest! {
                     id += 1;
                 }
             }
-            assert_eq!(wheel.len(), heap.len(), "lengths diverged");
-            assert_eq!(wheel.peek_time(), heap.peek_time(), "peeks diverged");
-            assert_eq!(wheel.is_empty(), heap.is_empty());
+            let peek = reserved.iter().map(|r| r.0).chain(wheel.peek_time()).min();
+            assert_eq!(wheel.len() + reserved.len(), heap.len(), "lengths diverged");
+            assert_eq!(peek, heap.peek_time(), "peeks diverged");
+        }
+        schedule_due(&mut wheel, &mut reserved);
+        while !reserved.is_empty() {
+            pop_both(&mut wheel, &mut heap);
+            schedule_due(&mut wheel, &mut reserved);
         }
         drain_both(&mut wheel, &mut heap);
     }

@@ -104,6 +104,24 @@ fn metrics_tsv_is_byte_identical_at_1_4_9_threads() {
     ] {
         assert!(m1.contains(metric), "metrics.tsv missing {metric}:\n{m1}");
     }
+    // The event mix accounts for every popped event, in every run.
+    for r in &r1.runs {
+        let gauge = |name: &str| r.metrics.gauge(name).unwrap_or_else(|| panic!("{name}")).0;
+        let kinds: f64 = [
+            "tcpsim.events_deliver",
+            "tcpsim.events_rto",
+            "tcpsim.events_delack",
+            "tcpsim.events_app_timer",
+        ]
+        .iter()
+        .map(|name| gauge(name))
+        .sum();
+        assert_eq!(kinds, gauge("tcpsim.events_processed"), "{}", r.label);
+        // Superseded and early timer pops are a subset of timer pops.
+        let timer_pops = gauge("tcpsim.events_rto") + gauge("tcpsim.events_delack");
+        let idle = gauge("tcpsim.timer_requeues") + gauge("tcpsim.timer_noop_pops");
+        assert!(idle <= timer_pops, "{}", r.label);
+    }
     // Rows appear grouped by run, in descriptor order.
     let runs_in_doc: Vec<&str> = {
         let mut seen = Vec::new();
