@@ -48,8 +48,8 @@ fn rtts(acc: &GroupMediansAcc) -> Ecdf {
 fn scenario_with(seed: u64, cfg: VantageConfig) -> Scenario {
     Scenario {
         seed,
-        vantages: planetlab_like(seed, &cfg),
-        corpus: KeywordCorpus::generate(seed, 2_000, 0.5),
+        vantages: planetlab_like(seed, &cfg).into(),
+        corpus: KeywordCorpus::generate(seed, 2_000, 0.5).into(),
     }
 }
 

@@ -50,4 +50,4 @@ pub use service::{
     RetryBudget, RetryPolicy, ServiceConfig,
 };
 pub use spec::WorldSpec;
-pub use world::{CompletedQuery, QueryOutcome, QuerySpec, ServiceWorld};
+pub use world::{CompletedQuery, QueryOutcome, QuerySeries, QuerySpec, ServiceWorld};

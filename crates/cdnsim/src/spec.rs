@@ -12,6 +12,7 @@ use crate::service::ServiceConfig;
 use crate::world::ServiceWorld;
 use nettopo::vantage::Vantage;
 use searchbe::keywords::KeywordCorpus;
+use std::sync::Arc;
 use tcpsim::Sim;
 
 /// Everything needed to construct one simulator world.
@@ -20,10 +21,10 @@ pub struct WorldSpec {
     /// The service under test (carries its own model seed, fault plan,
     /// retry policy and ablation switches).
     pub cfg: ServiceConfig,
-    /// The vantage-point population.
-    pub vantages: Vec<Vantage>,
-    /// The keyword corpus.
-    pub corpus: KeywordCorpus,
+    /// The vantage-point population, shared with every world built.
+    pub vantages: Arc<[Vantage]>,
+    /// The keyword corpus, shared with every world built.
+    pub corpus: Arc<KeywordCorpus>,
     /// Seed of the network-side randomness (path jitter, loss draws).
     /// The FE/BE stochastic models are keyed on `cfg.seed` instead.
     pub world_seed: u64,
@@ -37,7 +38,11 @@ impl WorldSpec {
     /// network, enables tracing as configured, and installs any fault
     /// plan attached to the config (a no-op for the default empty plan).
     pub fn build(&self) -> Sim<ServiceWorld> {
-        let world = ServiceWorld::new(self.cfg.clone(), self.vantages.clone(), self.corpus.clone());
+        let world = ServiceWorld::new(
+            self.cfg.clone(),
+            Arc::clone(&self.vantages),
+            Arc::clone(&self.corpus),
+        );
         let mut sim = Sim::new(self.world_seed, world);
         sim.net().set_tracing(self.trace);
         sim.with(|w, net| w.install_faults(net));
@@ -59,8 +64,9 @@ mod tests {
                     count: 6,
                     ..VantageConfig::default()
                 },
-            ),
-            corpus: KeywordCorpus::generate(5, 50, 0.5),
+            )
+            .into(),
+            corpus: Arc::new(KeywordCorpus::generate(5, 50, 0.5)),
             world_seed,
             trace: true,
         }

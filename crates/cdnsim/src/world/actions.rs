@@ -26,6 +26,26 @@ impl ServiceWorld {
     /// token; the slot is freed when the timer fires, so the slab holds
     /// only the actions currently armed.
     pub(super) fn push_action(&mut self, net: &mut Net, delay: SimDuration, action: Action) {
+        let token = self.park_action(action);
+        net.set_timer(delay, token);
+    }
+
+    /// Arms a timer that runs `action` at `at`, with a sequence number
+    /// reserved earlier through [`Net::reserve_timer_seqs`].
+    pub(super) fn push_action_reserved(
+        &mut self,
+        net: &mut Net,
+        at: SimTime,
+        seq: u64,
+        action: Action,
+    ) {
+        let token = self.park_action(action);
+        net.set_timer_reserved(at, seq, token);
+    }
+
+    /// Parks `action` in a free slot of the `actions` slab and returns
+    /// the slot as the timer token.
+    fn park_action(&mut self, action: Action) -> u64 {
         let slot = match self.free_actions.pop() {
             Some(slot) => {
                 self.actions[slot] = Some(action);
@@ -36,7 +56,7 @@ impl ServiceWorld {
                 self.actions.len() - 1
             }
         };
-        net.set_timer(delay, slot as u64);
+        slot as u64
     }
 
     pub(super) fn push_action_at(&mut self, net: &mut Net, at: SimTime, action: Action) {
@@ -101,9 +121,10 @@ impl ServiceWorld {
             let q = &self.queries[&qid];
             (q.keyword, q.instant_followup, q.client)
         };
-        let kw = self.corpus.get(kw_id).clone();
+        // Disjoint field borrows: the keyword stays in the shared corpus.
+        let kw = self.corpus.get(kw_id);
         let region = Some(self.clients[client].region);
-        let result = self.bes[be].1.handle_query(&kw, followup, region);
+        let result = self.bes[be].1.handle_query(kw, followup, region);
         let mut proc = result.proc_time;
         if let Some(model) = self.cfg.load_model {
             let slow = model.be_slowdown(self.be_inflight[be]);
@@ -124,9 +145,9 @@ impl ServiceWorld {
             (q.fe, q.be, q.keyword, q.instant_followup, q.client)
         };
         if !self.cfg.split_tcp {
-            let kw = self.corpus.get(kw_id).clone();
+            let kw = self.corpus.get(kw_id);
             let region = Some(self.clients[client].region);
-            let result = self.bes[be].1.handle_query(&kw, followup, region);
+            let result = self.bes[be].1.handle_query(kw, followup, region);
             let q = self.queries.get_mut(&qid).unwrap();
             q.proc_ms = result.proc_time.as_millis_f64();
             q.plan = Some(result.plan);
@@ -701,6 +722,7 @@ impl App for ServiceWorld {
         self.free_actions.push(slot);
         match action {
             Action::Start(spec) => self.start_query(net, spec, 0),
+            Action::Series(start) => self.act_series(net, start),
             Action::StartRetry { spec, attempt } => self.start_query(net, spec, attempt),
             Action::FeServe { qid } => self.act_fe_serve(net, qid),
             Action::BeReply { qid, attempt } => self.act_be_reply(net, qid, attempt),

@@ -41,6 +41,7 @@ use simcore::rng::Rng;
 use simcore::telemetry::MetricsRegistry;
 use simcore::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use tcpsim::{
     App, ConnId, DeliveredSpan, End, LinkFault, Marker, Net, NodeId, PathParams, PktEvent,
 };
@@ -126,6 +127,26 @@ pub struct QuerySpec {
     pub fixed_fe: Option<usize>,
     /// Marks a correlated follow-up in a search-as-you-type session.
     pub instant_followup: bool,
+}
+
+/// One client's run of evenly spaced queries: a vantage's share of
+/// Dataset A or B. Query `r` (of `count`) starts `first + spacing * r`
+/// after [`ServiceWorld::schedule_series`] is called.
+#[derive(Clone, Debug)]
+pub struct QuerySeries {
+    /// Index of the issuing client (into the vantage list).
+    pub client: usize,
+    /// Fixed FE override (Dataset B); `None` uses the DNS default.
+    pub fixed_fe: Option<usize>,
+    /// Keyword ids, cycled: query `r` uses `keywords[r % keywords.len()]`.
+    /// Ids past the corpus end wrap modulo its size. Must not be empty.
+    pub keywords: Vec<u64>,
+    /// Delay of the first query.
+    pub first: SimDuration,
+    /// Gap between consecutive queries.
+    pub spacing: SimDuration,
+    /// Number of queries.
+    pub count: u64,
 }
 
 /// A finished query with measurement trace and simulator ground truth.
@@ -219,6 +240,7 @@ struct ConnInfo {
 #[derive(Debug)]
 enum Action {
     Start(QuerySpec),
+    Series(Box<SeriesStart>),
     StartRetry { spec: QuerySpec, attempt: u32 },
     FeServe { qid: u64 },
     BeReply { qid: u64, attempt: u32 },
@@ -229,6 +251,15 @@ enum Action {
     HedgeReply { qid: u64, attempt: u32 },
     FaultStart { window: usize },
     MappingEpoch,
+}
+
+/// A query series' one queued `Start`: query `member`, at the sequence
+/// number the series' block reserved for it.
+#[derive(Debug)]
+struct SeriesStart {
+    series: QuerySeries,
+    member: u64,
+    seq: u64,
 }
 
 /// Per-FE circuit-breaker state over BE fetch failures.
@@ -312,10 +343,12 @@ struct QueryState {
 pub struct ServiceWorld {
     /// The service configuration in force.
     pub cfg: ServiceConfig,
-    clients: Vec<Vantage>,
+    // `clients` and `corpus` are read-only and shared with every world
+    // of the campaign.
+    clients: Arc<[Vantage]>,
     fes: Vec<FeServer>,
     bes: Vec<(BeSite, BeDataCenter)>,
-    corpus: KeywordCorpus,
+    corpus: Arc<KeywordCorpus>,
     dns: DnsMap,
     be_of_fe: Vec<usize>,
     free_pool: BTreeMap<(usize, usize), Vec<ConnId>>,
@@ -354,8 +387,12 @@ pub struct ServiceWorld {
 impl ServiceWorld {
     /// Builds the world: places clients against the configured fleet,
     /// computes DNS defaults and FE→nearest-BE assignments, instantiates
-    /// FE and BE servers.
-    pub fn new(cfg: ServiceConfig, clients: Vec<Vantage>, corpus: KeywordCorpus) -> ServiceWorld {
+    /// FE and BE servers. The vantages and corpus are shared, not copied.
+    pub fn new(
+        cfg: ServiceConfig,
+        clients: Arc<[Vantage]>,
+        corpus: Arc<KeywordCorpus>,
+    ) -> ServiceWorld {
         assert!(!cfg.fe_fleet.is_empty() && !cfg.be_sites.is_empty());
         let pts: Vec<GeoPoint> = clients.iter().map(|c| c.pt).collect();
         let dns = DnsMap::nearest(&pts, &cfg.fe_fleet);
@@ -598,6 +635,36 @@ impl ServiceWorld {
     /// Schedules a query to start `delay` from now.
     pub fn schedule_query(&mut self, net: &mut Net, delay: SimDuration, spec: QuerySpec) {
         self.push_action(net, delay, Action::Start(spec));
+    }
+
+    /// Schedules a query series. Its `count` event sequence numbers are
+    /// reserved now, in one block, exactly as `count` calls to
+    /// [`ServiceWorld::schedule_query`] would take them; but only the
+    /// next query's start is ever queued. When one fires, it queues its
+    /// successor at the successor's reserved `(time, seq)` before its
+    /// own query starts, so every query starts exactly where the eager
+    /// schedule would have started it, while the queue holds one event
+    /// per series instead of `count`.
+    pub fn schedule_series(&mut self, net: &mut Net, mut series: QuerySeries) {
+        if series.count == 0 {
+            return;
+        }
+        assert!(
+            !series.keywords.is_empty(),
+            "a query series needs a keyword"
+        );
+        let corpus_len = self.corpus.len() as u64;
+        for k in &mut series.keywords {
+            *k %= corpus_len;
+        }
+        let seq = net.reserve_timer_seqs(series.count);
+        let at = net.now() + series.first;
+        let start = SeriesStart {
+            series,
+            member: 0,
+            seq,
+        };
+        self.push_action_reserved(net, at, seq, Action::Series(Box::new(start)));
     }
 
     /// Drains the completed-query records accumulated so far.

@@ -78,6 +78,27 @@ impl ServiceWorld {
         self.free_pool.entry((fe, be)).or_default().push(conn);
     }
 
+    /// A series' `Start` fires at its reserved `(now, seq)`: queues the
+    /// next member at `(now + spacing, seq + 1)`, still ahead of the
+    /// clock, then starts this member's query.
+    pub(super) fn act_series(&mut self, net: &mut Net, mut start: Box<SeriesStart>) {
+        let s = &start.series;
+        let spec = QuerySpec {
+            client: s.client,
+            keyword: s.keywords[(start.member % s.keywords.len() as u64) as usize],
+            fixed_fe: s.fixed_fe,
+            instant_followup: false,
+        };
+        if start.member + 1 < s.count {
+            let at = net.now() + s.spacing;
+            start.member += 1;
+            start.seq += 1;
+            let seq = start.seq;
+            self.push_action_reserved(net, at, seq, Action::Series(start));
+        }
+        self.start_query(net, spec, 0);
+    }
+
     /// Starts attempt `attempt` of a query: resolves FE/BE, opens the
     /// client connection, registers the query and arms its client
     /// deadline. When the mapping strategy finds no live FE, a terminal
@@ -90,7 +111,8 @@ impl ServiceWorld {
         self.arm_mapping_epoch(net);
         let qid = self.next_qid;
         self.next_qid += 1;
-        let kw = self.corpus.get(spec.keyword).clone();
+        let kw = self.corpus.get(spec.keyword);
+        let class = kw.class;
         let req = RequestSpec::for_query_len(kw.chars(), 500_000_000_000 + qid);
         let now = net.now();
         let (fe, be, server_pt, rtt_fe_be_ms, dist_fe_be): (
@@ -117,7 +139,7 @@ impl ServiceWorld {
                         fe: None,
                         be: 0,
                         keyword: spec.keyword,
-                        class: kw.class,
+                        class,
                         t_start: now,
                         t_done: now,
                         plan: ResponsePlan::new(1, 0, 1, httpsim::CONTENT_ID_STATIC_BASE),
@@ -182,7 +204,7 @@ impl ServiceWorld {
                 fe,
                 be,
                 keyword: spec.keyword,
-                class: kw.class,
+                class,
                 instant_followup: spec.instant_followup,
                 fixed_fe: spec.fixed_fe,
                 attempt,

@@ -11,7 +11,7 @@ fn small_world(cfg: ServiceConfig) -> Sim<ServiceWorld> {
         },
     );
     let corpus = KeywordCorpus::generate(cfg.seed, 200, 0.5);
-    let world = ServiceWorld::new(cfg, vantages, corpus);
+    let world = ServiceWorld::new(cfg, vantages.into(), Arc::new(corpus));
     let mut sim = Sim::new(7, world);
     sim.net().set_tracing(true);
     sim
@@ -588,6 +588,100 @@ fn action_slab_holds_only_the_timers_armed_at_once() {
         );
         assert_eq!(w.free_actions.len(), w.actions.len());
     });
+}
+
+/// Runs two clients' queries, `count` each, either as two series or as
+/// the same queries scheduled one by one, with a third client's eager
+/// queries at the same instants; returns the completions by qid.
+fn series_or_eager(series: bool, spacing: SimDuration) -> Vec<CompletedQuery> {
+    let mut sim = small_world(ServiceConfig::google_like(3));
+    let count = 5;
+    // 250 is past the 200-keyword corpus: it wraps to 50.
+    let keywords = vec![4, 7, 250];
+    sim.with(|w, net| {
+        for client in 0..2 {
+            let first = SimDuration::from_millis(5 + client as u64);
+            if series {
+                let s = QuerySeries {
+                    client,
+                    fixed_fe: None,
+                    keywords: keywords.clone(),
+                    first,
+                    spacing,
+                    count,
+                };
+                w.schedule_series(net, s);
+            } else {
+                for r in 0..count {
+                    let spec = QuerySpec {
+                        client,
+                        keyword: keywords[r as usize % keywords.len()] % 200,
+                        fixed_fe: None,
+                        instant_followup: false,
+                    };
+                    w.schedule_query(net, first + spacing * r, spec);
+                }
+            }
+        }
+        for r in 0..3 {
+            let spec = QuerySpec {
+                client: 2,
+                keyword: 1,
+                fixed_fe: None,
+                instant_followup: false,
+            };
+            w.schedule_query(net, SimDuration::from_millis(5) + spacing * r, spec);
+        }
+    });
+    sim.run();
+    let mut done = sim.with(|w, _| w.drain_completed());
+    done.sort_by_key(|q| q.qid);
+    done
+}
+
+#[test]
+fn a_series_starts_its_queries_where_eager_schedules_would() {
+    // Overlapping queries (700 ms apart) and simultaneous ones (0 ms):
+    // every query must get the same qid, start, finish and packets.
+    for spacing in [SimDuration::from_millis(700), SimDuration::ZERO] {
+        let eager = series_or_eager(false, spacing);
+        let series = series_or_eager(true, spacing);
+        assert_eq!(eager.len(), 13);
+        assert_eq!(series.len(), eager.len());
+        for (a, b) in eager.iter().zip(&series) {
+            assert_eq!(
+                (a.qid, a.client, a.keyword, a.t_start, a.t_done),
+                (b.qid, b.client, b.keyword, b.t_start, b.t_done),
+                "spacing {spacing:?}"
+            );
+            assert!(a.trace == b.trace, "qid {} trace differs", a.qid);
+        }
+        assert!(series.iter().any(|q| q.keyword == 50));
+    }
+}
+
+#[test]
+fn a_series_keeps_one_start_queued() {
+    // 20 spaced queries from one client: the eager schedule queues all
+    // 20 starts at once, the series only the next one.
+    let mut sim = small_world(ServiceConfig::google_like(4));
+    sim.with(|w, net| {
+        let s = QuerySeries {
+            client: 0,
+            fixed_fe: None,
+            keywords: vec![3],
+            first: SimDuration::from_millis(1),
+            spacing: SimDuration::from_secs(5),
+            count: 20,
+        };
+        w.schedule_series(net, s);
+    });
+    assert_eq!(sim.net().pending_events(), 1);
+    sim.run();
+    let done = sim.with(|w, _| w.drain_completed());
+    assert_eq!(done.len(), 20);
+    assert!(done.iter().all(|q| q.keyword == 3));
+    sim.with(|w, _| assert!(w.actions.len() <= 5, "{} action slots", w.actions.len()));
 }
 
 /// Schedules `n` clients at t = 1 ms, all pinned to client 0's

@@ -10,7 +10,7 @@ use crate::runner::ProcessedQuery;
 use crate::scenarios::Scenario;
 use crate::sink::CollectSink;
 use capture::Classifier;
-use cdnsim::{QuerySpec, ServiceConfig, ServiceWorld};
+use cdnsim::{QuerySeries, ServiceConfig, ServiceWorld};
 use simcore::time::SimDuration;
 use tcpsim::Sim;
 
@@ -50,32 +50,30 @@ impl DatasetA {
     /// Schedules the design into a simulator: every client issues
     /// `repeats` queries to its default FE, spaced `spacing`, with a
     /// small per-client stagger so the campaign start is not synchronised.
+    /// Each client's queries are one query series. Zipf keywords are
+    /// drawn here, client by client, so the network stream sees the same
+    /// draws in the same order whatever the series do later.
     pub fn schedule(&self, sim: &mut Sim<ServiceWorld>) {
         let repeats = self.repeats;
-        let spacing = self.spacing;
-        let keywords = self.keywords;
         sim.with(|w, net| {
-            let n_clients = w.clients().len();
-            let corpus_len = w.corpus().len() as u64;
-            for client in 0..n_clients {
-                let stagger = SimDuration::from_millis(1 + (client as u64 * 37) % 2_000);
-                for r in 0..repeats {
-                    let keyword = match keywords {
-                        KeywordPolicy::Fixed(k) => k % corpus_len,
-                        KeywordPolicy::Zipf => w.corpus().sample(net.rng()).id,
-                        KeywordPolicy::RoundRobin(n) => (r % n.max(1)) % corpus_len,
-                    };
-                    w.schedule_query(
-                        net,
-                        stagger + spacing * r,
-                        QuerySpec {
-                            client,
-                            keyword,
-                            fixed_fe: None,
-                            instant_followup: false,
-                        },
-                    );
-                }
+            for client in 0..w.clients().len() {
+                // The series cycles this list; ids wrap at the corpus end.
+                let keywords = match self.keywords {
+                    KeywordPolicy::Fixed(k) => vec![k],
+                    KeywordPolicy::Zipf => (0..repeats)
+                        .map(|_| w.corpus().sample(net.rng()).id)
+                        .collect(),
+                    KeywordPolicy::RoundRobin(n) => (0..n.max(1).min(repeats)).collect(),
+                };
+                let series = QuerySeries {
+                    client,
+                    fixed_fe: None,
+                    keywords,
+                    first: SimDuration::from_millis(1 + (client as u64 * 37) % 2_000),
+                    spacing: self.spacing,
+                    count: repeats,
+                };
+                w.schedule_series(net, series);
             }
         });
     }

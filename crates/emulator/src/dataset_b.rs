@@ -12,7 +12,7 @@ use crate::runner::ProcessedQuery;
 use crate::scenarios::Scenario;
 use crate::sink::CollectSink;
 use capture::Classifier;
-use cdnsim::{QuerySpec, ServiceConfig, ServiceWorld};
+use cdnsim::{QuerySeries, ServiceConfig, ServiceWorld};
 use simcore::time::SimDuration;
 use tcpsim::Sim;
 
@@ -25,7 +25,8 @@ pub struct DatasetB {
     pub repeats: u64,
     /// Inter-query spacing.
     pub spacing: SimDuration,
-    /// The (single) keyword used by all queries.
+    /// The (single) keyword used by all queries; an id past the corpus
+    /// end wraps modulo its size.
     pub keyword: u64,
     /// Persistent FE↔BE connections to pre-warm before measuring.
     pub prewarm_conns: usize,
@@ -50,33 +51,24 @@ impl DatasetB {
     }
 
     /// Schedules the design: pre-warms the FE's BE connections, then has
-    /// every client query the fixed FE `repeats` times.
+    /// every client query the fixed FE `repeats` times, as one query
+    /// series per client.
     pub fn schedule(&self, sim: &mut Sim<ServiceWorld>) {
-        let fe = self.fe;
-        let repeats = self.repeats;
-        let spacing = self.spacing;
-        let keyword = self.keyword;
-        let prewarm = self.prewarm_conns;
         sim.with(|w, net| {
-            let be = w.be_of_fe(fe);
-            if prewarm > 0 {
-                w.prewarm(net, fe, be, prewarm);
+            let be = w.be_of_fe(self.fe);
+            if self.prewarm_conns > 0 {
+                w.prewarm(net, self.fe, be, self.prewarm_conns);
             }
-            let n_clients = w.clients().len();
-            for client in 0..n_clients {
-                let stagger = SimDuration::from_millis(3_000 + (client as u64 * 41) % 2_000);
-                for r in 0..repeats {
-                    w.schedule_query(
-                        net,
-                        stagger + spacing * r,
-                        QuerySpec {
-                            client,
-                            keyword,
-                            fixed_fe: Some(fe),
-                            instant_followup: false,
-                        },
-                    );
-                }
+            for client in 0..w.clients().len() {
+                let series = QuerySeries {
+                    client,
+                    fixed_fe: Some(self.fe),
+                    keywords: vec![self.keyword],
+                    first: SimDuration::from_millis(3_000 + (client as u64 * 41) % 2_000),
+                    spacing: self.spacing,
+                    count: self.repeats,
+                };
+                w.schedule_series(net, series);
             }
         });
     }
@@ -119,6 +111,19 @@ mod tests {
         assert_eq!(out.len(), s.vantage_count() * 2);
         assert!(out.iter().all(|q| q.fe == Some(fe)));
         assert!(out.iter().all(|q| q.keyword == 7));
+    }
+
+    #[test]
+    fn keyword_past_the_corpus_end_wraps() {
+        let s = Scenario::small(23);
+        let d = DatasetB {
+            keyword: 10_000,
+            ..DatasetB::against(0).with_repeats(1)
+        };
+        let out = d.run(&s, ServiceConfig::google_like(23), &Classifier::ByMarker);
+        assert_eq!(out.len(), s.vantage_count());
+        let wrapped = 10_000 % s.corpus.len() as u64;
+        assert!(out.iter().all(|q| q.keyword == wrapped));
     }
 
     #[test]

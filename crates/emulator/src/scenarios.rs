@@ -4,11 +4,13 @@
 //! with the *same* keyword corpus for the comparison to be paired — the
 //! paper submits "the same search queries to both Bing and Google search
 //! engines" from the same PlanetLab nodes. [`Scenario`] pins that shared
-//! context; per-service worlds are derived from it.
+//! context; per-service worlds are derived from it, and all of them share
+//! its one copy of the vantages and the corpus.
 
 use cdnsim::{ServiceConfig, ServiceWorld, WorldSpec};
 use nettopo::vantage::{planetlab_like, Vantage, VantageConfig};
 use searchbe::keywords::KeywordCorpus;
+use std::sync::Arc;
 use tcpsim::Sim;
 
 /// The shared context of one measurement campaign.
@@ -18,9 +20,9 @@ pub struct Scenario {
     /// through the service configs, every stochastic model).
     pub seed: u64,
     /// The vantage-point population.
-    pub vantages: Vec<Vantage>,
+    pub vantages: Arc<[Vantage]>,
     /// The keyword corpus.
-    pub corpus: KeywordCorpus,
+    pub corpus: Arc<KeywordCorpus>,
 }
 
 impl Scenario {
@@ -47,8 +49,8 @@ impl Scenario {
         let corpus = KeywordCorpus::generate(seed, corpus_size, 0.5);
         Scenario {
             seed,
-            vantages,
-            corpus,
+            vantages: vantages.into(),
+            corpus: Arc::new(corpus),
         }
     }
 
@@ -69,11 +71,12 @@ impl Scenario {
     /// The world descriptor for `cfg` under this scenario's shared
     /// vantage/corpus context, with an explicit network-side seed.
     /// Campaign descriptors construct their shard worlds through this.
+    /// The descriptor shares the scenario's vantages and corpus.
     pub fn spec(&self, cfg: ServiceConfig, world_seed: u64) -> WorldSpec {
         WorldSpec {
             cfg,
-            vantages: self.vantages.clone(),
-            corpus: self.corpus.clone(),
+            vantages: Arc::clone(&self.vantages),
+            corpus: Arc::clone(&self.corpus),
             world_seed,
             trace: true,
         }
@@ -109,6 +112,18 @@ mod tests {
         let b0 = bing.with(|w, _| w.clients()[0].pt);
         let g0 = google.with(|w, _| w.clients()[0].pt);
         assert_eq!(b0, g0);
+    }
+
+    #[test]
+    fn worlds_share_one_corpus_and_vantage_list() {
+        let s = Scenario::small(4);
+        let mut bing = s.bing_sim();
+        let mut google = s.spec(ServiceConfig::google_like(4), 9).build();
+        let (bc, bv) = bing.with(|w, _| (w.corpus() as *const _, w.clients().as_ptr()));
+        let (gc, gv) = google.with(|w, _| (w.corpus() as *const _, w.clients().as_ptr()));
+        assert!(std::ptr::eq(bc, gc), "each world copied the corpus");
+        assert!(std::ptr::eq(bc, &*s.corpus));
+        assert!(std::ptr::eq(bv, gv), "each world copied the vantages");
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //! [`EventQueue::schedule_reserved`] schedules with it later, as long as
 //! the clock has not yet passed the event's `(time, seq)` position. The
 //! event then pops exactly where one scheduled at reservation time would
-//! have. tcpsim's timers rely on this to keep one queued event each.
+//! have. tcpsim's timers rely on this to keep one queued event each,
+//! and cdnsim's query series ([`EventQueue::reserve_seqs`] takes a whole
+//! block) to keep one queued `Start` per series.
 //!
 //! Payloads live in a slab indexed by the queue entries rather than in
 //! the wheel itself: bucket chains and cascades move 24-byte
@@ -273,9 +275,16 @@ impl<E> EventQueue<E> {
     /// [`EventQueue::schedule_reserved`] pops exactly where one
     /// scheduled now would have.
     pub fn reserve_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
+        self.reserve_seqs(1)
+    }
+
+    /// Takes the next `n` tie-break numbers as one block and returns the
+    /// first: member `i` is `first + i`, exactly the number the `i`-th
+    /// of `n` schedules made now would take.
+    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
+        let first = self.next_seq;
+        self.next_seq += n;
+        first
     }
 
     /// Schedules `payload` at `at` with a tie-break number taken earlier

@@ -691,6 +691,22 @@ impl Net {
         self.q.schedule_in(delay, Ev::AppTimer { token });
     }
 
+    /// Takes a block of `n` event sequence numbers for application
+    /// timers armed later with [`Net::set_timer_reserved`]; returns the
+    /// first. Member `i` of the block is `first + i`.
+    pub fn reserve_timer_seqs(&mut self, n: u64) -> u64 {
+        self.q.reserve_seqs(n)
+    }
+
+    /// Arms an application timer at `at` with a sequence number from
+    /// [`Net::reserve_timer_seqs`]. It fires exactly where a
+    /// [`Net::set_timer`] call made at reservation time would have, as
+    /// long as it is armed before the clock passes `(at, seq)`. Each
+    /// number is used once.
+    pub fn set_timer_reserved(&mut self, at: SimTime, seq: u64, token: u64) {
+        self.q.schedule_reserved(at, seq, Ev::AppTimer { token });
+    }
+
     /// TCP state of one side.
     pub fn state(&self, conn: ConnId, end: End) -> TcpState {
         self.conns[self.slot(conn)].ep[end.idx()].state
@@ -1573,6 +1589,45 @@ mod tests {
         );
         assert_eq!(app.fired[0].1, SimTime::from_millis(10));
         assert_eq!(app.fired[1].1, SimTime::from_millis(15));
+    }
+
+    #[test]
+    fn reserved_app_timers_fire_where_eager_ones_would() {
+        // A chain of three timers 10 ms apart, each armed from its
+        // predecessor's callback at a number reserved up front, must
+        // interleave with eager timers armed after the reservation at
+        // the same instants exactly as if the chain were armed eagerly.
+        struct ChainApp {
+            fired: Vec<u64>,
+            first: u64,
+        }
+        impl App for ChainApp {
+            fn on_established(&mut self, _: &mut Net, _: ConnId, _: End) {}
+            fn on_data(&mut self, _: &mut Net, _: ConnId, _: End, _: &[DeliveredSpan]) {}
+            fn on_timer(&mut self, net: &mut Net, token: u64) {
+                self.fired.push(token);
+                if token < 2 {
+                    let at = net.now() + SimDuration::from_millis(10);
+                    net.set_timer_reserved(at, self.first + token + 1, token + 1);
+                }
+            }
+        }
+        let mut sim = Sim::new(
+            1,
+            ChainApp {
+                fired: Vec::new(),
+                first: 0,
+            },
+        );
+        let first = sim.net().reserve_timer_seqs(3);
+        sim.app_mut().first = first;
+        for (k, ms) in [(10, 10), (11, 20), (12, 30)] {
+            sim.net().set_timer(SimDuration::from_millis(ms), k);
+        }
+        sim.net()
+            .set_timer_reserved(SimTime::from_millis(10), first, 0);
+        sim.run();
+        assert_eq!(sim.app().fired, vec![0, 10, 1, 11, 2, 12]);
     }
 
     #[test]

@@ -91,6 +91,30 @@ grep -q "^run	metric	kind" /tmp/ci_exp_whatif.log || {
 }
 echo "    exp_whatif stderr carries the metrics.tsv document"
 
+echo "==> examples: every example exits 0 and matches its stdout golden"
+# The examples drive the public API end to end (scenarios, Datasets A
+# and B, campaigns); tier-1 only compiles them. Their stdout is compared
+# with the golden scripts/update_golden.sh wrote.
+cargo build --release --offline --examples
+golden=tests/golden/examples
+n=0
+for src in examples/*.rs; do
+  ex=$(basename "$src" .rs)
+  [ -f "$golden/$ex.txt" ] || { echo "example $ex has no golden $golden/$ex.txt" >&2; exit 1; }
+  "./target/release/examples/$ex" > "/tmp/ci_example_$ex.txt" 2> "/tmp/ci_example_$ex.log" || {
+    echo "example $ex exited $? (stderr in /tmp/ci_example_$ex.log)" >&2; exit 1;
+  }
+  cmp "$golden/$ex.txt" "/tmp/ci_example_$ex.txt" || {
+    echo "example $ex stdout differs from $golden/$ex.txt" >&2; exit 1;
+  }
+  n=$((n + 1))
+done
+for g in "$golden"/*.txt; do
+  ex=$(basename "$g" .txt)
+  [ -f "examples/$ex.rs" ] || { echo "golden $g has no example" >&2; exit 1; }
+done
+echo "    $n examples exit 0 and match their goldens"
+
 echo "==> packet hot-path throughput: bench_tcpsim (smoke mode)"
 ./target/release/bench_tcpsim --smoke --out /tmp/ci_bench_tcpsim.json \
   2> /tmp/ci_bench_tcpsim.log

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Refreshes the committed goldens under tests/golden/: campaign traces and
-# harness binary stdouts.
+# Refreshes the committed goldens under tests/golden/: campaign traces,
+# harness binary stdouts and example stdouts.
 #
 # Run this only when an output change is *intentional* (simulator
 # behaviour, seed derivation, or TSV format changed on purpose), then
@@ -11,7 +11,8 @@
 # suites compare against the same files and never run with UPDATE_GOLDEN
 # set. Each harness golden (tests/golden/harness/<bin>.tsv) is that
 # binary's stdout at the default seed and scale on one worker;
-# scripts/ci.sh compares it with a 4-worker run.
+# scripts/ci.sh compares it with a 4-worker run. Each example golden
+# (tests/golden/examples/<name>.txt) is that example's stdout.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 unset FECDN_SCALE FECDN_SEED
@@ -38,5 +39,17 @@ for src in crates/bench/src/bin/*.rs; do
     exit 1
   fi
   mv "/tmp/golden_$bin.tsv" "tests/golden/harness/$bin.tsv"
+done
+# tests/golden/examples/<name>.txt for every example. A run that exits
+# non-zero is not a golden.
+cargo build --release --offline --examples
+mkdir -p tests/golden/examples
+for src in examples/*.rs; do
+  ex=$(basename "$src" .rs)
+  if ! "./target/release/examples/$ex" > "/tmp/golden_example_$ex.txt" 2> "/tmp/golden_example_$ex.log"; then
+    echo "example $ex exited non-zero; its golden is not rewritten (see /tmp/golden_example_$ex.log)" >&2
+    exit 1
+  fi
+  mv "/tmp/golden_example_$ex.txt" "tests/golden/examples/$ex.txt"
 done
 git --no-pager diff --stat -- tests/golden || true

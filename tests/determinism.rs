@@ -16,14 +16,16 @@
 //!    `scripts/update_golden.sh`.
 //! 3. **Bounded streaming memory** — a capped reducer's peak retained
 //!    bytes stay flat at 10× the queries, far below collecting them,
-//!    and a fed session campaign's connection slots and completion
-//!    drain batches stay flat at 10× the sessions.
+//!    a fed session campaign's connection slots and completion drain
+//!    batches stay flat at 10× the sessions, and a fixed-FE campaign's
+//!    event queue stays flat at 10× the repeats per vantage.
 
 mod common;
 
 use cdnsim::ServiceConfig;
 use common::{compare_golden, representative_campaign};
 use emulator::dataset_a::{DatasetA, KeywordPolicy};
+use emulator::dataset_b::DatasetB;
 use emulator::{
     Campaign, CollectSink, Design, FoldSink, ProcessedQuery, QuerySink, RunDescriptor, Scenario,
     SessionWorkload,
@@ -276,5 +278,49 @@ fn world_memory_stays_o_live_at_10x_sessions() {
     assert!(
         batch.max(batch_10x) <= 100.0,
         "largest drain batch {batch} / {batch_10x} crept past 100 completions"
+    );
+}
+
+/// Runs a google-like fixed-FE (Dataset B) campaign of `repeats`
+/// queries per vantage on one worker; returns the event queue's slab
+/// high-water mark.
+fn fixed_fe_slab_slots(repeats: u64) -> f64 {
+    let seed = 42;
+    let mut c = Campaign::new(Scenario::with_size(seed, 24, 500));
+    c.push(
+        "fixed-fe",
+        ServiceConfig::google_like(seed),
+        Design::DatasetB(DatasetB::against(0).with_repeats(repeats)),
+    )
+    .metrics = Some(true);
+    let capped = |_: &RunDescriptor| CappedSummaries {
+        overall: SummaryAcc::with_cap(256),
+        t_dynamic: SummaryAcc::with_cap(256),
+    };
+    let report = c.execute_stream_with_threads(&capped, 1);
+    report.runs[0]
+        .metrics
+        .gauge("tcpsim.slab_high_water_slots")
+        .expect("tcpsim.slab_high_water_slots missing")
+        .1
+}
+
+#[test]
+fn world_memory_stays_flat_at_10x_repeats() {
+    // Each vantage's queries are one series that keeps only its next
+    // start queued; queuing every start up front grows the slab ~10x.
+    let slots = fixed_fe_slab_slots(4);
+    let slots_10x = fixed_fe_slab_slots(40);
+    assert!(slots > 0.0, "no event slot was used");
+    assert!(
+        2.0 * slots_10x <= 3.0 * slots,
+        "10x repeats grew the event slab from {slots} to {slots_10x} slots: starts queued up front?"
+    );
+    // 1.5x the 210 slots both sizes used when this contract was pinned
+    // (queuing every start up front took 259 and 1,123); the gauge is
+    // deterministic, so any creep is a real change.
+    assert!(
+        slots.max(slots_10x) <= 315.0,
+        "event slab {slots} / {slots_10x} slots crept past 315"
     );
 }

@@ -9,11 +9,15 @@
 //! arbitrary fault plans and arbitrary policy combinations the world
 //! must never panic, never leak an in-flight slot, and always conserve
 //! the outcome accounting identity
-//! `ok + degraded + retried + timed_out + shed == scheduled`.
+//! `ok + degraded + retried + timed_out + shed + no_live_fe == scheduled`
+//! under every client→FE mapping strategy.
 
 mod common;
 
-use cdnsim::{BreakerPolicy, QueryOutcome, QuerySpec, RetryBudget, RetryPolicy, ServiceConfig};
+use cdnsim::{
+    BreakerPolicy, GeoTtlPolicy, LoadAwarePolicy, MappingPolicy, QueryOutcome, QuerySpec,
+    RetryBudget, RetryPolicy, ServiceConfig,
+};
 use common::representative_campaign;
 use emulator::{Campaign, CollectSink, Design, Scenario};
 use nettopo::{BurstLossParams, FaultPlan};
@@ -159,9 +163,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Chaos: random fault plans against random overload-policy
-    /// combinations. The campaign must complete without panicking, the
-    /// accounting identity must close, and serial and 4-way execution
-    /// must agree byte-for-byte.
+    /// combinations and mapping strategies. The campaign must complete
+    /// without panicking, the accounting identity must close, and
+    /// serial and 4-way execution must agree byte-for-byte.
     #[test]
     fn chaos_faults_and_policies_conserve_accounting(
         seed in 0u64..10_000,
@@ -174,6 +178,7 @@ proptest! {
         hedge_ms in 0u64..400,      // 0 = no hedging
         breaker_threshold in 0u32..4, // 0 = no breaker
         deadline_ms in 300u64..2_000,
+        mapping in 0u32..3,         // NearestLive, DnsGeoTtl, LoadAware
     ) {
         let mut plan = FaultPlan::default();
         if fault_bits & 1 != 0 {
@@ -236,6 +241,11 @@ proptest! {
                 cooldown: SimDuration::from_millis(700),
             });
         }
+        cfg = cfg.with_mapping(match mapping {
+            0 => MappingPolicy::NearestLive,
+            1 => MappingPolicy::DnsGeoTtl(GeoTtlPolicy::default()),
+            _ => MappingPolicy::LoadAware(LoadAwarePolicy::default()),
+        });
 
         // 10 vantages so every chaos client index (n_queries < 10) is valid.
         let mut c = Campaign::new(Scenario::with_size(seed, 10, 60));
@@ -249,11 +259,16 @@ proptest! {
         let run = serial.get("chaos").unwrap();
         let t = run.tally;
         prop_assert_eq!(
-            t.ok + t.degraded + t.retried + t.timed_out + t.shed,
+            t.ok + t.degraded + t.retried + t.timed_out + t.shed + t.no_live_fe,
             n_queries,
             "accounting leak: {:?}",
             t
         );
+        // Only health-aware strategies fail a query fast; the default
+        // falls back to the dead nearest FE.
+        if mapping == 0 {
+            prop_assert_eq!(t.no_live_fe, 0);
+        }
         prop_assert_eq!(t.total(), n_queries);
         prop_assert_eq!(run.output.raw.len(), n_queries);
         // Outcome rows and tally buckets must agree exactly.

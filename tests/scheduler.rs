@@ -11,7 +11,9 @@
 //! force multi-level cascades at wheel rollover. Reserved sequence
 //! numbers are part of the contract: an event the wheel schedules late
 //! with `schedule_reserved` must pop where the heap's eager schedule at
-//! reservation time pops.
+//! reservation time pops, and so must the members of a block taken with
+//! `reserve_seqs` that the wheel schedules one at a time, each when its
+//! predecessor pops (cdnsim's query series).
 
 use proptest::prelude::*;
 use simcore::time::{SimDuration, SimTime};
@@ -24,17 +26,17 @@ fn sched_at(wheel: &mut EventQueue<u64>, heap: &mut HeapQueue<u64>, t: SimTime, 
 }
 
 /// Pops both engines and asserts identical results and clocks.
-fn pop_both(wheel: &mut EventQueue<u64>, heap: &mut HeapQueue<u64>) -> bool {
+fn pop_both(wheel: &mut EventQueue<u64>, heap: &mut HeapQueue<u64>) -> Option<u64> {
     let a = wheel.pop();
     let b = heap.pop();
     assert_eq!(a, b, "pop streams diverged");
     assert_eq!(wheel.now(), heap.now(), "clocks diverged");
-    a.is_some()
+    a.map(|(_, id)| id)
 }
 
 /// Drains both engines to empty, asserting lock-step equality.
 fn drain_both(wheel: &mut EventQueue<u64>, heap: &mut HeapQueue<u64>) {
-    while pop_both(wheel, heap) {}
+    while pop_both(wheel, heap).is_some() {}
     assert!(wheel.is_empty() && heap.is_empty());
 }
 
@@ -54,6 +56,35 @@ fn schedule_due(wheel: &mut EventQueue<u64>, reserved: &mut Reserved) {
     });
 }
 
+/// A block of reserved seqs whose members the wheel schedules one at a
+/// time: the queued member's `(at, seq, id)`, the gap to the next one,
+/// and how many members are still unscheduled.
+struct Chain {
+    at: SimTime,
+    seq: u64,
+    id: u64,
+    spacing: SimDuration,
+    left: u64,
+}
+
+/// After the wheel popped `popped`, schedules the next member of the
+/// chain whose queued member it was: still ahead of the clock.
+fn advance_chains(wheel: &mut EventQueue<u64>, chains: &mut Vec<Chain>, popped: Option<u64>) {
+    let Some(k) = chains.iter().position(|c| Some(c.id) == popped) else {
+        return;
+    };
+    let c = &mut chains[k];
+    if c.left == 0 {
+        chains.swap_remove(k);
+        return;
+    }
+    c.at += c.spacing;
+    c.seq += 1;
+    c.id += 1;
+    c.left -= 1;
+    wheel.schedule_reserved(c.at, c.seq, c.id);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -62,18 +93,36 @@ proptest! {
     /// deliberately colliding timestamps and far-future outliers.
     #[test]
     fn wheel_matches_heap_on_random_interleavings(
-        ops in prop::collection::vec((0u64..10, 0u64..u64::MAX), 1..300)
+        ops in prop::collection::vec((0u64..11, 0u64..u64::MAX), 1..300)
     ) {
         let mut wheel = EventQueue::new();
         let mut heap = HeapQueue::new();
         let mut reserved = Reserved::new();
+        let mut chains = Vec::new();
         let mut id = 0u64;
         for &(kind, raw) in &ops {
             match kind {
                 // Pops get double weight so queues drain as well as grow.
                 0 | 1 => {
                     schedule_due(&mut wheel, &mut reserved);
-                    pop_both(&mut wheel, &mut heap);
+                    let popped = pop_both(&mut wheel, &mut heap);
+                    advance_chains(&mut wheel, &mut chains, popped);
+                }
+                // Reserve a block of 1-8 seqs: the heap schedules every
+                // member now, the wheel only the first, and each next
+                // one when its predecessor pops. Zero spacing puts a
+                // whole block at one instant.
+                10 => {
+                    let n = 1 + raw % 8;
+                    let spacing = SimDuration::from_nanos((raw >> 3) % 4 * 50_000_000);
+                    let at = wheel.now() + SimDuration::from_nanos((raw >> 5) % 8 * 25_000_000);
+                    let seq = wheel.reserve_seqs(n);
+                    for i in 0..n {
+                        heap.schedule_at(at + spacing * i, id + i);
+                    }
+                    wheel.schedule_reserved(at, seq, id);
+                    chains.push(Chain { at, seq, id, spacing, left: n - 1 });
+                    id += n;
                 }
                 // Reserve a seq: the heap schedules now, the wheel keeps
                 // the reservation and schedules it later (op 9, or just
@@ -145,13 +194,21 @@ proptest! {
                     id += 1;
                 }
             }
+            // A chain's unscheduled members are later than its queued
+            // one, so they count in the length but never in the peek.
+            let unscheduled = chains.iter().map(|c| c.left as usize).sum::<usize>();
             let peek = reserved.iter().map(|r| r.0).chain(wheel.peek_time()).min();
-            assert_eq!(wheel.len() + reserved.len(), heap.len(), "lengths diverged");
+            assert_eq!(
+                wheel.len() + reserved.len() + unscheduled,
+                heap.len(),
+                "lengths diverged"
+            );
             assert_eq!(peek, heap.peek_time(), "peeks diverged");
         }
         schedule_due(&mut wheel, &mut reserved);
-        while !reserved.is_empty() {
-            pop_both(&mut wheel, &mut heap);
+        while !reserved.is_empty() || !chains.is_empty() {
+            let popped = pop_both(&mut wheel, &mut heap);
+            advance_chains(&mut wheel, &mut chains, popped);
             schedule_due(&mut wheel, &mut reserved);
         }
         drain_both(&mut wheel, &mut heap);
