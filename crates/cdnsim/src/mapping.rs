@@ -329,11 +329,6 @@ impl LoadAware {
             deflected: vec![false; n_fes],
         }
     }
-
-    /// Whether FE `fe` is currently deflected (testing).
-    pub fn is_deflected(&self, fe: usize) -> bool {
-        self.deflected[fe]
-    }
 }
 
 impl MappingStrategy for LoadAware {

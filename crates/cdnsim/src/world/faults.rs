@@ -133,17 +133,6 @@ impl ServiceWorld {
                         params.bad_loss,
                     ));
                 }
-                FaultKind::FeBeBurstLoss { fe, be, params } => {
-                    net.add_link_fault(LinkFault::burst_loss(
-                        Self::fe_node(fe),
-                        Self::be_node(be),
-                        w.start,
-                        w.end,
-                        params.p_enter,
-                        params.p_exit,
-                        params.bad_loss,
-                    ));
-                }
                 // Brownouts and capacity dips act on FE service times,
                 // consulted at serve time; nothing to install up front.
                 FaultKind::FeBrownout { .. } => {}

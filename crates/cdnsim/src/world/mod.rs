@@ -28,6 +28,7 @@ use crate::dns::DnsMap;
 use crate::fe::FeServer;
 use crate::mapping::Mapper;
 use crate::service::ServiceConfig;
+use book::{PackedSpec, SeriesCursor, Start, StartBook};
 use httpsim::{RecvProgress, RequestSpec, ResponsePlan};
 use nettopo::faults::{FaultKind, FaultWindow};
 use nettopo::geo::GeoPoint;
@@ -47,6 +48,7 @@ use tcpsim::{
 };
 
 mod actions;
+mod book;
 mod faults;
 mod query;
 #[cfg(test)]
@@ -121,7 +123,8 @@ impl QueryOutcome {
 pub struct QuerySpec {
     /// Index of the issuing client (into the vantage list).
     pub client: usize,
-    /// Keyword id (into the corpus).
+    /// Keyword id (into the corpus). Ids past the corpus end wrap
+    /// modulo its size.
     pub keyword: u64,
     /// Fixed FE override (Dataset B); `None` uses the DNS default.
     pub fixed_fe: Option<usize>,
@@ -239,8 +242,6 @@ struct ConnInfo {
 
 #[derive(Debug)]
 enum Action {
-    Start(QuerySpec),
-    Series(Box<SeriesStart>),
     StartRetry { spec: QuerySpec, attempt: u32 },
     FeServe { qid: u64 },
     BeReply { qid: u64, attempt: u32 },
@@ -251,15 +252,6 @@ enum Action {
     HedgeReply { qid: u64, attempt: u32 },
     FaultStart { window: usize },
     MappingEpoch,
-}
-
-/// A query series' one queued `Start`: query `member`, at the sequence
-/// number the series' block reserved for it.
-#[derive(Debug)]
-struct SeriesStart {
-    series: QuerySeries,
-    member: u64,
-    seq: u64,
 }
 
 /// Per-FE circuit-breaker state over BE fetch failures.
@@ -359,6 +351,9 @@ pub struct ServiceWorld {
     // when its timer fires and reused through `free_actions`.
     actions: Vec<Option<Action>>,
     free_actions: Vec<usize>,
+    // Query starts that have not begun, with one wake queued at the
+    // earliest (see `book`).
+    book: StartBook,
     completed: Vec<CompletedQuery>,
     next_qid: u64,
     retry_rng: Rng,
@@ -460,6 +455,7 @@ impl ServiceWorld {
             queries: HashMap::default(),
             actions: Vec::new(),
             free_actions: Vec::new(),
+            book: StartBook::default(),
             completed: Vec::new(),
             next_qid: 1,
             retry_rng,
@@ -502,9 +498,14 @@ impl ServiceWorld {
         &mut self.metrics
     }
 
-    /// Harvests the service-layer telemetry, leaving an empty registry
-    /// with the same gate.
+    /// Harvests the service-layer telemetry, stamping the start book's
+    /// high-water mark first. Leaves an empty registry with the same
+    /// gate.
     pub fn take_metrics(&mut self) -> MetricsRegistry {
+        if self.metrics.is_enabled() {
+            self.metrics
+                .set_gauge("cdnsim.pending_starts_hiwater", self.book.hiwater() as f64);
+        }
         self.metrics.take()
     }
 
@@ -632,19 +633,24 @@ impl ServiceWorld {
         }
     }
 
-    /// Schedules a query to start `delay` from now.
-    pub fn schedule_query(&mut self, net: &mut Net, delay: SimDuration, spec: QuerySpec) {
-        self.push_action(net, delay, Action::Start(spec));
+    /// Schedules a query to start `delay` from now. Its event sequence
+    /// number is reserved now, as an armed timer's would be, and the
+    /// start waits in the world's start book, not in the event queue.
+    pub fn schedule_query(&mut self, net: &mut Net, delay: SimDuration, mut spec: QuerySpec) {
+        spec.keyword %= self.corpus.len() as u64;
+        let seq = net.reserve_timer_seqs(1);
+        let at = net.now() + delay;
+        self.book
+            .insert(net, at, seq, Start::Query(PackedSpec::pack(&spec)));
     }
 
     /// Schedules a query series. Its `count` event sequence numbers are
     /// reserved now, in one block, exactly as `count` calls to
-    /// [`ServiceWorld::schedule_query`] would take them; but only the
-    /// next query's start is ever queued. When one fires, it queues its
-    /// successor at the successor's reserved `(time, seq)` before its
-    /// own query starts, so every query starts exactly where the eager
-    /// schedule would have started it, while the queue holds one event
-    /// per series instead of `count`.
+    /// [`ServiceWorld::schedule_query`] would take them; but the start
+    /// book holds one entry per series. When a member starts, its
+    /// successor is filed at the successor's reserved `(time, seq)`, so
+    /// every query starts exactly where the eager schedule would have
+    /// started it.
     pub fn schedule_series(&mut self, net: &mut Net, mut series: QuerySeries) {
         if series.count == 0 {
             return;
@@ -659,12 +665,9 @@ impl ServiceWorld {
         }
         let seq = net.reserve_timer_seqs(series.count);
         let at = net.now() + series.first;
-        let start = SeriesStart {
-            series,
-            member: 0,
-            seq,
-        };
-        self.push_action_reserved(net, at, seq, Action::Series(Box::new(start)));
+        let cursor = SeriesCursor { series, member: 0 };
+        self.book
+            .insert(net, at, seq, Start::Series(Box::new(cursor)));
     }
 
     /// Drains the completed-query records accumulated so far.

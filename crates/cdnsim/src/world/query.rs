@@ -78,24 +78,23 @@ impl ServiceWorld {
         self.free_pool.entry((fe, be)).or_default().push(conn);
     }
 
-    /// A series' `Start` fires at its reserved `(now, seq)`: queues the
-    /// next member at `(now + spacing, seq + 1)`, still ahead of the
-    /// clock, then starts this member's query.
-    pub(super) fn act_series(&mut self, net: &mut Net, mut start: Box<SeriesStart>) {
-        let s = &start.series;
-        let spec = QuerySpec {
-            client: s.client,
-            keyword: s.keywords[(start.member % s.keywords.len() as u64) as usize],
-            fixed_fe: s.fixed_fe,
-            instant_followup: false,
+    /// The start book's wake popped at its earliest entry's reserved
+    /// `(now, seq)`: takes that start and begins its query. A series
+    /// member first files its successor at `(now + spacing, seq + 1)`,
+    /// still ahead of the clock.
+    pub(super) fn act_start_wake(&mut self, net: &mut Net) {
+        let spec = match self.book.pop(net) {
+            (_, Start::Query(packed)) => packed.unpack(),
+            (seq, Start::Series(mut cursor)) => {
+                let spec = cursor.spec();
+                if cursor.member + 1 < cursor.series.count {
+                    cursor.member += 1;
+                    let at = net.now() + cursor.series.spacing;
+                    self.book.insert(net, at, seq + 1, Start::Series(cursor));
+                }
+                spec
+            }
         };
-        if start.member + 1 < s.count {
-            let at = net.now() + s.spacing;
-            start.member += 1;
-            start.seq += 1;
-            let seq = start.seq;
-            self.push_action_reserved(net, at, seq, Action::Series(start));
-        }
         self.start_query(net, spec, 0);
     }
 
@@ -113,7 +112,7 @@ impl ServiceWorld {
         self.next_qid += 1;
         let kw = self.corpus.get(spec.keyword);
         let class = kw.class;
-        let req = RequestSpec::for_query_len(kw.chars(), 500_000_000_000 + qid);
+        let req = RequestSpec::for_query_len(kw.chars, 500_000_000_000 + qid);
         let now = net.now();
         let (fe, be, server_pt, rtt_fe_be_ms, dist_fe_be): (
             Option<usize>,

@@ -615,7 +615,7 @@ fn series_or_eager(series: bool, spacing: SimDuration) -> Vec<CompletedQuery> {
                 for r in 0..count {
                     let spec = QuerySpec {
                         client,
-                        keyword: keywords[r as usize % keywords.len()] % 200,
+                        keyword: keywords[r as usize % keywords.len()],
                         fixed_fe: None,
                         instant_followup: false,
                     };
@@ -682,6 +682,79 @@ fn a_series_keeps_one_start_queued() {
     assert_eq!(done.len(), 20);
     assert!(done.iter().all(|q| q.keyword == 3));
     sim.with(|w, _| assert!(w.actions.len() <= 5, "{} action slots", w.actions.len()));
+}
+
+#[test]
+fn the_start_book_starts_queries_in_reserved_time_seq_order() {
+    let mut sim = small_world(ServiceConfig::google_like(5));
+    let ms = SimDuration::from_millis;
+    let query = |client| QuerySpec {
+        client,
+        keyword: 3,
+        fixed_fe: None,
+        instant_followup: false,
+    };
+    sim.with(|w, net| {
+        // Sequence numbers are taken in call order: client 0 gets s,
+        // client 1 s+1, ..., the series s+4..s+6, client 5 s+7.
+        w.schedule_query(net, ms(10), query(0));
+        w.schedule_query(net, ms(30), query(1)); // out of time order
+        w.schedule_query(net, ms(20), query(2));
+        w.schedule_query(net, ms(10), query(3)); // ties client 0
+        let series = QuerySeries {
+            client: 4,
+            fixed_fe: None,
+            keywords: vec![3],
+            first: ms(10),
+            spacing: ms(10),
+            count: 3,
+        };
+        w.schedule_series(net, series); // a member at 10, 20 and 30 ms
+        w.schedule_query(net, ms(20), query(5));
+    });
+    // Six filed starts, none earlier than the first: one queued wake.
+    assert_eq!(sim.with(|w, _| w.book.hiwater()), 6);
+    assert_eq!(sim.net().pending_events(), 1);
+    // An insert before the earliest queues its own wake; the displaced
+    // earliest keeps the one it has.
+    sim.with(|w, net| w.schedule_query(net, ms(5), query(6)));
+    assert_eq!(sim.net().pending_events(), 2);
+    sim.run();
+    let mut done = sim.with(|w, _| w.drain_completed());
+    done.sort_by_key(|q| q.qid);
+    let order: Vec<(u64, usize, SimTime)> =
+        done.iter().map(|q| (q.qid, q.client, q.t_start)).collect();
+    let at = SimTime::from_millis;
+    // By (at, seq): 5 ms client 6; 10 ms clients 0 (s), 3 (s+3) and the
+    // series (s+4); 20 ms client 2 (s+2), the series (s+5) and client 5
+    // (s+7); 30 ms client 1 (s+1) and the series (s+6).
+    assert_eq!(
+        order,
+        [
+            (1, 6, at(5)),
+            (2, 0, at(10)),
+            (3, 3, at(10)),
+            (4, 4, at(10)),
+            (5, 2, at(20)),
+            (6, 4, at(20)),
+            (7, 5, at(20)),
+            (8, 1, at(30)),
+            (9, 4, at(30)),
+        ]
+    );
+    sim.with(|w, _| assert_eq!(w.book.hiwater(), 7));
+}
+
+#[test]
+fn an_out_of_range_keyword_wraps_at_schedule_time() {
+    // 250 is past the 200-keyword corpus: it wraps to 50, the rule
+    // series and Datasets A and B already follow.
+    let mut sim = small_world(ServiceConfig::google_like(6));
+    run_query(&mut sim, None, 250, 1);
+    let done = sim.with(|w, _| w.drain_completed());
+    assert_eq!(done.len(), 1);
+    assert_eq!(done[0].keyword, 50);
+    assert_eq!(done[0].outcome, QueryOutcome::Ok);
 }
 
 /// Schedules `n` clients at t = 1 ms, all pinned to client 0's

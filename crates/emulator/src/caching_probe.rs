@@ -137,11 +137,10 @@ impl CachingProbeRun {
                 w.prewarm(net, fe, be, 4);
                 let n_clients = w.clients().len();
                 // Anchor keyword and its class-mates (excluding the anchor).
-                let anchor = w.corpus().get(0).clone();
+                let anchor = w.corpus().get(0);
                 let class_mates: Vec<u64> = w
                     .corpus()
                     .all()
-                    .iter()
                     .filter(|k| k.class == anchor.class && k.id != anchor.id)
                     .map(|k| k.id)
                     .collect();

@@ -45,7 +45,7 @@ impl InstantRun {
         let min_prefix = self.min_prefix;
         let clients = self.clients.clone();
         sim.with(|w, net| {
-            let kw = w.corpus().get(keyword).clone();
+            let kw = w.corpus().get(keyword);
             for &client in &clients {
                 let steps = instant_session(&kw, min_prefix, net.rng());
                 let mut at = SimDuration::from_millis(1);
@@ -113,7 +113,7 @@ mod tests {
         let sessions = run.run(&s, ServiceConfig::google_like(41));
         assert_eq!(sessions.len(), 2);
         for sess in &sessions {
-            let kw_len = s.corpus.get(2).chars();
+            let kw_len = s.corpus.get(2).chars;
             assert_eq!(sess.subqueries.len(), kw_len - 3 + 1);
             for q in &sess.subqueries {
                 // "still fits our basic model": a full timeline with

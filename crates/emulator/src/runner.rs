@@ -90,9 +90,10 @@ pub struct StreamRun<R> {
     /// Largest [`QuerySink::retained_bytes`] observed across drain
     /// chunks — the memory the sink actually held onto at its peak.
     pub peak_retained_bytes: usize,
-    /// High-water mark of the simulator's pending-event count — the
-    /// session-slab memory proxy: with a [`SessionFeeder`] this tracks
-    /// O(live sessions), not O(total queries).
+    /// High-water mark of the simulator's pending-event count, sampled
+    /// after every drain step of a fed run (0 unfed) — the session-slab
+    /// memory proxy: with a [`SessionFeeder`] this tracks O(live
+    /// sessions), not O(total queries).
     pub peak_pending_events: usize,
     /// The run's telemetry: the transport (`tcpsim.*`) and service
     /// (`cdnsim.*`) registries harvested at quiescence, merged with the
@@ -110,10 +111,11 @@ pub struct StreamRun<R> {
 /// as soon as its timeline is extracted.
 ///
 /// With a [`SessionFeeder`], sessions are materialised one 60 s chunk
-/// ahead of the simulation clock, so the event queue holds only live
-/// sessions — the footprint of a 10^6-session campaign is that of its
-/// busiest chunk, not of the whole schedule. Without one (`None`), the
-/// world runs whatever was scheduled into it up front.
+/// ahead of the simulation clock, and their starts wait in the world's
+/// start book, so the event queue holds only live work — the footprint
+/// of a 10^6-session campaign is that of its busiest chunk, not of the
+/// whole schedule. Without one (`None`), the world runs whatever was
+/// scheduled into it up front.
 ///
 /// Inside a chunk the simulation runs to deadlines one simulated second
 /// apart, jumping over empty seconds to the next pending event, and
@@ -165,7 +167,6 @@ pub fn run_stream_fed<S: QuerySink>(
             // any thread count or chunk size.
             if let Some(f) = feeder.as_deref_mut() {
                 f.feed(sim, deadline);
-                peak_pending = peak_pending.max(sim.net().pending_events());
             }
             loop {
                 let step = match sim.net().next_event_time() {
@@ -173,6 +174,12 @@ pub fn run_stream_fed<S: QuerySink>(
                     _ => deadline,
                 };
                 sim.run_until(step);
+                // Fed starts wait in the world's start book, so the
+                // queue is at its fullest inside a chunk, not right
+                // after a feed.
+                if feeder.is_some() {
+                    peak_pending = peak_pending.max(sim.net().pending_events());
+                }
                 let done = sim.with(|w, _| w.drain_completed());
                 peak_batch = peak_batch.max(done.len());
                 for cq in done {

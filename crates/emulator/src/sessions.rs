@@ -2,14 +2,14 @@
 //! sessions) memory.
 //!
 //! [`DatasetA`](crate::dataset_a::DatasetA)/[`DatasetB`](crate::dataset_b::DatasetB)
-//! designs schedule every query up front, so a campaign's footprint
-//! grows with *total* queries. A [`SessionWorkload`] instead describes
-//! the workload generatively — session count, arrival rate, and a
-//! [`PopularityModel`] for keyword draws — and a [`SessionFeeder`]
-//! materialises sessions lazily, one time chunk at a time, as the
-//! runner drains completions. At any instant the event queue holds only
-//! the sessions that are actually live, so 10^6 sessions run in the
-//! same peak memory as 10^5 (the `exp_popularity` memory contract).
+//! designs fix every query when they are scheduled. A
+//! [`SessionWorkload`] instead describes the workload generatively —
+//! session count, arrival rate, and a [`PopularityModel`] for keyword
+//! draws — and a [`SessionFeeder`] materialises sessions lazily, one
+//! time chunk at a time, as the runner drains completions. At any
+//! instant the world holds only the sessions that are live or due
+//! within a chunk, so 10^6 sessions run in the same peak memory as 10^5
+//! (the `exp_popularity` memory contract).
 //!
 //! Determinism: the feeder is a pure iterator over two named RNG
 //! streams (`emulator/sessions` for arrivals, `emulator/popularity` for

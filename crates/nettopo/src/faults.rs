@@ -104,16 +104,6 @@ pub enum FaultKind {
         /// Episode parameters.
         params: BurstLossParams,
     },
-    /// A Gilbert–Elliott burst-loss episode on a front-end's path to a
-    /// back-end site.
-    FeBeBurstLoss {
-        /// Scenario index of the front-end.
-        fe: usize,
-        /// Scenario index of the back-end site.
-        be: usize,
-        /// Episode parameters.
-        params: BurstLossParams,
-    },
     /// A front-end loses serving capacity without slowing individual
     /// requests: the concurrency knee of the service's load model is
     /// scaled by `factor` (in (0, 1]) while the window is active — e.g.
@@ -218,19 +208,6 @@ impl FaultPlan {
             start,
             end,
         )
-    }
-
-    /// Schedules a burst-loss episode on front-end `fe`'s path to
-    /// back-end site `be` over `[start, end)`.
-    pub fn fe_be_burst_loss(
-        self,
-        fe: usize,
-        be: usize,
-        start: SimTime,
-        end: SimTime,
-        params: BurstLossParams,
-    ) -> FaultPlan {
-        self.push(FaultKind::FeBeBurstLoss { fe, be, params }, start, end)
     }
 
     /// True if front-end `fe` is in a full-outage window at `t`.

@@ -173,11 +173,6 @@ impl PathModel {
         2.0 * self.base_owd_ms
     }
 
-    /// Nominal RTT as a duration.
-    pub fn nominal_rtt(&self) -> SimDuration {
-        SimDuration::from_millis_f64(self.nominal_rtt_ms())
-    }
-
     /// Serialization time for a packet of `bytes` at the bottleneck.
     pub fn serialization(&self, bytes: u32) -> SimDuration {
         let ms = (bytes as f64 * 8.0) / (self.bw_mbps * 1000.0);

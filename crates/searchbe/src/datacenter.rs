@@ -119,7 +119,7 @@ mod tests {
         let run = || {
             let mut dc = BeDataCenter::google_like(42, "Lenoir NC");
             (0..50)
-                .map(|i| dc.handle_query(corpus.get(i % 100), false, None).proc_time)
+                .map(|i| dc.handle_query(&corpus.get(i % 100), false, None).proc_time)
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
@@ -133,7 +133,7 @@ mod tests {
         let kw = corpus.get(1);
         let avg = |dc: &mut BeDataCenter| {
             (0..2000)
-                .map(|_| dc.handle_query(kw, false, None).proc_time.as_millis_f64())
+                .map(|_| dc.handle_query(&kw, false, None).proc_time.as_millis_f64())
                 .sum::<f64>()
                 / 2000.0
         };
@@ -150,7 +150,7 @@ mod tests {
             let mut dc = BeDataCenter::google_like(7, "z");
             (0..3000)
                 .map(|_| {
-                    dc.handle_query(kw, followup, None)
+                    dc.handle_query(&kw, followup, None)
                         .proc_time
                         .as_millis_f64()
                 })
@@ -171,7 +171,7 @@ mod tests {
         let corpus = KeywordCorpus::generate(4, 10, 0.5);
         let mut dc = BeDataCenter::bing_like(11, "w");
         for _ in 0..500 {
-            let r = dc.handle_query(corpus.get(0), false, None);
+            let r = dc.handle_query(&corpus.get(0), false, None);
             assert!(r.load_factor >= 1.0);
             assert!(r.load_factor <= 1.0 + dc.profile.load_amplitude + 1e-9);
         }

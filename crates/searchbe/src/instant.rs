@@ -33,7 +33,7 @@ pub struct InstantQuery {
 /// once the prefix reaches `min_prefix` characters; typing gaps are drawn
 /// from a per-keystroke distribution (~180 ms median).
 pub fn instant_session(kw: &Keyword, min_prefix: usize, rng: &mut Rng) -> Vec<InstantQuery> {
-    let total = kw.chars();
+    let total = kw.chars;
     if total < min_prefix {
         return vec![InstantQuery {
             prefix_chars: total,
@@ -64,7 +64,7 @@ mod tests {
     use crate::keywords::KeywordCorpus;
 
     fn kw() -> Keyword {
-        KeywordCorpus::generate(1, 10, 0.5).get(0).clone()
+        KeywordCorpus::generate(1, 10, 0.5).get(0)
     }
 
     #[test]
@@ -72,9 +72,9 @@ mod tests {
         let k = kw();
         let mut rng = Rng::from_seed(1);
         let session = instant_session(&k, 3, &mut rng);
-        assert_eq!(session.len(), k.chars() - 3 + 1);
+        assert_eq!(session.len(), k.chars - 3 + 1);
         assert_eq!(session[0].prefix_chars, 3);
-        assert_eq!(session.last().unwrap().prefix_chars, k.chars());
+        assert_eq!(session.last().unwrap().prefix_chars, k.chars);
     }
 
     #[test]
@@ -100,8 +100,7 @@ mod tests {
 
     #[test]
     fn short_query_degenerates_to_single_query() {
-        let mut k = kw();
-        k.text = "ab".to_string();
+        let k = Keyword { chars: 2, ..kw() };
         let mut rng = Rng::from_seed(4);
         let session = instant_session(&k, 3, &mut rng);
         assert_eq!(session.len(), 1);

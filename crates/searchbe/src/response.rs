@@ -151,8 +151,8 @@ mod tests {
         let mut c = PageComposer::google_like();
         let mut rng = Rng::from_seed(2);
         let kw = corpus.get(0);
-        let a = c.compose(kw, None, &mut rng);
-        let b = c.compose(kw, None, &mut rng); // same keyword!
+        let a = c.compose(&kw, None, &mut rng);
+        let b = c.compose(&kw, None, &mut rng); // same keyword!
         assert_eq!(a.static_content, b.static_content);
         assert_ne!(a.dynamic_content, b.dynamic_content);
         assert_eq!(c.composed(), 2);
@@ -165,7 +165,7 @@ mod tests {
         let mut rng = Rng::from_seed(4);
         let mut by_class: [Vec<f64>; 4] = Default::default();
         for kw in corpus.all() {
-            let plan = c.compose(kw, None, &mut rng);
+            let plan = c.compose(&kw, None, &mut rng);
             by_class[kw.class.index()].push(plan.dynamic_bytes as f64);
         }
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
@@ -186,7 +186,7 @@ mod tests {
         let size_for = |region: Option<Region>| {
             let mut c = PageComposer::google_like();
             let mut rng = Rng::from_seed(9);
-            c.compose(kw, region, &mut rng).dynamic_bytes as f64
+            c.compose(&kw, region, &mut rng).dynamic_bytes as f64
         };
         let na = size_for(Some(Region::NorthAmerica));
         let asia = size_for(Some(Region::Asia));

@@ -24,8 +24,9 @@
 //! the clock has not yet passed the event's `(time, seq)` position. The
 //! event then pops exactly where one scheduled at reservation time would
 //! have. tcpsim's timers rely on this to keep one queued event each,
-//! and cdnsim's query series ([`EventQueue::reserve_seqs`] takes a whole
-//! block) to keep one queued `Start` per series.
+//! and cdnsim's start book (where [`EventQueue::reserve_seqs`] takes a
+//! query series' whole block) to keep pending query starts out of the
+//! queue behind one queued wake.
 //!
 //! Payloads live in a slab indexed by the queue entries rather than in
 //! the wheel itself: bucket chains and cascades move 24-byte

@@ -14,7 +14,6 @@
 //!   packet-event clusters of Fig. 4;
 //! * [`ks`] — two-sample Kolmogorov–Smirnov distance for the
 //!   "do FE servers cache results?" experiment of Sec. 3;
-//! * [`hist`] — fixed-width histograms used by reports;
 //! * [`streaming`] — mergeable online reducers (Welford moments,
 //!   exact-when-small/sketch-when-huge quantiles) backing the
 //!   bounded-memory campaign result pipeline.
@@ -25,7 +24,6 @@
 pub mod boxplot;
 pub mod cluster;
 pub mod ecdf;
-pub mod hist;
 pub mod ks;
 pub mod moving;
 pub mod quantile;
@@ -35,7 +33,6 @@ pub mod streaming;
 pub use boxplot::BoxSummary;
 pub use cluster::gap_clusters;
 pub use ecdf::Ecdf;
-pub use hist::Histogram;
 pub use ks::ks_distance;
 pub use moving::moving_median;
 pub use quantile::{mean, median, quantile, Summary};

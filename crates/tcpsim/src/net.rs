@@ -125,12 +125,6 @@ impl FaultTarget {
 pub enum LinkFaultKind {
     /// Drop every matching packet (outage).
     Blackhole,
-    /// Drop each matching packet independently with this probability,
-    /// on top of the path's own loss.
-    ExtraLoss {
-        /// Additional per-packet drop probability.
-        loss: f64,
-    },
     /// A Gilbert–Elliott two-state chain advanced once per matching
     /// packet: in the good state packets pass; entering the bad state
     /// (probability `p_enter` per packet) drops packets with
@@ -186,17 +180,6 @@ impl LinkFault {
             start,
             end,
             kind: LinkFaultKind::Blackhole,
-            bad: false,
-        }
-    }
-
-    /// Extra Bernoulli loss on one path over a window.
-    pub fn extra_loss(a: NodeId, b: NodeId, start: SimTime, end: SimTime, loss: f64) -> LinkFault {
-        LinkFault {
-            target: FaultTarget::Link(a, b),
-            start,
-            end,
-            kind: LinkFaultKind::ExtraLoss { loss },
             bad: false,
         }
     }
@@ -350,6 +333,9 @@ const CAPTURE_CAPACITY: usize = 64;
 /// `slot_of` entry of a connection whose slot was reclaimed.
 const RECLAIMED: u32 = u32::MAX;
 
+/// Events one simulation may process before it is declared runaway.
+const MAX_EVENTS: u64 = 2_000_000_000;
+
 /// All network state: connections, event queue, client captures.
 pub struct Net {
     q: EventQueue<Ev>,
@@ -373,7 +359,6 @@ pub struct Net {
     faults: Vec<LinkFault>,
     fault_rng: Rng,
     seed: u64,
-    max_events: u64,
     // Observe-only telemetry: records retransmit/cwnd-reset counts and
     // handshake RTTs but draws no randomness and schedules nothing, so
     // it cannot perturb the simulated trajectory.
@@ -412,7 +397,6 @@ impl Net {
             faults: Vec::new(),
             fault_rng: Rng::from_seed_and_name(seed, "tcpsim/fault"),
             seed,
-            max_events: 2_000_000_000,
             metrics: MetricsRegistry::from_env(),
             mix: EventMix::default(),
         }
@@ -507,11 +491,6 @@ impl Net {
             }
         }
         self.metrics.take()
-    }
-
-    /// Caps the number of processed events (runaway guard).
-    pub fn set_max_events(&mut self, max: u64) {
-        self.max_events = max;
     }
 
     /// Number of events processed so far.
@@ -814,11 +793,6 @@ impl Net {
             }
             match f.kind {
                 LinkFaultKind::Blackhole => fault_drop = true,
-                LinkFaultKind::ExtraLoss { loss } => {
-                    if self.fault_rng.chance(loss) {
-                        fault_drop = true;
-                    }
-                }
                 LinkFaultKind::Burst {
                     p_enter,
                     p_exit,
@@ -1285,7 +1259,7 @@ impl<A: App> Sim<A> {
                 _ => break,
             }
             assert!(
-                self.net.q.events_processed() < self.net.max_events,
+                self.net.q.events_processed() < MAX_EVENTS,
                 "event budget exceeded: simulation did not quiesce"
             );
             let (_, ev) = self.net.q.pop().unwrap();

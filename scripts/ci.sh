@@ -91,6 +91,25 @@ grep -q "^run	metric	kind" /tmp/ci_exp_whatif.log || {
 }
 echo "    exp_whatif stderr carries the metrics.tsv document"
 
+echo "==> paper scale: every fig/exp/abl binary exits 0 at FECDN_SCALE=paper"
+# Paper scale runs larger designs than quick scale (more vantages,
+# keywords and repeats), so it reaches inputs quick scale never does.
+# One pass at seed 42 on 2 workers, ~45 s, most of it exp_popularity.
+# Exit status only: paper-scale stdout has no goldens yet.
+n=0
+passes=0
+for src in crates/bench/src/bin/*.rs; do
+  bin=$(basename "$src" .rs)
+  [ "$bin" = bench_tcpsim ] && continue
+  FECDN_SCALE=paper FECDN_SEED=42 FECDN_THREADS=2 "./target/release/$bin" \
+    > "/tmp/ci_paper_$bin.tsv" 2> "/tmp/ci_paper_$bin.log" || {
+    echo "$bin exited $? at paper scale (checks in /tmp/ci_paper_$bin.log)" >&2; exit 1;
+  }
+  passes=$((passes + $(grep -c '\[PASS\]' "/tmp/ci_paper_$bin.log" || true)))
+  n=$((n + 1))
+done
+echo "    $n binaries exit 0 at paper scale, $passes [PASS] checks"
+
 echo "==> examples: every example exits 0 and matches its stdout golden"
 # The examples drive the public API end to end (scenarios, Datasets A
 # and B, campaigns); tier-1 only compiles them. Their stdout is compared

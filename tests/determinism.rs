@@ -17,8 +17,9 @@
 //! 3. **Bounded streaming memory** — a capped reducer's peak retained
 //!    bytes stay flat at 10× the queries, far below collecting them,
 //!    a fed session campaign's connection slots and completion drain
-//!    batches stay flat at 10× the sessions, and a fixed-FE campaign's
-//!    event queue stays flat at 10× the repeats per vantage.
+//!    batches stay flat at 10× the sessions, its event queue stays flat
+//!    at 10× the queries per session, and a fixed-FE campaign's event
+//!    queue stays flat at 10× the repeats per vantage.
 
 mod common;
 
@@ -281,6 +282,60 @@ fn world_memory_stays_o_live_at_10x_sessions() {
     );
 }
 
+/// Runs a fed google-like campaign of 2,000 sessions that all arrive
+/// in the first 60 s chunk, each issuing `queries` queries 60 s apart,
+/// on one worker; returns its pending-event and event-slab high-water
+/// marks.
+fn fed_queue_hiwater(queries: u32) -> (f64, f64) {
+    let seed = 42;
+    let mut c = Campaign::new(Scenario::with_size(seed, 24, 500));
+    c.push(
+        "sessions",
+        ServiceConfig::google_like(seed),
+        Design::Sessions(
+            SessionWorkload::new(2_000)
+                .with_mean_gap(SimDuration::from_millis(20))
+                .with_queries_per_session(queries)
+                .with_think(SimDuration::from_secs(60)),
+        ),
+    )
+    .metrics = Some(true);
+    let capped = |_: &RunDescriptor| CappedSummaries {
+        overall: SummaryAcc::with_cap(256),
+        t_dynamic: SummaryAcc::with_cap(256),
+    };
+    let report = c.execute_stream_with_threads(&capped, 1);
+    let metrics = &report.runs[0].metrics;
+    let max = |name: &str| {
+        metrics
+            .gauge(name)
+            .unwrap_or_else(|| panic!("{name} missing"))
+            .1
+    };
+    (
+        max("emulator.pending_events_hiwater"),
+        max("tcpsim.slab_high_water_slots"),
+    )
+}
+
+#[test]
+fn fed_event_queue_holds_live_work_not_future_starts() {
+    // A session's i-th query falls in chunk i, so both runs carry the
+    // same live load per chunk; only the starts still to come differ:
+    // the first feed hands over 2,000 of them in one run and 20,000 in
+    // the other. Queuing them all grows both gauges ~10x.
+    let (pending, slab) = fed_queue_hiwater(1);
+    let (pending_10x, slab_10x) = fed_queue_hiwater(10);
+    assert!(
+        2.0 * pending_10x <= 3.0 * pending,
+        "10x queries per session grew the pending events from {pending} to {pending_10x}: future starts queued?"
+    );
+    assert!(
+        2.0 * slab_10x <= 3.0 * slab,
+        "10x queries per session grew the event slab from {slab} to {slab_10x} slots: future starts queued?"
+    );
+}
+
 /// Runs a google-like fixed-FE (Dataset B) campaign of `repeats`
 /// queries per vantage on one worker; returns the event queue's slab
 /// high-water mark.
@@ -307,8 +362,8 @@ fn fixed_fe_slab_slots(repeats: u64) -> f64 {
 
 #[test]
 fn world_memory_stays_flat_at_10x_repeats() {
-    // Each vantage's queries are one series that keeps only its next
-    // start queued; queuing every start up front grows the slab ~10x.
+    // Each vantage's queries are one series, one start-book entry;
+    // queuing every start up front grows the slab ~10x.
     let slots = fixed_fe_slab_slots(4);
     let slots_10x = fixed_fe_slab_slots(40);
     assert!(slots > 0.0, "no event slot was used");
