@@ -52,7 +52,6 @@ pub mod campaign;
 pub mod dataset_a;
 pub mod dataset_b;
 pub mod instant;
-pub mod output;
 pub mod report;
 pub mod runner;
 pub mod scenarios;

@@ -53,62 +53,79 @@ if [ -n "$hashed" ]; then
 fi
 echo "    simulator crates key every map through simcore::hash"
 
-echo "==> harness gate: every fig/exp/abl binary passes its checks and matches its stdout golden"
-# Each harness binary gates its paper claims through its own [PASS]/[FAIL]
-# checks and exit status. Its stdout is compared with the golden that
-# scripts/update_golden.sh wrote on one worker, so running on 4 workers
-# here also pins thread invariance. Default seed (42) and scale (quick);
-# every binary must also reject a bad FECDN_SCALE with exit status 2.
+echo "==> harness gate: every artefact passes its checks and matches its stdout golden"
+# Each artefact gates its paper claims through its [PASS]/[FAIL] checks
+# and the claims binary's exit status. Its stdout is compared with the
+# golden that scripts/update_golden.sh wrote on one worker, so running on
+# 4 workers here also pins thread invariance. Default seed (42) and scale
+# (quick).
 unset FECDN_SCALE FECDN_SEED
+claims=./target/release/claims
+artefacts=$("$claims" --list)
+# Every artefact has a golden in the directory, and every golden there
+# names an artefact.
+check_goldens() {
+  for a in $artefacts; do
+    [ -f "$1/$a.tsv" ] || { echo "$a has no golden $1/$a.tsv" >&2; exit 1; }
+  done
+  for g in "$1"/*.tsv; do
+    echo "$artefacts" | grep -qx "$(basename "$g" .tsv)" || {
+      echo "golden $g has no artefact" >&2; exit 1;
+    }
+  done
+}
 golden=tests/golden/harness
+check_goldens "$golden"
 n=0
-for src in crates/bench/src/bin/*.rs; do
-  bin=$(basename "$src" .rs)
-  [ "$bin" = bench_tcpsim ] && continue
-  [ -f "$golden/$bin.tsv" ] || { echo "$bin has no golden $golden/$bin.tsv" >&2; exit 1; }
-  FECDN_THREADS=4 "./target/release/$bin" > "/tmp/ci_$bin.tsv" 2> "/tmp/ci_$bin.log" || {
-    echo "$bin exited $? (checks in /tmp/ci_$bin.log)" >&2; exit 1;
+for a in $artefacts; do
+  FECDN_THREADS=4 "$claims" "$a" > "/tmp/ci_$a.tsv" 2> "/tmp/ci_$a.log" || {
+    echo "$a exited $? (checks in /tmp/ci_$a.log)" >&2; exit 1;
   }
-  cmp "$golden/$bin.tsv" "/tmp/ci_$bin.tsv" || {
-    echo "$bin stdout differs from $golden/$bin.tsv" >&2; exit 1;
-  }
-  status=0
-  FECDN_SCALE=bogus "./target/release/$bin" > /dev/null 2>&1 || status=$?
-  [ "$status" -eq 2 ] || {
-    echo "$bin exited $status under FECDN_SCALE=bogus, want 2" >&2; exit 1;
+  cmp "$golden/$a.tsv" "/tmp/ci_$a.tsv" || {
+    echo "$a stdout differs from $golden/$a.tsv" >&2; exit 1;
   }
   n=$((n + 1))
 done
-for g in "$golden"/*.tsv; do
-  bin=$(basename "$g" .tsv)
-  [ "$bin" != bench_tcpsim ] && [ -f "crates/bench/src/bin/$bin.rs" ] || {
-    echo "golden $g has no harness binary" >&2; exit 1;
-  }
-done
-echo "    $n binaries exit 0 at FECDN_THREADS=4, match their goldens and reject FECDN_SCALE=bogus"
+echo "    $n artefacts exit 0 at FECDN_THREADS=4 and match their goldens"
 grep -q "^run	metric	kind" /tmp/ci_exp_whatif.log || {
   echo "exp_whatif stderr is missing the metrics.tsv document" >&2; exit 1;
 }
 echo "    exp_whatif stderr carries the metrics.tsv document"
 
-echo "==> paper scale: every fig/exp/abl binary exits 0 at FECDN_SCALE=paper"
+echo "==> claims binary: every bad invocation exits 2"
+expect_exit_2() {
+  status=0
+  env "$@" > /dev/null 2>&1 || status=$?
+  [ "$status" -eq 2 ] || { echo "'$*' exited $status, want 2" >&2; exit 1; }
+}
+expect_exit_2 "$claims"
+expect_exit_2 "$claims" no_such_artefact
+expect_exit_2 "$claims" fig5 fig6
+expect_exit_2 FECDN_SCALE=bogus "$claims" fig5
+expect_exit_2 FECDN_SEED=x "$claims" fig5
+echo "    no argument, an unknown artefact, a second argument, a bad FECDN_SCALE and a bad FECDN_SEED"
+
+echo "==> paper scale: every artefact passes and matches its paper-scale golden"
 # Paper scale runs larger designs than quick scale (more vantages,
 # keywords and repeats), so it reaches inputs quick scale never does.
-# One pass at seed 42 on 2 workers, ~45 s, most of it exp_popularity.
-# Exit status only: paper-scale stdout has no goldens yet.
+# One pass at seed 42 on 2 workers, ~45 s, most of it exp_popularity;
+# scripts/update_golden.sh wrote the goldens on one worker.
+golden=tests/golden/harness/paper
+check_goldens "$golden"
 n=0
 passes=0
-for src in crates/bench/src/bin/*.rs; do
-  bin=$(basename "$src" .rs)
-  [ "$bin" = bench_tcpsim ] && continue
-  FECDN_SCALE=paper FECDN_SEED=42 FECDN_THREADS=2 "./target/release/$bin" \
-    > "/tmp/ci_paper_$bin.tsv" 2> "/tmp/ci_paper_$bin.log" || {
-    echo "$bin exited $? at paper scale (checks in /tmp/ci_paper_$bin.log)" >&2; exit 1;
+for a in $artefacts; do
+  FECDN_SCALE=paper FECDN_SEED=42 FECDN_THREADS=2 "$claims" "$a" \
+    > "/tmp/ci_paper_$a.tsv" 2> "/tmp/ci_paper_$a.log" || {
+    echo "$a exited $? at paper scale (checks in /tmp/ci_paper_$a.log)" >&2; exit 1;
   }
-  passes=$((passes + $(grep -c '\[PASS\]' "/tmp/ci_paper_$bin.log" || true)))
+  cmp "$golden/$a.tsv" "/tmp/ci_paper_$a.tsv" || {
+    echo "$a paper-scale stdout differs from $golden/$a.tsv" >&2; exit 1;
+  }
+  passes=$((passes + $(grep -c '\[PASS\]' "/tmp/ci_paper_$a.log" || true)))
   n=$((n + 1))
 done
-echo "    $n binaries exit 0 at paper scale, $passes [PASS] checks"
+echo "    $n artefacts exit 0 at paper scale and match their goldens, $passes [PASS] checks"
 
 echo "==> examples: every example exits 0 and matches its stdout golden"
 # The examples drive the public API end to end (scenarios, Datasets A

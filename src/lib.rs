@@ -51,8 +51,8 @@
 //! assert!(bounds.contains(q.true_fetch_ms.unwrap(), 12.0));
 //! ```
 //!
-//! See `examples/` for end-to-end scenarios and `crates/bench/src/bin/`
-//! for the per-figure reproduction harnesses.
+//! See `examples/` for end-to-end scenarios and `crates/bench/src/claims/`
+//! for the per-figure reproductions (`claims <artefact>` runs one).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
