@@ -7,12 +7,14 @@
 //!
 //! `FECDN_SCALE` (`quick` or `paper`, default quick) and `FECDN_SEED`
 //! (a u64, default 42) pick the run; `FECDN_THREADS` sets the campaign
-//! worker count. Exit status: 0 when every check passed, 1 when one
-//! failed, 2 on a bad invocation (no argument, an unknown artefact, a
-//! second argument, or a bad `FECDN_SCALE` or `FECDN_SEED`).
+//! worker count (unset, empty or 0 for every core). Exit status: 0 when
+//! every check passed, 1 when one failed, 2 on a bad invocation (no
+//! argument, an unknown artefact, a second argument, or a bad
+//! `FECDN_SCALE`, `FECDN_SEED` or `FECDN_THREADS`).
 
 use bench::claims::ALL;
 use bench::{seed_from_value, Scale};
+use emulator::campaign::threads_from_value;
 
 /// What the command line asks for: the list, or one artefact (its
 /// index in [`ALL`]) at a scale and seed.
@@ -23,9 +25,16 @@ enum Invocation {
 }
 
 /// Parses the arguments (program name excluded) and the values of
-/// `FECDN_SCALE` and `FECDN_SEED`. Pure, so tests can pin it without
-/// touching process state.
-fn parse(args: &[String], scale: Option<&str>, seed: Option<&str>) -> Result<Invocation, String> {
+/// `FECDN_SCALE`, `FECDN_SEED` and `FECDN_THREADS`; `--list` reads
+/// none of them. Pure, so tests can pin it without touching process
+/// state. The worker count is only validated here: the campaign reads
+/// it again when it runs.
+fn parse(
+    args: &[String],
+    scale: Option<&str>,
+    seed: Option<&str>,
+    threads: Option<&str>,
+) -> Result<Invocation, String> {
     let [arg] = args else {
         return Err(format!(
             "usage: claims <artefact> | claims --list (got {} arguments)",
@@ -39,11 +48,10 @@ fn parse(args: &[String], scale: Option<&str>, seed: Option<&str>) -> Result<Inv
         .iter()
         .position(|(name, _)| name == arg)
         .ok_or_else(|| format!("unknown artefact {arg:?} (claims --list names them)"))?;
-    Ok(Invocation::Run(
-        artefact,
-        Scale::from_value(scale)?,
-        seed_from_value(seed)?,
-    ))
+    let scale = Scale::from_value(scale)?;
+    let seed = seed_from_value(seed)?;
+    threads_from_value(threads)?;
+    Ok(Invocation::Run(artefact, scale, seed))
 }
 
 fn main() {
@@ -53,6 +61,7 @@ fn main() {
         &args,
         var("FECDN_SCALE").as_deref(),
         var("FECDN_SEED").as_deref(),
+        var("FECDN_THREADS").as_deref(),
     )
     .unwrap_or_else(|msg| {
         eprintln!("{msg}");
@@ -91,7 +100,7 @@ mod tests {
     #[test]
     fn exactly_one_argument_is_required() {
         for bad in [args(&[]), args(&["fig5", "fig6"]), args(&["--list", "x"])] {
-            let err = parse(&bad, None, None).unwrap_err();
+            let err = parse(&bad, None, None, None).unwrap_err();
             assert!(err.starts_with("usage: claims"), "{err}");
         }
     }
@@ -99,16 +108,19 @@ mod tests {
     #[test]
     fn an_unknown_artefact_is_rejected() {
         for bad in ["fig10", "bench_tcpsim", "", "--help"] {
-            let err = parse(&args(&[bad]), None, None).unwrap_err();
+            let err = parse(&args(&[bad]), None, None, None).unwrap_err();
             assert!(err.contains(&format!("unknown artefact {bad:?}")), "{err}");
         }
     }
 
     #[test]
     fn list_takes_no_settings() {
-        assert_eq!(parse(&args(&["--list"]), None, None), Ok(Invocation::List));
         assert_eq!(
-            parse(&args(&["--list"]), Some("bogus"), Some("x")),
+            parse(&args(&["--list"]), None, None, None),
+            Ok(Invocation::List)
+        );
+        assert_eq!(
+            parse(&args(&["--list"]), Some("bogus"), Some("x"), Some("-3")),
             Ok(Invocation::List)
         );
     }
@@ -117,16 +129,23 @@ mod tests {
     fn an_artefact_runs_at_the_parsed_scale_and_seed() {
         let fig5 = ALL.iter().position(|(name, _)| *name == "fig5").unwrap();
         assert_eq!(
-            parse(&args(&["fig5"]), None, None),
+            parse(&args(&["fig5"]), None, None, None),
             Ok(Invocation::Run(fig5, Scale::Quick, 42))
         );
         assert_eq!(
-            parse(&args(&["fig5"]), Some("paper"), Some("7")),
+            parse(&args(&["fig5"]), Some("paper"), Some("7"), Some("4")),
             Ok(Invocation::Run(fig5, Scale::Paper, 7))
         );
-        let err = parse(&args(&["fig5"]), Some("bogus"), None).unwrap_err();
+        let err = parse(&args(&["fig5"]), Some("bogus"), None, None).unwrap_err();
         assert!(err.contains("FECDN_SCALE value \"bogus\""), "{err}");
-        let err = parse(&args(&["fig5"]), None, Some("x")).unwrap_err();
+        let err = parse(&args(&["fig5"]), None, Some("x"), None).unwrap_err();
         assert!(err.contains("FECDN_SEED value \"x\""), "{err}");
+        for bad in ["x", "-3", "1.5"] {
+            let err = parse(&args(&["fig5"]), None, None, Some(bad)).unwrap_err();
+            assert!(
+                err.contains(&format!("FECDN_THREADS value {bad:?}")),
+                "{err}"
+            );
+        }
     }
 }

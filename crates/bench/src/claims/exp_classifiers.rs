@@ -67,13 +67,12 @@ pub fn run(scale: Scale, seed: u64) -> ClaimRun {
     let report = execute_stream(&c, &|_| CollectSink::with_raw(true));
     let raw = &report.output("classifiers").raw;
 
-    // Learn the static ids blind, borrowing the traces in place.
-    let traces: Vec<&[tcpsim::PktEvent]> = raw.iter().map(|c| c.trace.as_slice()).collect();
+    // Learn the static ids blind, borrowing the captures in place.
     let clients: Vec<NodeId> = raw
         .iter()
         .map(|c| ServiceWorld::client_node(c.client))
         .collect();
-    let static_ids = find_static_content_ids(&traces, |i| clients[i], 3);
+    let static_ids = find_static_content_ids(raw.iter().map(|c| &c.trace), |i| clients[i], 3);
     let by_content = Classifier::ByContent(static_ids.clone());
 
     // Partition sessions by regime using the oracle Tdelta.
@@ -88,8 +87,8 @@ pub fn run(scale: Scale, seed: u64) -> ClaimRun {
             }
         }
     }
-    let batch = |idx: &[usize]| -> Vec<(&[tcpsim::PktEvent], NodeId)> {
-        idx.iter().map(|&i| (traces[i], clients[i])).collect()
+    let batch = |idx: &[usize]| -> Vec<(&tcpsim::Capture, NodeId)> {
+        idx.iter().map(|&i| (&raw[i].trace, clients[i])).collect()
     };
     let all_idx: Vec<usize> = (0..raw.len()).collect();
 

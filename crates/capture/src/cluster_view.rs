@@ -9,6 +9,7 @@
 use crate::errors::SessionError;
 use crate::session::ClientTrace;
 use stats::cluster::{adaptive_gap_threshold, gap_clusters, Cluster};
+use std::borrow::Borrow;
 use tcpsim::{NodeId, PktEvent};
 
 /// One row of the Fig. 4 plot.
@@ -27,7 +28,10 @@ pub struct TimelineView {
 impl TimelineView {
     /// Builds the view for one session. Fails with a [`SessionError`]
     /// for malformed sessions (no SYN, no completed handshake).
-    pub fn build(events: &[PktEvent], client: NodeId) -> Result<TimelineView, SessionError> {
+    pub fn build(
+        events: impl IntoIterator<Item: Borrow<PktEvent>>,
+        client: NodeId,
+    ) -> Result<TimelineView, SessionError> {
         let trace = ClientTrace::new(events, client)?;
         let tb = trace.tb;
         let rtt_ms = trace.rtt_ms.ok_or(SessionError::NoHandshake)?;
@@ -119,7 +123,7 @@ mod tests {
 
     #[test]
     fn separated_bursts_give_two_clusters() {
-        let view = TimelineView::build(&session(21.0, 150.0), NodeId(1)).unwrap();
+        let view = TimelineView::build(session(21.0, 150.0), NodeId(1)).unwrap();
         assert_eq!(view.payload_cluster_count(), 2);
         let gap = view.first_gap_ms().unwrap();
         assert!((gap - (150.0 - 21.6)).abs() < 0.5, "gap {gap}");
@@ -128,14 +132,14 @@ mod tests {
 
     #[test]
     fn merged_bursts_give_one_cluster() {
-        let view = TimelineView::build(&session(21.0, 22.0), NodeId(1)).unwrap();
+        let view = TimelineView::build(session(21.0, 22.0), NodeId(1)).unwrap();
         assert_eq!(view.payload_cluster_count(), 1);
         assert!(view.first_gap_ms().is_none());
     }
 
     #[test]
     fn tx_and_rx_relative_to_tb() {
-        let view = TimelineView::build(&session(21.0, 150.0), NodeId(1)).unwrap();
+        let view = TimelineView::build(session(21.0, 150.0), NodeId(1)).unwrap();
         assert_eq!(view.tx_ms[0], 0.0);
         assert!(view.rx_ms.iter().all(|&t| t >= 0.0));
         assert!(view.tx_ms.len() >= 2);

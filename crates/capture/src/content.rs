@@ -7,6 +7,7 @@
 //! bytes), so the analysis reduces to: a content id observed in sessions
 //! of at least `min_sessions` distinct queries is static.
 
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use tcpsim::{NodeId, PktDir, PktEvent};
 
@@ -18,20 +19,21 @@ use tcpsim::{NodeId, PktDir, PktEvent};
 /// queries). Only packets received at `client_of(session_index)` are
 /// considered. `min_sessions` is the recurrence threshold (≥ 2).
 ///
-/// Sessions are taken by borrow (`&[PktEvent]` slices work as well as
-/// owned `Vec<PktEvent>`s), so callers holding raw completions — e.g. a
-/// raw-retaining `CollectSink` — can hand their traces over without
-/// cloning a single packet event.
-pub fn find_static_content_ids<S: AsRef<[PktEvent]>>(
-    sessions: &[S],
+/// Each session is anything that yields packet events or references to
+/// them (a `&Capture`, a `&Vec<PktEvent>`), so callers holding raw
+/// completions — e.g. a raw-retaining `CollectSink` — can hand their
+/// captures over without cloning a single packet event.
+pub fn find_static_content_ids<S: IntoIterator<Item: Borrow<PktEvent>>>(
+    sessions: impl IntoIterator<Item = S>,
     client_of: impl Fn(usize) -> NodeId,
     min_sessions: usize,
 ) -> HashSet<u64> {
     assert!(min_sessions >= 2, "recurrence threshold must be ≥ 2");
     let mut seen_in: HashMap<u64, HashSet<usize>> = HashMap::new();
-    for (i, events) in sessions.iter().enumerate() {
+    for (i, events) in sessions.into_iter().enumerate() {
         let client = client_of(i);
-        for ev in events.as_ref() {
+        for ev in events {
+            let ev = ev.borrow();
             if ev.node != client || ev.dir != PktDir::Rx {
                 continue;
             }

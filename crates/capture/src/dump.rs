@@ -14,6 +14,7 @@
 
 use crate::errors::SessionError;
 use crate::session::ClientTrace;
+use std::borrow::Borrow;
 use tcpsim::{Marker, NodeId, PktDir, PktEvent, PktKind};
 
 fn marker_tag(m: Marker) -> &'static str {
@@ -71,10 +72,10 @@ pub fn render_line(ev: &PktEvent) -> String {
 }
 
 /// Renders a whole session (one line per event).
-pub fn render(events: &[PktEvent]) -> String {
+pub fn render(events: impl IntoIterator<Item: Borrow<PktEvent>>) -> String {
     let mut out = String::new();
     for ev in events {
-        out.push_str(&render_line(ev));
+        out.push_str(&render_line(ev.borrow()));
         out.push('\n');
     }
     out
@@ -83,7 +84,10 @@ pub fn render(events: &[PktEvent]) -> String {
 /// Renders only the client-side view with a header summarising the
 /// session landmarks — the format used by the `fig4` harness's debug
 /// output and by humans grepping long runs.
-pub fn render_client_view(events: &[PktEvent], client: NodeId) -> Result<String, SessionError> {
+pub fn render_client_view(
+    events: impl IntoIterator<Item: Borrow<PktEvent>>,
+    client: NodeId,
+) -> Result<String, SessionError> {
     let trace = ClientTrace::new(events, client)?;
     let mut out = format!(
         "# client node{} tb={:.4}ms rtt={:?} bytes={}\n",

@@ -2,6 +2,7 @@
 
 use crate::errors::SessionError;
 use simcore::time::SimTime;
+use std::borrow::Borrow;
 use tcpsim::{NodeId, PktDir, PktEvent, PktKind};
 
 /// The packet events of one session as observed at the client, split
@@ -27,11 +28,15 @@ impl ClientTrace {
     /// least a transmitted SYN. Fails with
     /// [`SessionError::NoClientSyn`] for traces with no client-side SYN
     /// (capture started mid-session, or the wrong node was named).
-    pub fn new(events: &[PktEvent], client: NodeId) -> Result<ClientTrace, SessionError> {
+    pub fn new(
+        events: impl IntoIterator<Item: Borrow<PktEvent>>,
+        client: NodeId,
+    ) -> Result<ClientTrace, SessionError> {
         let mut rx_data = Vec::new();
         let mut rx_all = Vec::new();
         let mut tx_all = Vec::new();
         for ev in events {
+            let ev = ev.borrow();
             if ev.node != client {
                 continue;
             }
@@ -115,7 +120,7 @@ mod tests {
 
     #[test]
     fn extracts_landmarks() {
-        let tr = ClientTrace::new(&sample_session(), NodeId(1)).unwrap();
+        let tr = ClientTrace::new(sample_session(), NodeId(1)).unwrap();
         assert_eq!(tr.tb, SimTime::ZERO);
         assert_eq!(tr.rtt_ms, Some(50.0));
         assert_eq!(tr.tx_all.len(), 3);
@@ -126,7 +131,7 @@ mod tests {
 
     #[test]
     fn ignores_other_nodes() {
-        let tr = ClientTrace::new(&sample_session(), NodeId(1)).unwrap();
+        let tr = ClientTrace::new(sample_session(), NodeId(1)).unwrap();
         assert!(tr.tx_all.iter().all(|e| e.node == NodeId(1)));
     }
 

@@ -4,6 +4,7 @@
 use crate::classify::Classifier;
 use crate::errors::{SessionError, TimelineError};
 use simcore::time::SimTime;
+use std::borrow::Borrow;
 use tcpsim::{Marker, NodeId, PktDir, PktEvent, PktKind};
 
 /// The packet-level landmarks of one query session at the client.
@@ -60,10 +61,12 @@ impl Timeline {
     /// retransmission storm, or no classifiable boundary).
     ///
     /// One pass over the events observed at `client`, in recording
-    /// (time) order, folds every landmark; nothing is copied. When
-    /// several reasons apply, the first in the order above is reported.
+    /// (time) order, folds every landmark; no event is buffered. `events`
+    /// is anything that yields packet events or references to them: a
+    /// `&Capture`, a `&[PktEvent]`, a `&Vec<PktEvent>`. When several
+    /// reasons apply, the first in the order above is reported.
     pub fn extract(
-        events: &[PktEvent],
+        events: impl IntoIterator<Item: Borrow<PktEvent>>,
         client: NodeId,
         classifier: &Classifier,
     ) -> Result<Timeline, TimelineError> {
@@ -88,7 +91,11 @@ impl Timeline {
         let mut error_stub_only = true;
         // (seq, len) of every payload packet, for the duplicate count.
         let mut payload: Vec<(u64, u32)> = Vec::new();
-        for ev in events.iter().filter(|e| e.node == client) {
+        for ev in events {
+            let ev = ev.borrow();
+            if ev.node != client {
+                continue;
+            }
             match ev.dir {
                 PktDir::Tx => {
                     if ev.kind == PktKind::Syn && tb.is_none() {
@@ -284,7 +291,7 @@ mod tests {
 
     #[test]
     fn marker_extraction_matches_hand_computation() {
-        let tl = Timeline::extract(&session(), NodeId(1), &Classifier::ByMarker).unwrap();
+        let tl = Timeline::extract(session(), NodeId(1), &Classifier::ByMarker).unwrap();
         assert_eq!(tl.rtt_ms, 50.0);
         assert_eq!(tl.t1, SimTime::from_millis(50));
         assert_eq!(tl.t2, SimTime::from_millis(100));
@@ -335,8 +342,8 @@ mod tests {
     #[test]
     fn content_classifier_agrees_with_markers_here() {
         let ids = std::collections::HashSet::from([1u64]);
-        let a = Timeline::extract(&session(), NodeId(1), &Classifier::ByMarker).unwrap();
-        let b = Timeline::extract(&session(), NodeId(1), &Classifier::ByContent(ids)).unwrap();
+        let a = Timeline::extract(session(), NodeId(1), &Classifier::ByMarker).unwrap();
+        let b = Timeline::extract(session(), NodeId(1), &Classifier::ByContent(ids)).unwrap();
         assert_eq!(a.t4, b.t4);
         assert_eq!(a.t5, b.t5);
         assert_eq!(a.static_bytes, b.static_bytes);
@@ -344,7 +351,7 @@ mod tests {
 
     #[test]
     fn push_classifier_agrees_when_no_coalescing() {
-        let tl = Timeline::extract(&session(), NodeId(1), &Classifier::ByPush).unwrap();
+        let tl = Timeline::extract(session(), NodeId(1), &Classifier::ByPush).unwrap();
         assert_eq!(tl.t4, SimTime::from_millis(107));
         assert_eq!(tl.t5, SimTime::from_millis(250));
     }

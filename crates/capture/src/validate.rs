@@ -11,6 +11,7 @@
 
 use crate::classify::Classifier;
 use crate::timeline::Timeline;
+use std::borrow::Borrow;
 use tcpsim::{NodeId, PktEvent};
 
 /// Agreement metrics of a candidate classifier against the marker
@@ -43,9 +44,10 @@ impl ClassifierScore {
 }
 
 /// Scores `candidate` against [`Classifier::ByMarker`] over a batch of
-/// `(events, client)` sessions.
-pub fn score_classifier(
-    sessions: &[(&[PktEvent], NodeId)],
+/// `(events, client)` sessions. Each session's events are read twice,
+/// so they come by reference (a `&Capture`, a `&[PktEvent]`).
+pub fn score_classifier<S: IntoIterator<Item: Borrow<PktEvent>> + Copy>(
+    sessions: &[(S, NodeId)],
     candidate: &Classifier,
 ) -> ClassifierScore {
     let mut score = ClassifierScore {
@@ -58,12 +60,12 @@ pub fn score_classifier(
     };
     let mut tdelta_errs = Vec::new();
     let mut byte_errs = Vec::new();
-    for (events, client) in sessions {
-        let oracle = match Timeline::extract(events, *client, &Classifier::ByMarker) {
+    for &(events, client) in sessions {
+        let oracle = match Timeline::extract(events, client, &Classifier::ByMarker) {
             Ok(t) => t,
             Err(_) => continue,
         };
-        let cand = match Timeline::extract(events, *client, candidate) {
+        let cand = match Timeline::extract(events, client, candidate) {
             Ok(t) => t,
             Err(_) => {
                 score.candidate_failed += 1;
@@ -223,7 +225,7 @@ mod tests {
 
     #[test]
     fn empty_batch_scores_zero() {
-        let score = score_classifier(&[], &Classifier::ByPush);
+        let score = score_classifier::<&[PktEvent]>(&[], &Classifier::ByPush);
         assert_eq!(score.comparable, 0);
         assert_eq!(score.boundary_accuracy(), 0.0);
     }

@@ -44,7 +44,7 @@ use simcore::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use tcpsim::{
-    App, ConnId, DeliveredSpan, End, LinkFault, Marker, Net, NodeId, PathParams, PktEvent,
+    App, Capture, ConnId, DeliveredSpan, End, LinkFault, Marker, Net, NodeId, PathParams,
 };
 
 mod actions;
@@ -191,7 +191,7 @@ pub struct CompletedQuery {
     /// capture it: every packet the client transmitted, received or lost
     /// on its connection, in time order, from the first SYN until the
     /// attempt ended. Front-end and back-end packets are not recorded.
-    pub trace: Vec<PktEvent>,
+    pub trace: Capture,
     /// False when packet tracing was off while this query ran: the empty
     /// `trace` means "not captured", not "no packets" — downstream
     /// timeline extraction reports a typed error instead of analysing it.
@@ -215,14 +215,11 @@ impl CompletedQuery {
         self.t_done.saturating_since(self.t_start).as_millis_f64()
     }
 
-    /// Estimated heap footprint of this record — dominated by the packet
-    /// trace. The streaming pipeline samples this to report how many
-    /// bytes a sink retains; it is an estimate (inline `meta` spans that
-    /// spilled to the heap are counted at their inline size), not an
-    /// allocator measurement.
+    /// Heap footprint of this record: the record itself plus its
+    /// capture's heap bytes. The streaming pipeline samples this to
+    /// report how many bytes a sink retains.
     pub fn retained_bytes(&self) -> usize {
-        std::mem::size_of::<CompletedQuery>()
-            + self.trace.capacity() * std::mem::size_of::<PktEvent>()
+        std::mem::size_of::<CompletedQuery>() + self.trace.heap_bytes()
     }
 }
 

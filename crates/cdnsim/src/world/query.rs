@@ -149,7 +149,7 @@ impl ServiceWorld {
                         rtt_client_fe_ms: 0.0,
                         rtt_fe_be_ms: 0.0,
                         dist_fe_be_miles: 0.0,
-                        trace: Vec::new(),
+                        trace: Capture::default(),
                         traced: false,
                         outcome: QueryOutcome::NoLiveFe {
                             attempts: attempt + 1,
@@ -446,7 +446,7 @@ impl ServiceWorld {
         qid: u64,
         q: QueryState,
         t_done: SimTime,
-        trace: Option<Vec<PktEvent>>,
+        trace: Option<Capture>,
         outcome: QueryOutcome,
     ) {
         self.completed.push(CompletedQuery {

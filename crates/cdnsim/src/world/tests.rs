@@ -350,7 +350,7 @@ fn degraded_when_every_be_site_is_down() {
         .trace
         .iter()
         .filter(|e| e.node == client_node && e.dir == tcpsim::PktDir::Rx)
-        .flat_map(|e| e.meta.iter())
+        .flat_map(|e| e.meta)
         .filter(|m| m.marker == Marker::Error)
         .map(|m| m.len as u64)
         .sum();

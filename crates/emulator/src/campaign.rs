@@ -33,18 +33,36 @@ use std::sync::Arc;
 use std::time::Instant;
 use tcpsim::Sim;
 
-/// Reads the worker count from `FECDN_THREADS`. Unset or `0` means the
-/// machine's available parallelism; `1` forces the serial path.
-pub fn threads_from_env() -> usize {
-    match std::env::var("FECDN_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-    {
-        Some(n) if n > 0 => n,
-        _ => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
+/// Parses a `FECDN_THREADS` value: unset, empty or `0` is `None` (use
+/// the machine's available parallelism), a positive integer is that
+/// many workers (`1` forces the serial path), and anything else is an
+/// error naming the value. Pure, so tests can pin the parsing without
+/// touching the environment or spawning a thread.
+pub fn threads_from_value(value: Option<&str>) -> Result<Option<usize>, String> {
+    match value {
+        None | Some("") => Ok(None),
+        Some(s) => match s.parse::<usize>() {
+            Ok(0) => Ok(None),
+            Ok(n) => Ok(Some(n)),
+            Err(_) => Err(format!(
+                "invalid FECDN_THREADS value {s:?} (expected a worker count, 0 or unset for all cores)"
+            )),
+        },
     }
+}
+
+/// Reads the worker count from `FECDN_THREADS` (see
+/// [`threads_from_value`]). Panics on a value that is not a worker
+/// count, so a typo never silently picks another worker count.
+pub fn threads_from_env() -> usize {
+    let value = std::env::var("FECDN_THREADS").ok();
+    threads_from_value(value.as_deref())
+        .unwrap_or_else(|msg| panic!("{msg}"))
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
 }
 
 /// A boxed scheduling function for [`Design::Custom`].
@@ -568,6 +586,22 @@ mod tests {
             Design::DatasetA(d),
         );
         c
+    }
+
+    #[test]
+    fn thread_counts_parse_and_bad_values_are_named() {
+        for all_cores in [None, Some(""), Some("0"), Some("00")] {
+            assert_eq!(threads_from_value(all_cores), Ok(None), "{all_cores:?}");
+        }
+        assert_eq!(threads_from_value(Some("1")), Ok(Some(1)));
+        assert_eq!(threads_from_value(Some("4")), Ok(Some(4)));
+        for bad in ["x", "-3", "1.5", " 2", "l", "four"] {
+            let err = threads_from_value(Some(bad)).unwrap_err();
+            assert!(
+                err.contains(&format!("FECDN_THREADS value {bad:?}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

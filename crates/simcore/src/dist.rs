@@ -366,14 +366,19 @@ impl PopularityModel {
 /// `Zipf`. Advancing is lazy: shots up to `now` are applied on the next
 /// [`sample`](PopularityProcess::sample) or
 /// [`advance`](PopularityProcess::advance) call.
+///
+/// Until the first churn shot the mapping is the identity and no
+/// permutation is stored, so a static process holds only its Zipf
+/// table.
 #[derive(Clone, Debug)]
 pub struct PopularityProcess {
     model: PopularityModel,
     zipf: Zipf,
-    /// rank → item id (identity until the first shot).
-    slots: Vec<u64>,
-    /// item id → rank (inverse of `slots`).
-    rank_of: Vec<usize>,
+    /// rank → item id; empty while the mapping is the identity (before
+    /// the first shot).
+    slots: Vec<u32>,
+    /// item id → rank (inverse of `slots`, empty with it).
+    rank_of: Vec<u32>,
     churn: Rng,
     next_shot: Option<SimTime>,
     /// Per-window flash item, chosen lazily from the churn stream.
@@ -385,8 +390,13 @@ impl PopularityProcess {
     /// stream owned by this process (e.g.
     /// `Rng::from_seed_and_name(seed, "emulator/popularity")`); it is
     /// only drawn from when the model has churn or an active flash
-    /// window needs its item picked.
+    /// window needs its item picked. Panics unless every item id fits
+    /// a `u32`.
     pub fn new(n: usize, model: PopularityModel, mut churn_rng: Rng) -> PopularityProcess {
+        assert!(
+            u32::try_from(n).is_ok(),
+            "a catalog of {n} items does not fit u32 item ids"
+        );
         let zipf = Zipf::new(n, model.exponent);
         let next_shot = if model.churn_per_sec > 0.0 {
             Some(SimTime::ZERO + exp_gap(&mut churn_rng, model.churn_per_sec))
@@ -397,8 +407,8 @@ impl PopularityProcess {
         PopularityProcess {
             model,
             zipf,
-            slots: (0..n as u64).collect(),
-            rank_of: (0..n).collect(),
+            slots: Vec::new(),
+            rank_of: Vec::new(),
             churn: churn_rng,
             next_shot,
             flash_items,
@@ -412,13 +422,27 @@ impl PopularityProcess {
 
     /// Catalog size.
     pub fn catalog(&self) -> usize {
-        self.slots.len()
+        self.zipf.len()
     }
 
     /// The item currently occupying popularity rank `rank` (0 = most
     /// popular).
     pub fn item_at_rank(&self, rank: usize) -> u64 {
-        self.slots[rank]
+        if self.slots.is_empty() {
+            assert!(rank < self.catalog(), "rank {rank} out of range");
+            rank as u64
+        } else {
+            self.slots[rank] as u64
+        }
+    }
+
+    /// Heap bytes the process holds: the Zipf rank table, the flash
+    /// items and, once churn has moved it, the rank↔item permutation
+    /// (4 bytes per item each way).
+    pub fn retained_bytes(&self) -> usize {
+        self.zipf.cdf.capacity() * std::mem::size_of::<f64>()
+            + (self.slots.capacity() + self.rank_of.capacity()) * std::mem::size_of::<u32>()
+            + self.flash_items.capacity() * std::mem::size_of::<Option<u64>>()
     }
 
     /// Applies every churn shot at or before `now`. A shot at time `t`
@@ -428,15 +452,20 @@ impl PopularityProcess {
             if t > now {
                 break;
             }
+            if self.slots.is_empty() {
+                // The first shot leaves the identity: store it.
+                self.slots = (0..self.catalog() as u32).collect();
+                self.rank_of = self.slots.clone();
+            }
             // One shot: promote a uniformly drawn item into a
             // Zipf-drawn rank, swapping with the incumbent so the
             // mapping stays a permutation.
-            let item = self.churn.next_below(self.slots.len() as u64);
+            let item = self.churn.next_below(self.catalog() as u64) as usize;
             let rank = self.zipf.sample_rank(&mut self.churn);
-            let old_rank = self.rank_of[item as usize];
+            let old_rank = self.rank_of[item];
             let displaced = self.slots[rank];
-            self.slots.swap(rank, old_rank);
-            self.rank_of[item as usize] = rank;
+            self.slots.swap(rank, old_rank as usize);
+            self.rank_of[item] = rank as u32;
             self.rank_of[displaced as usize] = old_rank;
             self.next_shot = t.checked_add(exp_gap(&mut self.churn, self.model.churn_per_sec));
         }
@@ -451,7 +480,7 @@ impl PopularityProcess {
         for (i, w) in self.model.flash.iter().enumerate() {
             if w.active_at(now) {
                 if self.flash_items[i].is_none() {
-                    self.flash_items[i] = Some(self.churn.next_below(self.slots.len() as u64));
+                    self.flash_items[i] = Some(self.churn.next_below(self.catalog() as u64));
                 }
                 if draw_rng.chance(w.weight) {
                     return self.flash_items[i].expect("just filled");
@@ -459,7 +488,7 @@ impl PopularityProcess {
                 break;
             }
         }
-        self.slots[self.zipf.sample_rank(draw_rng)]
+        self.item_at_rank(self.zipf.sample_rank(draw_rng))
     }
 }
 
@@ -660,6 +689,8 @@ mod tests {
         }
         // No churn draws: the process's stream state is untouched.
         assert_eq!(p.churn.clone().next_u64(), untouched.clone().next_u64());
+        // No permutation either: the process holds its Zipf table only.
+        assert_eq!(p.retained_bytes(), 500 * std::mem::size_of::<f64>());
     }
 
     #[test]
@@ -684,10 +715,12 @@ mod tests {
             assert_eq!(p.item_at_rank(r), q.item_at_rank(r));
             assert_eq!(p.item_at_rank(r), inc.item_at_rank(r));
         }
-        // The mapping stays a permutation.
+        // The mapping stays a permutation, stored as 4-byte ids each
+        // way next to the 8-byte Zipf table.
         let mut seen: Vec<u64> = (0..300).map(|r| p.item_at_rank(r)).collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..300u64).collect::<Vec<_>>());
+        assert_eq!(p.retained_bytes(), 300 * 8 + 2 * 300 * 4);
     }
 
     #[test]

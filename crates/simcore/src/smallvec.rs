@@ -201,8 +201,24 @@ impl<T: Copy + Default, const N: usize> From<Vec<T>> for SmallVec<T, N> {
 }
 
 impl<T: Copy + Default, const N: usize> From<&[T]> for SmallVec<T, N> {
+    /// One copy into the inline slots (or one heap allocation), not a
+    /// push per element: decoding a captured packet's spans is on the
+    /// timeline-extraction path.
+    #[inline]
     fn from(s: &[T]) -> Self {
-        s.iter().copied().collect()
+        let repr = if s.len() <= N {
+            let mut buf = [T::default(); N];
+            for (slot, &v) in buf.iter_mut().zip(s) {
+                *slot = v;
+            }
+            Repr::Inline {
+                len: s.len() as u8,
+                buf,
+            }
+        } else {
+            Repr::Heap(s.to_vec())
+        };
+        SmallVec { repr }
     }
 }
 

@@ -203,8 +203,8 @@ impl MeanAcc {
 /// deterministic weighted-centroid sketch above it.
 ///
 /// * **Exact mode** (`len < cap`): values are buffered in arrival
-///   order; every query sorts a copy and delegates to the batch
-///   [`quantile_sorted`], so results are bit-identical to
+///   order, 8 bytes each; every query sorts a copy and delegates to the
+///   batch [`quantile_sorted`], so results are bit-identical to
 ///   [`crate::quantile::quantile`] on the same multiset — including
 ///   after arbitrary shard splits merged by concatenation.
 /// * **Sketch mode** (cap reached): the buffer is collapsed into
@@ -215,11 +215,19 @@ impl MeanAcc {
 ///   approximate and merge-order dependent.
 #[derive(Clone, Debug)]
 pub struct QuantileAcc {
-    /// `(value, weight)`; weight is 1 for every entry while exact.
-    entries: Vec<(f64, u64)>,
+    buf: Buf,
     cap: usize,
-    exact: bool,
     n: u64,
+}
+
+/// The buffered samples of a [`QuantileAcc`].
+#[derive(Clone, Debug)]
+enum Buf {
+    /// Every sample in arrival order; each weighs 1.
+    Exact(Vec<f64>),
+    /// `(value, weight)` centroids, built at the first compaction (or
+    /// by merging a sketch in).
+    Sketch(Vec<(f64, u64)>),
 }
 
 impl QuantileAcc {
@@ -233,9 +241,8 @@ impl QuantileAcc {
     /// for figures whose golden output asserts exact quantiles.
     pub fn exact() -> QuantileAcc {
         QuantileAcc {
-            entries: Vec::new(),
+            buf: Buf::Exact(Vec::new()),
             cap: usize::MAX,
-            exact: true,
             n: 0,
         }
     }
@@ -245,9 +252,8 @@ impl QuantileAcc {
     pub fn with_cap(cap: usize) -> QuantileAcc {
         assert!(cap >= 8, "QuantileAcc cap too small");
         QuantileAcc {
-            entries: Vec::new(),
+            buf: Buf::Exact(Vec::new()),
             cap,
-            exact: true,
             n: 0,
         }
     }
@@ -257,8 +263,11 @@ impl QuantileAcc {
     pub fn push(&mut self, x: f64) {
         assert!(!x.is_nan(), "NaN sample in QuantileAcc");
         self.n += 1;
-        self.entries.push((x, 1));
-        if self.entries.len() >= self.cap {
+        match &mut self.buf {
+            Buf::Exact(v) => v.push(x),
+            Buf::Sketch(c) => c.push((x, 1)),
+        }
+        if self.buffered() >= self.cap {
             self.compact();
         }
     }
@@ -268,22 +277,45 @@ impl QuantileAcc {
     /// merge-order independent); otherwise the result is a sketch.
     pub fn merge(&mut self, other: &QuantileAcc) {
         self.n += other.n;
-        self.exact &= other.exact;
-        self.entries.extend_from_slice(&other.entries);
-        if self.entries.len() >= self.cap {
+        match (&mut self.buf, &other.buf) {
+            (Buf::Exact(v), Buf::Exact(w)) => v.extend_from_slice(w),
+            (_, Buf::Exact(w)) => self.centroids().extend(w.iter().map(|&x| (x, 1))),
+            (_, Buf::Sketch(w)) => self.centroids().extend_from_slice(w),
+        }
+        if self.buffered() >= self.cap {
             self.compact();
+        }
+    }
+
+    /// Entries buffered: samples while exact, centroids once sketched.
+    fn buffered(&self) -> usize {
+        match &self.buf {
+            Buf::Exact(v) => v.len(),
+            Buf::Sketch(c) => c.len(),
+        }
+    }
+
+    /// The centroids, turning exact samples into weight-1 centroids
+    /// first: from here on the accumulator is a sketch.
+    fn centroids(&mut self) -> &mut Vec<(f64, u64)> {
+        if let Buf::Exact(v) = &self.buf {
+            self.buf = Buf::Sketch(v.iter().map(|&x| (x, 1)).collect());
+        }
+        match &mut self.buf {
+            Buf::Sketch(c) => c,
+            Buf::Exact(_) => unreachable!("converted above"),
         }
     }
 
     /// Collapses sorted adjacent pairs into weighted centroids until
     /// the entry count is at most half the cap.
     fn compact(&mut self) {
-        self.exact = false;
-        while self.entries.len() >= self.cap {
-            self.entries
-                .sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN in QuantileAcc"));
-            let mut out = Vec::with_capacity(self.entries.len() / 2 + 1);
-            let mut it = self.entries.chunks_exact(2);
+        let cap = self.cap;
+        let entries = self.centroids();
+        while entries.len() >= cap {
+            entries.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN in QuantileAcc"));
+            let mut out = Vec::with_capacity(entries.len() / 2 + 1);
+            let mut it = entries.chunks_exact(2);
             for pair in &mut it {
                 let (v0, w0) = pair[0];
                 let (v1, w1) = pair[1];
@@ -293,7 +325,7 @@ impl QuantileAcc {
             if let [last] = it.remainder() {
                 out.push(*last);
             }
-            self.entries = out;
+            *entries = out;
         }
     }
 
@@ -305,38 +337,45 @@ impl QuantileAcc {
     /// True while no compaction has happened (results bit-identical to
     /// the batch helpers).
     pub fn is_exact(&self) -> bool {
-        self.exact
+        matches!(self.buf, Buf::Exact(_))
     }
 
     /// Bytes retained by the buffer — the quantity the memory benchmark
-    /// tracks.
+    /// tracks: 8 per buffered sample while exact, 16 per centroid once
+    /// sketched.
     pub fn retained_bytes(&self) -> usize {
-        self.entries.capacity() * std::mem::size_of::<(f64, u64)>()
+        match &self.buf {
+            Buf::Exact(v) => v.capacity() * std::mem::size_of::<f64>(),
+            Buf::Sketch(c) => c.capacity() * std::mem::size_of::<(f64, u64)>(),
+        }
     }
 
     /// The buffered values in arrival order; `None` once sketched. Lets
     /// finishers reuse batch consumers ([`Summary::of`],
     /// [`crate::BoxSummary`]) unchanged.
     pub fn values(&self) -> Option<Vec<f64>> {
-        if self.exact {
-            Some(self.entries.iter().map(|&(v, _)| v).collect())
-        } else {
-            None
+        match &self.buf {
+            Buf::Exact(v) => Some(v.clone()),
+            Buf::Sketch(_) => None,
         }
     }
 
     /// Quantile `q ∈ [0, 1]`; `None` when empty or out of range.
     /// Bit-identical to [`crate::quantile::quantile`] while exact.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.entries.is_empty() || !(0.0..=1.0).contains(&q) {
+        if self.buffered() == 0 || !(0.0..=1.0).contains(&q) {
             return None;
         }
-        let mut v = self.entries.clone();
+        let centroids = match &self.buf {
+            Buf::Exact(v) => {
+                let mut sorted = v.clone();
+                sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in QuantileAcc"));
+                return Some(quantile_sorted(&sorted, q));
+            }
+            Buf::Sketch(c) => c,
+        };
+        let mut v = centroids.clone();
         v.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN in QuantileAcc"));
-        if self.exact {
-            let sorted: Vec<f64> = v.iter().map(|&(x, _)| x).collect();
-            return Some(quantile_sorted(&sorted, q));
-        }
         // Weighted type-7-style interpolation on centroid midranks.
         let total: u64 = v.iter().map(|&(_, w)| w).sum();
         if total == 1 {
@@ -533,6 +572,13 @@ mod tests {
             q.push(x);
         }
         assert!(q.is_exact());
+        // Exact samples cost 8 bytes each (within the buffer's growth).
+        assert!(
+            q.retained_bytes() <= 8 * xs.len().next_power_of_two(),
+            "{} bytes retained for {} samples",
+            q.retained_bytes(),
+            xs.len()
+        );
         for p in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 1.0] {
             assert_eq!(q.quantile(p), quantile(&xs, p));
         }
@@ -565,7 +611,7 @@ mod tests {
             q.push(((i * 48_271) % n) as f64);
         }
         assert!(!q.is_exact());
-        assert!(q.entries.len() < 512);
+        assert!(q.buffered() < 512);
         assert!(q.retained_bytes() < 512 * 16 * 2);
         assert_eq!(q.count(), n);
         let med = q.median().unwrap();
@@ -592,9 +638,9 @@ mod tests {
             }
             q
         };
-        let a = push_all();
-        let b = push_all();
-        assert_eq!(a.entries, b.entries);
+        let (mut a, mut b) = (push_all(), push_all());
+        assert!(!a.is_exact());
+        assert_eq!(a.centroids(), b.centroids());
         assert_eq!(a.quantile(0.9), b.quantile(0.9));
     }
 

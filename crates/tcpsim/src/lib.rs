@@ -53,4 +53,4 @@ pub use net::{
 };
 pub use opts::{CongAlgo, TcpOptions};
 pub use segment::{Marker, MetaSpan, PktKind, Segment, SpanVec};
-pub use trace::{PktDir, PktEvent};
+pub use trace::{Capture, PktDir, PktEvent};

@@ -11,7 +11,7 @@
 use crate::endpoint::{AckPolicy, AckReaction, Endpoint, TcpState, Timer, TimerPop};
 use crate::opts::TcpOptions;
 use crate::segment::{Marker, MetaSpan, PktKind, Segment, SpanVec};
-use crate::trace::{PktDir, PktEvent};
+use crate::trace::{Capture, PktDir};
 use simcore::dist::{Dist, Sampler};
 use simcore::queue::EventQueue;
 use simcore::rng::Rng;
@@ -291,9 +291,9 @@ struct Conn {
     handshake_retx: bool,
     fin_cb_fired: [bool; 2],
     aborted: bool,
-    /// The opener's packet events, while the connection is captured
+    /// The opener's packets, while the connection is captured
     /// ([`Net::open_captured`] with tracing on) and not yet released.
-    capture: Option<Vec<PktEvent>>,
+    capture: Option<Capture>,
     /// Queued `Deliver`/`Rto`/`DelAck` events naming this connection.
     /// Each timer has one live event at most, plus any that an earlier
     /// re-arm superseded and that have not popped yet.
@@ -313,22 +313,17 @@ impl Conn {
     }
 
     /// Appends `end`'s observation of `seg` to the capture when `end` is
-    /// the captured opener; returns whether an event was recorded.
-    fn observe(&mut self, cid: ConnId, end: End, dir: PktDir, now: SimTime, seg: &Segment) -> bool {
+    /// the captured opener; returns whether a packet was recorded.
+    fn observe(&mut self, end: End, dir: PktDir, now: SimTime, seg: &Segment) -> bool {
         match &mut self.capture {
-            Some(events) if end == End::A => {
-                events.push(PktEvent::observe(now, self.nodes[0], cid, dir, seg));
+            Some(capture) if end == End::A => {
+                capture.record(now, dir, seg);
                 true
             }
             _ => false,
         }
     }
 }
-
-/// Initial capacity of a capture: a loss-free query records a few dozen
-/// client-side events, so starting at capacity 0 (4, 8, ...) would
-/// reallocate several times per query on the hot path.
-const CAPTURE_CAPACITY: usize = 64;
 
 /// `slot_of` entry of a connection whose slot was reclaimed.
 const RECLAIMED: u32 = u32::MAX;
@@ -348,9 +343,11 @@ pub struct Net {
     slot_of: Vec<u32>,
     free_slots: Vec<u32>,
     // Client-vantage tracing: whether `open_captured` starts a capture,
-    // and how many events every capture has recorded so far.
+    // how many packets every capture has recorded so far, and the heap
+    // bytes of every capture handed over.
     tracing: bool,
     trace_recorded: u64,
+    capture_bytes: u64,
     cbs: VecDeque<Cb>,
     app_rng: Rng,
     // Fault-injection state: scheduled link/node faults and the dedicated
@@ -392,6 +389,7 @@ impl Net {
             free_slots: Vec::new(),
             tracing: false,
             trace_recorded: 0,
+            capture_bytes: 0,
             cbs: VecDeque::new(),
             app_rng: Rng::from_seed_and_name(seed, "tcpsim/app"),
             faults: Vec::new(),
@@ -437,8 +435,8 @@ impl Net {
 
     /// Harvests the telemetry registry, stamping the end-of-run gauges
     /// (event-queue and connection slab high-water marks, events
-    /// processed, trace records) first. Leaves an empty registry with
-    /// the same gate.
+    /// processed, trace records and the captures' heap bytes) first.
+    /// Leaves an empty registry with the same gate.
     pub fn take_metrics(&mut self) -> MetricsRegistry {
         if self.metrics.is_enabled() {
             self.metrics
@@ -449,6 +447,8 @@ impl Net {
                 .set_gauge("tcpsim.events_processed", self.q.events_processed() as f64);
             self.metrics
                 .set_gauge("tcpsim.trace_recorded_pkts", self.trace_recorded as f64);
+            self.metrics
+                .set_gauge("tcpsim.capture_bytes", self.capture_bytes as f64);
             // The event mix: the four kinds sum to `events_processed`.
             let mix = &self.mix;
             for (name, n) in [
@@ -555,14 +555,20 @@ impl Net {
     /// After that [`Net::is_aborted`] reads true and `release` returns
     /// `None`; every other call on the id panics. A connection that is
     /// never released is never reclaimed.
-    pub fn release(&mut self, conn: ConnId) -> Option<Vec<PktEvent>> {
+    pub fn release(&mut self, conn: ConnId) -> Option<Capture> {
         let slot = self.slot_of[conn.0 as usize];
         if slot == RECLAIMED {
             return None;
         }
         let c = &mut self.conns[slot as usize];
         c.released = true;
-        let capture = c.capture.take();
+        let mut capture = c.capture.take();
+        if let Some(capture) = &mut capture {
+            // Completions may wait a while for their consumer: they
+            // hold only what they recorded.
+            capture.shrink_to_fit();
+            self.capture_bytes += capture.heap_bytes() as u64;
+        }
         self.try_reclaim(conn);
         capture
     }
@@ -616,7 +622,7 @@ impl Net {
             handshake_retx: false,
             fin_cb_fired: [false, false],
             aborted: false,
-            capture: (captured && self.tracing).then(|| Vec::with_capacity(CAPTURE_CAPACITY)),
+            capture: (captured && self.tracing).then(|| Capture::new(nodes[0], cid)),
             pending: 0,
             released: false,
         };
@@ -771,7 +777,7 @@ impl Net {
         if c.aborted {
             return;
         }
-        self.trace_recorded += c.observe(cid, from, PktDir::Tx, now, &seg) as u64;
+        self.trace_recorded += c.observe(from, PktDir::Tx, now, &seg) as u64;
         c.ep[from.idx()].last_send = now;
         // Serialization at the bottleneck (per direction).
         let ser = c.path.serialization(seg.wire_bytes());
@@ -813,7 +819,7 @@ impl Net {
         }
         // Otherwise the path's own loss coin (after consuming the wire).
         if fault_drop || c.rng.chance(c.path.loss) {
-            self.trace_recorded += c.observe(cid, from, PktDir::Drop, now, &seg) as u64;
+            self.trace_recorded += c.observe(from, PktDir::Drop, now, &seg) as u64;
             return;
         }
         let jitter = c.path.jitter_ms.sample(&mut c.rng).max(0.0);
@@ -1043,7 +1049,7 @@ impl Net {
                 // arrive at a dead socket: discarded, unrecorded.
                 return;
             }
-            self.trace_recorded += c.observe(cid, to, PktDir::Rx, now, &seg) as u64;
+            self.trace_recorded += c.observe(to, PktDir::Rx, now, &seg) as u64;
         }
         match seg.kind {
             PktKind::Syn => {
@@ -1668,8 +1674,8 @@ mod tests {
             && e.kind == PktKind::Data
             && e.meta.iter().any(|m| m.marker == Marker::Static)));
         // Timestamps are non-decreasing.
-        for w in events.windows(2) {
-            assert!(w[0].t <= w[1].t);
+        for (a, b) in events.iter().zip(events.iter().skip(1)) {
+            assert!(a.t <= b.t);
         }
         assert_eq!(sim.net().trace_recorded(), events.len() as u64);
     }

@@ -103,7 +103,10 @@ expect_exit_2 "$claims" no_such_artefact
 expect_exit_2 "$claims" fig5 fig6
 expect_exit_2 FECDN_SCALE=bogus "$claims" fig5
 expect_exit_2 FECDN_SEED=x "$claims" fig5
-echo "    no argument, an unknown artefact, a second argument, a bad FECDN_SCALE and a bad FECDN_SEED"
+for bad in x -3 1.5; do
+  expect_exit_2 FECDN_THREADS="$bad" "$claims" fig5
+done
+echo "    no argument, an unknown artefact, a second argument, a bad FECDN_SCALE, FECDN_SEED or FECDN_THREADS"
 
 echo "==> paper scale: every artefact passes and matches its paper-scale golden"
 # Paper scale runs larger designs than quick scale (more vantages,

@@ -3,7 +3,9 @@
 //! 1. **Accounting** — the world captures only each query's client
 //!    connection and hands every capture over when the attempt ends, so
 //!    the run's `tcpsim.trace_recorded_pkts` gauge equals the packets
-//!    its completions carry: no packet is recorded for nobody.
+//!    its completions carry (no packet is recorded for nobody), and its
+//!    `tcpsim.capture_bytes` gauge equals their captures' heap bytes:
+//!    at most 64 per recorded packet.
 //! 2. **One-pass extraction** — `Timeline::extract` folds the client's
 //!    events in one pass. On lossy campaigns that truncate, shed and
 //!    retransmit, it returns bit-for-bit what the filter-then-scan
@@ -18,31 +20,32 @@ use emulator::{Campaign, CollectSink, Design, Scenario, SessionWorkload};
 use nettopo::{BurstLossParams, FaultPlan};
 use simcore::time::{SimDuration, SimTime};
 use std::collections::HashSet;
-use tcpsim::{Marker, NodeId, PktEvent, PktKind};
+use tcpsim::{Capture, Marker, NodeId, PktKind};
 
 // ---------- 1. accounting ----------
 
 /// Runs `c` with raw retention and checks, per run, that the recorded
-/// gauge equals the captured packets handed over in completions.
+/// gauge equals the captured packets handed over in completions, and
+/// the capture-bytes gauge their captures' heap bytes.
 fn assert_every_recorded_packet_is_handed_over(c: &Campaign) {
     let report = c.execute_stream_with_threads(&|_| CollectSink::with_raw(true), 2);
     for run in &report.runs {
         let handed_over: usize = run.output.raw.iter().map(|cq| cq.trace.len()).sum();
-        let (recorded, _) = run
-            .metrics
-            .gauge("tcpsim.trace_recorded_pkts")
-            .expect("telemetry is on");
+        let gauge = |name| run.metrics.gauge(name).expect("telemetry is on").0;
         assert!(handed_over > 0, "{}: nothing captured", run.label);
         assert_eq!(
-            recorded, handed_over as f64,
+            gauge("tcpsim.trace_recorded_pkts"),
+            handed_over as f64,
             "{}: recorded packets that reached no query",
             run.label
         );
+        let heap: usize = run.output.raw.iter().map(|cq| cq.trace.heap_bytes()).sum();
+        assert_eq!(gauge("tcpsim.capture_bytes"), heap as f64, "{}", run.label);
     }
 }
 
-#[test]
-fn dataset_b_hands_every_recorded_packet_to_its_query() {
+/// Fig. 5's Dataset B design at a small size, on both services.
+fn dataset_b_campaign() -> Campaign {
     let mut c = Campaign::new(Scenario::with_size(7, 12, 200));
     for (label, cfg) in [
         ("bing-like", ServiceConfig::bing_like(7)),
@@ -55,7 +58,36 @@ fn dataset_b_hands_every_recorded_packet_to_its_query() {
         )
         .metrics = Some(true);
     }
-    assert_every_recorded_packet_is_handed_over(&c);
+    c
+}
+
+#[test]
+fn dataset_b_hands_every_recorded_packet_to_its_query() {
+    assert_every_recorded_packet_is_handed_over(&dataset_b_campaign());
+}
+
+#[test]
+fn dataset_b_captures_hold_at_most_64_bytes_per_recorded_packet() {
+    // A packet costs one 32-byte record plus its spans (24 bytes each,
+    // on payload packets only), and a capture gives back its unused
+    // reserve at hand-over: the total stays within 64 bytes per packet.
+    // (A 96-byte event per packet in a 64-event reserve came to about
+    // 140 here.)
+    let report = dataset_b_campaign().execute_stream_with_threads(&|_| CollectSink::new(), 2);
+    for run in &report.runs {
+        let gauge = |name| run.metrics.gauge(name).expect("telemetry is on").0;
+        let (bytes, pkts) = (
+            gauge("tcpsim.capture_bytes"),
+            gauge("tcpsim.trace_recorded_pkts"),
+        );
+        assert!(pkts > 0.0, "{}: nothing captured", run.label);
+        assert!(
+            bytes <= 64.0 * pkts,
+            "{}: {bytes} capture bytes for {pkts} packets ({:.1} per packet)",
+            run.label,
+            bytes / pkts
+        );
+    }
 }
 
 #[test]
@@ -93,7 +125,7 @@ fn pooled_sessions_under_a_retry_policy_hand_every_recorded_packet_over() {
 /// the reference: split the client's events into copies, then find each
 /// landmark with its own scan.
 fn reference_extract(
-    events: &[PktEvent],
+    events: &Capture,
     client: NodeId,
     classifier: &Classifier,
 ) -> Result<Timeline, TimelineError> {
@@ -278,8 +310,8 @@ fn one_pass_extraction_matches_the_reference_under_loss_and_shedding() {
     }
     assert!(raw.iter().all(|cq| cq.traced));
     let client_of = |cq: &CompletedQuery| ServiceWorld::client_node(cq.client);
-    let traces: Vec<&[PktEvent]> = raw.iter().map(|cq| cq.trace.as_slice()).collect();
-    let static_ids = find_static_content_ids(&traces, |i| client_of(&raw[i]), 2);
+    let traces = raw.iter().map(|cq| &cq.trace);
+    let static_ids = find_static_content_ids(traces, |i| client_of(&raw[i]), 2);
     let mut seen_errors = HashSet::new();
     let mut ok = 0;
     for classifier in [

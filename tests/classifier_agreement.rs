@@ -44,12 +44,11 @@ fn raw_sessions(seed: u64) -> Vec<CompletedQuery> {
 fn content_analysis_recovers_exactly_the_static_ids() {
     let raw = raw_sessions(11);
     assert!(raw.len() >= 10);
-    let sessions: Vec<Vec<tcpsim::PktEvent>> = raw.iter().map(|cq| cq.trace.clone()).collect();
     let clients: Vec<tcpsim::NodeId> = raw
         .iter()
         .map(|cq| ServiceWorld::client_node(cq.client))
         .collect();
-    let static_ids = find_static_content_ids(&sessions, |i| clients[i], 2);
+    let static_ids = find_static_content_ids(raw.iter().map(|cq| &cq.trace), |i| clients[i], 2);
     // Exactly one static content id for the service (the shared page
     // head), and it matches the plan.
     assert_eq!(static_ids.len(), 1, "ids {static_ids:?}");
@@ -59,12 +58,11 @@ fn content_analysis_recovers_exactly_the_static_ids() {
 #[test]
 fn content_classifier_matches_markers_on_every_session() {
     let raw = raw_sessions(12);
-    let sessions: Vec<Vec<tcpsim::PktEvent>> = raw.iter().map(|cq| cq.trace.clone()).collect();
     let clients: Vec<tcpsim::NodeId> = raw
         .iter()
         .map(|cq| ServiceWorld::client_node(cq.client))
         .collect();
-    let static_ids = find_static_content_ids(&sessions, |i| clients[i], 2);
+    let static_ids = find_static_content_ids(raw.iter().map(|cq| &cq.trace), |i| clients[i], 2);
     let by_content = Classifier::ByContent(static_ids);
     for (i, cq) in raw.iter().enumerate() {
         let node = clients[i];

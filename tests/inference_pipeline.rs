@@ -50,12 +50,11 @@ fn blind_pipeline_reproduces_ground_truth_parameters() {
     assert!(raw.len() >= 50);
     // Step 1: learn the static content ids from cross-session recurrence
     // (no markers involved).
-    let sessions: Vec<Vec<tcpsim::PktEvent>> = raw.iter().map(|cq| cq.trace.clone()).collect();
     let clients: Vec<tcpsim::NodeId> = raw
         .iter()
         .map(|cq| ServiceWorld::client_node(cq.client))
         .collect();
-    let static_ids = find_static_content_ids(&sessions, |i| clients[i], 3);
+    let static_ids = find_static_content_ids(raw.iter().map(|cq| &cq.trace), |i| clients[i], 3);
     assert_eq!(static_ids.len(), 1, "one service → one static head");
     let blind = Classifier::ByContent(static_ids);
     // Step 2: every session's blind parameters equal the oracle's.
@@ -86,12 +85,11 @@ fn repeated_single_keyword_defeats_content_analysis() {
     // a single repeated keyword, dynamic content does NOT recur (fresh
     // content identity per response), so classification stays correct.
     let raw = campaign(32, false);
-    let sessions: Vec<Vec<tcpsim::PktEvent>> = raw.iter().map(|cq| cq.trace.clone()).collect();
     let clients: Vec<tcpsim::NodeId> = raw
         .iter()
         .map(|cq| ServiceWorld::client_node(cq.client))
         .collect();
-    let static_ids = find_static_content_ids(&sessions, |i| clients[i], 3);
+    let static_ids = find_static_content_ids(raw.iter().map(|cq| &cq.trace), |i| clients[i], 3);
     assert_eq!(
         static_ids.len(),
         1,

@@ -39,7 +39,7 @@ fn trace_run(
     request: u64,
     response: u64,
     opts_b: TcpOptions,
-) -> (Vec<tcpsim::PktEvent>, u64) {
+) -> (tcpsim::Capture, u64) {
     let mut sim = Sim::new(
         3,
         OneShot {
@@ -69,7 +69,7 @@ fn initial_burst_is_exactly_the_initial_window() {
     // exactly 4 MSS segments, then a one-RTT pause for ACKs.
     let (trace, got) = trace_run(100.0, 400, 100_000, TcpOptions::default());
     assert_eq!(got, 100_000);
-    let data_rx: Vec<&tcpsim::PktEvent> = trace
+    let data_rx: Vec<tcpsim::PktEvent> = trace
         .iter()
         .filter(|e| e.node == NodeId(1) && e.dir == PktDir::Rx && e.kind == PktKind::Data)
         .collect();
