@@ -14,9 +14,9 @@
 //!   handshake / teardown / retransmission paths and the per-connection
 //!   capture hand-over, the shape campaign runners actually produce.
 //!
-//! Every connection is opened captured, as the measurement harness opens
-//! each query's client connection, so tracing records only the opener's
-//! end. Each (workload × tracing) cell is run `repeats` times; the best
+//! With tracing on, every connection is opened captured, as the
+//! measurement harness opens each query's client connection, so tracing
+//! records only the opener's end; with tracing off none is. Each (workload × tracing) cell is run `repeats` times; the best
 //! wall-clock is the headline (minimum is the right estimator for a
 //! deterministic computation on a noisy machine), with the median and
 //! interquartile range beside it to show the spread. Results go to
@@ -184,13 +184,16 @@ struct Workload {
 fn run_workload(w: &Workload, tracing: bool, telemetry: bool) -> Cell {
     let app = BenchApp::new(400, w.response, w.chunks, tracing);
     let mut sim = Sim::new(42, app);
-    sim.net().set_tracing(tracing);
-    // Explicit per-cell telemetry gate: cells must not depend on the
-    // ambient FECDN_METRICS value.
     sim.net().metrics_mut().set_enabled(telemetry);
+    let open = if tracing {
+        Net::open_captured
+    } else {
+        Net::open
+    };
     for s in 0..w.sessions {
         let path = PathParams::lossy(w.rtt_ms, w.loss);
-        sim.net().open_captured(
+        open(
+            sim.net(),
             NodeId(2 * s),
             NodeId(2 * s + 1),
             path,

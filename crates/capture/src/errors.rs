@@ -57,9 +57,10 @@ pub enum TimelineError {
     /// Retransmitted payload dominates the receive stream; landmark
     /// times would be fiction, not measurement.
     RetransmissionHeavy,
-    /// Packet tracing was disabled while the session ran, so there is
-    /// nothing to extract — an empty timeline here would be a harness
-    /// misconfiguration silently read as "no packets arrived".
+    /// The query has no capture: it failed before its client opened a
+    /// connection (no live FE to map it to), so there is nothing to
+    /// extract — an empty timeline here would be silently read as "no
+    /// packets arrived".
     TracingDisabled,
 }
 

@@ -2,8 +2,8 @@
 //!
 //! A [`WorldSpec`] is everything needed to construct one ready-to-run
 //! simulator world: the service configuration, the shared vantage
-//! population and keyword corpus, the network-side seed, and the trace
-//! switch. Campaign runners hold a list of these descriptors and build
+//! population and keyword corpus, and the network-side seed. Campaign
+//! runners hold a list of these descriptors and build
 //! each world independently — on whichever worker thread picks the run
 //! up — which is only sound because construction here depends on nothing
 //! but the descriptor's own fields.
@@ -28,15 +28,13 @@ pub struct WorldSpec {
     /// Seed of the network-side randomness (path jitter, loss draws).
     /// The FE/BE stochastic models are keyed on `cfg.seed` instead.
     pub world_seed: u64,
-    /// Whether each query's client-side packets are captured (required
-    /// for timeline extraction; off only for throwaway planning worlds).
-    pub trace: bool,
 }
 
 impl WorldSpec {
     /// Builds the ready-to-run simulator: constructs the world, seeds the
-    /// network, enables tracing as configured, and installs any fault
-    /// plan attached to the config (a no-op for the default empty plan).
+    /// network, and installs any fault plan attached to the config (a
+    /// no-op for the default empty plan). Every query's client
+    /// connection is captured.
     pub fn build(&self) -> Sim<ServiceWorld> {
         let world = ServiceWorld::new(
             self.cfg.clone(),
@@ -44,7 +42,6 @@ impl WorldSpec {
             Arc::clone(&self.corpus),
         );
         let mut sim = Sim::new(self.world_seed, world);
-        sim.net().set_tracing(self.trace);
         sim.with(|w, net| w.install_faults(net));
         sim
     }
@@ -68,7 +65,6 @@ mod tests {
             .into(),
             corpus: Arc::new(KeywordCorpus::generate(5, 50, 0.5)),
             world_seed,
-            trace: true,
         }
     }
 

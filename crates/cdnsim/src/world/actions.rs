@@ -1,6 +1,7 @@
 //! Timer-driven dispatch: the [`Action`] state machine and the
 //! [`tcpsim::App`] callbacks that drive a query through its lifecycle
-//! (FE serve, BE reply, direct reply, failover and hedge timers).
+//! (FE serve, fetch legs and their BE replies, direct reply, failover
+//! and hedge timers).
 
 use super::*;
 
@@ -44,25 +45,53 @@ impl ServiceWorld {
         self.push_action(net, delay, action);
     }
 
-    /// Takes BE site `be`'s in-flight slot for a fetch leg.
-    fn acquire_be_slot(&mut self, be: usize) {
+    /// Opens fetch leg `slot` of `qid` to BE site `be`: checks out a
+    /// pooled FE↔BE connection (a cold one when the pool is empty),
+    /// takes the BE's in-flight slot and sends the query up.
+    fn open_leg(&mut self, net: &mut Net, qid: u64, slot: usize, fe: usize, be: usize) {
+        let conn = self.checkout_be_conn(net, fe, be, qid, Leg::Fetch(slot));
         self.be_inflight[be] += 1;
         if self.overload_active() {
             self.metrics
                 .set_gauge("cdnsim.be_inflight_hiwater", self.be_inflight[be] as f64);
         }
+        let Some(q) = self.queries.get_mut(&qid) else {
+            return;
+        };
+        q.legs[slot].open(be, conn);
+        q.req.send_as_be_query(net, conn, End::A);
     }
 
-    /// Sends the query up `conn` as fetch attempt `attempt`, then arms
-    /// that attempt's fetch-deadline and hedge timers, in that order.
-    fn send_fetch(&mut self, net: &mut Net, qid: u64, conn: ConnId, attempt: u32) {
-        self.queries[&qid].req.send_as_be_query(net, conn, End::A);
+    /// Arms fetch attempt `attempt`'s deadline and hedge timers, in
+    /// that order.
+    fn arm_fetch_timers(&mut self, net: &mut Net, qid: u64, attempt: u32) {
         if let Some(d) = self.cfg.fe_fetch_deadline {
             self.push_action(net, d, Action::FetchDeadline { qid, attempt });
         }
         if let Some(h) = self.cfg.overload.hedge {
             self.push_action(net, h.after, Action::HedgeFire { qid, attempt });
         }
+    }
+
+    /// Cancels fetch leg `slot` of `qid` if it is open: aborts and
+    /// releases its connection and frees its BE's in-flight slot.
+    fn cancel_leg(&mut self, net: &mut Net, qid: u64, slot: usize) {
+        let Some(leg) = self.queries.get_mut(&qid).map(|q| &mut q.legs[slot]) else {
+            return;
+        };
+        if let Some(conn) = leg.conn.take() {
+            let be = leg.be;
+            self.drop_leg_conn(net, conn, be);
+        }
+    }
+
+    /// Aborts and releases a fetch leg's connection and frees the
+    /// in-flight slot it held at BE site `be`.
+    pub(super) fn drop_leg_conn(&mut self, net: &mut Net, conn: ConnId, be: usize) {
+        net.abort(conn);
+        self.conn_info.remove(&conn);
+        net.release(conn);
+        self.be_inflight[be] = self.be_inflight[be].saturating_sub(1);
     }
 
     /// Refills the FE caches from a complete BE response, then serves
@@ -243,27 +272,25 @@ impl ServiceWorld {
             return;
         }
         // (b) Forward the query over a persistent BE connection.
-        let be_conn = self.checkout_be_conn(net, fe, be, qid, Leg::Be);
-        self.acquire_be_slot(be);
-        let q = self.queries.get_mut(&qid).unwrap();
-        q.be_conn = Some(be_conn);
-        q.be_counted = Some(be);
-        q.fetch_start = Some(net.now());
-        self.send_fetch(net, qid, be_conn, 0);
+        self.open_leg(net, qid, PRIMARY, fe, be);
+        if let Some(q) = self.queries.get_mut(&qid) {
+            q.fetch_start = Some(net.now());
+        }
+        self.arm_fetch_timers(net, qid, 0);
     }
 
-    /// The primary BE finished processing: stream its response to the
-    /// FE, unless the query has since failed over, degraded or gone.
-    pub(super) fn act_be_reply(&mut self, net: &mut Net, qid: u64, attempt: u32) {
+    /// Fetch leg `slot`'s BE finished processing: stream its response
+    /// to the FE, unless the query has since failed over, degraded or
+    /// completed, or the leg was cancelled.
+    pub(super) fn act_be_reply(&mut self, net: &mut Net, qid: u64, attempt: u32, slot: usize) {
         let Some(q) = self.queries.get(&qid) else {
             return;
         };
-        // A reply from a BE the query has since failed away from (or a
-        // degraded query) is stale — drop it.
-        if q.fetch_attempts != attempt || q.degraded {
+        if q.fetch_attempts != attempt || q.degraded || q.fetch_done.is_some() {
             return;
         }
-        if let (Some(conn), Some(plan)) = (q.be_conn, &q.plan) {
+        let leg = &q.legs[slot];
+        if let (Some(conn), Some(plan)) = (leg.conn, &leg.plan) {
             send_be_response(net, conn, plan, !q.static_from_cache);
         }
     }
@@ -281,28 +308,42 @@ impl ServiceWorld {
         net.close(q.client_conn, End::B);
     }
 
-    /// The primary fetch completed at the FE: release the BE slot,
-    /// cancel the losing hedge leg, feed the breaker, return the pooled
-    /// connection, then refill the FE caches and serve the client.
-    pub(super) fn handle_be_response_complete(&mut self, net: &mut Net, qid: u64) {
-        let (fe, be, be_conn, plan, counted) = {
-            let q = self.queries.get_mut(&qid).unwrap();
-            q.fetch_done = Some(net.now());
-            (
-                q.fe.unwrap(),
-                q.be,
-                q.be_conn.take().unwrap(),
-                q.plan.clone().unwrap(),
-                q.be_counted.take(),
-            )
+    /// Fetch leg `slot`'s response is complete at the FE: the leg wins.
+    /// Its BE ground truth becomes the query's; then release its BE
+    /// slot, cancel the other leg, feed the breaker, return the winner's
+    /// connection to the pool, refill the FE caches and serve the
+    /// client.
+    fn complete_leg(&mut self, net: &mut Net, qid: u64, slot: usize) {
+        let Some((fe, be)) = self
+            .queries
+            .get(&qid)
+            .and_then(|q| Some((q.fe?, q.legs[slot].be)))
+        else {
+            return;
         };
-        if let Some(b) = counted {
-            self.be_inflight[b] = self.be_inflight[b].saturating_sub(1);
+        let rtt = self.fe_be_rtt_ms(fe, be);
+        let dist = self.fe_be_distance_miles(fe, be);
+        let Some(q) = self.queries.get_mut(&qid) else {
+            return;
+        };
+        let leg = &mut q.legs[slot];
+        let (Some(plan), Some(conn)) = (leg.plan.clone(), leg.conn) else {
+            return;
+        };
+        leg.conn = None;
+        q.fetch_done = Some(net.now());
+        q.be = be;
+        q.plan = Some(plan.clone());
+        q.proc_ms = leg.proc_ms;
+        q.rtt_fe_be_ms = rtt;
+        q.dist_fe_be_miles = dist;
+        if slot == HEDGE {
+            self.metrics.inc("cdnsim.hedge_wins");
         }
-        // The primary won the race: cancel any outstanding hedge.
-        self.cancel_hedge(net, qid);
+        self.be_inflight[be] = self.be_inflight[be].saturating_sub(1);
+        self.cancel_leg(net, qid, 1 - slot);
         self.breaker_record_success(fe);
-        self.return_be_conn(be_conn, fe, be);
+        self.return_be_conn(conn, fe, be);
         self.serve_fetched(net, fe, qid, plan);
     }
 
@@ -312,30 +353,23 @@ impl ServiceWorld {
     /// (possibly cold) connection, or degrade the response when no live
     /// site remains.
     pub(super) fn act_fetch_deadline(&mut self, net: &mut Net, qid: u64, attempt: u32) {
-        let (fe, cur_be, stalled_conn) = {
-            let Some(q) = self.queries.get_mut(&qid) else {
+        let (fe, cur_be) = {
+            let Some(q) = self.queries.get(&qid) else {
                 return;
             };
             // Completed, degraded or already failed over: stale timer.
-            if q.resp_handled || q.degraded || q.fetch_attempts != attempt {
+            if q.fetch_done.is_some() || q.degraded || q.fetch_attempts != attempt {
                 return;
             }
             let Some(fe) = q.fe else {
                 return;
             };
-            (fe, q.be, q.be_conn.take())
+            (fe, q.legs[PRIMARY].be)
         };
-        if let Some(conn) = stalled_conn {
-            net.abort(conn);
-            self.conn_info.remove(&conn);
-            net.release(conn);
-        }
-        // The fetch attempt failed: release its BE slot, cancel its
-        // hedge leg, and feed the FE's circuit breaker.
-        if let Some(b) = self.queries.get_mut(&qid).and_then(|q| q.be_counted.take()) {
-            self.be_inflight[b] = self.be_inflight[b].saturating_sub(1);
-        }
-        self.cancel_hedge(net, qid);
+        // The fetch attempt failed: cancel both its legs and feed the
+        // FE's circuit breaker.
+        self.cancel_leg(net, qid, PRIMARY);
+        self.cancel_leg(net, qid, HEDGE);
         self.breaker_record_failure(fe, net.now());
         let now = net.now();
         let next_be = self
@@ -354,25 +388,17 @@ impl ServiceWorld {
         let rtt = self.fe_be_rtt_ms(fe, next_be);
         let dist = self.fe_be_distance_miles(fe, next_be);
         self.metrics.inc("cdnsim.fetch_failovers");
-        {
-            let q = self.queries.get_mut(&qid).unwrap();
-            q.be = next_be;
-            q.fetch_attempts += 1;
-            q.be_handled = false;
-            q.plan = None;
-            q.srv_progress = RecvProgress::new();
-            q.resp_progress = RecvProgress::new();
-            q.rtt_fe_be_ms = rtt;
-            q.dist_fe_be_miles = dist;
-        }
+        let Some(q) = self.queries.get_mut(&qid) else {
+            return;
+        };
+        q.be = next_be;
+        q.fetch_attempts += 1;
+        q.rtt_fe_be_ms = rtt;
+        q.dist_fe_be_miles = dist;
         // A failover keeps the query's original `fetch_start` stamp
         // (fetch latency spans all attempts).
-        let conn = self.checkout_be_conn(net, fe, next_be, qid, Leg::Be);
-        self.acquire_be_slot(next_be);
-        let q = self.queries.get_mut(&qid).unwrap();
-        q.be_conn = Some(conn);
-        q.be_counted = Some(next_be);
-        self.send_fetch(net, qid, conn, attempt + 1);
+        self.open_leg(net, qid, PRIMARY, fe, next_be);
+        self.arm_fetch_timers(net, qid, attempt + 1);
     }
 
     /// Hedge timer fired with the primary fetch still outstanding:
@@ -385,19 +411,19 @@ impl ServiceWorld {
             };
             // Completed, degraded, failed over, or already hedged: the
             // timer is stale (hedges are per fetch attempt).
-            if q.resp_handled
+            if q.fetch_done.is_some()
                 || q.degraded
                 || q.shed
                 || q.fetch_attempts != attempt
-                || q.hedge_conn.is_some()
-                || q.be_conn.is_none()
+                || q.legs[HEDGE].conn.is_some()
+                || q.legs[PRIMARY].conn.is_none()
             {
                 return;
             }
             let Some(fe) = q.fe else {
                 return;
             };
-            (fe, q.be)
+            (fe, q.legs[PRIMARY].be)
         };
         let now = net.now();
         let Some(hedge_be) = self
@@ -408,73 +434,7 @@ impl ServiceWorld {
             return; // nowhere to hedge to
         };
         self.metrics.inc("cdnsim.hedges_launched");
-        let conn = self.checkout_be_conn(net, fe, hedge_be, qid, Leg::Hedge);
-        self.acquire_be_slot(hedge_be);
-        let q = self.queries.get_mut(&qid).unwrap();
-        q.hedge_conn = Some(conn);
-        q.hedge_be = Some(hedge_be);
-        q.hedge_counted = Some(hedge_be);
-        q.req.send_as_be_query(net, conn, End::A);
-    }
-
-    /// The hedge BE finished processing: stream its response to the FE
-    /// (mirror of [`Self::act_be_reply`] for the hedge leg).
-    pub(super) fn act_hedge_reply(&mut self, net: &mut Net, qid: u64, attempt: u32) {
-        let Some(q) = self.queries.get(&qid) else {
-            return;
-        };
-        if q.fetch_attempts != attempt || q.degraded || q.resp_handled {
-            return;
-        }
-        if let (Some(conn), Some(plan)) = (q.hedge_conn, &q.hedge_plan) {
-            send_be_response(net, conn, plan, !q.static_from_cache);
-        }
-    }
-
-    /// The hedge response arrived at the FE before the primary: the
-    /// hedge wins. Adopt its result as the query's ground truth, cancel
-    /// the primary fetch, then refill the FE caches and serve the
-    /// client.
-    pub(super) fn hedge_response_complete(&mut self, net: &mut Net, qid: u64) {
-        let (fe, hedge_be, hedge_conn, plan, counted, primary_conn, primary_counted) = {
-            let q = self.queries.get_mut(&qid).unwrap();
-            q.fetch_done = Some(net.now());
-            (
-                q.fe.unwrap(),
-                q.hedge_be.take().unwrap(),
-                q.hedge_conn.take().unwrap(),
-                q.hedge_plan.take().unwrap(),
-                q.hedge_counted.take(),
-                q.be_conn.take(),
-                q.be_counted.take(),
-            )
-        };
-        self.metrics.inc("cdnsim.hedge_wins");
-        if let Some(b) = counted {
-            self.be_inflight[b] = self.be_inflight[b].saturating_sub(1);
-        }
-        // Cancel the losing primary leg.
-        if let Some(c) = primary_conn {
-            net.abort(c);
-            self.conn_info.remove(&c);
-            net.release(c);
-        }
-        if let Some(b) = primary_counted {
-            self.be_inflight[b] = self.be_inflight[b].saturating_sub(1);
-        }
-        self.breaker_record_success(fe);
-        self.return_be_conn(hedge_conn, fe, hedge_be);
-        let rtt = self.fe_be_rtt_ms(fe, hedge_be);
-        let dist = self.fe_be_distance_miles(fe, hedge_be);
-        {
-            let q = self.queries.get_mut(&qid).unwrap();
-            q.be = hedge_be;
-            q.proc_ms = q.hedge_proc_ms;
-            q.plan = Some(plan.clone());
-            q.rtt_fe_be_ms = rtt;
-            q.dist_fe_be_miles = dist;
-        }
-        self.serve_fetched(net, fe, qid, plan);
+        self.open_leg(net, qid, HEDGE, fe, hedge_be);
     }
 }
 
@@ -517,165 +477,66 @@ impl App for ServiceWorld {
                 }
             }
             Leg::Client => {
+                // The client's response completes with its FIN (see
+                // `on_fin`); only the server side tracks bytes.
+                if end == End::A {
+                    return;
+                }
                 let qid = info.qid;
+                let Some(q) = self.queries.get_mut(&qid) else {
+                    return;
+                };
+                // Server side of the client leg (FE, or BE when split TCP
+                // is off): request bytes.
+                q.srv_progress.absorb(spans);
+                if q.request_handled || !q.srv_progress.complete(Marker::Request, q.req.bytes) {
+                    return;
+                }
+                q.request_handled = true;
+                self.handle_request_arrived(net, qid);
+            }
+            Leg::Fetch(slot) => {
+                let qid = info.qid;
+                let Some(q) = self.queries.get_mut(&qid) else {
+                    return;
+                };
+                let leg = &mut q.legs[slot];
                 match end {
                     End::B => {
-                        // Server side of the client leg (FE, or BE when
-                        // split TCP is off): request bytes.
-                        let ready = {
-                            let q = match self.queries.get_mut(&qid) {
-                                Some(q) => q,
-                                None => return,
-                            };
-                            q.srv_progress.absorb(spans);
-                            let done = q.srv_progress.complete(Marker::Request, q.req.bytes);
-                            if done && !q.request_handled {
-                                q.request_handled = true;
-                                true
-                            } else {
-                                false
-                            }
-                        };
-                        if ready {
-                            self.handle_request_arrived(net, qid);
+                        // The leg's BE receiving the query.
+                        leg.query_progress.absorb(spans);
+                        if leg.handled || !leg.query_progress.complete(Marker::BeQuery, q.req.bytes)
+                        {
+                            return;
                         }
-                    }
-                    End::A => {
-                        // Client receiving the response; completion is
-                        // signalled by the FIN.
+                        leg.handled = true;
+                        let (be, attempt) = (leg.be, q.fetch_attempts);
+                        let (proc, plan) = self.be_process(qid, be);
                         if let Some(q) = self.queries.get_mut(&qid) {
-                            q.resp_progress.absorb(spans);
+                            q.legs[slot].proc_ms = proc.as_millis_f64();
+                            q.legs[slot].plan = Some(plan);
                         }
-                    }
-                }
-            }
-            Leg::Be => {
-                let qid = info.qid;
-                match end {
-                    End::B => {
-                        // BE receiving the forwarded query.
-                        let ready = {
-                            let q = match self.queries.get_mut(&qid) {
-                                Some(q) => q,
-                                None => return,
-                            };
-                            q.srv_progress.absorb(spans);
-                            let done = q.srv_progress.complete(Marker::BeQuery, q.req.bytes);
-                            if done && !q.be_handled {
-                                q.be_handled = true;
-                                true
-                            } else {
-                                false
-                            }
-                        };
-                        if ready {
-                            let be = self.queries[&qid].be;
-                            let (proc, plan) = self.be_process(qid, be);
-                            let q = self.queries.get_mut(&qid).unwrap();
-                            q.proc_ms = proc.as_millis_f64();
-                            q.plan = Some(plan);
-                            let attempt = q.fetch_attempts;
-                            self.push_action(net, proc, Action::BeReply { qid, attempt });
-                        }
+                        self.push_action(net, proc, Action::BeReply { qid, attempt, slot });
                     }
                     End::A => {
-                        // FE receiving the BE response.
-                        let ready = {
-                            let q = match self.queries.get_mut(&qid) {
-                                Some(q) => q,
-                                None => return,
-                            };
-                            q.resp_progress.absorb(spans);
-                            let expected = match &q.plan {
-                                Some(p) => {
-                                    p.dynamic_bytes
-                                        + if q.static_from_cache {
-                                            0
-                                        } else {
-                                            p.static_bytes
-                                        }
-                                }
-                                None => u64::MAX,
-                            };
-                            let done = q.resp_progress.complete(Marker::BeResponse, expected);
-                            if done && !q.resp_handled {
-                                q.resp_handled = true;
-                                true
-                            } else {
-                                false
+                        // The FE receiving the leg's response; the first
+                        // complete response wins.
+                        leg.resp_progress.absorb(spans);
+                        let expected = match &leg.plan {
+                            Some(p) => {
+                                p.dynamic_bytes
+                                    + if q.static_from_cache {
+                                        0
+                                    } else {
+                                        p.static_bytes
+                                    }
                             }
+                            None => u64::MAX,
                         };
-                        if ready {
-                            self.handle_be_response_complete(net, qid);
-                        }
-                    }
-                }
-            }
-            Leg::Hedge => {
-                let qid = info.qid;
-                match end {
-                    End::B => {
-                        // Hedge BE receiving the duplicated query.
-                        let ready = {
-                            let q = match self.queries.get_mut(&qid) {
-                                Some(q) => q,
-                                None => return,
-                            };
-                            q.hedge_srv_progress.absorb(spans);
-                            let done = q.hedge_srv_progress.complete(Marker::BeQuery, q.req.bytes);
-                            if done && !q.hedge_be_handled {
-                                q.hedge_be_handled = true;
-                                true
-                            } else {
-                                false
-                            }
-                        };
-                        // The hedge may have been cancelled before its
-                        // BE saw the query.
-                        let hedge_be = if ready {
-                            self.queries[&qid].hedge_be
-                        } else {
-                            None
-                        };
-                        if let Some(be) = hedge_be {
-                            let (proc, plan) = self.be_process(qid, be);
-                            let q = self.queries.get_mut(&qid).unwrap();
-                            q.hedge_proc_ms = proc.as_millis_f64();
-                            q.hedge_plan = Some(plan);
-                            let attempt = q.fetch_attempts;
-                            self.push_action(net, proc, Action::HedgeReply { qid, attempt });
-                        }
-                    }
-                    End::A => {
-                        // FE receiving the hedge BE response; first
-                        // complete response (primary or hedge) wins.
-                        let ready = {
-                            let q = match self.queries.get_mut(&qid) {
-                                Some(q) => q,
-                                None => return,
-                            };
-                            q.hedge_resp_progress.absorb(spans);
-                            let expected = match &q.hedge_plan {
-                                Some(p) => {
-                                    p.dynamic_bytes
-                                        + if q.static_from_cache {
-                                            0
-                                        } else {
-                                            p.static_bytes
-                                        }
-                                }
-                                None => u64::MAX,
-                            };
-                            let done = q.hedge_resp_progress.complete(Marker::BeResponse, expected);
-                            if done && !q.resp_handled {
-                                q.resp_handled = true;
-                                true
-                            } else {
-                                false
-                            }
-                        };
-                        if ready {
-                            self.hedge_response_complete(net, qid);
+                        if q.fetch_done.is_none()
+                            && leg.resp_progress.complete(Marker::BeResponse, expected)
+                        {
+                            self.complete_leg(net, qid, slot);
                         }
                     }
                 }
@@ -706,12 +567,11 @@ impl App for ServiceWorld {
         match action {
             Action::StartRetry { spec, attempt } => self.start_query(net, spec, attempt),
             Action::FeServe { qid } => self.act_fe_serve(net, qid),
-            Action::BeReply { qid, attempt } => self.act_be_reply(net, qid, attempt),
+            Action::BeReply { qid, attempt, slot } => self.act_be_reply(net, qid, attempt, slot),
             Action::BeDirectReply { qid } => self.act_be_direct_reply(net, qid),
             Action::ClientDeadline { qid } => self.act_client_deadline(net, qid),
             Action::FetchDeadline { qid, attempt } => self.act_fetch_deadline(net, qid, attempt),
             Action::HedgeFire { qid, attempt } => self.act_hedge_fire(net, qid, attempt),
-            Action::HedgeReply { qid, attempt } => self.act_hedge_reply(net, qid, attempt),
             Action::FaultStart { window } => self.act_fault_start(net, window),
             Action::MappingEpoch => self.act_mapping_epoch(net),
         }

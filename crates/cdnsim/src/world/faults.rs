@@ -171,22 +171,14 @@ impl ServiceWorld {
             self.warmup_progress.remove(&c);
             net.release(c);
         }
+        // An open fetch leg is a fetch still waiting for its response.
         let mut stalled: Vec<ConnId> = self
             .queries
             .values()
-            .flat_map(|q| {
-                let mut v = Vec::new();
-                if let (Some(f), Some(c)) = (q.fe, q.be_conn) {
-                    if hit(f, q.be) && !q.resp_handled {
-                        v.push(c);
-                    }
-                }
-                if let (Some(f), Some(c), Some(hb)) = (q.fe, q.hedge_conn, q.hedge_be) {
-                    if hit(f, hb) && !q.resp_handled {
-                        v.push(c);
-                    }
-                }
-                v
+            .flat_map(|q| q.legs.iter().map(move |leg| (q.fe, leg)))
+            .filter_map(|(fe, leg)| match (fe, leg.conn) {
+                (Some(f), Some(c)) if hit(f, leg.be) => Some(c),
+                _ => None,
             })
             .collect();
         stalled.sort_unstable();

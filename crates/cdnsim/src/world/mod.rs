@@ -192,9 +192,10 @@ pub struct CompletedQuery {
     /// on its connection, in time order, from the first SYN until the
     /// attempt ended. Front-end and back-end packets are not recorded.
     pub trace: Capture,
-    /// False when packet tracing was off while this query ran: the empty
-    /// `trace` means "not captured", not "no packets" — downstream
-    /// timeline extraction reports a typed error instead of analysing it.
+    /// False only when no client connection was opened
+    /// ([`QueryOutcome::NoLiveFe`]): the empty `trace` means "not
+    /// captured", not "no packets" — downstream timeline extraction
+    /// reports a typed error instead of analysing it.
     pub traced: bool,
     /// How the query ended ([`QueryOutcome::Ok`] on the happy path).
     pub outcome: QueryOutcome,
@@ -226,10 +227,18 @@ impl CompletedQuery {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Leg {
     Client,
-    Be,
-    Hedge,
-    Warmup { fe: usize, be: usize },
+    /// Fetch leg `slot` of the query (see [`QueryState::legs`]).
+    Fetch(usize),
+    Warmup {
+        fe: usize,
+        be: usize,
+    },
 }
+
+/// Slot of the primary fetch in [`QueryState::legs`].
+const PRIMARY: usize = 0;
+/// Slot of the hedge fetch in [`QueryState::legs`].
+const HEDGE: usize = 1;
 
 #[derive(Clone, Copy, Debug)]
 struct ConnInfo {
@@ -241,12 +250,11 @@ struct ConnInfo {
 enum Action {
     StartRetry { spec: QuerySpec, attempt: u32 },
     FeServe { qid: u64 },
-    BeReply { qid: u64, attempt: u32 },
+    BeReply { qid: u64, attempt: u32, slot: usize },
     BeDirectReply { qid: u64 },
     ClientDeadline { qid: u64 },
     FetchDeadline { qid: u64, attempt: u32 },
     HedgeFire { qid: u64, attempt: u32 },
-    HedgeReply { qid: u64, attempt: u32 },
     FaultStart { window: usize },
     MappingEpoch,
 }
@@ -276,6 +284,40 @@ impl BreakerState {
     }
 }
 
+/// One FE→BE fetch of a query's dynamic portion: the query rides a
+/// pooled FE↔BE connection up, the BE processes it, and the response
+/// streams back to the FE.
+#[derive(Default)]
+struct FetchLeg {
+    be: usize,
+    /// Set while the leg is open; an open leg holds `be`'s in-flight
+    /// slot.
+    conn: Option<ConnId>,
+    /// The BE's response and processing time, once it processed the
+    /// query.
+    plan: Option<ResponsePlan>,
+    proc_ms: f64,
+    /// Query bytes at the BE, response bytes at the FE.
+    query_progress: RecvProgress,
+    resp_progress: RecvProgress,
+    /// The BE has taken the whole query up.
+    handled: bool,
+}
+
+impl FetchLeg {
+    /// Points the leg at a new fetch from `be` over `conn`. `proc_ms`
+    /// is kept: a query that ends before any leg completes reports the
+    /// BE time its primary last saw, across failovers.
+    fn open(&mut self, be: usize, conn: ConnId) {
+        *self = FetchLeg {
+            be,
+            conn: Some(conn),
+            proc_ms: self.proc_ms,
+            ..FetchLeg::default()
+        };
+    }
+}
+
 struct QueryState {
     client: usize,
     fe: Option<usize>,
@@ -289,21 +331,19 @@ struct QueryState {
     degraded: bool,
     t_start: SimTime,
     client_conn: ConnId,
-    be_conn: Option<ConnId>,
     req: RequestSpec,
     plan: Option<ResponsePlan>,
     proc_ms: f64,
     fe_overhead_ms: f64,
     fetch_start: Option<SimTime>,
+    // Set when the first fetch leg's response is complete at the FE.
     fetch_done: Option<SimTime>,
     rtt_client_fe_ms: f64,
     rtt_fe_be_ms: f64,
     dist_fe_be_miles: f64,
+    // Request bytes at the server end of the client connection.
     srv_progress: RecvProgress,
-    resp_progress: RecvProgress,
     request_handled: bool,
-    be_handled: bool,
-    resp_handled: bool,
     // Whether the FE served the static portion from its cache at serve
     // time. With the default unbounded prewarmed cache this equals
     // `cfg.cache_static`; a bounded static cache can miss, in which case
@@ -311,21 +351,12 @@ struct QueryState {
     // ablation.
     static_from_cache: bool,
     // Overload machinery. `shed` marks an admission-control rejection;
-    // `fe_counted`/`be_counted` record which in-flight counters this
-    // query holds (take-semantics make double-decrement impossible).
+    // `fe_counted` records that the query holds its FE's in-flight slot.
     shed: bool,
     fe_counted: bool,
-    be_counted: Option<usize>,
-    // Hedged-fetch leg: its own connection, progress trackers and plan,
-    // so primary and hedge responses never mix state.
-    hedge_conn: Option<ConnId>,
-    hedge_be: Option<usize>,
-    hedge_counted: Option<usize>,
-    hedge_plan: Option<ResponsePlan>,
-    hedge_proc_ms: f64,
-    hedge_srv_progress: RecvProgress,
-    hedge_resp_progress: RecvProgress,
-    hedge_be_handled: bool,
+    // The primary fetch (`PRIMARY`) and its hedge (`HEDGE`). The first
+    // leg whose response completes wins and the other is cancelled.
+    legs: [FetchLeg; 2],
 }
 
 /// The world: clients, FEs, BEs, pools, in-flight queries.
@@ -464,7 +495,7 @@ impl ServiceWorld {
             be_inflight: vec![0; n_bes],
             retry_tokens: HashMap::default(),
             breakers: vec![BreakerState::new(); n_fes],
-            metrics: MetricsRegistry::from_env(),
+            metrics: MetricsRegistry::new(),
         }
     }
 

@@ -211,7 +211,6 @@ impl ServiceWorld {
                 degraded: false,
                 t_start: net.now(),
                 client_conn: conn,
-                be_conn: None,
                 req,
                 plan: None,
                 proc_ms: 0.0,
@@ -222,22 +221,11 @@ impl ServiceWorld {
                 rtt_fe_be_ms,
                 dist_fe_be_miles: dist_fe_be,
                 srv_progress: RecvProgress::new(),
-                resp_progress: RecvProgress::new(),
                 request_handled: false,
-                be_handled: false,
-                resp_handled: false,
                 static_from_cache: false,
                 shed: false,
                 fe_counted: false,
-                be_counted: None,
-                hedge_conn: None,
-                hedge_be: None,
-                hedge_counted: None,
-                hedge_plan: None,
-                hedge_proc_ms: 0.0,
-                hedge_srv_progress: RecvProgress::new(),
-                hedge_resp_progress: RecvProgress::new(),
-                hedge_be_handled: false,
+                legs: Default::default(),
             },
         );
         if let Some(deadline) = self.cfg.client_retry.as_ref().map(|p| p.deadline) {
@@ -266,31 +254,6 @@ impl ServiceWorld {
         } else {
             self.metrics.inc("cdnsim.retry_budget_exhausted");
             false
-        }
-    }
-
-    /// Cancels an outstanding hedge leg (loser of the race, or cleanup
-    /// on failover/deadline): aborts and releases its connection and
-    /// releases its BE in-flight slot.
-    pub(super) fn cancel_hedge(&mut self, net: &mut Net, qid: u64) {
-        let (conn, counted) = match self.queries.get_mut(&qid) {
-            Some(q) => (q.hedge_conn.take(), q.hedge_counted.take()),
-            None => return,
-        };
-        if let Some(c) = conn {
-            net.abort(c);
-            self.conn_info.remove(&c);
-            net.release(c);
-        }
-        if let Some(b) = counted {
-            self.be_inflight[b] = self.be_inflight[b].saturating_sub(1);
-        }
-        if let Some(q) = self.queries.get_mut(&qid) {
-            q.hedge_be = None;
-            q.hedge_plan = None;
-            q.hedge_be_handled = false;
-            q.hedge_srv_progress = RecvProgress::new();
-            q.hedge_resp_progress = RecvProgress::new();
         }
     }
 
@@ -333,17 +296,12 @@ impl ServiceWorld {
     /// capture unless it is the final attempt) and either schedule a
     /// retry or record a timed-out query.
     pub(super) fn act_client_deadline(&mut self, net: &mut Net, qid: u64) {
-        let Some(q) = self.queries.remove(&qid) else {
+        let Some(mut q) = self.queries.remove(&qid) else {
             return; // completed before the deadline
         };
-        for c in [q.be_conn, q.hedge_conn].into_iter().flatten() {
-            net.abort(c);
-            self.conn_info.remove(&c);
-            net.release(c);
-        }
+        self.release_attempt(net, &mut q);
         net.abort(q.client_conn);
         self.conn_info.remove(&q.client_conn);
-        self.release_slots(&q);
         let trace = net.release(q.client_conn);
         let policy = self
             .cfg
@@ -365,20 +323,15 @@ impl ServiceWorld {
     /// The client consumed the response FIN: close out the attempt and
     /// either retry a shed response or record the completion.
     pub(super) fn finish_query(&mut self, net: &mut Net, qid: u64) {
-        let Some(q) = self.queries.remove(&qid) else {
+        let Some(mut q) = self.queries.remove(&qid) else {
             return; // abandoned earlier
         };
         self.conn_info.remove(&q.client_conn);
         // Orderly close from the client side too.
         net.close(q.client_conn, End::A);
-        // Shed queries never took a slot; served queries released the
-        // BE slot at response completion.
-        self.release_slots(&q);
-        if let Some(hc) = q.hedge_conn {
-            net.abort(hc);
-            self.conn_info.remove(&hc);
-            net.release(hc);
-        }
+        // Shed queries never took a slot; served and degraded queries
+        // closed their fetch legs before the response went out.
+        self.release_attempt(net, &mut q);
         let trace = net.release(q.client_conn);
         // A shed response is a fast rejection: the client retries it
         // like a deadline miss (same backoff machinery, same budget)
@@ -404,15 +357,18 @@ impl ServiceWorld {
         self.record(qid, q, net.now(), trace, outcome);
     }
 
-    /// Releases every in-flight slot an ended attempt still holds.
-    fn release_slots(&mut self, q: &QueryState) {
+    /// Releases what an ended attempt still holds: its open fetch legs,
+    /// primary first, and its FE in-flight slot.
+    fn release_attempt(&mut self, net: &mut Net, q: &mut QueryState) {
+        for leg in &mut q.legs {
+            if let Some(conn) = leg.conn.take() {
+                self.drop_leg_conn(net, conn, leg.be);
+            }
+        }
         if q.fe_counted {
             if let Some(fe) = q.fe {
                 self.fe_inflight[fe] = self.fe_inflight[fe].saturating_sub(1);
             }
-        }
-        for b in [q.be_counted, q.hedge_counted].into_iter().flatten() {
-            self.be_inflight[b] = self.be_inflight[b].saturating_sub(1);
         }
     }
 
@@ -440,7 +396,7 @@ impl ServiceWorld {
     }
 
     /// Pushes the completion record of an ended attempt, with its
-    /// client-side capture when tracing was on.
+    /// client-side capture.
     fn record(
         &mut self,
         qid: u64,
@@ -449,6 +405,15 @@ impl ServiceWorld {
         trace: Option<Capture>,
         outcome: QueryOutcome,
     ) {
+        // A query that started a fetch and ended before any leg
+        // completed (a timeout, or a degrade after the fetch deadline)
+        // reports its primary leg's plan, unless it served the stub,
+        // and its primary's BE time.
+        let [primary, _] = q.legs;
+        let (plan, proc_ms) = match (q.fetch_start, q.fetch_done) {
+            (Some(_), None) => (q.plan.or(primary.plan), primary.proc_ms),
+            _ => (q.plan, q.proc_ms),
+        };
         self.completed.push(CompletedQuery {
             qid,
             client: q.client,
@@ -459,10 +424,9 @@ impl ServiceWorld {
             t_start: q.t_start,
             t_done,
             // A missing plan means the attempt never got a response.
-            plan: q
-                .plan
+            plan: plan
                 .unwrap_or_else(|| ResponsePlan::new(1, 0, 1, httpsim::CONTENT_ID_STATIC_BASE)),
-            proc_ms: q.proc_ms,
+            proc_ms,
             fe_overhead_ms: q.fe_overhead_ms,
             fetch_start: q.fetch_start,
             fetch_done: q.fetch_done,

@@ -12,9 +12,7 @@ fn small_world(cfg: ServiceConfig) -> Sim<ServiceWorld> {
     );
     let corpus = KeywordCorpus::generate(cfg.seed, 200, 0.5);
     let world = ServiceWorld::new(cfg, vantages.into(), Arc::new(corpus));
-    let mut sim = Sim::new(7, world);
-    sim.net().set_tracing(true);
-    sim
+    Sim::new(7, world)
 }
 
 /// The FE↔BE connections pooled for `(fe, be)`, in checkout order.
@@ -362,11 +360,7 @@ fn degraded_when_every_be_site_is_down() {
 fn be_outage_steers_fetch_to_live_site() {
     // Learn the primary BE, then knock it out for the whole run: the
     // FE must route the fetch to another live site and still answer.
-    let mut probe = small_world(ServiceConfig::google_like(13));
-    let (fe, primary_be) = probe.with(|w, _| {
-        let fe = w.default_fe(0);
-        (fe, w.be_of_fe(fe))
-    });
+    let (fe, primary_be, _) = fe_and_bes(13);
     let plan = nettopo::FaultPlan::default().be_outage(
         primary_be,
         SimTime::ZERO,
@@ -376,19 +370,7 @@ fn be_outage_steers_fetch_to_live_site() {
         .with_faults(plan)
         .with_fe_fetch_deadline(SimDuration::from_millis(1_000));
     let mut sim = small_world(cfg);
-    sim.with(|w, net| {
-        w.install_faults(net);
-        w.schedule_query(
-            net,
-            SimDuration::from_millis(1),
-            QuerySpec {
-                client: 0,
-                keyword: 3,
-                fixed_fe: Some(fe),
-                instant_followup: false,
-            },
-        );
-    });
+    pinned_query(&mut sim, fe);
     sim.run();
     let done = sim.with(|w, _| w.drain_completed());
     assert_eq!(done.len(), 1);
@@ -908,9 +890,7 @@ fn hedged_fetch_wins_when_primary_be_stalls() {
     // 1 ms) was routed to it, so routing cannot steer away. The
     // primary fetch stalls forever; the hedge fires 5 ms in and
     // serves from the next-nearest live site. First response wins.
-    let mut probe = small_world(ServiceConfig::google_like(24));
-    let fe = probe.with(|w, _| w.default_fe(0));
-    let be = probe.with(|w, _| w.be_of_fe(fe));
+    let (fe, be, _) = fe_and_bes(24);
     let cfg = ServiceConfig::google_like(24)
         .with_faults(nettopo::FaultPlan::default().be_outage(
             be,
@@ -919,19 +899,7 @@ fn hedged_fetch_wins_when_primary_be_stalls() {
         ))
         .with_hedged_fetches(SimDuration::from_millis(5));
     let mut sim = small_world(cfg);
-    sim.with(|w, net| {
-        w.install_faults(net);
-        w.schedule_query(
-            net,
-            SimDuration::from_millis(1),
-            QuerySpec {
-                client: 0,
-                keyword: 3,
-                fixed_fe: Some(fe),
-                instant_followup: false,
-            },
-        );
-    });
+    pinned_query(&mut sim, fe);
     sim.run();
     let done = sim.with(|w, _| w.drain_completed());
     assert_eq!(done.len(), 1);
@@ -939,15 +907,8 @@ fn hedged_fetch_wins_when_primary_be_stalls() {
     assert_eq!(cq.outcome, QueryOutcome::Ok);
     assert_ne!(cq.be, be, "the hedge BE must have served the response");
     assert!(cq.proc_ms > 0.0);
-    assert_eq!(
-        sim.with(|w, _| w.metrics().counter("cdnsim.hedge_wins")),
-        Some(1)
-    );
-    assert_eq!(sim.with(|w, _| w.in_flight()), 0);
-    let n_bes = sim.with(|w, _| w.cfg.be_sites.len());
-    for b in 0..n_bes {
-        assert_eq!(sim.with(|w, _| w.be_inflight(b)), 0, "BE {b} slot leaked");
-    }
+    assert_eq!(count(&mut sim, "cdnsim.hedge_wins"), 1);
+    assert_nothing_held(&mut sim);
 }
 
 #[test]
@@ -1054,4 +1015,267 @@ fn inert_overload_policies_do_not_change_a_run() {
     assert!(plain.fetch_done.is_some());
     assert_eq!(plain.fetch_start, guarded.fetch_start);
     assert_eq!(plain.fetch_done, guarded.fetch_done);
+}
+
+/// Client 0's default FE, that FE's nearest BE, and the next-nearest
+/// BE, where a hedge or a failover from the nearest one goes.
+fn fe_and_bes(seed: u64) -> (usize, usize, usize) {
+    let mut probe = small_world(ServiceConfig::google_like(seed));
+    probe.with(|w, _| {
+        let fe = w.default_fe(0);
+        let be = w.be_of_fe(fe);
+        let next = w.ranked_bes(fe).into_iter().find(|&b| b != be).unwrap();
+        (fe, be, next)
+    })
+}
+
+/// A service counter, reading 0 when it was never touched.
+fn count(sim: &mut Sim<ServiceWorld>, name: &str) -> u64 {
+    sim.with(|w, _| w.metrics().counter(name).unwrap_or(0))
+}
+
+/// Asserts that no query, connection record or in-flight slot is left.
+fn assert_nothing_held(sim: &mut Sim<ServiceWorld>) {
+    sim.with(|w, _| {
+        assert_eq!(w.in_flight(), 0);
+        assert!(w.conn_info.is_empty(), "{} conn records", w.conn_info.len());
+        for fe in 0..w.fe_count() {
+            assert_eq!(w.fe_inflight(fe), 0, "FE {fe} slot leaked");
+        }
+        for be in 0..w.cfg.be_sites.len() {
+            assert_eq!(w.be_inflight(be), 0, "BE {be} slot leaked");
+        }
+    });
+}
+
+/// Installs the world's fault plan and schedules one query from client
+/// 0, pinned to `fe`, at 1 ms.
+fn pinned_query(sim: &mut Sim<ServiceWorld>, fe: usize) {
+    sim.with(|w, net| {
+        w.install_faults(net);
+        w.schedule_query(
+            net,
+            SimDuration::from_millis(1),
+            QuerySpec {
+                client: 0,
+                keyword: 3,
+                fixed_fe: Some(fe),
+                instant_followup: false,
+            },
+        );
+    });
+}
+
+#[test]
+fn primary_win_cancels_the_hedge_in_flight() {
+    // No fault; the hedge fires 1 ms into the fetch, on a cold
+    // connection to the farther site, and loses the race.
+    let seed = 28;
+    let (fe, be, hedge_be) = fe_and_bes(seed);
+    let run = |cfg: ServiceConfig| {
+        let mut sim = small_world(cfg);
+        pinned_query(&mut sim, fe);
+        sim.run();
+        let cq = sim.with(|w, _| w.drain_completed()).pop().unwrap();
+        (cq, sim)
+    };
+    let (plain, _) = run(ServiceConfig::google_like(seed));
+    let (cq, mut sim) =
+        run(ServiceConfig::google_like(seed).with_hedged_fetches(SimDuration::from_millis(1)));
+    assert_eq!(count(&mut sim, "cdnsim.hedges_launched"), 1);
+    assert_eq!(count(&mut sim, "cdnsim.hedge_wins"), 0);
+    assert_eq!(cq.outcome, QueryOutcome::Ok);
+    // The record carries the primary's BE ground truth: what the same
+    // query reports without a hedge.
+    assert_eq!(plain.be, be);
+    assert_eq!(cq.be, be);
+    assert_eq!(cq.plan, plain.plan);
+    assert_eq!(cq.proc_ms, plain.proc_ms);
+    assert_eq!(cq.rtt_fe_be_ms, plain.rtt_fe_be_ms);
+    assert_eq!(cq.dist_fe_be_miles, plain.dist_fe_be_miles);
+    assert_eq!(cq.fetch_done, plain.fetch_done);
+    // Connections open in order: the client's (0), the primary fetch's
+    // (1), the hedge's (2). The primary goes back to the pool; the
+    // hedge is aborted and not pooled.
+    let (primary, hedge) = (ConnId(1), ConnId(2));
+    assert_eq!(pooled(&mut sim, fe, be), [primary]);
+    assert!(pooled(&mut sim, fe, hedge_be).is_empty());
+    assert!(sim.net().is_aborted(hedge));
+    assert!(!sim.net().is_aborted(primary));
+    assert_nothing_held(&mut sim);
+    // The hedge was released too: its slot and the client's are free,
+    // so two fresh connections fit without growing the slab.
+    sim.with(|w, net| w.prewarm(net, fe, hedge_be, 2));
+    sim.run();
+    let slots = sim.net().take_metrics().gauge("tcpsim.conn_slots_hiwater");
+    assert_eq!(slots.map(|(_, max)| max), Some(3.0));
+}
+
+#[test]
+fn fetch_deadline_failover_cancels_an_outstanding_hedge() {
+    // The nearest BE goes dark at 2 ms, after the query was routed to
+    // it, so the primary fetch stalls. The hedge fires 395 ms in and
+    // is still connecting when the 400 ms fetch deadline fails the
+    // attempt over: the failover cancels the hedge and refetches from
+    // the same next-nearest site on a fresh connection.
+    let seed = 24;
+    let (fe, be, next) = fe_and_bes(seed);
+    let cfg = ServiceConfig::google_like(seed)
+        .with_faults(nettopo::FaultPlan::default().be_outage(
+            be,
+            SimTime::from_millis(2),
+            SimTime::from_millis(60_000),
+        ))
+        .with_fe_fetch_deadline(SimDuration::from_millis(400))
+        .with_hedged_fetches(SimDuration::from_millis(395));
+    let mut sim = small_world(cfg);
+    pinned_query(&mut sim, fe);
+    sim.run();
+    let cq = sim.with(|w, _| w.drain_completed()).pop().unwrap();
+    assert_eq!(cq.outcome, QueryOutcome::Ok);
+    assert_eq!(count(&mut sim, "cdnsim.hedges_launched"), 1);
+    assert_eq!(count(&mut sim, "cdnsim.hedge_wins"), 0);
+    assert_eq!(count(&mut sim, "cdnsim.fetch_failovers"), 1);
+    assert_eq!(cq.be, next);
+    assert!(cq.proc_ms > 0.0);
+    let next_rtt = sim.with(|w, _| w.fe_be_rtt_ms(fe, next));
+    assert_eq!(cq.rtt_fe_be_ms, next_rtt);
+    // The client's connection is 0, the stalled primary 1, the hedge
+    // 2, the failover's 3; only the failover's is pooled.
+    let conns = [ConnId(1), ConnId(2), ConnId(3)];
+    assert!(sim.net().is_aborted(conns[0]));
+    assert!(sim.net().is_aborted(conns[1]));
+    assert_eq!(pooled(&mut sim, fe, next), [conns[2]]);
+    assert!(pooled(&mut sim, fe, be).is_empty());
+    assert_nothing_held(&mut sim);
+}
+
+#[test]
+fn client_deadline_with_both_legs_open_reports_the_primary() {
+    // The client gives up 0.5 ms before the primary response is in:
+    // both BEs have processed the query by then, and both legs are
+    // open. The timed-out record reports the primary's plan and BE
+    // time, not the hedge's.
+    let seed = 31;
+    let (fe, be, hedge_be) = fe_and_bes(seed);
+    let retry = |deadline| crate::service::RetryPolicy {
+        deadline,
+        max_retries: 0,
+        base_backoff: SimDuration::from_millis(100),
+        jitter: 0.0,
+    };
+    let base = ServiceConfig::google_like(seed);
+    let mut probe = small_world(
+        base.clone()
+            .with_client_retry(retry(SimDuration::from_secs(60))),
+    );
+    pinned_query(&mut probe, fe);
+    probe.run();
+    let plain = probe.with(|w, _| w.drain_completed()).pop().unwrap();
+    assert_eq!(plain.be, be);
+    let deadline =
+        plain.fetch_done.unwrap().saturating_since(plain.t_start) - SimDuration::from_micros(500);
+    let cfg = base
+        .with_client_retry(retry(deadline))
+        .with_hedged_fetches(SimDuration::from_millis(1));
+    let mut sim = small_world(cfg);
+    pinned_query(&mut sim, fe);
+    sim.run_until(plain.t_start + deadline - SimDuration::from_micros(1));
+    sim.with(|w, _| {
+        assert_eq!(w.bes[be].1.queries_served(), 1);
+        assert_eq!(w.bes[hedge_be].1.queries_served(), 1);
+        assert_eq!((w.be_inflight(be), w.be_inflight(hedge_be)), (1, 1));
+    });
+    sim.run();
+    let cq = sim.with(|w, _| w.drain_completed()).pop().unwrap();
+    assert_eq!(cq.outcome, QueryOutcome::TimedOut { attempts: 1 });
+    assert_eq!(count(&mut sim, "cdnsim.hedge_wins"), 0);
+    assert_eq!(cq.be, be);
+    assert_eq!(cq.plan, plain.plan);
+    assert_eq!(cq.proc_ms, plain.proc_ms);
+    assert_eq!(cq.fetch_done, None);
+    assert_nothing_held(&mut sim);
+}
+
+/// FNV-1a over every field of every record (its `Debug` rendering,
+/// the capture included), in the order given.
+fn digest(done: &[CompletedQuery]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in done.iter().flat_map(|cq| format!("{cq:?}").into_bytes()) {
+        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Forty queries 40 ms apart, half of them pinned to one FE whose
+/// nearest BE is dark for 2.2 s and whose next-nearest one is dark for
+/// half a second inside that, under hedging, fetch deadlines, a
+/// circuit breaker and client deadlines with one retry.
+fn hedge_failover_world() -> (Vec<CompletedQuery>, Sim<ServiceWorld>) {
+    let seed = 36;
+    let (fe, be, next) = fe_and_bes(seed);
+    let ms = SimDuration::from_millis;
+    let at = SimTime::from_millis;
+    let plan = nettopo::FaultPlan::default()
+        .be_outage(be, at(300), at(2_500))
+        .be_outage(next, at(1_200), at(1_700));
+    let cfg = ServiceConfig::google_like(seed)
+        .with_faults(plan)
+        .with_fe_fetch_deadline(ms(200))
+        .with_hedged_fetches(ms(130))
+        .with_client_retry(crate::service::RetryPolicy {
+            deadline: ms(450),
+            max_retries: 1,
+            base_backoff: ms(100),
+            jitter: 0.3,
+        })
+        .with_circuit_breaker(crate::service::BreakerPolicy {
+            failure_threshold: 3,
+            cooldown: ms(400),
+        });
+    let mut sim = small_world(cfg);
+    sim.with(|w, net| {
+        w.install_faults(net);
+        for i in 0..40u64 {
+            let spec = QuerySpec {
+                client: i as usize % 20,
+                keyword: i,
+                fixed_fe: (i % 2 == 0).then_some(fe),
+                instant_followup: false,
+            };
+            w.schedule_query(net, ms(1 + 40 * i), spec);
+        }
+    });
+    sim.run();
+    let mut done = sim.with(|w, _| w.drain_completed());
+    done.sort_by_key(|cq| cq.qid);
+    (done, sim)
+}
+
+#[test]
+fn hedged_failover_world_matches_its_digest() {
+    // Every way a fetch leg ends, in one world: hedges that lose to
+    // the primary or to a failover, one that wins, client deadlines
+    // mid-fetch and breaker fast-fails. The digest pins every field of
+    // every record, captures included, so a change to what a leg does
+    // at any of these ends, or to the order it does it in, moves it.
+    let (done, mut sim) = hedge_failover_world();
+    let outcomes = |f: fn(&QueryOutcome) -> bool| done.iter().filter(|cq| f(&cq.outcome)).count();
+    assert_eq!(outcomes(|o| *o == QueryOutcome::Ok), 34);
+    assert_eq!(outcomes(|o| matches!(o, QueryOutcome::Retried(1))), 2);
+    assert_eq!(outcomes(|o| *o == QueryOutcome::Degraded), 3);
+    assert_eq!(
+        outcomes(|o| *o == QueryOutcome::TimedOut { attempts: 2 }),
+        1
+    );
+    for (name, n) in [
+        ("cdnsim.hedges_launched", 12),
+        ("cdnsim.hedge_wins", 1),
+        ("cdnsim.fetch_failovers", 9),
+        ("cdnsim.breaker_fastfails", 3),
+    ] {
+        assert_eq!(count(&mut sim, name), n, "{name}");
+    }
+    assert_eq!(format!("{:016x}", digest(&done)), "88cc795d7f8fe475");
+    assert_nothing_held(&mut sim);
 }

@@ -131,10 +131,8 @@ pub struct RunDescriptor {
     pub seed: u64,
     /// Timeline classifier used when processing completions.
     pub classifier: Classifier,
-    /// Per-run telemetry override: `Some(on)` forces the run's
-    /// registries on or off regardless of `FECDN_METRICS`; `None`
-    /// (default) leaves the environment gate in force. Tests use this to
-    /// stay independent of process-global environment state.
+    /// Per-run telemetry override: `Some(on)` switches the run's
+    /// registries on or off; `None` (default) leaves them enabled.
     pub metrics: Option<bool>,
 }
 

@@ -29,7 +29,7 @@
 //! output is byte-identical regardless of thread count.
 //!
 //! Results flow through [`sink`]s: each run folds its completions into
-//! a [`QuerySink`](sink::QuerySink) as they drain (stream-and-reduce),
+//! a [`QuerySink`] as they drain (stream-and-reduce),
 //! so campaign memory is bounded by reducer state rather than query
 //! count, and raw packet traces are retained only when a sink opts in
 //! ([`CollectSink::with_raw`]).

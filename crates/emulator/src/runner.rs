@@ -357,13 +357,23 @@ mod tests {
 
     #[test]
     fn untraced_queries_yield_a_typed_error_not_an_empty_timeline() {
-        // Tracing off is a harness misconfiguration, not a session with
-        // no packets: processing must fail with the dedicated variant
-        // (and the tally must count the query as skipped), never succeed
-        // against a vacuously empty trace.
+        // A query that never opened a client connection has no capture,
+        // which is not a session with no packets: processing must fail
+        // with the dedicated variant (and the tally must count the query
+        // as skipped), never succeed against a vacuously empty trace. A
+        // health-aware mapping with every FE dark fails the query before
+        // any connection opens.
         let s = Scenario::small(4);
-        let mut sim = s.google_sim();
-        sim.net().set_tracing(false);
+        let base = cdnsim::ServiceConfig::google_like(4);
+        let n_fes = s.build_sim(base.clone()).with(|w, _| w.fe_count());
+        let mut all_dark = nettopo::FaultPlan::default();
+        for fe in 0..n_fes {
+            all_dark = all_dark.fe_outage(fe, SimTime::ZERO, SimTime::from_secs(600));
+        }
+        let mut sim = s.build_sim(
+            base.with_mapping(cdnsim::MappingPolicy::DnsGeoTtl(Default::default()))
+                .with_faults(all_dark),
+        );
         sim.with(|w, net| {
             w.schedule_query(
                 net,
@@ -386,6 +396,7 @@ mod tests {
         assert!(run.output.queries.is_empty());
         assert_eq!(run.tally.skipped, 1);
         assert_eq!(raw.len(), 1);
+        assert_eq!(raw[0].outcome, QueryOutcome::NoLiveFe { attempts: 1 });
         assert!(!raw[0].traced);
         assert!(raw[0].trace.is_empty());
         assert_eq!(

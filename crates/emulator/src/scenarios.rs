@@ -78,7 +78,6 @@ impl Scenario {
             vantages: Arc::clone(&self.vantages),
             corpus: Arc::clone(&self.corpus),
             world_seed,
-            trace: true,
         }
     }
 

@@ -22,8 +22,8 @@
 //! * [`SmallVec`] — a hand-rolled inline-first small-vector; the packet
 //!   hot path uses it to carry content spans without heap allocation.
 //! * [`telemetry`] — deterministic counters/gauges/histograms and
-//!   virtual/wall-time spans ([`MetricsRegistry`]), gated at runtime by
-//!   `FECDN_METRICS`.
+//!   virtual/wall-time spans ([`MetricsRegistry`]); registries start
+//!   enabled and switch per registry at runtime.
 //!
 //! The crate is `std`-only and single-threaded by design (its only
 //! dependency is the workspace's own `stats` crate, which backs the

@@ -26,10 +26,9 @@
 //! deterministic sketch above) — steady-state recording on the hot path
 //! stays allocation-free.
 //!
-//! One gate exists, benchmarked in `bench_tcpsim`: `FECDN_METRICS=0`
-//! (or `off`/`false`) disables recording at registry construction
-//! (sampled once, no per-record env read), and
-//! [`MetricsRegistry::set_enabled`] flips it per registry.
+//! Registries start enabled. One gate exists, benchmarked in
+//! `bench_tcpsim`: [`MetricsRegistry::set_enabled`] (or
+//! [`MetricsRegistry::with_enabled`]) switches recording per registry.
 //!
 //! The gate may not change simulated behaviour: the registry is
 //! observe-only (it draws no randomness and schedules nothing), so
@@ -50,19 +49,6 @@ pub const HIST_CAP: usize = 4096;
 /// produced by [`MetricsRegistry::render_rows`], one per metric, with
 /// `-` for cells a kind does not define.
 pub const METRICS_TSV_HEADER: &str = "run\tmetric\tkind\tcount\tvalue\tmin\tp50\tp95\tmax\n";
-
-/// Parses a `FECDN_METRICS`-style value: `0`, `off` and `false` disable,
-/// anything else (including unset) enables. Pure, so tests can pin the
-/// parsing without racing on process-global environment state.
-pub fn metrics_enabled_from(value: Option<&str>) -> bool {
-    !matches!(value, Some("0") | Some("off") | Some("false"))
-}
-
-/// Reads the runtime telemetry gate from `FECDN_METRICS`. Sampled once
-/// per registry construction — never on the record path.
-pub fn metrics_enabled_from_env() -> bool {
-    metrics_enabled_from(std::env::var("FECDN_METRICS").ok().as_deref())
-}
 
 /// The value payload of one named metric.
 #[derive(Clone, Debug)]
@@ -132,12 +118,6 @@ impl MetricsRegistry {
             enabled,
             metrics: BTreeMap::new(),
         }
-    }
-
-    /// An empty registry gated by `FECDN_METRICS` (see
-    /// [`metrics_enabled_from_env`]).
-    pub fn from_env() -> MetricsRegistry {
-        MetricsRegistry::with_enabled(metrics_enabled_from_env())
     }
 
     /// Whether recording is currently enabled.
@@ -452,16 +432,6 @@ mod tests {
         m.set_enabled(true);
         m.inc("x");
         assert!(!m.is_empty());
-    }
-
-    #[test]
-    fn env_gate_parsing() {
-        assert!(metrics_enabled_from(None));
-        assert!(metrics_enabled_from(Some("1")));
-        assert!(metrics_enabled_from(Some("anything")));
-        assert!(!metrics_enabled_from(Some("0")));
-        assert!(!metrics_enabled_from(Some("off")));
-        assert!(!metrics_enabled_from(Some("false")));
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //! * per-path delay/jitter/loss/bandwidth from a [`PathParams`],
 //! * client-vantage packet capture with application-layer *markers*
 //!   (request / static / dynamic ...), the simulator's analogue of the
-//!   paper's tcpdump with payloads at the measuring client.
+//!   paper's tcpdump with payloads at the measuring client: a
+//!   connection opened with [`Net::open_captured`] records its opener's
+//!   packets, one opened with [`Net::open`] records nothing.
 //!
 //! The simulation is deterministic: all randomness (jitter, loss) comes
 //! from per-connection streams derived from the experiment seed.

@@ -292,7 +292,7 @@ struct Conn {
     fin_cb_fired: [bool; 2],
     aborted: bool,
     /// The opener's packets, while the connection is captured
-    /// ([`Net::open_captured`] with tracing on) and not yet released.
+    /// (opened with [`Net::open_captured`]) and not yet released.
     capture: Option<Capture>,
     /// Queued `Deliver`/`Rto`/`DelAck` events naming this connection.
     /// Each timer has one live event at most, plus any that an earlier
@@ -342,10 +342,8 @@ pub struct Net {
     conns: Vec<Conn>,
     slot_of: Vec<u32>,
     free_slots: Vec<u32>,
-    // Client-vantage tracing: whether `open_captured` starts a capture,
-    // how many packets every capture has recorded so far, and the heap
-    // bytes of every capture handed over.
-    tracing: bool,
+    // Client-vantage tracing: how many packets every capture has
+    // recorded so far, and the heap bytes of every capture handed over.
     trace_recorded: u64,
     capture_bytes: u64,
     cbs: VecDeque<Cb>,
@@ -387,7 +385,6 @@ impl Net {
             conns: Vec::new(),
             slot_of: Vec::new(),
             free_slots: Vec::new(),
-            tracing: false,
             trace_recorded: 0,
             capture_bytes: 0,
             cbs: VecDeque::new(),
@@ -395,7 +392,7 @@ impl Net {
             faults: Vec::new(),
             fault_rng: Rng::from_seed_and_name(seed, "tcpsim/fault"),
             seed,
-            metrics: MetricsRegistry::from_env(),
+            metrics: MetricsRegistry::new(),
             mix: EventMix::default(),
         }
     }
@@ -408,12 +405,6 @@ impl Net {
     /// A generator for application-level randomness (its own stream).
     pub fn rng(&mut self) -> &mut Rng {
         &mut self.app_rng
-    }
-
-    /// Enables or disables client-vantage tracing for connections opened
-    /// from now on (throughput benches disable it). Off by default.
-    pub fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
     }
 
     /// Packet events recorded by every capture since creation (taken
@@ -529,8 +520,8 @@ impl Net {
         self.open_with([a, b], path, [opts_a, opts_b], session, false)
     }
 
-    /// Like [`Net::open`], but when tracing is on the opener's view is
-    /// captured from its first SYN on: every packet `a` transmits,
+    /// Like [`Net::open`], but the opener's view is captured from its
+    /// first SYN on: every packet `a` transmits,
     /// receives or loses on this connection, until [`Net::release`].
     pub fn open_captured(
         &mut self,
@@ -545,9 +536,9 @@ impl Net {
     }
 
     /// The application is done with `conn`: hands over its capture and
-    /// stops recording it. `None` means nothing was captured: tracing
-    /// was off when the connection opened, it was opened with
-    /// [`Net::open`], or it was already released.
+    /// stops recording it. `None` means nothing was captured: the
+    /// connection was opened with [`Net::open`], or it was already
+    /// released.
     ///
     /// The connection keeps running (a closing handshake finishes, an
     /// aborted one stays silent), but its slot is reclaimed once both
@@ -622,7 +613,7 @@ impl Net {
             handshake_retx: false,
             fin_cb_fired: [false, false],
             aborted: false,
-            capture: (captured && self.tracing).then(|| Capture::new(nodes[0], cid)),
+            capture: captured.then(|| Capture::new(nodes[0], cid)),
             pending: 0,
             released: false,
         };
@@ -905,11 +896,6 @@ impl Net {
                 let remaining = ep.stream_len - ep.snd_nxt;
                 let len = (ep.opts.mss as u64).min(remaining) as u32;
                 if (len as u64) > usable {
-                    break;
-                }
-                // Nagle: hold a sub-MSS tail while older data is in
-                // flight (it will ride out on the next ACK).
-                if ep.opts.nagle && (len as u64) < ep.opts.mss as u64 && ep.in_flight() > 0 {
                     break;
                 }
                 let seq = ep.snd_nxt;
@@ -1648,7 +1634,6 @@ mod tests {
     #[test]
     fn trace_captures_handshake_and_data() {
         let mut sim = Sim::new(42, Echoish::new(400, 5000));
-        sim.net().set_tracing(true);
         let cid = sim.net().open_captured(
             NodeId(1),
             NodeId(2),
@@ -1682,25 +1667,10 @@ mod tests {
 
     #[test]
     fn capture_is_opt_in_per_connection_and_stops_when_taken() {
-        // Tracing off: nothing is captured, and the hand-over says so.
-        let mut off = Sim::new(42, Echoish::new(400, 5000));
-        let cid = off.net().open_captured(
-            NodeId(1),
-            NodeId(2),
-            PathParams::ideal(50.0),
-            TcpOptions::default(),
-            TcpOptions::default(),
-            1,
-        );
-        off.run();
-        assert_eq!(off.net().release(cid), None);
-        assert_eq!(off.net().trace_recorded(), 0);
-
-        // Tracing on: a plain `open` captures nothing, and releasing a
+        // A plain `open` captures nothing, and releasing a captured
         // connection mid-transfer hands over what was seen and stops
         // recording it.
         let mut sim = Sim::new(42, Echoish::new(400, 30_000));
-        sim.net().set_tracing(true);
         let plain = sim.net().open(
             NodeId(3),
             NodeId(4),
@@ -1754,43 +1724,6 @@ mod tests {
         let app = sim.into_app();
         let done = app.response_done_at.unwrap().as_millis_f64();
         assert!(done > 84.0, "completion {done}ms too fast for 1 Mbps");
-    }
-
-    #[test]
-    fn nagle_plus_delayed_ack_costs_rtt_plus_delack() {
-        // 5,000-byte response = 3 full segments + a 620-byte tail. With
-        // TCP_NODELAY (default) all four leave in the initial window.
-        // With Nagle, the tail waits for all in-flight data to be
-        // acknowledged — and the receiver delays the ACK of the odd
-        // third segment, so the tail pays RTT + the delayed-ACK timeout:
-        // the infamous Nagle × delayed-ACK interaction, emerging from
-        // the mechanics rather than being scripted.
-        let run = |nagle: bool| {
-            let opts_b = if nagle {
-                TcpOptions::default().with_nagle()
-            } else {
-                TcpOptions::default()
-            };
-            let mut sim = Sim::new(21, Echoish::new(400, 5_000));
-            sim.net().open(
-                NodeId(1),
-                NodeId(2),
-                PathParams::ideal(100.0),
-                TcpOptions::default(),
-                opts_b,
-                1,
-            );
-            sim.run();
-            sim.into_app().response_done_at.unwrap()
-        };
-        let nodelay = run(false);
-        let nagle = run(true);
-        let extra = nagle.saturating_since(nodelay).as_millis_f64();
-        // RTT (100 ms) + delayed-ACK timeout (40 ms).
-        assert!(
-            (extra - 140.0).abs() < 10.0,
-            "Nagle × delack should cost RTT + 40ms, cost {extra}ms"
-        );
     }
 
     #[test]
@@ -2066,8 +1999,6 @@ mod tests {
     #[test]
     fn sequential_released_transfers_reuse_one_slot() {
         let mut sim = Sim::new(42, Echoish::new(400, 5_000));
-        sim.net().metrics_mut().set_enabled(true);
-        sim.net().set_tracing(true);
         for i in 0..1_000u64 {
             let cid = transfer_on(&mut sim, PathParams::ideal(20.0), i);
             assert_eq!(cid, ConnId(i as u32), "ids stay open ordinals");
@@ -2095,7 +2026,6 @@ mod tests {
         let mut a = Sim::new(9, Echoish::new(400, 5_000));
         let mut b = Sim::new(9, Echoish::new(400, 5_000));
         for sim in [&mut a, &mut b] {
-            sim.net().set_tracing(true);
             transfer_on(sim, path(), 100);
         }
         a.net().release(ConnId(0));
@@ -2115,7 +2045,6 @@ mod tests {
     #[test]
     fn reclaimed_id_reads_aborted_and_releases_nothing() {
         let mut sim = Sim::new(42, Echoish::new(400, 30_000));
-        sim.net().set_tracing(true);
         let cid = sim.net().open_captured(
             NodeId(1),
             NodeId(2),

@@ -52,12 +52,6 @@ pub struct TcpOptions {
     pub abc_limit_segs: u32,
     /// Congestion-control algorithm.
     pub cong: CongAlgo,
-    /// Nagle's algorithm: hold a final sub-MSS segment while older data
-    /// is unacknowledged. Off by default — HTTP request/response
-    /// exchanges disable it (`TCP_NODELAY`), and a held response tail
-    /// would distort every latency figure; the option exists to
-    /// demonstrate exactly that distortion.
-    pub nagle: bool,
 }
 
 impl Default for TcpOptions {
@@ -74,7 +68,6 @@ impl Default for TcpOptions {
             idle_reset: false,
             abc_limit_segs: 2,
             cong: CongAlgo::Reno,
-            nagle: false,
         }
     }
 }
@@ -109,12 +102,6 @@ impl TcpOptions {
     /// Selects the congestion-control algorithm.
     pub fn with_cong(mut self, cong: CongAlgo) -> TcpOptions {
         self.cong = cong;
-        self
-    }
-
-    /// Enables Nagle's algorithm.
-    pub fn with_nagle(mut self) -> TcpOptions {
-        self.nagle = true;
         self
     }
 }

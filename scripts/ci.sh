@@ -11,6 +11,9 @@ cargo fmt --all --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> cargo doc (deny warnings: broken or redundant intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> tier-1: cargo build --release"
 cargo build --release --workspace --offline
 

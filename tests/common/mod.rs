@@ -19,8 +19,7 @@ pub fn representative_campaign(seed: u64) -> Campaign {
 }
 
 /// [`representative_campaign`] with an explicit per-run telemetry
-/// override, so conformance tests are independent of the ambient
-/// `FECDN_METRICS` value.
+/// override.
 pub fn representative_campaign_with_metrics(seed: u64, metrics: Option<bool>) -> Campaign {
     let mut c = Campaign::new(Scenario::small(seed));
     c.push(

@@ -165,7 +165,9 @@ proptest! {
     /// Chaos: random fault plans against random overload-policy
     /// combinations and mapping strategies. The campaign must complete
     /// without panicking, the accounting identity must close, and
-    /// serial and 4-way execution must agree byte-for-byte.
+    /// serial and 4-way execution must agree byte-for-byte. The same
+    /// case, driven in a world built directly, must drain with no
+    /// query in flight and no FE or BE in-flight slot held.
     #[test]
     fn chaos_faults_and_policies_conserve_accounting(
         seed in 0u64..10_000,
@@ -248,8 +250,9 @@ proptest! {
         });
 
         // 10 vantages so every chaos client index (n_queries < 10) is valid.
-        let mut c = Campaign::new(Scenario::with_size(seed, 10, 60));
-        c.push("chaos", cfg, burst_design(n_queries));
+        let scenario = Scenario::with_size(seed, 10, 60);
+        let mut c = Campaign::new(scenario.clone());
+        c.push("chaos", cfg.clone(), burst_design(n_queries));
 
         let serial = c.execute_stream_with_threads(&|_| CollectSink::with_raw(true), 1);
         let parallel = c.execute_stream_with_threads(&|_| CollectSink::with_raw(true), 4);
@@ -289,5 +292,17 @@ proptest! {
         if watermark == 0 {
             prop_assert_eq!(t.shed, 0);
         }
+
+        let mut sim = scenario.spec(cfg, seed).build();
+        burst_design(n_queries).schedule(&mut sim);
+        sim.run();
+        let (in_flight, fe_held, be_held) = sim.with(|w, _| {
+            let fes: Vec<u32> = (0..w.fe_count()).map(|f| w.fe_inflight(f)).collect();
+            let bes: Vec<u32> = (0..w.cfg.be_sites.len()).map(|b| w.be_inflight(b)).collect();
+            (w.in_flight(), fes, bes)
+        });
+        prop_assert_eq!(in_flight, 0);
+        prop_assert!(fe_held.iter().all(|&n| n == 0), "FE slots held: {:?}", fe_held);
+        prop_assert!(be_held.iter().all(|&n| n == 0), "BE slots held: {:?}", be_held);
     }
 }

@@ -124,7 +124,6 @@ proptest! {
             spans_seen: Vec::new(),
             done: false,
         });
-        sim.net().set_tracing(true);
         let path = PathParams {
             base_owd_ms: rtt_ms / 2.0,
             // Heavy jitter relative to serialization gaps.

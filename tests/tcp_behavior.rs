@@ -48,7 +48,6 @@ fn trace_run(
             got: 0,
         },
     );
-    sim.net().set_tracing(true);
     let cid = sim.net().open_captured(
         NodeId(1),
         NodeId(2),
@@ -130,7 +129,6 @@ fn receive_window_caps_the_flight() {
             got: 0,
         },
     );
-    sim.net().set_tracing(true);
     let cid = sim.net().open_captured(
         NodeId(1),
         NodeId(2),
@@ -176,7 +174,6 @@ fn rto_backoff_doubles_under_blackout_and_recovers() {
             got: 0,
         },
     );
-    sim.net().set_tracing(true);
     let cid = sim.net().open_captured(
         NodeId(1),
         NodeId(2),
@@ -241,7 +238,6 @@ fn idle_reset_restarts_slow_start_on_stale_connections() {
             TcpOptions::default()
         };
         let mut sim = Sim::new(13, TwoBursts { second_sent: false });
-        sim.net().set_tracing(true);
         let cid = sim.net().open_captured(
             NodeId(1),
             NodeId(2),

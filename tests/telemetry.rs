@@ -27,7 +27,7 @@ use simcore::time::SimDuration;
 /// A campaign wide enough to exercise 9 genuinely concurrent workers
 /// (worker counts are clamped to the run count): ten runs mixing both
 /// service archetypes and both dataset designs, all with telemetry
-/// force-enabled so the suite is independent of ambient `FECDN_METRICS`.
+/// force-enabled.
 fn wide_campaign(seed: u64) -> Campaign {
     let mut c = Campaign::new(Scenario::with_size(seed, 12, 300));
     for i in 0..5u64 {
