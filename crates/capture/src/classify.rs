@@ -40,7 +40,7 @@ impl Classifier {
             Classifier::ByContent(static_ids) => {
                 let mut has_static = false;
                 let mut has_dynamic = false;
-                for m in &ev.meta {
+                for m in ev.meta {
                     // Request echoes cannot appear in Rx data at the
                     // client; all payload spans are response content.
                     if static_ids.contains(&m.content) {
@@ -106,7 +106,7 @@ mod tests {
     use simcore::time::SimTime;
     use tcpsim::{ConnId, MetaSpan, NodeId, PktDir, PktKind};
 
-    fn pkt(meta: Vec<MetaSpan>) -> PktEvent {
+    fn pkt(meta: &[MetaSpan]) -> PktEvent<'_> {
         let len = meta.iter().map(|m| m.len).sum();
         PktEvent {
             t: SimTime::ZERO,
@@ -118,7 +118,7 @@ mod tests {
             len,
             ack: 0,
             push: false,
-            meta: meta.into(),
+            meta,
         }
     }
 
@@ -134,10 +134,11 @@ mod tests {
     #[test]
     fn by_marker_reads_ground_truth() {
         let c = Classifier::ByMarker;
-        let p = pkt(vec![
+        let spans = [
             span(1000, Marker::Static, 1),
             span(460, Marker::Dynamic, 1001),
-        ]);
+        ];
+        let p = pkt(&spans);
         let cls = c.classify(&p, false);
         assert!(cls.has_static && cls.has_dynamic);
         assert_eq!(c.static_bytes(&p, false), 1000);
@@ -147,14 +148,16 @@ mod tests {
     fn by_content_uses_recurrence_set() {
         let ids: HashSet<u64> = [1].into();
         let c = Classifier::ByContent(ids);
-        let coalesced = pkt(vec![
+        let spans = [
             span(1000, Marker::Static, 1),
             span(460, Marker::Dynamic, 1001),
-        ]);
+        ];
+        let coalesced = pkt(&spans);
         let cls = c.classify(&coalesced, false);
         assert!(cls.has_static && cls.has_dynamic);
         assert_eq!(c.static_bytes(&coalesced, false), 1000);
-        let pure_dynamic = pkt(vec![span(1460, Marker::Dynamic, 1002)]);
+        let dynamic_span = [span(1460, Marker::Dynamic, 1002)];
+        let pure_dynamic = pkt(&dynamic_span);
         let cls2 = c.classify(&pure_dynamic, false);
         assert!(!cls2.has_static && cls2.has_dynamic);
     }
@@ -162,7 +165,8 @@ mod tests {
     #[test]
     fn by_push_is_positional() {
         let c = Classifier::ByPush;
-        let p = pkt(vec![span(1460, Marker::Static, 1)]);
+        let static_span = [span(1460, Marker::Static, 1)];
+        let p = pkt(&static_span);
         assert!(c.classify(&p, true).has_static);
         assert!(!c.classify(&p, true).has_dynamic);
         assert!(c.classify(&p, false).has_dynamic);

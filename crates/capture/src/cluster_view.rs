@@ -3,14 +3,13 @@
 //! Fig. 4 plots, per client, the send/receive timeline of a single query
 //! and observes three clusters — handshake, static burst, dynamic burst —
 //! whose separation collapses as RTT grows. This module renders that
-//! view from a session trace: event times relative to `tb`, plus an
+//! view from a session capture: event times relative to `tb`, plus an
 //! adaptive gap clustering of the receive events.
 
 use crate::errors::SessionError;
 use crate::session::ClientTrace;
 use stats::cluster::{adaptive_gap_threshold, gap_clusters, Cluster};
-use std::borrow::Borrow;
-use tcpsim::{NodeId, PktEvent};
+use tcpsim::{Capture, NodeId};
 
 /// One row of the Fig. 4 plot.
 #[derive(Clone, Debug)]
@@ -28,11 +27,8 @@ pub struct TimelineView {
 impl TimelineView {
     /// Builds the view for one session. Fails with a [`SessionError`]
     /// for malformed sessions (no SYN, no completed handshake).
-    pub fn build(
-        events: impl IntoIterator<Item: Borrow<PktEvent>>,
-        client: NodeId,
-    ) -> Result<TimelineView, SessionError> {
-        let trace = ClientTrace::new(events, client)?;
+    pub fn build(capture: &Capture, client: NodeId) -> Result<TimelineView, SessionError> {
+        let trace = ClientTrace::new(capture, client)?;
         let tb = trace.tb;
         let rtt_ms = trace.rtt_ms.ok_or(SessionError::NoHandshake)?;
         let rel = |t: simcore::time::SimTime| t.saturating_since(tb).as_millis_f64();
@@ -77,33 +73,26 @@ impl TimelineView {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{capture, ev, Pkt};
     use simcore::time::SimTime;
-    use tcpsim::{ConnId, PktDir, PktKind, SpanVec};
+    use tcpsim::{PktDir, PktKind};
 
-    fn ev(t_ms: f64, dir: PktDir, kind: PktKind, len: u32) -> PktEvent {
-        PktEvent {
+    fn pkt(t_ms: f64, dir: PktDir, kind: PktKind, len: u32) -> Pkt {
+        Pkt {
             t: SimTime::from_micros((t_ms * 1000.0) as u64),
-            node: NodeId(1),
-            conn: ConnId(0),
-            dir,
-            kind,
-            seq: 0,
-            len,
-            ack: 1,
-            push: false,
-            meta: SpanVec::new(),
+            ..ev(0, dir, kind, 0, len, 1, false, vec![])
         }
     }
 
-    fn session(static_at: f64, dynamic_at: f64) -> Vec<PktEvent> {
+    fn session(static_at: f64, dynamic_at: f64) -> Capture {
         let mut v = vec![
-            ev(0.0, PktDir::Tx, PktKind::Syn, 0),
-            ev(10.0, PktDir::Rx, PktKind::SynAck, 0),
-            ev(10.0, PktDir::Tx, PktKind::Data, 400),
-            ev(20.0, PktDir::Rx, PktKind::Ack, 0),
+            pkt(0.0, PktDir::Tx, PktKind::Syn, 0),
+            pkt(10.0, PktDir::Rx, PktKind::SynAck, 0),
+            pkt(10.0, PktDir::Tx, PktKind::Data, 400),
+            pkt(20.0, PktDir::Rx, PktKind::Ack, 0),
         ];
         for i in 0..4 {
-            v.push(ev(
+            v.push(pkt(
                 static_at + i as f64 * 0.2,
                 PktDir::Rx,
                 PktKind::Data,
@@ -111,19 +100,19 @@ mod tests {
             ));
         }
         for i in 0..6 {
-            v.push(ev(
+            v.push(pkt(
                 dynamic_at + i as f64 * 0.2,
                 PktDir::Rx,
                 PktKind::Data,
                 1460,
             ));
         }
-        v
+        capture(NodeId(1), &v)
     }
 
     #[test]
     fn separated_bursts_give_two_clusters() {
-        let view = TimelineView::build(session(21.0, 150.0), NodeId(1)).unwrap();
+        let view = TimelineView::build(&session(21.0, 150.0), NodeId(1)).unwrap();
         assert_eq!(view.payload_cluster_count(), 2);
         let gap = view.first_gap_ms().unwrap();
         assert!((gap - (150.0 - 21.6)).abs() < 0.5, "gap {gap}");
@@ -132,14 +121,14 @@ mod tests {
 
     #[test]
     fn merged_bursts_give_one_cluster() {
-        let view = TimelineView::build(session(21.0, 22.0), NodeId(1)).unwrap();
+        let view = TimelineView::build(&session(21.0, 22.0), NodeId(1)).unwrap();
         assert_eq!(view.payload_cluster_count(), 1);
         assert!(view.first_gap_ms().is_none());
     }
 
     #[test]
     fn tx_and_rx_relative_to_tb() {
-        let view = TimelineView::build(session(21.0, 150.0), NodeId(1)).unwrap();
+        let view = TimelineView::build(&session(21.0, 150.0), NodeId(1)).unwrap();
         assert_eq!(view.tx_ms[0], 0.0);
         assert!(view.rx_ms.iter().all(|&t| t >= 0.0));
         assert!(view.tx_ms.len() >= 2);
@@ -148,7 +137,7 @@ mod tests {
     #[test]
     fn malformed_returns_typed_error() {
         assert_eq!(
-            TimelineView::build(&[], NodeId(1)).unwrap_err(),
+            TimelineView::build(&Capture::default(), NodeId(1)).unwrap_err(),
             SessionError::NoClientSyn
         );
     }

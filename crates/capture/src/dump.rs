@@ -1,6 +1,6 @@
 //! Human-readable trace dumps — the simulator's `tcpdump -r`.
 //!
-//! [`render`] turns a session's packet events into text lines close to
+//! [`render`] turns a session's capture into text lines close to
 //! tcpdump's flavour, with the content markers appended (the simulator's
 //! stand-in for `-X` payload dumps):
 //!
@@ -14,8 +14,7 @@
 
 use crate::errors::SessionError;
 use crate::session::ClientTrace;
-use std::borrow::Borrow;
-use tcpsim::{Marker, NodeId, PktDir, PktEvent, PktKind};
+use tcpsim::{Capture, Marker, NodeId, PktDir, PktEvent, PktKind};
 
 fn marker_tag(m: Marker) -> &'static str {
     match m {
@@ -60,7 +59,7 @@ pub fn render_line(ev: &PktEvent) -> String {
     if ev.push {
         line.push_str(" PSH");
     }
-    for m in &ev.meta {
+    for m in ev.meta {
         line.push_str(&format!(
             " [{}#{}:{}]",
             marker_tag(m.marker),
@@ -71,11 +70,11 @@ pub fn render_line(ev: &PktEvent) -> String {
     line
 }
 
-/// Renders a whole session (one line per event).
-pub fn render(events: impl IntoIterator<Item: Borrow<PktEvent>>) -> String {
+/// Renders a whole capture (one line per event, in recording order).
+pub fn render(capture: &Capture) -> String {
     let mut out = String::new();
-    for ev in events {
-        out.push_str(&render_line(ev.borrow()));
+    for ev in capture {
+        out.push_str(&render_line(&ev));
         out.push('\n');
     }
     out
@@ -83,12 +82,11 @@ pub fn render(events: impl IntoIterator<Item: Borrow<PktEvent>>) -> String {
 
 /// Renders only the client-side view with a header summarising the
 /// session landmarks — the format used by the `fig4` harness's debug
-/// output and by humans grepping long runs.
-pub fn render_client_view(
-    events: impl IntoIterator<Item: Borrow<PktEvent>>,
-    client: NodeId,
-) -> Result<String, SessionError> {
-    let trace = ClientTrace::new(events, client)?;
+/// output and by humans grepping long runs. Lines are in time order;
+/// at one instant the client's transmissions come before its
+/// receptions.
+pub fn render_client_view(capture: &Capture, client: NodeId) -> Result<String, SessionError> {
+    let trace = ClientTrace::new(capture, client)?;
     let mut out = format!(
         "# client node{} tb={:.4}ms rtt={:?} bytes={}\n",
         client.0,
@@ -179,37 +177,31 @@ pub fn parse_line(line: &str) -> Option<ParsedLine> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{capture, ev, span, Pkt};
     use simcore::time::SimTime;
-    use tcpsim::{ConnId, MetaSpan, SpanVec};
 
-    fn ev(kind: PktKind, push: bool) -> PktEvent {
-        PktEvent {
+    fn pkt(kind: PktKind, push: bool) -> Pkt {
+        let data = kind == PktKind::Data;
+        let (len, meta) = if data {
+            (1460, vec![span(1460, 1460, Marker::Static, 1)])
+        } else {
+            (0, vec![])
+        };
+        Pkt {
             t: SimTime::from_micros(12_345),
-            node: NodeId(7),
-            conn: ConnId(0),
-            dir: PktDir::Rx,
-            kind,
-            seq: 1460,
-            len: if kind == PktKind::Data { 1460 } else { 0 },
-            ack: 400,
-            push,
-            meta: if kind == PktKind::Data {
-                vec![MetaSpan {
-                    offset: 1460,
-                    len: 1460,
-                    marker: Marker::Static,
-                    content: 1,
-                }]
-                .into()
-            } else {
-                SpanVec::new()
-            },
+            ..ev(0, PktDir::Rx, kind, 1460, len, 400, push, meta)
         }
+    }
+
+    /// The dump line of `p` as node 7 observed it.
+    fn line(p: Pkt) -> String {
+        let cap = capture(NodeId(7), &[p]);
+        render_line(&cap.iter().next().unwrap())
     }
 
     #[test]
     fn render_contains_all_fields() {
-        let line = render_line(&ev(PktKind::Data, true));
+        let line = line(pkt(PktKind::Data, true));
         assert!(line.contains("12.3450"));
         assert!(line.contains("node7"));
         assert!(line.contains("Rx DATA"));
@@ -228,8 +220,7 @@ mod tests {
             (PktKind::Data, false),
             (PktKind::Fin, true),
         ] {
-            let e = ev(kind, push);
-            let parsed = parse_line(&render_line(&e)).unwrap();
+            let parsed = parse_line(&line(pkt(kind, push))).unwrap();
             assert_eq!(parsed.kind, kind);
             assert_eq!(parsed.push, push);
             assert_eq!(parsed.node, 7);
@@ -242,8 +233,11 @@ mod tests {
 
     #[test]
     fn render_multiline_and_comment_skipped() {
-        let events = vec![ev(PktKind::Syn, false), ev(PktKind::Data, true)];
-        let text = render(&events);
+        let cap = capture(
+            NodeId(7),
+            &[pkt(PktKind::Syn, false), pkt(PktKind::Data, true)],
+        );
+        let text = render(&cap);
         assert_eq!(text.lines().count(), 2);
         assert!(parse_line("# comment").is_none());
         assert!(parse_line("garbage").is_none());
@@ -251,18 +245,18 @@ mod tests {
 
     #[test]
     fn client_view_has_header_and_sorted_lines() {
-        let mut syn = ev(PktKind::Syn, false);
+        let mut syn = pkt(PktKind::Syn, false);
         syn.dir = PktDir::Tx;
         syn.t = SimTime::from_micros(1_000);
-        let mut sa = ev(PktKind::SynAck, false);
+        let mut sa = pkt(PktKind::SynAck, false);
         sa.t = SimTime::from_micros(9_000);
-        let events = vec![sa, syn]; // deliberately out of order
-        let view = render_client_view(&events, NodeId(7)).unwrap();
+        let cap = capture(NodeId(7), &[sa, syn]); // deliberately out of order
+        let view = render_client_view(&cap, NodeId(7)).unwrap();
         let lines: Vec<&str> = view.lines().collect();
         assert!(lines[0].starts_with("# client node7"));
         let t1 = parse_line(lines[1]).unwrap().t_ms;
         let t2 = parse_line(lines[2]).unwrap().t_ms;
         assert!(t1 <= t2);
-        assert!(render_client_view(&[], NodeId(7)).is_err());
+        assert!(render_client_view(&Capture::default(), NodeId(7)).is_err());
     }
 }

@@ -3,7 +3,8 @@
 //! The paper's raw material is "detailed TCPdump with full
 //! application-layer payloads" collected at every vantage point. This
 //! crate is that pipeline's simulator analogue. Given a query session's
-//! packet events it produces the [`Timeline`] of Fig. 2:
+//! client capture (a [`tcpsim::Capture`], read in place) it produces
+//! the [`Timeline`] of Fig. 2:
 //!
 //! ```text
 //! tb  — first SYN                       t4 — last static-content packet
@@ -39,6 +40,8 @@ pub mod content;
 pub mod dump;
 pub mod errors;
 pub mod session;
+#[cfg(test)]
+mod testutil;
 pub mod timeline;
 pub mod validate;
 

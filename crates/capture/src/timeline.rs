@@ -4,8 +4,7 @@
 use crate::classify::Classifier;
 use crate::errors::{SessionError, TimelineError};
 use simcore::time::SimTime;
-use std::borrow::Borrow;
-use tcpsim::{Marker, NodeId, PktDir, PktEvent, PktKind};
+use tcpsim::{Capture, Marker, NodeId, PktDir, PktKind};
 
 /// The packet-level landmarks of one query session at the client.
 #[derive(Clone, Copy, Debug)]
@@ -55,18 +54,17 @@ impl Timeline {
         self.te.saturating_since(self.tb).as_millis_f64()
     }
 
-    /// Extracts the timeline from one session's events using the given
+    /// Extracts the timeline from one session's capture using the given
     /// classifier. Fails with a [`TimelineError`] naming why the session
     /// is unusable (no handshake, no GET, truncated response,
     /// retransmission storm, or no classifiable boundary).
     ///
     /// One pass over the events observed at `client`, in recording
-    /// (time) order, folds every landmark; no event is buffered. `events`
-    /// is anything that yields packet events or references to them: a
-    /// `&Capture`, a `&[PktEvent]`, a `&Vec<PktEvent>`. When several
-    /// reasons apply, the first in the order above is reported.
+    /// (time) order, folds every landmark; each packet is read in place
+    /// and none is buffered. When several reasons apply, the first in
+    /// the order above is reported.
     pub fn extract(
-        events: impl IntoIterator<Item: Borrow<PktEvent>>,
+        capture: &Capture,
         client: NodeId,
         classifier: &Classifier,
     ) -> Result<Timeline, TimelineError> {
@@ -91,8 +89,7 @@ impl Timeline {
         let mut error_stub_only = true;
         // (seq, len) of every payload packet, for the duplicate count.
         let mut payload: Vec<(u64, u32)> = Vec::new();
-        for ev in events {
-            let ev = ev.borrow();
+        for ev in capture {
             if ev.node != client {
                 continue;
             }
@@ -133,8 +130,8 @@ impl Timeline {
                     error_stub_only &=
                         !ev.meta.is_empty() && ev.meta.iter().all(|m| m.marker == Marker::Error);
                     total_bytes += ev.len as u64;
-                    let class = classifier.classify(ev, before_first_push_end);
-                    static_bytes += classifier.static_bytes(ev, before_first_push_end);
+                    let class = classifier.classify(&ev, before_first_push_end);
+                    static_bytes += classifier.static_bytes(&ev, before_first_push_end);
                     if class.has_static {
                         if t3.is_none() {
                             t3 = Some(ev.t);
@@ -193,45 +190,17 @@ impl Timeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcpsim::{ConnId, MetaSpan};
+    use crate::testutil::{capture, ev, span, Pkt};
 
-    #[allow(clippy::too_many_arguments)]
-    fn ev(
-        t_ms: u64,
-        dir: PktDir,
-        kind: PktKind,
-        seq: u64,
-        len: u32,
-        ack: u64,
-        push: bool,
-        meta: Vec<MetaSpan>,
-    ) -> PktEvent {
-        PktEvent {
-            t: SimTime::from_millis(t_ms),
-            node: NodeId(1),
-            conn: ConnId(0),
-            dir,
-            kind,
-            seq,
-            len,
-            ack,
-            push,
-            meta: meta.into(),
-        }
-    }
-
-    fn span(offset: u64, len: u32, marker: Marker, content: u64) -> MetaSpan {
-        MetaSpan {
-            offset,
-            len,
-            marker,
-            content,
-        }
+    /// Extracts the timeline of `pkts` recorded as client node 1's
+    /// capture.
+    fn extract(pkts: &[Pkt], classifier: &Classifier) -> Result<Timeline, TimelineError> {
+        Timeline::extract(&capture(NodeId(1), pkts), NodeId(1), classifier)
     }
 
     /// A hand-built session: RTT 50ms, static 2 packets (ends 107, PSH),
     /// dynamic starts 250.
-    fn session() -> Vec<PktEvent> {
+    fn session() -> Vec<Pkt> {
         vec![
             ev(0, PktDir::Tx, PktKind::Syn, 0, 0, 0, false, vec![]),
             ev(50, PktDir::Rx, PktKind::SynAck, 0, 0, 0, false, vec![]),
@@ -291,7 +260,7 @@ mod tests {
 
     #[test]
     fn marker_extraction_matches_hand_computation() {
-        let tl = Timeline::extract(session(), NodeId(1), &Classifier::ByMarker).unwrap();
+        let tl = extract(&session(), &Classifier::ByMarker).unwrap();
         assert_eq!(tl.rtt_ms, 50.0);
         assert_eq!(tl.t1, SimTime::from_millis(50));
         assert_eq!(tl.t2, SimTime::from_millis(100));
@@ -311,8 +280,8 @@ mod tests {
     fn t2_requires_full_request_ack() {
         let mut evs = session();
         // Make the first ACK a partial one (ack=200 < 400).
-        evs[3].ack = 200;
-        let tl = Timeline::extract(&evs, NodeId(1), &Classifier::ByMarker).unwrap();
+        evs[3].seg.ack = 200;
+        let tl = extract(&evs, &Classifier::ByMarker).unwrap();
         // Next acking packet is the data packet at 105 with ack=400.
         assert_eq!(tl.t2, SimTime::from_millis(105));
     }
@@ -323,16 +292,16 @@ mod tests {
         // the second leaves: that ACK covers the request sent so far,
         // not the whole request, so it is not t2.
         let mut evs = session();
-        evs[2].len = 300;
-        evs[2].meta = vec![span(0, 300, Marker::Request, 900)].into();
-        evs[3].ack = 300;
+        evs[2].seg.len = 300;
+        evs[2].seg.meta = vec![span(0, 300, Marker::Request, 900)].into();
+        evs[3].seg.ack = 300;
         let mut tail = evs[2].clone();
         tail.t = SimTime::from_millis(100);
-        tail.seq = 300;
-        tail.len = 100;
-        tail.meta = vec![span(300, 100, Marker::Request, 900)].into();
+        tail.seg.seq = 300;
+        tail.seg.len = 100;
+        tail.seg.meta = vec![span(300, 100, Marker::Request, 900)].into();
         evs.insert(4, tail);
-        let tl = Timeline::extract(&evs, NodeId(1), &Classifier::ByMarker).unwrap();
+        let tl = extract(&evs, &Classifier::ByMarker).unwrap();
         assert_eq!(tl.t1, SimTime::from_millis(50));
         // The first arrival acknowledging all 400 bytes: the data packet
         // at 105.
@@ -342,8 +311,8 @@ mod tests {
     #[test]
     fn content_classifier_agrees_with_markers_here() {
         let ids = std::collections::HashSet::from([1u64]);
-        let a = Timeline::extract(session(), NodeId(1), &Classifier::ByMarker).unwrap();
-        let b = Timeline::extract(session(), NodeId(1), &Classifier::ByContent(ids)).unwrap();
+        let a = extract(&session(), &Classifier::ByMarker).unwrap();
+        let b = extract(&session(), &Classifier::ByContent(ids)).unwrap();
         assert_eq!(a.t4, b.t4);
         assert_eq!(a.t5, b.t5);
         assert_eq!(a.static_bytes, b.static_bytes);
@@ -351,7 +320,7 @@ mod tests {
 
     #[test]
     fn push_classifier_agrees_when_no_coalescing() {
-        let tl = Timeline::extract(session(), NodeId(1), &Classifier::ByPush).unwrap();
+        let tl = extract(&session(), &Classifier::ByPush).unwrap();
         assert_eq!(tl.t4, SimTime::from_millis(107));
         assert_eq!(tl.t5, SimTime::from_millis(250));
     }
@@ -397,7 +366,7 @@ mod tests {
                 vec![span(1460, 500, Marker::Dynamic, 1001)],
             ),
         ];
-        let tl = Timeline::extract(&evs, NodeId(1), &Classifier::ByMarker).unwrap();
+        let tl = extract(&evs, &Classifier::ByMarker).unwrap();
         assert_eq!(tl.t4, tl.t5);
         assert_eq!(tl.t_delta_ms(), 0.0);
     }
@@ -407,7 +376,7 @@ mod tests {
         // Missing SYN-ACK.
         let evs = vec![ev(0, PktDir::Tx, PktKind::Syn, 0, 0, 0, false, vec![])];
         assert_eq!(
-            Timeline::extract(&evs, NodeId(1), &Classifier::ByMarker).unwrap_err(),
+            extract(&evs, &Classifier::ByMarker).unwrap_err(),
             TimelineError::Session(SessionError::NoHandshake)
         );
         // Response without any dynamic part.
@@ -436,12 +405,13 @@ mod tests {
             ),
         ];
         assert_eq!(
-            Timeline::extract(&evs2, NodeId(1), &Classifier::ByMarker).unwrap_err(),
+            extract(&evs2, &Classifier::ByMarker).unwrap_err(),
             TimelineError::NoDynamic
         );
         // Wrong node entirely.
         assert_eq!(
-            Timeline::extract(&evs, NodeId(9), &Classifier::ByMarker).unwrap_err(),
+            Timeline::extract(&capture(NodeId(1), &evs), NodeId(9), &Classifier::ByMarker)
+                .unwrap_err(),
             TimelineError::Session(SessionError::NoClientSyn)
         );
     }
@@ -476,10 +446,7 @@ mod tests {
             ),
         ];
         for c in [Classifier::ByMarker, Classifier::ByPush] {
-            assert_eq!(
-                Timeline::extract(&evs, NodeId(1), &c).unwrap_err(),
-                TimelineError::ErrorStubOnly
-            );
+            assert_eq!(extract(&evs, &c).unwrap_err(), TimelineError::ErrorStubOnly);
         }
     }
 
@@ -501,7 +468,7 @@ mod tests {
             ),
         ];
         assert_eq!(
-            Timeline::extract(&evs, NodeId(1), &Classifier::ByMarker).unwrap_err(),
+            extract(&evs, &Classifier::ByMarker).unwrap_err(),
             TimelineError::Truncated
         );
     }
@@ -516,12 +483,12 @@ mod tests {
             evs.push(dup.clone());
         }
         assert_eq!(
-            Timeline::extract(&evs, NodeId(1), &Classifier::ByMarker).unwrap_err(),
+            extract(&evs, &Classifier::ByMarker).unwrap_err(),
             TimelineError::RetransmissionHeavy
         );
         // A couple of duplicates (ordinary loss recovery) still extract.
         let mut light = session();
         light.push(dup);
-        assert!(Timeline::extract(&light, NodeId(1), &Classifier::ByMarker).is_ok());
+        assert!(extract(&light, &Classifier::ByMarker).is_ok());
     }
 }

@@ -11,8 +11,7 @@
 
 use crate::classify::Classifier;
 use crate::timeline::Timeline;
-use std::borrow::Borrow;
-use tcpsim::{NodeId, PktEvent};
+use tcpsim::{Capture, NodeId};
 
 /// Agreement metrics of a candidate classifier against the marker
 /// oracle, over a session batch.
@@ -44,10 +43,9 @@ impl ClassifierScore {
 }
 
 /// Scores `candidate` against [`Classifier::ByMarker`] over a batch of
-/// `(events, client)` sessions. Each session's events are read twice,
-/// so they come by reference (a `&Capture`, a `&[PktEvent]`).
-pub fn score_classifier<S: IntoIterator<Item: Borrow<PktEvent>> + Copy>(
-    sessions: &[(S, NodeId)],
+/// `(capture, client)` sessions.
+pub fn score_classifier(
+    sessions: &[(&Capture, NodeId)],
     candidate: &Classifier,
 ) -> ClassifierScore {
     let mut score = ClassifierScore {
@@ -60,12 +58,12 @@ pub fn score_classifier<S: IntoIterator<Item: Borrow<PktEvent>> + Copy>(
     };
     let mut tdelta_errs = Vec::new();
     let mut byte_errs = Vec::new();
-    for &(events, client) in sessions {
-        let oracle = match Timeline::extract(events, client, &Classifier::ByMarker) {
+    for &(capture, client) in sessions {
+        let oracle = match Timeline::extract(capture, client, &Classifier::ByMarker) {
             Ok(t) => t,
             Err(_) => continue,
         };
-        let cand = match Timeline::extract(events, client, candidate) {
+        let cand = match Timeline::extract(capture, client, candidate) {
             Ok(t) => t,
             Err(_) => {
                 score.candidate_failed += 1;
@@ -91,45 +89,11 @@ pub fn score_classifier<S: IntoIterator<Item: Borrow<PktEvent>> + Copy>(
 mod tests {
     use super::*;
     use crate::classify::Classifier;
-    use simcore::time::SimTime;
+    use crate::testutil::{capture, ev, span};
     use std::collections::HashSet;
-    use tcpsim::{ConnId, Marker, MetaSpan, PktDir, PktKind};
+    use tcpsim::{Marker, PktDir, PktKind};
 
-    #[allow(clippy::too_many_arguments)]
-    fn ev(
-        t_ms: u64,
-        dir: PktDir,
-        kind: PktKind,
-        seq: u64,
-        len: u32,
-        ack: u64,
-        push: bool,
-        meta: Vec<MetaSpan>,
-    ) -> PktEvent {
-        PktEvent {
-            t: SimTime::from_millis(t_ms),
-            node: NodeId(1),
-            conn: ConnId(0),
-            dir,
-            kind,
-            seq,
-            len,
-            ack,
-            push,
-            meta: meta.into(),
-        }
-    }
-
-    fn span(offset: u64, len: u32, marker: Marker, content: u64) -> MetaSpan {
-        MetaSpan {
-            offset,
-            len,
-            marker,
-            content,
-        }
-    }
-
-    fn session(coalesced: bool) -> Vec<PktEvent> {
+    fn session(coalesced: bool) -> Capture {
         let mut v = vec![
             ev(0, PktDir::Tx, PktKind::Syn, 0, 0, 0, false, vec![]),
             ev(50, PktDir::Rx, PktKind::SynAck, 0, 0, 0, false, vec![]),
@@ -191,14 +155,14 @@ mod tests {
                 vec![span(1000, 960, Marker::Dynamic, 1001)],
             ));
         }
-        v
+        capture(NodeId(1), &v)
     }
 
     #[test]
     fn content_classifier_scores_perfectly_here() {
         let s1 = session(false);
         let s2 = session(true);
-        let sessions: Vec<(&[PktEvent], NodeId)> = vec![(&s1, NodeId(1)), (&s2, NodeId(1))];
+        let sessions = [(&s1, NodeId(1)), (&s2, NodeId(1))];
         let ids: HashSet<u64> = [1u64].into();
         let score = score_classifier(&sessions, &Classifier::ByContent(ids));
         assert_eq!(score.comparable, 2);
@@ -212,7 +176,7 @@ mod tests {
     fn push_classifier_misses_the_coalesced_boundary() {
         let s1 = session(false);
         let s2 = session(true);
-        let sessions: Vec<(&[PktEvent], NodeId)> = vec![(&s1, NodeId(1)), (&s2, NodeId(1))];
+        let sessions = [(&s1, NodeId(1)), (&s2, NodeId(1))];
         let score = score_classifier(&sessions, &Classifier::ByPush);
         // The separated session agrees exactly; the coalesced one puts
         // the first dynamic bytes in the "static" packet, so ByPush gets
@@ -225,7 +189,7 @@ mod tests {
 
     #[test]
     fn empty_batch_scores_zero() {
-        let score = score_classifier::<&[PktEvent]>(&[], &Classifier::ByPush);
+        let score = score_classifier(&[], &Classifier::ByPush);
         assert_eq!(score.comparable, 0);
         assert_eq!(score.boundary_accuracy(), 0.0);
     }

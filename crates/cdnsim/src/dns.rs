@@ -4,9 +4,8 @@
 //! resolution returns to the client" — for both Akamai and Google that is
 //! overwhelmingly the geographically/topologically nearest front end.
 //! [`DnsMap::nearest`] precomputes that assignment. Per-resolution
-//! refinements (TTL-cached geo answers, load-aware selection) are
-//! [`MappingStrategy`](crate::mapping::MappingStrategy)s in
-//! [`mapping`](crate::mapping).
+//! refinements (TTL-cached geo answers, load-aware selection) are the
+//! strategies of [`Mapper`](crate::mapping::Mapper).
 
 use nettopo::geo::GeoPoint;
 use nettopo::placement::{nearest_fe, FeSite};

@@ -15,33 +15,6 @@ use simcore::dist::{Dist, Sampler};
 use simcore::rng::Rng;
 use simcore::time::{SimDuration, SimTime};
 
-/// Cache provisioning for one FE server: the static-content cache plus
-/// the hypothetical per-keyword result cache. The default is the
-/// realistic configuration — results caching disabled, both caches
-/// unbounded — which is behaviourally identical to the pre-cache-model
-/// FE (an always-hitting static cache and no result cache).
-#[derive(Clone, Debug, Default)]
-pub struct FeCaches {
-    /// Whether the FE caches whole query results (disabled in the real
-    /// services; enabled only to validate the caching detector).
-    pub results_enabled: bool,
-    /// Provisioning of the result cache.
-    pub result_cache: CacheConfig,
-    /// Provisioning of the static-content cache.
-    pub static_cache: CacheConfig,
-}
-
-impl FeCaches {
-    /// Result caching enabled over an unbounded store — the PR 2
-    /// `fe_caches_results` behaviour.
-    pub fn results_unbounded() -> FeCaches {
-        FeCaches {
-            results_enabled: true,
-            ..FeCaches::default()
-        }
-    }
-}
-
 /// A front-end server instance.
 ///
 /// Request handling is a FIFO queue over `workers` parallel request
@@ -60,29 +33,25 @@ pub struct FeServer {
     requests_served: u64,
     /// Per-slot busy-until times (FIFO to the earliest-free slot).
     slots: Vec<SimTime>,
-    /// Whether results caching is on (the realistic answer is no).
-    caches_results: bool,
-    /// Hypothetical per-keyword result cache, now bounded and policy-
-    /// driven (disabled in the real services; enabled only to validate
-    /// the caching detector and for the popularity experiments).
-    result_cache: ObjectCache<httpsim::ResponsePlan>,
-    /// Static-content cache, keyed by content id. Unbounded and
-    /// prewarmed in the realistic configuration (the paper's FEs always
-    /// serve static parts from cache); bounding it models edge churn.
-    static_cache: ObjectCache<u64>,
+    /// Hypothetical per-keyword result cache, bounded and policy-driven:
+    /// `None` in the real services, which do not cache results; present
+    /// only to validate the caching detector and for the popularity
+    /// experiments.
+    result_cache: Option<ObjectCache<httpsim::ResponsePlan>>,
 }
 
 impl FeServer {
     /// Builds an FE server. `service_ms` is the per-request service-time
     /// distribution; `load_amplitude`/`load_volatility` parameterise the
-    /// tenancy-dependent load process.
+    /// tenancy-dependent load process; `result_cache` provisions the
+    /// hypothetical result cache (`None`: the FE caches no results).
     pub fn new(
         seed: u64,
         site: FeSite,
         service_ms: Dist,
         load_amplitude: f64,
         load_volatility: f64,
-        caches: FeCaches,
+        result_cache: Option<CacheConfig>,
     ) -> FeServer {
         let rng = Rng::from_seed_and_name(seed, &format!("cdnsim/fe/{}", site.id));
         FeServer {
@@ -92,9 +61,7 @@ impl FeServer {
             rng,
             requests_served: 0,
             slots: vec![SimTime::ZERO; 8],
-            caches_results: caches.results_enabled,
-            result_cache: ObjectCache::new(caches.result_cache),
-            static_cache: ObjectCache::new(caches.static_cache),
+            result_cache: result_cache.map(ObjectCache::new),
         }
     }
 
@@ -138,18 +105,14 @@ impl FeServer {
 
     /// Whether this FE caches whole query results.
     pub fn caches_results(&self) -> bool {
-        self.caches_results
+        self.result_cache.is_some()
     }
 
     /// Looks up a hypothetically cached result for `keyword` at `now`,
     /// counting a hit or miss against the result cache. Always `None`
-    /// in the realistic (caching-disabled) configuration, without
-    /// touching statistics.
+    /// in the realistic (caching-disabled) configuration.
     pub fn lookup_result(&mut self, keyword: u64, now: SimTime) -> Option<httpsim::ResponsePlan> {
-        if !self.caches_results {
-            return None;
-        }
-        self.result_cache.get(keyword, now).cloned()
+        self.result_cache.as_mut()?.get(keyword, now).cloned()
     }
 
     /// Stores a result in the hypothetical cache, evicting per policy
@@ -161,40 +124,16 @@ impl FeServer {
         plan: httpsim::ResponsePlan,
         now: SimTime,
     ) -> InsertOutcome {
-        if !self.caches_results {
+        let Some(cache) = &mut self.result_cache else {
             return InsertOutcome::default();
-        }
+        };
         let size = plan.total_bytes();
-        self.result_cache.insert(keyword, plan, size, now)
+        cache.insert(keyword, plan, size, now)
     }
 
-    /// Prewarms the static cache with `content` (`bytes` long) at
-    /// virtual time zero, as the build step does for the realistic
-    /// always-cached configuration.
-    pub fn seed_static(&mut self, content: u64, bytes: u64) {
-        self.static_cache
-            .insert(content, content, bytes, SimTime::ZERO);
-    }
-
-    /// Checks whether `content` is resident in the static cache at
-    /// `now`, counting a hit or miss.
-    pub fn static_cached(&mut self, content: u64, now: SimTime) -> bool {
-        self.static_cache.get(content, now).is_some()
-    }
-
-    /// Refills the static cache after a miss-path fetch completed.
-    pub fn fill_static(&mut self, content: u64, bytes: u64, now: SimTime) -> InsertOutcome {
-        self.static_cache.insert(content, content, bytes, now)
-    }
-
-    /// The result cache (for telemetry).
-    pub fn result_cache(&self) -> &ObjectCache<httpsim::ResponsePlan> {
-        &self.result_cache
-    }
-
-    /// The static cache (for telemetry).
-    pub fn static_cache(&self) -> &ObjectCache<u64> {
-        &self.static_cache
+    /// The result cache (for telemetry), when the FE caches results.
+    pub fn result_cache(&self) -> Option<&ObjectCache<httpsim::ResponsePlan>> {
+        self.result_cache.as_ref()
     }
 
     /// Requests served so far.
@@ -230,7 +169,7 @@ mod tests {
             Dist::lognormal_median_spread(4.0, 1.25),
             0.2,
             0.05,
-            FeCaches::default(),
+            None,
         )
     }
 
@@ -241,7 +180,7 @@ mod tests {
             Dist::lognormal_median_spread(14.0, 1.7),
             1.2,
             0.08,
-            FeCaches::default(),
+            None,
         )
     }
 
@@ -286,8 +225,8 @@ mod tests {
         );
         assert!(!out.inserted);
         assert!(fe.lookup_result(7, SimTime::ZERO).is_none());
-        // Disabled caching never touches the statistics.
-        assert_eq!(fe.result_cache().stats().lookups, 0);
+        // Disabled caching keeps no cache, so no statistics to touch.
+        assert!(fe.result_cache().is_none());
     }
 
     #[test]
@@ -298,45 +237,29 @@ mod tests {
             Dist::Constant(5.0),
             0.0,
             0.0,
-            FeCaches::results_unbounded(),
+            Some(CacheConfig::unbounded()),
         );
         assert!(fe.lookup_result(7, SimTime::ZERO).is_none());
         let plan = httpsim::ResponsePlan::new(9000, 1, 20000, 1000);
         let t = SimTime::from_millis(5);
         assert!(fe.store_result(7, plan.clone(), t).inserted);
         assert_eq!(fe.lookup_result(7, t), Some(plan));
-        let s = fe.result_cache().stats();
+        let s = fe.result_cache().unwrap().stats();
         assert_eq!((s.lookups, s.hits, s.misses), (2, 1, 1));
     }
 
     #[test]
     fn bounded_result_cache_evicts_per_policy() {
-        use crate::cache::CacheConfig;
-        let caches = FeCaches {
-            results_enabled: true,
-            // Room for two 29 kB plans; the third insert evicts the LRU.
-            result_cache: CacheConfig::lru(60_000).with_max_entries(2),
-            static_cache: CacheConfig::default(),
-        };
-        let mut fe = FeServer::new(1, site(true), Dist::Constant(5.0), 0.0, 0.0, caches);
+        // Room for two 29 kB plans; the third insert evicts the LRU.
+        let cache = CacheConfig::lru(60_000).with_max_entries(2);
+        let mut fe = FeServer::new(1, site(true), Dist::Constant(5.0), 0.0, 0.0, Some(cache));
         let plan = httpsim::ResponsePlan::new(9000, 1, 20000, 1000);
         for k in 0..3u64 {
             fe.store_result(k, plan.clone(), SimTime::from_millis(k));
         }
         assert!(fe.lookup_result(0, SimTime::from_millis(10)).is_none());
         assert!(fe.lookup_result(2, SimTime::from_millis(10)).is_some());
-        assert_eq!(fe.result_cache().stats().evictions, 1);
-    }
-
-    #[test]
-    fn static_cache_hits_after_seeding() {
-        let mut fe = dedicated();
-        let t = SimTime::from_millis(3);
-        assert!(!fe.static_cached(9000, t));
-        fe.seed_static(9000, 20_000);
-        assert!(fe.static_cached(9000, t));
-        let s = fe.static_cache().stats();
-        assert_eq!((s.hits, s.misses), (1, 1));
+        assert_eq!(fe.result_cache().unwrap().stats().evictions, 1);
     }
 
     #[test]
@@ -357,7 +280,7 @@ mod tests {
             Dist::Constant(10.0), // 10 ms deterministic service
             0.0,
             0.0,
-            FeCaches::default(),
+            None,
         );
         fe.set_workers(2);
         let t = SimTime::from_millis(100);
@@ -376,14 +299,7 @@ mod tests {
     #[test]
     fn spaced_arrivals_do_not_queue() {
         use simcore::time::SimTime;
-        let mut fe = FeServer::new(
-            1,
-            site(false),
-            Dist::Constant(5.0),
-            0.0,
-            0.0,
-            FeCaches::default(),
-        );
+        let mut fe = FeServer::new(1, site(false), Dist::Constant(5.0), 0.0, 0.0, None);
         for i in 0..20u64 {
             let t = SimTime::from_millis(i * 100);
             assert_eq!(fe.request_overhead_at(t).as_millis_f64(), 5.0);

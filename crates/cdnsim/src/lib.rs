@@ -40,10 +40,9 @@ pub mod world;
 
 pub use cache::{Cache, CacheConfig, CachePolicy, CacheStats, InsertOutcome, ObjectCache};
 pub use dns::DnsMap;
-pub use fe::{FeCaches, FeServer};
+pub use fe::FeServer;
 pub use mapping::{
-    DnsGeoTtl, GeoTtlPolicy, LoadAware, LoadAwarePolicy, Mapper, MappingPolicy, MappingStrategy,
-    NearestLive,
+    DnsGeoTtl, GeoTtlPolicy, LoadAware, LoadAwarePolicy, Mapper, MappingPolicy, NearestLive,
 };
 pub use service::{
     AdmissionControl, BreakerPolicy, FeLoadProfile, HedgePolicy, LoadModel, OverloadPolicy,

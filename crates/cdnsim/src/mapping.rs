@@ -2,10 +2,10 @@
 //!
 //! The source paper's two services differ most in *how clients are
 //! mapped to front-end servers*: Google's DNS-driven proximity mapping
-//! vs Bing's Akamai-style machinery. [`MappingStrategy`] makes that
-//! mapping a first-class axis: a strategy resolves a client to an FE at
-//! session start (and on retries), and epoch-driven strategies
-//! additionally re-map demand at fixed virtual-time intervals.
+//! vs Bing's Akamai-style machinery. [`Mapper`] makes that mapping a
+//! first-class axis: a strategy resolves a client to an FE at session
+//! start (and on retries), and epoch-driven strategies additionally
+//! re-map demand at fixed virtual-time intervals.
 //!
 //! Three deterministic implementations ship:
 //!
@@ -132,7 +132,7 @@ pub struct ResolveCtx<'a> {
     /// The client's static nearest FE (the DNS default).
     pub default_fe: usize,
     /// FE indices ranked by distance from the client. Empty when the
-    /// strategy declined it via [`MappingStrategy::wants_ranked`].
+    /// strategy declined it via [`Mapper::wants_ranked`].
     pub ranked: &'a [usize],
     /// The client's location (bucketing key for geo strategies).
     pub client_pt: GeoPoint,
@@ -172,36 +172,6 @@ pub struct EpochCtx<'a> {
     pub metrics: &'a mut MetricsRegistry,
 }
 
-/// A deterministic client→FE mapping strategy.
-///
-/// Implementations must draw no randomness and schedule nothing; the
-/// world calls [`resolve`](Self::resolve) at session/attempt start and
-/// [`on_epoch`](Self::on_epoch) at each epoch boundary when
-/// [`epoch`](Self::epoch) is set.
-pub trait MappingStrategy {
-    /// Resolves `ctx.client` to an FE at `ctx.now`, or `None` when
-    /// every FE this strategy may return is dead (the world then fails
-    /// the query with a typed `NoLiveFe` outcome).
-    fn resolve(&mut self, ctx: &mut ResolveCtx<'_>) -> Option<usize>;
-
-    /// Whether [`resolve`](Self::resolve) needs the ranked-FE list this
-    /// call. Declining it keeps the default no-outage fast path free of
-    /// ranking work, exactly as before this trait existed.
-    fn wants_ranked(&self, _outages_possible: bool) -> bool {
-        true
-    }
-
-    /// Re-mapping epoch period; `None` (the default) arms no epoch
-    /// timer at all.
-    fn epoch(&self) -> Option<SimDuration> {
-        None
-    }
-
-    /// Called at each epoch boundary (only when [`epoch`](Self::epoch)
-    /// is set).
-    fn on_epoch(&mut self, _ctx: &mut EpochCtx<'_>) {}
-}
-
 /// The historical health-aware DNS resolution, verbatim: static nearest
 /// FE without outages; with outages, a per-client answer cache honoured
 /// for `ttl`, re-resolved to the nearest live FE (falling back to the
@@ -220,9 +190,7 @@ impl NearestLive {
             cache: HashMap::default(),
         }
     }
-}
 
-impl MappingStrategy for NearestLive {
     fn resolve(&mut self, ctx: &mut ResolveCtx<'_>) -> Option<usize> {
         if !ctx.outages_possible {
             return Some(ctx.default_fe);
@@ -246,10 +214,6 @@ impl MappingStrategy for NearestLive {
         }
         self.cache.insert(ctx.client, (fe, ctx.now));
         Some(fe)
-    }
-
-    fn wants_ranked(&self, outages_possible: bool) -> bool {
-        outages_possible
     }
 }
 
@@ -280,9 +244,7 @@ impl DnsGeoTtl {
             (pt.lon_deg / self.policy.bucket_deg).floor() as i64,
         )
     }
-}
 
-impl MappingStrategy for DnsGeoTtl {
     fn resolve(&mut self, ctx: &mut ResolveCtx<'_>) -> Option<usize> {
         let bucket = self.bucket(ctx.client_pt);
         if let Some(&(fe, at)) = self.cache.get(&bucket) {
@@ -329,9 +291,7 @@ impl LoadAware {
             deflected: vec![false; n_fes],
         }
     }
-}
 
-impl MappingStrategy for LoadAware {
     fn resolve(&mut self, ctx: &mut ResolveCtx<'_>) -> Option<usize> {
         let nearest_live = ctx.nearest_live()?;
         let knee = ctx.knee.max(1) as f64;
@@ -360,10 +320,6 @@ impl MappingStrategy for LoadAware {
         Some(fe)
     }
 
-    fn epoch(&self) -> Option<SimDuration> {
-        Some(self.policy.epoch)
-    }
-
     fn on_epoch(&mut self, ctx: &mut EpochCtx<'_>) {
         let knee = ctx.knee.max(1) as f64;
         for (fe, &inflight) in ctx.fe_inflight.iter().enumerate() {
@@ -382,9 +338,13 @@ impl MappingStrategy for LoadAware {
     }
 }
 
-/// The world-side strategy holder: concrete enum dispatch over the
-/// shipped strategies (keeps [`ServiceWorld`](crate::ServiceWorld) free
-/// of boxed trait objects and their `Debug`/ownership friction).
+/// The world's client→FE mapping strategy, one variant per shipped
+/// strategy.
+///
+/// Strategies draw no randomness and schedule nothing; the world calls
+/// [`resolve`](Self::resolve) at session/attempt start and
+/// [`on_epoch`](Self::on_epoch) at each epoch boundary when
+/// [`epoch`](Self::epoch) is set.
 #[derive(Debug)]
 pub enum Mapper {
     /// The default nearest-live resolver.
@@ -406,40 +366,39 @@ impl Mapper {
         }
     }
 
-    fn as_strategy(&mut self) -> &mut dyn MappingStrategy {
-        match self {
-            Mapper::NearestLive(s) => s,
-            Mapper::DnsGeoTtl(s) => s,
-            Mapper::LoadAware(s) => s,
-        }
-    }
-
-    /// See [`MappingStrategy::resolve`].
+    /// Resolves `ctx.client` to an FE at `ctx.now`, or `None` when
+    /// every FE this strategy may return is dead (the world then fails
+    /// the query with a typed `NoLiveFe` outcome).
     pub fn resolve(&mut self, ctx: &mut ResolveCtx<'_>) -> Option<usize> {
-        self.as_strategy().resolve(ctx)
-    }
-
-    /// See [`MappingStrategy::wants_ranked`].
-    pub fn wants_ranked(&self, outages_possible: bool) -> bool {
         match self {
-            Mapper::NearestLive(s) => s.wants_ranked(outages_possible),
-            Mapper::DnsGeoTtl(s) => s.wants_ranked(outages_possible),
-            Mapper::LoadAware(s) => s.wants_ranked(outages_possible),
+            Mapper::NearestLive(s) => s.resolve(ctx),
+            Mapper::DnsGeoTtl(s) => s.resolve(ctx),
+            Mapper::LoadAware(s) => s.resolve(ctx),
         }
     }
 
-    /// See [`MappingStrategy::epoch`].
+    /// Whether [`resolve`](Self::resolve) needs the ranked-FE list this
+    /// call. Only the default strategy declines it, when no FE outage
+    /// is possible: it then answers with the static nearest FE, and
+    /// that fast path does no ranking work.
+    pub fn wants_ranked(&self, outages_possible: bool) -> bool {
+        outages_possible || !matches!(self, Mapper::NearestLive(_))
+    }
+
+    /// Re-mapping epoch period; `None` arms no epoch timer at all.
     pub fn epoch(&self) -> Option<SimDuration> {
         match self {
-            Mapper::NearestLive(s) => s.epoch(),
-            Mapper::DnsGeoTtl(s) => s.epoch(),
-            Mapper::LoadAware(s) => s.epoch(),
+            Mapper::LoadAware(s) => Some(s.policy.epoch),
+            Mapper::NearestLive(_) | Mapper::DnsGeoTtl(_) => None,
         }
     }
 
-    /// See [`MappingStrategy::on_epoch`].
+    /// Called at each epoch boundary (only when [`epoch`](Self::epoch)
+    /// is set).
     pub fn on_epoch(&mut self, ctx: &mut EpochCtx<'_>) {
-        self.as_strategy().on_epoch(ctx)
+        if let Mapper::LoadAware(s) = self {
+            s.on_epoch(ctx);
+        }
     }
 }
 

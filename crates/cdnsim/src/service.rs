@@ -250,9 +250,8 @@ pub struct ServiceConfig {
     pub fe_load: FeLoadProfile,
     /// FE↔BE path class.
     pub febe_profile: PathProfile,
-    /// TCP options for client endpoints.
-    pub client_tcp: TcpOptions,
-    /// TCP options for the FE's client-facing endpoints.
+    /// TCP options for the FE's client-facing endpoints (clients run
+    /// `TcpOptions::default()`).
     pub fe_client_tcp: TcpOptions,
     /// TCP options for the FE side of persistent BE connections. The
     /// receive window here is the paper's constant `C` knob: it bounds
@@ -274,10 +273,6 @@ pub struct ServiceConfig {
     /// default is unbounded — the PR 2 `with_fe_result_cache` behaviour;
     /// `with_result_cache` bounds it for the popularity experiments.
     pub fe_result_cache: CacheConfig,
-    /// Provisioning of the FE static-content cache. Unbounded by
-    /// default: the prewarmed static object always hits, exactly the
-    /// pre-cache-model behaviour.
-    pub fe_static_cache: CacheConfig,
     /// When set, every client's access path uses this profile instead of
     /// its `AccessKind`-derived one — the Sec. 6 loss-sweep knob.
     pub access_override: Option<PathProfile>,
@@ -323,7 +318,6 @@ impl ServiceConfig {
             composer: PageComposer::bing_like(),
             fe_load: FeLoadProfile::shared(),
             febe_profile: PathProfile::public_transit(),
-            client_tcp: TcpOptions::default(),
             fe_client_tcp: TcpOptions::default(),
             fe_be_tcp: TcpOptions {
                 rwnd: 16 * 1024,
@@ -334,7 +328,6 @@ impl ServiceConfig {
             split_tcp: true,
             fe_caches_results: false,
             fe_result_cache: CacheConfig::unbounded(),
-            fe_static_cache: CacheConfig::unbounded(),
             access_override: None,
             fe_workers: 8,
             faults: FaultPlan::new(),
@@ -359,7 +352,6 @@ impl ServiceConfig {
             composer: PageComposer::google_like(),
             fe_load: FeLoadProfile::dedicated(),
             febe_profile: PathProfile::private_wan(),
-            client_tcp: TcpOptions::default(),
             fe_client_tcp: TcpOptions::default(),
             fe_be_tcp: TcpOptions {
                 rwnd: 8 * 1024,
@@ -370,7 +362,6 @@ impl ServiceConfig {
             split_tcp: true,
             fe_caches_results: false,
             fe_result_cache: CacheConfig::unbounded(),
-            fe_static_cache: CacheConfig::unbounded(),
             access_override: None,
             fe_workers: 8,
             faults: FaultPlan::new(),
@@ -415,13 +406,6 @@ impl ServiceConfig {
             self.fe_caches_results = true;
             self.name = format!("{}+fecache", self.name);
         }
-        self
-    }
-
-    /// Bounds the FE static-content cache (unbounded and always-hitting
-    /// by default).
-    pub fn with_static_cache(mut self, cache: CacheConfig) -> ServiceConfig {
-        self.fe_static_cache = cache;
         self
     }
 
@@ -546,9 +530,6 @@ mod tests {
         // Enabling twice does not double the name suffix.
         let c6 = c5.with_result_cache(CacheConfig::lfu(1 << 20));
         assert!(c6.name.ends_with("+fecache") && !c6.name.contains("+fecache+fecache"));
-        let c7 = ServiceConfig::bing_like(1).with_static_cache(CacheConfig::lru(64 << 10));
-        assert!(!c7.fe_caches_results);
-        assert!(!c7.fe_static_cache.is_unbounded());
         let c4 = ServiceConfig::bing_like(1).with_fe_initial_window(10);
         assert_eq!(c4.fe_client_tcp.initial_window_segs, 10);
     }

@@ -94,20 +94,14 @@ impl ServiceWorld {
         self.be_inflight[be] = self.be_inflight[be].saturating_sub(1);
     }
 
-    /// Refills the FE caches from a complete BE response, then serves
-    /// it down the client connection: the static portion (unless it
-    /// already burst from the FE cache), the dynamic portion, FIN.
+    /// Stores a complete BE response in the FE's result cache, then
+    /// serves it down the client connection: the static portion (unless
+    /// it already burst from the FE cache), the dynamic portion, FIN.
     fn serve_fetched(&mut self, net: &mut Net, fe: usize, qid: u64, plan: ResponsePlan) {
-        let (client_conn, kw_id, static_from_cache) = {
+        let (client_conn, kw_id) = {
             let q = &self.queries[&qid];
-            (q.client_conn, q.keyword, q.static_from_cache)
+            (q.client_conn, q.keyword)
         };
-        // Refill the static cache after a miss-path fetch (only reachable
-        // with a bounded static cache).
-        if self.cfg.cache_static && !static_from_cache {
-            self.fes[fe].fill_static(plan.static_content, plan.static_bytes, net.now());
-            self.metrics.inc("cdnsim.fe_static_cache_fills");
-        }
         if self.fes[fe].caches_results() {
             let out = self.fes[fe].store_result(kw_id, plan.clone(), net.now());
             if out.evicted > 0 {
@@ -115,7 +109,7 @@ impl ServiceWorld {
                     .add("cdnsim.fe_result_cache_evictions", out.evicted);
             }
         }
-        if !static_from_cache {
+        if !self.cfg.cache_static {
             plan.send_static(net, client_conn, End::B);
         }
         plan.send_dynamic(net, client_conn, End::B);
@@ -230,29 +224,20 @@ impl ServiceWorld {
             Some(q) => (q.fe.unwrap(), q.be, q.keyword, q.client_conn),
             None => return,
         };
-        // (a) Burst the static portion when it is resident in the FE's
-        // static cache. With the default unbounded prewarmed cache this
-        // always hits; a bounded cache can miss, in which case the
-        // static bytes ride the BE response and the cache is refilled
-        // when that response completes.
-        let mut static_hit = false;
+        // (a) Burst the static portion from the FE's cache: the paper's
+        // FEs always hold it, so every static burst is a hit. In the
+        // no-cache ablation the static bytes ride the BE response.
         if self.cfg.cache_static {
+            self.metrics.inc("cdnsim.fe_static_cache_hits");
             let content = self.cfg.composer.static_content;
-            if self.fes[fe].static_cached(content, net.now()) {
-                static_hit = true;
-                self.metrics.inc("cdnsim.fe_static_cache_hits");
-                let bytes = self.cfg.composer.static_bytes;
-                net.send(client_conn, End::B, bytes, Marker::Static, content);
-            } else {
-                self.metrics.inc("cdnsim.fe_static_cache_misses");
-            }
+            let bytes = self.cfg.composer.static_bytes;
+            net.send(client_conn, End::B, bytes, Marker::Static, content);
         }
-        self.queries.get_mut(&qid).unwrap().static_from_cache = static_hit;
         // Hypothetical FE result cache.
         if self.fes[fe].caches_results() {
             if let Some(plan) = self.fes[fe].lookup_result(kw_id, net.now()) {
                 self.metrics.inc("cdnsim.fe_result_cache_hits");
-                if !static_hit {
+                if !self.cfg.cache_static {
                     plan.send_static(net, client_conn, End::B);
                 }
                 plan.send_dynamic(net, client_conn, End::B);
@@ -291,7 +276,7 @@ impl ServiceWorld {
         }
         let leg = &q.legs[slot];
         if let (Some(conn), Some(plan)) = (leg.conn, &leg.plan) {
-            send_be_response(net, conn, plan, !q.static_from_cache);
+            send_be_response(net, conn, plan, !self.cfg.cache_static);
         }
     }
 
@@ -525,7 +510,7 @@ impl App for ServiceWorld {
                         let expected = match &leg.plan {
                             Some(p) => {
                                 p.dynamic_bytes
-                                    + if q.static_from_cache {
+                                    + if self.cfg.cache_static {
                                         0
                                     } else {
                                         p.static_bytes

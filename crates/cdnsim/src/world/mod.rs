@@ -305,14 +305,13 @@ struct FetchLeg {
 }
 
 impl FetchLeg {
-    /// Points the leg at a new fetch from `be` over `conn`. `proc_ms`
-    /// is kept: a query that ends before any leg completes reports the
-    /// BE time its primary last saw, across failovers.
+    /// Points the leg at a new fetch from `be` over `conn`, starting
+    /// afresh: its plan and `proc_ms` are those of `be`, and stay unset
+    /// (0 ms) until `be` has processed the query.
     fn open(&mut self, be: usize, conn: ConnId) {
         *self = FetchLeg {
             be,
             conn: Some(conn),
-            proc_ms: self.proc_ms,
             ..FetchLeg::default()
         };
     }
@@ -344,12 +343,6 @@ struct QueryState {
     // Request bytes at the server end of the client connection.
     srv_progress: RecvProgress,
     request_handled: bool,
-    // Whether the FE served the static portion from its cache at serve
-    // time. With the default unbounded prewarmed cache this equals
-    // `cfg.cache_static`; a bounded static cache can miss, in which case
-    // the static bytes ride the BE response exactly as in the no-cache
-    // ablation.
-    static_from_cache: bool,
     // Overload machinery. `shed` marks an admission-control rejection;
     // `fe_counted` records that the query holds its FE's in-flight slot.
     shed: bool,
@@ -438,16 +431,9 @@ impl ServiceWorld {
                     cfg.fe_load.service_ms.clone(),
                     cfg.fe_load.load_amplitude,
                     cfg.fe_load.load_volatility,
-                    crate::fe::FeCaches {
-                        results_enabled: cfg.fe_caches_results,
-                        result_cache: cfg.fe_result_cache.clone(),
-                        static_cache: cfg.fe_static_cache.clone(),
-                    },
+                    cfg.fe_caches_results.then(|| cfg.fe_result_cache.clone()),
                 );
                 fe.set_workers(cfg.fe_workers);
-                // Prewarm: the paper's FEs always hold the static object
-                // (an unbounded static cache therefore always hits).
-                fe.seed_static(cfg.composer.static_content, cfg.composer.static_bytes);
                 fe
             })
             .collect();

@@ -185,7 +185,7 @@ impl ServiceWorld {
             client_node,
             server_node,
             Self::to_params(&path),
-            self.cfg.client_tcp.clone(),
+            tcpsim::TcpOptions::default(),
             self.cfg.fe_client_tcp.clone(),
             qid,
         );
@@ -222,7 +222,6 @@ impl ServiceWorld {
                 dist_fe_be_miles: dist_fe_be,
                 srv_progress: RecvProgress::new(),
                 request_handled: false,
-                static_from_cache: false,
                 shed: false,
                 fe_counted: false,
                 legs: Default::default(),
@@ -263,13 +262,12 @@ impl ServiceWorld {
     /// burst at serve time when caching is on).
     pub(super) fn degrade_query(&mut self, net: &mut Net, qid: u64) {
         self.metrics.inc("cdnsim.degraded_serves");
-        let static_bytes = if self.queries[&qid].static_from_cache {
+        let static_bytes = if self.cfg.cache_static {
             self.cfg.composer.static_bytes
         } else {
-            // Static rides the BE response in the no-cache ablation (or
-            // missed a bounded static cache), so nothing reached the
-            // client; record a 1-byte placeholder (ResponsePlan requires
-            // non-empty portions).
+            // Static rides the BE response in the no-cache ablation, so
+            // nothing reached the client; record a 1-byte placeholder
+            // (ResponsePlan requires non-empty portions).
             1
         };
         let static_content = self.cfg.composer.static_content;
@@ -408,7 +406,8 @@ impl ServiceWorld {
         // A query that started a fetch and ended before any leg
         // completed (a timeout, or a degrade after the fetch deadline)
         // reports its primary leg's plan, unless it served the stub,
-        // and its primary's BE time.
+        // and its primary's BE time: that of the BE the record names,
+        // 0 when that BE had not processed the query.
         let [primary, _] = q.legs;
         let (plan, proc_ms) = match (q.fetch_start, q.fetch_done) {
             (Some(_), None) => (q.plan.or(primary.plan), primary.proc_ms),

@@ -28,13 +28,6 @@ pub trait Sampler {
 pub enum Dist {
     /// Always the same value.
     Constant(f64),
-    /// Uniform on `[lo, hi)`.
-    Uniform {
-        /// Lower bound (inclusive).
-        lo: f64,
-        /// Upper bound (exclusive).
-        hi: f64,
-    },
     /// Exponential with the given mean (inverse-CDF sampling).
     Exponential {
         /// Mean (= 1/λ).
@@ -55,21 +48,6 @@ pub enum Dist {
         /// Standard deviation of `ln X`.
         sigma: f64,
     },
-    /// Pareto (Lomax-style tail) with scale `xmin > 0` and shape
-    /// `alpha > 0`: heavy-tailed service/load bursts.
-    Pareto {
-        /// Minimum value (scale).
-        xmin: f64,
-        /// Tail index (shape); means exist for `alpha > 1`.
-        alpha: f64,
-    },
-    /// Weibull with scale `lambda` and shape `k` (inverse-CDF sampling).
-    Weibull {
-        /// Scale parameter.
-        lambda: f64,
-        /// Shape parameter.
-        k: f64,
-    },
     /// Mixture of two components: with probability `p` draw from `a`,
     /// otherwise from `b`. Captures bimodal server-load regimes
     /// (quiescent vs busy multi-tenant FE).
@@ -81,13 +59,6 @@ pub enum Dist {
         /// Second component.
         b: Box<Dist>,
     },
-    /// Shifts another distribution by a constant offset.
-    Shifted {
-        /// Offset added to every sample.
-        offset: f64,
-        /// Underlying distribution.
-        inner: Box<Dist>,
-    },
     /// Rejection-free lower truncation: samples below `lo` are clamped.
     TruncatedBelow {
         /// Floor applied to every sample.
@@ -95,10 +66,6 @@ pub enum Dist {
         /// Underlying distribution.
         inner: Box<Dist>,
     },
-    /// Resampling from recorded values (workload replay): each draw
-    /// picks a stored sample uniformly. Panics on empty data at sample
-    /// time.
-    Empirical(Vec<f64>),
 }
 
 impl Dist {
@@ -115,21 +82,12 @@ impl Dist {
             sigma: s.ln(),
         }
     }
-
-    /// Convenience: a non-negative normal (clamped at zero).
-    pub fn normal_nonneg(mean: f64, std: f64) -> Dist {
-        Dist::TruncatedBelow {
-            lo: 0.0,
-            inner: Box::new(Dist::Normal { mean, std }),
-        }
-    }
 }
 
 impl Sampler for Dist {
     fn sample(&self, rng: &mut Rng) -> f64 {
         match self {
             Dist::Constant(v) => *v,
-            Dist::Uniform { lo, hi } => rng.range_f64(*lo, *hi),
             Dist::Exponential { mean } => -mean * rng.next_f64_open().ln(),
             Dist::Normal { mean, std } => {
                 // Box–Muller; one draw discarded for statelessness.
@@ -145,8 +103,6 @@ impl Sampler for Dist {
                 };
                 n.sample(rng).exp()
             }
-            Dist::Pareto { xmin, alpha } => xmin / rng.next_f64_open().powf(1.0 / alpha),
-            Dist::Weibull { lambda, k } => lambda * (-rng.next_f64_open().ln()).powf(1.0 / k),
             Dist::Mix { p, a, b } => {
                 if rng.chance(*p) {
                     a.sample(rng)
@@ -154,37 +110,18 @@ impl Sampler for Dist {
                     b.sample(rng)
                 }
             }
-            Dist::Shifted { offset, inner } => offset + inner.sample(rng),
             Dist::TruncatedBelow { lo, inner } => inner.sample(rng).max(*lo),
-            Dist::Empirical(data) => *rng.choose(data),
         }
     }
 
     fn mean(&self) -> Option<f64> {
         match self {
             Dist::Constant(v) => Some(*v),
-            Dist::Uniform { lo, hi } => Some(0.5 * (lo + hi)),
             Dist::Exponential { mean } => Some(*mean),
             Dist::Normal { mean, .. } => Some(*mean),
             Dist::LogNormal { mu, sigma } => Some((mu + 0.5 * sigma * sigma).exp()),
-            Dist::Pareto { xmin, alpha } => {
-                if *alpha > 1.0 {
-                    Some(alpha * xmin / (alpha - 1.0))
-                } else {
-                    None
-                }
-            }
-            Dist::Weibull { .. } => None, // needs the gamma function
             Dist::Mix { p, a, b } => Some(p * a.mean()? + (1.0 - p) * b.mean()?),
-            Dist::Shifted { offset, inner } => Some(offset + inner.mean()?),
             Dist::TruncatedBelow { .. } => None,
-            Dist::Empirical(data) => {
-                if data.is_empty() {
-                    None
-                } else {
-                    Some(data.iter().sum::<f64>() / data.len() as f64)
-                }
-            }
         }
     }
 }
@@ -236,40 +173,18 @@ impl Zipf {
     }
 }
 
-/// A flash-crowd window: while `start <= now < start + duration`, each
-/// draw is redirected to the window's flash item with probability
-/// `weight` (the item itself is chosen once per window from the
-/// process's own churn stream).
-#[derive(Clone, Debug, PartialEq)]
-pub struct FlashCrowd {
-    /// Window start (inclusive).
-    pub start: SimTime,
-    /// Window length.
-    pub duration: SimDuration,
-    /// Probability a draw inside the window goes to the flash item.
-    pub weight: f64,
-}
-
-impl FlashCrowd {
-    /// True while the window is in force at `now`.
-    pub fn active_at(&self, now: SimTime) -> bool {
-        self.weight > 0.0 && now >= self.start && now.since(self.start) < self.duration
-    }
-}
-
 /// Dynamic-popularity workload model: a Zipf law whose rank→item mapping
 /// drifts under shot-noise churn, with an optional diurnal arrival-rate
-/// wave and flash-crowd windows.
+/// wave.
 ///
 /// The churn follows the shot-noise model of cache-analysis literature:
 /// content renewal events arrive as a Poisson process at `churn_per_sec`;
 /// each shot promotes a uniformly drawn catalog item into a
 /// Zipf-distributed popularity rank (displacing the item currently
 /// there), so the popular set slowly rotates while the marginal rank
-/// distribution stays exactly Zipf. With `churn_per_sec == 0` and no
-/// flash windows the model is **inert**: a [`PopularityProcess`] draws
-/// nothing from its churn stream and reproduces plain
-/// [`Zipf::sample_rank`] draws exactly.
+/// distribution stays exactly Zipf. With `churn_per_sec == 0` the model
+/// is **inert**: a [`PopularityProcess`] draws nothing from its churn
+/// stream and reproduces plain [`Zipf::sample_rank`] draws exactly.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PopularityModel {
     /// Zipf exponent of the marginal rank distribution.
@@ -284,21 +199,17 @@ pub struct PopularityModel {
     pub diurnal_amplitude: f64,
     /// Diurnal wave period `T`.
     pub diurnal_period: SimDuration,
-    /// Flash-crowd windows (each overrides draws with one hot item at
-    /// its `weight` while active).
-    pub flash: Vec<FlashCrowd>,
 }
 
 impl PopularityModel {
-    /// A static Zipf law: no churn, no diurnal wave, no flash crowds —
-    /// the inert configuration.
+    /// A static Zipf law: no churn, no diurnal wave — the inert
+    /// configuration.
     pub fn static_zipf(exponent: f64) -> PopularityModel {
         PopularityModel {
             exponent,
             churn_per_sec: 0.0,
             diurnal_amplitude: 0.0,
             diurnal_period: SimDuration::from_secs(86_400),
-            flash: Vec::new(),
         }
     }
 
@@ -321,27 +232,11 @@ impl PopularityModel {
         self
     }
 
-    /// Adds a flash-crowd window.
-    pub fn with_flash_crowd(
-        mut self,
-        start: SimTime,
-        duration: SimDuration,
-        weight: f64,
-    ) -> PopularityModel {
-        assert!((0.0..=1.0).contains(&weight), "flash weight out of range");
-        self.flash.push(FlashCrowd {
-            start,
-            duration,
-            weight,
-        });
-        self
-    }
-
-    /// True when the draw path is inert (no churn, no flash windows): a
-    /// process over this model reproduces plain Zipf draws byte-for-byte
-    /// and never touches its churn stream.
+    /// True when the draw path is inert (no churn): a process over this
+    /// model reproduces plain Zipf draws byte-for-byte and never touches
+    /// its churn stream.
     pub fn is_static(&self) -> bool {
-        self.churn_per_sec == 0.0 && self.flash.iter().all(|f| f.weight == 0.0)
+        self.churn_per_sec == 0.0
     }
 
     /// The arrival-rate multiplier `1 + A·sin(2πt/T)` at `now` (exactly
@@ -381,17 +276,14 @@ pub struct PopularityProcess {
     rank_of: Vec<u32>,
     churn: Rng,
     next_shot: Option<SimTime>,
-    /// Per-window flash item, chosen lazily from the churn stream.
-    flash_items: Vec<Option<u64>>,
 }
 
 impl PopularityProcess {
     /// Builds the process over `n` catalog items. `churn_rng` must be a
     /// stream owned by this process (e.g.
     /// `Rng::from_seed_and_name(seed, "emulator/popularity")`); it is
-    /// only drawn from when the model has churn or an active flash
-    /// window needs its item picked. Panics unless every item id fits
-    /// a `u32`.
+    /// only drawn from when the model has churn. Panics unless every
+    /// item id fits a `u32`.
     pub fn new(n: usize, model: PopularityModel, mut churn_rng: Rng) -> PopularityProcess {
         assert!(
             u32::try_from(n).is_ok(),
@@ -403,7 +295,6 @@ impl PopularityProcess {
         } else {
             None
         };
-        let flash_items = vec![None; model.flash.len()];
         PopularityProcess {
             model,
             zipf,
@@ -411,7 +302,6 @@ impl PopularityProcess {
             rank_of: Vec::new(),
             churn: churn_rng,
             next_shot,
-            flash_items,
         }
     }
 
@@ -436,13 +326,12 @@ impl PopularityProcess {
         }
     }
 
-    /// Heap bytes the process holds: the Zipf rank table, the flash
-    /// items and, once churn has moved it, the rank↔item permutation
-    /// (4 bytes per item each way).
+    /// Heap bytes the process holds: the Zipf rank table and, once
+    /// churn has moved it, the rank↔item permutation (4 bytes per item
+    /// each way).
     pub fn retained_bytes(&self) -> usize {
         self.zipf.cdf.capacity() * std::mem::size_of::<f64>()
             + (self.slots.capacity() + self.rank_of.capacity()) * std::mem::size_of::<u32>()
-            + self.flash_items.capacity() * std::mem::size_of::<Option<u64>>()
     }
 
     /// Applies every churn shot at or before `now`. A shot at time `t`
@@ -472,22 +361,9 @@ impl PopularityProcess {
     }
 
     /// Draws one item id at virtual time `now` using the caller's
-    /// `draw_rng`. Exactly one `Zipf` rank draw from `draw_rng` in the
-    /// common case; inside an active flash window one extra Bernoulli
-    /// draw decides whether the flash item overrides.
+    /// `draw_rng`: exactly one `Zipf` rank draw from `draw_rng`.
     pub fn sample(&mut self, now: SimTime, draw_rng: &mut Rng) -> u64 {
         self.advance(now);
-        for (i, w) in self.model.flash.iter().enumerate() {
-            if w.active_at(now) {
-                if self.flash_items[i].is_none() {
-                    self.flash_items[i] = Some(self.churn.next_below(self.catalog() as u64));
-                }
-                if draw_rng.chance(w.weight) {
-                    return self.flash_items[i].expect("just filled");
-                }
-                break;
-            }
-        }
         self.item_at_rank(self.zipf.sample_rank(draw_rng))
     }
 }
@@ -519,17 +395,6 @@ mod tests {
             assert_eq!(d.sample(&mut r), 4.2);
         }
         assert_eq!(d.mean(), Some(4.2));
-    }
-
-    #[test]
-    fn uniform_bounds_and_mean() {
-        let d = Dist::Uniform { lo: 2.0, hi: 6.0 };
-        let mut r = rng();
-        for _ in 0..10_000 {
-            let x = d.sample(&mut r);
-            assert!((2.0..6.0).contains(&x));
-        }
-        assert!((empirical_mean(&d, 50_000) - 4.0).abs() < 0.05);
     }
 
     #[test]
@@ -574,37 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn pareto_is_heavy_tailed_and_bounded_below() {
-        let d = Dist::Pareto {
-            xmin: 1.0,
-            alpha: 2.0,
-        };
-        let mut r = rng();
-        for _ in 0..10_000 {
-            assert!(d.sample(&mut r) >= 1.0);
-        }
-        assert!((empirical_mean(&d, 500_000) - 2.0).abs() < 0.15);
-        assert_eq!(d.mean(), Some(2.0));
-        assert_eq!(
-            Dist::Pareto {
-                xmin: 1.0,
-                alpha: 0.9
-            }
-            .mean(),
-            None
-        );
-    }
-
-    #[test]
-    fn weibull_shape_one_is_exponential() {
-        let d = Dist::Weibull {
-            lambda: 2.0,
-            k: 1.0,
-        };
-        assert!((empirical_mean(&d, 200_000) - 2.0).abs() < 0.05);
-    }
-
-    #[test]
     fn mix_interpolates_means() {
         let d = Dist::Mix {
             p: 0.75,
@@ -616,30 +450,18 @@ mod tests {
     }
 
     #[test]
-    fn shifted_and_truncated() {
-        let d = Dist::Shifted {
-            offset: 5.0,
-            inner: Box::new(Dist::Constant(1.0)),
+    fn truncated_below_clamps() {
+        let t = Dist::TruncatedBelow {
+            lo: 0.0,
+            inner: Box::new(Dist::Normal {
+                mean: 0.0,
+                std: 1.0,
+            }),
         };
-        assert_eq!(d.mean(), Some(6.0));
-        let t = Dist::normal_nonneg(0.0, 1.0);
         let mut r = rng();
         for _ in 0..10_000 {
             assert!(t.sample(&mut r) >= 0.0);
         }
-    }
-
-    #[test]
-    fn empirical_resamples_recorded_values() {
-        let data = vec![1.0, 2.0, 4.0, 8.0];
-        let d = Dist::Empirical(data.clone());
-        let mut r = rng();
-        for _ in 0..1000 {
-            assert!(data.contains(&d.sample(&mut r)));
-        }
-        assert_eq!(d.mean(), Some(3.75));
-        assert!((empirical_mean(&d, 100_000) - 3.75).abs() < 0.05);
-        assert_eq!(Dist::Empirical(vec![]).mean(), None);
     }
 
     #[test]
@@ -673,8 +495,7 @@ mod tests {
 
     #[test]
     fn static_popularity_process_matches_plain_zipf() {
-        // The inert contract: churn 0 + no flash must reproduce bare
-        // Zipf draws from the caller's stream exactly, and never touch
+        // The inert contract: churn 0 must reproduce bare Zipf draws from the caller's stream exactly, and never touch
         // the churn stream (compared via the untouched clone).
         let model = PopularityModel::static_zipf(0.9);
         assert!(model.is_static());
@@ -755,38 +576,5 @@ mod tests {
         for s in 0..2_000u64 {
             assert!(m.rate_factor(SimTime::from_secs(s)) > 0.0);
         }
-    }
-
-    #[test]
-    fn flash_crowd_dominates_inside_its_window_only() {
-        let model = PopularityModel::static_zipf(0.9).with_flash_crowd(
-            SimTime::from_secs(100),
-            SimDuration::from_secs(50),
-            0.9,
-        );
-        let mut p = PopularityProcess::new(1_000, model, Rng::from_seed_and_name(4, "pop"));
-        let mut r = rng();
-        // Inside the window: the flash item takes ~90% of draws.
-        let mut counts = std::collections::HashMap::new();
-        for i in 0..5_000u64 {
-            let t = SimTime::from_millis(100_000 + i * 10);
-            *counts.entry(p.sample(t, &mut r)).or_insert(0u32) += 1;
-        }
-        let (&hot, &hot_n) = counts.iter().max_by_key(|(_, &n)| n).unwrap();
-        assert!(hot_n > 4_200, "flash item drew {hot_n}/5000");
-        // Outside the window: back to plain Zipf (the hot item reverts
-        // to its catalog popularity, far below 50%).
-        let mut hot_after = 0u32;
-        for i in 0..5_000u64 {
-            let t = SimTime::from_millis(200_000 + i * 10);
-            if p.sample(t, &mut r) == hot {
-                hot_after += 1;
-            }
-        }
-        assert!(hot_after < 2_500, "flash item still hot: {hot_after}");
-        // Exact boundary: the window is [start, start+duration).
-        let w = &p.model().flash[0];
-        assert!(w.active_at(SimTime::from_secs(100)));
-        assert!(!w.active_at(SimTime::from_secs(150)));
     }
 }

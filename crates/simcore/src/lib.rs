@@ -14,8 +14,9 @@
 //!   stream from the experiment seed, so adding a component never perturbs
 //!   the draws seen by any other component.
 //! * [`dist`] — the probability distributions used by the latency, loss,
-//!   load and processing-time models (uniform, exponential, normal,
-//!   log-normal, Pareto, Weibull, Bernoulli, empirical).
+//!   load and processing-time models (constant, exponential, normal,
+//!   log-normal, two-component mixture, lower truncation), and the Zipf
+//!   popularity models.
 //! * [`hash`] — a fixed, seedless multiply-rotate hasher and the
 //!   `HashMap` alias every simulator map is keyed through, so iteration
 //!   order never depends on a per-process seed.

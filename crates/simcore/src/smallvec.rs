@@ -200,28 +200,6 @@ impl<T: Copy + Default, const N: usize> From<Vec<T>> for SmallVec<T, N> {
     }
 }
 
-impl<T: Copy + Default, const N: usize> From<&[T]> for SmallVec<T, N> {
-    /// One copy into the inline slots (or one heap allocation), not a
-    /// push per element: decoding a captured packet's spans is on the
-    /// timeline-extraction path.
-    #[inline]
-    fn from(s: &[T]) -> Self {
-        let repr = if s.len() <= N {
-            let mut buf = [T::default(); N];
-            for (slot, &v) in buf.iter_mut().zip(s) {
-                *slot = v;
-            }
-            Repr::Inline {
-                len: s.len() as u8,
-                buf,
-            }
-        } else {
-            Repr::Heap(s.to_vec())
-        };
-        SmallVec { repr }
-    }
-}
-
 impl<'a, T: Copy + Default, const N: usize> IntoIterator for &'a SmallVec<T, N> {
     type Item = &'a T;
     type IntoIter = std::slice::Iter<'a, T>;
@@ -343,8 +321,6 @@ mod tests {
         let large: Sv = vec![1, 2, 3, 4].into();
         assert!(large.spilled());
         assert_eq!(large.as_slice(), &[1, 2, 3, 4]);
-        let from_slice: Sv = (&[5u32, 6][..]).into();
-        assert_eq!(from_slice.as_slice(), &[5, 6]);
     }
 
     #[test]

@@ -69,8 +69,8 @@ pub struct OooSeg {
 /// What the receiver wants done after accepting a segment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AckPolicy {
-    /// Send an ACK immediately (second segment, PSH, out-of-order,
-    /// duplicate, or delayed ACKs disabled).
+    /// Send an ACK immediately (second segment, PSH, out-of-order or
+    /// duplicate).
     Immediate,
     /// Arm (or leave armed) the delayed-ACK timer.
     Delayed,
@@ -620,10 +620,9 @@ impl Endpoint {
             }
             saw_push |= seg.push;
         }
-        // ACK policy: immediate on PSH, FIN, a filled gap, disabled
-        // delack, or when this is the second unacknowledged segment.
-        let policy = if !self.opts.delayed_ack
-            || saw_push
+        // ACK policy: immediate on PSH, FIN, a filled gap, or when this
+        // is the second unacknowledged segment.
+        let policy = if saw_push
             || fin
             || self.peer_fin_rcvd
             || filled_gap

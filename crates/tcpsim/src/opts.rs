@@ -20,7 +20,8 @@ pub enum CongAlgo {
 ///
 /// Defaults model a 2011-era Linux stack (the PlanetLab nodes and
 /// production front-ends of the study): MSS 1460, initial window of 4
-/// segments, delayed ACKs, 200 ms minimum RTO, 1 s initial RTO.
+/// segments, 200 ms minimum RTO, 1 s initial RTO. Every endpoint delays
+/// its ACKs (ack every second segment or on timeout).
 #[derive(Clone, Debug)]
 pub struct TcpOptions {
     /// Maximum segment size in bytes.
@@ -31,8 +32,6 @@ pub struct TcpOptions {
     pub initial_window_segs: u32,
     /// Receive window advertised to the peer, in bytes.
     pub rwnd: u64,
-    /// Whether to delay ACKs (ack every second segment or on timeout).
-    pub delayed_ack: bool,
     /// Delayed-ACK timeout.
     pub delack_timeout: SimDuration,
     /// Lower bound on the retransmission timeout.
@@ -60,7 +59,6 @@ impl Default for TcpOptions {
             mss: 1460,
             initial_window_segs: 4,
             rwnd: 256 * 1024,
-            delayed_ack: true,
             delack_timeout: SimDuration::from_millis(40),
             min_rto: SimDuration::from_millis(200),
             initial_rto: SimDuration::from_secs(1),
@@ -116,7 +114,7 @@ mod tests {
         assert_eq!(o.mss, 1460);
         assert_eq!(o.initial_window_segs, 4);
         assert_eq!(o.initial_cwnd(), 5840.0);
-        assert!(o.delayed_ack);
+        assert_eq!(o.delack_timeout, SimDuration::from_millis(40));
         assert_eq!(o.min_rto, SimDuration::from_millis(200));
         assert_eq!(o.initial_rto, SimDuration::from_secs(1));
         assert!(!o.idle_reset);

@@ -59,8 +59,8 @@ pub struct MetaSpan {
     pub content: u64,
 }
 
-/// The span list attached to segments and trace events: inline storage
-/// for two spans, heap spill beyond.
+/// The span list attached to segments: inline storage for two spans,
+/// heap spill beyond.
 ///
 /// A segment either sits inside one application chunk (1 span) or
 /// straddles one chunk boundary (2 spans); more only happens when an MSS

@@ -13,11 +13,12 @@
 //! A capture stores the observing node and the connection once and
 //! each packet as one fixed-width 32-byte record; the payload spans of
 //! every packet go, in order, into one shared span buffer. Reading it
-//! back ([`Capture::iter`]) yields exactly the [`PktEvent`]s the
-//! packets were observed as.
+//! back ([`Capture::iter`]) yields each packet in place as a
+//! [`PktEvent`] view whose span list borrows that buffer, so a read
+//! copies no span and allocates nothing.
 
 use crate::net::{ConnId, NodeId};
-use crate::segment::{MetaSpan, PktKind, Segment, SpanVec};
+use crate::segment::{MetaSpan, PktKind, Segment};
 use simcore::time::SimTime;
 use std::fmt;
 
@@ -32,9 +33,9 @@ pub enum PktDir {
     Drop,
 }
 
-/// One observed packet event.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PktEvent {
+/// One observed packet event: a view of one packet of a [`Capture`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct PktEvent<'a> {
     /// Virtual time of the observation.
     pub t: SimTime,
     /// Observing node.
@@ -53,8 +54,8 @@ pub struct PktEvent {
     pub ack: u64,
     /// PSH flag.
     pub push: bool,
-    /// Content spans (payload labelling).
-    pub meta: SpanVec,
+    /// Content spans (payload labelling), borrowed from the capture.
+    pub meta: &'a [MetaSpan],
 }
 
 /// Records a capture reserves when it starts: a paper-scale Dataset B
@@ -125,7 +126,9 @@ impl PktRecord {
 ///
 /// [`Capture::iter`] (and `&capture` in a `for` loop) yields each
 /// packet as the [`PktEvent`] it was observed as; [`Capture::len`]
-/// counts them. Equality and `Debug` go through those events.
+/// counts them. Equality and `Debug` go through those events. A trace
+/// built by hand (a unit test's) is recorded the way `Net` records one,
+/// through [`Capture::new`] and [`Capture::record`].
 #[derive(Clone)]
 pub struct Capture {
     node: NodeId,
@@ -138,7 +141,7 @@ pub struct Capture {
 impl Capture {
     /// An empty capture of what `node` observes on `conn`, with room
     /// reserved for a typical query.
-    pub(crate) fn new(node: NodeId, conn: ConnId) -> Capture {
+    pub fn new(node: NodeId, conn: ConnId) -> Capture {
         Capture {
             node,
             conn,
@@ -148,7 +151,7 @@ impl Capture {
     }
 
     /// Appends the observation of `seg` at time `t`.
-    pub(crate) fn record(&mut self, t: SimTime, dir: PktDir, seg: &Segment) {
+    pub fn record(&mut self, t: SimTime, dir: PktDir, seg: &Segment) {
         let spans = seg.meta.as_slice();
         assert!(
             spans.len() <= MAX_SPANS,
@@ -229,16 +232,15 @@ impl fmt::Debug for Capture {
 }
 
 impl<'a> IntoIterator for &'a Capture {
-    type Item = PktEvent;
+    type Item = PktEvent<'a>;
     type IntoIter = Iter<'a>;
     fn into_iter(self) -> Iter<'a> {
         self.iter()
     }
 }
 
-/// The packet events of a [`Capture`], decoded one at a time. Decoding
-/// allocates nothing unless a packet carries more than two spans (its
-/// span list then spills to the heap, as the segment's did).
+/// The packet events of a [`Capture`], decoded one at a time into views
+/// that borrow the capture's spans.
 pub struct Iter<'a> {
     node: NodeId,
     conn: ConnId,
@@ -247,11 +249,11 @@ pub struct Iter<'a> {
     spans: &'a [MetaSpan],
 }
 
-impl Iterator for Iter<'_> {
-    type Item = PktEvent;
+impl<'a> Iterator for Iter<'a> {
+    type Item = PktEvent<'a>;
 
     #[inline]
-    fn next(&mut self) -> Option<PktEvent> {
+    fn next(&mut self) -> Option<PktEvent<'a>> {
         let r = *self.records.next()?;
         let (meta, rest) = self.spans.split_at(r.span_count());
         self.spans = rest;
@@ -265,7 +267,7 @@ impl Iterator for Iter<'_> {
             len: r.len,
             ack: r.ack,
             push: r.push(),
-            meta: SpanVec::from(meta),
+            meta,
         })
     }
 
@@ -292,7 +294,13 @@ mod tests {
     ];
 
     /// The event a packet is observed as, built field by field.
-    fn expected(t: SimTime, node: NodeId, conn: ConnId, dir: PktDir, seg: &Segment) -> PktEvent {
+    fn expected(
+        t: SimTime,
+        node: NodeId,
+        conn: ConnId,
+        dir: PktDir,
+        seg: &Segment,
+    ) -> PktEvent<'_> {
         PktEvent {
             t,
             node,
@@ -303,7 +311,7 @@ mod tests {
             len: seg.len,
             ack: seg.ack,
             push: seg.push,
-            meta: seg.meta.clone(),
+            meta: &seg.meta,
         }
     }
 

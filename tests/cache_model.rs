@@ -203,11 +203,9 @@ proptest! {
 }
 
 /// The representative campaign with the cache model installed on every
-/// run, tuned to be inert: the static cache is explicitly unbounded
-/// (exactly what the default config provisions) and a result-cache
-/// config is provisioned without enabling result caching.
-fn installed_but_inert(cfg: ServiceConfig) -> ServiceConfig {
-    let mut cfg = cfg.with_static_cache(CacheConfig::unbounded());
+/// run, tuned to be inert: a result-cache config is provisioned without
+/// enabling result caching.
+fn installed_but_inert(mut cfg: ServiceConfig) -> ServiceConfig {
     cfg.fe_result_cache = CacheConfig {
         policy: CachePolicy::Lfu,
         capacity_bytes: None,

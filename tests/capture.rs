@@ -10,7 +10,11 @@
 //!    events in one pass. On lossy campaigns that truncate, shed and
 //!    retransmit, it returns bit-for-bit what the filter-then-scan
 //!    reference below returns, under every classifier.
+//! 3. **Client-view dump** — `dump::render_client_view` over real
+//!    captures: its header agrees with the timeline, every line reads
+//!    back to a packet of the capture, and the lines are in time order.
 
+use capture::dump::{self, ParsedLine};
 use capture::{
     find_static_content_ids, Classifier, ClientTrace, SessionError, Timeline, TimelineError,
 };
@@ -20,7 +24,7 @@ use emulator::{Campaign, CollectSink, Design, Scenario, SessionWorkload};
 use nettopo::{BurstLossParams, FaultPlan};
 use simcore::time::{SimDuration, SimTime};
 use std::collections::HashSet;
-use tcpsim::{Capture, Marker, NodeId, PktKind};
+use tcpsim::{Capture, Marker, NodeId, PktDir, PktEvent, PktKind};
 
 // ---------- 1. accounting ----------
 
@@ -349,4 +353,81 @@ fn one_pass_extraction_matches_the_reference_under_loss_and_shedding() {
             "the campaign never produced {e:?}; saw {seen_errors:?}"
         );
     }
+}
+
+// ---------- 3. the client-view dump ----------
+
+/// The core fields a packet's dump line reads back as: its time at the
+/// dump's 0.1 µs resolution, and the rest exactly.
+fn as_parsed(ev: &PktEvent) -> ParsedLine {
+    ParsedLine {
+        t_ms: format!("{:.4}", ev.t.as_millis_f64()).parse().unwrap(),
+        node: ev.node.0,
+        dir: ev.dir,
+        kind: ev.kind,
+        seq: ev.seq,
+        len: ev.len,
+        ack: ev.ack,
+        push: ev.push,
+    }
+}
+
+#[test]
+fn client_view_dump_reads_back_every_client_packet_in_time_order() {
+    let report =
+        dataset_b_campaign().execute_stream_with_threads(&|_| CollectSink::with_raw(true), 2);
+    let (mut dumped, mut reordered) = (0, 0);
+    for cq in report.runs.iter().flat_map(|run| &run.output.raw) {
+        let client = ServiceWorld::client_node(cq.client);
+        let tl = Timeline::extract(&cq.trace, client, &Classifier::ByMarker).unwrap();
+        let view = dump::render_client_view(&cq.trace, client).unwrap();
+        let mut lines = view.lines();
+        let header = format!(
+            "# client node{} tb={:.4}ms rtt={:?} bytes={}",
+            client.0,
+            tl.tb.as_millis_f64(),
+            Some(tl.rtt_ms),
+            tl.total_bytes
+        );
+        assert_eq!(lines.next(), Some(header.as_str()), "qid {}", cq.qid);
+        // The client's packets in recording order: each line takes one.
+        let recorded: Vec<PktEvent> = cq
+            .trace
+            .iter()
+            .filter(|e| e.node == client && e.dir != PktDir::Drop)
+            .collect();
+        let mut unprinted: Vec<Option<PktEvent>> = recorded.iter().copied().map(Some).collect();
+        let mut printed = Vec::new();
+        for line in lines {
+            let parsed = dump::parse_line(line)
+                .unwrap_or_else(|| panic!("qid {}: unparsable line {line:?}", cq.qid));
+            let slot = unprinted
+                .iter_mut()
+                .find(|e| e.is_some_and(|e| as_parsed(&e) == parsed))
+                .unwrap_or_else(|| panic!("qid {}: {line:?} is no packet of the capture", cq.qid));
+            printed.extend(slot.take());
+        }
+        assert_eq!(
+            printed.len(),
+            recorded.len(),
+            "qid {}: packets left out",
+            cq.qid
+        );
+        // Time order; at one instant the client's transmissions first.
+        let key = |e: &PktEvent| (e.t, e.dir == PktDir::Rx);
+        assert!(
+            printed.windows(2).all(|w| key(&w[0]) <= key(&w[1])),
+            "qid {}: lines out of order:\n{view}",
+            cq.qid
+        );
+        dumped += 1;
+        reordered += usize::from(printed != recorded);
+    }
+    assert!(dumped > 0);
+    // The SYN-ACK is recorded before the ACK and GET the client sends
+    // at the same instant, so a dump in recording order fails above.
+    assert!(
+        reordered > 0,
+        "no capture put a reception before a send at one instant"
+    );
 }
