@@ -9,7 +9,7 @@
 //! exactly one wake (DESIGN.md §12).
 
 use super::{QuerySeries, QuerySpec};
-use simcore::time::SimTime;
+use simcore::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use tcpsim::Net;
@@ -20,6 +20,18 @@ pub(super) const START_WAKE: u64 = u64::MAX;
 
 /// `fixed_fe` of a [`PackedSpec`] that uses the DNS default.
 const NO_FE: u32 = u32::MAX;
+
+/// The latest instant a start is filed at. Half the clock's range
+/// leaves every query far more virtual time to finish in than any of
+/// its timers spans, so no time sum of a late query can overflow.
+const LAST_START: SimTime = SimTime::from_nanos(u64::MAX / 2);
+
+/// When a start `delay` from now is filed: no later than [`LAST_START`],
+/// unless the clock is already past it.
+pub(super) fn start_at(net: &Net, delay: SimDuration) -> SimTime {
+    let last = LAST_START.max(net.now());
+    net.now().checked_add(delay).map_or(last, |at| at.min(last))
+}
 
 /// A filed start.
 pub(super) enum Start {
@@ -36,7 +48,8 @@ pub(super) struct PackedSpec {
 }
 
 impl PackedSpec {
-    /// Packs `spec`, whose keyword is already inside the corpus.
+    /// Packs `spec`, whose ids already lie inside the vantage list, the
+    /// corpus and the fleet.
     pub(super) fn pack(spec: &QuerySpec) -> PackedSpec {
         PackedSpec {
             client: pack_id(spec.client),

@@ -121,12 +121,14 @@ impl QueryOutcome {
 /// A query to execute.
 #[derive(Clone, Debug)]
 pub struct QuerySpec {
-    /// Index of the issuing client (into the vantage list).
+    /// Index of the issuing client (into the vantage list). Indices
+    /// past the list's end wrap modulo its length.
     pub client: usize,
     /// Keyword id (into the corpus). Ids past the corpus end wrap
     /// modulo its size.
     pub keyword: u64,
     /// Fixed FE override (Dataset B); `None` uses the DNS default.
+    /// Indices past the fleet's end wrap modulo the FE count.
     pub fixed_fe: Option<usize>,
     /// Marks a correlated follow-up in a search-as-you-type session.
     pub instant_followup: bool,
@@ -137,9 +139,11 @@ pub struct QuerySpec {
 /// after [`ServiceWorld::schedule_series`] is called.
 #[derive(Clone, Debug)]
 pub struct QuerySeries {
-    /// Index of the issuing client (into the vantage list).
+    /// Index of the issuing client (into the vantage list). Indices
+    /// past the list's end wrap modulo its length.
     pub client: usize,
     /// Fixed FE override (Dataset B); `None` uses the DNS default.
+    /// Indices past the fleet's end wrap modulo the FE count.
     pub fixed_fe: Option<usize>,
     /// Keyword ids, cycled: query `r` uses `keywords[r % keywords.len()]`.
     /// Ids past the corpus end wrap modulo its size. Must not be empty.
@@ -650,10 +654,14 @@ impl ServiceWorld {
     /// Schedules a query to start `delay` from now. Its event sequence
     /// number is reserved now, as an armed timer's would be, and the
     /// start waits in the world's start book, not in the event queue.
+    /// A start past half the clock's range (about 292 years of virtual
+    /// time) is filed at that instant, so the query has time to end.
     pub fn schedule_query(&mut self, net: &mut Net, delay: SimDuration, mut spec: QuerySpec) {
         spec.keyword %= self.corpus.len() as u64;
+        spec.client %= self.clients.len();
+        spec.fixed_fe = spec.fixed_fe.map(|fe| fe % self.fes.len());
         let seq = net.reserve_timer_seqs(1);
-        let at = net.now() + delay;
+        let at = book::start_at(net, delay);
         self.book
             .insert(net, at, seq, Start::Query(PackedSpec::pack(&spec)));
     }
@@ -677,8 +685,10 @@ impl ServiceWorld {
         for k in &mut series.keywords {
             *k %= corpus_len;
         }
+        series.client %= self.clients.len();
+        series.fixed_fe = series.fixed_fe.map(|fe| fe % self.fes.len());
         let seq = net.reserve_timer_seqs(series.count);
-        let at = net.now() + series.first;
+        let at = book::start_at(net, series.first);
         let cursor = SeriesCursor { series, member: 0 };
         self.book
             .insert(net, at, seq, Start::Series(Box::new(cursor)));

@@ -89,7 +89,7 @@ impl ServiceWorld {
                 let spec = cursor.spec();
                 if cursor.member + 1 < cursor.series.count {
                     cursor.member += 1;
-                    let at = net.now() + cursor.series.spacing;
+                    let at = book::start_at(net, cursor.series.spacing);
                     self.book.insert(net, at, seq + 1, Start::Series(cursor));
                 }
                 spec

@@ -739,6 +739,61 @@ fn an_out_of_range_keyword_wraps_at_schedule_time() {
     assert_eq!(done[0].outcome, QueryOutcome::Ok);
 }
 
+/// Schedules one query from `client` (pinned to `fixed_fe`, if any)
+/// alone and one as a one-member series, and runs both to completion.
+fn run_query_and_series(client: usize, fixed_fe: Option<usize>) -> Vec<CompletedQuery> {
+    let mut sim = small_world(ServiceConfig::google_like(6));
+    sim.with(|w, net| {
+        let spec = QuerySpec {
+            client,
+            keyword: 3,
+            fixed_fe,
+            instant_followup: false,
+        };
+        w.schedule_query(net, SimDuration::from_millis(1), spec);
+        let series = QuerySeries {
+            client,
+            fixed_fe,
+            keywords: vec![3],
+            first: SimDuration::from_secs(5),
+            spacing: SimDuration::from_secs(5),
+            count: 1,
+        };
+        w.schedule_series(net, series);
+    });
+    sim.run();
+    let done = sim.with(|w, _| w.drain_completed());
+    assert_eq!(done.len(), 2);
+    for cq in &done {
+        assert_eq!(cq.outcome, QueryOutcome::Ok, "qid {}", cq.qid);
+    }
+    done
+}
+
+#[test]
+fn an_out_of_range_client_wraps_at_schedule_time() {
+    // 10,007 is past the 20-vantage list: it wraps to client 7, the
+    // rule keywords follow.
+    for cq in run_query_and_series(10_007, None) {
+        assert_eq!(cq.client, 7);
+    }
+}
+
+#[test]
+fn a_client_of_usize_max_wraps_at_schedule_time() {
+    for cq in run_query_and_series(usize::MAX, None) {
+        assert_eq!(cq.client, usize::MAX % 20);
+    }
+}
+
+#[test]
+fn an_out_of_range_fixed_fe_wraps_at_schedule_time() {
+    // The google-like fleet has 14 FEs: FE 10,000 wraps to FE 4.
+    for cq in run_query_and_series(0, Some(10_000)) {
+        assert_eq!(cq.fe, Some(10_000 % 14));
+    }
+}
+
 /// Schedules `n` clients at t = 1 ms, all pinned to client 0's
 /// default FE, and runs to completion.
 fn run_burst(cfg: ServiceConfig, n: usize) -> (Vec<CompletedQuery>, Sim<ServiceWorld>) {

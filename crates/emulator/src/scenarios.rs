@@ -130,6 +130,6 @@ mod tests {
         let a = Scenario::small(3);
         let b = Scenario::small(3);
         assert_eq!(a.vantages[5].pt, b.vantages[5].pt);
-        assert_eq!(a.corpus.text(17), b.corpus.text(17));
+        assert_eq!(a.corpus.get(17), b.corpus.get(17));
     }
 }

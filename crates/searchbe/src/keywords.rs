@@ -67,8 +67,8 @@ impl KeywordClass {
 }
 
 /// One search keyword/query: its identity and the attributes the
-/// simulator reads. The text itself stays in the corpus
-/// ([`KeywordCorpus::text`]).
+/// simulator reads. The corpus keeps no text: a query's bytes matter
+/// only through its length.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Keyword {
     /// Stable id (also used to derive the dynamic content identity).
@@ -91,33 +91,32 @@ const SYLLABLES: &[&str] = &[
     "tem", "web", "ser", "vice",
 ];
 
-/// Appends one synthetic word of 2–4 syllables to `out`.
-fn synth_word(rng: &mut Rng, out: &mut String) {
-    let n = 2 + rng.next_below(3) as usize;
-    for _ in 0..n {
-        out.push_str(rng.choose(SYLLABLES) as &str);
-    }
+/// Length of one synthetic word of 2–4 syllables.
+fn synth_word_len(rng: &mut Rng) -> u16 {
+    let n = 2 + rng.next_below(3);
+    (0..n).map(|_| rng.choose(SYLLABLES).len() as u16).sum()
 }
 
-/// Appends a `words`-word query to `out`.
-fn synth_query(rng: &mut Rng, words: usize, out: &mut String) {
-    for i in 0..words {
-        if i > 0 {
-            out.push(' ');
-        }
-        synth_word(rng, out);
-    }
+/// Length of a `words`-word query: its words and one space between
+/// each pair. At most 10 words of 24 characters, so it fits a `u16`.
+fn synth_query_len(rng: &mut Rng, words: usize) -> u16 {
+    let spaces = words as u16 - 1;
+    (0..words).map(|_| synth_word_len(rng)).sum::<u16>() + spaces
 }
 
-/// A deterministic synthetic keyword corpus. Every keyword's text sits
-/// back to back in one buffer; per keyword the corpus keeps only where
-/// its text ends, its class and its suggested flag.
+/// What the corpus keeps per keyword: 4 bytes.
+#[derive(Clone, Copy, Debug)]
+struct Attrs {
+    chars: u16,
+    class: KeywordClass,
+    suggested: bool,
+}
+
+/// A deterministic synthetic keyword corpus: per keyword its length,
+/// class and suggested flag, in rank order, beside the Zipf table.
 #[derive(Clone, Debug)]
 pub struct KeywordCorpus {
-    text: String,
-    ends: Vec<u32>,
-    classes: Vec<KeywordClass>,
-    suggested: Vec<bool>,
+    attrs: Vec<Attrs>,
     zipf: Zipf,
 }
 
@@ -129,34 +128,28 @@ impl KeywordCorpus {
     pub fn generate(seed: u64, n: usize, suggested_frac: f64) -> KeywordCorpus {
         assert!(n > 0);
         let mut rng = Rng::from_seed_and_name(seed, "searchbe/corpus");
-        // Keywords average ~46 bytes: one reservation covers the text,
-        // and the surplus is returned once it is written.
-        let mut text = String::with_capacity(n * 64);
-        let mut ends = Vec::with_capacity(n);
-        let mut classes = Vec::with_capacity(n);
-        let mut suggested = Vec::with_capacity(n);
-        for _ in 0..n {
-            let u = rng.next_f64();
-            let class = if u < 0.40 {
-                KeywordClass::Popular
-            } else if u < 0.75 {
-                KeywordClass::Refined
-            } else if u < 0.90 {
-                KeywordClass::Complex
-            } else {
-                KeywordClass::UncorrelatedMix
-            };
-            synth_query(&mut rng, class.word_count(), &mut text);
-            ends.push(u32::try_from(text.len()).expect("corpus text past 4 GiB"));
-            classes.push(class);
-            suggested.push(rng.chance(suggested_frac));
-        }
-        text.shrink_to_fit();
+        let attrs = (0..n)
+            .map(|_| {
+                let u = rng.next_f64();
+                let class = if u < 0.40 {
+                    KeywordClass::Popular
+                } else if u < 0.75 {
+                    KeywordClass::Refined
+                } else if u < 0.90 {
+                    KeywordClass::Complex
+                } else {
+                    KeywordClass::UncorrelatedMix
+                };
+                let chars = synth_query_len(&mut rng, class.word_count());
+                Attrs {
+                    chars,
+                    class,
+                    suggested: rng.chance(suggested_frac),
+                }
+            })
+            .collect();
         KeywordCorpus {
-            text,
-            ends,
-            classes,
-            suggested,
+            attrs,
             // Rank = generation order; sampling is Zipf over it.
             zipf: Zipf::new(n, 0.9),
         }
@@ -164,12 +157,12 @@ impl KeywordCorpus {
 
     /// Number of keywords.
     pub fn len(&self) -> usize {
-        self.ends.len()
+        self.attrs.len()
     }
 
     /// True when empty (never: generation requires n > 0).
     pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
+        self.attrs.is_empty()
     }
 
     /// Every keyword, in id order.
@@ -179,28 +172,14 @@ impl KeywordCorpus {
 
     /// A specific keyword by id.
     pub fn get(&self, id: u64) -> Keyword {
-        let i = id as usize;
+        let a = self.attrs[id as usize];
         Keyword {
             id,
-            class: self.classes[i],
-            rank: i,
-            suggested: self.suggested[i],
-            chars: self.span(i).len(),
+            class: a.class,
+            rank: id as usize,
+            suggested: a.suggested,
+            chars: a.chars as usize,
         }
-    }
-
-    /// The query text of keyword `id`.
-    pub fn text(&self, id: u64) -> &str {
-        &self.text[self.span(id as usize)]
-    }
-
-    /// Byte range of keyword `i`'s text in the buffer.
-    fn span(&self, i: usize) -> std::ops::Range<usize> {
-        let start = match i {
-            0 => 0,
-            _ => self.ends[i - 1] as usize,
-        };
-        start..self.ends[i] as usize
     }
 
     /// Draws a keyword by Zipf popularity (rank 0 most likely) — the
@@ -215,9 +194,9 @@ impl KeywordCorpus {
     pub fn fig3_picks(&self) -> [Keyword; 4] {
         KeywordClass::ALL.map(|class| {
             let id = self
-                .classes
+                .attrs
                 .iter()
-                .position(|&c| c == class)
+                .position(|a| a.class == class)
                 .expect("corpus missing a keyword class");
             self.get(id as u64)
         })
@@ -233,10 +212,7 @@ mod tests {
         let a = KeywordCorpus::generate(1, 1000, 0.5);
         let b = KeywordCorpus::generate(1, 1000, 0.5);
         assert_eq!(a.len(), 1000);
-        for (x, y) in a.all().zip(b.all()) {
-            assert_eq!(a.text(x.id), b.text(y.id));
-            assert_eq!(x, y);
-        }
+        assert!(a.all().eq(b.all()));
     }
 
     #[test]
@@ -254,14 +230,17 @@ mod tests {
 
     #[test]
     fn word_counts_by_class() {
+        // A word is 2–4 syllables of 2–6 characters, and a `w`-word
+        // query has `w - 1` spaces.
+        let syllable = SYLLABLES.iter().map(|s| s.len());
+        assert_eq!((syllable.clone().min(), syllable.max()), (Some(2), Some(6)));
         let c = KeywordCorpus::generate(3, 2000, 0.5);
         for kw in c.all() {
-            let text = c.text(kw.id);
-            assert_eq!(text.len(), kw.chars);
-            let words = text.split(' ').count();
-            assert_eq!(words, kw.class.word_count(), "{:?}", kw.class);
+            let w = kw.class.word_count();
+            let (shortest, longest) = (w * 2 * 2 + w - 1, w * 4 * 6 + w - 1);
+            assert!((shortest..=longest).contains(&kw.chars), "{kw:?}");
         }
-        // Complex queries are textually longer than popular ones.
+        // Complex queries are longer than popular ones.
         let avg = |class: KeywordClass| {
             let v: Vec<usize> = c
                 .all()
@@ -304,34 +283,34 @@ mod tests {
     }
 
     #[test]
-    fn corpus_text_is_pinned() {
-        // FNV-1a-64 over every keyword's text followed by `|`: the
-        // corpus must stay the same bytes however it is built.
+    fn corpus_attributes_are_pinned() {
+        // FNV-1a-64 over every keyword's length (`u16`, little-endian),
+        // class index and suggested flag: generation must keep making
+        // the same draws in the same order. The lengths add up to the
+        // 1,832,350 bytes of text the same draws spell out.
         let c = KeywordCorpus::generate(42, 40_000, 0.5);
         let (mut h, mut bytes) = (0xcbf2_9ce4_8422_2325u64, 0usize);
         for kw in c.all() {
-            let text = c.text(kw.id);
-            for &b in text.as_bytes().iter().chain(b"|") {
-                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            let chars = u16::try_from(kw.chars).expect("lengths fit u16");
+            let [lo, hi] = chars.to_le_bytes();
+            for b in [lo, hi, kw.class.index() as u8, u8::from(kw.suggested)] {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
             }
-            bytes += text.len();
+            bytes += kw.chars;
         }
         assert_eq!(bytes, 1_832_350);
-        assert_eq!(h, 0x0b1d_4e3e_97ed_2085);
+        assert_eq!(h, 0xd1ed_6553_4754_430f);
     }
 
     #[test]
-    fn corpus_buffers_hold_little_beyond_the_text() {
-        // One text buffer plus per-keyword offsets, classes and flags:
-        // ~2.39 MB at 40,000 keywords, where a `String` per keyword took
-        // ~4.07 MB in 40,001 allocations.
+    fn corpus_buffers_hold_four_bytes_per_keyword() {
+        // 4 B of attributes and an 8 B Zipf entry per keyword: 480,000 B
+        // at 40,000 keywords, where keeping the text too took 2,392,350.
+        assert_eq!(std::mem::size_of::<Attrs>(), 4);
         let c = KeywordCorpus::generate(42, 40_000, 0.5);
-        let bytes = c.text.capacity()
-            + c.ends.capacity() * std::mem::size_of::<u32>()
-            + c.classes.capacity() * std::mem::size_of::<KeywordClass>()
-            + c.suggested.capacity() * std::mem::size_of::<bool>()
+        let bytes = c.attrs.capacity() * std::mem::size_of::<Attrs>()
             + c.zipf.len() * std::mem::size_of::<f64>();
-        assert!(bytes <= 2_500_000, "corpus buffers hold {bytes} B");
+        assert!(bytes <= 500_000, "corpus buffers hold {bytes} B");
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! for the caching probes, and per-letter "search as you type" queries.
 //! This crate models all of that:
 //!
-//! * [`keywords`] — keyword classes, synthetic corpora, query-text
-//!   generation;
+//! * [`keywords`] — keyword classes and synthetic corpora (per keyword
+//!   its class, popularity rank and query length);
 //! * [`proctime`] — per-service `Tproc` distributions, keyword-class
 //!   multipliers and a slowly varying load process;
 //! * [`response`] — page composition: the static portion (HTTP/HTML

@@ -23,6 +23,26 @@ cargo test --workspace -q --offline
 echo "==> end-to-end benchmark tests (e2e_bench: public API it drives, traced == untraced digest)"
 cargo test --release --offline --manifest-path e2e_bench/Cargo.toml
 
+echo "==> end-to-end benchmark: one full-size run per workload passes its gate"
+# The e2e_bench tests run Tiny-size campaigns. This runs each workload at
+# the benchmark's full size, so its gate (the Eq. 1 share, google-like
+# below bing-like threshold, the digest repeat, a defined p99) is checked
+# here too: exit 0 and "correct": true on the last line. Peak RSS and
+# setup time are printed for information only.
+cargo build --release --offline --manifest-path e2e_bench/Cargo.toml
+for w in fixed_fe sessions_churn faults_overload; do
+  out="/tmp/ci_e2e_$w.txt"
+  ./e2e_bench/target/release/e2e_bench --workload "$w" --seed 1 --seconds 1 --trace 0 \
+    > "$out" 2> "/tmp/ci_e2e_$w.log" || {
+    echo "e2e_bench $w exited $? (output in $out)" >&2; exit 1;
+  }
+  tail -n 1 "$out" | grep -q '^{"correct": true,' || {
+    echo "e2e_bench $w: the last line of $out is not a correct result" >&2; exit 1;
+  }
+  echo "    $w correct; $(grep -E '^metric (peak_rss_mb|setup_s) ' "$out" \
+    | sed 's/^metric //' | paste -sd ';' - | sed 's/;/, /')"
+done
+
 echo "==> source hygiene: no wall clock or native sockets in simulator crates"
 # Everything in simcore/tcpsim/cdnsim must run on virtual time over
 # simulated sockets; the only sanctioned wall-clock seam is the

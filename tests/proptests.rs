@@ -599,6 +599,62 @@ proptest! {
         prop_assert_eq!(run.output.queries.len() + t.skipped, t.total(), "tally {:?}", t);
         prop_assert_eq!(t.ok + t.degraded + t.retried + t.timed_out + t.shed, t.total());
     }
+
+    /// Panic freedom over `QuerySpec`: a few queries with arbitrary
+    /// client, keyword, fixed FE and delay, far out of range included,
+    /// run to quiescence, and each ends in exactly one outcome.
+    #[test]
+    fn arbitrary_query_specs_run_to_quiescence(
+        seed in 0u64..1_000,
+        bing in 0u8..2,
+        queries in prop::collection::vec(
+            (
+                (0u8..3, 0u64..=u64::MAX),
+                (0u8..3, 0u64..=u64::MAX),
+                (0u8..4, 0u64..=u64::MAX),
+                (0u8..3, 0u64..=u64::MAX),
+            ),
+            1..5,
+        ),
+    ) {
+        use emulator::sink::observe_outcome;
+        use emulator::Scenario;
+        use simcore::time::SimDuration;
+
+        let scenario = Scenario::with_size(seed, 6, 120);
+        let cfg = match bing {
+            0 => cdnsim::ServiceConfig::google_like(seed),
+            _ => cdnsim::ServiceConfig::bing_like(seed),
+        };
+        let mut sim = scenario.build_sim(cfg);
+        for &(client, keyword, fixed_fe, delay) in &queries {
+            let spec = cdnsim::QuerySpec {
+                client: edge_value(client, 64) as usize,
+                keyword: edge_value(keyword, 64),
+                fixed_fe: (fixed_fe.0 < 3).then(|| edge_value(fixed_fe, 64) as usize),
+                instant_followup: false,
+            };
+            let delay = SimDuration::from_nanos(edge_value(delay, 60_000_000_000));
+            sim.with(|w, net| w.schedule_query(net, delay, spec));
+        }
+        sim.run();
+        let mut tally = inference::SessionTally::default();
+        for cq in sim.with(|w, _| w.drain_completed()) {
+            observe_outcome(&mut tally, cq.outcome);
+        }
+        prop_assert_eq!(tally.total(), queries.len(), "tally {:?}", tally);
+        prop_assert_eq!(sim.with(|w, _| w.in_flight()), 0);
+    }
+}
+
+/// A value below `small`, within 3 of `u64::MAX`, or anywhere in `u64`,
+/// as `shape` is 0, 1 or another value.
+fn edge_value((shape, raw): (u8, u64), small: u64) -> u64 {
+    match shape {
+        0 => raw % small,
+        1 => u64::MAX - raw % 4,
+        _ => raw,
+    }
 }
 
 // ---------- inference properties ----------
