@@ -32,7 +32,7 @@
 
 use super::{ClaimRun, Tsv};
 use crate::{scenario, Scale};
-use cdnsim::{Cache, CacheConfig, ObjectCache, ServiceConfig};
+use cdnsim::{CacheConfig, ObjectCache, ServiceConfig};
 use emulator::{
     Campaign, CollectSink, Design, ProcessedQuery, QuerySink, RunDescriptor, SessionWorkload,
     StreamReport,

@@ -1,6 +1,6 @@
-//! The first-class FE cache model: LRU, LFU and TTL eviction behind one
-//! trait, with per-object sizes, byte-capacity accounting and full
-//! hit/miss/eviction statistics.
+//! The FE cache model: LRU, LFU and TTL eviction in one type, with
+//! per-object sizes, byte-capacity accounting and full hit/miss/eviction
+//! statistics.
 //!
 //! [`ObjectCache`] replaces the old unbounded `HashMap` behind a bool in
 //! `fe.rs`. It is **observe-only deterministic**: no RNG, no scheduling,
@@ -130,7 +130,7 @@ pub struct CacheStats {
     pub rejections: u64,
 }
 
-/// What one [`Cache::insert`] did.
+/// What one [`ObjectCache::insert`] did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct InsertOutcome {
     /// The object is now resident.
@@ -139,37 +139,6 @@ pub struct InsertOutcome {
     pub evicted: u64,
     /// Entries that expired (TTL) while making room.
     pub expired: u64,
-}
-
-/// The uniform interface every eviction policy sits behind. One
-/// implementation — [`ObjectCache`] — serves all policies; the trait is
-/// the seam harnesses and tests program against.
-pub trait Cache<V> {
-    /// Looks up `key` at virtual time `now`, counting a hit or miss and
-    /// updating recency/frequency. An entry whose TTL has elapsed
-    /// (`now >= inserted_at + ttl`) is removed and counted as an
-    /// expiration plus a miss.
-    fn get(&mut self, key: u64, now: SimTime) -> Option<&V>;
-
-    /// Inserts `key` with a `size`-byte object at `now`, evicting in
-    /// policy order until it fits. Re-inserting a resident key refreshes
-    /// it in place (not an eviction). Objects that can never fit are
-    /// rejected.
-    fn insert(&mut self, key: u64, value: V, size: u64, now: SimTime) -> InsertOutcome;
-
-    /// Cumulative statistics.
-    fn stats(&self) -> CacheStats;
-
-    /// Bytes currently resident.
-    fn bytes_resident(&self) -> u64;
-
-    /// Entries currently resident.
-    fn len(&self) -> usize;
-
-    /// True when nothing is resident.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[derive(Clone, Debug)]
@@ -260,10 +229,12 @@ impl<V> ObjectCache<V> {
         }
         false
     }
-}
 
-impl<V> Cache<V> for ObjectCache<V> {
-    fn get(&mut self, key: u64, now: SimTime) -> Option<&V> {
+    /// Looks up `key` at virtual time `now`, counting a hit or miss and
+    /// updating recency/frequency. An entry whose TTL has elapsed
+    /// (`now >= inserted_at + ttl`) is removed and counted as an
+    /// expiration plus a miss.
+    pub fn get(&mut self, key: u64, now: SimTime) -> Option<&V> {
         self.stats.lookups += 1;
         match self.map.get(&key) {
             None => {
@@ -293,7 +264,11 @@ impl<V> Cache<V> for ObjectCache<V> {
         }
     }
 
-    fn insert(&mut self, key: u64, value: V, size: u64, now: SimTime) -> InsertOutcome {
+    /// Inserts `key` with a `size`-byte object at `now`, evicting in
+    /// policy order until it fits. Re-inserting a resident key refreshes
+    /// it in place (not an eviction). Objects that can never fit are
+    /// rejected.
+    pub fn insert(&mut self, key: u64, value: V, size: u64, now: SimTime) -> InsertOutcome {
         // Refresh: drop the old entry silently (neither an eviction nor
         // an expiration — the object is being replaced by its owner).
         self.remove_entry(key);
@@ -338,16 +313,24 @@ impl<V> Cache<V> for ObjectCache<V> {
         out
     }
 
-    fn stats(&self) -> CacheStats {
+    /// Cumulative statistics.
+    pub fn stats(&self) -> CacheStats {
         self.stats
     }
 
-    fn bytes_resident(&self) -> u64 {
+    /// Bytes currently resident.
+    pub fn bytes_resident(&self) -> u64 {
         self.bytes
     }
 
-    fn len(&self) -> usize {
+    /// Entries currently resident.
+    pub fn len(&self) -> usize {
         self.map.len()
+    }
+
+    /// True when nothing is resident.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
     }
 }
 

@@ -8,10 +8,11 @@
 //! mechanism concrete: each request pays a sampled service time scaled by
 //! a persistent load process whose amplitude depends on tenancy.
 
-use crate::cache::{Cache, CacheConfig, InsertOutcome, ObjectCache};
+use crate::cache::{CacheConfig, InsertOutcome, ObjectCache};
 use nettopo::placement::FeSite;
 use searchbe::proctime::LoadProcess;
-use simcore::dist::{Dist, Sampler};
+use searchbe::response::ResponsePlan;
+use simcore::dist::Dist;
 use simcore::rng::Rng;
 use simcore::time::{SimDuration, SimTime};
 
@@ -37,7 +38,7 @@ pub struct FeServer {
     /// `None` in the real services, which do not cache results; present
     /// only to validate the caching detector and for the popularity
     /// experiments.
-    result_cache: Option<ObjectCache<httpsim::ResponsePlan>>,
+    result_cache: Option<ObjectCache<ResponsePlan>>,
 }
 
 impl FeServer {
@@ -111,7 +112,7 @@ impl FeServer {
     /// Looks up a hypothetically cached result for `keyword` at `now`,
     /// counting a hit or miss against the result cache. Always `None`
     /// in the realistic (caching-disabled) configuration.
-    pub fn lookup_result(&mut self, keyword: u64, now: SimTime) -> Option<httpsim::ResponsePlan> {
+    pub fn lookup_result(&mut self, keyword: u64, now: SimTime) -> Option<ResponsePlan> {
         self.result_cache.as_mut()?.get(keyword, now).cloned()
     }
 
@@ -121,7 +122,7 @@ impl FeServer {
     pub fn store_result(
         &mut self,
         keyword: u64,
-        plan: httpsim::ResponsePlan,
+        plan: ResponsePlan,
         now: SimTime,
     ) -> InsertOutcome {
         let Some(cache) = &mut self.result_cache else {
@@ -132,7 +133,7 @@ impl FeServer {
     }
 
     /// The result cache (for telemetry), when the FE caches results.
-    pub fn result_cache(&self) -> Option<&ObjectCache<httpsim::ResponsePlan>> {
+    pub fn result_cache(&self) -> Option<&ObjectCache<ResponsePlan>> {
         self.result_cache.as_ref()
     }
 
@@ -218,11 +219,7 @@ mod tests {
     fn result_cache_disabled_by_default() {
         let mut fe = dedicated();
         assert!(!fe.caches_results());
-        let out = fe.store_result(
-            7,
-            httpsim::ResponsePlan::new(9000, 1, 20000, 1000),
-            SimTime::ZERO,
-        );
+        let out = fe.store_result(7, ResponsePlan::new(9000, 1, 20000, 1000), SimTime::ZERO);
         assert!(!out.inserted);
         assert!(fe.lookup_result(7, SimTime::ZERO).is_none());
         // Disabled caching keeps no cache, so no statistics to touch.
@@ -240,7 +237,7 @@ mod tests {
             Some(CacheConfig::unbounded()),
         );
         assert!(fe.lookup_result(7, SimTime::ZERO).is_none());
-        let plan = httpsim::ResponsePlan::new(9000, 1, 20000, 1000);
+        let plan = ResponsePlan::new(9000, 1, 20000, 1000);
         let t = SimTime::from_millis(5);
         assert!(fe.store_result(7, plan.clone(), t).inserted);
         assert_eq!(fe.lookup_result(7, t), Some(plan));
@@ -253,7 +250,7 @@ mod tests {
         // Room for two 29 kB plans; the third insert evicts the LRU.
         let cache = CacheConfig::lru(60_000).with_max_entries(2);
         let mut fe = FeServer::new(1, site(true), Dist::Constant(5.0), 0.0, 0.0, Some(cache));
-        let plan = httpsim::ResponsePlan::new(9000, 1, 20000, 1000);
+        let plan = ResponsePlan::new(9000, 1, 20000, 1000);
         for k in 0..3u64 {
             fe.store_result(k, plan.clone(), SimTime::from_millis(k));
         }

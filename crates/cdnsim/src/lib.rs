@@ -3,14 +3,16 @@
 //! This crate wires the substrates together into the two services the
 //! paper measures:
 //!
-//! * [`cache`] — the first-class FE cache model: LRU/LFU/TTL eviction
-//!   behind one trait with per-object sizes, byte-capacity accounting,
-//!   and hit/miss/eviction statistics;
+//! * [`cache`] — the FE result-cache model, [`ObjectCache`]: LRU/LFU/TTL
+//!   eviction in one type with per-object sizes, byte-capacity
+//!   accounting, and hit/miss/eviction statistics;
 //! * [`fe`] — the front-end server model: per-request service time with a
 //!   tenancy-dependent load process (Akamai FEs are shared with many
-//!   customers; Google FEs are dedicated), the static-content cache, and
-//!   an optional hypothetical result cache (used to validate the paper's
-//!   "FEs do not cache search results" detector);
+//!   customers; Google FEs are dedicated) and an optional hypothetical
+//!   result cache (used to validate the paper's "FEs do not cache search
+//!   results" detector). The static portion needs no cache: every FE
+//!   holds it, and the world bursts it at serve time unless the
+//!   [`ServiceConfig::cache_static`] ablation switch is off;
 //! * [`dns`] — the client → default-FE mapping (nearest FE, as DNS-based
 //!   redirection approximates);
 //! * [`service`] — [`ServiceConfig`]: everything that distinguishes a
@@ -38,7 +40,7 @@ pub mod service;
 pub mod spec;
 pub mod world;
 
-pub use cache::{Cache, CacheConfig, CachePolicy, CacheStats, InsertOutcome, ObjectCache};
+pub use cache::{CacheConfig, CachePolicy, CacheStats, InsertOutcome, ObjectCache};
 pub use dns::DnsMap;
 pub use fe::FeServer;
 pub use mapping::{

@@ -5,20 +5,38 @@
 
 use super::*;
 
-/// Sends a BE's response up the FE↔BE connection: the static portion
-/// first when it rides the BE response (static cache off or missed),
-/// then the dynamic portion.
-fn send_be_response(net: &mut Net, conn: ConnId, plan: &ResponsePlan, static_too: bool) {
+/// Markers of the static and dynamic portions sent down a client
+/// connection.
+const TO_CLIENT: [Marker; 2] = [Marker::Static, Marker::Dynamic];
+/// Markers of both portions of a BE's response up a fetch leg.
+const FROM_BE: [Marker; 2] = [Marker::BeResponse; 2];
+
+/// Sends `plan` from the server end of `conn` under `markers`: the
+/// static portion first when `static_too` (it did not burst from the FE
+/// cache), then the dynamic portion.
+fn send_response(
+    net: &mut Net,
+    conn: ConnId,
+    plan: &ResponsePlan,
+    static_too: bool,
+    markers: [Marker; 2],
+) {
     if static_too {
         net.send(
             conn,
             End::B,
             plan.static_bytes,
-            Marker::BeResponse,
+            markers[0],
             plan.static_content,
         );
     }
-    plan.send_as_be_response(net, conn, End::B);
+    net.send(
+        conn,
+        End::B,
+        plan.dynamic_bytes,
+        markers[1],
+        plan.dynamic_content,
+    );
 }
 
 impl ServiceWorld {
@@ -59,7 +77,7 @@ impl ServiceWorld {
             return;
         };
         q.legs[slot].open(be, conn);
-        q.req.send_as_be_query(net, conn, End::A);
+        net.send(conn, End::A, q.req.bytes, Marker::BeQuery, q.req.content);
     }
 
     /// Arms fetch attempt `attempt`'s deadline and hedge timers, in
@@ -109,10 +127,7 @@ impl ServiceWorld {
                     .add("cdnsim.fe_result_cache_evictions", out.evicted);
             }
         }
-        if !self.cfg.cache_static {
-            plan.send_static(net, client_conn, End::B);
-        }
-        plan.send_dynamic(net, client_conn, End::B);
+        send_response(net, client_conn, &plan, !self.cfg.cache_static, TO_CLIENT);
         net.close(client_conn, End::B);
     }
 
@@ -237,10 +252,7 @@ impl ServiceWorld {
         if self.fes[fe].caches_results() {
             if let Some(plan) = self.fes[fe].lookup_result(kw_id, net.now()) {
                 self.metrics.inc("cdnsim.fe_result_cache_hits");
-                if !self.cfg.cache_static {
-                    plan.send_static(net, client_conn, End::B);
-                }
-                plan.send_dynamic(net, client_conn, End::B);
+                send_response(net, client_conn, &plan, !self.cfg.cache_static, TO_CLIENT);
                 net.close(client_conn, End::B);
                 let q = self.queries.get_mut(&qid).unwrap();
                 q.plan = Some(plan);
@@ -276,7 +288,7 @@ impl ServiceWorld {
         }
         let leg = &q.legs[slot];
         if let (Some(conn), Some(plan)) = (leg.conn, &leg.plan) {
-            send_be_response(net, conn, plan, !self.cfg.cache_static);
+            send_response(net, conn, plan, !self.cfg.cache_static, FROM_BE);
         }
     }
 
@@ -288,8 +300,7 @@ impl ServiceWorld {
             return;
         };
         let plan = q.plan.as_ref().expect("direct reply plan");
-        plan.send_static(net, q.client_conn, End::B);
-        plan.send_dynamic(net, q.client_conn, End::B);
+        send_response(net, q.client_conn, plan, true, TO_CLIENT);
         net.close(q.client_conn, End::B);
     }
 
@@ -431,7 +442,7 @@ impl App for ServiceWorld {
         };
         if info.leg == Leg::Client && end == End::A {
             if let Some(q) = self.queries.get(&info.qid) {
-                q.req.send(net, conn, End::A);
+                net.send(conn, End::A, q.req.bytes, Marker::Request, q.req.content);
             }
         }
     }
@@ -441,10 +452,10 @@ impl App for ServiceWorld {
             Some(i) => *i,
             None => return,
         };
+        let bytes: u64 = spans.iter().map(|s| s.len as u64).sum();
         match info.leg {
             Leg::Warmup { fe, be } => {
                 let entry = self.warmup_progress.entry(conn).or_insert((0, 0));
-                let bytes: u64 = spans.iter().map(|s| s.len as u64).sum();
                 match end {
                     End::B => {
                         entry.0 += bytes;
@@ -473,8 +484,8 @@ impl App for ServiceWorld {
                 };
                 // Server side of the client leg (FE, or BE when split TCP
                 // is off): request bytes.
-                q.srv_progress.absorb(spans);
-                if q.request_handled || !q.srv_progress.complete(Marker::Request, q.req.bytes) {
+                q.request_bytes += bytes;
+                if q.request_handled || q.request_bytes < q.req.bytes {
                     return;
                 }
                 q.request_handled = true;
@@ -489,9 +500,8 @@ impl App for ServiceWorld {
                 match end {
                     End::B => {
                         // The leg's BE receiving the query.
-                        leg.query_progress.absorb(spans);
-                        if leg.handled || !leg.query_progress.complete(Marker::BeQuery, q.req.bytes)
-                        {
+                        leg.query_bytes += bytes;
+                        if leg.handled || leg.query_bytes < q.req.bytes {
                             return;
                         }
                         leg.handled = true;
@@ -506,7 +516,7 @@ impl App for ServiceWorld {
                     End::A => {
                         // The FE receiving the leg's response; the first
                         // complete response wins.
-                        leg.resp_progress.absorb(spans);
+                        leg.resp_bytes += bytes;
                         let expected = match &leg.plan {
                             Some(p) => {
                                 p.dynamic_bytes
@@ -518,9 +528,7 @@ impl App for ServiceWorld {
                             }
                             None => u64::MAX,
                         };
-                        if q.fetch_done.is_none()
-                            && leg.resp_progress.complete(Marker::BeResponse, expected)
-                        {
+                        if q.fetch_done.is_none() && leg.resp_bytes >= expected {
                             self.complete_leg(net, qid, slot);
                         }
                     }

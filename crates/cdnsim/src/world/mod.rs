@@ -29,7 +29,6 @@ use crate::fe::FeServer;
 use crate::mapping::Mapper;
 use crate::service::ServiceConfig;
 use book::{PackedSpec, SeriesCursor, Start, StartBook};
-use httpsim::{RecvProgress, RequestSpec, ResponsePlan};
 use nettopo::faults::{FaultKind, FaultWindow};
 use nettopo::geo::GeoPoint;
 use nettopo::path::{PathModel, PathProfile};
@@ -37,6 +36,7 @@ use nettopo::sites::BeSite;
 use nettopo::vantage::{AccessKind, Vantage};
 use searchbe::datacenter::BeDataCenter;
 use searchbe::keywords::{KeywordClass, KeywordCorpus};
+use searchbe::response::{RequestSpec, ResponsePlan, CONTENT_ID_STATIC_BASE};
 use simcore::hash::HashMap;
 use simcore::rng::Rng;
 use simcore::telemetry::MetricsRegistry;
@@ -301,9 +301,9 @@ struct FetchLeg {
     /// query.
     plan: Option<ResponsePlan>,
     proc_ms: f64,
-    /// Query bytes at the BE, response bytes at the FE.
-    query_progress: RecvProgress,
-    resp_progress: RecvProgress,
+    /// Query bytes delivered at the BE, response bytes at the FE.
+    query_bytes: u64,
+    resp_bytes: u64,
     /// The BE has taken the whole query up.
     handled: bool,
 }
@@ -344,8 +344,8 @@ struct QueryState {
     rtt_client_fe_ms: f64,
     rtt_fe_be_ms: f64,
     dist_fe_be_miles: f64,
-    // Request bytes at the server end of the client connection.
-    srv_progress: RecvProgress,
+    // Request bytes delivered at the server end of the client connection.
+    request_bytes: u64,
     request_handled: bool,
     // Overload machinery. `shed` marks an admission-control rejection;
     // `fe_counted` records that the query holds its FE's in-flight slot.

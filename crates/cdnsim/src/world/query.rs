@@ -41,8 +41,8 @@ impl ServiceWorld {
             Self::fe_node(fe),
             Self::be_node(be),
             Self::to_params(&path),
-            self.cfg.fe_be_tcp.clone().persistent(),
-            self.cfg.be_tcp.clone().persistent(),
+            self.cfg.fe_be_tcp,
+            self.cfg.be_tcp,
             session,
         )
     }
@@ -141,7 +141,7 @@ impl ServiceWorld {
                         class,
                         t_start: now,
                         t_done: now,
-                        plan: ResponsePlan::new(1, 0, 1, httpsim::CONTENT_ID_STATIC_BASE),
+                        plan: ResponsePlan::new(1, 0, 1, CONTENT_ID_STATIC_BASE),
                         proc_ms: 0.0,
                         fe_overhead_ms: 0.0,
                         fetch_start: None,
@@ -186,7 +186,7 @@ impl ServiceWorld {
             server_node,
             Self::to_params(&path),
             tcpsim::TcpOptions::default(),
-            self.cfg.fe_client_tcp.clone(),
+            self.cfg.fe_client_tcp,
             qid,
         );
         self.conn_info.insert(
@@ -220,7 +220,7 @@ impl ServiceWorld {
                 rtt_client_fe_ms: rtt_client,
                 rtt_fe_be_ms,
                 dist_fe_be_miles: dist_fe_be,
-                srv_progress: RecvProgress::new(),
+                request_bytes: 0,
                 request_handled: false,
                 shed: false,
                 fe_counted: false,
@@ -423,8 +423,7 @@ impl ServiceWorld {
             t_start: q.t_start,
             t_done,
             // A missing plan means the attempt never got a response.
-            plan: plan
-                .unwrap_or_else(|| ResponsePlan::new(1, 0, 1, httpsim::CONTENT_ID_STATIC_BASE)),
+            plan: plan.unwrap_or_else(|| ResponsePlan::new(1, 0, 1, CONTENT_ID_STATIC_BASE)),
             proc_ms,
             fe_overhead_ms: q.fe_overhead_ms,
             fetch_start: q.fetch_start,

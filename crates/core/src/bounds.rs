@@ -46,12 +46,6 @@ impl FetchBounds {
         fetch_ms >= self.lower_ms - tol_ms && fetch_ms <= self.upper_ms + tol_ms
     }
 
-    /// The midpoint — a crude point estimate when only one query is
-    /// available.
-    pub fn midpoint_ms(&self) -> f64 {
-        0.5 * (self.lower_ms + self.upper_ms)
-    }
-
     /// Combines brackets from repeated queries to one FE: the fetch time
     /// is (modeled as) a stable quantity, so the intersection of
     /// per-query brackets tightens the estimate — `max` of lowers, `min`
@@ -107,7 +101,6 @@ mod tests {
         assert!(fb.contains(170.0, 0.0));
         assert!(!fb.contains(150.0, 0.0));
         assert!(fb.contains(150.0, 6.0));
-        assert_eq!(fb.midpoint_ms(), 167.5);
     }
 
     #[test]

@@ -159,27 +159,6 @@ pub fn markdown_table(summaries: &[CampaignSummary]) -> String {
     out
 }
 
-/// Renders the same data as an aligned plain-text table for terminals.
-pub fn text_table(summaries: &[CampaignSummary]) -> String {
-    let mut out = format!(
-        "{:<24} {:>6} {:>10} {:>10} {:>10} {:>10} {:>10}\n",
-        "campaign", "n", "rtt", "Tstatic", "Tdynamic", "Tdelta", "overall"
-    );
-    for s in summaries {
-        out.push_str(&format!(
-            "{:<24} {:>6} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1}\n",
-            s.label,
-            s.n,
-            s.rtt.median,
-            s.t_static.median,
-            s.t_dynamic.median,
-            s.t_delta.median,
-            s.overall.median,
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,17 +231,5 @@ mod tests {
         assert!(lines[0].starts_with("| campaign |"));
         assert!(lines[2].contains("svc-a"));
         assert_eq!(lines[2].matches('|').count(), 9);
-    }
-
-    #[test]
-    fn text_table_alignment() {
-        let queries = vec![q(10.0, 100.0, 30.0)];
-        let a = CampaignSummary::of("short", &queries).unwrap();
-        let b = CampaignSummary::of("a-much-longer-label", &queries).unwrap();
-        let txt = text_table(&[a, b]);
-        let lines: Vec<&str> = txt.lines().collect();
-        assert_eq!(lines.len(), 3);
-        // Columns line up: the numeric fields start at the same offsets.
-        assert_eq!(lines[1].len(), lines[2].len());
     }
 }

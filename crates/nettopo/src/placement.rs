@@ -17,7 +17,7 @@
 
 use crate::geo::GeoPoint;
 use crate::metro::{top_metros, WORLD_METROS};
-use simcore::dist::{Dist, Sampler};
+use simcore::dist::Dist;
 use simcore::rng::Rng;
 
 /// A front-end server site.

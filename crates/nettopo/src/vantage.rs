@@ -11,7 +11,7 @@
 
 use crate::geo::GeoPoint;
 use crate::metro::{university_metros, Metro, Region};
-use simcore::dist::{Dist, Sampler};
+use simcore::dist::Dist;
 use simcore::rng::Rng;
 
 /// Last-hop access technology of a vantage point, which determines the

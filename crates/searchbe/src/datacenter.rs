@@ -2,7 +2,7 @@
 
 use crate::keywords::Keyword;
 use crate::proctime::{BackendProfile, LoadProcess};
-use crate::response::PageComposer;
+use crate::response::{PageComposer, ResponsePlan};
 use nettopo::metro::Region;
 use simcore::rng::Rng;
 use simcore::time::SimDuration;
@@ -28,7 +28,7 @@ pub struct BeResult {
     /// Query processing time at the data center.
     pub proc_time: SimDuration,
     /// The composed response.
-    pub plan: httpsim::ResponsePlan,
+    pub plan: ResponsePlan,
     /// Load factor in effect while processing.
     pub load_factor: f64,
 }

@@ -13,7 +13,7 @@
 //! correlated follow-ups (which the BE discounts).
 
 use crate::keywords::Keyword;
-use simcore::dist::{Dist, Sampler};
+use simcore::dist::Dist;
 use simcore::rng::Rng;
 use simcore::time::SimDuration;
 

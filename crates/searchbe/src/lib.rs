@@ -12,9 +12,11 @@
 //!   its class, popularity rank and query length);
 //! * [`proctime`] — per-service `Tproc` distributions, keyword-class
 //!   multipliers and a slowly varying load process;
-//! * [`response`] — page composition: the static portion (HTTP/HTML
-//!   head, CSS, menu bar — same bytes for every query) and the
-//!   keyword-dependent dynamic portion;
+//! * [`response`] — the message format ([`response::RequestSpec`] going
+//!   up, the two-part [`response::ResponsePlan`] coming down, as sizes
+//!   and content ids) and page composition: the static portion
+//!   (HTTP/HTML head, CSS, menu bar — same bytes for every query) and
+//!   the keyword-dependent dynamic portion;
 //! * [`datacenter`] — the BE server: draws `Tproc`, composes the
 //!   response plan, tracks load;
 //! * [`instant`] — the "search as you type" sessioniser (Sec. 6).

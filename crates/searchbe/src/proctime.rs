@@ -14,7 +14,7 @@
 //!   service-specific variance.
 
 use crate::keywords::KeywordClass;
-use simcore::dist::{Dist, Sampler};
+use simcore::dist::Dist;
 use simcore::rng::Rng;
 
 /// A slowly varying multiplicative load factor in `[1, 1 + amplitude]`.

@@ -13,12 +13,101 @@
 //! plus one additional ACK-clocked round — which is what couples
 //! `Tstatic` to the client↔FE RTT and, through it, produces the paper's
 //! `Tdelta`-goes-to-zero threshold behaviour.
+//!
+//! The simulator does not shuttle literal bytes: a message is its size
+//! and content identity. [`RequestSpec`] is the search GET going up;
+//! [`ResponsePlan`] is the two-part response coming down (equal ids ⇔
+//! byte-identical content, which is how the capture pipeline detects the
+//! cross-query-static part).
 
 use crate::keywords::{Keyword, KeywordClass};
-use httpsim::{ResponsePlan, CONTENT_ID_STATIC_BASE};
 use nettopo::metro::Region;
-use simcore::dist::{Dist, Sampler};
+use simcore::dist::Dist;
 use simcore::rng::Rng;
+
+/// Content ids below this value are reserved for static content (one per
+/// service); dynamic content ids are allocated above it.
+pub const CONTENT_ID_STATIC_BASE: u64 = 1_000;
+
+/// Wire-size model of a search GET request.
+///
+/// `GET /search?q=<query> HTTP/1.1` plus Host, User-Agent, Accept*,
+/// Cookie headers — around 300 bytes of boilerplate plus the
+/// percent-encoded query.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RequestSpec {
+    /// Total request size in bytes.
+    pub bytes: u64,
+    /// Content identity of the request (per query, so FE→BE relays are
+    /// attributable in traces).
+    pub content: u64,
+}
+
+impl RequestSpec {
+    /// Builds the spec for a query string of `query_chars` characters
+    /// (percent-encoding inflates by ~1.2×) with content id `content`.
+    pub fn for_query_len(query_chars: usize, content: u64) -> RequestSpec {
+        let encoded = (query_chars as f64 * 1.2).ceil() as u64;
+        RequestSpec {
+            bytes: 310 + encoded,
+            content,
+        }
+    }
+}
+
+/// The two-part response layout.
+///
+/// `static_content` is the *same id* for every response from a given
+/// service — the HTTP header, HTML head, CSS and static menu bar do not
+/// depend on the query. `dynamic_content` is unique per query (search
+/// engines personalise; the paper's Sec. 3 experiments confirm FEs do not
+/// cache results).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ResponsePlan {
+    /// Bytes of the static portion.
+    pub static_bytes: u64,
+    /// Content identity of the static portion (shared across queries).
+    pub static_content: u64,
+    /// Bytes of the dynamic portion.
+    pub dynamic_bytes: u64,
+    /// Content identity of the dynamic portion (per query).
+    pub dynamic_content: u64,
+}
+
+impl ResponsePlan {
+    /// Creates a plan; static content ids must be below
+    /// [`CONTENT_ID_STATIC_BASE`], dynamic ids at or above it, and
+    /// neither portion may be empty (a zero-byte portion would count as
+    /// arrived before anything was sent; an absent portion is recorded
+    /// as a 1-byte placeholder).
+    pub fn new(
+        static_bytes: u64,
+        static_content: u64,
+        dynamic_bytes: u64,
+        dynamic_content: u64,
+    ) -> ResponsePlan {
+        assert!(
+            static_content < CONTENT_ID_STATIC_BASE,
+            "static content id must be < {CONTENT_ID_STATIC_BASE}"
+        );
+        assert!(
+            dynamic_content >= CONTENT_ID_STATIC_BASE,
+            "dynamic content id must be >= {CONTENT_ID_STATIC_BASE}"
+        );
+        assert!(static_bytes > 0 && dynamic_bytes > 0);
+        ResponsePlan {
+            static_bytes,
+            static_content,
+            dynamic_bytes,
+            dynamic_content,
+        }
+    }
+
+    /// Total response size.
+    pub fn total_bytes(&self) -> u64 {
+        self.static_bytes + self.dynamic_bytes
+    }
+}
 
 /// Regional size multiplier for the dynamic portion.
 ///
@@ -196,6 +285,51 @@ mod tests {
         assert!((asia / na - 1.0).abs() < 0.10);
         assert!((sa / na - 1.0).abs() < 0.10);
         assert_eq!(size_for(None), na);
+    }
+
+    #[test]
+    fn request_size_model_rounds_up_encoding() {
+        // ceil(chars × 1.2): check the boundary where rounding matters.
+        assert_eq!(RequestSpec::for_query_len(0, 2_000).bytes, 310);
+        assert_eq!(RequestSpec::for_query_len(1, 2_000).bytes, 310 + 2); // ceil(1.2) = 2
+        assert_eq!(RequestSpec::for_query_len(5, 2_000).bytes, 310 + 6);
+        assert_eq!(RequestSpec::for_query_len(10, 2_000).bytes, 310 + 12);
+        let long = RequestSpec::for_query_len(80, 2_001);
+        assert_eq!(long.bytes, 310 + 96);
+        assert_eq!(long.content, 2_001);
+    }
+
+    #[test]
+    fn plan_totals() {
+        let p = ResponsePlan::new(8_000, 1, 25_000, 5_000);
+        assert_eq!(p.total_bytes(), 33_000);
+        // The placeholder plans the world records for shed, degraded and
+        // unanswered queries sit exactly on the 1-byte boundary.
+        assert_eq!(ResponsePlan::new(1, 1, 1, 5_000).total_bytes(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "static content id")]
+    fn static_id_range_enforced() {
+        ResponsePlan::new(8_000, 5_000, 25_000, 5_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "dynamic content id")]
+    fn dynamic_id_range_enforced() {
+        ResponsePlan::new(8_000, 1, 25_000, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "static_bytes > 0")]
+    fn zero_length_static_portion_is_rejected() {
+        ResponsePlan::new(0, 1, 25_000, 5_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "static_bytes > 0")]
+    fn zero_length_dynamic_portion_is_rejected() {
+        ResponsePlan::new(8_000, 1, 0, 5_000);
     }
 
     #[test]

@@ -4,20 +4,10 @@
 //! Implemented in-tree (rather than via `rand_distr`) to keep the exact
 //! draw sequences pinned by this repository. Each distribution documents
 //! the sampling algorithm it uses. [`Dist`] is the enum used in model
-//! configuration (serialisable as plain data), [`Sampler`] the common
-//! sampling interface.
+//! configuration (serialisable as plain data).
 
 use crate::rng::Rng;
 use crate::time::{SimDuration, SimTime};
-
-/// Common interface: draw one `f64` sample.
-pub trait Sampler {
-    /// Draws one sample using the supplied generator.
-    fn sample(&self, rng: &mut Rng) -> f64;
-
-    /// The distribution's mean, if finite and known in closed form.
-    fn mean(&self) -> Option<f64>;
-}
 
 /// A configurable distribution over `f64`.
 ///
@@ -82,10 +72,9 @@ impl Dist {
             sigma: s.ln(),
         }
     }
-}
 
-impl Sampler for Dist {
-    fn sample(&self, rng: &mut Rng) -> f64 {
+    /// Draws one sample using the supplied generator.
+    pub fn sample(&self, rng: &mut Rng) -> f64 {
         match self {
             Dist::Constant(v) => *v,
             Dist::Exponential { mean } => -mean * rng.next_f64_open().ln(),
@@ -114,7 +103,8 @@ impl Sampler for Dist {
         }
     }
 
-    fn mean(&self) -> Option<f64> {
+    /// The distribution's mean, if finite and known in closed form.
+    pub fn mean(&self) -> Option<f64> {
         match self {
             Dist::Constant(v) => Some(*v),
             Dist::Exponential { mean } => Some(*mean),
@@ -230,13 +220,6 @@ impl PopularityModel {
         self.diurnal_amplitude = amplitude;
         self.diurnal_period = period;
         self
-    }
-
-    /// True when the draw path is inert (no churn): a process over this
-    /// model reproduces plain Zipf draws byte-for-byte and never touches
-    /// its churn stream.
-    pub fn is_static(&self) -> bool {
-        self.churn_per_sec == 0.0
     }
 
     /// The arrival-rate multiplier `1 + A·sin(2πt/T)` at `now` (exactly
@@ -498,7 +481,6 @@ mod tests {
         // The inert contract: churn 0 must reproduce bare Zipf draws from the caller's stream exactly, and never touch
         // the churn stream (compared via the untouched clone).
         let model = PopularityModel::static_zipf(0.9);
-        assert!(model.is_static());
         let mut p = PopularityProcess::new(500, model, Rng::from_seed(777));
         let untouched = Rng::from_seed(777);
         let z = Zipf::new(500, 0.9);
@@ -517,7 +499,6 @@ mod tests {
     #[test]
     fn churn_rotates_the_popular_set_deterministically() {
         let model = PopularityModel::static_zipf(0.9).with_churn(5.0);
-        assert!(!model.is_static());
         let mk = || PopularityProcess::new(300, model.clone(), Rng::from_seed_and_name(9, "pop"));
         let mut p = mk();
         let mut q = mk();

@@ -22,9 +22,9 @@
 //!   order never depends on a per-process seed.
 //! * [`SmallVec`] — a hand-rolled inline-first small-vector; the packet
 //!   hot path uses it to carry content spans without heap allocation.
-//! * [`telemetry`] — deterministic counters/gauges/histograms and
-//!   virtual/wall-time spans ([`MetricsRegistry`]); registries start
-//!   enabled and switch per registry at runtime.
+//! * [`telemetry`] — deterministic counters/gauges/histograms (virtual
+//!   durations included) and wall-time spans ([`MetricsRegistry`]);
+//!   registries start enabled and switch per registry at runtime.
 //!
 //! The crate is `std`-only and single-threaded by design (its only
 //! dependency is the workspace's own `stats` crate, which backs the
@@ -43,7 +43,7 @@ pub mod smallvec;
 pub mod telemetry;
 pub mod time;
 
-pub use dist::{Dist, Sampler};
+pub use dist::Dist;
 pub use queue::{EventQueue, HeapQueue};
 pub use rng::Rng;
 pub use smallvec::SmallVec;

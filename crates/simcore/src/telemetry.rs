@@ -1,5 +1,5 @@
 //! Deterministic, near-zero-overhead metrics: counters, gauges,
-//! histograms and spans.
+//! histograms and wall-clock spans.
 //!
 //! The observability layer follows the same determinism contract as the
 //! campaign result pipeline: every simulator component records into a
@@ -11,8 +11,8 @@
 //!
 //! Two kinds of measurements coexist and are flagged apart:
 //!
-//! * **Deterministic** metrics (counters, gauges, virtual-time span
-//!   histograms) depend only on the simulated trajectory. They render
+//! * **Deterministic** metrics (counters, gauges, histograms of samples
+//!   and virtual durations) depend only on the simulated trajectory. They render
 //!   through [`MetricsRegistry::render_rows`] with `include_wall =
 //!   false` and are what the conformance suite byte-compares.
 //! * **Wall-clock** metrics (wall-time spans, queue-wait gauges) vary
@@ -35,7 +35,7 @@
 //! golden traces are byte-identical with telemetry enabled or
 //! disabled.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 use stats::SummaryAcc;
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -68,15 +68,6 @@ struct Metric {
     /// True for wall-clock measurements (excluded from deterministic
     /// rendering and byte-comparison).
     wall: bool,
-}
-
-/// An in-flight virtual-time span: closed against the registry with
-/// [`MetricsRegistry::end_virt`], recording the elapsed virtual
-/// duration into a deterministic histogram.
-#[derive(Clone, Copy, Debug)]
-pub struct VirtSpan {
-    name: &'static str,
-    start: SimTime,
 }
 
 /// An in-flight wall-clock span: closed with
@@ -238,18 +229,6 @@ impl MetricsRegistry {
     /// deterministic histogram `name`.
     pub fn observe_virt(&mut self, name: &'static str, d: SimDuration) {
         self.observe(name, d.as_millis_f64());
-    }
-
-    /// Opens a virtual-time span at `now`. Close with
-    /// [`MetricsRegistry::end_virt`].
-    pub fn virt_span(&self, name: &'static str, now: SimTime) -> VirtSpan {
-        VirtSpan { name, start: now }
-    }
-
-    /// Closes a virtual-time span, recording its duration (ms of
-    /// virtual time) into a deterministic histogram.
-    pub fn end_virt(&mut self, span: VirtSpan, now: SimTime) {
-        self.observe_virt(span.name, now.saturating_since(span.start));
     }
 
     /// Opens a wall-clock span. Close with
@@ -455,9 +434,7 @@ mod tests {
     #[test]
     fn virt_and_wall_spans_record() {
         let mut m = MetricsRegistry::new();
-        let t0 = SimTime::from_millis(10);
-        let sp = m.virt_span("virt.ms", t0);
-        m.end_virt(sp, SimTime::from_millis(35));
+        m.observe_virt("virt.ms", SimDuration::from_millis(25));
         let out = span!(m, "wall.ms", { 7 * 6 });
         assert_eq!(out, 42);
         assert_eq!(m.hist_count("virt.ms"), Some(1));

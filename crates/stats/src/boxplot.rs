@@ -75,12 +75,6 @@ impl BoxSummary {
     pub fn iqr(&self) -> f64 {
         self.q3 - self.q1
     }
-
-    /// The whisker span — a robust variability measure used when ranking
-    /// services by response-time stability.
-    pub fn whisker_span(&self) -> f64 {
-        self.whisker_hi - self.whisker_lo
-    }
 }
 
 #[cfg(test)]
@@ -98,7 +92,6 @@ mod tests {
         assert_eq!(b.whisker_hi, 11.0);
         assert!(b.outliers.is_empty());
         assert_eq!(b.iqr(), 5.0);
-        assert_eq!(b.whisker_span(), 10.0);
     }
 
     #[test]

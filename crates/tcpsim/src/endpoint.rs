@@ -9,7 +9,7 @@
 //! an event loop.
 
 use crate::cubic::CubicState;
-use crate::opts::{CongAlgo, TcpOptions};
+use crate::opts::{CongAlgo, TcpOptions, ABC_LIMIT_SEGS, INITIAL_RTO, MAX_RTO, MIN_RTO, MSS};
 use crate::segment::{Marker, MetaSpan, SpanVec};
 use simcore::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -224,8 +224,6 @@ pub struct Endpoint {
     /// In-flight RTT probe: `(seq_end, sent_at)`; cleared on any
     /// retransmission (Karn's algorithm).
     pub rtt_probe: Option<(u64, SimTime)>,
-    /// Time of last segment transmission (for slow-start-after-idle).
-    pub last_send: SimTime,
     /// FIN requested by the application.
     pub fin_pending: bool,
     /// FIN transmitted.
@@ -254,7 +252,6 @@ impl Endpoint {
     /// Creates a fresh endpoint in `Closed` state.
     pub fn new(opts: TcpOptions) -> Endpoint {
         let cwnd = opts.initial_cwnd();
-        let rto = opts.initial_rto;
         Endpoint {
             opts,
             state: TcpState::Closed,
@@ -272,10 +269,9 @@ impl Endpoint {
             in_recovery: false,
             srtt_ms: None,
             rttvar_ms: 0.0,
-            rto,
+            rto: INITIAL_RTO,
             rto_timer: Timer::default(),
             rtt_probe: None,
-            last_send: SimTime::ZERO,
             fin_pending: false,
             fin_sent: false,
             syn_sent_count: 0,
@@ -402,18 +398,6 @@ impl Endpoint {
         }
     }
 
-    /// Applies slow-start-after-idle (RFC 2861) if enabled: called before
-    /// sending after an idle period.
-    pub fn maybe_idle_reset(&mut self, now: SimTime) {
-        if self.opts.idle_reset
-            && self.in_flight() == 0
-            && self.last_send != SimTime::ZERO
-            && now.saturating_since(self.last_send) > self.rto
-        {
-            self.cwnd = self.cwnd.min(self.opts.initial_cwnd());
-        }
-    }
-
     /// Records an RTT sample and recomputes the RTO (RFC 6298).
     pub fn rtt_sample(&mut self, sample: SimDuration) {
         let r = sample.as_millis_f64();
@@ -430,8 +414,8 @@ impl Endpoint {
         }
         let rto_ms = self.srtt_ms.unwrap() + (4.0 * self.rttvar_ms).max(1.0);
         self.rto = SimDuration::from_millis_f64(rto_ms)
-            .max(self.opts.min_rto)
-            .min(self.opts.max_rto);
+            .max(MIN_RTO)
+            .min(MAX_RTO);
     }
 
     /// Processes the acknowledgement field of an incoming packet
@@ -459,23 +443,22 @@ impl Endpoint {
                 if ack >= self.recover {
                     // Full ACK: leave recovery, deflate to ssthresh.
                     self.in_recovery = false;
-                    self.cwnd = self.ssthresh.max(self.opts.mss as f64);
+                    self.cwnd = self.ssthresh.max(MSS as f64);
                     return AckReaction::Advance;
                 } else {
                     // Partial ACK: retransmit the next hole, deflate by
                     // the amount acked (NewReno).
-                    self.cwnd =
-                        (self.cwnd - acked as f64 + self.opts.mss as f64).max(self.opts.mss as f64);
+                    self.cwnd = (self.cwnd - acked as f64 + MSS as f64).max(MSS as f64);
                     return AckReaction::PartialRetransmit;
                 }
             }
             // Normal cwnd growth.
             if self.cwnd < self.ssthresh {
                 // Slow start with ABC (RFC 3465).
-                let limit = (self.opts.abc_limit_segs * self.opts.mss) as f64;
+                let limit = (ABC_LIMIT_SEGS * MSS) as f64;
                 self.cwnd += (acked as f64).min(limit);
             } else {
-                let mss = self.opts.mss as f64;
+                let mss = MSS as f64;
                 match self.opts.cong {
                     CongAlgo::Reno => {
                         // Congestion avoidance: +mss per RTT, per-ACK.
@@ -494,11 +477,11 @@ impl Endpoint {
         } else if ack == self.snd_una && self.in_flight() > 0 && !has_payload {
             self.dup_acks += 1;
             if self.in_recovery {
-                self.cwnd += self.opts.mss as f64;
+                self.cwnd += MSS as f64;
                 return AckReaction::RecoveryInflate;
             }
             if self.dup_acks == 3 {
-                let mss = self.opts.mss as f64;
+                let mss = MSS as f64;
                 let beta = self.loss_beta();
                 self.cubic.on_loss(self.cwnd / mss);
                 self.ssthresh = (self.in_flight() as f64 * beta).max(2.0 * mss);
@@ -525,14 +508,14 @@ impl Endpoint {
 
     /// Congestion response to a retransmission timeout.
     pub fn on_rto_fire(&mut self) {
-        let mss = self.opts.mss as f64;
+        let mss = MSS as f64;
         self.cubic.on_loss(self.cwnd / mss);
         self.ssthresh = (self.in_flight() as f64 * self.loss_beta()).max(2.0 * mss);
         self.cwnd = mss;
         self.dup_acks = 0;
         self.in_recovery = false;
         self.rtt_probe = None; // Karn
-        self.rto = self.rto.saturating_mul(2).min(self.opts.max_rto);
+        self.rto = self.rto.saturating_mul(2).min(MAX_RTO);
         self.stats.timeouts += 1;
     }
 
@@ -934,21 +917,6 @@ mod tests {
         assert_eq!(p, AckPolicy::Immediate);
         assert_eq!(e.rcv_nxt, 1);
         assert!(e.peer_fin_rcvd);
-    }
-
-    #[test]
-    fn idle_reset_collapses_cwnd_only_when_enabled() {
-        let mut e = ep();
-        e.cwnd = 100_000.0;
-        e.last_send = SimTime::from_millis(10);
-        e.maybe_idle_reset(SimTime::from_secs(30));
-        assert_eq!(e.cwnd, 100_000.0, "disabled by default");
-        let mut e2 = Endpoint::new(TcpOptions::default().with_idle_reset());
-        e2.state = TcpState::Established;
-        e2.cwnd = 100_000.0;
-        e2.last_send = SimTime::from_millis(10);
-        e2.maybe_idle_reset(SimTime::from_secs(30));
-        assert_eq!(e2.cwnd, e2.opts.initial_cwnd());
     }
 
     type Q = simcore::EventQueue<(&'static str, u64)>;

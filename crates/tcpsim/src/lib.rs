@@ -8,17 +8,19 @@
 //! granularity:
 //!
 //! * three-way handshake (with SYN retransmission),
-//! * slow start and congestion avoidance (Reno with Appropriate Byte
-//!   Counting, RFC 3465),
+//! * slow start and congestion avoidance (Reno or CUBIC, with
+//!   Appropriate Byte Counting, RFC 3465),
 //! * fast retransmit / fast recovery (NewReno-style partial-ACK handling),
 //! * retransmission timeout with Karn's algorithm and exponential backoff
 //!   (RFC 6298),
 //! * delayed ACKs (ack-every-second-segment with a timeout, immediate ACK
 //!   on PSH and on out-of-order arrivals),
-//! * configurable initial window, MSS and receive window,
-//! * optional slow-start-after-idle (RFC 2861) — disabled on the
-//!   persistent FE↔BE connections, which is precisely the "warm
-//!   connection" benefit of split TCP,
+//! * configurable initial window, receive window and congestion control
+//!   ([`TcpOptions`]); MSS, delayed-ACK and RTO bounds are fixed
+//!   constants in [`opts`],
+//! * no slow-start-after-idle: an idle connection keeps its grown
+//!   window, so the persistent FE↔BE connections stay warm, which is
+//!   precisely the "warm connection" benefit of split TCP,
 //! * per-path delay/jitter/loss/bandwidth from a [`PathParams`],
 //! * client-vantage packet capture with application-layer *markers*
 //!   (request / static / dynamic ...), the simulator's analogue of the

@@ -9,10 +9,10 @@
 //! connections, close, or arm timers.
 
 use crate::endpoint::{AckPolicy, AckReaction, Endpoint, TcpState, Timer, TimerPop};
-use crate::opts::TcpOptions;
+use crate::opts::{TcpOptions, DELACK_TIMEOUT, MAX_RTO, MSS};
 use crate::segment::{Marker, MetaSpan, PktKind, Segment, SpanVec};
 use crate::trace::{Capture, PktDir};
-use simcore::dist::{Dist, Sampler};
+use simcore::dist::Dist;
 use simcore::queue::EventQueue;
 use simcore::rng::Rng;
 use simcore::telemetry::MetricsRegistry;
@@ -769,7 +769,6 @@ impl Net {
             return;
         }
         self.trace_recorded += c.observe(from, PktDir::Tx, now, &seg) as u64;
-        c.ep[from.idx()].last_send = now;
         // Serialization at the bottleneck (per direction).
         let ser = c.path.serialization(seg.wire_bytes());
         let dep_start = if c.busy_until[from.idx()] > now {
@@ -890,11 +889,10 @@ impl Net {
             if ep.state != TcpState::Established {
                 break;
             }
-            ep.maybe_idle_reset(now);
             let usable = ep.usable_window();
             if ep.snd_nxt < ep.stream_len {
                 let remaining = ep.stream_len - ep.snd_nxt;
-                let len = (ep.opts.mss as u64).min(remaining) as u32;
+                let len = (MSS as u64).min(remaining) as u32;
                 if (len as u64) > usable {
                     break;
                 }
@@ -969,9 +967,7 @@ impl Net {
                 meta: SpanVec::new(),
             }
         } else {
-            let len = (ep.opts.mss as u64)
-                .min(ep.stream_len - seq)
-                .min(ep.snd_nxt - seq) as u32;
+            let len = (MSS as u64).min(ep.stream_len - seq).min(ep.snd_nxt - seq) as u32;
             let meta = ep.meta_for_range(seq, len);
             let push = ep.range_ends_chunk(seq, len);
             Segment {
@@ -1001,8 +997,7 @@ impl Net {
     fn arm_delack(&mut self, cid: ConnId, end: End) {
         let ep = &self.conns[self.slot(cid)].ep[end.idx()];
         if !ep.delack.is_armed() {
-            let dt = ep.opts.delack_timeout;
-            self.arm_timer(cid, end, TimerKind::DelAck, dt);
+            self.arm_timer(cid, end, TimerKind::DelAck, DELACK_TIMEOUT);
         }
     }
 
@@ -1150,7 +1145,7 @@ impl Net {
                     let c = &mut self.conns[s];
                     c.handshake_retx = true;
                     let ep = &mut c.ep[end.idx()];
-                    ep.rto = ep.rto.saturating_mul(2).min(ep.opts.max_rto);
+                    ep.rto = ep.rto.saturating_mul(2).min(MAX_RTO);
                     ep.syn_sent_count += 1;
                 }
                 let syn = self.make_ctl(cid, end, PktKind::Syn);
@@ -1162,7 +1157,7 @@ impl Net {
                     let c = &mut self.conns[s];
                     c.handshake_retx = true;
                     let ep = &mut c.ep[end.idx()];
-                    ep.rto = ep.rto.saturating_mul(2).min(ep.opts.max_rto);
+                    ep.rto = ep.rto.saturating_mul(2).min(MAX_RTO);
                 }
                 let sa = self.make_ctl(cid, end, PktKind::SynAck);
                 self.transmit(cid, end, sa);

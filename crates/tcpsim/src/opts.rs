@@ -1,6 +1,27 @@
 //! Per-endpoint TCP configuration.
+//!
+//! Defaults model a 2011-era Linux stack (the PlanetLab nodes and
+//! production front-ends of the study). [`TcpOptions`] holds the
+//! settings an experiment varies; the rest of the stack is fixed by the
+//! constants below.
 
 use simcore::time::SimDuration;
+
+/// Maximum segment size in bytes.
+pub const MSS: u32 = 1460;
+/// Delayed-ACK timeout (every endpoint acks every second segment or on
+/// this timeout).
+pub const DELACK_TIMEOUT: SimDuration = SimDuration::from_millis(40);
+/// Lower bound on the retransmission timeout.
+pub const MIN_RTO: SimDuration = SimDuration::from_millis(200);
+/// RTO before any RTT sample exists (RFC 6298: 1 s).
+pub const INITIAL_RTO: SimDuration = SimDuration::from_secs(1);
+/// Upper bound on the RTO after backoff.
+pub const MAX_RTO: SimDuration = SimDuration::from_secs(60);
+/// Appropriate Byte Counting limit `L`, in segments: slow-start cwnd
+/// growth per ACK is capped at `L · MSS` bytes (RFC 3465 recommends
+/// L = 2 with delayed ACKs).
+pub const ABC_LIMIT_SEGS: u32 = 2;
 
 /// Congestion-control algorithm of an endpoint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -16,39 +37,20 @@ pub enum CongAlgo {
     Cubic,
 }
 
-/// Tunable TCP parameters of one endpoint.
+/// The TCP settings of one endpoint that experiments vary.
 ///
-/// Defaults model a 2011-era Linux stack (the PlanetLab nodes and
-/// production front-ends of the study): MSS 1460, initial window of 4
-/// segments, 200 ms minimum RTO, 1 s initial RTO. Every endpoint delays
-/// its ACKs (ack every second segment or on timeout).
-#[derive(Clone, Debug)]
+/// Defaults: an initial window of 4 segments, a 256 KiB receive window
+/// and Reno. Connections never reset their window after idling, which
+/// keeps the persistent FE↔BE connections warm: the split-TCP advantage
+/// the paper attributes to FE↔BE links.
+#[derive(Clone, Copy, Debug)]
 pub struct TcpOptions {
-    /// Maximum segment size in bytes.
-    pub mss: u32,
     /// Initial congestion window, in segments (RFC 3390 allowed up to 4;
-    /// Google's IW10 experiments came later — the ablation benches sweep
+    /// Google's IW10 experiments came later — the `abl_iw` bench sweeps
     /// this).
     pub initial_window_segs: u32,
     /// Receive window advertised to the peer, in bytes.
     pub rwnd: u64,
-    /// Delayed-ACK timeout.
-    pub delack_timeout: SimDuration,
-    /// Lower bound on the retransmission timeout.
-    pub min_rto: SimDuration,
-    /// RTO before any RTT sample exists (RFC 6298: 1 s).
-    pub initial_rto: SimDuration,
-    /// Upper bound on the RTO after backoff.
-    pub max_rto: SimDuration,
-    /// Collapse the congestion window back to the initial window after an
-    /// idle period of one RTO (RFC 2861). Disabled on persistent
-    /// split-TCP connections — keeping this off *is* the warm-connection
-    /// advantage the paper attributes to FE↔BE links.
-    pub idle_reset: bool,
-    /// Appropriate Byte Counting limit `L`, in segments: slow-start cwnd
-    /// growth per ACK is capped at `L · mss` bytes (RFC 3465 recommends
-    /// L = 2 with delayed ACKs).
-    pub abc_limit_segs: u32,
     /// Congestion-control algorithm.
     pub cong: CongAlgo,
 }
@@ -56,15 +58,8 @@ pub struct TcpOptions {
 impl Default for TcpOptions {
     fn default() -> Self {
         TcpOptions {
-            mss: 1460,
             initial_window_segs: 4,
             rwnd: 256 * 1024,
-            delack_timeout: SimDuration::from_millis(40),
-            min_rto: SimDuration::from_millis(200),
-            initial_rto: SimDuration::from_secs(1),
-            max_rto: SimDuration::from_secs(60),
-            idle_reset: false,
-            abc_limit_segs: 2,
             cong: CongAlgo::Reno,
         }
     }
@@ -73,27 +68,13 @@ impl Default for TcpOptions {
 impl TcpOptions {
     /// Initial congestion window in bytes.
     pub fn initial_cwnd(&self) -> f64 {
-        (self.initial_window_segs * self.mss) as f64
+        (self.initial_window_segs * MSS) as f64
     }
 
     /// Options for a server endpoint with a given initial window — the
-    /// knob the `abl_iw_sweep` bench turns.
+    /// knob the `abl_iw` bench turns.
     pub fn with_initial_window(mut self, segs: u32) -> TcpOptions {
         self.initial_window_segs = segs;
-        self
-    }
-
-    /// Marks the endpoint as living on a persistent (pre-warmed)
-    /// connection: no slow-start-after-idle.
-    pub fn persistent(mut self) -> TcpOptions {
-        self.idle_reset = false;
-        self
-    }
-
-    /// Enables slow-start-after-idle (for the split-TCP ablation where
-    /// the FE↔BE connection is *not* kept warm).
-    pub fn with_idle_reset(mut self) -> TcpOptions {
-        self.idle_reset = true;
         self
     }
 
@@ -111,25 +92,22 @@ mod tests {
     #[test]
     fn defaults_are_2011_linux_like() {
         let o = TcpOptions::default();
-        assert_eq!(o.mss, 1460);
+        assert_eq!(MSS, 1460);
         assert_eq!(o.initial_window_segs, 4);
         assert_eq!(o.initial_cwnd(), 5840.0);
-        assert_eq!(o.delack_timeout, SimDuration::from_millis(40));
-        assert_eq!(o.min_rto, SimDuration::from_millis(200));
-        assert_eq!(o.initial_rto, SimDuration::from_secs(1));
-        assert!(!o.idle_reset);
+        assert_eq!(o.cong, CongAlgo::Reno);
+        assert_eq!(DELACK_TIMEOUT, SimDuration::from_millis(40));
+        assert_eq!(MIN_RTO, SimDuration::from_millis(200));
+        assert_eq!(INITIAL_RTO, SimDuration::from_secs(1));
     }
 
     #[test]
     fn builders() {
         let o = TcpOptions::default().with_initial_window(10);
         assert_eq!(o.initial_cwnd(), 14600.0);
-        assert!(TcpOptions::default().with_idle_reset().idle_reset);
-        assert!(
-            !TcpOptions::default()
-                .with_idle_reset()
-                .persistent()
-                .idle_reset
+        assert_eq!(
+            TcpOptions::default().with_cong(CongAlgo::Cubic).cong,
+            CongAlgo::Cubic
         );
     }
 }

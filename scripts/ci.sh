@@ -76,6 +76,40 @@ if [ -n "$hashed" ]; then
 fi
 echo "    simulator crates key every map through simcore::hash"
 
+echo "==> source hygiene: every declared dependency is used"
+# Each [dependencies] and [dev-dependencies] entry of the root package
+# and of every workspace member must be referred to (`name::` or
+# `use name`) by that crate's sources, tests, examples or benches. An
+# unused entry still costs every build and misstates the crate graph.
+python3 - <<'EOF'
+import glob, os, re, sys, tomllib
+
+def manifest(d):
+    with open(os.path.join(d, "Cargo.toml"), "rb") as f:
+        return tomllib.load(f)
+
+root = manifest(".")
+crates = ["."] + sorted(d for m in root["workspace"]["members"] for d in glob.glob(m))
+unused = []
+for d in crates:
+    doc = manifest(d)
+    text = ""
+    for sub in ("src", "tests", "examples", "benches"):
+        for path in sorted(glob.glob(os.path.join(d, sub, "**", "*.rs"), recursive=True)):
+            with open(path) as f:
+                text += f.read()
+    for section in ("dependencies", "dev-dependencies"):
+        for dep in doc.get(section, {}):
+            name = re.escape(dep.replace("-", "_"))
+            if not re.search(rf"(?<![\w:]){name}::|\buse {name}\b", text):
+                unused.append(f"{doc['package']['name']} ({d}): [{section}] {dep}")
+for u in unused:
+    print(f"unused dependency: {u}", file=sys.stderr)
+if unused:
+    sys.exit(1)
+print(f"    {len(crates)} packages use every dependency they declare")
+EOF
+
 echo "==> harness gate: every artefact passes its checks and matches its stdout golden"
 # Each artefact gates its paper claims through its [PASS]/[FAIL] checks
 # and the claims binary's exit status. Its stdout is compared with the

@@ -10,13 +10,12 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`simcore`] | discrete-event engine: virtual time, event queue, PRNG streams, distributions |
+//! | [`simcore`] | discrete-event engine: virtual time, timing-wheel event queue, PRNG streams, distributions, telemetry |
 //! | [`stats`] | medians, moving median, ECDF, box plots, OLS/Theil–Sen, temporal clustering, KS tests |
 //! | [`nettopo`] | world geography, PlanetLab-like vantages, FE placements, BE sites, path models |
-//! | [`tcpsim`] | packet-level TCP: handshake, slow start, Reno recovery, RTO, delayed ACKs, tracing |
-//! | [`httpsim`] | HTTP request/response size & identity accounting |
-//! | [`searchbe`] | back-end search model: keyword classes, `Tproc` distributions, page composition |
-//! | [`cdnsim`] | FE servers (split TCP, static cache, load/tenancy), DNS mapping, whole services |
+//! | [`tcpsim`] | packet-level TCP: handshake, slow start, Reno and CUBIC recovery, RTO, delayed ACKs, tracing |
+//! | [`searchbe`] | back-end search model: keyword classes, `Tproc` distributions, the request/response message format, page composition |
+//! | [`cdnsim`] | FE servers (split TCP, static-portion burst, load/tenancy, optional result cache), DNS mapping, whole services |
 //! | [`capture`] | the tcpdump analogue: session slicing, timeline extraction, content analysis |
 //! | [`inference`] | **the paper's contribution**: `Tstatic`/`Tdynamic`/`Tdelta`, fetch bounds, thresholds, factoring |
 //! | [`emulator`] | the query emulator and the Dataset A/B experiment designs |
@@ -60,7 +59,6 @@
 pub use capture;
 pub use cdnsim;
 pub use emulator;
-pub use httpsim;
 pub use inference;
 pub use nettopo;
 pub use searchbe;

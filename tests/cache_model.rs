@@ -9,7 +9,7 @@
 
 mod common;
 
-use cdnsim::{Cache, CacheConfig, CachePolicy, ObjectCache, ServiceConfig};
+use cdnsim::{CacheConfig, CachePolicy, ObjectCache, ServiceConfig};
 use common::representative_campaign;
 use emulator::dataset_a::{DatasetA, KeywordPolicy};
 use emulator::dataset_b::DatasetB;

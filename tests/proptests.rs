@@ -135,12 +135,11 @@ proptest! {
             bw_mbps: 1_000.0,
         };
         let opts = TcpOptions::default();
-        let mss = opts.mss as u64;
         let cid = sim.net().open_captured(
             NodeId(1),
             NodeId(2),
             path,
-            opts.clone(),
+            opts,
             opts,
             1,
         );
@@ -166,7 +165,7 @@ proptest! {
         let app = sim.into_app();
         prop_assert_eq!(app.server_got, response);
         prop_assert!(
-            app.server_max_delivery <= mss,
+            app.server_max_delivery <= tcpsim::opts::MSS as u64,
             "request segments reordered: {} B delivered at once",
             app.server_max_delivery
         );

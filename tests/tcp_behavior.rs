@@ -209,10 +209,11 @@ fn rto_backoff_doubles_under_blackout_and_recovers() {
 }
 
 #[test]
-fn idle_reset_restarts_slow_start_on_stale_connections() {
-    // Two bursts 30 s apart on one connection. With idle_reset the
-    // second burst's first flight is IW-sized again; without, it rides
-    // the grown window.
+fn idle_persistent_connection_keeps_its_warm_window() {
+    // Two bursts 30 s apart on one connection: the second burst's first
+    // flight rides the window the first grew, not the initial window
+    // (no slow-start-after-idle, the warm-connection premise of split
+    // TCP).
     struct TwoBursts {
         second_sent: bool,
     }
@@ -231,45 +232,35 @@ fn idle_reset_restarts_slow_start_on_stale_connections() {
             }
         }
     }
-    let first_flight_of_second_burst = |idle_reset: bool| -> usize {
-        let opts_b = if idle_reset {
-            TcpOptions::default().with_idle_reset()
-        } else {
-            TcpOptions::default()
-        };
-        let mut sim = Sim::new(13, TwoBursts { second_sent: false });
-        let cid = sim.net().open_captured(
-            NodeId(1),
-            NodeId(2),
-            PathParams::ideal(80.0),
-            TcpOptions::default(),
-            opts_b,
-            9,
-        );
-        sim.run();
-        let trace = sim.net().release(cid).unwrap();
-        let second: Vec<SimTime> = trace
-            .iter()
-            .filter(|e| {
-                e.node == NodeId(1)
-                    && e.dir == PktDir::Rx
-                    && e.kind == PktKind::Data
-                    && e.meta.iter().any(|m| m.marker == Marker::Dynamic)
-            })
-            .map(|e| e.t)
-            .collect();
-        let t0 = second[0];
-        second
-            .iter()
-            .filter(|t| t.saturating_since(t0) < SimDuration::from_millis(30))
-            .count()
-    };
-    let with_reset = first_flight_of_second_burst(true);
-    let without = first_flight_of_second_burst(false);
-    assert_eq!(with_reset, 4, "idle reset returns to IW");
+    let mut sim = Sim::new(13, TwoBursts { second_sent: false });
+    let cid = sim.net().open_captured(
+        NodeId(1),
+        NodeId(2),
+        PathParams::ideal(80.0),
+        TcpOptions::default(),
+        TcpOptions::default(),
+        9,
+    );
+    sim.run();
+    let trace = sim.net().release(cid).unwrap();
+    let second: Vec<SimTime> = trace
+        .iter()
+        .filter(|e| {
+            e.node == NodeId(1)
+                && e.dir == PktDir::Rx
+                && e.kind == PktKind::Data
+                && e.meta.iter().any(|m| m.marker == Marker::Dynamic)
+        })
+        .map(|e| e.t)
+        .collect();
+    let t0 = second[0];
+    let first_flight = second
+        .iter()
+        .filter(|t| t.saturating_since(t0) < SimDuration::from_millis(30))
+        .count();
     assert!(
-        without >= 10,
-        "warm window should carry a big burst, got {without}"
+        first_flight >= 10,
+        "warm window should carry a big burst, got {first_flight}"
     );
 }
 
@@ -286,4 +277,149 @@ fn cubic_and_reno_identical_during_slow_start() {
             .collect::<Vec<_>>()
     };
     assert_eq!(run(CongAlgo::Reno), run(CongAlgo::Cubic));
+}
+
+// ---------- Segment boundaries of a two-portion response ----------
+
+/// Wire size of the GET for a 10-character query.
+const SPLIT_REQUEST: u64 = 322;
+
+/// The client sends a request; once all of it has arrived, the server
+/// answers with a static portion then a dynamic portion in one callback,
+/// so their boundary lands wherever segmentation puts it.
+struct SplitExchange {
+    static_bytes: u64,
+    dynamic_bytes: u64,
+    request_got: u64,
+    replied: bool,
+    /// Every span delivered to the client, in order.
+    spans: Vec<DeliveredSpan>,
+}
+
+impl App for SplitExchange {
+    fn on_established(&mut self, net: &mut Net, conn: ConnId, end: End) {
+        if end == End::A {
+            net.send(conn, End::A, SPLIT_REQUEST, Marker::Request, 2_000);
+        }
+    }
+
+    fn on_data(&mut self, net: &mut Net, conn: ConnId, end: End, spans: &[DeliveredSpan]) {
+        match end {
+            End::B => {
+                self.request_got += spans.iter().map(|s| s.len as u64).sum::<u64>();
+                if self.request_got >= SPLIT_REQUEST && !self.replied {
+                    self.replied = true;
+                    net.send(conn, End::B, self.static_bytes, Marker::Static, 1);
+                    net.send(conn, End::B, self.dynamic_bytes, Marker::Dynamic, 5_000);
+                    net.close(conn, End::B);
+                }
+            }
+            End::A => self.spans.extend_from_slice(spans),
+        }
+    }
+
+    fn on_fin(&mut self, net: &mut Net, conn: ConnId, end: End) {
+        if end == End::A {
+            net.close(conn, End::A);
+        }
+    }
+}
+
+/// Runs one exchange and checks what every split must satisfy: the
+/// request and both portions arrive whole, delivery is gapless, and the
+/// static→dynamic transition happens once, at the byte where the
+/// portions meet. Returns the spans delivered to the client.
+fn split_exchange(static_bytes: u64, dynamic_bytes: u64) -> Vec<DeliveredSpan> {
+    let app = SplitExchange {
+        static_bytes,
+        dynamic_bytes,
+        request_got: 0,
+        replied: false,
+        spans: Vec::new(),
+    };
+    let mut sim = Sim::new(11, app);
+    sim.net().open(
+        NodeId(1),
+        NodeId(2),
+        PathParams::ideal(30.0),
+        TcpOptions::default(),
+        TcpOptions::default(),
+        1,
+    );
+    sim.run();
+    let app = sim.into_app();
+    assert_eq!(app.request_got, SPLIT_REQUEST);
+    let marker_bytes = |m: Marker| -> u64 {
+        app.spans
+            .iter()
+            .filter(|s| s.marker == m)
+            .map(|s| s.len as u64)
+            .sum()
+    };
+    assert_eq!(marker_bytes(Marker::Static), static_bytes);
+    assert_eq!(marker_bytes(Marker::Dynamic), dynamic_bytes);
+    let mut offset = 0u64;
+    let mut dynamic_began = false;
+    for s in &app.spans {
+        assert_eq!(s.offset, offset, "delivery must be gapless");
+        offset += s.len as u64;
+        match s.marker {
+            Marker::Static => assert!(
+                !dynamic_began,
+                "static span after the dynamic portion began"
+            ),
+            Marker::Dynamic => dynamic_began = true,
+            other => panic!("unexpected marker {other:?} in the response stream"),
+        }
+    }
+    assert_eq!(offset, static_bytes + dynamic_bytes);
+    app.spans
+}
+
+#[test]
+fn single_segment_response_per_portion() {
+    // Both portions fit one MSS: one span each, the boundary exactly at
+    // the static size.
+    let lens: Vec<u32> = split_exchange(300, 200).iter().map(|s| s.len).collect();
+    assert_eq!(
+        lens,
+        [300, 200],
+        "sub-MSS portions must arrive as exactly one span each"
+    );
+}
+
+#[test]
+fn portion_boundary_inside_a_window_round() {
+    // The static portion is one MSS plus one byte, so it ends mid-window:
+    // segmentation must cut a 1-byte tail rather than bleed dynamic
+    // bytes into a static span.
+    let spans = split_exchange(1_461, 2_900);
+    assert!(
+        spans
+            .iter()
+            .any(|s| s.marker == Marker::Static && s.len == 1),
+        "the unaligned static tail must arrive as its own 1-byte span"
+    );
+}
+
+#[test]
+fn multi_window_static_prefix_ends_at_the_portion_boundary() {
+    // Portions far beyond the initial window: the static portion needs
+    // several congestion-window rounds, and every byte before the
+    // boundary still carries the static marker.
+    let spans = split_exchange(20_000, 30_000);
+    let static_prefix: u64 = spans
+        .iter()
+        .take_while(|s| s.marker == Marker::Static)
+        .map(|s| s.len as u64)
+        .sum();
+    assert_eq!(
+        static_prefix, 20_000,
+        "the static prefix must end exactly at the portion boundary"
+    );
+    assert!(
+        spans.len() > 10,
+        "a 50 kB response must span many segments (got {})",
+        spans.len()
+    );
 }
