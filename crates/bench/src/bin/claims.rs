@@ -12,7 +12,7 @@
 //! argument, an unknown artefact, a second argument, or a bad
 //! `FECDN_SCALE`, `FECDN_SEED` or `FECDN_THREADS`).
 
-use bench::claims::ALL;
+use bench::claims::{report, ALL};
 use bench::{seed_from_value, Scale};
 use emulator::campaign::threads_from_value;
 
@@ -75,15 +75,7 @@ fn main() {
     };
     let run = (ALL[artefact].1)(scale, seed);
     print!("{}", run.tsv);
-    for c in &run.checks {
-        let verdict = if c.pass { "PASS" } else { "FAIL" };
-        if c.detail.is_empty() {
-            eprintln!("  [{verdict}] {}", c.id);
-        } else {
-            eprintln!("  [{verdict}] {} ({})", c.id, c.detail);
-        }
-    }
-    if !run.passed() {
+    if !report(&run.checks) {
         eprintln!("one or more paper-shape checks FAILED");
         std::process::exit(1);
     }

@@ -58,12 +58,22 @@ pub struct ClaimRun {
     pub checks: Vec<Check>,
 }
 
-impl ClaimRun {
-    /// True when every check passed.
-    pub fn passed(&self) -> bool {
-        self.checks.iter().all(|c| c.pass)
+/// Prints one `  [PASS]`/`[FAIL] <id> (<detail>)` line per check on
+/// stderr, the detail left out when empty, and returns whether every
+/// check passed.
+pub fn report(checks: &[Check]) -> bool {
+    for c in checks {
+        let verdict = if c.pass { "PASS" } else { "FAIL" };
+        if c.detail.is_empty() {
+            eprintln!("  [{verdict}] {}", c.id);
+        } else {
+            eprintln!("  [{verdict}] {} ({})", c.id, c.detail);
+        }
     }
+    checks.iter().all(|c| c.pass)
+}
 
+impl ClaimRun {
     fn check(&mut self, id: impl Into<String>, detail: impl Into<String>, pass: bool) {
         self.checks.push(Check {
             id: id.into(),
@@ -126,9 +136,9 @@ mod tests {
     fn a_missing_input_fails_its_check() {
         let mut run = ClaimRun::default();
         run.check("holds", "got 1", true);
-        assert!(run.passed());
+        assert!(report(&run.checks));
         run.not_evaluated("needs samples", "no samples");
-        assert!(!run.passed());
+        assert!(!report(&run.checks));
         assert_eq!(run.checks[1].detail, "not evaluated: no samples");
     }
 

@@ -16,7 +16,10 @@
 //! runs every artefact and compares its stdout with
 //! `tests/golden/harness/<artefact>.tsv` (and `paper/<artefact>.tsv`).
 //!
-//! `bench_tcpsim` is the separate packet hot-path microbench.
+//! `bench_tcpsim` is the separate packet hot-path microbench. It decides
+//! its own three CI tripwires (tracing-on wall against a recorded
+//! baseline, telemetry overhead, timing wheel vs heap) and exits with
+//! status 1 if one fails.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -14,7 +14,6 @@ use nettopo::placement::{nearest_fe, FeSite};
 #[derive(Clone, Debug)]
 pub struct DnsMap {
     assignment: Vec<usize>,
-    distance_miles: Vec<f64>,
 }
 
 impl DnsMap {
@@ -22,27 +21,16 @@ impl DnsMap {
     /// Panics on an empty fleet.
     pub fn nearest(clients: &[GeoPoint], fleet: &[FeSite]) -> DnsMap {
         assert!(!fleet.is_empty(), "DnsMap over empty FE fleet");
-        let mut assignment = Vec::with_capacity(clients.len());
-        let mut distance_miles = Vec::with_capacity(clients.len());
-        for pt in clients {
-            let (idx, d) = nearest_fe(pt, fleet).unwrap();
-            assignment.push(idx);
-            distance_miles.push(d);
-        }
-        DnsMap {
-            assignment,
-            distance_miles,
-        }
+        let assignment = clients
+            .iter()
+            .map(|pt| nearest_fe(pt, fleet).unwrap().0)
+            .collect();
+        DnsMap { assignment }
     }
 
     /// The default FE index for a client.
     pub fn fe_of(&self, client: usize) -> usize {
         self.assignment[client]
-    }
-
-    /// Distance in miles from a client to its default FE.
-    pub fn distance_of(&self, client: usize) -> f64 {
-        self.distance_miles[client]
     }
 
     /// Number of clients mapped.
@@ -54,14 +42,6 @@ impl DnsMap {
     pub fn is_empty(&self) -> bool {
         self.assignment.is_empty()
     }
-
-    /// Number of distinct FEs actually used as a default.
-    pub fn distinct_fes(&self) -> usize {
-        let mut v = self.assignment.clone();
-        v.sort_unstable();
-        v.dedup();
-        v.len()
-    }
 }
 
 #[cfg(test)]
@@ -69,6 +49,7 @@ mod tests {
     use super::*;
     use nettopo::placement::{dense_edge, sparse_pop};
     use nettopo::vantage::{planetlab_like, VantageConfig};
+    use std::collections::BTreeSet;
 
     #[test]
     fn maps_every_client() {
@@ -80,7 +61,6 @@ mod tests {
         assert!(!map.is_empty());
         for i in 0..map.len() {
             assert!(map.fe_of(i) < fleet.len());
-            assert!(map.distance_of(i) >= 0.0);
         }
     }
 
@@ -88,11 +68,16 @@ mod tests {
     fn dense_fleet_gives_shorter_distances() {
         let v = planetlab_like(2, &VantageConfig::default());
         let pts: Vec<GeoPoint> = v.iter().map(|x| x.pt).collect();
-        let dense = DnsMap::nearest(&pts, &dense_edge(2));
-        let sparse = DnsMap::nearest(&pts, &sparse_pop(2, 14));
-        let mean =
-            |m: &DnsMap| (0..m.len()).map(|i| m.distance_of(i)).sum::<f64>() / m.len() as f64;
-        assert!(mean(&dense) < mean(&sparse) / 2.0);
+        let mean = |fleet: &[FeSite]| {
+            let map = DnsMap::nearest(&pts, fleet);
+            let total: f64 = pts
+                .iter()
+                .enumerate()
+                .map(|(i, pt)| pt.distance_miles(&fleet[map.fe_of(i)].pt))
+                .sum();
+            total / pts.len() as f64
+        };
+        assert!(mean(&dense_edge(2)) < mean(&sparse_pop(2, 14)) / 2.0);
     }
 
     #[test]
@@ -102,7 +87,7 @@ mod tests {
         let fleet = sparse_pop(3, 10);
         let map = DnsMap::nearest(&pts, &fleet);
         for (i, pt) in pts.iter().enumerate() {
-            let assigned = map.distance_of(i);
+            let assigned = pt.distance_miles(&fleet[map.fe_of(i)].pt);
             for fe in &fleet {
                 assert!(pt.distance_miles(&fe.pt) >= assigned - 1e-9);
             }
@@ -114,6 +99,7 @@ mod tests {
         let v = planetlab_like(4, &VantageConfig::default());
         let pts: Vec<GeoPoint> = v.iter().map(|x| x.pt).collect();
         let map = DnsMap::nearest(&pts, &sparse_pop(4, 14));
-        assert!(map.distinct_fes() >= 8, "used {} FEs", map.distinct_fes());
+        let used: BTreeSet<usize> = (0..map.len()).map(|i| map.fe_of(i)).collect();
+        assert!(used.len() >= 8, "used {} FEs", used.len());
     }
 }

@@ -131,9 +131,10 @@ impl ServiceWorld {
         net.close(client_conn, End::B);
     }
 
-    /// Runs a forwarded query through BE site `be`'s handler, with the
-    /// processing time stretched by the BE's queue under the load
-    /// model.
+    /// Runs a query through BE site `be`'s handler, with the processing
+    /// time stretched by the BE's queue under the load model. A world
+    /// without split TCP opens no fetch leg, so its BE queues stay empty
+    /// and the time is never stretched.
     fn be_process(&mut self, qid: u64, be: usize) -> (SimDuration, ResponsePlan) {
         let (kw_id, followup, client) = {
             let q = &self.queries[&qid];
@@ -157,18 +158,16 @@ impl ServiceWorld {
     /// brownout-stretched) before the serve instant, or — without split
     /// TCP — the BE's processing before its direct reply.
     pub(super) fn handle_request_arrived(&mut self, net: &mut Net, qid: u64) {
-        let (fe, be, kw_id, followup, client) = {
+        let (fe, be) = {
             let q = &self.queries[&qid];
-            (q.fe, q.be, q.keyword, q.instant_followup, q.client)
+            (q.fe, q.be)
         };
         if !self.cfg.split_tcp {
-            let kw = self.corpus.get(kw_id);
-            let region = Some(self.clients[client].region);
-            let result = self.bes[be].1.handle_query(&kw, followup, region);
+            let (proc, plan) = self.be_process(qid, be);
             let q = self.queries.get_mut(&qid).unwrap();
-            q.proc_ms = result.proc_time.as_millis_f64();
-            q.plan = Some(result.plan);
-            self.push_action(net, result.proc_time, Action::BeDirectReply { qid });
+            q.proc_ms = proc.as_millis_f64();
+            q.plan = Some(plan);
+            self.push_action(net, proc, Action::BeDirectReply { qid });
             return;
         }
         let fe = fe.expect("split mode has an FE");

@@ -19,7 +19,6 @@
 
 use crate::geo::GeoPoint;
 use simcore::dist::Dist;
-use simcore::time::SimDuration;
 
 /// One-way propagation delay per great-circle mile in fiber
 /// (≈ 200,000 km/s → ≈ 8.2 µs per mile).
@@ -155,28 +154,10 @@ impl PathModel {
         }
     }
 
-    /// A direct path model from explicit parameters (used by unit tests
-    /// and calibration sweeps that want an exact RTT).
-    pub fn from_rtt_ms(rtt_ms: f64, profile: &PathProfile) -> PathModel {
-        PathModel {
-            base_owd_ms: rtt_ms / 2.0,
-            jitter_ms: profile.jitter_ms.clone(),
-            loss: profile.loss,
-            bw_mbps: profile.bw_mbps,
-            distance_miles: 0.0,
-        }
-    }
-
     /// Nominal RTT (2 × fixed one-way delay, ignoring jitter and
     /// serialization).
     pub fn nominal_rtt_ms(&self) -> f64 {
         2.0 * self.base_owd_ms
-    }
-
-    /// Serialization time for a packet of `bytes` at the bottleneck.
-    pub fn serialization(&self, bytes: u32) -> SimDuration {
-        let ms = (bytes as f64 * 8.0) / (self.bw_mbps * 1000.0);
-        SimDuration::from_millis_f64(ms)
     }
 }
 
@@ -222,28 +203,12 @@ mod tests {
     }
 
     #[test]
-    fn from_rtt_is_exact() {
-        let p = PathModel::from_rtt_ms(86.6, &PathProfile::campus_access());
-        assert!((p.nominal_rtt_ms() - 86.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn serialization_time() {
-        let p = PathModel::from_rtt_ms(10.0, &PathProfile::campus_access());
-        // 1500 bytes at 100 Mbps = 0.12 ms.
-        let t = p.serialization(1500);
-        assert!((t.as_millis_f64() - 0.12).abs() < 0.001, "{t:?}");
-    }
-
-    #[test]
     fn wireless_is_lossy() {
         assert!(PathProfile::wireless_access().loss > 100.0 * PathProfile::campus_access().loss);
     }
 
     #[test]
     fn residential_adds_interleaving_latency() {
-        let campus = PathModel::from_rtt_ms(0.0, &PathProfile::campus_access());
-        let _ = campus;
         let res = PathProfile::residential_access();
         let cam = PathProfile::campus_access();
         assert!(res.base_owd_ms > cam.base_owd_ms + 10.0);

@@ -4,7 +4,8 @@
 //! and Microsoft data-center locations to correlate `Tdynamic` with the
 //! FE↔BE distance. These are the 2011-era sites relevant to that
 //! analysis. The Fig. 9 regression singles out the Bing data center in
-//! Virginia and Google's Lenoir, North Carolina site.
+//! Virginia and Google's Lenoir, North Carolina site, so each list puts
+//! that site first: it is BE site 0 of its service.
 
 use crate::geo::GeoPoint;
 
@@ -50,16 +51,6 @@ pub const BING_BE_SITES: &[BeSite] = &[
     s("Amsterdam NL", 52.3676, 4.9041),
 ];
 
-/// The specific sites the Fig. 9 regression uses.
-pub fn fig9_bing_site() -> &'static BeSite {
-    &BING_BE_SITES[0] // Virginia
-}
-
-/// Google's Lenoir, North Carolina site (the Fig. 9 choice).
-pub fn fig9_google_site() -> &'static BeSite {
-    &GOOGLE_BE_SITES[0]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,17 +66,13 @@ mod tests {
     }
 
     #[test]
-    fn fig9_sites_are_the_paper_choices() {
-        assert_eq!(fig9_bing_site().name, "Boydton VA");
-        assert_eq!(fig9_google_site().name, "Lenoir NC");
-    }
-
-    #[test]
-    fn fig9_sites_are_near_each_other() {
+    fn fig9_sites_come_first() {
+        assert_eq!(BING_BE_SITES[0].name, "Boydton VA");
+        assert_eq!(GOOGLE_BE_SITES[0].name, "Lenoir NC");
         // Both regression anchors are in the US Southeast; the paper's
         // distance axes (0-400/0-500 miles) only make sense if nearby FEs
         // exist at small distances.
-        let d = fig9_bing_site().pt.distance_miles(&fig9_google_site().pt);
+        let d = BING_BE_SITES[0].pt.distance_miles(&GOOGLE_BE_SITES[0].pt);
         assert!(d < 400.0, "distance {d}");
     }
 

@@ -20,7 +20,7 @@
 //! byte-identical content, which is how the capture pipeline detects the
 //! cross-query-static part).
 
-use crate::keywords::{Keyword, KeywordClass};
+use crate::keywords::Keyword;
 use nettopo::metro::Region;
 use simcore::dist::Dist;
 use simcore::rng::Rng;
@@ -200,14 +200,6 @@ impl PageComposer {
     pub fn composed(&self) -> u64 {
         self.composed_count
     }
-
-    /// Mean dynamic size for a class (for workload documentation).
-    pub fn mean_dynamic_bytes(&self, class: KeywordClass) -> f64 {
-        match &self.dynamic_bytes[class.index()] {
-            Dist::TruncatedBelow { inner, .. } => inner.mean().unwrap_or(0.0),
-            d => d.mean().unwrap_or(0.0),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -330,12 +322,5 @@ mod tests {
     #[should_panic(expected = "static_bytes > 0")]
     fn zero_length_dynamic_portion_is_rejected() {
         ResponsePlan::new(8_000, 1, 0, 5_000);
-    }
-
-    #[test]
-    fn mean_dynamic_bytes_reports_model_means() {
-        let c = PageComposer::google_like();
-        assert_eq!(c.mean_dynamic_bytes(KeywordClass::Popular), 24_000.0);
-        assert_eq!(c.mean_dynamic_bytes(KeywordClass::Complex), 34_000.0);
     }
 }

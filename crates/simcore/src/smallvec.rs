@@ -47,11 +47,6 @@ impl<T: Copy + Default, const N: usize> SmallVec<T, N> {
         }
     }
 
-    /// The inline capacity `N`.
-    pub const fn inline_capacity() -> usize {
-        N
-    }
-
     /// Number of elements.
     pub fn len(&self) -> usize {
         match &self.repr {
@@ -254,7 +249,6 @@ mod tests {
         assert!(v.is_empty());
         assert!(!v.spilled());
         assert_eq!(v.as_slice(), &[] as &[u32]);
-        assert_eq!(Sv::inline_capacity(), 2);
     }
 
     #[test]
