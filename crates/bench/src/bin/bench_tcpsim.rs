@@ -32,14 +32,13 @@
 //! when every tripwire holds, 1 when one fails, 2 on any argument.
 
 use bench::claims::{report, Check};
+use nettopo::PathModel;
 use simcore::time::SimDuration;
 use simcore::{EventQueue, HeapQueue};
 use stats::quantile::{iqr, median};
 use std::collections::HashMap;
 use std::time::Instant;
-use tcpsim::{
-    App, ConnId, DeliveredSpan, End, Marker, Net, NodeId, PathParams, PktDir, Sim, TcpOptions,
-};
+use tcpsim::{App, ConnId, DeliveredSpan, End, Marker, Net, NodeId, PktDir, Sim, TcpOptions};
 
 /// Runs per (workload × tracing) cell; the best wall is the headline.
 const REPEATS: u32 = 7;
@@ -217,7 +216,7 @@ fn run_workload(w: &Workload, tracing: bool, telemetry: bool) -> Cell {
         Net::open
     };
     for s in 0..w.sessions {
-        let path = PathParams::lossy(w.rtt_ms, w.loss);
+        let path = PathModel::lossy(w.rtt_ms, w.loss);
         open(
             sim.net(),
             NodeId(2 * s),

@@ -59,15 +59,6 @@ impl TimelineView {
     pub fn payload_cluster_count(&self) -> usize {
         self.rx_clusters.len()
     }
-
-    /// The gap in ms between the first and second payload clusters
-    /// (visual `Tdelta`), when two or more clusters exist.
-    pub fn first_gap_ms(&self) -> Option<f64> {
-        if self.rx_clusters.len() < 2 {
-            return None;
-        }
-        Some(self.rx_clusters[1].t_first - self.rx_clusters[0].t_last)
-    }
 }
 
 #[cfg(test)]
@@ -114,7 +105,7 @@ mod tests {
     fn separated_bursts_give_two_clusters() {
         let view = TimelineView::build(&session(21.0, 150.0), NodeId(1)).unwrap();
         assert_eq!(view.payload_cluster_count(), 2);
-        let gap = view.first_gap_ms().unwrap();
+        let gap = view.rx_clusters[1].t_first - view.rx_clusters[0].t_last;
         assert!((gap - (150.0 - 21.6)).abs() < 0.5, "gap {gap}");
         assert_eq!(view.rtt_ms, 10.0);
     }
@@ -123,7 +114,6 @@ mod tests {
     fn merged_bursts_give_one_cluster() {
         let view = TimelineView::build(&session(21.0, 22.0), NodeId(1)).unwrap();
         assert_eq!(view.payload_cluster_count(), 1);
-        assert!(view.first_gap_ms().is_none());
     }
 
     #[test]

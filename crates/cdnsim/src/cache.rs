@@ -12,8 +12,8 @@
 //!
 //! Semantics pinned by `tests/cache_model.rs`:
 //! * `hits + misses == lookups` under any interleaving;
-//! * `bytes_resident <= capacity_bytes` and `len <= max_entries` at all
-//!   times;
+//! * `bytes_resident <= capacity_bytes` at all times (there is no
+//!   entry-count cap: bytes are the one capacity);
 //! * TTL entries expire **at** the exact virtual-time boundary
 //!   (`now >= inserted_at + ttl` is a miss, counted as an expiration);
 //! * an object larger than the byte capacity is rejected, never
@@ -37,7 +37,7 @@ pub enum CachePolicy {
     Ttl(SimDuration),
 }
 
-/// Provisioning of one cache: policy plus optional byte and entry caps.
+/// Provisioning of one cache: policy plus an optional byte capacity.
 /// The default ([`CacheConfig::unbounded`]) is **inert**: LRU bookkeeping
 /// over infinite capacity never evicts and never expires, reproducing
 /// the unbounded-map behaviour byte for byte.
@@ -47,8 +47,6 @@ pub struct CacheConfig {
     pub policy: CachePolicy,
     /// Byte capacity; `None` = unlimited.
     pub capacity_bytes: Option<u64>,
-    /// Entry-count cap; `None` = unlimited.
-    pub max_entries: Option<usize>,
 }
 
 impl Default for CacheConfig {
@@ -63,7 +61,6 @@ impl CacheConfig {
         CacheConfig {
             policy: CachePolicy::Lru,
             capacity_bytes: None,
-            max_entries: None,
         }
     }
 
@@ -72,7 +69,6 @@ impl CacheConfig {
         CacheConfig {
             policy: CachePolicy::Lru,
             capacity_bytes: Some(capacity_bytes),
-            max_entries: None,
         }
     }
 
@@ -81,7 +77,6 @@ impl CacheConfig {
         CacheConfig {
             policy: CachePolicy::Lfu,
             capacity_bytes: Some(capacity_bytes),
-            max_entries: None,
         }
     }
 
@@ -90,23 +85,14 @@ impl CacheConfig {
         CacheConfig {
             policy: CachePolicy::Ttl(ttl),
             capacity_bytes: Some(capacity_bytes),
-            max_entries: None,
         }
     }
 
-    /// Adds an entry-count cap.
-    pub fn with_max_entries(mut self, n: usize) -> CacheConfig {
-        self.max_entries = Some(n);
-        self
-    }
-
     /// True when the configuration can never evict or expire anything:
-    /// unlimited bytes and entries under a non-expiring policy. Such a
-    /// cache is behaviourally identical to a plain map.
+    /// unlimited bytes under a non-expiring policy. Such a cache is
+    /// behaviourally identical to a plain map.
     pub fn is_unbounded(&self) -> bool {
-        self.capacity_bytes.is_none()
-            && self.max_entries.is_none()
-            && !matches!(self.policy, CachePolicy::Ttl(_))
+        self.capacity_bytes.is_none() && !matches!(self.policy, CachePolicy::Ttl(_))
     }
 }
 
@@ -217,17 +203,9 @@ impl<V> ObjectCache<V> {
     }
 
     fn over_capacity_with(&self, extra_bytes: u64) -> bool {
-        if let Some(cap) = self.cfg.capacity_bytes {
-            if self.bytes + extra_bytes > cap {
-                return true;
-            }
-        }
-        if let Some(max) = self.cfg.max_entries {
-            if self.map.len() + 1 > max {
-                return true;
-            }
-        }
-        false
+        self.cfg
+            .capacity_bytes
+            .is_some_and(|cap| self.bytes + extra_bytes > cap)
     }
 
     /// Looks up `key` at virtual time `now`, counting a hit or miss and
@@ -272,10 +250,8 @@ impl<V> ObjectCache<V> {
         // Refresh: drop the old entry silently (neither an eviction nor
         // an expiration — the object is being replaced by its owner).
         self.remove_entry(key);
-        // Reject what can never fit: an oversized object, or anything at
-        // all when the entry cap is zero.
-        if self.cfg.capacity_bytes.is_some_and(|cap| size > cap) || self.cfg.max_entries == Some(0)
-        {
+        // Reject what can never fit: an object larger than the cache.
+        if self.cfg.capacity_bytes.is_some_and(|cap| size > cap) {
             self.stats.rejections += 1;
             return InsertOutcome::default();
         }
@@ -393,18 +369,16 @@ mod tests {
     }
 
     #[test]
-    fn byte_and_entry_caps_bind_independently() {
-        let mut c: ObjectCache<u32> = ObjectCache::new(CacheConfig::lru(100).with_max_entries(2));
+    fn byte_cap_evicts_until_the_object_fits() {
+        let mut c: ObjectCache<u32> = ObjectCache::new(CacheConfig::lru(100));
         c.insert(1, 0, 10, t(0));
         c.insert(2, 0, 10, t(1));
-        // Bytes ample (20/100) but the entry cap binds.
         c.insert(3, 0, 10, t(2));
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.stats().evictions, 1);
-        // Entry cap ample but bytes bind.
+        assert_eq!(c.stats().evictions, 0);
         c.insert(4, 0, 95, t(3));
         assert_eq!(c.len(), 1);
         assert_eq!(c.bytes_resident(), 95);
+        assert_eq!(c.stats().evictions, 3);
     }
 
     #[test]
@@ -422,9 +396,6 @@ mod tests {
         assert_eq!(c.len(), 0);
         let mut z: ObjectCache<u32> = ObjectCache::new(CacheConfig::lru(0));
         assert!(!z.insert(1, 0, 1, t(0)).inserted);
-        let mut e: ObjectCache<u32> =
-            ObjectCache::new(CacheConfig::unbounded().with_max_entries(0));
-        assert!(!e.insert(1, 0, 1, t(0)).inserted);
         // A zero-byte object fits a zero-byte cache (vacuously).
         assert!(z.insert(2, 0, 0, t(0)).inserted);
     }

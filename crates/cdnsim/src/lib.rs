@@ -13,8 +13,9 @@
 //!   results" detector). The static portion needs no cache: every FE
 //!   holds it, and the world bursts it at serve time unless the
 //!   [`ServiceConfig::cache_static`] ablation switch is off;
-//! * [`dns`] — the client → default-FE mapping (nearest FE, as DNS-based
-//!   redirection approximates);
+//! * [`mapping`] — the client → FE resolution strategies behind
+//!   [`Mapper`]; a client's default FE is its nearest FE
+//!   (`nettopo::geo::nearest`), as DNS-based redirection approximates;
 //! * [`service`] — [`ServiceConfig`]: everything that distinguishes a
 //!   Bing-like deployment (dense shared Akamai edge, public-transit
 //!   FE↔BE paths, slow variable back-end) from a Google-like one (sparse
@@ -33,7 +34,6 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
-pub mod dns;
 pub mod fe;
 pub mod mapping;
 pub mod service;
@@ -41,7 +41,6 @@ pub mod spec;
 pub mod world;
 
 pub use cache::{CacheConfig, CachePolicy, CacheStats, InsertOutcome, ObjectCache};
-pub use dns::DnsMap;
 pub use fe::FeServer;
 pub use mapping::{
     DnsGeoTtl, GeoTtlPolicy, LoadAware, LoadAwarePolicy, Mapper, MappingPolicy, NearestLive,

@@ -28,7 +28,7 @@ impl ServiceWorld {
         let mut ctx = ResolveCtx {
             now,
             client,
-            default_fe: self.dns.fe_of(client),
+            default_fe: self.default_fe(client),
             ranked: &ranked,
             client_pt: self.clients[client].pt,
             faults: &self.cfg.faults,
@@ -128,9 +128,7 @@ impl ServiceWorld {
                         Self::fe_node(fe),
                         w.start,
                         w.end,
-                        params.p_enter,
-                        params.p_exit,
-                        params.bad_loss,
+                        params,
                     ));
                 }
                 // Brownouts and capacity dips act on FE service times,

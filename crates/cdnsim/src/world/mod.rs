@@ -24,7 +24,6 @@
 //! the BE response; `fe_caches_results = true` lets FEs answer repeated
 //! keywords without any BE fetch.
 
-use crate::dns::DnsMap;
 use crate::fe::FeServer;
 use crate::mapping::Mapper;
 use crate::service::ServiceConfig;
@@ -43,9 +42,7 @@ use simcore::telemetry::MetricsRegistry;
 use simcore::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use tcpsim::{
-    App, Capture, ConnId, DeliveredSpan, End, LinkFault, Marker, Net, NodeId, PathParams,
-};
+use tcpsim::{App, Capture, ConnId, DeliveredSpan, End, LinkFault, Marker, Net, NodeId};
 
 mod actions;
 mod book;
@@ -366,7 +363,7 @@ pub struct ServiceWorld {
     fes: Vec<FeServer>,
     bes: Vec<(BeSite, BeDataCenter)>,
     corpus: Arc<KeywordCorpus>,
-    dns: DnsMap,
+    fe_of_client: Vec<usize>,
     be_of_fe: Vec<usize>,
     free_pool: BTreeMap<(usize, usize), Vec<ConnId>>,
     conn_info: HashMap<ConnId, ConnInfo>,
@@ -414,8 +411,16 @@ impl ServiceWorld {
         corpus: Arc<KeywordCorpus>,
     ) -> ServiceWorld {
         assert!(!cfg.fe_fleet.is_empty() && !cfg.be_sites.is_empty());
-        let pts: Vec<GeoPoint> = clients.iter().map(|c| c.pt).collect();
-        let dns = DnsMap::nearest(&pts, &cfg.fe_fleet);
+        // The DNS default: the nearest FE, as DNS-based redirection
+        // approximates.
+        let fe_of_client: Vec<usize> = clients
+            .iter()
+            .map(|c| {
+                nettopo::geo::nearest(&c.pt, &cfg.fe_fleet, |f| f.pt)
+                    .unwrap()
+                    .0
+            })
+            .collect();
         let be_of_fe: Vec<usize> = cfg
             .fe_fleet
             .iter()
@@ -465,7 +470,7 @@ impl ServiceWorld {
             fes,
             bes,
             corpus,
-            dns,
+            fe_of_client,
             be_of_fe,
             free_pool: BTreeMap::new(),
             conn_info: HashMap::default(),
@@ -552,9 +557,9 @@ impl ServiceWorld {
         &self.corpus
     }
 
-    /// The DNS-default FE of a client.
+    /// The DNS-default FE of a client: its nearest FE.
     pub fn default_fe(&self, client: usize) -> usize {
-        self.dns.fe_of(client)
+        self.fe_of_client[client]
     }
 
     /// The nearest BE of an FE.
@@ -640,15 +645,6 @@ impl ServiceWorld {
     fn client_path(&self, client: usize, to: &GeoPoint) -> PathModel {
         let v = &self.clients[client];
         PathModel::between(&v.pt, to, &self.access_profile(v.access))
-    }
-
-    fn to_params(m: &PathModel) -> PathParams {
-        PathParams {
-            base_owd_ms: m.base_owd_ms,
-            jitter_ms: m.jitter_ms.clone(),
-            loss: m.loss,
-            bw_mbps: m.bw_mbps,
-        }
     }
 
     /// Schedules a query to start `delay` from now. Its event sequence

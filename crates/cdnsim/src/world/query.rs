@@ -40,7 +40,7 @@ impl ServiceWorld {
         net.open(
             Self::fe_node(fe),
             Self::be_node(be),
-            Self::to_params(&path),
+            path,
             self.cfg.fe_be_tcp,
             self.cfg.be_tcp,
             session,
@@ -184,7 +184,7 @@ impl ServiceWorld {
         let conn = net.open_captured(
             client_node,
             server_node,
-            Self::to_params(&path),
+            path,
             tcpsim::TcpOptions::default(),
             self.cfg.fe_client_tcp,
             qid,

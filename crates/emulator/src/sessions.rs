@@ -154,16 +154,6 @@ impl SessionFeeder {
         }
     }
 
-    /// The workload being materialised.
-    pub fn workload(&self) -> &SessionWorkload {
-        &self.w
-    }
-
-    /// Sessions materialised so far.
-    pub fn emitted(&self) -> u64 {
-        self.emitted
-    }
-
     /// Start instant of the next session, or `None` when exhausted.
     pub fn next_start(&self) -> Option<SimTime> {
         self.next_start

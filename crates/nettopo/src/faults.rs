@@ -7,8 +7,10 @@
 //! back-end sites and individual paths — expressed in **scenario indices**
 //! (the position of an FE or BE in the placement lists), not simulator
 //! node ids. The service layer translates the plan into packet-level
-//! mechanics (`tcpsim::LinkFault`, connection aborts) and control-plane
-//! behaviour (health-aware DNS, failover) when the simulation is built.
+//! mechanics (`tcpsim::LinkFault`, which takes a burst episode's
+//! [`BurstLossParams`] as they are, and connection aborts) and
+//! control-plane behaviour (health-aware DNS, failover) when the
+//! simulation is built.
 //!
 //! All windows are half-open `[start, end)`. An empty plan is the
 //! default and must leave every simulation trajectory byte-identical to
@@ -44,10 +46,11 @@ impl BurstLossParams {
     }
 
     /// Advances the Gilbert–Elliott chain one packet and reports whether
-    /// that packet is dropped. `bad` is the chain state (false = good);
-    /// the RNG draw order (exit-or-enter first, then the in-bad loss
-    /// coin) matches the packet-level implementation in `tcpsim`, so the
-    /// reference semantics are testable here without a simulator.
+    /// that packet is dropped. `bad` is the chain state (false = good).
+    /// Draw order: the exit-or-enter coin first, then the loss coin,
+    /// drawn only in the bad state. This is the chain the packet
+    /// simulator runs: `tcpsim` calls it once per packet that matches an
+    /// active burst-loss window, with its `tcpsim/fault` stream.
     pub fn advance(&self, bad: &mut bool, rng: &mut simcore::rng::Rng) -> bool {
         if *bad {
             if rng.chance(self.p_exit) {
@@ -376,10 +379,10 @@ mod tests {
 
     // ---- Gilbert–Elliott edge coverage ------------------------------
     //
-    // The chain itself runs packet-by-packet inside tcpsim; these tests
-    // pin the *reference semantics* of `BurstLossParams::advance` at its
-    // degenerate corners, where an off-by-one in the draw order would be
-    // invisible to the integration tests.
+    // `BurstLossParams::advance` is the chain tcpsim runs on every packet
+    // inside a burst-loss window. These tests pin it at its degenerate
+    // corners, where an off-by-one in the draw order would be invisible
+    // to the integration tests.
 
     use simcore::rng::Rng;
 

@@ -5,7 +5,9 @@
 //! Google's own sparser front-end POPs, and a handful of back-end data
 //! centers. This crate rebuilds that world synthetically:
 //!
-//! * [`geo`] — coordinates and great-circle distances;
+//! * [`geo`] — coordinates, great-circle distances, and
+//!   [`geo::nearest`], the one nearest-site search (a client's default
+//!   FE, an FE's BE, a no-split client's BE);
 //! * [`metro`] — an embedded catalogue of world metro areas with
 //!   PlanetLab-era weighting (North America / Europe heavy);
 //! * [`vantage`] — PlanetLab-like vantage-point generation (clustered
@@ -21,9 +23,14 @@
 //! * [`faults`] — scripted fault schedules ([`FaultPlan`]): FE/BE
 //!   outages, brownouts, persistent-connection drops and burst-loss
 //!   episodes, consumed by the service layer's failure-recovery
-//!   machinery.
+//!   machinery, and the Gilbert–Elliott chain of a burst-loss episode
+//!   ([`BurstLossParams::advance`]).
 //!
-//! Everything is deterministic given a seed.
+//! This is the network model the packet simulator runs: `tcpsim`
+//! depends on this crate and opens every connection over a
+//! [`PathModel`], and its burst-loss faults call
+//! [`BurstLossParams::advance`] per packet. This crate knows nothing of
+//! TCP. Everything is deterministic given a seed.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -19,6 +19,7 @@
 
 use crate::geo::GeoPoint;
 use simcore::dist::Dist;
+use simcore::time::SimDuration;
 
 /// One-way propagation delay per great-circle mile in fiber
 /// (≈ 200,000 km/s → ≈ 8.2 µs per mile).
@@ -125,7 +126,9 @@ impl PathProfile {
 }
 
 /// A concrete path between two endpoints: the profile applied to their
-/// geography.
+/// geography. The packet simulator (`tcpsim`) runs it as is: every
+/// connection carries one, and each packet pays its serialization, base
+/// delay and a jitter draw, or loses its loss coin.
 #[derive(Clone, Debug)]
 pub struct PathModel {
     /// Fixed one-way delay (propagation + base), in ms.
@@ -154,10 +157,35 @@ impl PathModel {
         }
     }
 
+    /// An ideal loss-free path with the given RTT and ample bandwidth —
+    /// the workhorse of unit tests.
+    pub fn ideal(rtt_ms: f64) -> PathModel {
+        PathModel {
+            base_owd_ms: rtt_ms / 2.0,
+            jitter_ms: Dist::Constant(0.0),
+            loss: 0.0,
+            bw_mbps: 10_000.0,
+            distance_miles: 0.0,
+        }
+    }
+
+    /// Same as [`PathModel::ideal`] but with a loss rate.
+    pub fn lossy(rtt_ms: f64, loss: f64) -> PathModel {
+        PathModel {
+            loss,
+            ..PathModel::ideal(rtt_ms)
+        }
+    }
+
     /// Nominal RTT (2 × fixed one-way delay, ignoring jitter and
     /// serialization).
     pub fn nominal_rtt_ms(&self) -> f64 {
         2.0 * self.base_owd_ms
+    }
+
+    /// One-way serialization delay of a packet of `bytes`.
+    pub fn serialization(&self, bytes: u32) -> SimDuration {
+        SimDuration::from_millis_f64((bytes as f64 * 8.0) / (self.bw_mbps * 1000.0))
     }
 }
 

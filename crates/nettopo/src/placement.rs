@@ -11,9 +11,11 @@
 //! * **Google's own FEs** — a *sparse POP* fleet: fewer sites at major
 //!   metros only, but **dedicated** to Google's traffic.
 //!
-//! [`dense_edge`] and [`sparse_pop`] generate the two fleets. Fig. 6's
-//! headline numbers (>80 % of vantages within 20 ms of a Bing FE vs ~60 %
-//! for Google) emerge from these placements plus the path model.
+//! [`dense_edge`] and [`sparse_pop`] generate the two fleets. A client's
+//! default FE is its nearest one, found with [`crate::geo::nearest`] as
+//! DNS-based redirection approximates. Fig. 6's headline numbers (>80 %
+//! of vantages within 20 ms of a Bing FE vs ~60 % for Google) emerge
+//! from these placements plus the path model.
 
 use crate::geo::GeoPoint;
 use crate::metro::{top_metros, WORLD_METROS};
@@ -107,15 +109,20 @@ pub fn sparse_pop(seed: u64, pop_count: usize) -> Vec<FeSite> {
         .collect()
 }
 
-/// The FE nearest to a point, returned as `(index, miles)`.
-pub fn nearest_fe(pt: &GeoPoint, fleet: &[FeSite]) -> Option<(usize, f64)> {
-    crate::geo::nearest(pt, fleet, |f| f.pt)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geo::nearest;
     use crate::vantage::{planetlab_like, VantageConfig};
+    use std::collections::BTreeSet;
+
+    /// Each vantage's default FE in `fleet`, its nearest, as `(index, miles)`.
+    fn default_fes(seed: u64, fleet: &[FeSite]) -> Vec<(usize, f64)> {
+        planetlab_like(seed, &VantageConfig::default())
+            .iter()
+            .map(|v| nearest(&v.pt, fleet, |f| f.pt).unwrap())
+            .collect()
+    }
 
     #[test]
     fn dense_fleet_is_much_larger_than_sparse() {
@@ -162,17 +169,11 @@ mod tests {
     fn vantages_are_closer_to_dense_fleet() {
         // The geometric core of Fig. 6: median vantage→nearest-FE distance
         // must be clearly smaller for the dense (Akamai/Bing) fleet.
-        let vantages = planetlab_like(5, &VantageConfig::default());
-        let dense = dense_edge(5);
-        let sparse = sparse_pop(5, 25);
-        let mut d_dense: Vec<f64> = vantages
-            .iter()
-            .map(|v| nearest_fe(&v.pt, &dense).unwrap().1)
-            .collect();
-        let mut d_sparse: Vec<f64> = vantages
-            .iter()
-            .map(|v| nearest_fe(&v.pt, &sparse).unwrap().1)
-            .collect();
+        let miles = |fleet: &[FeSite]| -> Vec<f64> {
+            default_fes(5, fleet).iter().map(|&(_, d)| d).collect()
+        };
+        let mut d_dense = miles(&dense_edge(5));
+        let mut d_sparse = miles(&sparse_pop(5, 25));
         d_dense.sort_by(|a, b| a.partial_cmp(b).unwrap());
         d_sparse.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let med_dense = d_dense[d_dense.len() / 2];
@@ -184,8 +185,41 @@ mod tests {
     }
 
     #[test]
-    fn nearest_fe_empty_fleet() {
-        let p = GeoPoint::new(0.0, 0.0);
-        assert!(nearest_fe(&p, &[]).is_none());
+    fn every_vantage_maps_to_a_fleet_member() {
+        let fleet = sparse_pop(1, 14);
+        assert!(default_fes(1, &fleet)
+            .iter()
+            .all(|&(fe, _)| fe < fleet.len()));
+    }
+
+    #[test]
+    fn dense_fleet_halves_the_mean_distance() {
+        let mean = |fleet: &[FeSite]| {
+            let picks = default_fes(2, fleet);
+            picks.iter().map(|&(_, d)| d).sum::<f64>() / picks.len() as f64
+        };
+        assert!(mean(&dense_edge(2)) < mean(&sparse_pop(2, 14)) / 2.0);
+    }
+
+    #[test]
+    fn the_pick_is_no_farther_than_any_fe() {
+        let vantages = planetlab_like(3, &VantageConfig::default());
+        let fleet = sparse_pop(3, 10);
+        for v in &vantages {
+            let (fe, miles) = nearest(&v.pt, &fleet, |f| f.pt).unwrap();
+            assert_eq!(miles, v.pt.distance_miles(&fleet[fe].pt));
+            for other in &fleet {
+                assert!(v.pt.distance_miles(&other.pt) >= miles - 1e-9);
+            }
+        }
+    }
+
+    #[test]
+    fn multiple_fes_serve_a_global_population() {
+        let used: BTreeSet<usize> = default_fes(4, &sparse_pop(4, 14))
+            .iter()
+            .map(|&(fe, _)| fe)
+            .collect();
+        assert!(used.len() >= 8, "used {} FEs", used.len());
     }
 }

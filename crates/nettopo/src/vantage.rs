@@ -12,6 +12,7 @@
 use crate::geo::GeoPoint;
 use crate::metro::{university_metros, Metro, Region};
 use simcore::dist::Dist;
+use simcore::hash::HashMap;
 use simcore::rng::Rng;
 
 /// Last-hop access technology of a vantage point, which determines the
@@ -95,8 +96,7 @@ pub fn planetlab_like(seed: u64, cfg: &VantageConfig) -> Vec<Vantage> {
     };
 
     let mut out = Vec::with_capacity(cfg.count);
-    let mut per_metro_counter: std::collections::HashMap<&str, usize> =
-        std::collections::HashMap::new();
+    let mut per_metro_counter: HashMap<&str, usize> = HashMap::default();
     for id in 0..cfg.count {
         let metro = pick_metro(&mut rng, &metros);
         let dn = scatter.sample(&mut rng);

@@ -101,11 +101,6 @@ impl BeDataCenter {
     pub fn queries_served(&self) -> u64 {
         self.queries_served
     }
-
-    /// Current load factor (≥ 1).
-    pub fn current_load(&self) -> f64 {
-        self.load.current()
-    }
 }
 
 #[cfg(test)]
@@ -176,6 +171,5 @@ mod tests {
             assert!(r.load_factor <= 1.0 + dc.profile.load_amplitude + 1e-9);
         }
         assert_eq!(dc.queries_served(), 500);
-        assert!(dc.current_load() >= 1.0);
     }
 }

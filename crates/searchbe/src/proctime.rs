@@ -48,11 +48,6 @@ impl LoadProcess {
         self.level = (self.level + nudge).clamp(0.0, 1.0);
         1.0 + self.level * self.amplitude
     }
-
-    /// Current factor without advancing.
-    pub fn current(&self) -> f64 {
-        1.0 + self.level * self.amplitude
-    }
 }
 
 /// The processing-time profile of one back-end service.
@@ -143,7 +138,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(lp.step(&mut rng), 1.0);
         }
-        assert_eq!(lp.current(), 1.0);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!
 //! It offers no protection against keys crafted to collide. Every key
 //! it hashes in this workspace is an id the simulator assigns itself
-//! (connection ordinals, query ids, server and client indices).
+//! (connection ordinals, query ids, server and client indices) or a
+//! name from the embedded metro catalogue.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -3,8 +3,7 @@
 //! The paper smooths per-query time series with a **moving median of
 //! window 10** before plotting Fig. 3 ("as the performance is susceptible
 //! to short-term fluctuations, we plot the moving median with the sample
-//! window size being 10"). [`moving_median`] reproduces that exactly;
-//! [`moving_mean`] is provided for ablations.
+//! window size being 10"). [`moving_median`] reproduces that exactly.
 
 use crate::quantile::quantile_sorted;
 
@@ -29,23 +28,6 @@ pub fn moving_median(xs: &[f64], window: usize) -> Vec<f64> {
     out
 }
 
-/// Moving mean with the same trailing-window convention as
-/// [`moving_median`].
-pub fn moving_mean(xs: &[f64], window: usize) -> Vec<f64> {
-    assert!(window > 0, "moving_mean: zero window");
-    let mut out = Vec::with_capacity(xs.len());
-    let mut sum = 0.0;
-    for i in 0..xs.len() {
-        sum += xs[i];
-        if i >= window {
-            sum -= xs[i - window];
-        }
-        let n = (i + 1).min(window);
-        out.push(sum / n as f64);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,7 +36,6 @@ mod tests {
     fn window_one_is_identity() {
         let xs = [3.0, 1.0, 4.0, 1.0, 5.0];
         assert_eq!(moving_median(&xs, 1), xs.to_vec());
-        assert_eq!(moving_mean(&xs, 1), xs.to_vec());
     }
 
     #[test]
@@ -75,23 +56,14 @@ mod tests {
     }
 
     #[test]
-    fn mean_matches_manual_computation() {
-        let xs = [2.0, 4.0, 6.0, 8.0];
-        let mm = moving_mean(&xs, 2);
-        assert_eq!(mm, vec![2.0, 3.0, 5.0, 7.0]);
-    }
-
-    #[test]
     fn output_length_matches_input() {
         let xs: Vec<f64> = (0..37).map(|i| i as f64).collect();
         assert_eq!(moving_median(&xs, 10).len(), 37);
-        assert_eq!(moving_mean(&xs, 10).len(), 37);
     }
 
     #[test]
     fn empty_input_gives_empty_output() {
         assert!(moving_median(&[], 10).is_empty());
-        assert!(moving_mean(&[], 10).is_empty());
     }
 
     #[test]

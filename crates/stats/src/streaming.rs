@@ -29,11 +29,6 @@
 use crate::ecdf::Ecdf;
 use crate::quantile::{quantile_sorted, Summary};
 
-/// Default buffer cap for [`QuantileAcc::new`]: exact below, sketch at
-/// and above. Chosen so a per-run accumulator over typical quick-scale
-/// campaigns (hundreds to a few thousand queries) stays exact.
-pub const DEFAULT_QUANTILE_CAP: usize = 8192;
-
 // ---------------------------------------------------------------------
 // Welford mean / variance
 // ---------------------------------------------------------------------
@@ -231,12 +226,6 @@ enum Buf {
 }
 
 impl QuantileAcc {
-    /// An accumulator with the default cap
-    /// ([`DEFAULT_QUANTILE_CAP`]).
-    pub fn new() -> QuantileAcc {
-        QuantileAcc::with_cap(DEFAULT_QUANTILE_CAP)
-    }
-
     /// An accumulator that stays exact forever (unbounded buffer). Use
     /// for figures whose golden output asserts exact quantiles.
     pub fn exact() -> QuantileAcc {
@@ -417,12 +406,6 @@ impl QuantileAcc {
     /// sketched (an ECDF needs every sample).
     pub fn ecdf(&self) -> Option<Ecdf> {
         self.values().map(|v| Ecdf::new(&v))
-    }
-}
-
-impl Default for QuantileAcc {
-    fn default() -> QuantileAcc {
-        QuantileAcc::new()
     }
 }
 

@@ -10,7 +10,7 @@
 
 use crate::cubic::CubicState;
 use crate::opts::{CongAlgo, TcpOptions, ABC_LIMIT_SEGS, INITIAL_RTO, MAX_RTO, MIN_RTO, MSS};
-use crate::segment::{Marker, MetaSpan, SpanVec};
+use crate::segment::{Marker, MetaSpan, PktKind, Segment, SpanVec};
 use simcore::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
@@ -222,14 +222,13 @@ pub struct Endpoint {
     /// The retransmission timer.
     pub rto_timer: Timer,
     /// In-flight RTT probe: `(seq_end, sent_at)`; cleared on any
-    /// retransmission (Karn's algorithm).
+    /// retransmission (Karn's algorithm). The opener's SYN is its first
+    /// probe, sampled when the handshake completes.
     pub rtt_probe: Option<(u64, SimTime)>,
     /// FIN requested by the application.
     pub fin_pending: bool,
     /// FIN transmitted.
     pub fin_sent: bool,
-    /// Number of handshake (re)transmissions so far.
-    pub syn_sent_count: u32,
 
     // ---- receive side ----
     /// Next byte expected in order.
@@ -274,7 +273,6 @@ impl Endpoint {
             rtt_probe: None,
             fin_pending: false,
             fin_sent: false,
-            syn_sent_count: 0,
             rcv_nxt: 0,
             ooo: BTreeMap::new(),
             delack: Timer::default(),
@@ -371,6 +369,33 @@ impl Endpoint {
         }
         self.chunk_cursor = i.saturating_sub(1);
         out
+    }
+
+    /// A `kind` segment from this endpoint covering `[seq, seq+len)`,
+    /// carrying the current ACK and window. A payload's spans come from
+    /// [`Endpoint::meta_for_range`] (which moves its cursor); PSH is set
+    /// on data that ends a chunk, always on a FIN, never on control
+    /// segments.
+    pub(crate) fn segment(&mut self, kind: PktKind, seq: u64, len: u32) -> Segment {
+        let meta = if len > 0 {
+            self.meta_for_range(seq, len)
+        } else {
+            SpanVec::new()
+        };
+        let push = match kind {
+            PktKind::Data => self.range_ends_chunk(seq, len),
+            PktKind::Fin => true,
+            PktKind::Syn | PktKind::SynAck | PktKind::Ack => false,
+        };
+        Segment {
+            kind,
+            seq,
+            len,
+            ack: self.rcv_nxt,
+            push,
+            wnd: self.opts.rwnd,
+            meta,
+        }
     }
 
     /// True if `[from, from+len)` ends exactly at an application chunk

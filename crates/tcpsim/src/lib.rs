@@ -21,7 +21,12 @@
 //! * no slow-start-after-idle: an idle connection keeps its grown
 //!   window, so the persistent FE↔BE connections stay warm, which is
 //!   precisely the "warm connection" benefit of split TCP,
-//! * per-path delay/jitter/loss/bandwidth from a [`PathParams`],
+//! * per-path delay/jitter/loss/bandwidth from the path model of the
+//!   network geography crate, [`nettopo::PathModel`], which every
+//!   connection is opened over,
+//! * scheduled link and node faults ([`LinkFault`]): outages, and
+//!   burst-loss episodes that run `nettopo`'s Gilbert–Elliott chain
+//!   ([`nettopo::BurstLossParams::advance`]) packet by packet,
 //! * client-vantage packet capture with application-layer *markers*
 //!   (request / static / dynamic ...), the simulator's analogue of the
 //!   paper's tcpdump with payloads at the measuring client: a
@@ -52,8 +57,7 @@ pub mod trace;
 
 pub use endpoint::{ConnStats, TcpState};
 pub use net::{
-    App, ConnId, DeliveredSpan, End, FaultTarget, LinkFault, LinkFaultKind, Net, NodeId,
-    PathParams, Sim,
+    App, ConnId, DeliveredSpan, End, FaultTarget, LinkFault, LinkFaultKind, Net, NodeId, Sim,
 };
 pub use opts::{CongAlgo, TcpOptions};
 pub use segment::{Marker, MetaSpan, PktKind, Segment, SpanVec};

@@ -12,7 +12,7 @@ use crate::endpoint::{AckPolicy, AckReaction, Endpoint, TcpState, Timer, TimerPo
 use crate::opts::{TcpOptions, DELACK_TIMEOUT, MAX_RTO, MSS};
 use crate::segment::{Marker, MetaSpan, PktKind, Segment, SpanVec};
 use crate::trace::{Capture, PktDir};
-use simcore::dist::Dist;
+use nettopo::{BurstLossParams, PathModel};
 use simcore::queue::EventQueue;
 use simcore::rng::Rng;
 use simcore::telemetry::MetricsRegistry;
@@ -60,45 +60,6 @@ impl End {
 /// [`MetaSpan`] under the name the `App` trait uses).
 pub type DeliveredSpan = MetaSpan;
 
-/// Path parameters between the two endpoints of a connection.
-#[derive(Clone, Debug)]
-pub struct PathParams {
-    /// Fixed one-way delay in ms (propagation + base).
-    pub base_owd_ms: f64,
-    /// Per-packet one-way jitter in ms (non-negative distribution).
-    pub jitter_ms: Dist,
-    /// Per-packet, per-direction loss probability.
-    pub loss: f64,
-    /// Bottleneck bandwidth, Mbit/s.
-    pub bw_mbps: f64,
-}
-
-impl PathParams {
-    /// An ideal loss-free path with the given RTT and ample bandwidth —
-    /// the workhorse of unit tests.
-    pub fn ideal(rtt_ms: f64) -> PathParams {
-        PathParams {
-            base_owd_ms: rtt_ms / 2.0,
-            jitter_ms: Dist::Constant(0.0),
-            loss: 0.0,
-            bw_mbps: 10_000.0,
-        }
-    }
-
-    /// Same as [`PathParams::ideal`] but with a loss rate.
-    pub fn lossy(rtt_ms: f64, loss: f64) -> PathParams {
-        PathParams {
-            loss,
-            ..PathParams::ideal(rtt_ms)
-        }
-    }
-
-    /// One-way serialization delay of a packet of `bytes`.
-    pub fn serialization(&self, bytes: u32) -> SimDuration {
-        SimDuration::from_millis_f64((bytes as f64 * 8.0) / (self.bw_mbps * 1000.0))
-    }
-}
-
 /// What part of the topology a [`LinkFault`] applies to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultTarget {
@@ -125,20 +86,10 @@ impl FaultTarget {
 pub enum LinkFaultKind {
     /// Drop every matching packet (outage).
     Blackhole,
-    /// A Gilbert–Elliott two-state chain advanced once per matching
-    /// packet: in the good state packets pass; entering the bad state
-    /// (probability `p_enter` per packet) drops packets with
-    /// probability `bad_loss` until the chain exits (probability
-    /// `p_exit` per packet) — loss arrives in bursts, the pattern that
-    /// defeats fast retransmit and forces RTO recovery.
-    Burst {
-        /// Per-packet probability of entering the bad state.
-        p_enter: f64,
-        /// Per-packet probability of leaving the bad state.
-        p_exit: f64,
-        /// Drop probability while in the bad state.
-        bad_loss: f64,
-    },
+    /// A Gilbert–Elliott two-state chain, advanced once per matching
+    /// packet by [`BurstLossParams::advance`]: loss arrives in bursts,
+    /// the pattern that defeats fast retransmit and forces RTO recovery.
+    Burst(BurstLossParams),
 }
 
 /// A scheduled fault on part of the topology: within `[start, end)`,
@@ -190,19 +141,13 @@ impl LinkFault {
         b: NodeId,
         start: SimTime,
         end: SimTime,
-        p_enter: f64,
-        p_exit: f64,
-        bad_loss: f64,
+        params: BurstLossParams,
     ) -> LinkFault {
         LinkFault {
             target: FaultTarget::Link(a, b),
             start,
             end,
-            kind: LinkFaultKind::Burst {
-                p_enter,
-                p_exit,
-                bad_loss,
-            },
+            kind: LinkFaultKind::Burst(params),
             bad: false,
         }
     }
@@ -280,15 +225,13 @@ enum Cb {
 
 struct Conn {
     nodes: [NodeId; 2],
-    path: PathParams,
+    path: PathModel,
     rng: Rng,
     busy_until: [SimTime; 2],
     // Highest arrival time scheduled per direction: a single path is a
     // FIFO queue, so jitter may stretch gaps but never reorder packets.
     last_arrival: [SimTime; 2],
     ep: [Endpoint; 2],
-    syn_time: SimTime,
-    handshake_retx: bool,
     fin_cb_fired: [bool; 2],
     aborted: bool,
     /// The opener's packets, while the connection is captured
@@ -512,7 +455,7 @@ impl Net {
         &mut self,
         a: NodeId,
         b: NodeId,
-        path: PathParams,
+        path: PathModel,
         opts_a: TcpOptions,
         opts_b: TcpOptions,
         session: u64,
@@ -527,7 +470,7 @@ impl Net {
         &mut self,
         a: NodeId,
         b: NodeId,
-        path: PathParams,
+        path: PathModel,
         opts_a: TcpOptions,
         opts_b: TcpOptions,
         session: u64,
@@ -594,7 +537,7 @@ impl Net {
     fn open_with(
         &mut self,
         nodes: [NodeId; 2],
-        path: PathParams,
+        path: PathModel,
         opts: [TcpOptions; 2],
         session: u64,
         captured: bool,
@@ -609,8 +552,6 @@ impl Net {
             busy_until: [SimTime::ZERO; 2],
             last_arrival: [SimTime::ZERO; 2],
             ep: [Endpoint::new(opts_a), Endpoint::new(opts_b)],
-            syn_time: self.now(),
-            handshake_retx: false,
             fin_cb_fired: [false, false],
             aborted: false,
             capture: captured.then(|| Capture::new(nodes[0], cid)),
@@ -618,7 +559,8 @@ impl Net {
             released: false,
         };
         conn.ep[0].state = TcpState::SynSent;
-        conn.ep[0].syn_sent_count = 1;
+        // The SYN is the opener's first RTT probe.
+        conn.ep[0].rtt_probe = Some((0, self.now()));
         let slot = match self.free_slots.pop() {
             Some(slot) => {
                 self.conns[slot as usize] = conn;
@@ -683,11 +625,6 @@ impl Net {
         self.q.schedule_reserved(at, seq, Ev::AppTimer { token });
     }
 
-    /// TCP state of one side.
-    pub fn state(&self, conn: ConnId, end: End) -> TcpState {
-        self.conns[self.slot(conn)].ep[end.idx()].state
-    }
-
     /// Congestion window (bytes) of one side — exposed for tests and the
     /// split-TCP ablation instrumentation.
     pub fn cwnd(&self, conn: ConnId, end: End) -> f64 {
@@ -748,17 +685,8 @@ impl Net {
 
     fn make_ctl(&mut self, cid: ConnId, from: End, kind: PktKind) -> Segment {
         let s = self.slot(cid);
-        let c = &self.conns[s];
-        let ep = &c.ep[from.idx()];
-        Segment {
-            kind,
-            seq: ep.snd_nxt,
-            len: 0,
-            ack: ep.rcv_nxt,
-            push: false,
-            wnd: ep.opts.rwnd,
-            meta: SpanVec::new(),
-        }
+        let ep = &mut self.conns[s].ep[from.idx()];
+        ep.segment(kind, ep.snd_nxt, 0)
     }
 
     fn transmit(&mut self, cid: ConnId, from: End, seg: Segment) {
@@ -781,31 +709,18 @@ impl Net {
         // Scheduled faults first (they model the outside world failing,
         // not this path's own loss process). Checked without any RNG
         // draw unless a probabilistic fault window is active, so an
-        // empty fault list leaves all trajectories untouched.
+        // empty fault list leaves all trajectories untouched. Every
+        // active window is evaluated, even once one has dropped the
+        // packet: each burst chain advances once per matching packet.
         let mut fault_drop = false;
         for f in self.faults.iter_mut() {
             if now < f.start || now >= f.end || !f.target.matches(c.nodes) {
                 continue;
             }
-            match f.kind {
-                LinkFaultKind::Blackhole => fault_drop = true,
-                LinkFaultKind::Burst {
-                    p_enter,
-                    p_exit,
-                    bad_loss,
-                } => {
-                    if f.bad {
-                        if self.fault_rng.chance(p_exit) {
-                            f.bad = false;
-                        }
-                    } else if self.fault_rng.chance(p_enter) {
-                        f.bad = true;
-                    }
-                    if f.bad && self.fault_rng.chance(bad_loss) {
-                        fault_drop = true;
-                    }
-                }
-            }
+            fault_drop |= match f.kind {
+                LinkFaultKind::Blackhole => true,
+                LinkFaultKind::Burst(p) => p.advance(&mut f.bad, &mut self.fault_rng),
+            };
         }
         // Otherwise the path's own loss coin (after consuming the wire).
         if fault_drop || c.rng.chance(c.path.loss) {
@@ -884,65 +799,39 @@ impl Net {
         let now = self.now();
         let mut sent_any = false;
         loop {
-            let c = &mut self.conns[s];
-            let ep = &mut c.ep[end.idx()];
+            let ep = &mut self.conns[s].ep[end.idx()];
             if ep.state != TcpState::Established {
                 break;
             }
             let usable = ep.usable_window();
-            if ep.snd_nxt < ep.stream_len {
-                let remaining = ep.stream_len - ep.snd_nxt;
-                let len = (MSS as u64).min(remaining) as u32;
+            let seg = if ep.snd_nxt < ep.stream_len {
+                let seq = ep.snd_nxt;
+                let len = (MSS as u64).min(ep.stream_len - seq) as u32;
                 if (len as u64) > usable {
                     break;
                 }
-                let seq = ep.snd_nxt;
-                let meta = ep.meta_for_range(seq, len);
-                let push = ep.range_ends_chunk(seq, len);
+                let seg = ep.segment(PktKind::Data, seq, len);
                 if ep.rtt_probe.is_none() {
                     ep.rtt_probe = Some((seq + len as u64, now));
                 }
                 ep.snd_nxt += len as u64;
-                let seg = Segment {
-                    kind: PktKind::Data,
-                    seq,
-                    len,
-                    ack: ep.rcv_nxt,
-                    push,
-                    wnd: ep.opts.rwnd,
-                    meta,
-                };
-                // A data segment carries the ACK: cancel any pending
-                // delayed ACK.
-                ep.delack.disarm();
-                let need_arm = !ep.rto_timer.is_armed();
-                self.transmit(cid, end, seg);
-                if need_arm {
-                    self.arm_rto(cid, end);
-                }
-                sent_any = true;
+                seg
             } else if ep.fin_pending && !ep.fin_sent && usable > 0 {
                 ep.fin_sent = true;
                 ep.snd_nxt += 1;
-                let seg = Segment {
-                    kind: PktKind::Fin,
-                    seq: ep.stream_len,
-                    len: 0,
-                    ack: ep.rcv_nxt,
-                    push: true,
-                    wnd: ep.opts.rwnd,
-                    meta: SpanVec::new(),
-                };
-                ep.delack.disarm();
-                let need_arm = !ep.rto_timer.is_armed();
-                self.transmit(cid, end, seg);
-                if need_arm {
-                    self.arm_rto(cid, end);
-                }
-                sent_any = true;
+                ep.segment(PktKind::Fin, ep.stream_len, 0)
             } else {
                 break;
+            };
+            // The segment carries the ACK: cancel any pending delayed
+            // ACK.
+            ep.delack.disarm();
+            let need_arm = !ep.rto_timer.is_armed();
+            self.transmit(cid, end, seg);
+            if need_arm {
+                self.arm_rto(cid, end);
             }
+            sent_any = true;
         }
         sent_any
     }
@@ -957,28 +846,10 @@ impl Net {
         let seq = ep.snd_una;
         let seg = if seq >= ep.stream_len {
             // The unacked byte is the FIN.
-            Segment {
-                kind: PktKind::Fin,
-                seq: ep.stream_len,
-                len: 0,
-                ack: ep.rcv_nxt,
-                push: true,
-                wnd: ep.opts.rwnd,
-                meta: SpanVec::new(),
-            }
+            ep.segment(PktKind::Fin, ep.stream_len, 0)
         } else {
             let len = (MSS as u64).min(ep.stream_len - seq).min(ep.snd_nxt - seq) as u32;
-            let meta = ep.meta_for_range(seq, len);
-            let push = ep.range_ends_chunk(seq, len);
-            Segment {
-                kind: PktKind::Data,
-                seq,
-                len,
-                ack: ep.rcv_nxt,
-                push,
-                wnd: ep.opts.rwnd,
-                meta,
-            }
+            ep.segment(PktKind::Data, seq, len)
         };
         ep.rtt_probe = None; // Karn: no sample across retransmission
         ep.stats.retransmitted_segs += 1;
@@ -1003,18 +874,18 @@ impl Net {
 
     fn establish(&mut self, cid: ConnId, end: End) {
         let s = self.slot(cid);
-        let c = &mut self.conns[s];
-        let ep = &mut c.ep[end.idx()];
+        let ep = &mut self.conns[s].ep[end.idx()];
         if ep.state == TcpState::Established {
             return;
         }
         ep.state = TcpState::Established;
         self.cancel_rto(cid, end);
-        // Handshake RTT sample (Karn: only if never retransmitted).
-        let c = &mut self.conns[s];
-        if end == End::A && !c.handshake_retx {
-            let sample = self.q.now().saturating_since(c.syn_time);
-            c.ep[end.idx()].rtt_sample(sample);
+        // Handshake RTT sample: only the opener holds a probe here, and
+        // only while its SYN was never retransmitted (Karn).
+        let ep = &mut self.conns[s].ep[end.idx()];
+        if let Some((_, sent_at)) = ep.rtt_probe.take() {
+            let sample = self.q.now().saturating_since(sent_at);
+            ep.rtt_sample(sample);
             self.metrics.observe_virt("tcpsim.handshake_rtt_ms", sample);
         }
         self.cbs.push_back(Cb::Established { conn: cid, end });
@@ -1140,27 +1011,17 @@ impl Net {
     fn handle_rto(&mut self, cid: ConnId, end: End) {
         let s = self.slot(cid);
         match self.conns[s].ep[end.idx()].state {
-            TcpState::SynSent => {
-                {
-                    let c = &mut self.conns[s];
-                    c.handshake_retx = true;
-                    let ep = &mut c.ep[end.idx()];
-                    ep.rto = ep.rto.saturating_mul(2).min(MAX_RTO);
-                    ep.syn_sent_count += 1;
-                }
-                let syn = self.make_ctl(cid, end, PktKind::Syn);
-                self.transmit(cid, end, syn);
-                self.arm_rto(cid, end);
-            }
-            TcpState::SynRcvd => {
-                {
-                    let c = &mut self.conns[s];
-                    c.handshake_retx = true;
-                    let ep = &mut c.ep[end.idx()];
-                    ep.rto = ep.rto.saturating_mul(2).min(MAX_RTO);
-                }
-                let sa = self.make_ctl(cid, end, PktKind::SynAck);
-                self.transmit(cid, end, sa);
+            state @ (TcpState::SynSent | TcpState::SynRcvd) => {
+                let ep = &mut self.conns[s].ep[end.idx()];
+                ep.rtt_probe = None; // Karn
+                ep.rto = ep.rto.saturating_mul(2).min(MAX_RTO);
+                let kind = if state == TcpState::SynSent {
+                    PktKind::Syn
+                } else {
+                    PktKind::SynAck
+                };
+                let ctl = self.make_ctl(cid, end, kind);
+                self.transmit(cid, end, ctl);
                 self.arm_rto(cid, end);
             }
             TcpState::Established | TcpState::Done => {
@@ -1289,6 +1150,7 @@ impl<A: App> Sim<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::dist::Dist;
 
     /// A simple client/server app: A sends a request; B replies with a
     /// fixed-size response and closes. Used to exercise the whole stack.
@@ -1363,7 +1225,7 @@ mod tests {
 
     fn run_transfer(rtt_ms: f64, request: u64, response: u64, loss: f64) -> Echoish {
         let mut sim = Sim::new(42, Echoish::new(request, response));
-        let path = PathParams::lossy(rtt_ms, loss);
+        let path = PathModel::lossy(rtt_ms, loss);
         sim.net().open(
             NodeId(1),
             NodeId(2),
@@ -1439,7 +1301,7 @@ mod tests {
             sim.net().open(
                 NodeId(1),
                 NodeId(2),
-                PathParams::ideal(100.0),
+                PathModel::ideal(100.0),
                 TcpOptions::default(),
                 TcpOptions::default().with_initial_window(iw),
                 1,
@@ -1481,7 +1343,7 @@ mod tests {
         sim.net().open(
             NodeId(1),
             NodeId(2),
-            PathParams::lossy(40.0, 0.05),
+            PathModel::lossy(40.0, 0.05),
             TcpOptions::default(),
             TcpOptions::default(),
             1,
@@ -1511,7 +1373,7 @@ mod tests {
         sim.net().open(
             NodeId(1),
             NodeId(2),
-            PathParams::lossy(20.0, 0.5),
+            PathModel::lossy(20.0, 0.5),
             TcpOptions::default(),
             TcpOptions::default(),
             1,
@@ -1597,7 +1459,7 @@ mod tests {
         let cid = sim.net().open(
             NodeId(1),
             NodeId(2),
-            PathParams::ideal(80.0),
+            PathModel::ideal(80.0),
             TcpOptions::default(),
             TcpOptions::default(),
             1,
@@ -1613,7 +1475,7 @@ mod tests {
         let cid = sim.net().open(
             NodeId(1),
             NodeId(2),
-            PathParams::ideal(50.0),
+            PathModel::ideal(50.0),
             TcpOptions::default(),
             TcpOptions::default(),
             1,
@@ -1632,7 +1494,7 @@ mod tests {
         let cid = sim.net().open_captured(
             NodeId(1),
             NodeId(2),
-            PathParams::ideal(50.0),
+            PathModel::ideal(50.0),
             TcpOptions::default(),
             TcpOptions::default(),
             77,
@@ -1669,7 +1531,7 @@ mod tests {
         let plain = sim.net().open(
             NodeId(3),
             NodeId(4),
-            PathParams::ideal(50.0),
+            PathModel::ideal(50.0),
             TcpOptions::default(),
             TcpOptions::default(),
             1,
@@ -1677,7 +1539,7 @@ mod tests {
         let cid = sim.net().open_captured(
             NodeId(1),
             NodeId(2),
-            PathParams::ideal(50.0),
+            PathModel::ideal(50.0),
             TcpOptions::default(),
             TcpOptions::default(),
             2,
@@ -1701,11 +1563,12 @@ mod tests {
         // 1 Mbps: a 1500-byte packet takes 12ms to serialize; 10 KB
         // response (7 segments) costs ≥ 84ms of pure serialization.
         let mut sim = Sim::new(42, Echoish::new(400, 10_000));
-        let path = PathParams {
+        let path = PathModel {
             base_owd_ms: 1.0,
             jitter_ms: Dist::Constant(0.0),
             loss: 0.0,
             bw_mbps: 1.0,
+            distance_miles: 0.0,
         };
         sim.net().open(
             NodeId(1),
@@ -1729,7 +1592,7 @@ mod tests {
             sim.net().open(
                 NodeId(1),
                 NodeId(2),
-                PathParams::lossy(80.0, 0.004),
+                PathModel::lossy(80.0, 0.004),
                 TcpOptions::default(),
                 TcpOptions::default().with_cong(cong),
                 1,
@@ -1756,7 +1619,7 @@ mod tests {
         let cid = sim.net().open(
             NodeId(1),
             NodeId(2),
-            PathParams::lossy(40.0, 0.03),
+            PathModel::lossy(40.0, 0.03),
             TcpOptions::default(),
             TcpOptions::default(),
             1,
@@ -1773,7 +1636,7 @@ mod tests {
         let c2 = clean.net().open(
             NodeId(1),
             NodeId(2),
-            PathParams::ideal(40.0),
+            PathModel::ideal(40.0),
             TcpOptions::default(),
             TcpOptions::default(),
             1,
@@ -1796,7 +1659,7 @@ mod tests {
         let cid = sim.net().open(
             NodeId(1),
             NodeId(2),
-            PathParams::ideal(100.0),
+            PathModel::ideal(100.0),
             TcpOptions::default(),
             TcpOptions::default(),
             1,
@@ -1820,9 +1683,11 @@ mod tests {
             NodeId(2),
             SimTime::from_millis(240),
             SimTime::from_millis(260),
-            1.0,
-            1.0,
-            1.0,
+            BurstLossParams {
+                p_enter: 1.0,
+                p_exit: 1.0,
+                bad_loss: 1.0,
+            },
         );
         let (clean, clean_stats) = run_faulty(60_000, vec![]);
         let (app, stats) = run_faulty(60_000, vec![burst.clone()]);
@@ -1865,7 +1730,7 @@ mod tests {
             let cid = sim.net().open(
                 NodeId(1),
                 NodeId(2),
-                PathParams::ideal(100.0),
+                PathModel::ideal(100.0),
                 TcpOptions::default(),
                 TcpOptions::default(),
                 1,
@@ -1916,15 +1781,63 @@ mod tests {
                     NodeId(2),
                     SimTime::from_secs(1800),
                     SimTime::from_secs(1900),
-                    0.5,
-                    0.5,
-                    1.0,
+                    BurstLossParams {
+                        p_enter: 0.5,
+                        p_exit: 0.5,
+                        bad_loss: 1.0,
+                    },
                 ),
             ],
         );
         assert_eq!(clean.response_done_at, faulted.response_done_at);
         assert_eq!(clean.data_events, faulted.data_events);
         assert_eq!(clean_stats, faulted_stats);
+    }
+
+    #[test]
+    fn a_blackhole_inside_a_burst_window_still_advances_the_chain() {
+        // The blackhole is listed first and drops every packet over
+        // [300 ms, 380 ms); the burst window around it must still
+        // advance its chain on each of those packets, so after the
+        // blackhole ends the fault stream is where every draw puts it.
+        // A transmit path that stops consulting windows once one has
+        // dropped the packet finishes at 2,180,045,920 ns after two
+        // timeouts instead.
+        let (app, stats) = run_faulty(
+            60_000,
+            vec![
+                LinkFault::link_outage(
+                    NodeId(1),
+                    NodeId(2),
+                    SimTime::from_millis(300),
+                    SimTime::from_millis(380),
+                ),
+                LinkFault::burst_loss(
+                    NodeId(1),
+                    NodeId(2),
+                    SimTime::from_millis(120),
+                    SimTime::from_millis(1500),
+                    BurstLossParams {
+                        p_enter: 0.1,
+                        p_exit: 0.3,
+                        bad_loss: 0.8,
+                    },
+                ),
+            ],
+        );
+        assert_eq!(app.got, 60_000);
+        assert_eq!(
+            app.response_done_at.map(SimTime::as_nanos),
+            Some(3_252_561_238)
+        );
+        assert_eq!(
+            stats,
+            crate::endpoint::ConnStats {
+                fast_retransmits: 0,
+                timeouts: 4,
+                retransmitted_segs: 4,
+            }
+        );
     }
 
     #[test]
@@ -1936,7 +1849,7 @@ mod tests {
         let cid = sim.net().open(
             NodeId(1),
             NodeId(2),
-            PathParams::ideal(100.0),
+            PathModel::ideal(100.0),
             TcpOptions::default(),
             TcpOptions::default(),
             1,
@@ -1957,7 +1870,7 @@ mod tests {
         let cid = sim.net().open(
             NodeId(1),
             NodeId(2),
-            PathParams::ideal(100.0),
+            PathModel::ideal(100.0),
             TcpOptions::default(),
             TcpOptions::default(),
             1,
@@ -1977,7 +1890,7 @@ mod tests {
     /// Runs one Echoish transfer to quiescence on `sim`'s net and
     /// returns its connection (the app is reset first, so transfers can
     /// repeat on one net).
-    fn transfer_on(sim: &mut Sim<Echoish>, path: PathParams, session: u64) -> ConnId {
+    fn transfer_on(sim: &mut Sim<Echoish>, path: PathModel, session: u64) -> ConnId {
         *sim.app_mut() = Echoish::new(400, 5_000);
         let cid = sim.net().open_captured(
             NodeId(1),
@@ -1995,7 +1908,7 @@ mod tests {
     fn sequential_released_transfers_reuse_one_slot() {
         let mut sim = Sim::new(42, Echoish::new(400, 5_000));
         for i in 0..1_000u64 {
-            let cid = transfer_on(&mut sim, PathParams::ideal(20.0), i);
+            let cid = transfer_on(&mut sim, PathModel::ideal(20.0), i);
             assert_eq!(cid, ConnId(i as u32), "ids stay open ordinals");
             assert_eq!(sim.app().got, 5_000);
             assert!(sim.net().release(cid).is_some());
@@ -2010,11 +1923,12 @@ mod tests {
 
     #[test]
     fn reused_slot_replays_the_fresh_trajectory() {
-        let path = || PathParams {
+        let path = || PathModel {
             base_owd_ms: 30.0,
             jitter_ms: Dist::Exponential { mean: 4.0 },
             loss: 0.05,
             bw_mbps: 10.0,
+            distance_miles: 0.0,
         };
         // Net A releases connection 0, so connection 1 reuses its slot;
         // net B keeps connection 0, so connection 1 gets a fresh slot.
@@ -2043,7 +1957,7 @@ mod tests {
         let cid = sim.net().open_captured(
             NodeId(1),
             NodeId(2),
-            PathParams::ideal(50.0),
+            PathModel::ideal(50.0),
             TcpOptions::default(),
             TcpOptions::default(),
             1,
@@ -2063,7 +1977,7 @@ mod tests {
     #[should_panic(expected = "connection 0 used after it was released and reclaimed")]
     fn send_on_a_reclaimed_id_panics_naming_it() {
         let mut sim = Sim::new(42, Echoish::new(400, 5_000));
-        let cid = transfer_on(&mut sim, PathParams::ideal(20.0), 1);
+        let cid = transfer_on(&mut sim, PathModel::ideal(20.0), 1);
         sim.net().release(cid);
         sim.net().send(cid, End::A, 100, Marker::Request, 1);
     }
@@ -2112,7 +2026,7 @@ mod tests {
         let c1 = sim.net().open(
             NodeId(1),
             NodeId(2),
-            PathParams::ideal(20.0),
+            PathModel::ideal(20.0),
             TcpOptions::default(),
             TcpOptions::default(),
             1,
@@ -2120,7 +2034,7 @@ mod tests {
         let c2 = sim.net().open(
             NodeId(3),
             NodeId(4),
-            PathParams::ideal(200.0),
+            PathModel::ideal(200.0),
             TcpOptions::default(),
             TcpOptions::default(),
             2,

@@ -43,13 +43,17 @@ for w in fixed_fe sessions_churn faults_overload; do
     | sed 's/^metric //' | paste -sd ';' - | sed 's/;/, /')"
 done
 
+# The crates whose code runs inside every simulated world: the event
+# core, the packet simulator, the network model it runs per packet, the
+# back-end model and the service layer.
+sim_srcs="crates/simcore/src crates/tcpsim/src crates/nettopo/src crates/searchbe/src crates/cdnsim/src"
+
 echo "==> source hygiene: no wall clock or native sockets in simulator crates"
-# Everything in simcore/tcpsim/cdnsim must run on virtual time over
+# Everything in the simulator crates must run on virtual time over
 # simulated sockets; the only sanctioned wall-clock seam is the
 # telemetry registry's observe-only wall spans (explicitly classed
 # "wall" and excluded from deterministic artifacts).
-if grep -rn -E 'std::net::|std::thread::sleep|Instant::now' \
-    crates/simcore/src crates/tcpsim/src crates/cdnsim/src \
+if grep -rn -E 'std::net::|std::thread::sleep|Instant::now' $sim_srcs \
     | grep -v '^crates/simcore/src/telemetry.rs:'; then
   echo "wall-clock/native-socket API in simulator crate code" >&2
   exit 1
@@ -63,7 +67,7 @@ echo "==> source hygiene: no default-hashed maps in simulator crates"
 # is defined, is the one exception). Test code is skipped: awk stops
 # reading a file at its inline `mod tests {`, and `tests.rs` files are
 # test-only modules.
-hashed=$(find crates/simcore/src crates/tcpsim/src crates/cdnsim/src -name '*.rs' \
+hashed=$(find $sim_srcs -name '*.rs' \
     ! -name tests.rs ! -path crates/simcore/src/hash.rs -print0 \
   | xargs -0 awk '/^mod tests \{/ { nextfile }
       /std::collections::(\{([^}]*[^A-Za-z0-9_])?)?Hash(Map|Set)([^A-Za-z0-9_]|$)/ {

@@ -82,22 +82,14 @@ fn ttl_expires_exactly_at_the_boundary_instant() {
 }
 
 #[test]
-fn byte_capacity_and_entry_count_bind_independently() {
-    // Entry cap binds first: 100 B budget but only 2 slots.
-    let mut c: ObjectCache<&str> = ObjectCache::new(CacheConfig::lru(100).with_max_entries(2));
+fn byte_capacity_binds_on_insert() {
+    // A 25 B budget holds two 10 B objects: the third evicts one.
+    let mut c: ObjectCache<&str> = ObjectCache::new(CacheConfig::lru(25));
     c.insert(1, "v", 10, at(0));
     c.insert(2, "v", 10, at(1));
     c.insert(3, "v", 10, at(2));
     assert_eq!((c.len(), c.bytes_resident()), (2, 20));
     assert_eq!(c.stats().evictions, 1);
-
-    // Byte cap binds first: 3 slots but a 25 B budget.
-    let mut c: ObjectCache<&str> = ObjectCache::new(CacheConfig::lru(25).with_max_entries(3));
-    c.insert(1, "v", 10, at(0));
-    c.insert(2, "v", 10, at(1));
-    c.insert(3, "v", 10, at(2));
-    assert_eq!((c.len(), c.bytes_resident()), (2, 20));
-    assert!(c.bytes_resident() <= 25);
 }
 
 #[test]
@@ -133,26 +125,20 @@ proptest! {
 
     /// Under any interleaving of inserts and gets, against any policy
     /// and capacity: `hits + misses == lookups`, resident bytes never
-    /// exceed the byte cap, entry count never exceeds the entry cap,
-    /// and the running byte counter matches a from-scratch recount.
+    /// exceed the byte cap, and the running byte counter matches a
+    /// from-scratch recount.
     #[test]
     fn accounting_invariants_hold_under_arbitrary_interleavings(
         policy in 0u8..3,
         cap in 0u64..400,
-        raw_max in 0usize..13,
         ops in prop::collection::vec((0u8..2, 0u64..24, 1u64..80, 0u64..5_000), 1..120),
     ) {
-        // raw_max == 0 encodes "no entry cap" (the shim has no Option
-        // strategy); cap == 0 is the degenerate zero-byte cache.
-        let max_entries = (raw_max > 0).then_some(raw_max);
-        let mut cfg = match policy {
+        // cap == 0 is the degenerate zero-byte cache.
+        let cfg = match policy {
             0 => CacheConfig::lru(cap),
             1 => CacheConfig::lfu(cap),
             _ => CacheConfig::ttl(SimDuration::from_millis(800), cap),
         };
-        if let Some(n) = max_entries {
-            cfg = cfg.with_max_entries(n);
-        }
         let mut c: ObjectCache<u64> = ObjectCache::new(cfg);
         let mut now = SimTime::ZERO;
         for (op, key, size, dt) in ops {
@@ -164,9 +150,6 @@ proptest! {
             let s = c.stats();
             prop_assert_eq!(s.hits + s.misses, s.lookups);
             prop_assert!(c.bytes_resident() <= cap);
-            if let Some(n) = max_entries {
-                prop_assert!(c.len() <= n);
-            }
         }
         // The eviction index and the map must agree at quiescence: a
         // full key sweep via get() flushes lazily-expired entries, after
@@ -209,7 +192,6 @@ fn installed_but_inert(mut cfg: ServiceConfig) -> ServiceConfig {
     cfg.fe_result_cache = CacheConfig {
         policy: CachePolicy::Lfu,
         capacity_bytes: None,
-        max_entries: None,
     };
     assert!(!cfg.fe_caches_results, "provisioning must not enable");
     cfg

@@ -1,11 +1,12 @@
 //! Property-based tests on the simulator core and the analysis
 //! primitives.
 
+use nettopo::PathModel;
 use proptest::prelude::*;
 use simcore::rng::Rng;
 use stats::quantile::{median, quantile, Summary};
 use stats::{gap_clusters, moving_median, BoxSummary, Ecdf};
-use tcpsim::{App, ConnId, DeliveredSpan, End, Marker, Net, NodeId, PathParams, Sim, TcpOptions};
+use tcpsim::{App, ConnId, DeliveredSpan, End, Marker, Net, NodeId, Sim, TcpOptions};
 
 // ---------- TCP transfer properties ----------
 
@@ -81,7 +82,7 @@ proptest! {
         sim.net().open(
             NodeId(1),
             NodeId(2),
-            PathParams::lossy(rtt_ms, loss),
+            PathModel::lossy(rtt_ms, loss),
             TcpOptions::default(),
             TcpOptions::default().with_initial_window(iw),
             1,
@@ -124,7 +125,7 @@ proptest! {
             spans_seen: Vec::new(),
             done: false,
         });
-        let path = PathParams {
+        let path = PathModel {
             base_owd_ms: rtt_ms / 2.0,
             // Heavy jitter relative to serialization gaps.
             jitter_ms: Dist::TruncatedBelow {
@@ -133,6 +134,7 @@ proptest! {
             },
             loss: 0.0,
             bw_mbps: 1_000.0,
+            distance_miles: 0.0,
         };
         let opts = TcpOptions::default();
         let cid = sim.net().open_captured(
@@ -192,7 +194,7 @@ proptest! {
             sim.net().open(
                 NodeId(1),
                 NodeId(2),
-                PathParams::lossy(rtt_ms, loss),
+                PathModel::lossy(rtt_ms, loss),
                 TcpOptions::default(),
                 TcpOptions::default(),
                 1,

@@ -1,11 +1,12 @@
 //! Integration: TCP mechanics the paper's model leans on, observed
 //! through packet traces rather than internal state.
 
+use nettopo::PathModel;
 use simcore::dist::Dist;
 use simcore::time::{SimDuration, SimTime};
 use tcpsim::{
-    App, CongAlgo, ConnId, DeliveredSpan, End, Marker, Net, NodeId, PathParams, PktDir, PktKind,
-    Sim, TcpOptions,
+    App, CongAlgo, ConnId, DeliveredSpan, End, Marker, Net, NodeId, PktDir, PktKind, Sim,
+    TcpOptions,
 };
 
 /// Server sends `response` bytes on connect; the client app records
@@ -51,7 +52,7 @@ fn trace_run(
     let cid = sim.net().open_captured(
         NodeId(1),
         NodeId(2),
-        PathParams::ideal(rtt_ms),
+        PathModel::ideal(rtt_ms),
         TcpOptions::default(),
         opts_b,
         9,
@@ -132,7 +133,7 @@ fn receive_window_caps_the_flight() {
     let cid = sim.net().open_captured(
         NodeId(1),
         NodeId(2),
-        PathParams::ideal(60.0),
+        PathModel::ideal(60.0),
         opts_a,
         opts_b,
         9,
@@ -177,11 +178,12 @@ fn rto_backoff_doubles_under_blackout_and_recovers() {
     let cid = sim.net().open_captured(
         NodeId(1),
         NodeId(2),
-        PathParams {
+        PathModel {
             base_owd_ms: 20.0,
             jitter_ms: Dist::Constant(0.0),
             loss: 0.6,
             bw_mbps: 1000.0,
+            distance_miles: 0.0,
         },
         TcpOptions::default(),
         TcpOptions::default(),
@@ -236,7 +238,7 @@ fn idle_persistent_connection_keeps_its_warm_window() {
     let cid = sim.net().open_captured(
         NodeId(1),
         NodeId(2),
-        PathParams::ideal(80.0),
+        PathModel::ideal(80.0),
         TcpOptions::default(),
         TcpOptions::default(),
         9,
@@ -341,7 +343,7 @@ fn split_exchange(static_bytes: u64, dynamic_bytes: u64) -> Vec<DeliveredSpan> {
     sim.net().open(
         NodeId(1),
         NodeId(2),
-        PathParams::ideal(30.0),
+        PathModel::ideal(30.0),
         TcpOptions::default(),
         TcpOptions::default(),
         1,
