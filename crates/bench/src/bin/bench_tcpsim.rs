@@ -38,7 +38,7 @@ use simcore::{EventQueue, HeapQueue};
 use stats::quantile::{iqr, median};
 use std::collections::HashMap;
 use std::time::Instant;
-use tcpsim::{App, ConnId, DeliveredSpan, End, Marker, Net, NodeId, PktDir, Sim, TcpOptions};
+use tcpsim::{App, ConnId, End, Marker, Net, NodeId, PktDir, Sim, TcpOptions};
 
 /// Runs per (workload × tracing) cell; the best wall is the headline.
 const REPEATS: u32 = 7;
@@ -113,8 +113,7 @@ impl App for BenchApp {
         }
     }
 
-    fn on_data(&mut self, net: &mut Net, conn: ConnId, end: End, spans: &[DeliveredSpan]) {
-        let bytes: u64 = spans.iter().map(|s| s.len as u64).sum();
+    fn on_data(&mut self, net: &mut Net, conn: ConnId, end: End, bytes: u64) {
         let st = match self.conns.get_mut(&conn) {
             Some(s) => s,
             None => return,

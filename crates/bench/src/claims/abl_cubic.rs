@@ -23,8 +23,7 @@ use stats::QuantileAcc;
 use tcpsim::CongAlgo;
 
 fn with_cong(mut cfg: ServiceConfig, cong: CongAlgo) -> ServiceConfig {
-    cfg.fe_client_tcp = cfg.fe_client_tcp.with_cong(cong);
-    cfg.be_tcp = cfg.be_tcp.with_cong(cong);
+    cfg.cong = cong;
     cfg
 }
 

@@ -36,7 +36,7 @@ fn hybrid_a(seed: u64) -> ServiceConfig {
         backend: b.backend,
         composer: b.composer,
         febe_profile: b.febe_profile,
-        fe_be_tcp: b.fe_be_tcp,
+        febe_rwnd: b.febe_rwnd,
         be_sites: b.be_sites,
         ..g
     }
@@ -51,7 +51,7 @@ fn hybrid_b(seed: u64) -> ServiceConfig {
         backend: g.backend,
         composer: g.composer,
         febe_profile: g.febe_profile,
-        fe_be_tcp: g.fe_be_tcp,
+        febe_rwnd: g.febe_rwnd,
         be_sites: g.be_sites,
         ..b
     }

@@ -1,16 +1,14 @@
 //! Human-readable trace dumps — the simulator's `tcpdump -r`.
 //!
-//! [`render`] turns a session's capture into text lines close to
-//! tcpdump's flavour, with the content markers appended (the simulator's
-//! stand-in for `-X` payload dumps):
+//! [`render_client_view`] turns a client's capture into text lines close
+//! to tcpdump's flavour, with the content markers appended (the
+//! simulator's stand-in for `-X` payload dumps); [`render_line`] renders
+//! one packet:
 //!
 //! ```text
-//! 371.2451 node1        Tx DATA seq 0:400 ack 0 win 262144 PSH [request#500000000042:400]
-//! 612.9001 node1        Rx ACK  seq 400 ack 400 win 262144
+//! 371.2451 node1 Tx DATA seq 0:400 ack 0 len 400 PSH [request#500000000042:400]
+//! 612.9001 node1 Rx ACK seq 400:400 ack 400 len 0
 //! ```
-//!
-//! [`parse_line`] reads the core fields back (used by tests to guarantee
-//! dumps stay machine-readable, and handy for grepping long runs).
 
 use crate::errors::SessionError;
 use crate::session::ClientTrace;
@@ -21,8 +19,6 @@ fn marker_tag(m: Marker) -> &'static str {
         Marker::Request => "request",
         Marker::Static => "static",
         Marker::Dynamic => "dynamic",
-        Marker::BeQuery => "be-query",
-        Marker::BeResponse => "be-response",
         Marker::Error => "error",
         Marker::Other => "other",
     }
@@ -70,21 +66,10 @@ pub fn render_line(ev: &PktEvent) -> String {
     line
 }
 
-/// Renders a whole capture (one line per event, in recording order).
-pub fn render(capture: &Capture) -> String {
-    let mut out = String::new();
-    for ev in capture {
-        out.push_str(&render_line(&ev));
-        out.push('\n');
-    }
-    out
-}
-
 /// Renders only the client-side view with a header summarising the
-/// session landmarks — the format used by the `fig4` harness's debug
-/// output and by humans grepping long runs. Lines are in time order;
-/// at one instant the client's transmissions come before its
-/// receptions.
+/// session landmarks — the format the `model_timeline` example prints
+/// and humans grep long runs for. Lines are in time order; at one
+/// instant the client's transmissions come before its receptions.
 pub fn render_client_view(capture: &Capture, client: NodeId) -> Result<String, SessionError> {
     let trace = ClientTrace::new(capture, client)?;
     let mut out = format!(
@@ -101,77 +86,6 @@ pub fn render_client_view(capture: &Capture, client: NodeId) -> Result<String, S
         out.push('\n');
     }
     Ok(out)
-}
-
-/// The core fields parsed back from a dump line.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ParsedLine {
-    /// Timestamp in ms.
-    pub t_ms: f64,
-    /// Node id.
-    pub node: u32,
-    /// Direction string equality: "Tx" | "Rx" | "DROP".
-    pub dir: PktDir,
-    /// Packet kind.
-    pub kind: PktKind,
-    /// Sequence number.
-    pub seq: u64,
-    /// Payload length.
-    pub len: u32,
-    /// Acknowledgement number.
-    pub ack: u64,
-    /// PSH flag.
-    pub push: bool,
-}
-
-/// Parses the core fields back from a [`render_line`] output. Returns
-/// `None` for comment lines or malformed input.
-pub fn parse_line(line: &str) -> Option<ParsedLine> {
-    if line.starts_with('#') {
-        return None;
-    }
-    let mut it = line.split_whitespace();
-    let t_ms: f64 = it.next()?.parse().ok()?;
-    let node: u32 = it.next()?.strip_prefix("node")?.parse().ok()?;
-    let dir = match it.next()? {
-        "Tx" => PktDir::Tx,
-        "Rx" => PktDir::Rx,
-        "DROP" => PktDir::Drop,
-        _ => return None,
-    };
-    let kind = match it.next()? {
-        "SYN" => PktKind::Syn,
-        "SYNACK" => PktKind::SynAck,
-        "ACK" => PktKind::Ack,
-        "DATA" => PktKind::Data,
-        "FIN" => PktKind::Fin,
-        _ => return None,
-    };
-    if it.next()? != "seq" {
-        return None;
-    }
-    let range = it.next()?;
-    let (seq_s, _) = range.split_once(':')?;
-    let seq: u64 = seq_s.parse().ok()?;
-    if it.next()? != "ack" {
-        return None;
-    }
-    let ack: u64 = it.next()?.parse().ok()?;
-    if it.next()? != "len" {
-        return None;
-    }
-    let len: u32 = it.next()?.parse().ok()?;
-    let push = it.next() == Some("PSH");
-    Some(ParsedLine {
-        t_ms,
-        node,
-        dir,
-        kind,
-        seq,
-        len,
-        ack,
-        push,
-    })
 }
 
 #[cfg(test)]
@@ -211,39 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_core_fields() {
-        for (kind, push) in [
-            (PktKind::Syn, false),
-            (PktKind::SynAck, false),
-            (PktKind::Ack, false),
-            (PktKind::Data, true),
-            (PktKind::Data, false),
-            (PktKind::Fin, true),
-        ] {
-            let parsed = parse_line(&line(pkt(kind, push))).unwrap();
-            assert_eq!(parsed.kind, kind);
-            assert_eq!(parsed.push, push);
-            assert_eq!(parsed.node, 7);
-            assert_eq!(parsed.seq, 1460);
-            assert_eq!(parsed.ack, 400);
-            assert_eq!(parsed.dir, PktDir::Rx);
-            assert!((parsed.t_ms - 12.345).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn render_multiline_and_comment_skipped() {
-        let cap = capture(
-            NodeId(7),
-            &[pkt(PktKind::Syn, false), pkt(PktKind::Data, true)],
-        );
-        let text = render(&cap);
-        assert_eq!(text.lines().count(), 2);
-        assert!(parse_line("# comment").is_none());
-        assert!(parse_line("garbage").is_none());
-    }
-
-    #[test]
     fn client_view_has_header_and_sorted_lines() {
         let mut syn = pkt(PktKind::Syn, false);
         syn.dir = PktDir::Tx;
@@ -254,9 +135,9 @@ mod tests {
         let view = render_client_view(&cap, NodeId(7)).unwrap();
         let lines: Vec<&str> = view.lines().collect();
         assert!(lines[0].starts_with("# client node7"));
-        let t1 = parse_line(lines[1]).unwrap().t_ms;
-        let t2 = parse_line(lines[2]).unwrap().t_ms;
-        assert!(t1 <= t2);
+        let mut events = cap.iter();
+        let (sa, syn) = (events.next().unwrap(), events.next().unwrap());
+        assert_eq!(lines[1..], [render_line(&syn), render_line(&sa)]);
         assert!(render_client_view(&Capture::default(), NodeId(7)).is_err());
     }
 }

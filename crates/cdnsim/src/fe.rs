@@ -43,7 +43,8 @@ pub struct FeServer {
 impl FeServer {
     /// Builds an FE server. `service_ms` is the per-request service-time
     /// distribution; `load_amplitude`/`load_volatility` parameterise the
-    /// tenancy-dependent load process; `result_cache` provisions the
+    /// tenancy-dependent load process; `workers` is the number of
+    /// parallel request slots; `result_cache` provisions the
     /// hypothetical result cache (`None`: the FE caches no results).
     pub fn new(
         seed: u64,
@@ -51,23 +52,19 @@ impl FeServer {
         service_ms: Dist,
         load_amplitude: f64,
         load_volatility: f64,
+        workers: usize,
         result_cache: Option<CacheConfig>,
     ) -> FeServer {
+        assert!(workers > 0, "an FE needs a worker slot");
         let rng = Rng::from_seed_and_name(seed, &format!("cdnsim/fe/{}", site.id));
         FeServer {
             site,
             service_ms,
             load: LoadProcess::new(load_amplitude, load_volatility),
             rng,
-            slots: vec![SimTime::ZERO; 8],
+            slots: vec![SimTime::ZERO; workers],
             result_cache: result_cache.map(ObjectCache::new),
         }
-    }
-
-    /// Number of parallel request slots (default 8).
-    pub fn set_workers(&mut self, workers: usize) {
-        assert!(workers > 0);
-        self.slots = vec![SimTime::ZERO; workers];
     }
 
     /// Samples the request-handling overhead for one incoming query: the
@@ -157,6 +154,7 @@ mod tests {
             Dist::lognormal_median_spread(4.0, 1.25),
             0.2,
             0.05,
+            8,
             None,
         )
     }
@@ -168,6 +166,7 @@ mod tests {
             Dist::lognormal_median_spread(14.0, 1.7),
             1.2,
             0.08,
+            8,
             None,
         )
     }
@@ -219,6 +218,7 @@ mod tests {
             Dist::Constant(5.0),
             0.0,
             0.0,
+            8,
             Some(CacheConfig::unbounded()),
         );
         assert!(fe.lookup_result(7, SimTime::ZERO).is_none());
@@ -234,7 +234,7 @@ mod tests {
     fn bounded_result_cache_evicts_per_policy() {
         // Room for two 29 kB plans; the third insert evicts the LRU.
         let cache = CacheConfig::lru(60_000);
-        let mut fe = FeServer::new(1, site(true), Dist::Constant(5.0), 0.0, 0.0, Some(cache));
+        let mut fe = FeServer::new(1, site(true), Dist::Constant(5.0), 0.0, 0.0, 8, Some(cache));
         let plan = ResponsePlan::new(9000, 1, 20000, 1000);
         for k in 0..3u64 {
             fe.store_result(k, plan.clone(), SimTime::from_millis(k));
@@ -262,9 +262,9 @@ mod tests {
             Dist::Constant(10.0), // 10 ms deterministic service
             0.0,
             0.0,
+            2,
             None,
         );
-        fe.set_workers(2);
         let t = SimTime::from_millis(100);
         // Four simultaneous arrivals on two workers: the first two are
         // served immediately (10 ms), the next two queue behind them
@@ -281,7 +281,7 @@ mod tests {
     #[test]
     fn spaced_arrivals_do_not_queue() {
         use simcore::time::SimTime;
-        let mut fe = FeServer::new(1, site(false), Dist::Constant(5.0), 0.0, 0.0, None);
+        let mut fe = FeServer::new(1, site(false), Dist::Constant(5.0), 0.0, 0.0, 8, None);
         for i in 0..20u64 {
             let t = SimTime::from_millis(i * 100);
             assert_eq!(fe.request_overhead_at(t).as_millis_f64(), 5.0);

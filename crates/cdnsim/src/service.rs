@@ -11,7 +11,7 @@ use searchbe::proctime::BackendProfile;
 use searchbe::response::PageComposer;
 use simcore::dist::Dist;
 use simcore::time::SimDuration;
-use tcpsim::TcpOptions;
+use tcpsim::CongAlgo;
 
 /// Client-side robustness policy: per-query deadline plus bounded
 /// retries with exponential backoff and jitter.
@@ -250,16 +250,20 @@ pub struct ServiceConfig {
     pub fe_load: FeLoadProfile,
     /// FE↔BE path class.
     pub febe_profile: PathProfile,
-    /// TCP options for the FE's client-facing endpoints (clients run
-    /// `TcpOptions::default()`).
-    pub fe_client_tcp: TcpOptions,
-    /// TCP options for the FE side of persistent BE connections. The
-    /// receive window here is the paper's constant `C` knob: it bounds
-    /// how many RTTbe rounds the BE response needs ("C ... depends on the
-    /// TCP window size on the BE data center", Sec. 2).
-    pub fe_be_tcp: TcpOptions,
-    /// TCP options for the BE endpoints.
-    pub be_tcp: TcpOptions,
+    /// Initial congestion window, in segments, of the server end of
+    /// client connections: the FE's, or the BE's without split TCP (the
+    /// `abl_iw` sweep's knob). Clients run `TcpOptions::default()`, and
+    /// the other endpoints differ from it only in the settings below.
+    pub fe_initial_window: u32,
+    /// Congestion control of the two senders of response bytes: the
+    /// server end of client connections and the BE end of FE↔BE
+    /// connections (the `abl_cubic` ablation's knob).
+    pub cong: CongAlgo,
+    /// Receive window, in bytes, the FE advertises on its persistent BE
+    /// connections: the paper's constant `C` knob. It bounds how many
+    /// RTTbe rounds the BE response needs ("C ... depends on the TCP
+    /// window size on the BE data center", Sec. 2).
+    pub febe_rwnd: u64,
     /// FE caches and immediately serves the static portion (true for
     /// both real services; the `abl_cache` ablation turns it off).
     pub cache_static: bool,
@@ -318,12 +322,9 @@ impl ServiceConfig {
             composer: PageComposer::bing_like(),
             fe_load: FeLoadProfile::shared(),
             febe_profile: PathProfile::public_transit(),
-            fe_client_tcp: TcpOptions::default(),
-            fe_be_tcp: TcpOptions {
-                rwnd: 16 * 1024,
-                ..TcpOptions::default()
-            },
-            be_tcp: TcpOptions::default(),
+            fe_initial_window: 4,
+            cong: CongAlgo::Reno,
+            febe_rwnd: 16 * 1024,
             cache_static: true,
             split_tcp: true,
             fe_caches_results: false,
@@ -352,12 +353,9 @@ impl ServiceConfig {
             composer: PageComposer::google_like(),
             fe_load: FeLoadProfile::dedicated(),
             febe_profile: PathProfile::private_wan(),
-            fe_client_tcp: TcpOptions::default(),
-            fe_be_tcp: TcpOptions {
-                rwnd: 8 * 1024,
-                ..TcpOptions::default()
-            },
-            be_tcp: TcpOptions::default(),
+            fe_initial_window: 4,
+            cong: CongAlgo::Reno,
+            febe_rwnd: 8 * 1024,
             cache_static: true,
             split_tcp: true,
             fe_caches_results: false,
@@ -411,7 +409,7 @@ impl ServiceConfig {
 
     /// Overrides the FE client-facing initial window (IW sweep ablation).
     pub fn with_fe_initial_window(mut self, segs: u32) -> ServiceConfig {
-        self.fe_client_tcp = self.fe_client_tcp.with_initial_window(segs);
+        self.fe_initial_window = segs;
         self
     }
 
@@ -531,7 +529,7 @@ mod tests {
         let c6 = c5.with_result_cache(CacheConfig::lfu(1 << 20));
         assert!(c6.name.ends_with("+fecache") && !c6.name.contains("+fecache+fecache"));
         let c4 = ServiceConfig::bing_like(1).with_fe_initial_window(10);
-        assert_eq!(c4.fe_client_tcp.initial_window_segs, 10);
+        assert_eq!(c4.fe_initial_window, 10);
     }
 
     #[test]
@@ -626,7 +624,7 @@ mod tests {
     fn be_window_knob_differs() {
         let b = ServiceConfig::bing_like(1);
         let g = ServiceConfig::google_like(1);
-        assert_eq!(b.fe_be_tcp.rwnd, 16 * 1024);
-        assert_eq!(g.fe_be_tcp.rwnd, 8 * 1024);
+        assert_eq!(b.febe_rwnd, 16 * 1024);
+        assert_eq!(g.febe_rwnd, 8 * 1024);
     }
 }

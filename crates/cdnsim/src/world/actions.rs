@@ -5,28 +5,16 @@
 
 use super::*;
 
-/// Markers of the static and dynamic portions sent down a client
-/// connection.
-const TO_CLIENT: [Marker; 2] = [Marker::Static, Marker::Dynamic];
-/// Markers of both portions of a BE's response up a fetch leg.
-const FROM_BE: [Marker; 2] = [Marker::BeResponse; 2];
-
-/// Sends `plan` from the server end of `conn` under `markers`: the
-/// static portion first when `static_too` (it did not burst from the FE
-/// cache), then the dynamic portion.
-fn send_response(
-    net: &mut Net,
-    conn: ConnId,
-    plan: &ResponsePlan,
-    static_too: bool,
-    markers: [Marker; 2],
-) {
+/// Sends `plan` from the server end of `conn`, down a client connection
+/// or up a fetch leg: the static portion first when `static_too` (it did
+/// not burst from the FE cache), then the dynamic portion.
+fn send_response(net: &mut Net, conn: ConnId, plan: &ResponsePlan, static_too: bool) {
     if static_too {
         net.send(
             conn,
             End::B,
             plan.static_bytes,
-            markers[0],
+            Marker::Static,
             plan.static_content,
         );
     }
@@ -34,7 +22,7 @@ fn send_response(
         conn,
         End::B,
         plan.dynamic_bytes,
-        markers[1],
+        Marker::Dynamic,
         plan.dynamic_content,
     );
 }
@@ -77,7 +65,7 @@ impl ServiceWorld {
             return;
         };
         q.legs[slot].open(be, conn);
-        net.send(conn, End::A, q.req.bytes, Marker::BeQuery, q.req.content);
+        net.send(conn, End::A, q.req.bytes, Marker::Request, q.req.content);
     }
 
     /// Arms fetch attempt `attempt`'s deadline and hedge timers, in
@@ -127,7 +115,7 @@ impl ServiceWorld {
                     .add("cdnsim.fe_result_cache_evictions", out.evicted);
             }
         }
-        send_response(net, client_conn, &plan, !self.cfg.cache_static, TO_CLIENT);
+        send_response(net, client_conn, &plan, !self.cfg.cache_static);
         net.close(client_conn, End::B);
     }
 
@@ -251,7 +239,7 @@ impl ServiceWorld {
         if self.fes[fe].caches_results() {
             if let Some(plan) = self.fes[fe].lookup_result(kw_id, net.now()) {
                 self.metrics.inc("cdnsim.fe_result_cache_hits");
-                send_response(net, client_conn, &plan, !self.cfg.cache_static, TO_CLIENT);
+                send_response(net, client_conn, &plan, !self.cfg.cache_static);
                 net.close(client_conn, End::B);
                 let q = self.queries.get_mut(&qid).unwrap();
                 q.plan = Some(plan);
@@ -287,7 +275,7 @@ impl ServiceWorld {
         }
         let leg = &q.legs[slot];
         if let (Some(conn), Some(plan)) = (leg.conn, &leg.plan) {
-            send_response(net, conn, plan, !self.cfg.cache_static, FROM_BE);
+            send_response(net, conn, plan, !self.cfg.cache_static);
         }
     }
 
@@ -299,7 +287,7 @@ impl ServiceWorld {
             return;
         };
         let plan = q.plan.as_ref().expect("direct reply plan");
-        send_response(net, q.client_conn, plan, true, TO_CLIENT);
+        send_response(net, q.client_conn, plan, true);
         net.close(q.client_conn, End::B);
     }
 
@@ -446,12 +434,11 @@ impl App for ServiceWorld {
         }
     }
 
-    fn on_data(&mut self, net: &mut Net, conn: ConnId, end: End, spans: &[DeliveredSpan]) {
+    fn on_data(&mut self, net: &mut Net, conn: ConnId, end: End, bytes: u64) {
         let info = match self.conn_info.get(&conn) {
             Some(i) => *i,
             None => return,
         };
-        let bytes: u64 = spans.iter().map(|s| s.len as u64).sum();
         match info.leg {
             Leg::Warmup { fe, be } => {
                 let entry = self.warmup_progress.entry(conn).or_insert((0, 0));

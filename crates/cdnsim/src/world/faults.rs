@@ -6,6 +6,13 @@ use super::*;
 use crate::mapping::ResolveCtx;
 
 impl ServiceWorld {
+    /// The FE in-flight count at which load-aware mapping treats an FE
+    /// as saturated: the load model's FE capacity, or the default
+    /// model's when none is configured.
+    fn fe_knee(&self) -> u32 {
+        self.cfg.load_model.unwrap_or_default().fe_capacity
+    }
+
     /// Resolves a client's FE through the configured mapping strategy.
     /// With the default `NearestLive` strategy this is exactly the
     /// historical health-aware DNS resolution (static nearest mapping
@@ -20,11 +27,7 @@ impl ServiceWorld {
         } else {
             Vec::new()
         };
-        let knee = self
-            .cfg
-            .load_model
-            .map(|m| m.fe_capacity)
-            .unwrap_or_else(|| crate::service::LoadModel::default().fe_capacity);
+        let knee = self.fe_knee();
         let mut ctx = ResolveCtx {
             now,
             client,
@@ -46,11 +49,7 @@ impl ServiceWorld {
     /// quiesces; the next query start re-arms it).
     pub(super) fn act_mapping_epoch(&mut self, net: &mut Net) {
         let now = net.now();
-        let knee = self
-            .cfg
-            .load_model
-            .map(|m| m.fe_capacity)
-            .unwrap_or_else(|| crate::service::LoadModel::default().fe_capacity);
+        let knee = self.fe_knee();
         let mut ctx = crate::mapping::EpochCtx {
             now,
             fe_inflight: &self.fe_inflight,

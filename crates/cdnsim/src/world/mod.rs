@@ -42,7 +42,7 @@ use simcore::telemetry::MetricsRegistry;
 use simcore::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use tcpsim::{App, Capture, ConnId, DeliveredSpan, End, LinkFault, Marker, Net, NodeId};
+use tcpsim::{App, Capture, ConnId, End, LinkFault, Marker, Net, NodeId, TcpOptions};
 
 mod actions;
 mod book;
@@ -434,16 +434,15 @@ impl ServiceWorld {
             .fe_fleet
             .iter()
             .map(|site| {
-                let mut fe = FeServer::new(
+                FeServer::new(
                     cfg.seed,
                     site.clone(),
                     cfg.fe_load.service_ms.clone(),
                     cfg.fe_load.load_amplitude,
                     cfg.fe_load.load_volatility,
+                    cfg.fe_workers,
                     cfg.fe_caches_results.then(|| cfg.fe_result_cache.clone()),
-                );
-                fe.set_workers(cfg.fe_workers);
-                fe
+                )
             })
             .collect();
         let bes: Vec<(BeSite, BeDataCenter)> = cfg

@@ -37,12 +37,18 @@ impl ServiceWorld {
             &self.bes[be].0.pt,
             &self.cfg.febe_profile,
         );
+        // The FE's window is the paper's `C`; the BE sends the response.
+        let fe_end = TcpOptions {
+            rwnd: self.cfg.febe_rwnd,
+            ..TcpOptions::default()
+        };
+        let be_end = TcpOptions::default().with_cong(self.cfg.cong);
         net.open(
             Self::fe_node(fe),
             Self::be_node(be),
             path,
-            self.cfg.fe_be_tcp,
-            self.cfg.be_tcp,
+            fe_end,
+            be_end,
             session,
         )
     }
@@ -181,12 +187,15 @@ impl ServiceWorld {
             Some(f) => Self::fe_node(f),
             None => Self::be_node(be),
         };
+        let server_end = TcpOptions::default()
+            .with_initial_window(self.cfg.fe_initial_window)
+            .with_cong(self.cfg.cong);
         let conn = net.open_captured(
             client_node,
             server_node,
             path,
-            tcpsim::TcpOptions::default(),
-            self.cfg.fe_client_tcp,
+            TcpOptions::default(),
+            server_end,
             qid,
         );
         self.conn_info.insert(

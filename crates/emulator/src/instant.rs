@@ -1,9 +1,16 @@
 //! Search-as-you-type campaigns (Sec. 6).
 //!
+//! The paper's preliminary look at interactive search found that "after
+//! each letter a user has typed, a separate query (using a new TCP
+//! connection) is sent to the FE server. The delivery of each query hence
+//! still fits our basic model; although ... the search query processing
+//! times at the BE data centers are generally reduced because the
+//! subsequent queries are highly correlated with previous queries."
+//!
 //! Each keystroke past a minimum prefix fires a separate query over a
-//! *new TCP connection*; all but the first are correlated follow-ups
-//! that the BE processes faster. The paper's claim: "the delivery of
-//! each query hence still fits our basic model" — verified here by
+//! *new TCP connection*, after a human typing gap; all but the first are
+//! correlated follow-ups that the BE processes faster. The paper's
+//! claim that each still fits the basic model is verified here by
 //! extracting a full timeline from every sub-query.
 
 use crate::campaign::{Campaign, Design};
@@ -11,7 +18,7 @@ use crate::runner::ProcessedQuery;
 use crate::scenarios::Scenario;
 use crate::sink::CollectSink;
 use cdnsim::{QuerySpec, ServiceConfig, ServiceWorld};
-use searchbe::instant::instant_session;
+use simcore::dist::Dist;
 use simcore::time::SimDuration;
 use tcpsim::Sim;
 
@@ -22,7 +29,8 @@ pub struct InstantRun {
     pub clients: Vec<usize>,
     /// The final (fully typed) keyword each client searches.
     pub keyword: u64,
-    /// Minimum prefix length before the first sub-query fires.
+    /// Minimum prefix length before the first sub-query fires. A
+    /// keyword no longer than this is one query.
     pub min_prefix: usize,
 }
 
@@ -37,28 +45,30 @@ pub struct InstantSession {
 }
 
 impl InstantRun {
-    /// Schedules the per-keystroke sub-queries into a world. Keystroke
-    /// gaps are drawn from the world's own RNG, so the schedule is part
-    /// of the shard and reproducible from its descriptor.
+    /// Schedules the per-keystroke sub-queries into a world: one per
+    /// prefix length from `min_prefix` to the whole keyword, each after
+    /// a typing gap (~180 ms median) drawn from the world's own RNG, so
+    /// the schedule is part of the shard and reproducible from its
+    /// descriptor.
     pub fn schedule(&self, sim: &mut Sim<ServiceWorld>) {
-        let keyword = self.keyword;
-        let min_prefix = self.min_prefix;
-        let clients = self.clients.clone();
+        let typing_gap_ms = Dist::lognormal_median_spread(180.0, 1.5);
         sim.with(|w, net| {
-            let kw = w.corpus().get(keyword);
-            for &client in &clients {
-                let steps = instant_session(&kw, min_prefix, net.rng());
+            let chars = w.corpus().get(self.keyword).chars;
+            let keystrokes = chars.saturating_sub(self.min_prefix) + 1;
+            for &client in &self.clients {
                 let mut at = SimDuration::from_millis(1);
-                for step in steps {
-                    at += step.gap;
+                for i in 0..keystrokes {
+                    if i > 0 {
+                        at += SimDuration::from_millis_f64(typing_gap_ms.sample(net.rng()));
+                    }
                     w.schedule_query(
                         net,
                         at,
                         QuerySpec {
                             client,
-                            keyword,
+                            keyword: self.keyword,
                             fixed_fe: None,
-                            instant_followup: step.followup,
+                            instant_followup: i > 0,
                         },
                     );
                 }
@@ -121,6 +131,24 @@ mod tests {
                 assert!(q.params.is_consistent(0.5));
                 assert!(q.params.t_dynamic_ms > 0.0);
             }
+            // Consecutive keystrokes are a human typing gap apart.
+            for w in sess.subqueries.windows(2) {
+                let gap = w[1].t_start_ms - w[0].t_start_ms;
+                assert!(gap > 20.0 && gap < 2_000.0, "gap {gap}ms");
+            }
+        }
+    }
+
+    #[test]
+    fn a_keyword_shorter_than_the_minimum_prefix_is_one_query() {
+        let s = Scenario::small(41);
+        let run = InstantRun {
+            clients: vec![0, 1],
+            keyword: 2,
+            min_prefix: s.corpus.get(2).chars + 1,
+        };
+        for sess in run.run(&s, ServiceConfig::google_like(41)) {
+            assert_eq!(sess.subqueries.len(), 1, "client {}", sess.client);
         }
     }
 

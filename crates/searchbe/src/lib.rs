@@ -18,14 +18,13 @@
 //!   (HTTP/HTML head, CSS, menu bar — same bytes for every query) and
 //!   the keyword-dependent dynamic portion;
 //! * [`datacenter`] — the BE server: draws `Tproc`, composes the
-//!   response plan, tracks load;
-//! * [`instant`] — the "search as you type" sessioniser (Sec. 6).
+//!   response plan, tracks load, and discounts the correlated
+//!   follow-up queries of "search as you type" (Sec. 6).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod datacenter;
-pub mod instant;
 pub mod keywords;
 pub mod proctime;
 pub mod response;

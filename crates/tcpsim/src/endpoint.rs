@@ -14,18 +14,6 @@ use crate::segment::{Marker, MetaSpan, PktKind, Segment, SpanVec};
 use simcore::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
-/// Loss-recovery counters of one endpoint — exposed for the loss
-/// experiments and for assertions that clean paths stay clean.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ConnStats {
-    /// Fast retransmits entered (3 duplicate ACKs).
-    pub fast_retransmits: u64,
-    /// Retransmission timeouts fired with data outstanding.
-    pub timeouts: u64,
-    /// Total segments retransmitted (either way).
-    pub retransmitted_segs: u64,
-}
-
 /// Connection state (simplified lifecycle; no TIME_WAIT — the simulator
 /// never reuses ports).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,8 +48,6 @@ pub struct OooSeg {
     pub len: u32,
     /// PSH flag.
     pub push: bool,
-    /// Content spans.
-    pub meta: SpanVec,
     /// True if this parked entry is the peer's FIN.
     pub fin: bool,
 }
@@ -237,14 +223,10 @@ pub struct Endpoint {
     pub ooo: BTreeMap<u64, OooSeg>,
     /// The delayed-ACK timer (armed while an ACK is being held back).
     pub delack: Timer,
-    /// Peer's FIN sequence (once seen).
-    pub peer_fin_seq: Option<u64>,
     /// The peer FIN has been consumed (rcv_nxt advanced past it).
     pub peer_fin_rcvd: bool,
     /// CUBIC growth state (unused under Reno).
     pub cubic: CubicState,
-    /// Loss-recovery counters.
-    pub stats: ConnStats,
 }
 
 impl Endpoint {
@@ -276,10 +258,8 @@ impl Endpoint {
             rcv_nxt: 0,
             ooo: BTreeMap::new(),
             delack: Timer::default(),
-            peer_fin_seq: None,
             peer_fin_rcvd: false,
             cubic: CubicState::default(),
-            stats: ConnStats::default(),
         }
     }
 
@@ -514,7 +494,6 @@ impl Endpoint {
                 self.in_recovery = true;
                 self.recover = self.snd_nxt;
                 self.rtt_probe = None; // Karn
-                self.stats.fast_retransmits += 1;
                 return AckReaction::FastRetransmit;
             }
             AckReaction::Ignored
@@ -541,61 +520,27 @@ impl Endpoint {
         self.in_recovery = false;
         self.rtt_probe = None; // Karn
         self.rto = self.rto.saturating_mul(2).min(MAX_RTO);
-        self.stats.timeouts += 1;
     }
 
     /// Receiver-side acceptance of a payload segment (or FIN). Returns
-    /// the spans newly delivered in order and the ACK policy.
-    pub fn accept(
-        &mut self,
-        seq: u64,
-        len: u32,
-        push: bool,
-        fin: bool,
-        meta: SpanVec,
-    ) -> (SpanVec, AckPolicy) {
-        let mut delivered = SpanVec::new();
-        if fin {
-            self.peer_fin_seq = Some(seq);
-        }
+    /// the number of payload bytes newly delivered in order (how far
+    /// `rcv_nxt` advanced, the FIN's sequence number left out) and the
+    /// ACK policy.
+    pub fn accept(&mut self, seq: u64, len: u32, push: bool, fin: bool) -> (u64, AckPolicy) {
         let seg_end = seq + if fin { 1 } else { len as u64 };
         if seg_end <= self.rcv_nxt {
             // Complete duplicate: immediate ACK so the sender resyncs.
-            return (delivered, AckPolicy::Immediate);
+            return (0, AckPolicy::Immediate);
         }
         if seq > self.rcv_nxt {
             // Out of order: park and duplicate-ACK immediately.
-            self.ooo.insert(
-                seq,
-                OooSeg {
-                    len,
-                    push,
-                    meta,
-                    fin,
-                },
-            );
-            return (delivered, AckPolicy::Immediate);
+            self.ooo.insert(seq, OooSeg { len, push, fin });
+            return (0, AckPolicy::Immediate);
         }
         // In order (possibly overlapping an already-received prefix).
-        let fresh_from = self.rcv_nxt;
-        if fin {
-            self.rcv_nxt = seq + 1;
-            self.peer_fin_rcvd = true;
-        } else {
-            self.rcv_nxt = seq + len as u64;
-            for span in meta {
-                let span_end = span.offset + span.len as u64;
-                if span_end > fresh_from {
-                    let s = span.offset.max(fresh_from);
-                    delivered.push(MetaSpan {
-                        offset: s,
-                        len: (span_end - s) as u32,
-                        marker: span.marker,
-                        content: span.content,
-                    });
-                }
-            }
-        }
+        let from = self.rcv_nxt;
+        self.rcv_nxt = seg_end;
+        self.peer_fin_rcvd |= fin;
         let mut saw_push = push;
         let filled_gap = !self.ooo.is_empty();
         // Drain contiguous out-of-order segments.
@@ -608,30 +553,17 @@ impl Endpoint {
             if end <= self.rcv_nxt {
                 continue; // stale duplicate parked earlier
             }
-            let fresh = self.rcv_nxt;
             self.rcv_nxt = end;
-            if seg.fin {
-                self.peer_fin_rcvd = true;
-            } else {
-                for span in seg.meta {
-                    let span_end = span.offset + span.len as u64;
-                    if span_end > fresh {
-                        let st = span.offset.max(fresh);
-                        delivered.push(MetaSpan {
-                            offset: st,
-                            len: (span_end - st) as u32,
-                            marker: span.marker,
-                            content: span.content,
-                        });
-                    }
-                }
-            }
+            self.peer_fin_rcvd |= seg.fin;
             saw_push |= seg.push;
         }
+        // No byte follows the FIN, and once it is consumed every segment
+        // is a duplicate: a FIN consumed here is the last sequence number
+        // `rcv_nxt` passed.
+        let delivered = self.rcv_nxt - from - u64::from(self.peer_fin_rcvd);
         // ACK policy: immediate on PSH, FIN, a filled gap, or when this
         // is the second unacknowledged segment.
         let policy = if saw_push
-            || fin
             || self.peer_fin_rcvd
             || filled_gap
             || !self.ooo.is_empty()
@@ -822,15 +754,8 @@ mod tests {
     #[test]
     fn in_order_receive_delivers_and_delays_ack() {
         let mut e = ep();
-        let meta: SpanVec = vec![MetaSpan {
-            offset: 0,
-            len: 1460,
-            marker: Marker::Static,
-            content: 9,
-        }]
-        .into();
-        let (spans, policy) = e.accept(0, 1460, false, false, meta);
-        assert_eq!(spans.len(), 1);
+        let (bytes, policy) = e.accept(0, 1460, false, false);
+        assert_eq!(bytes, 1460);
         assert_eq!(e.rcv_nxt, 1460);
         assert_eq!(policy, AckPolicy::Delayed);
     }
@@ -838,59 +763,29 @@ mod tests {
     #[test]
     fn second_segment_acks_immediately() {
         let mut e = ep();
-        let mk = |off: u64| -> SpanVec {
-            vec![MetaSpan {
-                offset: off,
-                len: 1460,
-                marker: Marker::Static,
-                content: 9,
-            }]
-            .into()
-        };
-        let (_, p1) = e.accept(0, 1460, false, false, mk(0));
+        let (_, p1) = e.accept(0, 1460, false, false);
         assert_eq!(p1, AckPolicy::Delayed);
         e.delack.arm(SimTime::from_millis(200), 0); // the net layer arms it
-        let (_, p2) = e.accept(1460, 1460, false, false, mk(1460));
+        let (_, p2) = e.accept(1460, 1460, false, false);
         assert_eq!(p2, AckPolicy::Immediate);
     }
 
     #[test]
     fn push_acks_immediately() {
         let mut e = ep();
-        let (_, p) = e.accept(
-            0,
-            400,
-            true,
-            false,
-            vec![MetaSpan {
-                offset: 0,
-                len: 400,
-                marker: Marker::Request,
-                content: 1,
-            }]
-            .into(),
-        );
+        let (_, p) = e.accept(0, 400, true, false);
         assert_eq!(p, AckPolicy::Immediate);
     }
 
     #[test]
     fn out_of_order_parks_then_drains() {
         let mut e = ep();
-        let mk = |off: u64, len: u32| -> SpanVec {
-            vec![MetaSpan {
-                offset: off,
-                len,
-                marker: Marker::Dynamic,
-                content: 3,
-            }]
-            .into()
-        };
-        let (spans, p) = e.accept(1460, 1460, false, false, mk(1460, 1460));
-        assert!(spans.is_empty());
+        let (bytes, p) = e.accept(1460, 1460, false, false);
+        assert_eq!(bytes, 0, "a parked segment delivers nothing yet");
         assert_eq!(p, AckPolicy::Immediate); // dup-ack for the gap
         assert_eq!(e.rcv_nxt, 0);
-        let (spans2, p2) = e.accept(0, 1460, false, false, mk(0, 1460));
-        assert_eq!(spans2.len(), 2); // both segments delivered in order
+        let (bytes, p2) = e.accept(0, 1460, false, false);
+        assert_eq!(bytes, 2920, "both segments delivered in order");
         assert_eq!(e.rcv_nxt, 2920);
         assert_eq!(p2, AckPolicy::Immediate); // filled a gap
         assert!(e.ooo.is_empty());
@@ -899,17 +794,10 @@ mod tests {
     #[test]
     fn duplicate_segments_reack_but_do_not_redeliver() {
         let mut e = ep();
-        let mk: SpanVec = vec![MetaSpan {
-            offset: 0,
-            len: 1460,
-            marker: Marker::Static,
-            content: 1,
-        }]
-        .into();
-        let (s1, _) = e.accept(0, 1460, false, false, mk.clone());
-        assert_eq!(s1.len(), 1);
-        let (s2, p2) = e.accept(0, 1460, false, false, mk);
-        assert!(s2.is_empty());
+        let (first, _) = e.accept(0, 1460, false, false);
+        assert_eq!(first, 1460);
+        let (again, p2) = e.accept(0, 1460, false, false);
+        assert_eq!(again, 0);
         assert_eq!(p2, AckPolicy::Immediate);
         assert_eq!(e.rcv_nxt, 1460);
     }
@@ -917,30 +805,26 @@ mod tests {
     #[test]
     fn overlapping_retransmission_delivers_only_fresh_bytes() {
         let mut e = ep();
-        let mk = |off: u64, len: u32| -> SpanVec {
-            vec![MetaSpan {
-                offset: off,
-                len,
-                marker: Marker::Static,
-                content: 1,
-            }]
-            .into()
-        };
-        e.accept(0, 1460, false, false, mk(0, 1460));
+        e.accept(0, 1460, false, false);
         // Retransmission covering [0, 2920): only [1460, 2920) is fresh.
-        let (spans, _) = e.accept(0, 2920, false, false, mk(0, 2920));
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].offset, 1460);
-        assert_eq!(spans[0].len, 1460);
+        let (bytes, _) = e.accept(0, 2920, false, false);
+        assert_eq!(bytes, 1460);
         assert_eq!(e.rcv_nxt, 2920);
     }
 
     #[test]
     fn fin_consumes_one_sequence_number() {
         let mut e = ep();
-        let (_, p) = e.accept(0, 0, false, true, SpanVec::new());
+        let (bytes, p) = e.accept(0, 0, false, true);
+        assert_eq!(bytes, 0, "the FIN advances rcv_nxt but carries no byte");
         assert_eq!(p, AckPolicy::Immediate);
         assert_eq!(e.rcv_nxt, 1);
+        assert!(e.peer_fin_rcvd);
+        // A parked FIN drained behind the data it waited for.
+        let mut e = ep();
+        assert_eq!(e.accept(1460, 0, false, true).0, 0);
+        assert_eq!(e.accept(0, 1460, false, false).0, 1460);
+        assert_eq!(e.rcv_nxt, 1461);
         assert!(e.peer_fin_rcvd);
     }
 

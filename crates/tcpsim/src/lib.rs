@@ -44,6 +44,13 @@
 //! event, updates TCP state, and queues application callbacks which are
 //! delivered with `&mut Net` so the app can immediately send, open
 //! connections or set timers.
+//!
+//! Each fact leaves the crate one way. An application learns how many
+//! bytes arrived in order ([`App::on_data`]); what they were (their
+//! [`Marker`]s and content ids) is read only from a capture. Loss
+//! recovery (retransmitted segments, fast retransmits, RTO window
+//! resets) is counted only in the run's telemetry registry
+//! ([`Net::metrics`]), summed over every connection.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -55,10 +62,8 @@ pub mod opts;
 pub mod segment;
 pub mod trace;
 
-pub use endpoint::{ConnStats, TcpState};
-pub use net::{
-    App, ConnId, DeliveredSpan, End, FaultTarget, LinkFault, LinkFaultKind, Net, NodeId, Sim,
-};
+pub use endpoint::TcpState;
+pub use net::{App, ConnId, End, FaultTarget, LinkFault, LinkFaultKind, Net, NodeId, Sim};
 pub use opts::{CongAlgo, TcpOptions};
 pub use segment::{Marker, MetaSpan, PktKind, Segment, SpanVec};
 pub use trace::{Capture, PktDir, PktEvent};

@@ -10,7 +10,7 @@
 
 use crate::endpoint::{AckPolicy, AckReaction, Endpoint, TcpState, Timer, TimerPop};
 use crate::opts::{TcpOptions, DELACK_TIMEOUT, MAX_RTO, MSS};
-use crate::segment::{Marker, MetaSpan, PktKind, Segment, SpanVec};
+use crate::segment::{Marker, PktKind, Segment};
 use crate::trace::{Capture, PktDir};
 use nettopo::{BurstLossParams, PathModel};
 use simcore::queue::EventQueue;
@@ -55,10 +55,6 @@ impl End {
         }
     }
 }
-
-/// A span of bytes delivered in order to the application (re-export of
-/// [`MetaSpan`] under the name the `App` trait uses).
-pub type DeliveredSpan = MetaSpan;
 
 /// What part of the topology a [`LinkFault`] applies to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -156,12 +152,15 @@ impl LinkFault {
 /// The application protocol driven by the simulator.
 ///
 /// All callbacks receive `&mut Net` and may call [`Net::open`],
-/// [`Net::send`], [`Net::close`], [`Net::set_timer`] freely.
+/// [`Net::send`], [`Net::close`], [`Net::set_timer`] freely. Data
+/// arrives as a byte count: the markers a sender attached travel with
+/// each segment but are read only from a capture.
 pub trait App {
     /// The connection completed its handshake at `end`.
     fn on_established(&mut self, net: &mut Net, conn: ConnId, end: End);
-    /// In-order data arrived at `end`.
-    fn on_data(&mut self, net: &mut Net, conn: ConnId, end: End, spans: &[DeliveredSpan]);
+    /// `bytes` more bytes of the peer's stream arrived in order at `end`
+    /// (never 0).
+    fn on_data(&mut self, net: &mut Net, conn: ConnId, end: End, bytes: u64);
     /// The peer's FIN was consumed at `end` (stream fully received).
     fn on_fin(&mut self, net: &mut Net, conn: ConnId, end: End) {
         let _ = (net, conn, end);
@@ -205,22 +204,10 @@ impl TimerKind {
 }
 
 enum Cb {
-    Established {
-        conn: ConnId,
-        end: End,
-    },
-    Data {
-        conn: ConnId,
-        end: End,
-        spans: SpanVec,
-    },
-    Fin {
-        conn: ConnId,
-        end: End,
-    },
-    Timer {
-        token: u64,
-    },
+    Established { conn: ConnId, end: End },
+    Data { conn: ConnId, end: End, bytes: u64 },
+    Fin { conn: ConnId, end: End },
+    Timer { token: u64 },
 }
 
 struct Conn {
@@ -244,6 +231,11 @@ struct Conn {
     /// The application called [`Net::release`].
     released: bool,
 }
+
+// Every packet event reads one `Conn` slot, and the 500-connection mixed
+// `bench_tcpsim` cell slows measurably when it grows by 8 bytes
+// (EXPERIMENTS.md, "Connection-state size"): a growth must be a choice.
+const _: () = assert!(std::mem::size_of::<Conn>() <= 888);
 
 impl Conn {
     /// True once the slot can be reused: the application has released
@@ -625,27 +617,6 @@ impl Net {
         self.q.schedule_reserved(at, seq, Ev::AppTimer { token });
     }
 
-    /// Congestion window (bytes) of one side — exposed for tests and the
-    /// split-TCP ablation instrumentation.
-    pub fn cwnd(&self, conn: ConnId, end: End) -> f64 {
-        self.conns[self.slot(conn)].ep[end.idx()].cwnd
-    }
-
-    /// Smoothed RTT estimate of one side, in ms.
-    pub fn srtt_ms(&self, conn: ConnId, end: End) -> Option<f64> {
-        self.conns[self.slot(conn)].ep[end.idx()].srtt_ms
-    }
-
-    /// Bytes delivered in order to the application at `end`.
-    pub fn delivered_bytes(&self, conn: ConnId, end: End) -> u64 {
-        self.conns[self.slot(conn)].ep[end.idx()].rcv_nxt
-    }
-
-    /// Loss-recovery counters of one side.
-    pub fn conn_stats(&self, conn: ConnId, end: End) -> crate::endpoint::ConnStats {
-        self.conns[self.slot(conn)].ep[end.idx()].stats
-    }
-
     /// Installs a scheduled fault. Faults are consulted on every packet
     /// transmission while their window is active; an empty fault list
     /// costs nothing and draws no randomness.
@@ -852,7 +823,6 @@ impl Net {
             ep.segment(PktKind::Data, seq, len)
         };
         ep.rtt_probe = None; // Karn: no sample across retransmission
-        ep.stats.retransmitted_segs += 1;
         self.metrics.inc("tcpsim.retransmit_segs");
         self.transmit(cid, end, seg);
         self.arm_rto(cid, end);
@@ -972,15 +942,13 @@ impl Net {
                 // --- receiver-side: payload / FIN ---
                 if seg.kind == PktKind::Data || seg.kind == PktKind::Fin {
                     let fin = seg.kind == PktKind::Fin;
-                    let (spans, policy) = {
-                        let ep = &mut self.conns[s].ep[to.idx()];
-                        ep.accept(seg.seq, seg.len, seg.push, fin, seg.meta)
-                    };
-                    if !spans.is_empty() {
+                    let (bytes, policy) =
+                        self.conns[s].ep[to.idx()].accept(seg.seq, seg.len, seg.push, fin);
+                    if bytes > 0 {
                         self.cbs.push_back(Cb::Data {
                             conn: cid,
                             end: to,
-                            spans,
+                            bytes,
                         });
                     }
                     {
@@ -1064,11 +1032,6 @@ impl<A: App> Sim<A> {
         &self.app
     }
 
-    /// Mutable application access.
-    pub fn app_mut(&mut self) -> &mut A {
-        &mut self.app
-    }
-
     /// Consumes the simulator, returning the application.
     pub fn into_app(self) -> A {
         self.app
@@ -1085,7 +1048,7 @@ impl<A: App> Sim<A> {
         while let Some(cb) = self.net.cbs.pop_front() {
             match cb {
                 Cb::Established { conn, end } => self.app.on_established(&mut self.net, conn, end),
-                Cb::Data { conn, end, spans } => self.app.on_data(&mut self.net, conn, end, &spans),
+                Cb::Data { conn, end, bytes } => self.app.on_data(&mut self.net, conn, end, bytes),
                 Cb::Fin { conn, end } => self.app.on_fin(&mut self.net, conn, end),
                 Cb::Timer { token } => self.app.on_timer(&mut self.net, token),
             }
@@ -1192,8 +1155,7 @@ mod tests {
             }
         }
 
-        fn on_data(&mut self, net: &mut Net, conn: ConnId, end: End, spans: &[DeliveredSpan]) {
-            let bytes: u64 = spans.iter().map(|s| s.len as u64).sum();
+        fn on_data(&mut self, net: &mut Net, conn: ConnId, end: End, bytes: u64) {
             self.data_events.push((end, net.now(), bytes));
             match end {
                 End::B => {
@@ -1221,6 +1183,22 @@ mod tests {
         fn on_timer(&mut self, _net: &mut Net, token: u64) {
             self.timer_fired.push(token);
         }
+    }
+
+    /// The run's loss-recovery counters from the registry, both ends
+    /// summed: `(fast retransmits, cwnd resets, retransmitted segments)`.
+    fn recovery(net: &Net) -> (u64, u64, u64) {
+        let count = |name| net.metrics().counter(name).unwrap_or(0);
+        (
+            count("tcpsim.fast_retransmits"),
+            count("tcpsim.cwnd_resets"),
+            count("tcpsim.retransmit_segs"),
+        )
+    }
+
+    /// One end of a connection that has not been reclaimed.
+    fn endpoint(net: &Net, conn: ConnId, end: End) -> &Endpoint {
+        &net.conns[net.slot(conn)].ep[end.idx()]
     }
 
     fn run_transfer(rtt_ms: f64, request: u64, response: u64, loss: f64) -> Echoish {
@@ -1354,11 +1332,9 @@ mod tests {
             sim.app().response_done_at.map(SimTime::as_nanos),
             Some(240_010_528)
         );
-        let (a, b) = (
-            sim.net().conn_stats(ConnId(0), End::A),
-            sim.net().conn_stats(ConnId(0), End::B),
-        );
-        assert_eq!((a.timeouts, b.fast_retransmits), (1, 1));
+        // The client's RTO and the server's fast retransmit, one
+        // retransmitted segment each.
+        assert_eq!(recovery(&sim.net), (1, 1, 2));
         assert_eq!(sim.net().events_processed(), 79);
     }
 
@@ -1393,7 +1369,7 @@ mod tests {
         }
         impl App for TimerApp {
             fn on_established(&mut self, _: &mut Net, _: ConnId, _: End) {}
-            fn on_data(&mut self, _: &mut Net, _: ConnId, _: End, _: &[DeliveredSpan]) {}
+            fn on_data(&mut self, _: &mut Net, _: ConnId, _: End, _: u64) {}
             fn on_timer(&mut self, net: &mut Net, token: u64) {
                 self.fired.push((token, net.now()));
                 if token == 1 {
@@ -1426,7 +1402,7 @@ mod tests {
         }
         impl App for ChainApp {
             fn on_established(&mut self, _: &mut Net, _: ConnId, _: End) {}
-            fn on_data(&mut self, _: &mut Net, _: ConnId, _: End, _: &[DeliveredSpan]) {}
+            fn on_data(&mut self, _: &mut Net, _: ConnId, _: End, _: u64) {}
             fn on_timer(&mut self, net: &mut Net, token: u64) {
                 self.fired.push(token);
                 if token < 2 {
@@ -1443,7 +1419,7 @@ mod tests {
             },
         );
         let first = sim.net().reserve_timer_seqs(3);
-        sim.app_mut().first = first;
+        sim.app.first = first;
         for (k, ms) in [(10, 10), (11, 20), (12, 30)] {
             sim.net().set_timer(SimDuration::from_millis(ms), k);
         }
@@ -1465,7 +1441,7 @@ mod tests {
             1,
         );
         sim.run();
-        let srtt = sim.net().srtt_ms(cid, End::B).unwrap();
+        let srtt = endpoint(&sim.net, cid, End::B).srtt_ms.unwrap();
         assert!((srtt - 80.0).abs() < 8.0, "B srtt {srtt}");
     }
 
@@ -1481,7 +1457,7 @@ mod tests {
             1,
         );
         sim.run();
-        let cwnd = sim.net().cwnd(cid, End::B);
+        let cwnd = endpoint(&sim.net, cid, End::B).cwnd;
         assert!(
             cwnd > 10.0 * 1460.0,
             "200KB clean transfer should grow cwnd well past IW, got {cwnd}"
@@ -1614,9 +1590,9 @@ mod tests {
     }
 
     #[test]
-    fn conn_stats_count_recovery_events() {
+    fn registry_counts_recovery_events() {
         let mut sim = Sim::new(5, Echoish::new(400, 300_000));
-        let cid = sim.net().open(
+        sim.net().open(
             NodeId(1),
             NodeId(2),
             PathModel::lossy(40.0, 0.03),
@@ -1625,15 +1601,12 @@ mod tests {
             1,
         );
         sim.run();
-        let stats = sim.net().conn_stats(cid, End::B);
-        assert!(
-            stats.retransmitted_segs > 0,
-            "3% loss on a 300KB transfer must retransmit"
-        );
-        assert!(stats.fast_retransmits + stats.timeouts > 0);
+        let (fast, resets, segs) = recovery(&sim.net);
+        assert!(segs > 0, "3% loss on a 300KB transfer must retransmit");
+        assert!(fast + resets > 0);
         // Clean path: zero recovery events.
         let mut clean = Sim::new(5, Echoish::new(400, 300_000));
-        let c2 = clean.net().open(
+        clean.net().open(
             NodeId(1),
             NodeId(2),
             PathModel::ideal(40.0),
@@ -1642,21 +1615,18 @@ mod tests {
             1,
         );
         clean.run();
-        assert_eq!(
-            clean.net().conn_stats(c2, End::B),
-            crate::endpoint::ConnStats::default()
-        );
+        assert_eq!(recovery(&clean.net), (0, 0, 0));
     }
 
-    /// Runs the [`Echoish`] transfer on an ideal 100 ms path with the
+    /// Runs the `Echoish` transfer on an ideal 100 ms path with the
     /// given scripted fault windows installed, returning the app and the
-    /// server-side connection stats.
-    fn run_faulty(response: u64, faults: Vec<LinkFault>) -> (Echoish, crate::endpoint::ConnStats) {
+    /// run's `recovery` counters.
+    fn run_faulty(response: u64, faults: Vec<LinkFault>) -> (Echoish, (u64, u64, u64)) {
         let mut sim = Sim::new(42, Echoish::new(400, response));
         for f in faults {
             sim.net().add_link_fault(f);
         }
-        let cid = sim.net().open(
+        sim.net().open(
             NodeId(1),
             NodeId(2),
             PathModel::ideal(100.0),
@@ -1665,8 +1635,8 @@ mod tests {
             1,
         );
         sim.run();
-        let stats = sim.net().conn_stats(cid, End::B);
-        (sim.into_app(), stats)
+        let counts = recovery(&sim.net);
+        (sim.into_app(), counts)
     }
 
     #[test]
@@ -1689,25 +1659,22 @@ mod tests {
                 bad_loss: 1.0,
             },
         );
-        let (clean, clean_stats) = run_faulty(60_000, vec![]);
-        let (app, stats) = run_faulty(60_000, vec![burst.clone()]);
-        assert_eq!(clean_stats, crate::endpoint::ConnStats::default());
+        let (clean, clean_counts) = run_faulty(60_000, vec![]);
+        let (app, counts) = run_faulty(60_000, vec![burst.clone()]);
+        assert_eq!(clean_counts, (0, 0, 0));
         assert_eq!(app.got, 60_000, "all bytes must arrive despite the burst");
-        assert_eq!(stats.fast_retransmits, 1);
-        assert_eq!(stats.timeouts, 0, "dup-ACK recovery must beat the RTO");
-        assert!(
-            stats.retransmitted_segs >= 3,
-            "alternating drops lose >=3 segs"
-        );
+        // One fast retransmit, no RTO (dup-ACK recovery must beat it),
+        // and the alternating drops lose 4 segments.
+        assert_eq!(counts, (1, 0, 4));
         assert!(
             app.response_done_at.unwrap() > clean.response_done_at.unwrap(),
             "recovery must cost time"
         );
         // The scripted episode is deterministic: an identical run produces
         // an identical trajectory.
-        let (again, again_stats) = run_faulty(60_000, vec![burst]);
+        let (again, again_counts) = run_faulty(60_000, vec![burst]);
         assert_eq!(app.response_done_at, again.response_done_at);
-        assert_eq!(stats, again_stats);
+        assert_eq!(counts, again_counts);
     }
 
     #[test]
@@ -1727,7 +1694,7 @@ mod tests {
                 SimTime::from_millis(95),
                 SimTime::from_millis(end_ms),
             ));
-            let cid = sim.net().open(
+            sim.net().open(
                 NodeId(1),
                 NodeId(2),
                 PathModel::ideal(100.0),
@@ -1736,11 +1703,12 @@ mod tests {
                 1,
             );
             sim.run();
-            let stats = sim.net().conn_stats(cid, End::A);
+            let (fast, resets, segs) = recovery(&sim.net);
             let app = sim.into_app();
             assert_eq!(app.got, 5_000, "transfer must complete after the outage");
-            assert_eq!(stats.fast_retransmits, 0, "a silent flight cannot dup-ACK");
-            (stats.timeouts, app.request_done_at.unwrap())
+            assert_eq!(fast, 0, "a silent flight cannot dup-ACK");
+            assert_eq!(segs, resets, "each timeout resends one segment");
+            (resets, app.request_done_at.unwrap())
         };
         // Window ends before the first RTO fire: one timeout, request
         // arrives at 400 + 50 ms.
@@ -1765,8 +1733,8 @@ mod tests {
         // transfer ends — must leave the trajectory byte-identical: the
         // fault layer draws from its own named RNG stream only for
         // packets actually inside a matching window.
-        let (clean, clean_stats) = run_faulty(60_000, vec![]);
-        let (faulted, faulted_stats) = run_faulty(
+        let (clean, clean_counts) = run_faulty(60_000, vec![]);
+        let (faulted, faulted_counts) = run_faulty(
             60_000,
             vec![
                 LinkFault::link_outage(
@@ -1791,7 +1759,7 @@ mod tests {
         );
         assert_eq!(clean.response_done_at, faulted.response_done_at);
         assert_eq!(clean.data_events, faulted.data_events);
-        assert_eq!(clean_stats, faulted_stats);
+        assert_eq!(clean_counts, faulted_counts);
     }
 
     #[test]
@@ -1803,7 +1771,7 @@ mod tests {
         // A transmit path that stops consulting windows once one has
         // dropped the packet finishes at 2,180,045,920 ns after two
         // timeouts instead.
-        let (app, stats) = run_faulty(
+        let (app, counts) = run_faulty(
             60_000,
             vec![
                 LinkFault::link_outage(
@@ -1830,14 +1798,8 @@ mod tests {
             app.response_done_at.map(SimTime::as_nanos),
             Some(3_252_561_238)
         );
-        assert_eq!(
-            stats,
-            crate::endpoint::ConnStats {
-                fast_retransmits: 0,
-                timeouts: 4,
-                retransmitted_segs: 4,
-            }
-        );
+        // The server's four timeouts, one resent segment each.
+        assert_eq!(counts, (0, 4, 4));
     }
 
     #[test]
@@ -1891,7 +1853,7 @@ mod tests {
     /// returns its connection (the app is reset first, so transfers can
     /// repeat on one net).
     fn transfer_on(sim: &mut Sim<Echoish>, path: PathModel, session: u64) -> ConnId {
-        *sim.app_mut() = Echoish::new(400, 5_000);
+        sim.app = Echoish::new(400, 5_000);
         let cid = sim.net().open_captured(
             NodeId(1),
             NodeId(2),
@@ -1987,7 +1949,7 @@ mod tests {
         // An outage of the server node during the whole response window
         // stalls the transfer until the node recovers.
         let (clean, _) = run_faulty(5_000, vec![]);
-        let (app, stats) = run_faulty(
+        let (app, (_, resets, _)) = run_faulty(
             5_000,
             vec![LinkFault::node_outage(
                 NodeId(2),
@@ -1996,7 +1958,7 @@ mod tests {
             )],
         );
         assert_eq!(app.got, 5_000);
-        assert!(stats.timeouts >= 1, "outage must force at least one RTO");
+        assert!(resets >= 1, "outage must force at least one RTO");
         assert!(
             app.response_done_at.unwrap() > clean.response_done_at.unwrap(),
             "outage must delay completion"
@@ -2014,7 +1976,7 @@ mod tests {
                     net.send(conn, End::A, 400, Marker::Request, 1);
                 }
             }
-            fn on_data(&mut self, net: &mut Net, conn: ConnId, end: End, _s: &[DeliveredSpan]) {
+            fn on_data(&mut self, net: &mut Net, conn: ConnId, end: End, _: u64) {
                 if end == End::B {
                     net.send(conn, End::B, 1000, Marker::Static, 2);
                 } else {

@@ -10,9 +10,13 @@
 /// Application-layer classification of a byte range — the simulator's
 /// stand-in for packet payload content.
 ///
-/// The ground-truth markers let tests validate the *inference* pipeline,
-/// which must work them out from timing and cross-query content
-/// comparison alone, exactly as the paper does with tcpdump payloads.
+/// Every data segment carries the markers of its bytes, but only a
+/// client capture records them: the receiving application is told how
+/// many bytes arrived, not what they were, and FE↔BE legs are never
+/// captured. The ground-truth markers let tests validate the *inference*
+/// pipeline, which must work them out from timing and cross-query
+/// content comparison alone, exactly as the paper does with tcpdump
+/// payloads.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Marker {
     /// An HTTP request (client → FE, or FE → BE query).
@@ -23,10 +27,6 @@ pub enum Marker {
     /// The dynamic portion: keyword-dependent results and ads, generated
     /// at the BE.
     Dynamic,
-    /// A back-end query on the FE↔BE leg.
-    BeQuery,
-    /// A back-end response on the FE↔BE leg.
-    BeResponse,
     /// A degraded-service error marker: the FE could not reach any
     /// back-end before its fetch deadline and served an error stub in
     /// place of the dynamic portion.

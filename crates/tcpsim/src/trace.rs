@@ -283,12 +283,10 @@ mod tests {
     use super::*;
     use crate::segment::Marker;
 
-    const MARKERS: [Marker; 7] = [
+    const MARKERS: [Marker; 5] = [
         Marker::Request,
         Marker::Static,
         Marker::Dynamic,
-        Marker::BeQuery,
-        Marker::BeResponse,
         Marker::Error,
         Marker::Other,
     ];

@@ -14,7 +14,7 @@
 //!    captures: its header agrees with the timeline, every line reads
 //!    back to a packet of the capture, and the lines are in time order.
 
-use capture::dump::{self, ParsedLine};
+use capture::dump;
 use capture::{
     find_static_content_ids, Classifier, ClientTrace, SessionError, Timeline, TimelineError,
 };
@@ -357,21 +357,6 @@ fn one_pass_extraction_matches_the_reference_under_loss_and_shedding() {
 
 // ---------- 3. the client-view dump ----------
 
-/// The core fields a packet's dump line reads back as: its time at the
-/// dump's 0.1 µs resolution, and the rest exactly.
-fn as_parsed(ev: &PktEvent) -> ParsedLine {
-    ParsedLine {
-        t_ms: format!("{:.4}", ev.t.as_millis_f64()).parse().unwrap(),
-        node: ev.node.0,
-        dir: ev.dir,
-        kind: ev.kind,
-        seq: ev.seq,
-        len: ev.len,
-        ack: ev.ack,
-        push: ev.push,
-    }
-}
-
 #[test]
 fn client_view_dump_reads_back_every_client_packet_in_time_order() {
     let report =
@@ -399,11 +384,9 @@ fn client_view_dump_reads_back_every_client_packet_in_time_order() {
         let mut unprinted: Vec<Option<PktEvent>> = recorded.iter().copied().map(Some).collect();
         let mut printed = Vec::new();
         for line in lines {
-            let parsed = dump::parse_line(line)
-                .unwrap_or_else(|| panic!("qid {}: unparsable line {line:?}", cq.qid));
             let slot = unprinted
                 .iter_mut()
-                .find(|e| e.is_some_and(|e| as_parsed(&e) == parsed))
+                .find(|e| e.is_some_and(|e| dump::render_line(&e) == line))
                 .unwrap_or_else(|| panic!("qid {}: {line:?} is no packet of the capture", cq.qid));
             printed.extend(slot.take());
         }

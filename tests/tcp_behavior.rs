@@ -5,15 +5,15 @@ use nettopo::PathModel;
 use simcore::dist::Dist;
 use simcore::time::{SimDuration, SimTime};
 use tcpsim::{
-    App, CongAlgo, ConnId, DeliveredSpan, End, Marker, Net, NodeId, PktDir, PktKind, Sim,
-    TcpOptions,
+    App, CongAlgo, ConnId, End, Marker, MetaSpan, Net, NodeId, PktDir, PktKind, Sim, TcpOptions,
 };
 
-/// Server sends `response` bytes on connect; the client app records
-/// nothing — traces carry the evidence.
+/// Server sends `response` bytes once the request has arrived; the
+/// client app only counts them — traces carry the evidence.
 struct OneShot {
     response: u64,
     request: u64,
+    request_got: u64,
     got: u64,
 }
 impl App for OneShot {
@@ -22,11 +22,11 @@ impl App for OneShot {
             net.send(conn, End::A, self.request, Marker::Request, 1);
         }
     }
-    fn on_data(&mut self, net: &mut Net, conn: ConnId, end: End, spans: &[DeliveredSpan]) {
-        let bytes: u64 = spans.iter().map(|s| s.len as u64).sum();
+    fn on_data(&mut self, net: &mut Net, conn: ConnId, end: End, bytes: u64) {
         match end {
             End::B => {
-                if net.delivered_bytes(conn, End::B) >= self.request {
+                self.request_got += bytes;
+                if self.request_got >= self.request {
                     net.send(conn, End::B, self.response, Marker::Static, 2);
                 }
             }
@@ -46,6 +46,7 @@ fn trace_run(
         OneShot {
             response,
             request,
+            request_got: 0,
             got: 0,
         },
     );
@@ -127,6 +128,7 @@ fn receive_window_caps_the_flight() {
         OneShot {
             response: 150_000,
             request: 400,
+            request_got: 0,
             got: 0,
         },
     );
@@ -172,6 +174,7 @@ fn rto_backoff_doubles_under_blackout_and_recovers() {
         OneShot {
             response: 5_000,
             request: 400,
+            request_got: 0,
             got: 0,
         },
     );
@@ -226,7 +229,7 @@ fn idle_persistent_connection_keeps_its_warm_window() {
                 net.set_timer(SimDuration::from_secs(30), conn.0 as u64);
             }
         }
-        fn on_data(&mut self, _: &mut Net, _: ConnId, _: End, _: &[DeliveredSpan]) {}
+        fn on_data(&mut self, _: &mut Net, _: ConnId, _: End, _: u64) {}
         fn on_timer(&mut self, net: &mut Net, token: u64) {
             if !self.second_sent {
                 self.second_sent = true;
@@ -294,8 +297,6 @@ struct SplitExchange {
     dynamic_bytes: u64,
     request_got: u64,
     replied: bool,
-    /// Every span delivered to the client, in order.
-    spans: Vec<DeliveredSpan>,
 }
 
 impl App for SplitExchange {
@@ -305,18 +306,15 @@ impl App for SplitExchange {
         }
     }
 
-    fn on_data(&mut self, net: &mut Net, conn: ConnId, end: End, spans: &[DeliveredSpan]) {
-        match end {
-            End::B => {
-                self.request_got += spans.iter().map(|s| s.len as u64).sum::<u64>();
-                if self.request_got >= SPLIT_REQUEST && !self.replied {
-                    self.replied = true;
-                    net.send(conn, End::B, self.static_bytes, Marker::Static, 1);
-                    net.send(conn, End::B, self.dynamic_bytes, Marker::Dynamic, 5_000);
-                    net.close(conn, End::B);
-                }
+    fn on_data(&mut self, net: &mut Net, conn: ConnId, end: End, bytes: u64) {
+        if end == End::B {
+            self.request_got += bytes;
+            if self.request_got >= SPLIT_REQUEST && !self.replied {
+                self.replied = true;
+                net.send(conn, End::B, self.static_bytes, Marker::Static, 1);
+                net.send(conn, End::B, self.dynamic_bytes, Marker::Dynamic, 5_000);
+                net.close(conn, End::B);
             }
-            End::A => self.spans.extend_from_slice(spans),
         }
     }
 
@@ -330,17 +328,18 @@ impl App for SplitExchange {
 /// Runs one exchange and checks what every split must satisfy: the
 /// request and both portions arrive whole, delivery is gapless, and the
 /// static→dynamic transition happens once, at the byte where the
-/// portions meet. Returns the spans delivered to the client.
-fn split_exchange(static_bytes: u64, dynamic_bytes: u64) -> Vec<DeliveredSpan> {
+/// portions meet. Returns the spans of the data packets the client
+/// received, in its capture's order: the path is ideal, so no packet is
+/// lost or repeated, and these are exactly the bytes delivered to it.
+fn split_exchange(static_bytes: u64, dynamic_bytes: u64) -> Vec<MetaSpan> {
     let app = SplitExchange {
         static_bytes,
         dynamic_bytes,
         request_got: 0,
         replied: false,
-        spans: Vec::new(),
     };
     let mut sim = Sim::new(11, app);
-    sim.net().open(
+    let cid = sim.net().open_captured(
         NodeId(1),
         NodeId(2),
         PathModel::ideal(30.0),
@@ -349,10 +348,15 @@ fn split_exchange(static_bytes: u64, dynamic_bytes: u64) -> Vec<DeliveredSpan> {
         1,
     );
     sim.run();
-    let app = sim.into_app();
-    assert_eq!(app.request_got, SPLIT_REQUEST);
+    let capture = sim.net().release(cid).unwrap();
+    assert_eq!(sim.app().request_got, SPLIT_REQUEST);
+    let spans: Vec<MetaSpan> = capture
+        .iter()
+        .filter(|e| e.dir == PktDir::Rx && e.kind == PktKind::Data)
+        .flat_map(|e| e.meta.iter().copied())
+        .collect();
     let marker_bytes = |m: Marker| -> u64 {
-        app.spans
+        spans
             .iter()
             .filter(|s| s.marker == m)
             .map(|s| s.len as u64)
@@ -362,7 +366,7 @@ fn split_exchange(static_bytes: u64, dynamic_bytes: u64) -> Vec<DeliveredSpan> {
     assert_eq!(marker_bytes(Marker::Dynamic), dynamic_bytes);
     let mut offset = 0u64;
     let mut dynamic_began = false;
-    for s in &app.spans {
+    for s in &spans {
         assert_eq!(s.offset, offset, "delivery must be gapless");
         offset += s.len as u64;
         match s.marker {
@@ -375,7 +379,7 @@ fn split_exchange(static_bytes: u64, dynamic_bytes: u64) -> Vec<DeliveredSpan> {
         }
     }
     assert_eq!(offset, static_bytes + dynamic_bytes);
-    app.spans
+    spans
 }
 
 #[test]
